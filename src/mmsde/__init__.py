@@ -45,6 +45,7 @@ from .skorokhod import (
     pair_inequality_report,
 )
 from .drivers import (
+    STREAM_VERSION,
     JumpLaw,
     ProcessSpec,
     DriverSpec,

@@ -11,6 +11,8 @@ A configuration file has five sections; every key is optional unless noted.
                 truncation_radius, out, format
 
 Vectors are comma- or space-separated; matrices separate rows with ';'.
+Comment lines start with '#' or ';'; an inline comment starts with ' #' only,
+because ';' inside a value separates matrix rows and polyhedron constraints.
 Checkpoints are times in (0, horizon]; append 'j' to mark a time where a
 driver jump is possible (excluded from continuity-point comparisons).
 """
@@ -391,7 +393,7 @@ def _driver_dict(sec) -> dict:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -5,12 +5,18 @@ initial point, Z starts at zero.  Jump times are sampled independently of the
 partition and inserted into the computational grid, so schemes see every jump
 at an exact grid point and left limits are well defined.
 
-Randomness is counter-based (Philox): every draw comes from a substream keyed
-by (master seed, trajectory index, purpose tag, context word), so trajectory
-generation is order-independent and reproducible bit-for-bit.  Brownian
-values are built by a dyadic bridge descent whose innovations are keyed by
-the midpoint time, which makes W(t) a pure function of (seed, trajectory, t):
-simulating on a refined partition reproduces the coarse values exactly.
+Randomness is counter-based (Philox4x64-10; Salmon et al., SC'11): every
+draw is keyed by (master seed, trajectory index) with the counter (0, purpose
+tag, context word, block), so trajectory generation is order-independent and
+reproducible bit-for-bit.  Brownian values come from a dyadic bridge descent
+to float resolution (no depth cap, so the law is exact) whose Gaussians are
+keyed by the node time, which makes W(t) a pure function of (seed,
+trajectory, tag, t): simulating on a refined partition reproduces the coarse
+values exactly.  ``simulate`` descends depth by depth for all grid times at
+once, makes one batched draw for all nodes (a numpy Philox4x64-10 equal to
+``np.random.Philox(key, counter).random_raw()``, then Box-Muller) and runs
+the bridge recursion.  ``STREAM_VERSION`` names the stream; a change to the
+values a seed produces bumps it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from .paths import Partition, StepPath
 
 __all__ = [
+    "STREAM_VERSION",
     "JumpLaw",
     "ProcessSpec",
     "DriverSpec",
@@ -32,6 +39,8 @@ __all__ = [
     "write_realization_csv",
     "write_realization_jsonl",
 ]
+
+STREAM_VERSION = 2
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -50,8 +59,79 @@ def _substream(seed: int, index: int, purpose: int, context: int = 0) -> np.rand
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _time_bits(t: float) -> int:
-    return int(np.float64(t).view(np.uint64))
+# Philox4x64-10 multipliers and Weyl key increments, stacked for the two
+# lanes (counter words 0 and 2) that each round multiplies.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
+_PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
+_PHILOX_M_SWAP = np.ascontiguousarray(_PHILOX_M[::-1])
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_PHILOX_CHUNK = 1 << 13  # counter blocks per kernel pass; bounds the temporaries
+
+
+def _philox_block(x: np.ndarray, y: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 on counter lanes x = (c0, c2) and y = (c1, c3), each (2, n)."""
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    for k in round_keys:
+        # high word of the 128-bit product x * M, from 32-bit halves
+        x_lo, x_hi = x & lo32, x >> s32
+        t = x_hi * _PHILOX_M_LO
+        t += (x_lo * _PHILOX_M_LO) >> s32
+        w = x_lo * _PHILOX_M_HI
+        w += t & lo32
+        hi = x_hi * _PHILOX_M_HI
+        hi += t >> s32
+        hi += w >> s32
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        x, y = hi[::-1] ^ y ^ k, x[::-1] * _PHILOX_M_SWAP
+    return x, y
+
+
+def _philox_raw(key, counters: np.ndarray) -> np.ndarray:
+    """Row i is ``np.random.Philox(key=key, counter=counters[i]).random_raw(4)``.
+
+    ``counters`` is (n, 4) uint64; like numpy's bit generator, the counter is
+    incremented (with carry) before the block is generated.
+    """
+    c = np.array(counters, dtype=np.uint64).reshape(-1, 4)
+    c[:, 0] += np.uint64(1)
+    carry = c[:, 0] == 0
+    for j in (1, 2, 3):
+        c[:, j] += carry
+        carry &= c[:, j] == 0
+    k0, k1 = int(key[0]) & _U64, int(key[1]) & _U64
+    round_keys = np.array([[[(k0 + r * _PHILOX_W[0]) & _U64], [(k1 + r * _PHILOX_W[1]) & _U64]]
+                           for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
+    for i in range(0, c.shape[0], _PHILOX_CHUNK):
+        lanes = c[i:i + _PHILOX_CHUNK].T
+        lanes[0::2], lanes[1::2] = _philox_block(lanes[0::2].copy(), lanes[1::2].copy(),
+                                                 round_keys)
+    return c
+
+
+def _keyed_gaussians(seed: int, index: int, purposes, node_times: np.ndarray,
+                     dim: int) -> np.ndarray:
+    """Standard normals keyed by (seed, index, purpose, bits of t): (nodes, purposes * dim).
+
+    Node t of purpose p uses the Philox blocks at counters (0, p, bits(t), j);
+    Box-Muller turns the words, pair by pair, into the normals
+    (r cos a, r sin a), of which the first ``dim`` are used.
+    """
+    shape = (node_times.size, len(purposes))
+    blocks, pairs = -(-dim // 4), -(-dim // 2)
+    counters = np.zeros(shape + (blocks, 4), dtype=np.uint64)
+    counters[..., 1] = np.asarray(purposes, dtype=np.uint64)[None, :, None]
+    counters[..., 2] = node_times.view(np.uint64)[:, None, None]
+    counters[..., 3] = np.arange(blocks, dtype=np.uint64)
+    words = _philox_raw((seed, index), counters.reshape(-1, 4)).reshape(shape + (4 * blocks,))
+    u = (words[..., :2 * pairs] >> np.uint64(11)) * 2.0 ** -53  # uniforms on [0, 1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    normals = np.empty(shape + (dim,))
+    normals[..., 0::2] = radius * np.cos(angle)
+    normals[..., 1::2] = radius[..., :dim // 2] * np.sin(angle[..., :dim // 2])
+    return normals.reshape(node_times.size, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +168,18 @@ class JumpLaw:
     def fixed(value) -> "JumpLaw":
         return JumpLaw(kind="fixed", value=np.atleast_1d(np.asarray(value, dtype=float)))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` independent jump sizes, shape (count, d)."""
         if self.kind == "gaussian":
-            return self.mean + self.factor @ rng.standard_normal(self.mean.size)
+            return self.mean + rng.standard_normal((count, self.mean.size)) @ self.factor.T
         if self.kind == "uniform_ball":
             d = self.value.size
-            direction = rng.standard_normal(d)
-            nrm = float(np.linalg.norm(direction))
-            if nrm == 0.0:
-                return np.zeros(d)
-            u = rng.uniform()
-            return direction * (self.radius * u ** (1.0 / d) / nrm)
+            direction = rng.standard_normal((count, d))
+            nrm = np.linalg.norm(direction, axis=1)
+            scale = self.radius * rng.uniform(size=count) ** (1.0 / d)
+            return direction * np.divide(scale, nrm, out=np.zeros(count), where=nrm > 0.0)[:, None]
         if self.kind == "fixed":
-            return self.value.copy()
+            return np.tile(self.value, (count, 1))
         raise ValueError(f"unknown jump law {self.kind!r}")
 
     @property
@@ -172,58 +251,57 @@ class DriverSpec:
         return self.z.dimension
 
 
-class _BrownianPath:
-    """Standard d-dimensional Brownian motion on [0, T] as a pure function.
+def _brownian_values(seed: int, index: int, purposes, horizon: float, dim: int,
+                     times: np.ndarray) -> np.ndarray:
+    """Standard Brownian motions W_p(t), one per purpose tag: (purposes, times, dim).
 
-    Values are produced by dyadic bridge descent from the pair (0, T); the
-    innovation at each node is keyed by the bit pattern of its midpoint, so
-    a value at time t never depends on which other times were queried.
+    Each time descends from the bracket (0, T), bridging to the midpoint s of
+    its bracket, or to itself once the bracket has no float midpoint, until
+    it reaches its own node.  The Gaussian of node s is keyed by the bits of
+    s, so W(t) is a pure function of (seed, index, purpose, t).
     """
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0.0) & (times <= horizon)):
+        raise ValueError(f"times outside [0, {horizon}]")
+    inner = (times > 0.0) & (times < horizon)
 
-    def __init__(self, seed: int, index: int, purpose: int, horizon: float, dim: int):
-        self._seed = seed
-        self._index = index
-        self._purpose = purpose
-        self._horizon = float(horizon)
-        self._dim = dim
-        self._cache: dict[float, np.ndarray] = {0.0: np.zeros(dim)}
-        self._cache[self._horizon] = np.sqrt(self._horizon) * self._gauss(self._horizon)
+    # pass 1: the nodes of every time, depth by depth; they depend on no value
+    steps = []
+    t = times[inner]
+    a, b = np.zeros(t.size), np.full(t.size, float(horizon))
+    while t.size:
+        m = 0.5 * (a + b)
+        s = np.where((a < m) & (m < b), m, t)
+        frac, std = (s - a) / (b - a), np.sqrt((s - a) * (b - s) / (b - a))
+        left, stop = t < s, s == t
+        a, b = np.where(left, a, s), np.where(left, s, b)
+        if stop.any():
+            t, a, b = t[~stop], a[~stop], b[~stop]
+        steps.append((s, frac[:, None], std[:, None], left[:, None], stop))
+    visits = np.concatenate([step[0] for step in steps] + [np.array([horizon])])
+    # Each node sits at one depth, and a depth lists its nodes in time order
+    # when the times are sorted, so repeats are adjacent; a repeat left in is
+    # only drawn twice, with the same key.
+    fresh = np.concatenate([[True], visits[1:] != visits[:-1]])
+    node_ids = np.cumsum(fresh) - 1
 
-    def _gauss(self, t: float) -> np.ndarray:
-        rng = _substream(self._seed, self._index, self._purpose, _time_bits(t))
-        return rng.standard_normal(self._dim)
+    # pass 2: one keyed draw for every node
+    gauss = _keyed_gaussians(seed, index, purposes, visits[fresh], dim)
+    w_end = np.sqrt(horizon) * gauss[node_ids[-1]]
 
-    def _bridge(self, a: float, b: float, va: np.ndarray, vb: np.ndarray, s: float) -> np.ndarray:
-        frac = (s - a) / (b - a)
-        std = np.sqrt((s - a) * (b - s) / (b - a))
-        return va + frac * (vb - va) + std * self._gauss(s)
-
-    def value(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not (0.0 <= t <= self._horizon):
-            raise ValueError(f"time {t} outside [0, {self._horizon}]")
-        cached = self._cache.get(t)
-        if cached is not None:
-            return cached
-        a, b = 0.0, self._horizon
-        va, vb = self._cache[a], self._cache[b]
-        while True:
-            m = 0.5 * (a + b)
-            if not (a < m < b):
-                # interval collapsed to adjacent floats: bridge straight to t
-                vt = self._bridge(a, b, va, vb, t)
-                self._cache[t] = vt
-                return vt
-            vm = self._cache.get(m)
-            if vm is None:
-                vm = self._bridge(a, b, va, vb, m)
-                self._cache[m] = vm
-            if t == m:
-                return vm
-            if t < m:
-                b, vb = m, vm
-            else:
-                a, va = m, vm
+    # pass 3: the bridge recursion, depth by depth
+    w = np.zeros((times.size, gauss.shape[1]))
+    w[times == horizon] = w_end
+    pos, first = np.flatnonzero(inner), 0
+    va, vb = np.zeros((pos.size, w.shape[1])), np.repeat(w_end[None, :], pos.size, axis=0)
+    for s, frac, std, left, stop in steps:
+        vs = va + frac * (vb - va) + std * gauss[node_ids[first:first + s.size]]
+        first += s.size
+        va, vb = np.where(left, va, vs), np.where(left, vs, vb)
+        if stop.any():
+            w[pos[stop]] = vs[stop]
+            pos, va, vb = pos[~stop], va[~stop], vb[~stop]
+    return w.reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,18 +337,14 @@ def _sample_jumps(proc: ProcessSpec, seed: int, index: int, tag_times: int,
     rng_t = _substream(seed, index, tag_times)
     count = int(rng_t.poisson(proc.jump_rate * horizon))
     times = np.sort(rng_t.uniform(0.0, horizon, size=count))
-    rng_s = _substream(seed, index, tag_sizes)
-    sizes = np.asarray([proc.jump_law.sample(rng_s) for _ in range(count)])
-    if count == 0:
-        sizes = np.empty((0, proc.dimension))
+    sizes = proc.jump_law.sample(_substream(seed, index, tag_sizes), count)
     return times, sizes
 
 
-def _process_values(proc: ProcessSpec, times: np.ndarray, bm: _BrownianPath | None,
+def _process_values(proc: ProcessSpec, times: np.ndarray, w: np.ndarray | None,
                     jump_times: np.ndarray, jump_sizes: np.ndarray) -> np.ndarray:
     vals = times[:, None] * proc.drift[None, :]
-    if bm is not None:
-        w = np.asarray([bm.value(t) for t in times])
+    if w is not None:
         vals = vals + w @ proc.brownian_vol.T
     if jump_times.size:
         cum = np.vstack([np.zeros(proc.dimension), np.cumsum(jump_sizes, axis=0)])
@@ -292,9 +366,12 @@ def simulate(spec: DriverSpec, partition: Partition, seed: int,
              trajectory_index: int = 0) -> DriverRealization:
     """Sample one (H, Z) realization, deterministic in (seed, trajectory_index).
 
-    Jump times of both processes are merged into the grid.  Simulating the
-    same trajectory on a refined partition reproduces the values at all
-    common grid points bit-for-bit.
+    Jump times of both processes are merged into the grid.  The Brownian
+    parts of H and Z at all grid times come from one depth-batched descent
+    of the keyed bridge tree and one Philox draw for all its nodes.
+    Simulating the same trajectory on a refined partition reproduces the
+    values at all common grid points bit-for-bit; the values a seed gives
+    are fixed per ``STREAM_VERSION``.
     """
     horizon = partition.horizon
     d = spec.dimension
@@ -305,11 +382,14 @@ def simulate(spec: DriverSpec, partition: Partition, seed: int,
         times = np.union1d(times, np.union1d(zt, ht))
     grid = Partition(times)
 
-    bm_z = _BrownianPath(seed, trajectory_index, _TAG_Z_BM, horizon, d) if spec.z.has_brownian else None
-    bm_h = _BrownianPath(seed, trajectory_index, _TAG_H_BM, horizon, d) if spec.h.has_brownian else None
+    tags = [tag for tag, proc in ((_TAG_Z_BM, spec.z), (_TAG_H_BM, spec.h))
+            if proc.has_brownian]
+    w = {}
+    if tags:
+        w = dict(zip(tags, _brownian_values(seed, trajectory_index, tags, horizon, d, times)))
 
-    z_vals = _process_values(spec.z, times, bm_z, zt, zs)
-    h_vals = spec.h0[None, :] + _process_values(spec.h, times, bm_h, ht, hs)
+    z_vals = _process_values(spec.z, times, w.get(_TAG_Z_BM), zt, zs)
+    h_vals = spec.h0[None, :] + _process_values(spec.h, times, w.get(_TAG_H_BM), ht, hs)
 
     jump_z = _jump_arrays(times, zt, zs, d)
     jump_h = _jump_arrays(times, ht, hs, d)

@@ -31,3 +31,9 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the joined text), which does not
+        # fit this constructor; errors raised in pool workers must unpickle
+        return type(self), (self.field, self.message), self.__dict__

@@ -33,7 +33,7 @@ import numpy as np
 
 from .drivers import DriverRealization
 from .errors import DomainViolationError, NonConvergenceError
-from .operators import MonotoneOperator, resolve
+from .operators import DEFAULT_DOMAIN_TOL, MonotoneOperator, resolve
 from .paths import BVDecomposition, StepPath
 from .projections import Projection
 from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _sp_step
@@ -156,7 +156,7 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     d = realization.dimension
     h0 = h[0]
     dist = op.domain_distance(h0)
-    if dist > 1e-8:
+    if dist > DEFAULT_DOMAIN_TOL:
         raise DomainViolationError(
             f"H_0 outside the domain closure (distance {dist:.3e})",
             point=h0, distance=dist,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmsde import (
+    STREAM_VERSION,
     DriverSpec,
     JumpLaw,
     Partition,
@@ -15,7 +16,13 @@ from mmsde import (
     simulate,
     uniform_partition,
 )
-from mmsde.drivers import write_realization_csv, write_realization_jsonl
+from mmsde.drivers import (
+    _PHILOX_CHUNK,
+    _brownian_values,
+    _philox_raw,
+    write_realization_csv,
+    write_realization_jsonl,
+)
 
 
 def make_spec(sigma=0.0, drift=0.0, jump_rate=0.0, jump_law=None, h0=0.0, d=1):
@@ -140,6 +147,94 @@ class TestRefinementConsistency:
         r = simulate(spec, uniform_partition(1.0, 8), seed=2)
         with pytest.raises(ValueError):
             refine_consistent(r, Partition(np.array([0.0, 0.3, 1.0])))
+
+
+class TestKeyedBrownianTree:
+    def test_philox_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        top = np.iinfo(np.uint64).max
+        for _ in range(20):
+            key = rng.integers(0, top, size=2, dtype=np.uint64, endpoint=True)
+            counters = rng.integers(0, top, size=(6, 4), dtype=np.uint64, endpoint=True)
+            counters[1, 0] = top                    # carry into word 1
+            counters[2, :3] = top                   # carry into word 3
+            counters[3, :] = top                    # counter wraps to zero
+            counters[4, :] = 0
+            got = _philox_raw(key, counters)
+            for row, counter in zip(got, counters):
+                want = np.random.Philox(key=key, counter=counter).random_raw(4)
+                np.testing.assert_array_equal(row, want)
+
+    def test_philox_chunks_agree_with_single_blocks(self):
+        n = 2 * _PHILOX_CHUNK + 5
+        counters = np.zeros((n, 4), dtype=np.uint64)
+        counters[:, 2] = np.arange(n, dtype=np.uint64)
+        got = _philox_raw((5, 6), counters)
+        for i in (0, _PHILOX_CHUNK - 1, _PHILOX_CHUNK, n - 1):
+            want = np.random.Philox(key=np.array([5, 6], dtype=np.uint64),
+                                    counter=counters[i]).random_raw(4)
+            np.testing.assert_array_equal(got[i], want)
+
+    def test_non_dyadic_refinement_is_bit_exact(self):
+        spec = make_spec(sigma=1.0, drift=0.3, jump_rate=2.0,
+                         jump_law=JumpLaw.gaussian([0.1], [[0.09]]))
+        coarse = uniform_partition(1.0, 10)
+        a = simulate(spec, coarse, seed=41, trajectory_index=3)
+        b = simulate(spec, refine(coarse, 10), seed=41, trajectory_index=3)
+        bmap = dict(zip(b.grid.times, b.z.values[:, 0]))
+        for t, v in zip(a.grid.times, a.z.values[:, 0]):
+            assert bmap[t] == v  # bit-exact
+
+    def test_single_query_equals_batched_value(self):
+        times = np.concatenate([uniform_partition(3.0, 7).times, [0.1, 2.9999, 1e-9]])
+        batched = _brownian_values(8, 2, [3, 6], 3.0, 2, times)
+        assert batched.shape == (2, times.size, 2)
+        for j, t in enumerate(times):
+            alone = _brownian_values(8, 2, [3, 6], 3.0, 2, np.array([t]))
+            np.testing.assert_array_equal(alone[:, 0], batched[:, j])
+        assert not np.array_equal(batched[0], batched[1])  # tags are independent
+        np.testing.assert_array_equal(batched[:, 0], 0.0)
+
+    def test_rejects_times_outside_horizon(self):
+        with pytest.raises(ValueError):
+            _brownian_values(1, 0, [3], 1.0, 1, np.array([0.5, 1.5]))
+
+    def test_stream_version_golden(self):
+        # A change to the values a seed produces must bump STREAM_VERSION and
+        # re-pin these.  The Philox words are integer arithmetic and pinned
+        # exactly; the Gaussians go through log/cos, whose last bit may vary
+        # between math libraries, so W is pinned to 1e-12.
+        assert STREAM_VERSION == 2
+        words = _philox_raw((7, 3), np.array([[0, 3, 4602678819172646912, 0]], dtype=np.uint64))
+        assert words[0].tolist() == GOLDEN_WORDS
+        w = _brownian_values(7, 3, [3], 1.0, 1, np.array([0.25, 0.5, 0.7, 1.0]))[0, :, 0]
+        np.testing.assert_allclose(w, GOLDEN_W, rtol=1e-12, atol=0.0)
+
+    def test_batched_jump_sizes(self):
+        rng = np.random.default_rng(3)
+        g = JumpLaw.gaussian([1.0, -1.0], [[0.5, 0.1], [0.1, 0.2]]).sample(rng, 20_000)
+        assert g.shape == (20_000, 2)
+        np.testing.assert_allclose(g.mean(axis=0), [1.0, -1.0], atol=0.03)
+        np.testing.assert_allclose(np.cov(g.T), [[0.5, 0.1], [0.1, 0.2]], atol=0.03)
+        ball = JumpLaw.uniform_ball(0.5, 3).sample(rng, 20_000)
+        r = np.linalg.norm(ball, axis=1)
+        assert ball.shape == (20_000, 3) and r.max() <= 0.5
+        # uniform in the ball: P(|x| <= r) = (r / R)^d
+        assert abs(np.mean(r <= 0.25) - 0.125) < 0.01
+        fixed = JumpLaw.fixed([0.75, 1.0]).sample(rng, 3)
+        np.testing.assert_array_equal(fixed, [[0.75, 1.0]] * 3)
+        for law in (JumpLaw.gaussian([0.0], [[1.0]]), JumpLaw.uniform_ball(1.0, 1),
+                     JumpLaw.fixed([2.0])):
+            assert law.sample(rng, 0).shape == (0, 1)
+
+
+# stream 2, key (7, 3): the raw block of node t = 0.5 of tag 3, and W at
+# 0.25, 0.5, 0.7 and 1.0 (checked by hand against np.random.Philox words,
+# Box-Muller and the bridge formula)
+GOLDEN_WORDS = [17026611805161637242, 9287880174703922719,
+                16106269765591823813, 15692236555719398595]
+GOLDEN_W = [-0.26253708564481454, -1.3466704236523417,
+            -0.7586317339100459, -0.42931781189479323]
 
 
 class TestStepPathBackedDrivers:
