@@ -44,6 +44,9 @@ DEFAULT_DOMAIN_TOL = 1e-8
 # Resolvent step sizes below this are rejected; callers always pass
 # lam >= mesh/substeps, so hitting the bound indicates a degenerate grid.
 MIN_RESOLVENT_STEP = 1e-15
+# Distinct step sizes whose inverse a linear operator keeps before it forgets
+# them all; a path has few distinct steps, a random check has fresh ones.
+_LINEAR_INVERSE_CACHE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +74,10 @@ class MonotoneOperator:
         layer to round-trip built-in operators.
 
     Instances are immutable; all maps must be pure functions, so operators
-    are safe to share across threads and processes.
+    are safe to share across threads and processes.  A map may keep an
+    internal memo (``linear_monotone`` caches one inverse per step size) as
+    long as its outputs remain pure functions of its arguments, here
+    ``(lam, z)``, and never alias the memo.
     """
 
     dimension: int
@@ -376,7 +382,17 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
 
 
 def linear_monotone(matrix) -> MonotoneOperator:
-    """A(x) = M x for a positive-semidefinite M (domain all of R^d)."""
+    """A(x) = M x for a positive-semidefinite M (domain all of R^d).
+
+    The resolvent applies the inverse (I + lam M)^{-1}, formed once per exact
+    step size ``lam`` and memoised: a path has few distinct steps, and one
+    matrix-vector product is far cheaper than a fresh solve.  The memo holds
+    at most ``_LINEAR_INVERSE_CACHE`` step sizes and is emptied when full, so
+    a stream of fresh steps costs one inversion each.  Forming the inverse is
+    safe: <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence
+    |(I + lam M)^{-1}| <= 1 and the condition number is at most
+    1 + lam |M|.
+    """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
         raise ValueError("matrix must be square and finite")
@@ -386,8 +402,18 @@ def linear_monotone(matrix) -> MonotoneOperator:
     d = m.shape[0]
     eye = np.eye(d)
 
+    # Threads sharing the operator may race on the memo; each call still uses
+    # its own correct inverse, so a race costs at most one extra inversion.
+    inverses: dict[float, np.ndarray] = {}
+
     def resolvent(lam, z):
-        return np.linalg.solve(eye + lam * m, z)
+        lam = float(lam)
+        inv = inverses.get(lam)
+        if inv is None:
+            if len(inverses) >= _LINEAR_INVERSE_CACHE:
+                inverses.clear()
+            inv = inverses[lam] = np.linalg.inv(eye + lam * m)
+        return inv.dot(z)
 
     return MonotoneOperator(
         dimension=d,

@@ -304,10 +304,6 @@ def variation(path: StepPath, interval: tuple[float, float] | None = None) -> fl
 # ---------------------------------------------------------------------------
 # serialization (full-precision round trip: repr of float64 is exact)
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_step_path_csv(path: StepPath, fh: IO[str], component: str | None = None,
                         meta: dict | None = None, header: bool = True):
     d = path.dimension
@@ -319,11 +315,10 @@ def write_step_path_csv(path: StepPath, fh: IO[str], component: str | None = Non
         cols = ["component"] + cols
     if header:
         fh.write(",".join(cols) + "\n")
-    for t, row in zip(path.partition.times, path.values):
-        fields = [_fmt(t)] + [_fmt(v) for v in row]
-        if component is not None:
-            fields = [component] + fields
-        fh.write(",".join(fields) + "\n")
+    prefix = "" if component is None else f"{component},"
+    fh.writelines(f"{prefix}{t!r},{','.join(map(repr, row))}\n"
+                  for t, row in zip(path.partition.times.tolist(),
+                                    path.values.tolist()))
 
 
 def read_step_path_csv(fh: IO[str], component: str | None = None) -> StepPath:

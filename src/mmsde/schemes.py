@@ -140,6 +140,18 @@ def _output(grid, y_vals, x_vals, kc_vals, kd_vals, scheme, params, realization,
     )
 
 
+def _checked_start(op: MonotoneOperator, realization: DriverRealization) -> np.ndarray:
+    """H_0, which every scheme needs in the domain closure of A."""
+    h0 = realization.h.values[0]
+    dist = op.domain_distance(h0)
+    if dist > DEFAULT_DOMAIN_TOL:
+        raise DomainViolationError(
+            f"H_0 outside the domain closure (distance {dist:.3e})",
+            point=h0, distance=dist,
+        )
+    return h0
+
+
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
                  realization: DriverRealization,
                  flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> SchemeOutput:
@@ -154,13 +166,7 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     h = realization.h.values
     z = realization.z.values
     d = realization.dimension
-    h0 = h[0]
-    dist = op.domain_distance(h0)
-    if dist > DEFAULT_DOMAIN_TOL:
-        raise DomainViolationError(
-            f"H_0 outside the domain closure (distance {dist:.3e})",
-            point=h0, distance=dist,
-        )
+    h0 = _checked_start(op, realization)
 
     n = times.size
     x_vals = np.empty((n, d))
@@ -224,6 +230,7 @@ def _yosida_run(op: MonotoneOperator, proj: Projection | None, n_level: float,
     h = realization.h.values
     z = realization.z.values
     d = realization.dimension
+    h0 = _checked_start(op, realization)
     lam = 1.0 / float(n_level)
     threshold = 1.0 / float(n_level)
 
@@ -232,11 +239,11 @@ def _yosida_run(op: MonotoneOperator, proj: Projection | None, n_level: float,
     y_vals = np.empty((n, d))
     kc_vals = np.zeros((n, d))
     kd_vals = np.zeros((n, d))
-    x_vals[0] = h[0]
-    y_vals[0] = h[0]
+    x_vals[0] = h0
+    y_vals[0] = h0
 
-    prev = h[0]
-    y_run = h[0]
+    prev = h0
+    y_run = h0
     kc = np.zeros(d)
     kd = np.zeros(d)
     modified = scheme == "modified_yosida"
@@ -277,7 +284,9 @@ def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
 
     No projection is applied: the drift -A_n supplies the soft reflection.
     Iterates converge pointwise at continuity times and through J_n in the
-    sup norm, but the raw iterates may leave the domain by O(1/n).
+    sup norm, but the raw iterates may leave the domain by O(1/n).  H_0 must
+    lie in the domain closure, as for ``euler_scheme``: the approximated
+    solution starts there.
     """
     if not (n >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
@@ -292,7 +301,8 @@ def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
     At grid points where the driver genuinely jumps and
     max(|dH|, |dZ|) > 1/n, the post-increment state is replaced by its
     generalized projection before the drift step; elsewhere identical to
-    ``yosida_scheme``.
+    ``yosida_scheme``, including the check that H_0 lies in the domain
+    closure.
     """
     if not (n >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")

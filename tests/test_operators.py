@@ -1,10 +1,17 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsde import (
     DomainViolationError,
+    Partition,
+    Projection,
+    StepPath,
     convex_prox,
     flow,
     indicator_ball,
@@ -13,9 +20,11 @@ from mmsde import (
     indicator_polyhedron,
     linear_monotone,
     resolve,
+    solve_step,
     yosida_a,
     yosida_j,
 )
+from mmsde.operators import _LINEAR_INVERSE_CACHE
 from conftest import soft_threshold
 
 
@@ -217,3 +226,91 @@ class TestInvariants:
                 a1 = (z1 - j1) / lam
                 a2 = (z2 - j2) / lam
                 assert float((a1 - a2) @ (j1 - j2)) >= -1e-10
+
+
+def random_monotone_matrix(rng, d):
+    """Non-symmetric M with <Mx, x> >= 0: a PSD part plus a skew part."""
+    b = rng.normal(size=(d, d))
+    s = rng.normal(size=(d, d))
+    return b @ b.T + (s - s.T)
+
+
+# one operator shared by every hypothesis example, so its memo is exercised
+ROTATION_OP = linear_monotone([[0.5, 1.0], [-1.0, 0.5]])
+STEPS = st.floats(1e-6, 1e3)
+POINTS = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
+
+
+class TestLinearResolventCache:
+    def test_matches_fresh_solve_beyond_cache_bound(self, rng):
+        lams = np.logspace(-6, 3, 3 * _LINEAR_INVERSE_CACHE)
+        for d in range(1, 5):
+            m = random_monotone_matrix(rng, d)
+            op = linear_monotone(m)
+            # two passes: the first fills and clears the memo, the second
+            # hits entries written after the last clear
+            for lam in np.concatenate([lams, lams[::-1]]):
+                z = rng.normal(0.0, 3.0, size=d)
+                want = np.linalg.solve(np.eye(d) + lam * m, z)
+                got = resolve(op, lam, z)
+                assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.linalg.norm(z))
+
+    def test_returned_array_does_not_alias_the_memo(self):
+        op = linear_monotone([[2.0, 0.5], [-0.5, 1.0]])
+        z = np.array([1.0, -2.0])
+        first = resolve(op, 0.25, z)
+        want = first.copy()
+        first[:] = 99.0
+        np.testing.assert_array_equal(resolve(op, 0.25, z), want)
+        np.testing.assert_array_equal(z, [1.0, -2.0])
+
+    @given(lam=STEPS, mu_frac=st.floats(0.0, 1.0, exclude_min=True), z1=POINTS, z2=POINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_nonexpansive_and_resolvent_identity(self, lam, mu_frac, z1, z2):
+        z1 = np.asarray(z1)
+        z2 = np.asarray(z2)
+        scale = 1.0 + np.linalg.norm(z1) + np.linalg.norm(z2)
+        j1 = resolve(ROTATION_OP, lam, z1)
+        j2 = resolve(ROTATION_OP, lam, z2)
+        assert np.linalg.norm(j1 - j2) <= np.linalg.norm(z1 - z2) + 1e-12 * scale
+        mu = max(mu_frac * lam, 1e-6)
+        rhs = resolve(ROTATION_OP, mu, (mu / lam) * z1 + (1.0 - mu / lam) * j1)
+        assert np.linalg.norm(j1 - rhs) <= 1e-10 * scale
+
+    def test_solve_step_matches_uncached_reference(self, rng):
+        m = random_monotone_matrix(rng, 2)
+        eye = np.eye(2)
+        reference = convex_prox(lambda lam, z: np.linalg.solve(eye + lam * m, z), 2)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, size=199))])
+        y = StepPath(Partition(times), np.cumsum(rng.normal(0.0, 0.3, size=(200, 2)), axis=0))
+        got = solve_step(linear_monotone(m), Projection(), y)
+        want = solve_step(reference, Projection(), y)
+        assert np.max(np.abs(got.x.values - want.x.values)) <= 1e-10
+        assert np.max(np.abs(got.k_path.values - want.k_path.values)) <= 1e-10
+
+    def test_threads_sharing_the_memo_get_correct_results(self):
+        m = np.array([[2.0, 0.5], [-0.5, 1.0]])
+        op = linear_monotone(m)
+        lams = np.logspace(-3, 1, _LINEAR_INVERSE_CACHE + 7)
+        z = np.array([1.0, -2.0])
+        want = {lam: np.linalg.solve(np.eye(2) + lam * m, z) for lam in lams}
+        errors = []
+
+        def hammer(offset):
+            for i in range(2000):
+                lam = lams[(i * 7 + offset) % lams.size]
+                if np.max(np.abs(resolve(op, lam, z) - want[lam])) > 1e-13:
+                    errors.append(lam)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []

@@ -238,6 +238,30 @@ class TestSerialization:
         np.testing.assert_array_equal(q.values, p.values)
         np.testing.assert_array_equal(q.partition.times, p.partition.times)
 
+    def test_csv_bytes_golden(self):
+        # locks the exact text format, not only the parsed values
+        p = path([0.0, 2.0 ** -1074, 0.1],
+                 [[0.1, 1e-300], [-0.0, 2.0 ** -1074], [1.0 / 3.0, -1e300]])
+        buf = io.StringIO()
+        write_step_path_csv(p, buf, component="x", meta={"tag": "demo", "flow_substeps": 16})
+        write_step_path_csv(p, buf, component="k", header=False)
+        write_step_path_csv(p, buf)
+        assert buf.getvalue() == (
+            "# flow_substeps=16\n"
+            "# tag=demo\n"
+            "component,time,v_1,v_2\n"
+            "x,0.0,0.1,1e-300\n"
+            "x,5e-324,-0.0,5e-324\n"
+            "x,0.1,0.3333333333333333,-1e+300\n"
+            "k,0.0,0.1,1e-300\n"
+            "k,5e-324,-0.0,5e-324\n"
+            "k,0.1,0.3333333333333333,-1e+300\n"
+            "time,v_1,v_2\n"
+            "0.0,0.1,1e-300\n"
+            "5e-324,-0.0,5e-324\n"
+            "0.1,0.3333333333333333,-1e+300\n"
+        )
+
     def test_jsonl_roundtrip_bit_exact(self, rng):
         p = StepPath(uniform_partition(1.0, 5), rng.normal(size=(6, 3)) * 1e6)
         buf = io.StringIO()

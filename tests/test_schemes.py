@@ -5,6 +5,7 @@ import pytest
 
 from mmsde import (
     Coefficient,
+    DomainViolationError,
     DriverSpec,
     JumpLaw,
     Partition,
@@ -177,6 +178,24 @@ class TestModifiedYosida:
         a = yosida_scheme(op, 4, coeff, r)  # threshold 0.25 > jump 0.05
         b = modified_yosida_scheme(op, CLASSICAL, 4, coeff, r)
         np.testing.assert_array_equal(a.x.values, b.x.values)
+
+
+class TestStartPoint:
+    @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
+    def test_rejects_h0_outside_domain_closure(self, zoo, scheme):
+        op = zoo["halfline"]
+        r = drift_driver(h0=-1.0)
+        run = {
+            "euler": lambda: euler_scheme(op, CLASSICAL, zero_coefficient(1), r),
+            "yosida": lambda: yosida_scheme(op, 4, zero_coefficient(1), r),
+            "modified_yosida": lambda: modified_yosida_scheme(
+                op, CLASSICAL, 4, zero_coefficient(1), r),
+        }[scheme]
+        with pytest.raises(DomainViolationError,
+                           match=r"H_0 outside the domain closure \(distance 1\.000e\+00\)") as err:
+            run()
+        assert err.value.distance == 1.0
+        np.testing.assert_array_equal(err.value.point, [-1.0])
 
 
 class TestSchemeConsistency:
