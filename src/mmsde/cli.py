@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -134,7 +133,6 @@ def _cmd_skorokhod(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .config import build_coefficient, build_driver, build_operator, build_projection
     from .drivers import simulate
     from .harness import _Context
     from .paths import uniform_partition

@@ -20,7 +20,7 @@ driver jump is possible (excluded from continuity-point comparisons).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ConfigError("experiment.drift_substeps", "must be >= 1")
         if self.reference_refine < 2:
             raise ConfigError("experiment.reference_refine", "must be >= 2")
+        if not (self.truncation_radius >= 1):
+            raise ConfigError("experiment.truncation_radius", "must be >= 1")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError("experiment.format", "must be 'csv' or 'jsonl'")
         # build everything once so geometry errors surface with field names
@@ -125,6 +127,20 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # value parsing
+
+
+def _float(text: str, fieldname: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(fieldname, f"not a number: {text!r}") from exc
+
+
+def _int(text: str, fieldname: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(fieldname, f"not an integer: {text!r}") from exc
 
 
 def _floats(text: str, fieldname: str) -> list[float]:
@@ -157,11 +173,8 @@ def _checkpoints(text: str, horizon: float) -> tuple:
         if token.endswith(("j", "J")):
             continuity = False
             token = token[:-1]
-        try:
-            t = float(token)
-        except ValueError as exc:
-            raise ConfigError("experiment.checkpoints", f"bad checkpoint {token!r}") from exc
-        out.append(Checkpoint(time=t, continuity_expected=continuity))
+        out.append(Checkpoint(time=_float(token, "experiment.checkpoints"),
+                              continuity_expected=continuity))
     if not out:
         out.append(Checkpoint(time=horizon / 2.0))
     return tuple(out)
@@ -312,13 +325,13 @@ def _operator_dict(sec) -> dict:
     out = {"kind": kind}
     if kind == "halfspace":
         out["normal"] = _floats(sec.get("normal", "-1"), "operator.normal")
-        out["offset"] = float(sec.get("offset", "0"))
+        out["offset"] = _float(sec.get("offset", "0"), "operator.offset")
     elif kind == "box":
         out["lo"] = _floats(sec.get("lo", "0"), "operator.lo")
         out["hi"] = _floats(sec.get("hi", "1"), "operator.hi")
     elif kind == "ball":
         out["center"] = _floats(sec.get("center", "0"), "operator.center")
-        out["radius"] = float(sec.get("radius", "1"))
+        out["radius"] = _float(sec.get("radius", "1"), "operator.radius")
     elif kind == "polyhedron":
         normals, offsets = [], []
         text = sec.get("constraints", "")
@@ -331,13 +344,13 @@ def _operator_dict(sec) -> dict:
                                   f"expected 'normal : offset', got {token!r}")
             left, right = token.rsplit(":", 1)
             normals.append(_floats(left, "operator.constraints"))
-            offsets.append(float(right))
+            offsets.append(_float(right, "operator.constraints"))
         out["normals"] = normals
         out["offsets"] = offsets
     elif kind == "linear":
         out["matrix"] = _matrix(sec.get("matrix", "1"), "operator.matrix")
     elif kind == "zero":
-        out["dimension"] = int(sec.get("dimension", "1"))
+        out["dimension"] = _int(sec.get("dimension", "1"), "operator.dimension")
     elif kind != "halfline":
         raise ConfigError("operator.kind", f"unknown kind {kind!r}")
     return out
@@ -347,9 +360,9 @@ def _projection_dict(sec) -> dict:
     out = {"kind": sec.get("kind", "classical")}
     for key in ("c", "tol"):
         if key in sec:
-            out[key] = float(sec[key])
+            out[key] = _float(sec[key], f"projection.{key}")
     if "max_iter" in sec:
-        out["max_iter"] = int(sec["max_iter"])
+        out["max_iter"] = _int(sec["max_iter"], "projection.max_iter")
     return out
 
 
@@ -361,10 +374,9 @@ def _coefficient_dict(sec) -> dict:
     if kind == "diag_linear" and "scale" in sec:
         out["scale"] = _floats(sec["scale"], "coefficient.scale")
     if kind == "bounded_sin":
-        if "base" in sec:
-            out["base"] = float(sec["base"])
-        if "amplitude" in sec:
-            out["amplitude"] = float(sec["amplitude"])
+        for key in ("base", "amplitude"):
+            if key in sec:
+                out[key] = _float(sec[key], f"coefficient.{key}")
     return out
 
 
@@ -376,7 +388,8 @@ def _driver_dict(sec) -> dict:
         if f"{prefix}drift" in sec:
             out[f"{prefix}drift"] = _floats(sec[f"{prefix}drift"], f"driver.{prefix}drift")
         if f"{prefix}jump_rate" in sec:
-            out[f"{prefix}jump_rate"] = float(sec[f"{prefix}jump_rate"])
+            out[f"{prefix}jump_rate"] = _float(sec[f"{prefix}jump_rate"],
+                                                f"driver.{prefix}jump_rate")
         if f"{prefix}jump_law" in sec:
             out[f"{prefix}jump_law"] = sec[f"{prefix}jump_law"]
         if f"{prefix}jump_mean" in sec:
@@ -384,7 +397,8 @@ def _driver_dict(sec) -> dict:
         if f"{prefix}jump_cov" in sec:
             out[f"{prefix}jump_cov"] = _matrix(sec[f"{prefix}jump_cov"], f"driver.{prefix}jump_cov")
         if f"{prefix}jump_radius" in sec:
-            out[f"{prefix}jump_radius"] = float(sec[f"{prefix}jump_radius"])
+            out[f"{prefix}jump_radius"] = _float(sec[f"{prefix}jump_radius"],
+                                                  f"driver.{prefix}jump_radius")
         if f"{prefix}jump_value" in sec:
             out[f"{prefix}jump_value"] = _floats(sec[f"{prefix}jump_value"], f"driver.{prefix}jump_value")
     if "h0" in sec:
@@ -403,16 +417,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         return parser[name] if parser.has_section(name) else {}
 
     exp = section("experiment")
-    try:
-        horizon = float(exp.get("horizon", "1"))
-    except ValueError as exc:
-        raise ConfigError("experiment.horizon", "not a number") from exc
+    horizon = _float(exp.get("horizon", "1"), "experiment.horizon")
 
-    def _int(key, default):
-        try:
-            return int(exp.get(key, str(default)))
-        except ValueError as exc:
-            raise ConfigError(f"experiment.{key}", "not an integer") from exc
+    def exp_int(key, default):
+        return _int(exp.get(key, str(default)), f"experiment.{key}")
 
     cfg = ExperimentConfig(
         operator=_operator_dict(section("operator")),
@@ -423,14 +431,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         levels=tuple(_ints(exp.get("levels", "8 32 128"), "experiment.levels")),
         yosida_levels=tuple(_ints(exp.get("yosida_levels", "4 16 64"),
                                   "experiment.yosida_levels")),
-        trajectories=_int("trajectories", 100),
-        seed=_int("seed", 0),
+        trajectories=exp_int("trajectories", 100),
+        seed=exp_int("seed", 0),
         checkpoints=_checkpoints(exp.get("checkpoints", ""), horizon),
-        workers=_int("workers", 1),
-        flow_substeps=_int("flow_substeps", 16),
-        drift_substeps=_int("drift_substeps", 1),
-        reference_refine=_int("reference_refine", 4),
-        truncation_radius=float(exp.get("truncation_radius", "2")),
+        workers=exp_int("workers", 1),
+        flow_substeps=exp_int("flow_substeps", 16),
+        drift_substeps=exp_int("drift_substeps", 1),
+        reference_refine=exp_int("reference_refine", 4),
+        truncation_radius=_float(exp.get("truncation_radius", "2"),
+                                 "experiment.truncation_radius"),
         out_dir=exp.get("out", "out"),
         format=exp.get("format", "csv"),
     )

@@ -14,16 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (
-    Checkpoint,
     ExperimentConfig,
     build_coefficient,
     build_driver,
     build_operator,
     build_projection,
 )
-from .operators import MonotoneOperator, resolve, yosida_a, yosida_j
-from .paths import Partition, StepPath, refine, uniform_partition
-from .projections import Projection, project_classical
+from .errors import ConfigError
+from .operators import DEFAULT_DOMAIN_TOL, resolve, yosida_a, yosida_j
+from .paths import StepPath, refine, uniform_partition
+from .projections import project_classical
 from .schemes import (
     euler_scheme,
     modified_yosida_scheme,
@@ -102,6 +102,11 @@ class _Context:
         self.proj = build_projection(cfg.projection)
         self.coeff = build_coefficient(cfg.coefficient, self.op.dimension)
         self.driver = build_driver(cfg.driver, self.op.dimension)
+        # every scheme, and the solution it approximates, starts at H_0
+        dist = self.op.domain_distance(self.driver.h0)
+        if dist > DEFAULT_DOMAIN_TOL:
+            raise ConfigError("driver.h0",
+                              f"outside the operator's domain closure (distance {dist:.3e})")
         parts = [uniform_partition(cfg.horizon, cfg.levels[0])]
         for prev, nxt in zip(cfg.levels, cfg.levels[1:]):
             parts.append(refine(parts[-1], nxt // prev))
@@ -285,14 +290,10 @@ def compare_schemes(cfg: ExperimentConfig) -> ErrorTable:
     """
     cfg.validate()
     if not cfg.yosida_levels:
-        from .errors import ConfigError
-
         raise ConfigError("experiment.yosida_levels", "compare needs at least one level")
     ctx = _Context(cfg)
     cps = [cp for cp in ctx.checkpoints if cp.continuity_expected]
     if not cps:
-        from .errors import ConfigError
-
         raise ConfigError("experiment.checkpoints",
                           "compare needs at least one continuity checkpoint")
     reference = f"EULER-REFERENCE grid={cfg.levels[-1]} (same realizations)"

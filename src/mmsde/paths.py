@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, IO, Sequence
+from typing import Callable, IO
 
 import numpy as np
 

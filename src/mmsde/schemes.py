@@ -4,7 +4,9 @@
 
 driven by a maximal monotone operator A and a generalized projection.
 
-Three schemes operate on a driver realization's grid:
+Three schemes operate on a driver realization's grid.  Each supplies only its
+step map to ``skorokhod._march``, the one grid march that ``solve_step`` also
+uses, which accumulates y and the split of k and builds the output paths:
 
 - ``euler_scheme``: the driving step input Y_t = H_t + sum f(X_{t_k}) dZ
   (left-point rule) is fed through the Skorokhod step map: flow over each
@@ -36,7 +38,7 @@ from .errors import DomainViolationError, NonConvergenceError
 from .operators import DEFAULT_DOMAIN_TOL, MonotoneOperator, resolve
 from .paths import BVDecomposition, StepPath
 from .projections import Projection
-from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _sp_step
+from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _march, _sp_step
 
 __all__ = [
     "Coefficient",
@@ -121,25 +123,6 @@ class SchemeOutput:
         return self.k.total
 
 
-def _output(grid, y_vals, x_vals, kc_vals, kd_vals, scheme, params, realization,
-            x_pre=None):
-    y = StepPath(grid, y_vals)
-    x = StepPath(grid, x_vals)
-    # total = continuous + jump bitwise; additivity to y holds to rounding
-    k_cont = StepPath(grid, kc_vals)
-    k_jump = StepPath(grid, kd_vals)
-    k_total = StepPath(grid, kc_vals + kd_vals)
-    return SchemeOutput(
-        x=x,
-        k=BVDecomposition(total=k_total, continuous=k_cont, jump=k_jump),
-        y=y,
-        scheme=scheme,
-        params=params,
-        realization=realization,
-        x_pre=x_pre,
-    )
-
-
 def _checked_start(op: MonotoneOperator, realization: DriverRealization) -> np.ndarray:
     """H_0, which every scheme needs in the domain closure of A."""
     h0 = realization.h.values[0]
@@ -161,45 +144,19 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     over the interval, then projects the flow endpoint plus the driver
     increment dH + f(X_prev) dZ.
     """
-    grid = realization.grid
-    times = grid.times
     h = realization.h.values
     z = realization.z.values
-    d = realization.dimension
-    h0 = _checked_start(op, realization)
 
-    n = times.size
-    x_vals = np.empty((n, d))
-    y_vals = np.empty((n, d))
-    x_pre = np.empty((n, d))
-    kc_vals = np.zeros((n, d))
-    kd_vals = np.zeros((n, d))
-    x_vals[0] = h0
-    y_vals[0] = h0
-    x_pre[0] = h0
-
-    prev = h0
-    y_run = h0
-    kc = np.zeros(d)
-    kd = np.zeros(d)
-    for j in range(1, n):
-        dt = times[j] - times[j - 1]
+    def step(j, dt, prev):
         dy = (h[j] - h[j - 1]) + coeff(prev) @ (z[j] - z[j - 1])
-        x_left, xi, dkc, dkd = _sp_step(op, proj, prev, dy, dt, flow_substeps)
-        kc = kc + dkc
-        kd = kd + dkd
-        y_run = y_run + dy
-        x_pre[j] = x_left
-        x_vals[j] = xi
-        y_vals[j] = y_run
-        kc_vals[j] = kc
-        kd_vals[j] = kd
-        prev = xi
+        return _sp_step(op, proj, prev, dy, dt, flow_substeps)
 
+    grid = realization.grid
+    x, k, y, x_pre = _march(grid, _checked_start(op, realization), step)
     params = {"mesh": grid.mesh, "flow_substeps": flow_substeps,
-              "steps": n - 1}
-    return _output(grid, y_vals, x_vals, kc_vals, kd_vals, "euler", params,
-                   realization, x_pre=x_pre)
+              "steps": grid.times.size - 1}
+    return SchemeOutput(x=x, k=k, y=y, scheme="euler", params=params,
+                        realization=realization, x_pre=x_pre)
 
 
 def resolvent_of_yosida_step(op: MonotoneOperator, lam: float, mu: float, x) -> np.ndarray:
@@ -225,56 +182,37 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam: float, mu: float, x) -> 
 def _yosida_run(op: MonotoneOperator, proj: Projection | None, n_level: float,
                 coeff: Coefficient, realization: DriverRealization,
                 drift_substeps: int, scheme: str) -> SchemeOutput:
-    grid = realization.grid
-    times = grid.times
     h = realization.h.values
     z = realization.z.values
-    d = realization.dimension
-    h0 = _checked_start(op, realization)
     lam = 1.0 / float(n_level)
     threshold = 1.0 / float(n_level)
-
-    n = times.size
-    x_vals = np.empty((n, d))
-    y_vals = np.empty((n, d))
-    kc_vals = np.zeros((n, d))
-    kd_vals = np.zeros((n, d))
-    x_vals[0] = h0
-    y_vals[0] = h0
-
-    prev = h0
-    y_run = h0
-    kc = np.zeros(d)
-    kd = np.zeros(d)
     modified = scheme == "modified_yosida"
-    for j in range(1, n):
-        dt = times[j] - times[j - 1]
+
+    def step(j, dt, prev):
         dy = (h[j] - h[j - 1]) + coeff(prev) @ (z[j] - z[j - 1])
         state = prev + dy
+        dkd = 0.0
         if modified and realization.jump_flags[j]:
             size = max(float(np.linalg.norm(realization.jump_h[j])),
                        float(np.linalg.norm(realization.jump_z[j])))
             if size > threshold:
                 corrected = np.asarray(proj(op, state), dtype=float)
-                kd = kd + (state - corrected)
+                dkd = state - corrected
                 state = corrected
         pre_drift = state
         mu = dt / drift_substeps
         w = lam / (lam + mu)
         for _ in range(drift_substeps):
             state = w * state + (1.0 - w) * np.asarray(op.resolvent(lam + mu, state), dtype=float)
-        kc = kc + (pre_drift - state)
-        y_run = y_run + dy
-        x_vals[j] = state
-        y_vals[j] = y_run
-        kc_vals[j] = kc
-        kd_vals[j] = kd
-        prev = state
+        # no flow between grid points: the left limit at t_j is prev
+        return dy, prev, state, pre_drift - state, dkd
 
+    grid = realization.grid
+    x, k, y, _ = _march(grid, _checked_start(op, realization), step)
     params = {"n": n_level, "mesh": grid.mesh, "drift_substeps": drift_substeps,
-              "steps": n - 1}
-    return _output(grid, y_vals, x_vals, kc_vals, kd_vals, scheme, params,
-                   realization)
+              "steps": grid.times.size - 1}
+    return SchemeOutput(x=x, k=k, y=y, scheme=scheme, params=params,
+                        realization=realization)
 
 
 def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,

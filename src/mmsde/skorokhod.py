@@ -25,7 +25,7 @@ from .operators import (
     flow_steps,
 )
 from .paths import BVDecomposition, Partition, StepPath
-from .projections import Projection, project_classical
+from .projections import Projection
 
 __all__ = [
     "SkorokhodSolution",
@@ -76,14 +76,51 @@ def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
              dt: float, substeps: int):
     """One grid step: flow over dt from ``prev``, then project prev + dy.
 
-    Returns (x_left, xi, dkc, dkd): the pre-jump left limit, the new grid
-    value, and the k increments split into flow and jump parts.
+    Returns the ``_march`` step tuple (dy, x_left, xi, dkc, dkd): the input
+    increment, the pre-jump left limit, the new grid value, and the k
+    increments split into flow and jump parts.
     """
     steps = flow_steps(op, prev, dt, substeps)
     x_left = steps[-1][1] if steps else prev
     w = x_left + dy
     xi = np.asarray(proj(op, w), dtype=float)
-    return x_left, xi, prev - x_left, w - xi
+    return dy, x_left, xi, prev - x_left, w - xi
+
+
+def _march(grid: Partition, x0: np.ndarray, step):
+    """Apply a step map along ``grid`` from ``x0``.
+
+    ``step(j, dt, prev)`` maps the state at t_{j-1} to the increments of the
+    step ending at t_j: (dy, x_left, x_new, dkc, dkd), i.e. the input
+    increment, the left limit x_{t_j-}, the state at t_j, and the flow and
+    jump parts of dk.  y starts at x0 and k at zero; both are the running sums
+    of their increments, formed by ``np.cumsum``, which adds row by row in
+    order and so equals an in-loop running sum bit for bit.
+
+    Returns (x, k, y, x_pre): the state, the BV decomposition of k, the
+    accumulated input, and the left limits (``x_pre[0] = x0``).
+    """
+    times = grid.times
+    n = times.size
+    d = x0.size
+    x_vals = np.empty((n, d))
+    x_pre = np.empty((n, d))
+    dy = np.empty((n, d))
+    dkc = np.zeros((n, d))
+    dkd = np.zeros((n, d))
+    x_vals[0] = x_pre[0] = dy[0] = x0
+    prev = x_vals[0]
+    for j in range(1, n):
+        dy[j], x_pre[j], x_vals[j], dkc[j], dkd[j] = step(j, times[j] - times[j - 1], prev)
+        prev = x_vals[j]
+    # the sums overwrite their increments, which nothing else keeps
+    kc = np.cumsum(dkc, axis=0, out=dkc)
+    kd = np.cumsum(dkd, axis=0, out=dkd)
+    y = np.cumsum(dy, axis=0, out=dy)
+    # total = continuous + jump bitwise; additivity to y holds to rounding
+    k = BVDecomposition(total=StepPath(grid, kc + kd),
+                        continuous=StepPath(grid, kc), jump=StepPath(grid, kd))
+    return StepPath(grid, x_vals), k, StepPath(grid, y), x_pre
 
 
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
@@ -105,44 +142,11 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
             f"y_0 outside the domain closure (distance {dist:.3e})",
             point=y0, distance=dist,
         )
-
-    times = y.partition.times
-    n = times.size
-    d = y.dimension
-    x_vals = np.empty((n, d))
-    x_pre = np.empty((n, d))
-    kc_vals = np.zeros((n, d))
-    kd_vals = np.zeros((n, d))
-    x_vals[0] = y0
-    x_pre[0] = y0
-
-    prev = y0
-    kc = np.zeros(d)
-    kd = np.zeros(d)
-    for j in range(1, n):
-        dt = times[j] - times[j - 1]
-        dy = y.values[j] - y.values[j - 1]
-        x_left, xi, dkc, dkd = _sp_step(op, proj, prev, dy, dt, flow_substeps)
-        kc = kc + dkc
-        kd = kd + dkd
-        x_pre[j] = x_left
-        x_vals[j] = xi
-        kc_vals[j] = kc
-        kd_vals[j] = kd
-        prev = xi
-
-    x = StepPath(y.partition, x_vals)
-    # total = continuous + jump bitwise; additivity to y holds to rounding
-    k_cont = StepPath(y.partition, kc_vals)
-    k_jump = StepPath(y.partition, kd_vals)
-    k_total = StepPath(y.partition, kc_vals + kd_vals)
-    return SkorokhodSolution(
-        x=x,
-        k=BVDecomposition(total=k_total, continuous=k_cont, jump=k_jump),
-        y=y,
-        x_pre=x_pre,
-        flow_substeps=flow_substeps,
-    )
+    dy = y.jumps()
+    x, k, _, x_pre = _march(
+        y.partition, y0,
+        lambda j, dt, prev: _sp_step(op, proj, prev, dy[j], dt, flow_substeps))
+    return SkorokhodSolution(x=x, k=k, y=y, x_pre=x_pre, flow_substeps=flow_substeps)
 
 
 def reflect_halfline_oracle(y: StepPath) -> SkorokhodSolution:

@@ -1,8 +1,25 @@
+import json
+
 import numpy as np
 import pytest
 
-from mmsde import Partition, StepPath
+from mmsde import (
+    Partition,
+    StepPath,
+    euler_scheme,
+    modified_yosida_scheme,
+    simulate,
+    uniform_partition,
+    yosida_scheme,
+)
 from mmsde.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK, main
+from mmsde.config import (
+    build_coefficient,
+    build_driver,
+    build_operator,
+    build_projection,
+    load_config,
+)
 from mmsde.paths import read_step_path_csv, write_step_path_csv
 
 LINEAR_INI = """\
@@ -30,6 +47,37 @@ max_iter = 1
 """
 
 
+BOX_STUDY_INI = """\
+[operator]
+kind = box
+lo = 0 0
+hi = 1 1
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+
+[coefficient]
+kind = bounded_sin
+
+[driver]
+sigma = 0.5
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 0.25
+h0 = 0.5 0.5
+
+[experiment]
+levels = 4 8
+yosida_levels = 2 4
+checkpoints = 0.5 1.0j
+trajectories = 2
+seed = 3
+"""
+
+TABLE_HEADER = "level,scheme,checkpoint,mean_err,std_err,sup_err,p_gt_1e-1,p_gt_1e-2,n_traj"
+
+
 def write_file(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -44,6 +92,14 @@ def write_path(file, times, values):
 
 def skorokhod(config, path_file, out):
     return main(["skorokhod", "--config", config, "--path", path_file, "--out", str(out)])
+
+
+def run_command(command, tmp_path, capsys, *extra):
+    """Run one command on BOX_STUDY_INI; return (exit code, output dir, stdout)."""
+    config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)
+    out = tmp_path / "out"
+    code = main([command, "--config", config, "--out", str(out), *extra])
+    return code, out, capsys.readouterr().out
 
 
 class TestSkorokhodCommand:
@@ -88,6 +144,56 @@ class TestSkorokhodCommand:
         config = write_file(tmp_path / "box.ini", ELASTIC_BOX_INI)
         assert skorokhod(config, path_file, tmp_path / "out") == EXIT_NONCONVERGENCE
         assert "did not stabilize in 1 steps" in capsys.readouterr().err
+
+
+class TestSimulateCommand:
+    @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
+    def test_writes_the_scheme_trajectory(self, tmp_path, capsys, scheme):
+        code, out, stdout = run_command("simulate", tmp_path, capsys,
+                                        "--scheme", scheme, "--trajectory", "1")
+        assert code == EXIT_OK
+        written = out / f"trajectory_{scheme}.csv"
+        assert stdout.strip() == str(written)
+        # the same run in-process: finest level 8, finest Yosida level 4
+        cfg = load_config(str(tmp_path / "box.ini"))
+        op = build_operator(cfg.operator)
+        proj = build_projection(cfg.projection)
+        coeff = build_coefficient(cfg.coefficient, 2)
+        r = simulate(build_driver(cfg.driver, 2), uniform_partition(1.0, 8), cfg.seed, 1)
+        expected = {
+            "euler": lambda: euler_scheme(op, proj, coeff, r),
+            "yosida": lambda: yosida_scheme(op, 4, coeff, r),
+            "modified_yosida": lambda: modified_yosida_scheme(op, proj, 4, coeff, r),
+        }[scheme]()
+        for component, path in (("x", expected.x), ("k", expected.k_path)):
+            with open(written, encoding="utf-8") as fh:
+                got = read_step_path_csv(fh, component=component)
+            np.testing.assert_array_equal(got.partition.times, path.partition.times)
+            np.testing.assert_array_equal(got.values, path.values)
+
+
+class TestStudyCommands:
+    @pytest.mark.parametrize("command, reference, rows", [
+        ("converge", "# reference=SELF-REFERENCE euler at grid=32", 4),
+        ("compare", "# reference=EULER-REFERENCE grid=8 (same realizations)", 4),
+    ], ids=["converge", "compare"])
+    def test_writes_error_table(self, tmp_path, capsys, command, reference, rows):
+        code, out, stdout = run_command(command, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert stdout.strip() == str(out / "errors.csv")
+        lines = (out / "errors.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [reference, TABLE_HEADER]
+        assert len(lines) == 2 + rows
+        assert all(len(line.split(",")) == 9 for line in lines[2:])
+
+    def test_verify_reports_every_check_passed(self, tmp_path, capsys):
+        code, out, stdout = run_command("verify", tmp_path, capsys, "--samples", "60")
+        assert code == EXIT_OK
+        with open(out / "verify.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report == json.loads(stdout)
+        assert len(report) == 12
+        assert [name for name, res in report.items() if not res["passed"]] == []
 
 
 @pytest.mark.parametrize("argv", [["skorokhod"], ["no-such-command"]])

@@ -123,8 +123,8 @@ CASES = {
     "converge_box.csv": (BOX_INI, "converge", [], "errors.csv"),
     "compare_box.csv": (BOX_INI, "compare", [], "errors.csv"),
     "verify_box.json": (BOX_INI, "verify", ["--samples", "200"], "verify.json"),
-    "skorokhod_linear.csv": (LINEAR_INI, "skorokhod", ["--path"], "solution.csv"),
-    "skorokhod_box_elastic.csv": (BOX_ELASTIC_INI, "skorokhod", ["--path"], "solution.csv"),
+    "skorokhod_linear.csv": (LINEAR_INI, "skorokhod", [], "solution.csv"),
+    "skorokhod_box_elastic.csv": (BOX_ELASTIC_INI, "skorokhod", [], "solution.csv"),
 }
 
 
@@ -133,7 +133,7 @@ def produce(case: str, tmp_path) -> bytes:
     text, command, extra, name = CASES[case]
     config = tmp_path / "config.ini"
     config.write_text(text, encoding="utf-8")
-    if extra == ["--path"]:
+    if command == "skorokhod":
         extra = ["--path", step_path_file(tmp_path)]
     out = tmp_path / "out"
     argv = [command, "--config", str(config), "--out", str(out), *extra]

@@ -11,8 +11,10 @@ from mmsde import (
     Partition,
     ProcessSpec,
     Projection,
+    SkorokhodSolution,
     StepPath,
     constant_coefficient,
+    convex_prox,
     discretize,
     euler_scheme,
     from_step_paths,
@@ -25,6 +27,7 @@ from mmsde import (
     solve_step,
     truncate,
     uniform_partition,
+    verify_solution,
     yosida_a,
     yosida_scheme,
     zero_coefficient,
@@ -46,6 +49,16 @@ def noisy_driver(seed=5, index=0, sigma=1.0, rate=2.0, h0=1.0, n=32, horizon=1.0
     spec = DriverSpec(z=z, h=ProcessSpec.zero(1), h0=np.array([h0]))
     return simulate(spec, uniform_partition(horizon, n), seed=seed,
                     trajectory_index=index)
+
+
+def box_spring():
+    """Subdifferential of |x|^2 / 2 on the unit box, with graph pairs."""
+    op = convex_prox(lambda lam, z: np.clip(z / (1.0 + lam), 0.0, 1.0), 2,
+                     domain_projection=lambda z: np.clip(z, 0.0, 1.0))
+    pairs = [(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+             (np.array([1.0, 0.5]), np.array([2.0, 0.5])),
+             (np.array([0.0, 0.0]), np.array([-1.0, -1.0]))]
+    return op, pairs
 
 
 class TestEulerScheme:
@@ -98,11 +111,41 @@ class TestEulerScheme:
             dy = np.linalg.norm(out.y.jumps(), axis=1)
             assert np.all(dk <= 2.0 * dy + 1e-15)
 
-    def test_additivity_residual(self, zoo):
+    @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
+    def test_additivity_residual(self, zoo, scheme):
         r = noisy_driver()
-        out = euler_scheme(zoo["halfline"], CLASSICAL, constant_coefficient([[1.0]]), r)
+        op = zoo["halfline"]
+        coeff = constant_coefficient([[1.0]])
+        out = {
+            "euler": lambda: euler_scheme(op, CLASSICAL, coeff, r),
+            "yosida": lambda: yosida_scheme(op, 4, coeff, r),
+            "modified_yosida": lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r),
+        }[scheme]()
         resid = np.max(np.abs(out.x.values + out.k_path.values - out.y.values))
         assert resid <= 1e-10
+
+    @pytest.mark.parametrize("name", ["box2", "ball2", "wedge", "linear2", "box_spring"])
+    def test_output_is_a_skorokhod_solution(self, zoo, zoo_pairs, name):
+        # Euler is the Skorokhod map of its realized input: x, the flow and
+        # jump split of k, and the left limits x_pre must all verify.  Only
+        # box_spring both flows between grid points and projects at jumps,
+        # so only it tells x_pre from the previous grid value.
+        op, pairs = box_spring() if name == "box_spring" else (zoo[name], zoo_pairs[name])
+        d = op.dimension
+        z = ProcessSpec(d, np.eye(d), np.zeros(d), 2.0, JumpLaw.uniform_ball(1.0, d))
+        spec = DriverSpec(z=z, h=ProcessSpec.zero(d),
+                          h0=op.domain_projection(np.full(d, 0.4)))
+        coeff = Coefficient(f=lambda x: np.diag(0.5 + 0.25 * np.sin(x)), lipschitz=0.25)
+        k_peak = 0.0
+        for i in range(3):
+            r = simulate(spec, uniform_partition(1.0, 24), seed=17, trajectory_index=i)
+            out = euler_scheme(op, CLASSICAL, coeff, r, flow_substeps=4)
+            sol = SkorokhodSolution(out.x, out.k, out.y, out.x_pre, 4)
+            rep = verify_solution(op, CLASSICAL, sol, test_pairs=pairs)
+            assert rep.passed, rep.failures
+            k_peak = max(k_peak, float(np.max(np.abs(out.k_path.values))))
+        # the reflection (or, for linear2, the drift) is active
+        assert k_peak > 0.01
 
     def test_counts_coefficient_evaluations(self, zoo):
         r = noisy_driver()
@@ -167,6 +210,19 @@ class TestModifiedYosida:
         assert out.x.value_at(0.5)[0] == 0.0  # exact projection
         plain = yosida_scheme(op, 10, zero_coefficient(1), r)
         assert plain.x.value_at(0.5)[0] < 0.0  # soft wall lags behind
+
+    def test_projection_correction_is_the_jump_part_of_k(self, zoo):
+        # the H-jump to -1 at t = 0.5 is projected to 0: k jumps by -1 there
+        # and the drift never moves a state that sits in the domain
+        op = zoo["halfline"]
+        part = Partition(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+        h = StepPath(part, np.array([1.0, 1.0, -1.0, -1.0, -1.0]))
+        r = from_step_paths(h, StepPath(part, np.zeros(5)))
+        out = modified_yosida_scheme(op, CLASSICAL, 10, zero_coefficient(1), r)
+        np.testing.assert_array_equal(out.k.jump.values[:, 0], [0.0, 0.0, -1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(out.k.continuous.values[:, 0], np.zeros(5))
+        np.testing.assert_array_equal(out.x.values + out.k_path.values, out.y.values)
+        assert out.x_pre is None
 
     def test_small_jumps_below_threshold_ignored(self, zoo):
         op = zoo["halfline"]
