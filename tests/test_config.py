@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from mmsde.cli import EXIT_CONFIG, main
-from mmsde.config import build_operator, parse_config_text
+from mmsde.config import (
+    build_coefficient,
+    build_operator,
+    build_projection,
+    parse_config_text,
+)
 
 
 def test_matrix_rows_separated_by_spaced_semicolon():
@@ -61,3 +66,124 @@ def test_malformed_config_names_its_field_and_exits_2(tmp_path, capsys, text, fi
     assert main(["converge", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
     assert not out.exists()
+
+
+# (INI text, section, the literal section dict); generated before the config
+# layer was rewritten as schema tables, so they pin its exact output.  The
+# operator dict holds every key of its kind with the default filled in; the
+# other sections hold only the keys the file sets.
+PINS = [
+    ("", "operator", {"kind": "halfline"}),
+    ("[operator]\nkind = halfline\n", "operator", {"kind": "halfline"}),
+    ("[operator]\nkind = halfspace\n", "operator",
+     {"kind": "halfspace", "normal": [-1.0], "offset": 0.0}),
+    ("[operator]\nkind = halfspace\nnormal = 1 -1\noffset = 0.5\n", "operator",
+     {"kind": "halfspace", "normal": [1.0, -1.0], "offset": 0.5}),
+    ("[operator]\nkind = box\n", "operator", {"kind": "box", "lo": [0.0], "hi": [1.0]}),
+    ("[operator]\nkind = box\nlo = 0 -1\nhi = 1 2\n", "operator",
+     {"kind": "box", "lo": [0.0, -1.0], "hi": [1.0, 2.0]}),
+    ("[operator]\nkind = ball\n", "operator", {"kind": "ball", "center": [0.0], "radius": 1.0}),
+    ("[operator]\nkind = ball\ncenter = 1 1\nradius = 2\n", "operator",
+     {"kind": "ball", "center": [1.0, 1.0], "radius": 2.0}),
+    ("[operator]\nkind = polyhedron\nconstraints = -1 : 0\n", "operator",
+     {"kind": "polyhedron", "normals": [[-1.0]], "offsets": [0.0]}),
+    ("[operator]\nkind = polyhedron\nconstraints = -1 0 : 0 ; 0 -1 : 0 ; 1 1 : 1\n", "operator",
+     {"kind": "polyhedron", "normals": [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+      "offsets": [0.0, 0.0, 1.0]}),
+    ("[operator]\nkind = linear\n", "operator", {"kind": "linear", "matrix": [[1.0]]}),
+    ("[operator]\nkind = linear\nmatrix = 2 0.5;-0.5 1\n", "operator",
+     {"kind": "linear", "matrix": [[2.0, 0.5], [-0.5, 1.0]]}),
+    ("[operator]\nkind = zero\n", "operator", {"kind": "zero", "dimension": 1}),
+    ("[operator]\nkind = zero\ndimension = 3\n", "operator", {"kind": "zero", "dimension": 3}),
+    ("", "projection", {"kind": "classical"}),
+    ("[projection]\nkind = classical\n", "projection", {"kind": "classical"}),
+    ("[projection]\nkind = elastic\n", "projection", {"kind": "elastic"}),
+    ("[projection]\nkind = elastic\nc = 0.5\n", "projection", {"kind": "elastic", "c": 0.5}),
+    ("[projection]\nkind = elastic_iterated\n", "projection", {"kind": "elastic_iterated"}),
+    ("[projection]\nkind = elastic_iterated\nc = 0.5\ntol = 1e-8\nmax_iter = 50\n",
+     "projection", {"kind": "elastic_iterated", "c": 0.5, "tol": 1e-08, "max_iter": 50}),
+    ("", "coefficient", {"kind": "zero"}),
+    ("[coefficient]\nkind = zero\n", "coefficient", {"kind": "zero"}),
+    ("[coefficient]\nkind = constant\n", "coefficient", {"kind": "constant"}),
+    ("[coefficient]\nkind = constant\nmatrix = 2\n", "coefficient",
+     {"kind": "constant", "matrix": [[2.0]]}),
+    ("[coefficient]\nkind = diag_linear\n", "coefficient", {"kind": "diag_linear"}),
+    ("[coefficient]\nkind = diag_linear\nscale = 0.5\n", "coefficient",
+     {"kind": "diag_linear", "scale": [0.5]}),
+    ("[coefficient]\nkind = bounded_sin\n", "coefficient", {"kind": "bounded_sin"}),
+    ("[coefficient]\nkind = bounded_sin\nbase = 1\namplitude = 0.5\n", "coefficient",
+     {"kind": "bounded_sin", "base": 1.0, "amplitude": 0.5}),
+    ("[coefficient]\nkind = square\n", "coefficient", {"kind": "square"}),
+    ("", "driver", {}),
+    ("[driver]\nsigma = 1\ndrift = 0.5\njump_rate = 2\njump_law = gaussian\n", "driver",
+     {"sigma": [[1.0]], "drift": [0.5], "jump_rate": 2.0, "jump_law": "gaussian"}),
+    ("[driver]\njump_rate = 2\njump_law = gaussian\njump_mean = 0.1\njump_cov = 0.25\n", "driver",
+     {"jump_rate": 2.0, "jump_law": "gaussian", "jump_mean": [0.1], "jump_cov": [[0.25]]}),
+    ("[driver]\njump_rate = 1\njump_law = uniform_ball\njump_radius = 0.5\n", "driver",
+     {"jump_rate": 1.0, "jump_law": "uniform_ball", "jump_radius": 0.5}),
+    ("[driver]\njump_rate = 1\njump_law = fixed\njump_value = -0.5\n", "driver",
+     {"jump_rate": 1.0, "jump_law": "fixed", "jump_value": [-0.5]}),
+    ("[driver]\nh_sigma = 0.5\nh_drift = 1\nh_jump_rate = 1\nh_jump_law = gaussian\n", "driver",
+     {"h_sigma": [[0.5]], "h_drift": [1.0], "h_jump_rate": 1.0, "h_jump_law": "gaussian"}),
+    ("[driver]\nh_jump_rate = 1\nh_jump_law = gaussian\nh_jump_mean = 0\nh_jump_cov = 2\n",
+     "driver", {"h_jump_rate": 1.0, "h_jump_law": "gaussian", "h_jump_mean": [0.0],
+                "h_jump_cov": [[2.0]]}),
+    ("[driver]\nh_jump_rate = 1\nh_jump_law = uniform_ball\nh_jump_radius = 1\n", "driver",
+     {"h_jump_rate": 1.0, "h_jump_law": "uniform_ball", "h_jump_radius": 1.0}),
+    ("[driver]\nh_jump_rate = 1\nh_jump_law = fixed\nh_jump_value = 1\nh0 = 2\n", "driver",
+     {"h_jump_rate": 1.0, "h_jump_law": "fixed", "h_jump_value": [1.0], "h0": [2.0]}),
+    ("[operator]\nkind = box\nlo = 0 0\nhi = 1 1\n[driver]\nsigma = 1 0; 0 2\ndrift = 1 -1\n"
+     "jump_rate = 1\njump_law = gaussian\njump_mean = 0 0\njump_cov = 1 0; 0 1\nh0 = 0.5 0.5\n",
+     "driver", {"sigma": [[1.0, 0.0], [0.0, 2.0]], "drift": [1.0, -1.0], "jump_rate": 1.0,
+                "jump_law": "gaussian", "jump_mean": [0.0, 0.0],
+                "jump_cov": [[1.0, 0.0], [0.0, 1.0]], "h0": [0.5, 0.5]}),
+]
+
+
+@pytest.mark.parametrize("text, section, expected", PINS,
+                         ids=[f"{s}-{i}" for i, (_, s, _) in enumerate(PINS)])
+def test_section_dict_is_pinned(text, section, expected):
+    assert getattr(parse_config_text(text), section) == expected
+
+
+def test_experiment_keys_fill_their_fields():
+    cfg = parse_config_text("""
+[experiment]
+horizon = 2
+levels = 4 8
+yosida_levels = 2 4
+trajectories = 3
+seed = 7
+checkpoints = 1 2j
+workers = 2
+flow_substeps = 8
+drift_substeps = 2
+reference_refine = 8
+truncation_radius = 3
+out = results
+format = jsonl
+""")
+    assert (cfg.horizon, cfg.levels, cfg.yosida_levels, cfg.trajectories, cfg.seed) == \
+        (2.0, (4, 8), (2, 4), 3, 7)
+    assert [(c.time, c.continuity_expected) for c in cfg.checkpoints] == [(1.0, True), (2.0, False)]
+    assert (cfg.workers, cfg.flow_substeps, cfg.drift_substeps, cfg.reference_refine) == (2, 8, 2, 8)
+    assert (cfg.truncation_radius, cfg.out_dir, cfg.format) == (3.0, "results", "jsonl")
+    # without checkpoints the midpoint of the horizon is compared
+    assert [c.time for c in parse_config_text("[experiment]\nhorizon = 3\n").checkpoints] == [1.5]
+
+
+BUILDERS = {
+    "operator": lambda spec, d: build_operator(spec),
+    "projection": lambda spec, d: build_projection(spec),
+    "coefficient": build_coefficient,
+}
+
+
+@pytest.mark.parametrize("text, section", [(t, s) for t, s, _ in PINS if s in BUILDERS],
+                         ids=[f"{s}-{i}" for i, (_, s, _) in enumerate(PINS) if s in BUILDERS])
+def test_builder_round_trips_its_spec(text, section):
+    cfg = parse_config_text(text)
+    d = build_operator(cfg.operator).dimension
+    build = BUILDERS[section]
+    spec = build(getattr(cfg, section), d).spec
+    assert build(spec, d).spec == spec
