@@ -74,13 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    return cfg.with_overrides(
+    level, n = getattr(args, "level", None), getattr(args, "yosida_n", None)
+    return load_config(args.config).with_overrides(
         seed=args.seed,
         out_dir=args.out,
         trajectories=args.trajectories,
-        format=getattr(args, "format", None),
+        format=args.format,
         workers=args.workers,
+        flow_substeps=getattr(args, "substeps", None),
+        levels=None if level is None else (level,),
+        yosida_levels=None if n is None else (n,),
     ).validate()
 
 
@@ -115,18 +118,18 @@ def _cmd_skorokhod(args) -> int:
     cfg = _load(args)
     op = build_operator(cfg.operator)
     proj = build_projection(cfg.projection)
+    read = read_step_path_jsonl if args.path.endswith(".jsonl") else read_step_path_csv
     with open(args.path, "r", encoding="utf-8") as fh:
-        if args.path.endswith(".jsonl"):
-            y = read_step_path_jsonl(fh)
-        else:
-            y = read_step_path_csv(fh)
-    substeps = args.substeps or cfg.flow_substeps
-    sol = solve_step(op, proj, y, flow_substeps=substeps)
+        try:
+            y = read(fh)
+        except ValueError as exc:
+            raise ConfigError("--path", str(exc)) from exc
+    sol = solve_step(op, proj, y, flow_substeps=cfg.flow_substeps)
     out_dir = _ensure_out(cfg)
     out_path = os.path.join(out_dir, f"solution.{cfg.format}")
     meta = {"operator": json.dumps(cfg.operator, sort_keys=True),
             "projection": json.dumps(cfg.projection, sort_keys=True),
-            "flow_substeps": substeps}
+            "flow_substeps": cfg.flow_substeps}
     _write_components(cfg, out_path, sol.export_components(), meta)
     print(out_path)
     return EXIT_OK
@@ -140,13 +143,12 @@ def _cmd_simulate(args) -> int:
 
     cfg = _load(args)
     ctx = _Context(cfg)
-    level = args.level or cfg.levels[-1]
-    part = uniform_partition(cfg.horizon, level)
+    part = uniform_partition(cfg.horizon, cfg.levels[-1])
     realization = simulate(ctx.driver, part, cfg.seed, args.trajectory)
     if args.scheme == "euler":
         out = ctx.run_euler(realization)
     else:
-        n_level = args.yosida_n or cfg.yosida_levels[-1]
+        n_level = cfg.yosida_levels[-1]
         if args.scheme == "yosida":
             out = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
                                 cfg.drift_substeps)
@@ -198,6 +200,8 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     from .harness import verify_suite
 
+    if args.samples < 1:
+        raise ConfigError("--samples", "must be >= 1")
     cfg = _load(args)
     report = verify_suite(cfg, samples=args.samples)
     payload = {name: res.as_dict() for name, res in sorted(report.items())}

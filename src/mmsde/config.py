@@ -1,14 +1,13 @@
 """Experiment configuration: INI-style files and builders.
 
-A configuration file has five sections; every key is optional unless noted.
-
-[operator]      kind = halfline | halfspace | box | ball | polyhedron | linear | zero
-[projection]    kind = classical | elastic | elastic_iterated, c, tol, max_iter
-[coefficient]   kind = zero | constant | diag_linear | bounded_sin | square
-[driver]        sigma, drift, jump_rate, jump_law, ... h_* for H, h0
-[experiment]    horizon, levels, yosida_levels, trajectories, seed, checkpoints,
-                workers, flow_substeps, drift_substeps, reference_refine,
-                truncation_radius, out, format
+A configuration file has the sections [operator], [projection],
+[coefficient], [driver] and [experiment].  One schema table per section
+below lists its kinds, keys, parsers and defaults; parsing and building both
+read it.  Every key is optional except the radius or value of a uniform_ball
+or fixed jump law.  An unknown section, and a key that its table does not
+list for the chosen kind (or jump law), are rejected with a ConfigError
+naming them.  The driver has keys for Z and the same keys prefixed 'h_' for
+H; its jump_law picks the law whose jump_* keys apply.
 
 Vectors are comma- or space-separated; matrices separate rows with ';'.
 Comment lines start with '#' or ';'; an inline comment starts with ' #' only,
@@ -20,6 +19,7 @@ driver jump is possible (excluded from continuity-point comparisons).
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,8 +34,15 @@ from .operators import (
     indicator_polyhedron,
     linear_monotone,
 )
-from .projections import DEFAULT_ITER_MAX, DEFAULT_ITER_TOL, Projection
-from .schemes import Coefficient, constant_coefficient, zero_coefficient
+from .projections import Projection
+from .schemes import (
+    Coefficient,
+    bounded_sin_coefficient,
+    constant_coefficient,
+    diag_linear_coefficient,
+    square_coefficient,
+    zero_coefficient,
+)
 
 __all__ = [
     "Checkpoint",
@@ -82,18 +89,17 @@ class ExperimentConfig:
             raise ConfigError("experiment.horizon", "must be positive")
         if not self.levels:
             raise ConfigError("experiment.levels", "at least one partition level required")
-        lv = list(self.levels)
-        if any(int(n) != n or n < 1 for n in lv):
+        if any(int(n) != n or n < 1 for n in self.levels):
             raise ConfigError("experiment.levels", "levels must be positive integers")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
+        pairs = list(zip(self.levels, self.levels[1:]))
+        if any(b <= a for a, b in pairs):
             raise ConfigError("experiment.levels", "levels must be strictly increasing")
         # refinement chains must nest so grids share points bit-exactly
-        if any(b % a != 0 for a, b in zip(lv, lv[1:])):
+        if any(b % a != 0 for a, b in pairs):
             raise ConfigError("experiment.levels", "each level must divide the next")
-        yl = list(self.yosida_levels)
-        if any(y < 1 for y in yl):
+        if any(y < 1 for y in self.yosida_levels):
             raise ConfigError("experiment.yosida_levels", "levels must be >= 1")
-        if any(b <= a for a, b in zip(yl, yl[1:])):
+        if any(b <= a for a, b in zip(self.yosida_levels, self.yosida_levels[1:])):
             raise ConfigError("experiment.yosida_levels", "levels must be strictly increasing")
         if self.trajectories < 1:
             raise ConfigError("experiment.trajectories", "need at least one trajectory")
@@ -101,14 +107,10 @@ class ExperimentConfig:
             if not (0.0 < cp.time <= self.horizon):
                 raise ConfigError("experiment.checkpoints",
                                   f"checkpoint {cp.time} outside (0, {self.horizon}]")
-        if self.workers < 1:
-            raise ConfigError("experiment.workers", "must be >= 1")
-        if self.flow_substeps < 1:
-            raise ConfigError("experiment.flow_substeps", "must be >= 1")
-        if self.drift_substeps < 1:
-            raise ConfigError("experiment.drift_substeps", "must be >= 1")
-        if self.reference_refine < 2:
-            raise ConfigError("experiment.reference_refine", "must be >= 2")
+        for name, least in (("workers", 1), ("flow_substeps", 1), ("drift_substeps", 1),
+                            ("reference_refine", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"experiment.{name}", f"must be >= {least}")
         if not (self.truncation_radius >= 1):
             raise ConfigError("experiment.truncation_radius", "must be >= 1")
         if self.format not in ("csv", "jsonl"):
@@ -126,7 +128,11 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# value parsing
+# value parsers: (INI text, field name) -> value
+
+
+def _text(text: str, fieldname: str) -> str:
+    return text
 
 
 def _float(text: str, fieldname: str) -> float:
@@ -159,251 +165,252 @@ def _matrix(text: str, fieldname: str) -> list[list[float]]:
     return out
 
 
-def _ints(text: str, fieldname: str) -> list[int]:
+def _ints(text: str, fieldname: str) -> tuple:
     vals = _floats(text, fieldname)
     if any(v != int(v) for v in vals):
         raise ConfigError(fieldname, "expected integers")
-    return [int(v) for v in vals]
+    return tuple(int(v) for v in vals)
 
 
-def _checkpoints(text: str, horizon: float) -> tuple:
+def _checkpoints(text: str, fieldname: str) -> tuple:
     out = []
     for token in text.replace(",", " ").split():
-        continuity = True
-        if token.endswith(("j", "J")):
-            continuity = False
-            token = token[:-1]
-        out.append(Checkpoint(time=_float(token, "experiment.checkpoints"),
-                              continuity_expected=continuity))
-    if not out:
-        out.append(Checkpoint(time=horizon / 2.0))
+        continuity = not token.endswith(("j", "J"))
+        out.append(Checkpoint(_float(token if continuity else token[:-1], fieldname),
+                              continuity))
     return tuple(out)
+
+
+def _constraints(text: str, fieldname: str) -> dict:
+    normals, offsets = [], []
+    for token in filter(None, (t.strip() for t in text.split(";"))):
+        if ":" not in token:
+            raise ConfigError(fieldname, f"expected 'normal : offset', got {token!r}")
+        left, right = token.rsplit(":", 1)
+        normals.append(_floats(left, fieldname))
+        offsets.append(_float(right, fieldname))
+    return {"normals": normals, "offsets": offsets}
+
+
+# ---------------------------------------------------------------------------
+# schema tables
+#
+# A kinded table maps kind -> (constructor, {key: (parser, default)}); its
+# first kind is the section's default.  A default is the INI text parsed when
+# the key is absent, None to leave the key to the constructor's own default,
+# or _REQUIRED.  A parser that returns a dict stores each of its entries (the
+# polyhedron's constraints become normals and offsets).  The operator dict
+# holds every key of its kind, defaults filled in; the other sections hold
+# only the keys the file sets.
+
+_REQUIRED = object()
+
+
+def _vector(value, dimension: int) -> np.ndarray:
+    """A vector; one entry is repeated ``dimension`` times."""
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    return np.full(dimension, float(v[0])) if v.size == 1 else v
+
+
+def _scaled_eye(value, dimension: int) -> np.ndarray:
+    """A matrix; a 1x1 one is that multiple of the identity."""
+    m = np.atleast_2d(np.asarray(value, dtype=float))
+    return float(m[0, 0]) * np.eye(dimension) if m.shape == (1, 1) else m
+
+
+def _constant(dimension: int, matrix=None) -> Coefficient:
+    mat = np.atleast_2d(np.asarray(np.eye(dimension) if matrix is None else matrix, dtype=float))
+    if mat.shape != (dimension, dimension):
+        raise ConfigError("coefficient.matrix",
+                          f"expected {dimension}x{dimension}, got {mat.shape}")
+    return constant_coefficient(mat)
+
+
+def _diag_linear(dimension: int, scale) -> Coefficient:
+    scale = _vector(scale, dimension)
+    if scale.shape != (dimension,):
+        raise ConfigError("coefficient.scale", f"expected {dimension} entries")
+    return diag_linear_coefficient(scale)
+
+
+def _gaussian(dimension: int, jump_cov, jump_mean=None) -> JumpLaw:
+    mean = np.zeros(dimension) if jump_mean is None else jump_mean
+    return JumpLaw.gaussian(mean, _scaled_eye(jump_cov, dimension))
+
+
+_OPERATORS = {
+    "halfline": (lambda: indicator_halfspace([-1.0], 0.0), {}),
+    "halfspace": (indicator_halfspace, {"normal": (_floats, "-1"), "offset": (_float, "0")}),
+    "box": (indicator_box, {"lo": (_floats, "0"), "hi": (_floats, "1")}),
+    "ball": (indicator_ball, {"center": (_floats, "0"), "radius": (_float, "1")}),
+    "polyhedron": (lambda normals, offsets: indicator_polyhedron(list(zip(normals, offsets))),
+                   {"constraints": (_constraints, "")}),
+    "linear": (linear_monotone, {"matrix": (_matrix, "1")}),
+    "zero": (lambda dimension: linear_monotone(np.zeros((int(dimension),) * 2)),
+             {"dimension": (_int, "1")}),
+}
+
+# Projection takes the kind, checks it and holds every default
+_PROJECTIONS = {
+    "classical": (Projection, {}),
+    "elastic": (Projection, {"c": (_float, None)}),
+    "elastic_iterated": (Projection, {"c": (_float, None), "tol": (_float, None),
+                                      "max_iter": (_int, None)}),
+}
+
+_COEFFICIENTS = {
+    "zero": (zero_coefficient, {}),
+    "constant": (_constant, {"matrix": (_matrix, None)}),
+    "diag_linear": (_diag_linear, {"scale": (_floats, "1")}),
+    "bounded_sin": (bounded_sin_coefficient, {"base": (_float, "0.5"),
+                                              "amplitude": (_float, "0.25")}),
+    "square": (lambda dimension: square_coefficient(), {}),
+}
+
+# [driver]: the keys of Z, and of H prefixed 'h_'; jump_law picks a law
+_PREFIXES = ("", "h_")
+_PROCESS = {"sigma": (_matrix, "0"), "drift": (_floats, "0"), "jump_rate": (_float, "0"),
+            "jump_law": (_text, None)}
+_JUMP_LAWS = {
+    "none": (lambda dimension: None, {}),
+    "gaussian": (_gaussian, {"jump_mean": (_floats, None), "jump_cov": (_matrix, "1")}),
+    "uniform_ball": (lambda dimension, jump_radius: JumpLaw.uniform_ball(jump_radius, dimension),
+                     {"jump_radius": (_float, _REQUIRED)}),
+    "fixed": (lambda dimension, jump_value: JumpLaw.fixed(jump_value),
+              {"jump_value": (_floats, _REQUIRED)}),
+}
+_H0 = {"h0": (_floats, "0")}
+
+# defaults are the ExperimentConfig fields; 'out' sets out_dir
+_EXPERIMENT = {key: (parser, None) for key, parser in (
+    ("horizon", _float), ("levels", _ints), ("yosida_levels", _ints), ("trajectories", _int),
+    ("seed", _int), ("checkpoints", _checkpoints), ("workers", _int), ("flow_substeps", _int),
+    ("drift_substeps", _int), ("reference_refine", _int), ("truncation_radius", _float),
+    ("out", _text), ("format", _text))}
+
+
+def _stored(name: str, value) -> dict:
+    return value if isinstance(value, dict) else {name: value}
+
+
+def _keys(table: dict, kind) -> dict:
+    """The keys ``kind`` reads; all keys of the table if the builder must name the kind."""
+    if kind in table:
+        return table[kind][1]
+    return {k: v for _, keys in table.values() for k, v in keys.items()}
+
+
+def _entry(field: str, table: dict, kind, noun: str = "kind") -> tuple:
+    if kind not in table:
+        raise ConfigError(field, f"unknown {noun} {kind!r}")
+    return table[kind]
+
+
+def _arguments(section: str, keys: dict, given: dict, prefix: str = "") -> dict:
+    """Constructor keywords: the stored values ``given`` over the defaults of ``keys``."""
+    kw = dict(given)
+    for key, (parser, default) in keys.items():
+        if key in kw or default is None:
+            continue
+        if default is _REQUIRED:
+            raise ConfigError(f"{section}.{prefix}{key}", "missing key")
+        for name, value in _stored(key, parser(default, f"{section}.{prefix}{key}")).items():
+            kw.setdefault(name, value)
+    return kw
+
+
+@contextmanager
+def _naming(field: str):
+    """Re-raise a constructor's ValueError or TypeError as a ConfigError on ``field``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # builders: section dict -> object
 
 
+def _build(section: str, table: dict, spec: dict, *args):
+    ctor, keys = _entry(f"{section}.kind", table, spec.get("kind", next(iter(table))))
+    given = {k: v for k, v in spec.items() if k != "kind"}
+    with _naming(section):
+        return ctor(*args, **_arguments(section, keys, given))
+
+
 def build_operator(spec: dict) -> MonotoneOperator:
-    kind = spec.get("kind")
-    try:
-        if kind == "halfline":
-            return indicator_halfspace([-1.0], 0.0)
-        if kind == "halfspace":
-            return indicator_halfspace(spec["normal"], spec["offset"])
-        if kind == "box":
-            return indicator_box(spec["lo"], spec["hi"])
-        if kind == "ball":
-            return indicator_ball(spec["center"], spec["radius"])
-        if kind == "polyhedron":
-            return indicator_polyhedron(list(zip(spec["normals"], spec["offsets"])))
-        if kind == "linear":
-            return linear_monotone(spec["matrix"])
-        if kind == "zero":
-            d = int(spec.get("dimension", 1))
-            return linear_monotone(np.zeros((d, d)))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"operator.{exc.args[0]}", "missing key") from exc
-    except ValueError as exc:
-        raise ConfigError("operator", str(exc)) from exc
-    raise ConfigError("operator.kind", f"unknown kind {kind!r}")
+    return _build("operator", _OPERATORS, spec)
 
 
 def build_projection(spec: dict) -> Projection:
-    kind = spec.get("kind", "classical")
-    try:
-        return Projection(
-            kind=kind,
-            c=float(spec.get("c", 0.0)),
-            tol=float(spec.get("tol", DEFAULT_ITER_TOL)),
-            max_iter=int(spec.get("max_iter", DEFAULT_ITER_MAX)),
-        )
-    except ValueError as exc:
-        raise ConfigError("projection", str(exc)) from exc
+    kind = spec.get("kind", next(iter(_PROJECTIONS)))
+    # Projection itself rejects an unknown kind
+    ctor, keys = _PROJECTIONS.get(kind, (Projection, {}))
+    given = {k: v for k, v in spec.items() if k != "kind"}
+    with _naming("projection"):
+        return ctor(kind, **_arguments("projection", keys, given))
 
 
 def build_coefficient(spec: dict, dimension: int) -> Coefficient:
-    kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return zero_coefficient(dimension)
-    if kind == "constant":
-        mat = np.atleast_2d(np.asarray(spec.get("matrix", np.eye(dimension)), dtype=float))
-        if mat.shape != (dimension, dimension):
-            raise ConfigError("coefficient.matrix",
-                              f"expected {dimension}x{dimension}, got {mat.shape}")
-        return constant_coefficient(mat)
-    if kind == "diag_linear":
-        scale = np.atleast_1d(np.asarray(spec.get("scale", 1.0), dtype=float))
-        if scale.size == 1:
-            scale = np.full(dimension, float(scale[0]))
-        if scale.shape != (dimension,):
-            raise ConfigError("coefficient.scale", f"expected {dimension} entries")
-        return Coefficient(
-            f=lambda x: np.diag(scale * x),
-            lipschitz=float(np.max(np.abs(scale))),
-            spec={"kind": "diag_linear", "scale": scale.tolist()},
-        )
-    if kind == "bounded_sin":
-        base = float(spec.get("base", 0.5))
-        amp = float(spec.get("amplitude", 0.25))
-        eye = np.eye(dimension)
-        return Coefficient(
-            f=lambda x: (base + amp * np.sin(float(np.sum(x)))) * eye,
-            lipschitz=abs(amp) * np.sqrt(dimension),
-            spec={"kind": "bounded_sin", "base": base, "amplitude": amp},
-        )
-    if kind == "square":
-        # locally Lipschitz only; must run under truncation
-        return Coefficient(
-            f=lambda x: np.diag(x * x),
-            lipschitz=None,
-            growth=None,
-            local_lipschitz=lambda r: 2.0 * r,
-            spec={"kind": "square"},
-        )
-    raise ConfigError("coefficient.kind", f"unknown kind {kind!r}")
+    return _build("coefficient", _COEFFICIENTS, spec, dimension)
 
 
-def _jump_law(spec: dict, prefix: str, dimension: int) -> JumpLaw | None:
-    kind = spec.get(f"{prefix}jump_law", "none")
-    if kind in ("none", None):
-        return None
-    try:
-        if kind == "gaussian":
-            mean = np.atleast_1d(np.asarray(spec.get(f"{prefix}jump_mean", np.zeros(dimension)), dtype=float))
-            cov = spec.get(f"{prefix}jump_cov", np.eye(dimension))
-            cov = np.atleast_2d(np.asarray(cov, dtype=float))
-            if cov.shape == (1, 1) and dimension > 1:
-                cov = float(cov[0, 0]) * np.eye(dimension)
-            return JumpLaw.gaussian(mean, cov)
-        if kind == "uniform_ball":
-            return JumpLaw.uniform_ball(float(spec[f"{prefix}jump_radius"]), dimension)
-        if kind == "fixed":
-            return JumpLaw.fixed(spec[f"{prefix}jump_value"])
-    except KeyError as exc:
-        raise ConfigError(f"driver.{exc.args[0]}", "missing key") from exc
-    except ValueError as exc:
-        raise ConfigError(f"driver.{prefix}jump_law", str(exc)) from exc
-    raise ConfigError(f"driver.{prefix}jump_law", f"unknown law {kind!r}")
+def _given(spec: dict, keys: dict, prefix: str = "") -> dict:
+    return {k: spec[prefix + k] for k in keys if prefix + k in spec}
 
 
 def _process(spec: dict, prefix: str, dimension: int) -> ProcessSpec:
-    sigma = np.atleast_2d(np.asarray(spec.get(f"{prefix}sigma", 0.0), dtype=float))
-    if sigma.shape == (1, 1):
-        sigma = float(sigma[0, 0]) * np.eye(dimension)
-    drift = np.atleast_1d(np.asarray(spec.get(f"{prefix}drift", 0.0), dtype=float))
-    if drift.size == 1:
-        drift = np.full(dimension, float(drift[0]))
-    rate = float(spec.get(f"{prefix}jump_rate", 0.0))
-    law = _jump_law(spec, prefix, dimension) if rate > 0 else None
-    try:
-        return ProcessSpec(dimension, sigma, drift, rate, law)
-    except ValueError as exc:
-        raise ConfigError(f"driver.{prefix or 'z_'}process", str(exc)) from exc
+    kw = _arguments("driver", _PROCESS, _given(spec, _PROCESS, prefix), prefix)
+    rate, law, field = float(kw["jump_rate"]), None, f"driver.{prefix}jump_law"
+    if rate > 0:
+        ctor, keys = _entry(field, _JUMP_LAWS, kw.get("jump_law", next(iter(_JUMP_LAWS))), "law")
+        with _naming(field):
+            law = ctor(dimension, **_arguments("driver", keys, _given(spec, keys, prefix), prefix))
+    with _naming(f"driver.{prefix or 'z_'}process"):
+        return ProcessSpec(dimension, _scaled_eye(kw["sigma"], dimension),
+                           _vector(kw["drift"], dimension), rate, law)
 
 
 def build_driver(spec: dict, dimension: int) -> DriverSpec:
-    z = _process(spec, "", dimension)
-    h = _process(spec, "h_", dimension)
-    h0 = np.atleast_1d(np.asarray(spec.get("h0", np.zeros(dimension)), dtype=float))
-    if h0.size == 1 and dimension > 1:
-        h0 = np.full(dimension, float(h0[0]))
-    try:
-        return DriverSpec(z=z, h=h, h0=h0)
-    except ValueError as exc:
-        raise ConfigError("driver.h0", str(exc)) from exc
+    z, h = (_process(spec, prefix, dimension) for prefix in _PREFIXES)
+    h0 = _vector(_arguments("driver", _H0, _given(spec, _H0))["h0"], dimension)
+    with _naming("driver.h0"):
+        driver = DriverSpec(z=z, h=h, h0=h0)
+    # checked last, so that every other fault of the section is named first
+    for prefix, law in zip(_PREFIXES, (z.jump_law, h.jump_law)):
+        if law is not None and law.dimension != dimension:
+            raise ConfigError(f"driver.{prefix}jump_law", f"jump sizes have dimension "
+                              f"{law.dimension}, the operator has dimension {dimension}")
+    return driver
 
 
 # ---------------------------------------------------------------------------
 # file parsing
 
-
-def _operator_dict(sec) -> dict:
-    kind = sec.get("kind", "halfline")
-    out = {"kind": kind}
-    if kind == "halfspace":
-        out["normal"] = _floats(sec.get("normal", "-1"), "operator.normal")
-        out["offset"] = _float(sec.get("offset", "0"), "operator.offset")
-    elif kind == "box":
-        out["lo"] = _floats(sec.get("lo", "0"), "operator.lo")
-        out["hi"] = _floats(sec.get("hi", "1"), "operator.hi")
-    elif kind == "ball":
-        out["center"] = _floats(sec.get("center", "0"), "operator.center")
-        out["radius"] = _float(sec.get("radius", "1"), "operator.radius")
-    elif kind == "polyhedron":
-        normals, offsets = [], []
-        text = sec.get("constraints", "")
-        for token in text.split(";"):
-            token = token.strip()
-            if not token:
-                continue
-            if ":" not in token:
-                raise ConfigError("operator.constraints",
-                                  f"expected 'normal : offset', got {token!r}")
-            left, right = token.rsplit(":", 1)
-            normals.append(_floats(left, "operator.constraints"))
-            offsets.append(_float(right, "operator.constraints"))
-        out["normals"] = normals
-        out["offsets"] = offsets
-    elif kind == "linear":
-        out["matrix"] = _matrix(sec.get("matrix", "1"), "operator.matrix")
-    elif kind == "zero":
-        out["dimension"] = _int(sec.get("dimension", "1"), "operator.dimension")
-    elif kind != "halfline":
-        raise ConfigError("operator.kind", f"unknown kind {kind!r}")
-    return out
+_SECTIONS = ("operator", "projection", "coefficient", "driver", "experiment")
 
 
-def _projection_dict(sec) -> dict:
-    out = {"kind": sec.get("kind", "classical")}
-    for key in ("c", "tol"):
-        if key in sec:
-            out[key] = _float(sec[key], f"projection.{key}")
-    if "max_iter" in sec:
-        out["max_iter"] = _int(sec["max_iter"], "projection.max_iter")
-    return out
-
-
-def _coefficient_dict(sec) -> dict:
-    kind = sec.get("kind", "zero")
-    out = {"kind": kind}
-    if kind == "constant" and "matrix" in sec:
-        out["matrix"] = _matrix(sec["matrix"], "coefficient.matrix")
-    if kind == "diag_linear" and "scale" in sec:
-        out["scale"] = _floats(sec["scale"], "coefficient.scale")
-    if kind == "bounded_sin":
-        for key in ("base", "amplitude"):
-            if key in sec:
-                out[key] = _float(sec[key], f"coefficient.{key}")
-    return out
-
-
-def _driver_dict(sec) -> dict:
+def _read(sec, section: str, keys: dict) -> dict:
+    """Parse the keys ``sec`` sets in table order, after rejecting any not in ``keys``."""
+    for name in sec:
+        if name not in keys:
+            raise ConfigError(f"{section}.{name}", "unknown key")
     out = {}
-    for prefix in ("", "h_"):
-        if f"{prefix}sigma" in sec:
-            out[f"{prefix}sigma"] = _matrix(sec[f"{prefix}sigma"], f"driver.{prefix}sigma")
-        if f"{prefix}drift" in sec:
-            out[f"{prefix}drift"] = _floats(sec[f"{prefix}drift"], f"driver.{prefix}drift")
-        if f"{prefix}jump_rate" in sec:
-            out[f"{prefix}jump_rate"] = _float(sec[f"{prefix}jump_rate"],
-                                                f"driver.{prefix}jump_rate")
-        if f"{prefix}jump_law" in sec:
-            out[f"{prefix}jump_law"] = sec[f"{prefix}jump_law"]
-        if f"{prefix}jump_mean" in sec:
-            out[f"{prefix}jump_mean"] = _floats(sec[f"{prefix}jump_mean"], f"driver.{prefix}jump_mean")
-        if f"{prefix}jump_cov" in sec:
-            out[f"{prefix}jump_cov"] = _matrix(sec[f"{prefix}jump_cov"], f"driver.{prefix}jump_cov")
-        if f"{prefix}jump_radius" in sec:
-            out[f"{prefix}jump_radius"] = _float(sec[f"{prefix}jump_radius"],
-                                                  f"driver.{prefix}jump_radius")
-        if f"{prefix}jump_value" in sec:
-            out[f"{prefix}jump_value"] = _floats(sec[f"{prefix}jump_value"], f"driver.{prefix}jump_value")
-    if "h0" in sec:
-        out["h0"] = _floats(sec["h0"], "driver.h0")
+    for name, (parser, _) in keys.items():
+        if name in sec:
+            out.update(_stored(name, parser(sec[name], f"{section}.{name}")))
     return out
+
+
+def _read_kind(sec, section: str, table: dict, fill: bool = False) -> dict:
+    """A kinded section; ``fill`` requires a known kind and stores all its keys."""
+    kind = sec.get("kind", next(iter(table)))
+    keys = _entry(f"{section}.kind", table, kind)[1] if fill else _keys(table, kind)
+    out = {"kind": kind, **_read(sec, section, {"kind": (_text, None), **keys})}
+    return _arguments(section, keys, out) if fill else out
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -412,37 +419,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("file", f"cannot parse configuration: {exc}") from exc
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(name, "unknown section")
+    sec = {name: parser[name] if parser.has_section(name) else {} for name in _SECTIONS}
 
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    exp = section("experiment")
-    horizon = _float(exp.get("horizon", "1"), "experiment.horizon")
-
-    def exp_int(key, default):
-        return _int(exp.get(key, str(default)), f"experiment.{key}")
-
-    cfg = ExperimentConfig(
-        operator=_operator_dict(section("operator")),
-        projection=_projection_dict(section("projection")),
-        coefficient=_coefficient_dict(section("coefficient")),
-        driver=_driver_dict(section("driver")),
-        horizon=horizon,
-        levels=tuple(_ints(exp.get("levels", "8 32 128"), "experiment.levels")),
-        yosida_levels=tuple(_ints(exp.get("yosida_levels", "4 16 64"),
-                                  "experiment.yosida_levels")),
-        trajectories=exp_int("trajectories", 100),
-        seed=exp_int("seed", 0),
-        checkpoints=_checkpoints(exp.get("checkpoints", ""), horizon),
-        workers=exp_int("workers", 1),
-        flow_substeps=exp_int("flow_substeps", 16),
-        drift_substeps=exp_int("drift_substeps", 1),
-        reference_refine=exp_int("reference_refine", 4),
-        truncation_radius=_float(exp.get("truncation_radius", "2"),
-                                 "experiment.truncation_radius"),
-        out_dir=exp.get("out", "out"),
-        format=exp.get("format", "csv"),
-    )
+    operator = _read_kind(sec["operator"], "operator", _OPERATORS, fill=True)
+    projection = _read_kind(sec["projection"], "projection", _PROJECTIONS)
+    coefficient = _read_kind(sec["coefficient"], "coefficient", _COEFFICIENTS)
+    keys = {}
+    for prefix in _PREFIXES:
+        law = sec["driver"].get(prefix + "jump_law", next(iter(_JUMP_LAWS)))
+        keys.update({prefix + k: v for k, v in {**_PROCESS, **_keys(_JUMP_LAWS, law)}.items()})
+    driver = _read(sec["driver"], "driver", {**keys, **_H0})
+    exp = _read(sec["experiment"], "experiment", _EXPERIMENT)
+    if "out" in exp:
+        exp["out_dir"] = exp.pop("out")
+    cfg = ExperimentConfig(operator, projection, coefficient, driver, **exp)
+    if not cfg.checkpoints:
+        cfg = replace(cfg, checkpoints=(Checkpoint(cfg.horizon / 2.0),))
     return cfg.validate()
 
 

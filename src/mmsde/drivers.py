@@ -168,6 +168,10 @@ class JumpLaw:
     def fixed(value) -> "JumpLaw":
         return JumpLaw(kind="fixed", value=np.atleast_1d(np.asarray(value, dtype=float)))
 
+    @property
+    def dimension(self) -> int:
+        return (self.mean if self.kind == "gaussian" else self.value).size
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` independent jump sizes, shape (count, d)."""
         if self.kind == "gaussian":

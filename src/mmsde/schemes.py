@@ -44,6 +44,9 @@ __all__ = [
     "Coefficient",
     "constant_coefficient",
     "zero_coefficient",
+    "diag_linear_coefficient",
+    "bounded_sin_coefficient",
+    "square_coefficient",
     "SchemeOutput",
     "euler_scheme",
     "yosida_scheme",
@@ -98,6 +101,33 @@ def constant_coefficient(matrix) -> Coefficient:
 
 def zero_coefficient(dimension: int) -> Coefficient:
     return constant_coefficient(np.zeros((dimension, dimension)))
+
+
+def diag_linear_coefficient(scale) -> Coefficient:
+    """f(x) = diag(scale * x)."""
+    scale = np.atleast_1d(np.asarray(scale, dtype=float))
+    return Coefficient(
+        f=lambda x: np.diag(scale * x),
+        lipschitz=float(np.max(np.abs(scale))),
+        spec={"kind": "diag_linear", "scale": scale.tolist()},
+    )
+
+
+def bounded_sin_coefficient(dimension: int, base: float, amplitude: float) -> Coefficient:
+    """f(x) = (base + amplitude sin(sum x)) I."""
+    base, amp = float(base), float(amplitude)
+    eye = np.eye(dimension)
+    return Coefficient(
+        f=lambda x: (base + amp * np.sin(float(np.sum(x)))) * eye,
+        lipschitz=abs(amp) * np.sqrt(dimension),
+        spec={"kind": "bounded_sin", "base": base, "amplitude": amp},
+    )
+
+
+def square_coefficient() -> Coefficient:
+    """f(x) = diag(x * x): locally Lipschitz only, so it must run under ``truncate``."""
+    return Coefficient(f=lambda x: np.diag(x * x), local_lipschitz=lambda r: 2.0 * r,
+                       spec={"kind": "square"})
 
 
 @dataclass(frozen=True, eq=False)

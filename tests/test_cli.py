@@ -136,6 +136,27 @@ class TestSkorokhodCommand:
         assert "absent.csv" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("substeps", ["-2", "0"])
+    def test_bad_substeps_flag_is_a_config_error(self, tmp_path, capsys, substeps):
+        path_file, _ = write_path(tmp_path / "y.csv", [0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
+        config = write_file(tmp_path / "lin.ini", LINEAR_INI)
+        out = tmp_path / "out"
+        argv = ["skorokhod", "--config", config, "--path", path_file, "--out", str(out),
+                "--substeps", substeps]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "configuration error: experiment.flow_substeps: ")
+        assert not out.exists()
+
+    def test_non_numeric_path_cell_is_a_config_error(self, tmp_path, capsys):
+        path_file, _ = write_path(tmp_path / "y.csv", [0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
+        text = (tmp_path / "y.csv").read_text(encoding="utf-8")
+        (tmp_path / "y.csv").write_text(text.replace("1.0", "one", 1), encoding="utf-8")
+        config = write_file(tmp_path / "lin.ini", LINEAR_INI)
+        assert skorokhod(config, path_file, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: --path: ")
+        assert not (tmp_path / "out").exists()
+
     def test_elastic_budget_exhausted_is_nonconvergence(self, tmp_path, capsys):
         # a jump from 0.5 to 5: one elastic step lands at 1 - 0.5 * 4 = -1,
         # still outside [0, 1], and max_iter = 1 allows no second step
@@ -194,6 +215,21 @@ class TestStudyCommands:
         assert report == json.loads(stdout)
         assert len(report) == 12
         assert [name for name, res in report.items() if not res["passed"]] == []
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("simulate", ["--scheme", "yosida", "--yosida-n", "0.5"], "experiment.yosida_levels"),
+    ("simulate", ["--level", "-4"], "experiment.levels"),
+    ("simulate", ["--level", "0"], "experiment.levels"),
+    ("verify", ["--samples", "0"], "--samples"),
+], ids=["yosida-n-0.5", "level-minus-4", "level-0", "samples-0"])
+def test_bad_flag_is_a_config_error(tmp_path, capsys, command, flags, field):
+    # flags are checked with the config they override, so none falls back to it
+    config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["skorokhod"], ["no-such-command"]])

@@ -55,6 +55,21 @@ MALFORMED = [
     ("[experiment]\ntruncation_radius = 0.5\n", "experiment.truncation_radius"),
     ("[driver]\nh0 = -1\n", "driver.h0"),
     ("[operator]\nkind = box\nlo = 0 0\nhi = 1 1\n[driver]\nh0 = 0.5 2\n", "driver.h0"),
+    # a jump law whose dimension is not the operator's
+    ("[driver]\njump_rate = 1\njump_law = fixed\njump_value = 1 2\n", "driver.jump_law"),
+    ("[driver]\njump_rate = 1\njump_law = gaussian\njump_mean = 0 0\njump_cov = 1 0; 0 1\n",
+     "driver.jump_law"),
+    ("[driver]\nh_jump_rate = 1\nh_jump_law = fixed\nh_jump_value = 1 2\n", "driver.h_jump_law"),
+    # misspelt keys, keys the chosen kind or jump law does not read, unknown sections
+    ("[driver]\njump_rat = 2\n", "driver.jump_rat"),
+    ("[driver]\njump_rate = 1\njump_law = fixed\njump_value = 1\njump_mean = 0\n",
+     "driver.jump_mean"),
+    ("[driver]\nh_jump_cov = 1\n", "driver.h_jump_cov"),
+    ("[operator]\nkind = box\ncenter = 0\n", "operator.center"),
+    ("[projection]\nkind = classical\nmax_iters = 5\n", "projection.max_iters"),
+    ("[coefficient]\nkind = zero\nmatrix = 1\n", "coefficient.matrix"),
+    ("[experiment]\nlevel = 8\n", "experiment.level"),
+    ("[experiments]\nseed = 1\n", "experiments"),
 ]
 
 
