@@ -78,6 +78,33 @@ trajectories = 3
 seed = 5
 """
 
+# half-line, iterated elastic projection, the coefficient diag(x * x), which
+# has no growth bound; no trajectory of this seed explodes
+HALFLINE_SQUARE_INI = """\
+[operator]
+kind = halfline
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+
+[coefficient]
+kind = square
+
+[driver]
+sigma = 1
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 1
+h0 = 0.5
+
+[experiment]
+levels = 4 16
+checkpoints = 0.5 1.0j
+trajectories = 6
+seed = 3
+"""
+
 LINEAR_INI = """\
 [operator]
 kind = linear
@@ -121,6 +148,7 @@ def step_path_file(tmp_path) -> str:
 CASES = {
     "converge_halfline.csv": (HALFLINE_INI, "converge", [], "errors.csv"),
     "converge_box.csv": (BOX_INI, "converge", [], "errors.csv"),
+    "converge_halfline_square.csv": (HALFLINE_SQUARE_INI, "converge", [], "errors.csv"),
     "compare_box.csv": (BOX_INI, "compare", [], "errors.csv"),
     "verify_box.json": (BOX_INI, "verify", ["--samples", "200"], "verify.json"),
     "skorokhod_linear.csv": (LINEAR_INI, "skorokhod", [], "solution.csv"),
