@@ -5,7 +5,7 @@ solvers, Euler and Yosida time stepping, Monte Carlo convergence studies) is
 deterministic given a master seed.
 """
 
-from .errors import ConfigError, DomainViolationError, NonConvergenceError
+from .errors import ConfigError, DomainViolationError, ExplosionError, NonConvergenceError
 from .operators import (
     MonotoneOperator,
     resolve,
@@ -63,8 +63,6 @@ from .schemes import (
     yosida_scheme,
     modified_yosida_scheme,
     resolvent_of_yosida_step,
-    truncate,
-    run_truncated,
 )
 
 __version__ = "0.1.0"

@@ -80,7 +80,6 @@ class ExperimentConfig:
     flow_substeps: int = 16
     drift_substeps: int = 1
     reference_refine: int = 4
-    truncation_radius: float = 2.0
     out_dir: str = "out"
     format: str = "csv"
 
@@ -111,8 +110,6 @@ class ExperimentConfig:
                             ("reference_refine", 2)):
             if getattr(self, name) < least:
                 raise ConfigError(f"experiment.{name}", f"must be >= {least}")
-        if not (self.truncation_radius >= 1):
-            raise ConfigError("experiment.truncation_radius", "must be >= 1")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError("experiment.format", "must be 'csv' or 'jsonl'")
         # build everything once so geometry errors surface with field names
@@ -285,8 +282,7 @@ _H0 = {"h0": (_floats, "0")}
 _EXPERIMENT = {key: (parser, None) for key, parser in (
     ("horizon", _float), ("levels", _ints), ("yosida_levels", _ints), ("trajectories", _int),
     ("seed", _int), ("checkpoints", _checkpoints), ("workers", _int), ("flow_substeps", _int),
-    ("drift_substeps", _int), ("reference_refine", _int), ("truncation_radius", _float),
-    ("out", _text), ("format", _text))}
+    ("drift_substeps", _int), ("reference_refine", _int), ("out", _text), ("format", _text))}
 
 
 def _stored(name: str, value) -> dict:

@@ -36,8 +36,6 @@ __all__ = [
     "simulate",
     "refine_consistent",
     "from_step_paths",
-    "write_realization_csv",
-    "write_realization_jsonl",
 ]
 
 STREAM_VERSION = 2
@@ -217,8 +215,8 @@ class ProcessSpec:
             raise ValueError(f"drift must have length {d}")
         if not (np.all(np.isfinite(vol)) and np.all(np.isfinite(drift))):
             raise ValueError("drift and volatility must be finite")
-        if self.jump_rate < 0:
-            raise ValueError("jump rate must be nonnegative")
+        if not (np.isfinite(self.jump_rate) and self.jump_rate >= 0):
+            raise ValueError("jump rate must be finite and nonnegative")
         if self.jump_rate > 0 and self.jump_law is None:
             raise ValueError("a jump law is required when the jump rate is positive")
         object.__setattr__(self, "brownian_vol", vol)
@@ -465,29 +463,3 @@ def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:
         jump_flags=flags, jump_h=jump_h, jump_z=jump_z,
         seed=None, trajectory_index=None, spec=None,
     )
-
-
-def write_realization_csv(realization: DriverRealization, fh):
-    d = realization.dimension
-    cols = (["time"] + [f"h_{i + 1}" for i in range(d)]
-            + [f"z_{i + 1}" for i in range(d)] + ["jump"])
-    fh.write(",".join(cols) + "\n")
-    for t, hrow, zrow, flag in zip(realization.grid.times, realization.h.values,
-                                   realization.z.values, realization.jump_flags):
-        fields = [repr(float(t))] + [repr(float(v)) for v in hrow] \
-            + [repr(float(v)) for v in zrow] + [str(int(flag))]
-        fh.write(",".join(fields) + "\n")
-
-
-def write_realization_jsonl(realization: DriverRealization, fh):
-    import json
-
-    for t, hrow, zrow, flag in zip(realization.grid.times, realization.h.values,
-                                   realization.z.values, realization.jump_flags):
-        rec = {
-            "time": float(t),
-            "h": [float(v) for v in hrow],
-            "z": [float(v) for v in zrow],
-            "jump": bool(flag),
-        }
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -25,6 +25,22 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
 
 
+class ExplosionError(NonConvergenceError):
+    """A scheme's driven increment dy = dH + f(x) dZ left the floating-point range.
+
+    Names the trajectory (``None`` for a realization built from given paths),
+    the grid step ``step`` = j and its time ``time`` = t_j; ``last`` is the
+    last finite state, x at t_{j-1}.
+    """
+
+    def __init__(self, message: str, last=None, trajectory: int | None = None,
+                 step: int | None = None, time: float | None = None):
+        super().__init__(message, last=last)
+        self.trajectory = trajectory
+        self.step = step
+        self.time = time
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; ``field`` names the offending key."""
 

@@ -28,7 +28,6 @@ from .schemes import (
     euler_scheme,
     modified_yosida_scheme,
     resolvent_of_yosida_step,
-    run_truncated,
     yosida_scheme,
 )
 from .skorokhod import (
@@ -115,14 +114,8 @@ class _Context:
         self.checkpoints = cfg.checkpoints
 
     def run_euler(self, realization):
-        if self.coeff.globally_lipschitz:
-            return euler_scheme(self.op, self.proj, self.coeff, realization,
-                                self.cfg.flow_substeps)
-        out, _, _ = run_truncated(
-            lambda c: euler_scheme(self.op, self.proj, c, realization,
-                                   self.cfg.flow_substeps),
-            self.coeff, self.cfg.truncation_radius)
-        return out
+        return euler_scheme(self.op, self.proj, self.coeff, realization,
+                            self.cfg.flow_substeps)
 
     def oracle_applies(self) -> bool:
         """Closed-form reference: reflection on [0, inf) under additive noise."""

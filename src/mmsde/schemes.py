@@ -21,20 +21,22 @@ uses, which accumulates y and the split of k and builds the output paths:
   back before the drift step, which restores sup-norm convergence under
   general non-expansive projections.
 
-``truncate`` builds the globally Lipschitz localization of a locally
-Lipschitz coefficient, and ``run_truncated`` escalates the truncation radius
-until the trajectory stays inside it.
+Every scheme runs the coefficient as given.  A coefficient without linear
+growth may explode: the first step whose driven increment dH + f(x) dZ is
+not finite raises ``ExplosionError`` before any resolvent or projection sees
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .drivers import DriverRealization
-from .errors import DomainViolationError, NonConvergenceError
+from .errors import DomainViolationError, ExplosionError
 from .operators import DEFAULT_DOMAIN_TOL, MonotoneOperator, resolve
 from .paths import BVDecomposition, StepPath
 from .projections import Projection
@@ -52,8 +54,6 @@ __all__ = [
     "yosida_scheme",
     "modified_yosida_scheme",
     "resolvent_of_yosida_step",
-    "truncate",
-    "run_truncated",
 ]
 
 
@@ -61,17 +61,13 @@ __all__ = [
 class Coefficient:
     """Matrix-valued coefficient x -> f(x) in R^{d x d}.
 
-    ``lipschitz`` declares a global constant; locally Lipschitz coefficients
-    declare a ``growth`` bound ||f(x)|| <= growth * (1 + |x|) together with
-    ``local_lipschitz``, a map radius -> constant on that ball, and must be
-    run through ``truncate``.  ``evaluations`` counts calls (per-process
+    The schemes call it once per step, on the state at the left end of the
+    step.  ``spec`` describes it for the harness (the half-line oracle reads a
+    constant matrix from it); ``evaluations`` counts calls (per-process
     diagnostic only).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float | None = None
-    growth: float | None = None
-    local_lipschitz: Callable[[float], float] | None = None
     spec: dict | None = None
     evaluations: int = field(default=0, compare=False)
 
@@ -83,10 +79,6 @@ class Coefficient:
             raise ValueError(f"coefficient must return a {d}x{d} matrix, got {out.shape}")
         return out
 
-    @property
-    def globally_lipschitz(self) -> bool:
-        return self.lipschitz is not None
-
 
 def constant_coefficient(matrix) -> Coefficient:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -94,7 +86,6 @@ def constant_coefficient(matrix) -> Coefficient:
         raise ValueError("coefficient matrix must be square and finite")
     return Coefficient(
         f=lambda x: m,
-        lipschitz=0.0,
         spec={"kind": "constant", "matrix": m.tolist()},
     )
 
@@ -108,7 +99,6 @@ def diag_linear_coefficient(scale) -> Coefficient:
     scale = np.atleast_1d(np.asarray(scale, dtype=float))
     return Coefficient(
         f=lambda x: np.diag(scale * x),
-        lipschitz=float(np.max(np.abs(scale))),
         spec={"kind": "diag_linear", "scale": scale.tolist()},
     )
 
@@ -119,15 +109,17 @@ def bounded_sin_coefficient(dimension: int, base: float, amplitude: float) -> Co
     eye = np.eye(dimension)
     return Coefficient(
         f=lambda x: (base + amp * np.sin(float(np.sum(x)))) * eye,
-        lipschitz=abs(amp) * np.sqrt(dimension),
         spec={"kind": "bounded_sin", "base": base, "amplitude": amp},
     )
 
 
 def square_coefficient() -> Coefficient:
-    """f(x) = diag(x * x): locally Lipschitz only, so it must run under ``truncate``."""
-    return Coefficient(f=lambda x: np.diag(x * x), local_lipschitz=lambda r: 2.0 * r,
-                       spec={"kind": "square"})
+    """f(x) = diag(x * x): locally Lipschitz, with no linear growth bound.
+
+    The paper's existence hypotheses fail for it, and a trajectory can
+    explode in finite time; the schemes then raise ``ExplosionError``.
+    """
+    return Coefficient(f=lambda x: np.diag(x * x), spec={"kind": "square"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +157,25 @@ def _checked_start(op: MonotoneOperator, realization: DriverRealization) -> np.n
     return h0
 
 
+def _driven_increment(coeff: Coefficient, realization: DriverRealization):
+    """The map (j, x_{j-1}) -> dy_j = dH_j + f(x_{j-1}) dZ_j, checked finite."""
+    h = realization.h.values
+    z = realization.z.values
+
+    def increment(j, prev):
+        dy = (h[j] - h[j - 1]) + coeff(prev) @ (z[j] - z[j - 1])
+        # on a short vector, several times cheaper than np.isfinite(dy).all()
+        if not all(map(math.isfinite, dy.tolist())):
+            index, t = realization.trajectory_index, float(realization.grid.times[j])
+            raise ExplosionError(
+                f"trajectory {index} exploded: the driven increment at step {j} "
+                f"(t = {t!r}) is not finite", last=np.array(prev),
+                trajectory=index, step=j, time=t)
+        return dy
+
+    return increment
+
+
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
                  realization: DriverRealization,
                  flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> SchemeOutput:
@@ -174,12 +185,10 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     over the interval, then projects the flow endpoint plus the driver
     increment dH + f(X_prev) dZ.
     """
-    h = realization.h.values
-    z = realization.z.values
+    increment = _driven_increment(coeff, realization)
 
     def step(j, dt, prev):
-        dy = (h[j] - h[j - 1]) + coeff(prev) @ (z[j] - z[j - 1])
-        return _sp_step(op, proj, prev, dy, dt, flow_substeps)
+        return _sp_step(op, proj, prev, increment(j, prev), dt, flow_substeps)
 
     grid = realization.grid
     x, k, y, x_pre = _march(grid, _checked_start(op, realization), step)
@@ -212,14 +221,13 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam: float, mu: float, x) -> 
 def _yosida_run(op: MonotoneOperator, proj: Projection | None, n_level: float,
                 coeff: Coefficient, realization: DriverRealization,
                 drift_substeps: int, scheme: str) -> SchemeOutput:
-    h = realization.h.values
-    z = realization.z.values
+    increment = _driven_increment(coeff, realization)
     lam = 1.0 / float(n_level)
     threshold = 1.0 / float(n_level)
     modified = scheme == "modified_yosida"
 
     def step(j, dt, prev):
-        dy = (h[j] - h[j - 1]) + coeff(prev) @ (z[j] - z[j - 1])
+        dy = increment(j, prev)
         state = prev + dy
         dkd = 0.0
         if modified and realization.jump_flags[j]:
@@ -276,62 +284,3 @@ def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
         raise ValueError("Yosida level must satisfy n >= 1")
     return _yosida_run(op, proj, n, coeff, realization, drift_substeps,
                        "modified_yosida")
-
-
-def truncate(coeff: Coefficient, radius: float) -> Coefficient:
-    """Globally Lipschitz localization of a locally Lipschitz coefficient.
-
-    Agrees with f on the ball of the given radius, vanishes outside radius+1,
-    and ramps down linearly in |x| in between.
-    """
-    if not (radius >= 1):
-        raise ValueError("truncation radius must be >= 1")
-    if coeff.growth is None and coeff.local_lipschitz is None:
-        raise ValueError("truncate expects a coefficient with declared local bounds")
-    base = coeff.f
-    r = float(radius)
-
-    def f_trunc(x):
-        scale = np.clip(r + 1.0 - float(np.linalg.norm(x)), 0.0, 1.0)
-        if scale == 0.0:
-            d = x.size
-            return np.zeros((d, d))
-        out = np.asarray(base(x), dtype=float)
-        return out if scale == 1.0 else scale * out
-
-    lip = None
-    if coeff.local_lipschitz is not None and coeff.growth is not None:
-        lip = coeff.local_lipschitz(r + 1.0) + coeff.growth * (r + 2.0)
-    return Coefficient(
-        f=f_trunc,
-        lipschitz=lip,
-        growth=coeff.growth,
-        local_lipschitz=coeff.local_lipschitz,
-        spec={"kind": "truncated", "radius": r, "base": coeff.spec},
-    )
-
-
-def run_truncated(run: Callable[[Coefficient], SchemeOutput], coeff: Coefficient,
-                  start_radius: float = 2.0,
-                  max_escalations: int = 64) -> tuple[SchemeOutput, int, float]:
-    """Run a scheme under truncation, growing the radius until it never binds.
-
-    Reruns with a larger ball whenever the trajectory exits the current one;
-    the returned output was computed with a radius containing the whole path,
-    so it does not depend on the starting radius.  Returns (output,
-    escalation count, final radius).
-    """
-    radius = float(start_radius)
-    escalations = 0
-    while True:
-        out = run(truncate(coeff, radius))
-        peak = float(np.max(np.linalg.norm(out.x.values, axis=1)))
-        if peak <= radius:
-            return out, escalations, radius
-        escalations += 1
-        if escalations > max_escalations:
-            raise NonConvergenceError(
-                f"truncation radius escalation exceeded {max_escalations} rounds",
-                last=out.x.values[-1], residual=peak,
-            )
-        radius = max(radius + 1.0, float(np.ceil(peak)))

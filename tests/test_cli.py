@@ -75,6 +75,32 @@ trajectories = 2
 seed = 3
 """
 
+# f(x) = diag(x * x) has no linear growth bound; trajectory 2 of this seed
+# explodes on the reference grid
+EXPLODING_INI = """\
+[operator]
+kind = halfline
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+
+[coefficient]
+kind = square
+
+[driver]
+sigma = 1
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 1
+h0 = 0.5
+
+[experiment]
+levels = 16
+trajectories = 4
+seed = 33
+"""
+
 TABLE_HEADER = "level,scheme,checkpoint,mean_err,std_err,sup_err,p_gt_1e-1,p_gt_1e-2,n_traj"
 
 
@@ -215,6 +241,17 @@ class TestStudyCommands:
         assert report == json.loads(stdout)
         assert len(report) == 12
         assert [name for name, res in report.items() if not res["passed"]] == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exploding_trajectory_is_nonconvergence(self, tmp_path, capsys, workers):
+        config = write_file(tmp_path / "square.ini", EXPLODING_INI + f"workers = {workers}\n")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config, "--out", str(out)]) == EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err == (
+            "numerical non-convergence: trajectory 2 exploded: the driven increment "
+            "at step 56 (t = 0.84375) is not finite\n")
+        assert not (out / "errors.csv").exists()
 
 
 @pytest.mark.parametrize("command, flags, field", [

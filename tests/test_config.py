@@ -70,6 +70,12 @@ MALFORMED = [
     ("[coefficient]\nkind = zero\nmatrix = 1\n", "coefficient.matrix"),
     ("[experiment]\nlevel = 8\n", "experiment.level"),
     ("[experiments]\nseed = 1\n", "experiments"),
+    # a key that changed no output
+    ("[experiment]\ntruncation_radius = 3\n", "experiment.truncation_radius"),
+    # a jump rate numpy's Poisson sampler cannot take
+    ("[driver]\njump_rate = nan\n", "driver.z_process"),
+    ("[driver]\njump_rate = inf\n", "driver.z_process"),
+    ("[driver]\nh_jump_rate = inf\n", "driver.h_process"),
 ]
 
 
@@ -174,7 +180,6 @@ workers = 2
 flow_substeps = 8
 drift_substeps = 2
 reference_refine = 8
-truncation_radius = 3
 out = results
 format = jsonl
 """)
@@ -182,7 +187,7 @@ format = jsonl
         (2.0, (4, 8), (2, 4), 3, 7)
     assert [(c.time, c.continuity_expected) for c in cfg.checkpoints] == [(1.0, True), (2.0, False)]
     assert (cfg.workers, cfg.flow_substeps, cfg.drift_substeps, cfg.reference_refine) == (2, 8, 2, 8)
-    assert (cfg.truncation_radius, cfg.out_dir, cfg.format) == (3.0, "results", "jsonl")
+    assert (cfg.out_dir, cfg.format) == ("results", "jsonl")
     # without checkpoints the midpoint of the horizon is compared
     assert [c.time for c in parse_config_text("[experiment]\nhorizon = 3\n").checkpoints] == [1.5]
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,13 +14,7 @@ from mmsde import (
     simulate,
     uniform_partition,
 )
-from mmsde.drivers import (
-    _PHILOX_CHUNK,
-    _brownian_values,
-    _philox_raw,
-    write_realization_csv,
-    write_realization_jsonl,
-)
+from mmsde.drivers import _PHILOX_CHUNK, _brownian_values, _philox_raw
 
 
 def make_spec(sigma=0.0, drift=0.0, jump_rate=0.0, jump_law=None, h0=0.0, d=1):
@@ -263,21 +255,3 @@ class TestStepPathBackedDrivers:
         idx = np.flatnonzero(fine.jump_flags)
         assert fine.grid.times[idx] == pytest.approx([0.25])
         np.testing.assert_allclose(fine.jump_z[idx[0]], [1.0])
-
-
-class TestExport:
-    def test_csv_and_jsonl(self):
-        spec = make_spec(sigma=0.5, jump_rate=2.0, jump_law=JumpLaw.fixed([1.0]))
-        r = simulate(spec, uniform_partition(1.0, 4), seed=13)
-        buf = io.StringIO()
-        write_realization_csv(r, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "time,h_1,z_1,jump"
-        assert len(lines) == 1 + r.grid.times.size
-        buf2 = io.StringIO()
-        write_realization_jsonl(r, buf2)
-        import json
-
-        recs = [json.loads(s) for s in buf2.getvalue().splitlines()]
-        assert {"time", "h", "z", "jump"} <= set(recs[0])
-        assert sum(rec["jump"] for rec in recs) == r.jump_flags.sum()

@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 
-from mmsde import ConfigError, DomainViolationError, NonConvergenceError
+from mmsde import ConfigError, DomainViolationError, ExplosionError, NonConvergenceError
 
 
 def roundtrip(exc):
@@ -31,3 +31,13 @@ def test_non_convergence_error_pickles_with_context():
     assert str(exc) == "stalled"
     np.testing.assert_array_equal(exc.last, [0.25])
     assert exc.residual == 1e-3
+
+
+def test_explosion_error_pickles_with_context():
+    exc = roundtrip(ExplosionError("blew up", last=np.array([1e200]), trajectory=17,
+                                   step=65, time=0.96875))
+    assert type(exc) is ExplosionError
+    assert isinstance(exc, NonConvergenceError)
+    assert str(exc) == "blew up"
+    np.testing.assert_array_equal(exc.last, [1e200])
+    assert (exc.trajectory, exc.step, exc.time, exc.residual) == (17, 65, 0.96875, None)

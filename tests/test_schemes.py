@@ -7,6 +7,7 @@ from mmsde import (
     Coefficient,
     DomainViolationError,
     DriverSpec,
+    ExplosionError,
     JumpLaw,
     Partition,
     ProcessSpec,
@@ -22,16 +23,17 @@ from mmsde import (
     modified_yosida_scheme,
     reflect_halfline_oracle,
     resolvent_of_yosida_step,
-    run_truncated,
     simulate,
     solve_step,
-    truncate,
     uniform_partition,
     verify_solution,
     yosida_a,
     yosida_scheme,
     zero_coefficient,
 )
+from mmsde.config import parse_config_text
+from mmsde.harness import _Context
+from mmsde.schemes import square_coefficient
 
 CLASSICAL = Projection()
 
@@ -81,7 +83,7 @@ class TestEulerScheme:
     def test_free_case_compounds_to_e(self):
         # A = 0, f(x) = x, Z_t = t, H = 1: X_1 = (1 + 1/n)^n
         op = linear_monotone([[0.0]])
-        coeff = Coefficient(f=lambda x: np.diag(x), lipschitz=1.0)
+        coeff = Coefficient(f=lambda x: np.diag(x))
         for n in (16, 64, 256):
             r = drift_driver(z_drift=1.0, h0=1.0, n=n)
             out = euler_scheme(op, CLASSICAL, coeff, r)
@@ -137,7 +139,7 @@ class TestEulerScheme:
         z = ProcessSpec(d, np.eye(d), np.zeros(d), 2.0, JumpLaw.uniform_ball(1.0, d))
         spec = DriverSpec(z=z, h=ProcessSpec.zero(d),
                           h0=op.domain_projection(np.full(d, 0.4)))
-        coeff = Coefficient(f=lambda x: np.diag(0.5 + 0.25 * np.sin(x)), lipschitz=0.25)
+        coeff = Coefficient(f=lambda x: np.diag(0.5 + 0.25 * np.sin(x)))
         k_peak = 0.0
         for i in range(3):
             r = simulate(spec, uniform_partition(1.0, 24), seed=17, trajectory_index=i)
@@ -168,7 +170,7 @@ class TestYosidaScheme:
     def test_zero_operator_gives_explicit_euler_maruyama(self):
         op = linear_monotone([[0.0]])
         r = noisy_driver()
-        coeff = Coefficient(f=lambda x: np.diag(x), lipschitz=1.0)
+        coeff = Coefficient(f=lambda x: np.diag(x))
         out = yosida_scheme(op, 16, coeff, r)
         # manual explicit recursion
         x = np.array([1.0])
@@ -260,7 +262,7 @@ class TestSchemeConsistency:
     def test_all_schemes_agree_in_the_free_deterministic_case(self):
         op = linear_monotone(np.zeros((2, 2)))
         r = drift_driver(h_drift=0.3, z_drift=1.0, h0=0.7, n=32, d=2)
-        coeff = Coefficient(f=lambda x: np.diag(np.sin(x)), lipschitz=1.0)
+        coeff = Coefficient(f=lambda x: np.diag(np.sin(x)))
         a = euler_scheme(op, CLASSICAL, coeff, r)
         b = yosida_scheme(op, 7, coeff, r)
         c = modified_yosida_scheme(op, CLASSICAL, 7, coeff, r)
@@ -282,49 +284,76 @@ class TestImplicitDriftStep:
                 assert resid <= 1e-9
 
 
-class TestTruncation:
-    def square(self):
-        return Coefficient(f=lambda x: np.diag(x * x),
-                           growth=1.0, local_lipschitz=lambda r: 2.0 * r)
+# half-line, iterated elastic projection, f(x) = diag(x * x): no linear growth
+SQUARE_INI = """\
+[operator]
+kind = halfline
 
-    def test_truncate_values(self):
-        f2 = truncate(self.square(), 2.0)
-        assert f2(np.array([1.0]))[0, 0] == pytest.approx(1.0)
-        assert f2(np.array([4.0]))[0, 0] == pytest.approx(0.0)
-        assert f2(np.array([2.5]))[0, 0] == pytest.approx(0.5 * 2.5 ** 2)
+[projection]
+kind = elastic_iterated
+c = 0.5
 
-    def test_truncated_is_lipschitz_bound_declared(self):
-        f2 = truncate(self.square(), 2.0)
-        assert f2.lipschitz is not None and f2.lipschitz > 0
+[coefficient]
+kind = square
 
-    def test_requires_local_bounds(self):
-        undeclared = Coefficient(f=lambda x: np.diag(x))
-        with pytest.raises(ValueError):
-            truncate(undeclared, 2.0)
+[driver]
+sigma = 1
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 1
+h0 = 0.5
+"""
 
-    def test_escalation_never_fires_on_bounded_domain(self):
-        from mmsde import indicator_box
 
-        box = indicator_box([0.0], [1.0])
-        z = ProcessSpec(1, np.array([[0.5]]), np.zeros(1), 2.0,
-                        JumpLaw.gaussian([0.0], [[0.25]]))
-        spec = DriverSpec(z=z, h=ProcessSpec.zero(1), h0=np.array([0.5]))
-        for i in range(20):
-            r = simulate(spec, uniform_partition(1.0, 16), seed=29, trajectory_index=i)
-            out2, esc2, rad2 = run_truncated(
-                lambda c: euler_scheme(box, CLASSICAL, c, r), self.square(), 2.0)
-            out5, esc5, rad5 = run_truncated(
-                lambda c: euler_scheme(box, CLASSICAL, c, r), self.square(), 5.0)
-            assert esc2 == 0 and esc5 == 0
-            np.testing.assert_array_equal(out2.x.values, out5.x.values)
+class TestExplosion:
+    SCHEMES = {
+        "euler": lambda op, c, r: euler_scheme(op, CLASSICAL, c, r),
+        "yosida": lambda op, c, r: yosida_scheme(op, 4, c, r),
+        "modified_yosida": lambda op, c, r: modified_yosida_scheme(op, CLASSICAL, 4, c, r),
+    }
 
-    def test_escalation_grows_radius_when_needed(self):
-        # free space with drift: the path exits the starting ball
-        op = linear_monotone([[0.0]])
-        r = drift_driver(h_drift=4.0, h0=0.0, n=8)
-        coeff = Coefficient(f=lambda x: np.diag(x * x), growth=1.0,
-                            local_lipschitz=lambda rad: 2.0 * rad)
-        out, escalations, radius = run_truncated(
-            lambda c: euler_scheme(op, CLASSICAL, c, r), coeff, 1.0)
-        assert escalations >= 1
-        assert radius >= np.max(np.abs(out.x.values))
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_exploding_driver_raises_at_its_step(self, scheme):
+        # H = 2, Z_t = 16 t on 16 steps, so x_j = x_{j-1} + x_{j-1}^2 from 2:
+        # x_9 is about 2.6e208 and dy at step 10 = x_9^2 overflows
+        part = uniform_partition(1.0, 16)
+        h = StepPath(part, np.full((17, 1), 2.0))
+        z = StepPath(part, np.arange(17.0)[:, None])
+        r = from_step_paths(h, z)
+        with pytest.raises(ExplosionError) as info:
+            self.SCHEMES[scheme](linear_monotone([[0.0]]), square_coefficient(), r)
+        exc = info.value
+        assert (exc.trajectory, exc.step, exc.time) == (None, 10, 0.625)
+        assert 1e208 < exc.last[0] < np.inf
+        assert "step 10 (t = 0.625)" in str(exc)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_explosion_stops_before_the_projection(self):
+        # the elastic projection of a NaN would spin through its whole
+        # iteration budget; the increment check stops the run first
+        ctx = _Context(parse_config_text(SQUARE_INI))
+        r = simulate(ctx.driver, uniform_partition(1.0, 64), seed=0, trajectory_index=17)
+        seen = []
+
+        def proj(op, w):
+            seen.append(w)
+            return ctx.proj(op, w)
+
+        with pytest.raises(ExplosionError) as info:
+            euler_scheme(ctx.op, proj, ctx.coeff, r)
+        exc = info.value
+        assert (exc.trajectory, exc.time) == (17, float(r.grid.times[exc.step]))
+        assert np.isfinite(exc.last).all()
+        assert len(seen) == exc.step - 1
+        assert all(np.isfinite(w).all() for w in seen)
+
+    def test_escaping_trajectory_runs_once(self):
+        # trajectory 1 of the converge_halfline_square golden leaves the ball
+        # of radius 2 at 16 steps; the harness evaluates the coefficient once
+        # per step, with no second, wider run
+        ctx = _Context(parse_config_text(SQUARE_INI))
+        r = simulate(ctx.driver, uniform_partition(1.0, 16), seed=3, trajectory_index=1)
+        out = ctx.run_euler(r)
+        assert np.max(np.abs(out.x.values)) > 2.0
+        assert ctx.coeff.evaluations == out.params["steps"] == r.grid.times.size - 1
