@@ -34,7 +34,6 @@ from .paths import (
     discretize,
     sup_distance,
     grid_distance,
-    j1_distance_approx,
     variation,
 )
 from .skorokhod import (

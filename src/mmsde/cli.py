@@ -137,7 +137,7 @@ def _cmd_skorokhod(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .drivers import simulate
-    from .harness import _Context
+    from .harness import _Context, _explosion_level
     from .paths import uniform_partition
     from .schemes import modified_yosida_scheme, yosida_scheme
 
@@ -149,12 +149,13 @@ def _cmd_simulate(args) -> int:
         out = ctx.run_euler(realization)
     else:
         n_level = cfg.yosida_levels[-1]
-        if args.scheme == "yosida":
-            out = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
-                                cfg.drift_substeps)
-        else:
-            out = modified_yosida_scheme(ctx.op, ctx.proj, n_level, ctx.coeff,
-                                         realization, cfg.drift_substeps)
+        with _explosion_level(realization):
+            if args.scheme == "yosida":
+                out = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
+                                    cfg.drift_substeps)
+            else:
+                out = modified_yosida_scheme(ctx.op, ctx.proj, n_level, ctx.coeff,
+                                             realization, cfg.drift_substeps)
     out_dir = _ensure_out(cfg)
     out_path = os.path.join(out_dir, f"trajectory_{out.scheme}.{cfg.format}")
     meta = {

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drivers import DriverSpec, JumpLaw, ProcessSpec
+from .drivers import _POISSON_MEAN_MAX, DriverSpec, JumpLaw, ProcessSpec
 from .errors import ConfigError
 from .operators import (
     MonotoneOperator,
@@ -116,7 +116,11 @@ class ExperimentConfig:
         op = build_operator(self.operator)
         build_projection(self.projection)
         build_coefficient(self.coefficient, op.dimension)
-        build_driver(self.driver, op.dimension)
+        driver = build_driver(self.driver, op.dimension)
+        for prefix, proc in zip(_PREFIXES, (driver.z, driver.h)):
+            if proc.jump_rate * self.horizon > _POISSON_MEAN_MAX:
+                raise ConfigError(f"driver.{prefix}jump_rate", f"rate x horizon exceeds "
+                                  f"{_POISSON_MEAN_MAX:.6g}, numpy's largest Poisson mean")
         return self
 
     def with_overrides(self, **kw) -> "ExperimentConfig":

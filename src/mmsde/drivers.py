@@ -41,6 +41,9 @@ __all__ = [
 STREAM_VERSION = 2
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+# The largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX); the
+# jump count over [0, T] has mean jump_rate * T.
+_POISSON_MEAN_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 # purpose tags for substreams
 _TAG_Z_TIMES = 1

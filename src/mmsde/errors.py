@@ -30,15 +30,24 @@ class ExplosionError(NonConvergenceError):
 
     Names the trajectory (``None`` for a realization built from given paths),
     the grid step ``step`` = j and its time ``time`` = t_j; ``last`` is the
-    last finite state, x at t_{j-1}.
+    last finite state, x at t_{j-1}.  ``at_level`` adds the partition level of
+    the run that raised it, and whether that run was a study's reference.
     """
 
     def __init__(self, message: str, last=None, trajectory: int | None = None,
-                 step: int | None = None, time: float | None = None):
+                 step: int | None = None, time: float | None = None,
+                 level: int | None = None, reference: bool = False):
         super().__init__(message, last=last)
         self.trajectory = trajectory
         self.step = step
         self.time = time
+        self.level = level
+        self.reference = reference
+
+    def at_level(self, level: int, reference: bool = False) -> "ExplosionError":
+        run = "reference run, level" if reference else "level"
+        return ExplosionError(f"{self} ({run} {level})", self.last, self.trajectory,
+                              self.step, self.time, level, reference)
 
 
 class ConfigError(ValueError):

@@ -9,6 +9,7 @@ many workers execute it.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .config import (
     build_operator,
     build_projection,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ExplosionError
 from .operators import DEFAULT_DOMAIN_TOL, resolve, yosida_a, yosida_j
 from .paths import StepPath, refine, uniform_partition
 from .projections import project_classical
@@ -92,6 +93,15 @@ class ErrorTable:
         return out
 
 
+@contextmanager
+def _explosion_level(realization, reference: bool = False):
+    """Add the partition level of the run on ``realization`` to its ExplosionError."""
+    try:
+        yield
+    except ExplosionError as exc:
+        raise exc.at_level(realization.base.times.size - 1, reference) from exc
+
+
 class _Context:
     """Per-process materialization of an ExperimentConfig."""
 
@@ -113,9 +123,10 @@ class _Context:
         self.reference_partition = refine(parts[-1], cfg.reference_refine)
         self.checkpoints = cfg.checkpoints
 
-    def run_euler(self, realization):
-        return euler_scheme(self.op, self.proj, self.coeff, realization,
-                            self.cfg.flow_substeps)
+    def run_euler(self, realization, reference: bool = False):
+        with _explosion_level(realization, reference):
+            return euler_scheme(self.op, self.proj, self.coeff, realization,
+                                self.cfg.flow_substeps)
 
     def oracle_applies(self) -> bool:
         """Closed-form reference: reflection on [0, inf) under additive noise."""
@@ -159,12 +170,8 @@ def _convergence_batch(cfg: ExperimentConfig, indices):
     use_oracle = ctx.oracle_applies()
     out = []
     for i in indices:
-        if use_oracle:
-            ref = ctx.oracle_solution(
-                simulate(ctx.driver, ctx.reference_partition, cfg.seed, i))
-        else:
-            ref = ctx.run_euler(
-                simulate(ctx.driver, ctx.reference_partition, cfg.seed, i)).x
+        fine = simulate(ctx.driver, ctx.reference_partition, cfg.seed, i)
+        ref = ctx.oracle_solution(fine) if use_oracle else ctx.run_euler(fine, reference=True).x
         cp_err = np.empty((len(cfg.levels), len(ctx.checkpoints)))
         sup_err = np.empty(len(cfg.levels))
         for li, part in enumerate(ctx.partitions):
@@ -252,16 +259,17 @@ def _compare_batch(cfg: ExperimentConfig, indices):
     out = []
     for i in indices:
         realization = simulate(ctx.driver, ctx.partitions[-1], cfg.seed, i)
-        ref = ctx.run_euler(realization).x
+        ref = ctx.run_euler(realization, reference=True).x
         cp_y = np.empty((n_lv, len(cps)))
         cp_m = np.empty((n_lv, len(cps)))
         sup_jy = np.empty(n_lv)
         sup_m = np.empty(n_lv)
         for li, n_level in enumerate(cfg.yosida_levels):
-            ys = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
-                               cfg.drift_substeps)
-            ms = modified_yosida_scheme(ctx.op, ctx.proj, n_level, ctx.coeff,
-                                        realization, cfg.drift_substeps)
+            with _explosion_level(realization):
+                ys = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
+                                   cfg.drift_substeps)
+                ms = modified_yosida_scheme(ctx.op, ctx.proj, n_level, ctx.coeff,
+                                            realization, cfg.drift_substeps)
             cp_y[li] = _checkpoint_errors(ys.x, ref, cps)
             cp_m[li] = _checkpoint_errors(ms.x, ref, cps)
             jn_vals = np.stack([ctx.op.resolvent(1.0 / n_level, v) for v in ys.x.values])

@@ -8,8 +8,10 @@ projection onto the closure of its domain.  This keeps multivalued operators
 Besides the resolvent calculus (Yosida maps J_n, A_n) the module provides the
 constant-input flow: the semigroup t -> x(t) solving dx/dt in -A(x(t)) from a
 point of the domain closure, approximated by iterated implicit resolvent
-steps x <- J_{t/m}(x).  Built-in constructors cover normal cones of
-halfspaces, boxes, balls and polyhedra, linear positive-semidefinite
+steps x <- J_{t/m}(x): ``flow`` and the grid march of ``skorokhod`` read
+only its endpoint, ``flow_endpoint``; the solution checkers of ``skorokhod``
+read every state, ``flow_steps``.  Built-in constructors cover normal cones
+of halfspaces, boxes, balls and polyhedra, linear positive-semidefinite
 operators, and subdifferentials given by a proximal map.
 """
 
@@ -30,6 +32,7 @@ __all__ = [
     "yosida_j",
     "yosida_a",
     "flow",
+    "flow_endpoint",
     "flow_steps",
     "indicator_halfspace",
     "indicator_box",
@@ -58,8 +61,8 @@ class MonotoneOperator:
     dimension:
         ambient dimension d.
     resolvent:
-        (lam, z) -> the unique y with y + lam*a = z for some a in A(y).
-        Non-expansive in z for every lam > 0.
+        (lam, z) -> the unique y with y + lam*a = z for some a in A(y), as a
+        float array of shape (d,).  Non-expansive in z for every lam > 0.
     domain_projection:
         nearest-point projection onto the closed convex domain closure; must
         act as the exact identity on points already inside.
@@ -141,25 +144,41 @@ def yosida_a(op: MonotoneOperator, n: float, z) -> np.ndarray:
     return n * (z - resolve(op, 1.0 / n, z))
 
 
+def _flow_schedule(op: MonotoneOperator, t: float, substeps: int) -> tuple[float, int]:
+    """(lam, m): m resolvent steps of size t/substeps, or one exact step of
+    size t for a projection resolvent; m = 0 for t = 0."""
+    if t == 0.0:
+        return 0.0, 0
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if op.projection_resolvent:
+        return _check_step(t), 1
+    return _check_step(t / substeps), substeps
+
+
+def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t: float,
+                  substeps: int) -> np.ndarray:
+    """J_lam^m(start), the last state of ``flow_steps`` (``start`` as a float
+    array for t = 0); each resolvent value goes straight into the next call."""
+    lam, m = _flow_schedule(op, t, substeps)
+    x = start
+    for _ in range(m):
+        x = op.resolvent(lam, x)
+    return np.asarray(x, dtype=float)
+
+
 def flow_steps(op: MonotoneOperator, start: np.ndarray, t: float, substeps: int):
     """Implicit resolvent stepping for the constant-input flow.
 
     Returns the list of (lam, state) pairs visited by x <- J_lam(x); each
-    step certifies (prev - state)/lam in A(state), which solution verifiers
-    rely on.  Operators whose resolvent is the domain projection take a
-    single exact step.
+    step certifies (prev - state)/lam in A(state).  Only the solution
+    checkers ``skorokhod.verify_solution`` and ``pair_inequality_report``
+    read these intermediates.
     """
-    if t == 0.0:
-        return []
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if op.projection_resolvent:
-        lam = _check_step(t)
-        return [(lam, np.asarray(op.resolvent(lam, start), dtype=float))]
-    lam = _check_step(t / substeps)
+    lam, m = _flow_schedule(op, t, substeps)
     out = []
     x = start
-    for _ in range(substeps):
+    for _ in range(m):
         x = np.asarray(op.resolvent(lam, x), dtype=float)
         out.append((lam, x))
     return out
@@ -185,8 +204,7 @@ def flow(op: MonotoneOperator, start, t: float, substeps: int,
             f"flow start outside the domain closure (distance {dist:.3e})",
             point=start, distance=dist,
         )
-    steps = flow_steps(op, start, t, substeps)
-    return steps[-1][1].copy()
+    return flow_endpoint(op, start, t, substeps).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ Every path in the package is piecewise constant on a finite partition of
 [0, T]: the value on [t_k, t_{k+1}) is ``values[k]`` and ``values[-1]`` is the
 terminal value at T.  Continuous inputs are represented by their fine-grid
 discretizations.  The module also provides grid refinement, the sup and
-grid-restricted distances, a discrete upper bound for the J1 (time-change)
-distance, total variation, and CSV/JSONL serialization with exact float
-round-trip.
+grid-restricted distances, total variation, and CSV/JSONL serialization with
+exact float round-trip.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "discretize",
     "sup_distance",
     "grid_distance",
-    "j1_distance_approx",
     "variation",
     "write_step_path_csv",
     "read_step_path_csv",
@@ -219,19 +217,14 @@ def discretize(path: StepPath | Callable[[float], np.ndarray], partition: Partit
     return StepPath(partition, vals)
 
 
-def _merged_times(p: StepPath, q: StepPath, horizon: float) -> np.ndarray:
-    t = np.union1d(p.partition.times, q.partition.times)
-    t = t[t <= horizon]
-    if t[-1] != horizon:
-        t = np.append(t, horizon)
-    return t
-
-
 def sup_distance(p: StepPath, q: StepPath, horizon: float | None = None) -> float:
     """Uniform distance over the merged grid of the two paths."""
     if horizon is None:
         horizon = min(p.horizon, q.horizon)
-    t = _merged_times(p, q, horizon)
+    t = np.union1d(p.partition.times, q.partition.times)
+    t = t[t <= horizon]
+    if t[-1] != horizon:
+        t = np.append(t, horizon)
     diff = p.values_at(t) - q.values_at(t)
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
@@ -243,49 +236,6 @@ def grid_distance(p: StepPath, q: StepPath, partition: Partition, horizon: float
     t = partition.times[partition.times <= horizon]
     diff = p.values_at(t) - q.values_at(t)
     return float(np.max(np.linalg.norm(diff, axis=1)))
-
-
-def j1_distance_approx(p: StepPath, q: StepPath, horizon: float | None = None, grid_density: int = 0) -> float:
-    """Upper bound for the J1 distance via a monotone grid time-change search.
-
-    Both paths are evaluated on the merged grid (optionally filled to
-    ``grid_density`` uniform points); dynamic programming over monotone
-    lattice paths minimizes the max of time distortion and value mismatch.
-    The identity time change is always admissible, so the result never
-    exceeds the sup distance.  Diagnostic only; cost is quadratic in the
-    grid size.
-    """
-    if p.dimension != q.dimension:
-        raise ValueError("paths have different dimensions")
-    if horizon is None:
-        horizon = min(p.horizon, q.horizon)
-    t = _merged_times(p, q, horizon)
-    if grid_density > 0:
-        t = np.union1d(t, np.linspace(0.0, horizon, grid_density + 1))
-    pv = p.values_at(t)
-    qv = q.values_at(t)
-    n = t.size
-    # node (i, j): p at level pv_i while q at level qv_j.  A diagonal step
-    # matches the two grid times through the time change and pays the time
-    # distortion; lateral steps pass one grid point unmatched (the piecewise
-    # linear time change attains its distortion at matched points only).
-    tdist = np.abs(t[:, None] - t[None, :])
-    vdist = np.linalg.norm(pv[:, None, :] - qv[None, :, :], axis=2)
-    best = np.full((n, n), np.inf)
-    best[0, 0] = vdist[0, 0]
-    for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            here = np.inf
-            if i > 0:
-                here = max(best[i - 1, j], vdist[i, j])
-            if j > 0:
-                here = min(here, max(best[i, j - 1], vdist[i, j]))
-            if i > 0 and j > 0:
-                here = min(here, max(best[i - 1, j - 1], vdist[i, j], tdist[i, j]))
-            best[i, j] = here
-    return float(best[n - 1, n - 1])
 
 
 def variation(path: StepPath, interval: tuple[float, float] | None = None) -> float:

@@ -6,7 +6,7 @@ driven by a maximal monotone operator A and a generalized projection.
 
 Three schemes operate on a driver realization's grid.  Each supplies only its
 step map to ``skorokhod._march``, the one grid march that ``solve_step`` also
-uses, which accumulates y and the split of k and builds the output paths:
+uses, which accumulates k and builds the output paths:
 
 - ``euler_scheme``: the driving step input Y_t = H_t + sum f(X_{t_k}) dZ
   (left-point rule) is fed through the Skorokhod step map: flow over each
@@ -158,9 +158,13 @@ def _checked_start(op: MonotoneOperator, realization: DriverRealization) -> np.n
 
 
 def _driven_increment(coeff: Coefficient, realization: DriverRealization):
-    """The map (j, x_{j-1}) -> dy_j = dH_j + f(x_{j-1}) dZ_j, checked finite."""
+    """The map (j, x_{j-1}) -> dy_j = dH_j + f(x_{j-1}) dZ_j, checked finite, and
+    the array it writes each dy_j to.  Row 0 holds H_0, so the in-place cumsum
+    of the array, which adds row by row in order, is y after the march."""
     h = realization.h.values
     z = realization.z.values
+    dys = np.empty_like(h)
+    dys[0] = h[0]
 
     def increment(j, prev):
         dy = (h[j] - h[j - 1]) + coeff(prev) @ (z[j] - z[j - 1])
@@ -171,9 +175,10 @@ def _driven_increment(coeff: Coefficient, realization: DriverRealization):
                 f"trajectory {index} exploded: the driven increment at step {j} "
                 f"(t = {t!r}) is not finite", last=np.array(prev),
                 trajectory=index, step=j, time=t)
+        dys[j] = dy
         return dy
 
-    return increment
+    return increment, dys
 
 
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
@@ -185,15 +190,16 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     over the interval, then projects the flow endpoint plus the driver
     increment dH + f(X_prev) dZ.
     """
-    increment = _driven_increment(coeff, realization)
+    increment, dys = _driven_increment(coeff, realization)
 
     def step(j, dt, prev):
         return _sp_step(op, proj, prev, increment(j, prev), dt, flow_substeps)
 
     grid = realization.grid
-    x, k, y, x_pre = _march(grid, _checked_start(op, realization), step)
+    x, k, x_pre = _march(grid, _checked_start(op, realization), step)
     params = {"mesh": grid.mesh, "flow_substeps": flow_substeps,
               "steps": grid.times.size - 1}
+    y = StepPath(grid, np.cumsum(dys, axis=0, out=dys))
     return SchemeOutput(x=x, k=k, y=y, scheme="euler", params=params,
                         realization=realization, x_pre=x_pre)
 
@@ -221,7 +227,7 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam: float, mu: float, x) -> 
 def _yosida_run(op: MonotoneOperator, proj: Projection | None, n_level: float,
                 coeff: Coefficient, realization: DriverRealization,
                 drift_substeps: int, scheme: str) -> SchemeOutput:
-    increment = _driven_increment(coeff, realization)
+    increment, dys = _driven_increment(coeff, realization)
     lam = 1.0 / float(n_level)
     threshold = 1.0 / float(n_level)
     modified = scheme == "modified_yosida"
@@ -243,12 +249,13 @@ def _yosida_run(op: MonotoneOperator, proj: Projection | None, n_level: float,
         for _ in range(drift_substeps):
             state = w * state + (1.0 - w) * np.asarray(op.resolvent(lam + mu, state), dtype=float)
         # no flow between grid points: the left limit at t_j is prev
-        return dy, prev, state, pre_drift - state, dkd
+        return prev, state, pre_drift - state, dkd
 
     grid = realization.grid
-    x, k, y, _ = _march(grid, _checked_start(op, realization), step)
+    x, k, _ = _march(grid, _checked_start(op, realization), step)
     params = {"n": n_level, "mesh": grid.mesh, "drift_substeps": drift_substeps,
               "steps": grid.times.size - 1}
+    y = StepPath(grid, np.cumsum(dys, axis=0, out=dys))
     return SchemeOutput(x=x, k=k, y=y, scheme=scheme, params=params,
                         realization=realization)
 

@@ -22,6 +22,7 @@ from .errors import DomainViolationError
 from .operators import (
     DEFAULT_DOMAIN_TOL,
     MonotoneOperator,
+    flow_endpoint,
     flow_steps,
 )
 from .paths import BVDecomposition, Partition, StepPath
@@ -76,51 +77,48 @@ def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
              dt: float, substeps: int):
     """One grid step: flow over dt from ``prev``, then project prev + dy.
 
-    Returns the ``_march`` step tuple (dy, x_left, xi, dkc, dkd): the input
-    increment, the pre-jump left limit, the new grid value, and the k
-    increments split into flow and jump parts.
+    Returns the ``_march`` step tuple (x_left, xi, dkc, dkd): the pre-jump
+    left limit, the new grid value, and the k increments split into flow and
+    jump parts.
     """
-    steps = flow_steps(op, prev, dt, substeps)
-    x_left = steps[-1][1] if steps else prev
+    x_left = flow_endpoint(op, prev, dt, substeps)
     w = x_left + dy
     xi = np.asarray(proj(op, w), dtype=float)
-    return dy, x_left, xi, prev - x_left, w - xi
+    return x_left, xi, prev - x_left, w - xi
 
 
 def _march(grid: Partition, x0: np.ndarray, step):
     """Apply a step map along ``grid`` from ``x0``.
 
-    ``step(j, dt, prev)`` maps the state at t_{j-1} to the increments of the
-    step ending at t_j: (dy, x_left, x_new, dkc, dkd), i.e. the input
-    increment, the left limit x_{t_j-}, the state at t_j, and the flow and
-    jump parts of dk.  y starts at x0 and k at zero; both are the running sums
-    of their increments, formed by ``np.cumsum``, which adds row by row in
+    ``step(j, dt, prev)`` maps the state at t_{j-1} to the step ending at
+    t_j: (x_left, x_new, dkc, dkd), i.e. the left limit x_{t_j-}, the state
+    at t_j, and the flow and jump parts of dk.  The step reads its own input
+    increment; the march never sees y.  k starts at zero and is the running
+    sum of its increments, formed by ``np.cumsum``, which adds row by row in
     order and so equals an in-loop running sum bit for bit.
 
-    Returns (x, k, y, x_pre): the state, the BV decomposition of k, the
-    accumulated input, and the left limits (``x_pre[0] = x0``).
+    Returns (x, k, x_pre): the state, the BV decomposition of k, and the
+    left limits (``x_pre[0] = x0``).
     """
     times = grid.times
     n = times.size
     d = x0.size
     x_vals = np.empty((n, d))
     x_pre = np.empty((n, d))
-    dy = np.empty((n, d))
     dkc = np.zeros((n, d))
     dkd = np.zeros((n, d))
-    x_vals[0] = x_pre[0] = dy[0] = x0
+    x_vals[0] = x_pre[0] = x0
     prev = x_vals[0]
     for j in range(1, n):
-        dy[j], x_pre[j], x_vals[j], dkc[j], dkd[j] = step(j, times[j] - times[j - 1], prev)
+        x_pre[j], x_vals[j], dkc[j], dkd[j] = step(j, times[j] - times[j - 1], prev)
         prev = x_vals[j]
     # the sums overwrite their increments, which nothing else keeps
     kc = np.cumsum(dkc, axis=0, out=dkc)
     kd = np.cumsum(dkd, axis=0, out=dkd)
-    y = np.cumsum(dy, axis=0, out=dy)
     # total = continuous + jump bitwise; additivity to y holds to rounding
     k = BVDecomposition(total=StepPath(grid, kc + kd),
                         continuous=StepPath(grid, kc), jump=StepPath(grid, kd))
-    return StepPath(grid, x_vals), k, StepPath(grid, y), x_pre
+    return StepPath(grid, x_vals), k, x_pre
 
 
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
@@ -143,7 +141,7 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
             point=y0, distance=dist,
         )
     dy = y.jumps()
-    x, k, _, x_pre = _march(
+    x, k, x_pre = _march(
         y.partition, y0,
         lambda j, dt, prev: _sp_step(op, proj, prev, dy[j], dt, flow_substeps))
     return SkorokhodSolution(x=x, k=k, y=y, x_pre=x_pre, flow_substeps=flow_substeps)

@@ -248,10 +248,22 @@ class TestStudyCommands:
         config = write_file(tmp_path / "square.ini", EXPLODING_INI + f"workers = {workers}\n")
         out = tmp_path / "out"
         assert main(["converge", "--config", config, "--out", str(out)]) == EXIT_NONCONVERGENCE
+        # the reference run, on levels[-1] x reference_refine = 64 intervals, explodes
         assert capsys.readouterr().err == (
             "numerical non-convergence: trajectory 2 exploded: the driven increment "
-            "at step 56 (t = 0.84375) is not finite\n")
+            "at step 56 (t = 0.84375) is not finite (reference run, level 64)\n")
         assert not (out / "errors.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exploding_simulation_names_its_level(self, tmp_path, capsys):
+        config = write_file(tmp_path / "square.ini", EXPLODING_INI)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out), "--trajectory", "2",
+                     "--level", "64"]) == EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err == (
+            "numerical non-convergence: trajectory 2 exploded: the driven increment "
+            "at step 56 (t = 0.84375) is not finite (level 64)\n")
+        assert not (out / "trajectory_euler.csv").exists()
 
 
 @pytest.mark.parametrize("command, flags, field", [

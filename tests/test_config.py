@@ -76,10 +76,18 @@ MALFORMED = [
     ("[driver]\njump_rate = nan\n", "driver.z_process"),
     ("[driver]\njump_rate = inf\n", "driver.z_process"),
     ("[driver]\nh_jump_rate = inf\n", "driver.h_process"),
+    # jump_rate x horizon above the largest mean numpy's Poisson sampler takes;
+    # a third entry is the test id where the field alone would repeat one
+    ("[driver]\njump_rate = 1e20\njump_law = fixed\njump_value = 1\n", "driver.jump_rate",
+     "driver.jump_rate-poisson-max"),
+    ("[driver]\nh_jump_rate = 1e20\nh_jump_law = gaussian\n", "driver.h_jump_rate"),
+    ("[driver]\njump_rate = 5e18\njump_law = fixed\njump_value = 1\n[experiment]\nhorizon = 2\n",
+     "driver.jump_rate", "driver.jump_rate-times-horizon"),
 ]
 
 
-@pytest.mark.parametrize("text, field", MALFORMED, ids=[f for _, f in MALFORMED])
+@pytest.mark.parametrize("text, field", [row[:2] for row in MALFORMED],
+                         ids=[row[-1] for row in MALFORMED])
 def test_malformed_config_names_its_field_and_exits_2(tmp_path, capsys, text, field):
     config = tmp_path / "bad.ini"
     config.write_text(text, encoding="utf-8")

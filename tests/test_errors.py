@@ -34,10 +34,15 @@ def test_non_convergence_error_pickles_with_context():
 
 
 def test_explosion_error_pickles_with_context():
-    exc = roundtrip(ExplosionError("blew up", last=np.array([1e200]), trajectory=17,
-                                   step=65, time=0.96875))
+    raised = ExplosionError("blew up", last=np.array([1e200]), trajectory=17,
+                            step=65, time=0.96875)
+    exc = roundtrip(raised.at_level(64))
     assert type(exc) is ExplosionError
     assert isinstance(exc, NonConvergenceError)
-    assert str(exc) == "blew up"
+    assert str(exc) == "blew up (level 64)"
     np.testing.assert_array_equal(exc.last, [1e200])
     assert (exc.trajectory, exc.step, exc.time, exc.residual) == (17, 65, 0.96875, None)
+    assert (exc.level, exc.reference) == (64, False)
+    exc = roundtrip(raised.at_level(256, reference=True))
+    assert str(exc) == "blew up (reference run, level 256)"
+    assert (exc.trajectory, exc.level, exc.reference) == (17, 256, True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -24,7 +25,7 @@ from mmsde import (
     yosida_a,
     yosida_j,
 )
-from mmsde.operators import _LINEAR_INVERSE_CACHE
+from mmsde.operators import _LINEAR_INVERSE_CACHE, flow_endpoint, flow_steps
 from conftest import soft_threshold
 
 
@@ -146,6 +147,69 @@ class TestFlow:
             once = flow(op, [1.0], s + t, 2 * m)
             composed = flow(op, flow(op, [1.0], s, m), t, m)
             assert np.linalg.norm(once - composed) <= 1.0 * (s + t) / m
+
+    def test_interior_start_is_not_aliased(self, zoo):
+        # a projection returns a domain point itself; flow hands back a copy
+        for op in zoo.values():
+            alpha = op.domain_projection(np.full(op.dimension, 0.25))
+            assert not np.shares_memory(flow(op, alpha, 1.0, 4), alpha)
+
+
+class TestFlowEndpoint:
+    """The path-only kernel takes the steps of ``flow_steps`` and returns its last state."""
+
+    @pytest.mark.parametrize("substeps", [1, 3, 16])
+    @pytest.mark.parametrize("t", [1e-6, 1.0])
+    def test_equals_last_listed_state_bit_for_bit(self, zoo, rng, substeps, t):
+        # the zoo holds every built-in kind: halfspace, box, ball, polyhedron,
+        # linear and convex_prox
+        for name, op in zoo.items():
+            for start in rng.normal(0.0, 2.0, size=(4, op.dimension)):
+                end = flow_endpoint(op, start, t, substeps)
+                assert end.dtype == np.float64, name
+                np.testing.assert_array_equal(end, flow_steps(op, start, t, substeps)[-1][1],
+                                              err_msg=name)
+
+    @pytest.mark.parametrize("substeps", [0, 1, 16])
+    def test_zero_time_returns_start(self, zoo, substeps):
+        for op in zoo.values():
+            start = np.full(op.dimension, 3.0)
+            assert flow_endpoint(op, start, 0.0, substeps) is start
+            assert flow_steps(op, start, 0.0, substeps) == []
+
+    @pytest.mark.parametrize("t, substeps", [(1.0, 0), (1e-16, 1), (1e-15, 16)],
+                             ids=["no-substeps", "short-time", "short-substep"])
+    def test_rejects_what_flow_steps_rejects(self, zoo, t, substeps):
+        for name, op in zoo.items():
+            if op.projection_resolvent and substeps == 16:
+                continue  # one step of size t = 1e-15 = MIN_RESOLVENT_STEP is legal
+            start = np.zeros(op.dimension)
+            with pytest.raises(ValueError) as listed:
+                flow_steps(op, start, t, substeps)
+            with pytest.raises(ValueError) as kernel:
+                flow_endpoint(op, start, t, substeps)
+            assert str(kernel.value) == str(listed.value), name
+
+    @pytest.mark.parametrize("name, per_step", [("linear2", 5), ("rotation2", 5),
+                                                ("box2", 1), ("wedge", 1)])
+    def test_solve_step_calls_the_resolvent_once_per_substep(self, zoo, rng, name, per_step):
+        calls = []
+        op = zoo[name]
+        resolvent = op.resolvent
+        counted = dataclasses.replace(
+            op, resolvent=lambda lam, z: calls.append(lam) or resolvent(lam, z))
+        n = 40
+        start = op.domain_projection(np.full(2, 0.25))
+        values = start + np.cumsum(rng.normal(0.0, 0.1, size=(n, 2)), axis=0)
+        values[0] = start
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=n - 1))])
+        y = StepPath(Partition(times), values)
+        solve_step(counted, Projection("classical"), y, flow_substeps=5)
+        # linear: (n - 1) x substeps; a normal cone: one exact step per interval
+        assert len(calls) == (n - 1) * per_step
+        dt = np.diff(y.partition.times)
+        expected = dt / 5 if per_step == 5 else dt
+        np.testing.assert_array_equal(calls[::per_step], expected)
 
 
 class TestConstructors:

@@ -10,7 +10,6 @@ from mmsde import (
     StepPath,
     discretize,
     grid_distance,
-    j1_distance_approx,
     refine,
     sup_distance,
     uniform_partition,
@@ -129,68 +128,6 @@ class TestDistances:
             assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c) + 1e-12
             assert grid_distance(a, c, part) <= (grid_distance(a, b, part)
                                                  + grid_distance(b, c, part) + 1e-12)
-
-
-def brute_force_j1(p, q, horizon):
-    """Enumerate all monotone lattice paths over the merged grid."""
-    t = np.union1d(p.partition.times, q.partition.times)
-    t = t[t <= horizon]
-    if t[-1] != horizon:
-        t = np.append(t, horizon)
-    pv = p.values_at(t)
-    qv = q.values_at(t)
-    n = t.size
-    tdist = np.abs(t[:, None] - t[None, :])
-    vdist = np.linalg.norm(pv[:, None, :] - qv[None, :, :], axis=2)
-    best = [np.inf]
-
-    def walk(i, j, acc, matched):
-        acc = max(acc, vdist[i, j])
-        if matched:
-            acc = max(acc, tdist[i, j])
-        if acc >= best[0]:
-            return
-        if i == n - 1 and j == n - 1:
-            best[0] = acc
-            return
-        if i < n - 1:
-            walk(i + 1, j, acc, False)
-        if j < n - 1:
-            walk(i, j + 1, acc, False)
-        if i < n - 1 and j < n - 1:
-            walk(i + 1, j + 1, acc, True)
-
-    walk(0, 0, 0.0, True)
-    return best[0]
-
-
-class TestJ1Distance:
-    def test_identical_is_zero(self):
-        a = path([0.0, 0.4, 1.0], [0.0, 2.0, 2.0])
-        assert j1_distance_approx(a, a) == 0.0
-
-    def test_time_shifted_jump(self):
-        eps = 0.01
-        a = path([0.0, 0.5, 1.0], [0.0, 1.0, 1.0])
-        b = path([0.0, 0.5 + eps, 1.0], [0.0, 1.0, 1.0])
-        assert sup_distance(a, b) == pytest.approx(1.0)
-        assert j1_distance_approx(a, b) <= eps + 1e-12
-
-    def test_bounded_by_sup_distance(self, rng):
-        part = uniform_partition(1.0, 6)
-        for _ in range(25):
-            a = StepPath(part, rng.normal(size=(7, 1)))
-            b = StepPath(part, rng.normal(size=(7, 1)))
-            assert j1_distance_approx(a, b) <= sup_distance(a, b) + 1e-12
-
-    def test_matches_brute_force_enumeration(self, rng):
-        for _ in range(10):
-            ta = np.sort(rng.uniform(0.1, 0.9, size=2))
-            tb = np.sort(rng.uniform(0.1, 0.9, size=2))
-            a = path([0.0, *ta, 1.0], rng.normal(size=4))
-            b = path([0.0, *tb, 1.0], rng.normal(size=4))
-            expected = brute_force_j1(a, b, 1.0)
-            assert j1_distance_approx(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 class TestVariation:

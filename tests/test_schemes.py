@@ -128,6 +128,26 @@ class TestEulerScheme:
         assert resid <= 1e-10
         assert np.max(np.abs(out.k_path.values)) > 0.1
 
+    @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
+    def test_y_is_the_cumsum_of_the_driven_increments(self, zoo, scheme):
+        # y is accumulated step by step as the increments are drawn; it must
+        # equal, bit for bit, np.cumsum of H_0 and dH_j + f(x_{j-1}) dZ_j
+        op = zoo["box2"]
+        z = ProcessSpec(2, np.eye(2), np.zeros(2), 3.0, JumpLaw.uniform_ball(1.0, 2))
+        h = ProcessSpec(2, 0.5 * np.eye(2), np.ones(2))
+        r = simulate(DriverSpec(z=z, h=h, h0=np.array([0.4, 0.6])), uniform_partition(1.0, 32),
+                     seed=11, trajectory_index=2)
+        coeff = Coefficient(f=lambda x: np.diag(0.5 + 0.25 * np.sin(x)))
+        out = {
+            "euler": lambda: euler_scheme(op, CLASSICAL, coeff, r),
+            "yosida": lambda: yosida_scheme(op, 4, coeff, r),
+            "modified_yosida": lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r),
+        }[scheme]()
+        hv, zv, xv = r.h.values, r.z.values, out.x.values
+        dy = [hv[0]] + [(hv[j] - hv[j - 1]) + coeff.f(xv[j - 1]) @ (zv[j] - zv[j - 1])
+                        for j in range(1, hv.shape[0])]
+        np.testing.assert_array_equal(out.y.values, np.cumsum(np.stack(dy), axis=0))
+
     @pytest.mark.parametrize("name", ["box2", "ball2", "wedge", "linear2", "box_spring"])
     def test_output_is_a_skorokhod_solution(self, zoo, zoo_pairs, name):
         # Euler is the Skorokhod map of its realized input: x, the flow and
