@@ -17,6 +17,7 @@ operators, and subdifferentials given by a proximal map.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,19 +63,24 @@ class MonotoneOperator:
         ambient dimension d.
     resolvent:
         (lam, z) -> the unique y with y + lam*a = z for some a in A(y), as a
-        float array of shape (d,).  Non-expansive in z for every lam > 0.
+        float array of z's shape.  Non-expansive in z for every lam > 0.
     domain_projection:
         nearest-point projection onto the closed convex domain closure; must
         act as the exact identity on points already inside.
     graph_sample:
-        optional z -> one element of A(z) (diagnostics only); None where the
-        operator offers no canonical selection.
+        optional z -> one element of A(z) for a single point (diagnostics
+        only); None where the operator offers no canonical selection.
     projection_resolvent:
         True when resolvent(lam, .) coincides with domain_projection for
         every lam (normal-cone operators).  Enables exact single-step flows.
     spec:
         optional (kind, parameters) dictionary used by the configuration
         layer to round-trip built-in operators.
+
+    The maps and ``domain_distance``/``in_domain`` take a point (d,) or a
+    batch (B, d).  Row contract: row i of a batched call equals the
+    single-point call on row i bit for bit (``linear_monotone`` to 1e-15
+    relative: its batched product is a matrix-matrix product).
 
     Instances are immutable; all maps must be pure functions, so operators
     are safe to share across threads and processes.  A map may keep an
@@ -90,20 +96,33 @@ class MonotoneOperator:
     projection_resolvent: bool = False
     spec: dict | None = None
 
-    def domain_distance(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(np.linalg.norm(z - self.domain_projection(z)))
+    def domain_distance(self, z: np.ndarray):
+        """dist(z, closure of D(A)): a float for a point, a (B,) array for a batch."""
+        z = as_points(z)
+        return row_norm(z - self.domain_projection(z))
 
-    def in_domain(self, z: np.ndarray, tol: float = DEFAULT_DOMAIN_TOL) -> bool:
-        """Whether dist(z, closure of D(A)) <= tol."""
+    def in_domain(self, z: np.ndarray, tol: float = DEFAULT_DOMAIN_TOL):
+        """Whether dist(z, closure of D(A)) <= tol, per point."""
         return self.domain_distance(z) <= tol
 
 
+def row_norm(v: np.ndarray):
+    """Euclidean norm of a vector or of each row of a batch: ``np.linalg.norm``
+    of the row bit for bit, which ``np.linalg.norm(v, axis=1)`` is not."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def as_points(z) -> np.ndarray:
+    """z as a float array of at least one dimension, not copied if it is one."""
+    return np.array(z, dtype=float, ndmin=1, copy=None)
+
+
 def _check_point(op: MonotoneOperator, z) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (op.dimension,):
-        raise ValueError(f"expected a point in R^{op.dimension}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    z = as_points(z)
+    if z.ndim > 2 or z.shape[-1] != op.dimension:
+        raise ValueError(f"expected a point in R^{op.dimension} or a batch of shape "
+                         f"(B, {op.dimension}), got shape {z.shape}")
+    if not np.isfinite(z).all():
         raise ValueError("point must be finite")
     return z
 
@@ -118,7 +137,7 @@ def _check_step(lam: float) -> float:
 
 
 def resolve(op: MonotoneOperator, lam: float, z) -> np.ndarray:
-    """J_lam(z) = (I + lam A)^{-1}(z)."""
+    """J_lam(z) = (I + lam A)^{-1}(z), of a point (d,) or a batch (B, d)."""
     lam = _check_step(lam)
     z = _check_point(op, z)
     return np.asarray(op.resolvent(lam, z), dtype=float)
@@ -191,14 +210,14 @@ def flow(op: MonotoneOperator, start, t: float, substeps: int,
     First-order accurate in t/substeps against the exact semigroup and
     unconditionally stable; exact for normal-cone operators.  ``start`` must
     lie in the domain closure within ``domain_tol``; t = 0 returns ``start``
-    unchanged.
+    unchanged.  ``start`` may be a batch (B, d) of starts, flowed row by row.
     """
     start = _check_point(op, start)
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if t == 0.0:
         return start.copy()
-    dist = op.domain_distance(start)
+    dist = float(np.max(op.domain_distance(start), initial=0.0))
     if dist > domain_tol:
         raise DomainViolationError(
             f"flow start outside the domain closure (distance {dist:.3e})",
@@ -211,6 +230,21 @@ def flow(op: MonotoneOperator, start, t: float, substeps: int,
 # built-in constructors
 
 
+def _halfspace_projector(a: np.ndarray, b: float, nrm2: float):
+    """Nearest-point map onto {x : <a, x> <= b}, given nrm2 = |a|^2."""
+
+    def project(z):
+        excess = np.vecdot(z, a) - b
+        over = excess > 0.0
+        n_over = np.count_nonzero(over)
+        if not n_over:
+            return z
+        moved = z - (excess / nrm2)[..., None] * a
+        return moved if n_over == over.size else np.where(over[..., None], moved, z)
+
+    return project
+
+
 def indicator_halfspace(normal, offset: float) -> MonotoneOperator:
     """Normal cone of the halfspace {x : <normal, x> <= offset}."""
     a = np.atleast_1d(np.asarray(normal, dtype=float))
@@ -219,12 +253,7 @@ def indicator_halfspace(normal, offset: float) -> MonotoneOperator:
     if not np.all(np.isfinite(a)) or nrm2 == 0.0:
         raise ValueError("halfspace normal must be finite and nonzero")
 
-    def project(z):
-        excess = float(a @ z) - b
-        if excess <= 0.0:
-            return z
-        return z - (excess / nrm2) * a
-
+    project = _halfspace_projector(a, b, nrm2)
     unit = a / np.sqrt(nrm2)
 
     def sample(z):
@@ -285,10 +314,15 @@ def indicator_ball(center, radius: float) -> MonotoneOperator:
 
     def project(z):
         d = z - c
-        nd = float(np.linalg.norm(d))
-        if nd <= r:
+        nd = row_norm(d)
+        over = nd > r
+        n_over = np.count_nonzero(over)
+        if not n_over:
             return z
-        return c + d * (r / nd)
+        if n_over == over.size:
+            return c + d * (r / nd)[..., None]
+        # rows inside divide by r, not by a norm that may be zero
+        return np.where(over[..., None], c + d * (r / np.maximum(nd, r))[..., None], z)
 
     def sample(z):
         d = z - c
@@ -348,30 +382,38 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
     if _chebyshev_radius(normals, offsets) <= 0.0:
         raise ValueError("polyhedron is empty or has empty interior")
     nrm2 = np.einsum("ij,ij->i", normals, normals)
-    m = normals.shape[0]
+    faces = [_halfspace_projector(a, b, a2) for a, b, a2 in zip(normals, offsets, nrm2)]
 
     def project(z):
-        if np.all(normals @ z <= offsets):
+        outside = ~(np.matvec(normals, z) <= offsets).all(axis=-1)
+        if not np.count_nonzero(outside):
             return z
-        x = z.astype(float, copy=True)
-        corrections = np.zeros((m, d))
+        # sweep the rows outside together; each stops on its own sweep shift
+        out = np.array(z, dtype=float, ndmin=2)
+        live = np.flatnonzero(outside)
+        x = out[live]
+        corrections = [np.zeros_like(x)] * len(faces)
         for _ in range(dykstra_max_iter):
             shift = 0.0
-            for i in range(m):
+            for i, face in enumerate(faces):
                 y = x + corrections[i]
-                excess = float(normals[i] @ y) - offsets[i]
-                if excess > 0.0:
-                    x_new = y - (excess / nrm2[i]) * normals[i]
-                else:
-                    x_new = y
+                x_new = face(y)
                 corrections[i] = y - x_new
-                shift += float(np.linalg.norm(x_new - x))
+                shift = shift + row_norm(x_new - x)
                 x = x_new
-            if shift < dykstra_tol:
-                return x
+            done = shift < dykstra_tol
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                out[live] = x
+                return out.reshape(np.shape(z))
+            if n_done:
+                out[live[done]] = x[done]
+                live, x, shift = live[~done], x[~done], shift[~done]
+                corrections = [cor[~done] for cor in corrections]
+        out[live] = x
         raise NonConvergenceError(
             f"Dykstra projection did not stabilize in {dykstra_max_iter} sweeps",
-            last=x, residual=shift,
+            last=out.reshape(np.shape(z)), residual=float(np.max(shift)),
         )
 
     def sample(z):
@@ -403,8 +445,9 @@ def linear_monotone(matrix) -> MonotoneOperator:
     """A(x) = M x for a positive-semidefinite M (domain all of R^d).
 
     The resolvent applies the inverse (I + lam M)^{-1}, formed once per exact
-    step size ``lam`` and memoised: a path has few distinct steps, and one
-    matrix-vector product is far cheaper than a fresh solve.  The memo holds
+    step size ``lam`` and memoised (as its transpose, so that ``z.dot`` serves
+    a point and a batch of row points): a path has few distinct steps, and
+    one matrix-vector product is far cheaper than a fresh solve.  The memo holds
     at most ``_LINEAR_INVERSE_CACHE`` step sizes and is emptied when full, so
     a stream of fresh steps costs one inversion each.  Forming the inverse is
     safe: <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence
@@ -422,16 +465,17 @@ def linear_monotone(matrix) -> MonotoneOperator:
 
     # Threads sharing the operator may race on the memo; each call still uses
     # its own correct inverse, so a race costs at most one extra inversion.
-    inverses: dict[float, np.ndarray] = {}
+    inverses_t: dict[float, np.ndarray] = {}
 
     def resolvent(lam, z):
         lam = float(lam)
-        inv = inverses.get(lam)
-        if inv is None:
-            if len(inverses) >= _LINEAR_INVERSE_CACHE:
-                inverses.clear()
-            inv = inverses[lam] = np.linalg.inv(eye + lam * m)
-        return inv.dot(z)
+        inv_t = inverses_t.get(lam)
+        if inv_t is None:
+            if len(inverses_t) >= _LINEAR_INVERSE_CACHE:
+                inverses_t.clear()
+            inv_t = inverses_t[lam] = np.linalg.inv(eye + lam * m).T
+        # for a point this is inv.dot(z) bit for bit
+        return z.dot(inv_t)
 
     return MonotoneOperator(
         dimension=d,
@@ -443,6 +487,15 @@ def linear_monotone(matrix) -> MonotoneOperator:
     )
 
 
+def _rowwise(f, z) -> np.ndarray:
+    """A single-point map applied to a point, or to each row of a batch."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape)
+    for i in np.ndindex(z.shape[:-1]):  # a point has one index, the empty one
+        out[i] = f(z[i])
+    return out
+
+
 def convex_prox(prox: Callable[[float, np.ndarray], np.ndarray], dimension: int,
                 domain_projection: Callable[[np.ndarray], np.ndarray] | None = None,
                 graph_sample: Callable[[np.ndarray], np.ndarray] | None = None) -> MonotoneOperator:
@@ -450,14 +503,16 @@ def convex_prox(prox: Callable[[float, np.ndarray], np.ndarray], dimension: int,
 
     ``prox(lam, z)`` must return argmin_y phi(y) + |y - z|^2 / (2 lam), which
     is exactly the resolvent of the subdifferential.  When the effective
-    domain is not all of R^d, pass its nearest-point projection.
+    domain is not all of R^d, pass its nearest-point projection.  Both take
+    single points; a batch is mapped row by row.
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
     return MonotoneOperator(
         dimension=dimension,
-        resolvent=lambda lam, z: np.asarray(prox(lam, z), dtype=float),
-        domain_projection=domain_projection or (lambda z: z),
+        resolvent=lambda lam, z: _rowwise(functools.partial(prox, lam), z),
+        domain_projection=(functools.partial(_rowwise, domain_projection)
+                           if domain_projection else (lambda z: z)),
         graph_sample=graph_sample,
         projection_resolvent=False,
         spec=None,

@@ -5,7 +5,8 @@ A generalized projection fixes the domain closure pointwise and is
 elastic map p - c (z - p) that rebounds a fraction c of the overshoot off the
 boundary, and the iterated elastic limit.  A single elastic step may exit the
 domain (that is why the iteration exists), so range containment is only
-guaranteed for the classical and iterated kinds.
+guaranteed for the classical and iterated kinds.  Every kind maps a point
+(d,) or a batch (B, d) row by row, under ``MonotoneOperator``'s row contract.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .operators import MonotoneOperator
+from .operators import MonotoneOperator, as_points, row_norm
 
 __all__ = [
     "Projection",
@@ -34,8 +35,14 @@ _KINDS = ("classical", "elastic", "elastic_iterated")
 
 def project_classical(op: MonotoneOperator, z) -> np.ndarray:
     """Nearest point of the domain closure (exact identity inside)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return np.asarray(op.domain_projection(z), dtype=float)
+    return np.asarray(op.domain_projection(as_points(z)), dtype=float)
+
+
+def _elasticity(c) -> float:
+    c = float(c)
+    if not (0.0 <= c <= 1.0):
+        raise ValueError(f"elasticity must lie in [0, 1], got {c}")
+    return c
 
 
 def project_elastic(op: MonotoneOperator, c: float, z) -> np.ndarray:
@@ -44,14 +51,10 @@ def project_elastic(op: MonotoneOperator, c: float, z) -> np.ndarray:
     c = 0 collapses to the classical projection, c = 1 is the mirror
     reflection through the nearest boundary point.
     """
-    c = float(c)
-    if not (0.0 <= c <= 1.0):
-        raise ValueError(f"elasticity must lie in [0, 1], got {c}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    c = _elasticity(c)
+    z = as_points(z)
     p = np.asarray(op.domain_projection(z), dtype=float)
-    if c == 0.0:
-        return p
-    return p - c * (z - p)
+    return p if c == 0.0 else p - c * (z - p)
 
 
 def project_elastic_iterated(op: MonotoneOperator, c: float, z,
@@ -63,19 +66,40 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
     within ``tol`` or moves by less than ``tol``; either condition certifies
     a fixed point of the iteration to tolerance.  Once an iterate lands
     inside, further elastic steps fix it, so the stopped value equals the
-    true limit there.
+    true limit there.  Each row of a batch freezes at its own stopping
+    iterate; the budget error carries the batch's last iterate and the
+    largest domain distance among the rows still moving.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w = np.atleast_1d(np.asarray(z, dtype=float))
+    c = _elasticity(c)
+    w = as_points(z)
+    p = np.asarray(op.domain_projection(w), dtype=float)
+    out = rows = None  # the frozen rows, once a batch has any
     for _ in range(max_iter):
-        nxt = project_elastic(op, c, w)
-        if op.in_domain(nxt, tol):
-            return nxt
-        if float(np.linalg.norm(nxt - w)) < tol:
-            return nxt
+        nxt = p if c == 0.0 else p - c * (w - p)
+        p = op.domain_projection(nxt)
+        # the domain test first: a point inside needs no step test
+        stop = row_norm(nxt - p) <= tol
+        stopped, live = np.count_nonzero(stop), stop.size
+        if stopped < live:
+            stop = stop | (row_norm(nxt - w) < tol)
+            stopped = np.count_nonzero(stop)
+        if stopped == live:
+            if out is None:
+                return nxt
+            out[rows] = nxt
+            return out
+        if stopped:  # only a batch has some rows stopped and some not
+            if out is None:
+                out, rows = np.empty_like(w), np.arange(len(w))
+            out[rows[stop]] = nxt[stop]
+            rows, nxt, p = rows[~stop], nxt[~stop], p[~stop]
         w = nxt
-    residual = op.domain_distance(w)
+    residual = float(np.max(row_norm(w - p)))
+    if out is not None:
+        out[rows] = w
+        w = out
     raise NonConvergenceError(
         f"iterated elastic projection did not stabilize in {max_iter} steps "
         f"(domain distance {residual:.3e})",
@@ -87,8 +111,10 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
 class Projection:
     """Dispatchable projection specification (kind + parameters).
 
-    Instances are immutable and call through to the pure projection
-    functions, so they are safe to share between threads.
+    ``proj(op, z)`` maps a point (d,) or a batch (B, d); row i of a batch
+    comes out bit for bit as the single point would.  Instances are immutable
+    and call through to the pure projection functions, so they are safe to
+    share between threads.
     """
 
     kind: str = "classical"

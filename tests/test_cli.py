@@ -242,6 +242,15 @@ class TestStudyCommands:
         assert len(report) == 12
         assert [name for name, res in report.items() if not res["passed"]] == []
 
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    def test_verify_draws_a_point_for_every_check(self, tmp_path, capsys, samples):
+        code, out, _ = run_command("verify", tmp_path, capsys, "--samples", samples)
+        assert code == EXIT_OK
+        report = json.loads((out / "verify.json").read_text(encoding="utf-8"))
+        assert len(report) == 12
+        assert all(res["passed"] for res in report.values())
+        assert all(np.isfinite(res["worst"]) for res in report.values())
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exploding_trajectory_is_nonconvergence(self, tmp_path, capsys, workers):
