@@ -137,25 +137,14 @@ def _cmd_skorokhod(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .drivers import simulate
-    from .harness import _Context, _explosion_level
+    from .harness import _Context
     from .paths import uniform_partition
-    from .schemes import modified_yosida_scheme, yosida_scheme
 
     cfg = _load(args)
     ctx = _Context(cfg)
     part = uniform_partition(cfg.horizon, cfg.levels[-1])
     realization = simulate(ctx.driver, part, cfg.seed, args.trajectory)
-    if args.scheme == "euler":
-        out = ctx.run_euler(realization)
-    else:
-        n_level = cfg.yosida_levels[-1]
-        with _explosion_level(realization):
-            if args.scheme == "yosida":
-                out = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
-                                    cfg.drift_substeps)
-            else:
-                out = modified_yosida_scheme(ctx.op, ctx.proj, n_level, ctx.coeff,
-                                             realization, cfg.drift_substeps)
+    out = ctx.run_scheme(args.scheme, realization)
     out_dir = _ensure_out(cfg)
     out_path = os.path.join(out_dir, f"trajectory_{out.scheme}.{cfg.format}")
     meta = {

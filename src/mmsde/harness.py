@@ -26,9 +26,12 @@ from .operators import DEFAULT_DOMAIN_TOL, resolve, row_norm, yosida_a, yosida_j
 from .paths import StepPath, refine, uniform_partition
 from .projections import project_classical
 from .schemes import (
+    euler_chunk,
     euler_scheme,
+    modified_yosida_chunk,
     modified_yosida_scheme,
     resolvent_of_yosida_step,
+    yosida_chunk,
     yosida_scheme,
 )
 from .skorokhod import (
@@ -48,6 +51,9 @@ __all__ = [
 ]
 
 _P_THRESHOLDS = (1e-1, 1e-2)
+# Trajectories whose scheme runs are marched together; memory grows with the
+# chunk times the grid size, whatever the trajectory count.
+_CHUNK_TRAJECTORIES = 64
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,27 @@ class _Context:
         self.reference_partition = refine(parts[-1], cfg.reference_refine)
         self.checkpoints = cfg.checkpoints
 
+    def run_scheme(self, scheme: str, realization):
+        """One run of ``scheme`` on ``realization``; the Yosida schemes run at
+        the finest Yosida level."""
+        if scheme == "euler":
+            return self.run_euler(realization)
+        n_level = self.cfg.yosida_levels[-1]
+        with _explosion_level(realization):
+            if scheme == "yosida":
+                return yosida_scheme(self.op, n_level, self.coeff, realization,
+                                     self.cfg.drift_substeps)
+            return modified_yosida_scheme(self.op, self.proj, n_level, self.coeff,
+                                          realization, self.cfg.drift_substeps)
+
     def run_euler(self, realization, reference: bool = False):
         with _explosion_level(realization, reference):
             return euler_scheme(self.op, self.proj, self.coeff, realization,
                                 self.cfg.flow_substeps)
+
+    def euler_chunk(self, realizations) -> list:
+        return euler_chunk(self.op, self.proj, self.coeff, realizations,
+                           self.cfg.flow_substeps)
 
     def oracle_applies(self) -> bool:
         """Closed-form reference: reflection on [0, inf) under additive noise."""
@@ -163,22 +186,63 @@ def _grid_sup_error(x: StepPath, ref: StepPath) -> float:
 # convergence study (Euler scheme across partition levels)
 
 
+def _chunks(indices):
+    for lo in range(0, len(indices), _CHUNK_TRAJECTORIES):
+        yield indices[lo:lo + _CHUNK_TRAJECTORIES]
+
+
+def _run_live(run_chunk, reals, live, errors: dict, run: int,
+              reference: bool = False) -> dict:
+    """Paths x of ``run_chunk`` on ``reals[b]`` for the live chunk positions b.
+
+    A position whose run exploded gets no path; its ExplosionError, with the
+    run's level, goes to ``errors[(position, run)]``.  Runs are numbered in
+    the order the per-trajectory loop makes them, so the smallest key names
+    the error that loop would have raised first.
+    """
+    live_reals = [reals[b] for b in live]
+    paths = {}
+    for b, realization, res in zip(live, live_reals, run_chunk(live_reals)):
+        if isinstance(res, ExplosionError):
+            errors[(b, run)] = res.at_level(realization.base.times.size - 1, reference)
+        else:
+            paths[b] = res.x
+    return paths
+
+
+def _raise_first(errors: dict):
+    if errors:
+        raise errors[min(errors)]
+
+
 def _convergence_batch(cfg: ExperimentConfig, indices):
     from .drivers import simulate
 
     ctx = _Context(cfg)
     use_oracle = ctx.oracle_applies()
     out = []
-    for i in indices:
-        fine = simulate(ctx.driver, ctx.reference_partition, cfg.seed, i)
-        ref = ctx.oracle_solution(fine) if use_oracle else ctx.run_euler(fine, reference=True).x
-        cp_err = np.empty((len(cfg.levels), len(ctx.checkpoints)))
-        sup_err = np.empty(len(cfg.levels))
-        for li, part in enumerate(ctx.partitions):
-            run = ctx.run_euler(simulate(ctx.driver, part, cfg.seed, i))
-            cp_err[li] = _checkpoint_errors(run.x, ref, ctx.checkpoints)
-            sup_err[li] = _grid_sup_error(run.x, ref)
-        out.append((i, cp_err, sup_err))
+    for chunk in _chunks(indices):
+        # run 0 is the reference, run 1 + li the level li
+        errors = {}
+        fine = [simulate(ctx.driver, ctx.reference_partition, cfg.seed, i) for i in chunk]
+        if use_oracle:
+            refs = {b: ctx.oracle_solution(r) for b, r in enumerate(fine)}
+        else:
+            refs = _run_live(ctx.euler_chunk, fine, range(len(chunk)), errors, 0,
+                             reference=True)
+        del fine
+        levels = []
+        live = list(refs)
+        for part in ctx.partitions:
+            reals = {b: simulate(ctx.driver, part, cfg.seed, chunk[b]) for b in live}
+            levels.append(_run_live(ctx.euler_chunk, reals, live, errors, 1 + len(levels)))
+            live = list(levels[-1])
+        _raise_first(errors)
+        for b, i in enumerate(chunk):
+            cp_err = np.stack([_checkpoint_errors(xs[b], refs[b], ctx.checkpoints)
+                               for xs in levels])
+            sup_err = np.array([_grid_sup_error(xs[b], refs[b]) for xs in levels])
+            out.append((i, cp_err, sup_err))
     return out
 
 
@@ -257,26 +321,39 @@ def _compare_batch(cfg: ExperimentConfig, indices):
     cps = [cp for cp in ctx.checkpoints if cp.continuity_expected]
     n_lv = len(cfg.yosida_levels)
     out = []
-    for i in indices:
-        realization = simulate(ctx.driver, ctx.partitions[-1], cfg.seed, i)
-        ref = ctx.run_euler(realization, reference=True).x
-        cp_y = np.empty((n_lv, len(cps)))
-        cp_m = np.empty((n_lv, len(cps)))
-        sup_jy = np.empty(n_lv)
-        sup_m = np.empty(n_lv)
-        for li, n_level in enumerate(cfg.yosida_levels):
-            with _explosion_level(realization):
-                ys = yosida_scheme(ctx.op, n_level, ctx.coeff, realization,
-                                   cfg.drift_substeps)
-                ms = modified_yosida_scheme(ctx.op, ctx.proj, n_level, ctx.coeff,
-                                            realization, cfg.drift_substeps)
-            cp_y[li] = _checkpoint_errors(ys.x, ref, cps)
-            cp_m[li] = _checkpoint_errors(ms.x, ref, cps)
-            jn_vals = ctx.op.resolvent(1.0 / n_level, ys.x.values)
-            sup_jy[li] = float(np.max(np.linalg.norm(jn_vals - ref.values_at(
-                ys.x.partition.times), axis=1)))
-            sup_m[li] = _grid_sup_error(ms.x, ref)
-        out.append((i, cp_y, cp_m, sup_jy, sup_m))
+    for chunk in _chunks(indices):
+        # run 0 is the reference; level li runs Yosida (1 + 2 li), then
+        # modified Yosida (2 + 2 li)
+        errors = {}
+        reals = [simulate(ctx.driver, ctx.partitions[-1], cfg.seed, i) for i in chunk]
+        refs = _run_live(ctx.euler_chunk, reals, range(len(chunk)), errors, 0,
+                         reference=True)
+        runs = []  # (Yosida paths, modified-Yosida paths) per level
+        live = list(refs)
+        for n_level in cfg.yosida_levels:
+            ys = _run_live(lambda rs: yosida_chunk(ctx.op, n_level, ctx.coeff, rs,
+                                                   cfg.drift_substeps),
+                           reals, live, errors, 1 + 2 * len(runs))
+            ms = _run_live(lambda rs: modified_yosida_chunk(ctx.op, ctx.proj, n_level,
+                                                            ctx.coeff, rs, cfg.drift_substeps),
+                           reals, list(ys), errors, 2 + 2 * len(runs))
+            live = list(ms)
+            runs.append((ys, ms))
+        _raise_first(errors)
+        for b, i in enumerate(chunk):
+            ref = refs[b]
+            cp_y = np.empty((n_lv, len(cps)))
+            cp_m = np.empty((n_lv, len(cps)))
+            sup_jy = np.empty(n_lv)
+            sup_m = np.empty(n_lv)
+            for li, (n_level, (ys, ms)) in enumerate(zip(cfg.yosida_levels, runs)):
+                cp_y[li] = _checkpoint_errors(ys[b], ref, cps)
+                cp_m[li] = _checkpoint_errors(ms[b], ref, cps)
+                jn_vals = ctx.op.resolvent(1.0 / n_level, ys[b].values)
+                sup_jy[li] = float(np.max(np.linalg.norm(jn_vals - ref.values_at(
+                    ys[b].partition.times), axis=1)))
+                sup_m[li] = _grid_sup_error(ms[b], ref)
+            out.append((i, cp_y, cp_m, sup_jy, sup_m))
     return out
 
 
@@ -461,14 +538,12 @@ def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000,
                detail="J_n -> classical projection, monotonically")
 
     if "implicit_drift_identity" in checks:
-        worst = 0.0
-        for z in draw(2, least=10):
-            lam = float(rng.uniform(0.05, 2.0))
-            mu = float(rng.uniform(0.01, 1.0))
-            y = resolvent_of_yosida_step(op, lam, mu, z)
-            resid = float(np.linalg.norm(y + mu * yosida_a(op, 1.0 / lam, y) - z))
-            worst = max(worst, resid)
-        record("implicit_drift_identity", worst, 1e-9)
+        z = draw(2, least=10)
+        # a fresh (lam, mu) per point, drawn point by point in that order
+        lam, mu = rng.uniform([0.05, 0.01], [2.0, 1.0], size=(len(z), 2)).T
+        y = resolvent_of_yosida_step(op, lam, mu, z)
+        resid = row_norm(y + mu[:, None] * yosida_a(op, 1.0 / lam, y) - z)
+        record("implicit_drift_identity", max(0.0, np.max(resid)), 1e-9)
 
     if "skorokhod_definition" in checks or "pair_inequalities" in checks:
         partition = uniform_partition(1.0, 25)

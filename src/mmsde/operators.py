@@ -18,6 +18,7 @@ operators, and subdifferentials given by a proximal map.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +65,10 @@ class MonotoneOperator:
     resolvent:
         (lam, z) -> the unique y with y + lam*a = z for some a in A(y), as a
         float array of z's shape.  Non-expansive in z for every lam > 0.
+        ``lam`` is one step (a float) or, for a batch z of shape (B, d), one
+        step per row (a float array of shape (B,)): row i is then the
+        single-point call with step ``lam[i]``.  Projection kinds ignore the
+        step.
     domain_projection:
         nearest-point projection onto the closed convex domain closure; must
         act as the exact identity on points already inside.
@@ -127,7 +132,21 @@ def _check_point(op: MonotoneOperator, z) -> np.ndarray:
     return z
 
 
-def _check_step(lam: float) -> float:
+def _check_step(lam):
+    """A resolvent step as a float, or steps given one per row as a float
+    array; each must be finite and at least ``MIN_RESOLVENT_STEP``."""
+    if not isinstance(lam, float):
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim:
+            # on a short array, far cheaper than numpy reductions; the sum is
+            # NaN exactly when a step is
+            steps = lam.tolist()
+            if steps and not (min(steps) >= MIN_RESOLVENT_STEP and max(steps) < math.inf
+                              and not math.isnan(sum(steps))):
+                bad = next(v for v in steps if not MIN_RESOLVENT_STEP <= v < math.inf)
+                raise ValueError(f"resolvent step must be a finite real >= "
+                                 f"{MIN_RESOLVENT_STEP}, got {bad}")
+            return lam
     lam = float(lam)
     if not np.isfinite(lam) or lam < MIN_RESOLVENT_STEP:
         raise ValueError(
@@ -136,37 +155,55 @@ def _check_step(lam: float) -> float:
     return lam
 
 
-def resolve(op: MonotoneOperator, lam: float, z) -> np.ndarray:
-    """J_lam(z) = (I + lam A)^{-1}(z), of a point (d,) or a batch (B, d)."""
+def _per_row(lam) -> bool:
+    """Whether ``lam`` gives one resolvent step per row of a batch."""
+    return isinstance(lam, np.ndarray) and lam.ndim > 0
+
+
+def resolve(op: MonotoneOperator, lam, z) -> np.ndarray:
+    """J_lam(z) = (I + lam A)^{-1}(z), of a point (d,) or a batch (B, d).
+
+    ``lam`` is one step, or one step per row of a batch (shape (B,)).
+    """
     lam = _check_step(lam)
     z = _check_point(op, z)
+    if _per_row(lam) and (z.ndim != 2 or lam.shape != z.shape[:1]):
+        raise ValueError(f"one step per row needs a batch of {lam.size} rows, "
+                         f"got shape {z.shape}")
     return np.asarray(op.resolvent(lam, z), dtype=float)
 
 
-def yosida_j(op: MonotoneOperator, n: float, z) -> np.ndarray:
-    """J_n(z) = (I + A/n)^{-1}(z); equals resolve(op, 1/n, z)."""
-    n = float(n)
-    if not (n > 0):
+def _check_level(n):
+    """A Yosida level n > 0 as a float, or levels one per row as an array."""
+    n = n if isinstance(n, float) else np.asarray(n, dtype=float)
+    if not np.all(n > 0):
         raise ValueError("n must be positive")
-    return resolve(op, 1.0 / n, z)
+    return n if _per_row(n) else float(n)
 
 
-def yosida_a(op: MonotoneOperator, n: float, z) -> np.ndarray:
+def yosida_j(op: MonotoneOperator, n, z) -> np.ndarray:
+    """J_n(z) = (I + A/n)^{-1}(z); equals resolve(op, 1/n, z).  ``n`` may
+    give one level per row of a batch."""
+    return resolve(op, 1.0 / _check_level(n), z)
+
+
+def yosida_a(op: MonotoneOperator, n, z) -> np.ndarray:
     """Yosida approximation A_n(z) = n (z - J_n(z)).
 
     Single-valued, Lipschitz with constant n, and monotone for every n > 0.
+    ``n`` may give one level per row of a batch.
     """
-    n = float(n)
-    if not (n > 0):
-        raise ValueError("n must be positive")
+    n = _check_level(n)
     z = _check_point(op, z)
-    return n * (z - resolve(op, 1.0 / n, z))
+    j = resolve(op, 1.0 / n, z)
+    return (n[:, None] if _per_row(n) else n) * (z - j)
 
 
-def _flow_schedule(op: MonotoneOperator, t: float, substeps: int) -> tuple[float, int]:
+def _flow_schedule(op: MonotoneOperator, t, substeps: int):
     """(lam, m): m resolvent steps of size t/substeps, or one exact step of
-    size t for a projection resolvent; m = 0 for t = 0."""
-    if t == 0.0:
+    size t for a projection resolvent; m = 0 for t = 0.  ``t`` may be one
+    positive time per row of a batch, and ``lam`` is then one step per row."""
+    if not isinstance(t, np.ndarray) and t == 0.0:
         return 0.0, 0
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -175,10 +212,11 @@ def _flow_schedule(op: MonotoneOperator, t: float, substeps: int) -> tuple[float
     return _check_step(t / substeps), substeps
 
 
-def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t: float,
+def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
                   substeps: int) -> np.ndarray:
     """J_lam^m(start), the last state of ``flow_steps`` (``start`` as a float
-    array for t = 0); each resolvent value goes straight into the next call."""
+    array for t = 0); each resolvent value goes straight into the next call.
+    For a batch of starts, ``t`` may give each row its own positive time."""
     lam, m = _flow_schedule(op, t, substeps)
     x = start
     for _ in range(m):
@@ -370,7 +408,13 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
     Dykstra's correction, which converges to the true nearest point for
     intersections of convex sets.  Feasibility and nonempty interior are
     certified up front via the Chebyshev-center linear program.
+    ``dykstra_tol`` must be finite and positive and ``dykstra_max_iter`` at
+    least 1.
     """
+    if not (np.isfinite(dykstra_tol) and dykstra_tol > 0):
+        raise ValueError(f"dykstra_tol must be finite and positive, got {dykstra_tol}")
+    if dykstra_max_iter < 1:
+        raise ValueError(f"dykstra_max_iter must be at least 1, got {dykstra_max_iter}")
     pairs = [(np.atleast_1d(np.asarray(a, dtype=float)), float(b)) for a, b in halfspaces]
     if not pairs:
         raise ValueError("polyhedron needs at least one halfspace")
@@ -467,13 +511,27 @@ def linear_monotone(matrix) -> MonotoneOperator:
     # its own correct inverse, so a race costs at most one extra inversion.
     inverses_t: dict[float, np.ndarray] = {}
 
-    def resolvent(lam, z):
-        lam = float(lam)
+    def inverse_t(lam: float) -> np.ndarray:
         inv_t = inverses_t.get(lam)
         if inv_t is None:
             if len(inverses_t) >= _LINEAR_INVERSE_CACHE:
                 inverses_t.clear()
             inv_t = inverses_t[lam] = np.linalg.inv(eye + lam * m).T
+        return inv_t
+
+    def resolvent(lam, z):
+        if type(lam) is not float:
+            if _per_row(lam):
+                # one inverse per distinct step; a vector-matrix product per
+                # row makes row i independent of the other rows of the batch
+                steps, which = np.unique(lam, return_inverse=True)
+                invs = np.array([inverse_t(step) for step in steps.tolist()])
+                return np.vecmat(z, invs.reshape(-1, d, d)[which])
+            lam = float(lam)
+        # the flow's steps are floats; the memo is read inline for them
+        inv_t = inverses_t.get(lam)
+        if inv_t is None:
+            inv_t = inverse_t(lam)
         # for a point this is inv.dot(z) bit for bit
         return z.dot(inv_t)
 
@@ -496,6 +554,19 @@ def _rowwise(f, z) -> np.ndarray:
     return out
 
 
+def _prox_resolvent(prox):
+    """The resolvent of a single-point proximal map; a batch with one step
+    per row pairs row i with step i."""
+
+    def resolvent(lam, z):
+        if _per_row(lam):
+            steps = iter(lam.tolist())
+            return _rowwise(lambda row: prox(next(steps), row), z)
+        return _rowwise(functools.partial(prox, lam), z)
+
+    return resolvent
+
+
 def convex_prox(prox: Callable[[float, np.ndarray], np.ndarray], dimension: int,
                 domain_projection: Callable[[np.ndarray], np.ndarray] | None = None,
                 graph_sample: Callable[[np.ndarray], np.ndarray] | None = None) -> MonotoneOperator:
@@ -504,13 +575,14 @@ def convex_prox(prox: Callable[[float, np.ndarray], np.ndarray], dimension: int,
     ``prox(lam, z)`` must return argmin_y phi(y) + |y - z|^2 / (2 lam), which
     is exactly the resolvent of the subdifferential.  When the effective
     domain is not all of R^d, pass its nearest-point projection.  Both take
-    single points; a batch is mapped row by row.
+    single points; a batch is mapped row by row, each row with its own step
+    when the resolvent is given one step per row.
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
     return MonotoneOperator(
         dimension=dimension,
-        resolvent=lambda lam, z: _rowwise(functools.partial(prox, lam), z),
+        resolvent=_prox_resolvent(prox),
         domain_projection=(functools.partial(_rowwise, domain_projection)
                            if domain_projection else (lambda z: z)),
         graph_sample=graph_sample,

@@ -6,6 +6,12 @@ part of k selected from A(x) dt (realized by the constant-input flow between
 grid points), and post-jump states given by the generalized projection:
 x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 
+``_march`` is the one grid march behind ``solve_step`` and the three schemes
+of ``schemes``.  It walks one path with a state (d,), or a chunk of paths
+with states (B, d) on the union of their grids, each row stepping only at its
+own grid times with its own step sizes, so that every row equals its own
+single-path march bit for bit.
+
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
 oracle, a verifier that checks a solution against the defining conditions,
@@ -14,6 +20,7 @@ and the two-solution comparison inequalities used as property tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +85,9 @@ def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
              dt: float, substeps: int):
     """One grid step: flow over dt from ``prev``, then project prev + dy.
 
-    Returns the ``_march`` step tuple (x_left, xi, dkc, dkd): the pre-jump
+    Returns the ``_march`` step outputs (x_left, xi, dkc, dkd): the pre-jump
     left limit, the new grid value, and the k increments split into flow and
-    jump parts.
+    jump parts.  ``prev`` may be a chunk of rows (B, d), with one dt per row.
     """
     x_left = flow_endpoint(op, prev, dt, substeps)
     w = x_left + dy
@@ -88,38 +95,107 @@ def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
     return x_left, xi, prev - x_left, w - xi
 
 
-def _march(grid: Partition, x0: np.ndarray, step):
-    """Apply a step map along ``grid`` from ``x0``.
+def _schedule(times: list, single: bool):
+    """The steps of ``_march``: (key, rows, dt) for each union time after 0."""
+    if single:
+        yield from zip(range(1, times[0].size), itertools.repeat(None),
+                       np.diff(times[0]).tolist())
+        return
+    flat = np.concatenate(times)
+    union, where = np.unique(flat, return_inverse=True)
+    # the flat indices of each union time, row by row
+    order = np.argsort(where, kind="stable")
+    ends = np.cumsum(np.bincount(where, minlength=union.size)).tolist()
+    row_of = np.repeat(np.arange(len(times)), [t.size for t in times])
+    dt = np.diff(flat, prepend=0.0)  # a row's own step; its first entry is never read
+    for lo, hi in zip(ends, ends[1:]):
+        key = order[lo:hi]
+        yield key, None if key.size == len(times) else row_of[key], dt[key]
 
-    ``step(j, dt, prev)`` maps the state at t_{j-1} to the step ending at
-    t_j: (x_left, x_new, dkc, dkd), i.e. the left limit x_{t_j-}, the state
-    at t_j, and the flow and jump parts of dk.  The step reads its own input
-    increment; the march never sees y.  k starts at zero and is the running
-    sum of its increments, formed by ``np.cumsum``, which adds row by row in
-    order and so equals an in-loop running sum bit for bit.
 
-    Returns (x, k, x_pre): the state, the BV decomposition of k, and the
-    left limits (``x_pre[0] = x0``).
+def _march(grids, x0: np.ndarray, step):
+    """Apply a step map along one grid, or along each grid of a chunk.
+
+    One path: ``grids`` is its Partition and ``x0`` its start (d,).  A chunk:
+    ``grids`` holds one Partition per row and ``x0`` is (B, d).  The march
+    walks the union of the grid times; at each union time it steps the rows
+    whose grid holds that time, each with its own dt from its own previous
+    time, and the other rows hold their state.  The rows' grid points are laid
+    end to end in row order, and ``key`` indexes that flat layout: an int for
+    one path, an int array (the stepping rows' own points) for a chunk.
+
+    ``step(key, rows, dt, prev)`` maps the states ``prev`` at the rows' previous
+    times to ``(keep, (x_left, x_new, dkc, dkd))``: the left limits at the
+    key's times, the new states, and the flow and jump parts of dk.  ``rows``
+    is None when every row steps (``prev`` is then the whole state), and
+    otherwise the stepping rows; ``dt`` is a float for one path and one step
+    per row for a chunk.  ``keep`` is None, or a boolean mask over the
+    stepping rows: the rows it clears retire (the march steps them no more),
+    and the four outputs hold the kept rows only.  The step reads its own
+    input increment; the march never sees y.
+
+    k starts at zero and is the running sum of its increments, formed per row
+    on the row's own grid by ``np.cumsum``, which adds row by row in order and
+    so equals an in-loop running sum bit for bit.  Returns, per row, (x, k,
+    x_pre): the state, the BV decomposition of k and the left limits
+    (``x_pre[0] = x0``), or None for a retired row.
     """
-    times = grid.times
-    n = times.size
-    d = x0.size
-    x_vals = np.empty((n, d))
-    x_pre = np.empty((n, d))
-    dkc = np.zeros((n, d))
-    dkd = np.zeros((n, d))
-    x_vals[0] = x_pre[0] = x0
-    prev = x_vals[0]
-    for j in range(1, n):
-        x_pre[j], x_vals[j], dkc[j], dkd[j] = step(j, times[j] - times[j - 1], prev)
-        prev = x_vals[j]
-    # the sums overwrite their increments, which nothing else keeps
-    kc = np.cumsum(dkc, axis=0, out=dkc)
-    kd = np.cumsum(dkd, axis=0, out=dkd)
-    # total = continuous + jump bitwise; additivity to y holds to rounding
-    k = BVDecomposition(total=StepPath(grid, kc + kd),
-                        continuous=StepPath(grid, kc), jump=StepPath(grid, kd))
-    return StepPath(grid, x_vals), k, x_pre
+    single = x0.ndim == 1
+    if single:
+        grids = [grids]
+    times = [g.times for g in grids]
+    sizes = [t.size for t in times]
+    starts = np.cumsum([0] + sizes[:-1])
+    shape = (sum(sizes), x0.shape[-1])
+    x_vals = np.empty(shape)
+    x_pre = np.empty(shape)
+    dkc = np.zeros(shape)
+    dkd = np.zeros(shape)
+    x_vals[starts] = x_pre[starts] = x0
+    state = np.array(x0, dtype=float)
+    live = np.ones(len(grids), dtype=bool)
+    every = np.arange(len(grids))
+    retired = 0
+    for key, rows, dt in _schedule(times, single):
+        if retired:
+            rows = every if rows is None else rows
+            held = live[rows]
+            if not held.all():
+                key, rows, dt = key[held], rows[held], dt[held]
+                if not key.size:
+                    continue
+        prev = state if rows is None else state[rows]
+        keep, out = step(key, rows, dt, prev)
+        if keep is not None:
+            rows = every if rows is None else rows
+            live[rows[~keep]] = False
+            retired = np.count_nonzero(~live)
+            key, rows = key[keep], rows[keep]
+            if not key.size:
+                if retired == live.size:
+                    break
+                continue
+        x_pre[key], x_new, dkc[key], dkd[key] = out
+        x_vals[key] = x_new
+        if rows is None:
+            state = x_new
+        else:
+            state[rows] = x_new
+    out = []
+    for grid, lo, n, alive in zip(grids, starts.tolist(), sizes, live.tolist()):
+        if not alive:
+            out.append(None)
+            continue
+        rows = slice(lo, lo + n)
+        # the sums overwrite their increments, which nothing else keeps
+        kc, kd = dkc[rows], dkd[rows]
+        np.cumsum(kc, axis=0, out=kc)
+        np.cumsum(kd, axis=0, out=kd)
+        # total = continuous + jump bitwise; additivity to y holds to rounding
+        k = BVDecomposition(total=StepPath(grid, kc + kd),
+                            continuous=StepPath(grid, kc), jump=StepPath(grid, kd))
+        out.append((StepPath(grid, x_vals[rows]), k, x_pre[rows]))
+    return out
 
 
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
@@ -142,9 +218,9 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
             point=y0, distance=dist,
         )
     dy = y.jumps()
-    x, k, x_pre = _march(
+    [(x, k, x_pre)] = _march(
         y.partition, y0,
-        lambda j, dt, prev: _sp_step(op, proj, prev, dy[j], dt, flow_substeps))
+        lambda j, rows, dt, prev: (None, _sp_step(op, proj, prev, dy[j], dt, flow_substeps)))
     return SkorokhodSolution(x=x, k=k, y=y, x_pre=x_pre, flow_substeps=flow_substeps)
 
 
@@ -178,7 +254,7 @@ def reflect_halfline_oracle(y: StepPath) -> SkorokhodSolution:
     )
 
 
-def _min_subarray_sum(terms: np.ndarray) -> float:
+def _min_subarray_sum(terms) -> float:
     """Smallest sum over a contiguous nonempty range (0.0 for empty input)."""
     best = 0.0
     running = 0.0
@@ -244,21 +320,25 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
         failures.append(f"|dk| <= 2|dy| violated by {-bound_margin:.3e}")
 
     mono_worst = 0.0
-    for alpha, beta in test_pairs:
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if len(test_pairs):
+        # each interval's flow is computed once and checked against every pair
+        alphas = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in test_pairs])
+        betas = np.array([np.atleast_1d(np.asarray(b, dtype=float)) for _, b in test_pairs])
         terms = []
-        prev = sol.x.values[0]
         for j in range(1, times.size):
-            dt = times[j] - times[j - 1]
-            state = prev
-            for lam, nxt in flow_steps(op, prev, dt, sol.flow_substeps):
-                # (state - nxt)/lam is an element of A(nxt)
-                terms.append(float((nxt - alpha) @ ((state - nxt) - lam * beta)))
-                state = nxt
-            prev = sol.x.values[j]
-        worst = _min_subarray_sum(np.asarray(terms))
-        mono_worst = min(mono_worst, worst)
+            states = [sol.x.values[j - 1]]
+            steps = flow_steps(op, states[0], times[j] - times[j - 1], sol.flow_substeps)
+            if not steps:
+                continue
+            states.extend(nxt for _, nxt in steps)
+            states = np.array(states)
+            cur, nxt = states[:-1], states[1:]
+            # (cur - nxt)/lam is an element of A(nxt), one row per flow step
+            terms.append(np.vecdot(nxt - alphas[:, None],
+                                   (cur - nxt) - steps[0][0] * betas[:, None]))
+        if terms:
+            for row in np.concatenate(terms, axis=1):
+                mono_worst = min(mono_worst, _min_subarray_sum(row.tolist()))
     if mono_worst < -tol:
         failures.append(f"monotonicity sum {mono_worst:.3e} below -{tol:.1e}")
 

@@ -251,7 +251,6 @@ class TestStudyCommands:
         assert all(res["passed"] for res in report.values())
         assert all(np.isfinite(res["worst"]) for res in report.values())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exploding_trajectory_is_nonconvergence(self, tmp_path, capsys, workers):
         config = write_file(tmp_path / "square.ini", EXPLODING_INI + f"workers = {workers}\n")
@@ -263,7 +262,6 @@ class TestStudyCommands:
             "at step 56 (t = 0.84375) is not finite (reference run, level 64)\n")
         assert not (out / "errors.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exploding_simulation_names_its_level(self, tmp_path, capsys):
         config = write_file(tmp_path / "square.ini", EXPLODING_INI)
         out = tmp_path / "out"

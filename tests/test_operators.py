@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mmsde import (
     DomainViolationError,
+    NonConvergenceError,
     Partition,
     Projection,
     StepPath,
@@ -241,6 +242,22 @@ class TestConstructors:
         with pytest.raises(ValueError):
             # x <= 0 and x >= 0: lower-dimensional
             indicator_polyhedron([([1.0], 0.0), ([-1.0], 0.0)])
+
+    @pytest.mark.parametrize("budget", [{"dykstra_max_iter": 0}, {"dykstra_max_iter": -3},
+                                        {"dykstra_tol": 0.0}, {"dykstra_tol": -1e-10},
+                                        {"dykstra_tol": np.nan}, {"dykstra_tol": np.inf}])
+    def test_polyhedron_rejects_an_empty_dykstra_budget(self, budget):
+        # a budget of no sweeps used to fail on its first outside point with
+        # an UnboundLocalError
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            indicator_polyhedron([([1.0, -1.0], 0.0), ([-1.0, -1.0], 0.0)], **budget)
+
+    def test_polyhedron_with_one_sweep_projects_or_reports(self):
+        op = indicator_polyhedron([([1.0, -1.0], 0.0), ([-1.0, -1.0], 0.0)],
+                                  dykstra_max_iter=1)
+        with pytest.raises(NonConvergenceError):
+            op.domain_projection(np.array([0.3, -1.0]))
+        np.testing.assert_array_equal(op.domain_projection(np.array([0.0, 2.0])), [0.0, 2.0])
 
     def test_polyhedron_projection_against_wedge_geometry(self):
         # wedge x2 >= |x1|: projection of (3, 0) is (1.5, 1.5)

@@ -332,7 +332,6 @@ class TestExplosion:
         "modified_yosida": lambda op, c, r: modified_yosida_scheme(op, CLASSICAL, 4, c, r),
     }
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_exploding_driver_raises_at_its_step(self, scheme):
         # H = 2, Z_t = 16 t on 16 steps, so x_j = x_{j-1} + x_{j-1}^2 from 2:
@@ -348,7 +347,6 @@ class TestExplosion:
         assert 1e208 < exc.last[0] < np.inf
         assert "step 10 (t = 0.625)" in str(exc)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_explosion_stops_before_the_projection(self):
         # the elastic projection of a NaN would spin through its whole
         # iteration budget; the increment check stops the run first

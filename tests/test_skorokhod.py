@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -154,6 +155,28 @@ class TestVerifySolution:
                               test_pairs=[(np.array([2.0]), np.array([0.0]))])
         assert rep.passed
         assert rep.monotonicity_worst == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 5])
+    @pytest.mark.parametrize("name, per_step", [("linear2", 4), ("box2", 1)])
+    def test_flows_each_interval_once_whatever_the_pairs(self, zoo, zoo_pairs, rng,
+                                                         name, per_step, n_pairs):
+        op = zoo[name]
+        start = op.domain_projection(np.full(2, 0.4))
+        n = 15
+        vals = np.vstack([start, start + np.cumsum(rng.normal(0, 0.3, size=(n - 1, 2)),
+                                                   axis=0)])
+        sol = solve_step(op, CLASSICAL, StepPath(uniform_partition(1.0, n - 1), vals),
+                         flow_substeps=4)
+        calls = []
+        counted = dataclasses.replace(
+            op, resolvent=lambda lam, z: calls.append(lam) or op.resolvent(lam, z))
+        pairs = (zoo_pairs[name] * n_pairs)[:n_pairs]
+        rep = verify_solution(counted, CLASSICAL, sol, test_pairs=pairs)
+        assert rep.passed, rep.failures
+        assert len(calls) == (n - 1) * per_step
+        # the pairs' worst sum does not depend on how many pairs share the flow
+        one = verify_solution(op, CLASSICAL, sol, test_pairs=pairs[:1])
+        assert rep.monotonicity_worst <= one.monotonicity_worst
 
     def test_jump_bound(self, zoo, rng):
         for _ in range(20):
