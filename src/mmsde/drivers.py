@@ -12,16 +12,18 @@ reproducible bit-for-bit.  Brownian values come from a dyadic bridge descent
 to float resolution (no depth cap, so the law is exact) whose Gaussians are
 keyed by the node time, which makes W(t) a pure function of (seed,
 trajectory, tag, t): simulating on a refined partition reproduces the coarse
-values exactly.  ``simulate`` descends depth by depth for all grid times at
-once, makes one batched draw for all nodes (a numpy Philox4x64-10 equal to
-``np.random.Philox(key, counter).random_raw()``, then Box-Muller) and runs
-the bridge recursion.  ``STREAM_VERSION`` names the stream; a change to the
-values a seed produces bumps it.
+values exactly, and ``restrict`` reads them off a fine realization.
+``simulate_chunk`` descends depth by depth for up to ``_DESCENT_TIMES`` grid
+times of a chunk of trajectories at once, draws for all nodes with a key
+per node (a numpy Philox4x64-10 equal to ``np.random.Philox(key,
+counter).random_raw()``, then Box-Muller, in slices of ``_PHILOX_CHUNK``
+blocks) and runs the bridge recursion; ``simulate`` is a chunk of one.
+``STREAM_VERSION`` names the stream; a change to its values bumps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +36,8 @@ __all__ = [
     "DriverSpec",
     "DriverRealization",
     "simulate",
+    "simulate_chunk",
+    "restrict",
     "refine_consistent",
     "from_step_paths",
 ]
@@ -66,34 +70,38 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint
 _PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
 _PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
 _PHILOX_M_SWAP = np.ascontiguousarray(_PHILOX_M[::-1])
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_PHILOX_CHUNK = 1 << 13  # counter blocks per kernel pass; bounds the temporaries
+_PHILOX_CHUNK = 1 << 13  # counter blocks per slice of a draw; bounds the temporaries
+# Query times per bridge descent, whose arrays grow with its times times the
+# tree depth (about 55 for a non-dyadic time); two 401-point grids share one.
+_DESCENT_TIMES = 1 << 10
 
 
-def _philox_block(x: np.ndarray, y: np.ndarray, round_keys: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 on counter lanes x = (c0, c2) and y = (c1, c3), each (2, n)."""
+def _philox_block(x: np.ndarray, y: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 on lanes x = (c0, c2), overwritten, and y = (c1, c3) under ``key``."""
     lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-    for k in round_keys:
-        # high word of the 128-bit product x * M, from 32-bit halves
-        x_lo, x_hi = x & lo32, x >> s32
-        t = x_hi * _PHILOX_M_LO
+    for r in range(_PHILOX_ROUNDS):
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) with k = key + r W
+        # and (hi, lo) the 128-bit product x * M; hi from 32-bit halves, in place of x
+        lo, x_lo = x[::-1] * _PHILOX_M_SWAP, x & lo32
+        x >>= s32
+        t = x * _PHILOX_M_LO
         t += (x_lo * _PHILOX_M_LO) >> s32
-        w = x_lo * _PHILOX_M_HI
-        w += t & lo32
-        hi = x_hi * _PHILOX_M_HI
-        hi += t >> s32
-        hi += w >> s32
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
-        x, y = hi[::-1] ^ y ^ k, x[::-1] * _PHILOX_M_SWAP
+        x_lo *= _PHILOX_M_HI
+        x_lo += t & lo32
+        x *= _PHILOX_M_HI
+        x += t >> s32
+        x += x_lo >> s32
+        x, y = x[::-1] ^ y ^ (key + r * _PHILOX_W), lo
     return x, y
 
 
-def _philox_raw(key, counters: np.ndarray) -> np.ndarray:
-    """Row i is ``np.random.Philox(key=key, counter=counters[i]).random_raw(4)``.
+def _philox_raw(keys, counters: np.ndarray) -> np.ndarray:
+    """Row i is ``np.random.Philox(key=keys[i], counter=counters[i]).random_raw(4)``.
 
-    ``counters`` is (n, 4) uint64; like numpy's bit generator, the counter is
-    incremented (with carry) before the block is generated.
+    ``counters`` is (n, 4) uint64 and ``keys`` (n, 2) or one (2,); like numpy's bit
+    generator, the counter is incremented (with carry) before the block is generated.
     """
     c = np.array(counters, dtype=np.uint64).reshape(-1, 4)
     c[:, 0] += np.uint64(1)
@@ -101,35 +109,33 @@ def _philox_raw(key, counters: np.ndarray) -> np.ndarray:
     for j in (1, 2, 3):
         c[:, j] += carry
         carry &= c[:, j] == 0
-    k0, k1 = int(key[0]) & _U64, int(key[1]) & _U64
-    round_keys = np.array([[[(k0 + r * _PHILOX_W[0]) & _U64], [(k1 + r * _PHILOX_W[1]) & _U64]]
-                           for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
-    for i in range(0, c.shape[0], _PHILOX_CHUNK):
-        lanes = c[i:i + _PHILOX_CHUNK].T
-        lanes[0::2], lanes[1::2] = _philox_block(lanes[0::2].copy(), lanes[1::2].copy(),
-                                                 round_keys)
+    keys = np.broadcast_to(np.asarray(keys, dtype=np.uint64), (c.shape[0], 2))
+    lanes = c.T
+    lanes[0::2], lanes[1::2] = _philox_block(lanes[0::2].copy(), lanes[1::2].copy(), keys.T)
     return c
 
 
-def _keyed_gaussians(seed: int, index: int, purposes, node_times: np.ndarray,
+def _keyed_gaussians(seed: int, rows: np.ndarray, purposes, node_times: np.ndarray,
                      dim: int) -> np.ndarray:
-    """Standard normals keyed by (seed, index, purpose, bits of t): (nodes, purposes * dim).
+    """Standard normals keyed by (seed, row, purpose, bits of t): (nodes, purposes * dim).
 
-    Node t of purpose p uses the Philox blocks at counters (0, p, bits(t), j);
-    Box-Muller turns the words, pair by pair, into the normals
-    (r cos a, r sin a), of which the first ``dim`` are used.
+    Node t of trajectory ``rows[i]`` and purpose p uses the Philox blocks at
+    key (seed, row) and counters (0, p, bits(t), j); Box-Muller turns the
+    words, pair by pair, into the normals (r cos a, r sin a), of which the
+    first ``dim`` are used.
     """
-    shape = (node_times.size, len(purposes))
     blocks, pairs = -(-dim // 4), -(-dim // 2)
-    counters = np.zeros(shape + (blocks, 4), dtype=np.uint64)
-    counters[..., 1] = np.asarray(purposes, dtype=np.uint64)[None, :, None]
-    counters[..., 2] = node_times.view(np.uint64)[:, None, None]
-    counters[..., 3] = np.arange(blocks, dtype=np.uint64)
-    words = _philox_raw((seed, index), counters.reshape(-1, 4)).reshape(shape + (4 * blocks,))
+    # lanes (c0, c2), (c1, c3) of the incremented counters, and the keys; a column per block
+    x, y, key = np.empty((3, 2, node_times.size, len(purposes), blocks), dtype=np.uint64)
+    x[0], x[1] = 1, node_times.view(np.uint64)[:, None, None]
+    y[0], y[1] = np.asarray(purposes, dtype=np.uint64)[:, None], np.arange(blocks)
+    key[0], key[1] = seed & _U64, np.asarray(rows)[:, None, None]
+    x, y = _philox_block(x.reshape(2, -1), y.reshape(2, -1), key.reshape(2, -1))
+    words = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(node_times.size, len(purposes), -1)
     u = (words[..., :2 * pairs] >> np.uint64(11)) * 2.0 ** -53  # uniforms on [0, 1)
     radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
     angle = 2.0 * np.pi * u[..., 1::2]
-    normals = np.empty(shape + (dim,))
+    normals = np.empty((node_times.size, len(purposes), dim))
     normals[..., 0::2] = radius * np.cos(angle)
     normals[..., 1::2] = radius[..., :dim // 2] * np.sin(angle[..., :dim // 2])
     return normals.reshape(node_times.size, -1)
@@ -256,56 +262,69 @@ class DriverSpec:
         return self.z.dimension
 
 
-def _brownian_values(seed: int, index: int, purposes, horizon: float, dim: int,
+def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
                      times: np.ndarray) -> np.ndarray:
     """Standard Brownian motions W_p(t), one per purpose tag: (purposes, times, dim).
 
     Each time descends from the bracket (0, T), bridging to the midpoint s of
     its bracket, or to itself once the bracket has no float midpoint, until
-    it reaches its own node.  The Gaussian of node s is keyed by the bits of
-    s, so W(t) is a pure function of (seed, index, purpose, t).
+    it reaches its own node.  The Gaussian of node s is keyed by its time's
+    trajectory ``index`` (one per time, or one for all) and the bits of s.
     """
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= horizon)):
         raise ValueError(f"times outside [0, {horizon}]")
+    rows = np.broadcast_to(np.asarray(index).astype(np.uint64), times.shape)
     inner = (times > 0.0) & (times < horizon)
+    ends, end_of = np.unique(rows, return_inverse=True)
+    end_of = end_of.astype(np.min_scalar_type(ends.size))  # the row of a time, as a small id
 
     # pass 1: the nodes of every time, depth by depth; they depend on no value
-    steps = []
-    t = times[inner]
+    steps, owners = [], []
+    t, row = times[inner], end_of[inner]
     a, b = np.zeros(t.size), np.full(t.size, float(horizon))
     while t.size:
         m = 0.5 * (a + b)
         s = np.where((a < m) & (m < b), m, t)
-        frac, std = (s - a) / (b - a), np.sqrt((s - a) * (b - s) / (b - a))
         left, stop = t < s, s == t
         a, b = np.where(left, a, s), np.where(left, s, b)
+        steps.append((s[:, None], left[:, None], stop))
+        owners.append(row)
         if stop.any():
-            t, a, b = t[~stop], a[~stop], b[~stop]
-        steps.append((s, frac[:, None], std[:, None], left[:, None], stop))
-    visits = np.concatenate([step[0] for step in steps] + [np.array([horizon])])
-    # Each node sits at one depth, and a depth lists its nodes in time order
-    # when the times are sorted, so repeats are adjacent; a repeat left in is
-    # only drawn twice, with the same key.
-    fresh = np.concatenate([[True], visits[1:] != visits[:-1]])
-    node_ids = np.cumsum(fresh) - 1
+            t, a, b, row = t[~stop], a[~stop], b[~stop], row[~stop]
+    visits = np.concatenate([step[0][:, 0] for step in steps] + [np.full(ends.size, horizon)])
+    owners = np.concatenate(owners + [np.arange(ends.size, dtype=end_of.dtype)])
+    # Each node sits at one depth, and a depth lists its nodes in (trajectory,
+    # time) order when each trajectory's times are sorted, so repeats are
+    # adjacent; a repeat left in is only drawn twice, with the same key.
+    fresh = np.concatenate([[True], (visits[1:] != visits[:-1]) | (owners[1:] != owners[:-1])])
+    node_ids = np.cumsum(fresh, dtype=np.int32) - 1
+    visits, owners = visits[fresh], owners[fresh]
 
-    # pass 2: one keyed draw for every node
-    gauss = _keyed_gaussians(seed, index, purposes, visits[fresh], dim)
-    w_end = np.sqrt(horizon) * gauss[node_ids[-1]]
+    # pass 2: one keyed draw for every node, in slices of _PHILOX_CHUNK blocks
+    gauss = np.empty((visits.size, len(purposes) * dim))
+    step = _PHILOX_CHUNK // (len(purposes) * -(-dim // 4))
+    for lo in range(0, visits.size, step):
+        gauss[lo:lo + step] = _keyed_gaussians(seed, ends[owners[lo:lo + step]], purposes,
+                                               visits[lo:lo + step], dim)
+    w_end = np.sqrt(horizon) * gauss[node_ids[-ends.size:]]
 
     # pass 3: the bridge recursion, depth by depth
     w = np.zeros((times.size, gauss.shape[1]))
-    w[times == horizon] = w_end
+    at_end = times == horizon
+    w[at_end] = w_end[end_of[at_end]]
     pos, first = np.flatnonzero(inner), 0
-    va, vb = np.zeros((pos.size, w.shape[1])), np.repeat(w_end[None, :], pos.size, axis=0)
-    for s, frac, std, left, stop in steps:
-        vs = va + frac * (vb - va) + std * gauss[node_ids[first:first + s.size]]
-        first += s.size
+    a, b = np.zeros((pos.size, 1)), np.full((pos.size, 1), float(horizon))
+    va, vb = np.zeros((pos.size, w.shape[1])), w_end[end_of[inner]]
+    for s, left, stop in steps:
+        frac, std = (s - a) / (b - a), np.sqrt((s - a) * (b - s) / (b - a))
+        vs = va + frac * (vb - va) + std * gauss[node_ids[first:first + stop.size]]
+        first += stop.size
+        a, b = np.where(left, a, s), np.where(left, s, b)
         va, vb = np.where(left, va, vs), np.where(left, vs, vb)
         if stop.any():
             w[pos[stop]] = vs[stop]
-            pos, va, vb = pos[~stop], va[~stop], vb[~stop]
+            pos, a, b, va, vb = pos[~stop], a[~stop], b[~stop], va[~stop], vb[~stop]
     return w.reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
 
 
@@ -369,49 +388,62 @@ def _jump_arrays(times: np.ndarray, jump_times: np.ndarray, jump_sizes: np.ndarr
 
 def simulate(spec: DriverSpec, partition: Partition, seed: int,
              trajectory_index: int = 0) -> DriverRealization:
-    """Sample one (H, Z) realization, deterministic in (seed, trajectory_index).
+    """Sample one (H, Z) realization, deterministic in (seed, trajectory_index):
+    ``simulate_chunk`` of one trajectory."""
+    return simulate_chunk(spec, partition, seed, [trajectory_index])[0]
 
-    Jump times of both processes are merged into the grid.  The Brownian
-    parts of H and Z at all grid times come from one depth-batched descent
-    of the keyed bridge tree and one Philox draw for all its nodes.
-    Simulating the same trajectory on a refined partition reproduces the
-    values at all common grid points bit-for-bit; the values a seed gives
-    are fixed per ``STREAM_VERSION``.
+
+def simulate_chunk(spec: DriverSpec, partition: Partition, seed: int, indices) -> list:
+    """The realizations of trajectories ``indices`` on ``partition``, in that order.
+
+    Each trajectory's jump times are merged into its grid, and the Brownian
+    parts at all the grids' times come from one descent of the keyed bridge
+    tree per ``_DESCENT_TIMES`` times.  Item i does not depend on the chunk.
     """
-    horizon = partition.horizon
-    d = spec.dimension
-    zt, zs = _sample_jumps(spec.z, seed, trajectory_index, _TAG_Z_TIMES, _TAG_Z_SIZES, horizon)
-    ht, hs = _sample_jumps(spec.h, seed, trajectory_index, _TAG_H_TIMES, _TAG_H_SIZES, horizon)
-    times = partition.times
-    if zt.size or ht.size:
-        times = np.union1d(times, np.union1d(zt, ht))
-    grid = Partition(times)
-
+    if len(indices) == 0:
+        return []
+    horizon, d = partition.horizon, spec.dimension
+    jumps = [_sample_jumps(spec.z, seed, i, _TAG_Z_TIMES, _TAG_Z_SIZES, horizon)
+             + _sample_jumps(spec.h, seed, i, _TAG_H_TIMES, _TAG_H_SIZES, horizon)
+             for i in indices]
+    grids = [np.union1d(partition.times, np.union1d(zt, ht)) if zt.size or ht.size
+             else partition.times for zt, _, ht, _ in jumps]
     tags = [tag for tag, proc in ((_TAG_Z_BM, spec.z), (_TAG_H_BM, spec.h))
             if proc.has_brownian]
-    w = {}
-    if tags:
-        w = dict(zip(tags, _brownian_values(seed, trajectory_index, tags, horizon, d, times)))
+    queries, rows = np.concatenate(grids), np.repeat(indices, [g.size for g in grids])
+    w_all = np.empty((len(tags), queries.size, d))
+    for lo in range(0, queries.size, _DESCENT_TIMES) if tags else ():
+        hi = lo + _DESCENT_TIMES
+        w_all[:, lo:hi] = _brownian_values(seed, rows[lo:hi], tags, horizon, d, queries[lo:hi])
+    out, lo = [], 0
+    for i, times, (zt, zs, ht, hs) in zip(indices, grids, jumps):
+        w = dict(zip(tags, w_all[:, lo:lo + times.size]))
+        lo += times.size
+        grid = Partition(times)
+        z_vals = _process_values(spec.z, times, w.get(_TAG_Z_BM), zt, zs)
+        h_vals = spec.h0[None, :] + _process_values(spec.h, times, w.get(_TAG_H_BM), ht, hs)
+        out.append(DriverRealization(
+            base=partition, grid=grid, h=StepPath(grid, h_vals), z=StepPath(grid, z_vals),
+            jump_flags=np.isin(times, zt) | np.isin(times, ht),
+            jump_h=_jump_arrays(times, ht, hs, d), jump_z=_jump_arrays(times, zt, zs, d),
+            seed=seed, trajectory_index=i, spec=spec))
+    return out
 
-    z_vals = _process_values(spec.z, times, w.get(_TAG_Z_BM), zt, zs)
-    h_vals = spec.h0[None, :] + _process_values(spec.h, times, w.get(_TAG_H_BM), ht, hs)
 
-    jump_z = _jump_arrays(times, zt, zs, d)
-    jump_h = _jump_arrays(times, ht, hs, d)
-    flags = np.isin(times, zt) | np.isin(times, ht)
+def restrict(realization: DriverRealization, coarser: Partition) -> DriverRealization:
+    """The same trajectory on ``coarser``, which must lie within its grid.
 
-    return DriverRealization(
-        base=partition,
-        grid=grid,
-        h=StepPath(grid, h_vals),
-        z=StepPath(grid, z_vals),
-        jump_flags=flags,
-        jump_h=jump_h,
-        jump_z=jump_z,
-        seed=seed,
-        trajectory_index=trajectory_index,
-        spec=spec,
-    )
+    The grid keeps every jump time and each value is a function of its time
+    alone, so this equals ``simulate`` on ``coarser`` bit for bit.
+    """
+    fine = realization.grid
+    if coarser.horizon != fine.horizon or not fine.contains_times(coarser):
+        raise ValueError("coarser partition must lie within the realization's grid")
+    grid = Partition(np.union1d(coarser.times, fine.times[realization.jump_flags]))
+    pos = np.searchsorted(fine.times, grid.times)
+    rows = {k: getattr(realization, k)[pos] for k in ("jump_flags", "jump_h", "jump_z")}
+    paths = {k: StepPath(grid, getattr(realization, k).values[pos]) for k in "hz"}
+    return replace(realization, base=coarser, grid=grid, **rows, **paths)
 
 
 def refine_consistent(realization: DriverRealization, finer: Partition) -> DriverRealization:

@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 _P_THRESHOLDS = (1e-1, 1e-2)
-# Trajectories whose scheme runs are marched together; memory grows with the
-# chunk times the grid size, whatever the trajectory count.
+# Trajectories simulated at once (converge: on the reference grid, each level
+# restricted from it) and marched together; memory grows with chunk x grid size.
 _CHUNK_TRAJECTORIES = 64
 
 
@@ -169,9 +169,18 @@ class _Context:
         return reflect_halfline_oracle(y).x
 
 
+def _norm(diff: np.ndarray, axis=None):
+    """``np.linalg.norm``, or ``hypot`` where only the squares overflow (above 1e154)."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(diff, axis=axis)
+        if np.isinf(norm).any():
+            norm = np.where(np.isinf(norm), np.hypot.reduce(diff, axis=-1), norm)
+    return norm
+
+
 def _checkpoint_errors(x: StepPath, ref: StepPath, checkpoints) -> np.ndarray:
     return np.asarray([
-        float(np.linalg.norm(x.value_at(cp.time) - ref.value_at(cp.time)))
+        float(_norm(x.value_at(cp.time) - ref.value_at(cp.time)))
         for cp in checkpoints
     ])
 
@@ -179,7 +188,7 @@ def _checkpoint_errors(x: StepPath, ref: StepPath, checkpoints) -> np.ndarray:
 def _grid_sup_error(x: StepPath, ref: StepPath) -> float:
     t = x.partition.times
     diff = x.values - ref.values_at(t)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    return float(np.max(_norm(diff, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +225,7 @@ def _raise_first(errors: dict):
 
 
 def _convergence_batch(cfg: ExperimentConfig, indices):
-    from .drivers import simulate
+    from .drivers import restrict, simulate_chunk
 
     ctx = _Context(cfg)
     use_oracle = ctx.oracle_applies()
@@ -224,17 +233,16 @@ def _convergence_batch(cfg: ExperimentConfig, indices):
     for chunk in _chunks(indices):
         # run 0 is the reference, run 1 + li the level li
         errors = {}
-        fine = [simulate(ctx.driver, ctx.reference_partition, cfg.seed, i) for i in chunk]
+        fine = simulate_chunk(ctx.driver, ctx.reference_partition, cfg.seed, chunk)
         if use_oracle:
             refs = {b: ctx.oracle_solution(r) for b, r in enumerate(fine)}
         else:
             refs = _run_live(ctx.euler_chunk, fine, range(len(chunk)), errors, 0,
                              reference=True)
-        del fine
         levels = []
         live = list(refs)
         for part in ctx.partitions:
-            reals = {b: simulate(ctx.driver, part, cfg.seed, chunk[b]) for b in live}
+            reals = {b: restrict(fine[b], part) for b in live}
             levels.append(_run_live(ctx.euler_chunk, reals, live, errors, 1 + len(levels)))
             live = list(levels[-1])
         _raise_first(errors)
@@ -315,7 +323,7 @@ def run_convergence(cfg: ExperimentConfig) -> ErrorTable:
 
 
 def _compare_batch(cfg: ExperimentConfig, indices):
-    from .drivers import simulate
+    from .drivers import simulate_chunk
 
     ctx = _Context(cfg)
     cps = [cp for cp in ctx.checkpoints if cp.continuity_expected]
@@ -325,7 +333,7 @@ def _compare_batch(cfg: ExperimentConfig, indices):
         # run 0 is the reference; level li runs Yosida (1 + 2 li), then
         # modified Yosida (2 + 2 li)
         errors = {}
-        reals = [simulate(ctx.driver, ctx.partitions[-1], cfg.seed, i) for i in chunk]
+        reals = simulate_chunk(ctx.driver, ctx.partitions[-1], cfg.seed, chunk)
         refs = _run_live(ctx.euler_chunk, reals, range(len(chunk)), errors, 0,
                          reference=True)
         runs = []  # (Yosida paths, modified-Yosida paths) per level
@@ -350,7 +358,7 @@ def _compare_batch(cfg: ExperimentConfig, indices):
                 cp_y[li] = _checkpoint_errors(ys[b], ref, cps)
                 cp_m[li] = _checkpoint_errors(ms[b], ref, cps)
                 jn_vals = ctx.op.resolvent(1.0 / n_level, ys[b].values)
-                sup_jy[li] = float(np.max(np.linalg.norm(jn_vals - ref.values_at(
+                sup_jy[li] = float(np.max(_norm(jn_vals - ref.values_at(
                     ys[b].partition.times), axis=1)))
                 sup_m[li] = _grid_sup_error(ms[b], ref)
             out.append((i, cp_y, cp_m, sup_jy, sup_m))

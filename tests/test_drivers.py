@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from mmsde import (
     simulate,
     uniform_partition,
 )
-from mmsde.drivers import _PHILOX_CHUNK, _brownian_values, _philox_raw
+from mmsde.drivers import (
+    _DESCENT_TIMES,
+    _PHILOX_CHUNK,
+    _brownian_values,
+    _philox_raw,
+    restrict,
+    simulate_chunk,
+)
 
 
 def make_spec(sigma=0.0, drift=0.0, jump_rate=0.0, jump_law=None, h0=0.0, d=1):
@@ -141,6 +150,85 @@ class TestRefinementConsistency:
             refine_consistent(r, Partition(np.array([0.0, 0.3, 1.0])))
 
 
+def full_spec(d, seed=0):
+    """H and Z with full volatility matrices, drifts and jumps of their own."""
+    rng = np.random.default_rng(seed)
+    cov = rng.normal(size=(d, d))
+    z = ProcessSpec(d, rng.normal(size=(d, d)), rng.normal(size=d), 2.5,
+                    JumpLaw.gaussian(rng.normal(size=d), cov @ cov.T))
+    h = ProcessSpec(d, rng.normal(size=(d, d)), rng.normal(size=d), 1.5,
+                    JumpLaw.uniform_ball(0.4, d))
+    return DriverSpec(z=z, h=h, h0=rng.normal(size=d))
+
+
+def assert_same_realization(got, want):
+    for name in ("jump_flags", "jump_h", "jump_z"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_array_equal(got.grid.times, want.grid.times)
+    np.testing.assert_array_equal(got.base.times, want.base.times)
+    np.testing.assert_array_equal(got.h.values, want.h.values)
+    np.testing.assert_array_equal(got.z.values, want.z.values)
+    assert (got.seed, got.trajectory_index, got.spec) == (want.seed, want.trajectory_index,
+                                                          want.spec)
+
+
+class TestChunk:
+    @pytest.mark.parametrize("size", [1, 3, 64])
+    def test_rows_equal_single_runs_in_any_order(self, size):
+        spec = full_spec(2)
+        part = refine(uniform_partition(1.0, 10), 5)  # non-dyadic: deep descents
+        indices = [int(i) for i in np.random.default_rng(size).permutation(100)[:size]]
+        rows = simulate_chunk(spec, part, 77, indices)
+        if size == 64:  # the chunk spans several descents, split inside trajectories
+            assert sum(r.grid.times.size for r in rows) > 2 * _DESCENT_TIMES
+        for i, row in zip(indices, rows):
+            assert_same_realization(row, simulate(spec, part, 77, i))
+
+    def test_chunk_without_brownian_parts(self):
+        spec = make_spec(drift=0.5, jump_rate=3.0, jump_law=JumpLaw.fixed([1.0]))
+        part = uniform_partition(1.0, 7)
+        rows = simulate_chunk(spec, part, 4, [2, 0])
+        for i, row in zip([2, 0], rows):
+            assert_same_realization(row, simulate(spec, part, 4, i))
+        assert simulate_chunk(spec, part, 4, []) == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [4, 13, 100])
+    def test_restriction_equals_direct_simulation(self, d, factor):
+        spec = full_spec(d, seed=d)
+        coarse = uniform_partition(1.5, 10)
+        fine = refine(coarse, factor)
+        middle = refine(coarse, {4: 2, 13: 1, 100: 10}[factor])
+        for i, real in enumerate(simulate_chunk(spec, fine, 19, range(4))):
+            assert real.jump_flags.any()
+            for part in (coarse, middle, fine):
+                assert_same_realization(restrict(real, part), simulate(spec, part, 19, i))
+
+    def test_restriction_rejects_foreign_partitions(self):
+        real = simulate(full_spec(1), uniform_partition(1.0, 8), 3)
+        with pytest.raises(ValueError):
+            restrict(real, uniform_partition(1.0, 3))
+        with pytest.raises(ValueError):
+            restrict(real, uniform_partition(0.5, 4))
+
+    def test_descent_cap_bounds_chunk_memory(self):
+        # the reference grid of the non-dyadic half-line study: 401 times
+        spec = make_spec(sigma=1.0, jump_rate=2.0, jump_law=JumpLaw.gaussian([0.0], [[1.0]]),
+                         h0=0.5)
+        part = refine(refine(uniform_partition(1.0, 10), 10), 4)
+
+        simulate_chunk(spec, part, 5, [0])  # one-off allocations stay out of both peaks
+        peaks = []
+        for rows in (1, 64):
+            tracemalloc.start()
+            try:
+                simulate_chunk(spec, part, 5, range(rows))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+
 class TestKeyedBrownianTree:
     def test_philox_matches_numpy_bit_for_bit(self):
         rng = np.random.default_rng(4)
@@ -156,6 +244,15 @@ class TestKeyedBrownianTree:
             for row, counter in zip(got, counters):
                 want = np.random.Philox(key=key, counter=counter).random_raw(4)
                 np.testing.assert_array_equal(row, want)
+
+    def test_philox_key_per_row(self):
+        rng = np.random.default_rng(5)
+        top = np.iinfo(np.uint64).max
+        keys = rng.integers(0, top, size=(7, 2), dtype=np.uint64, endpoint=True)
+        counters = rng.integers(0, top, size=(7, 4), dtype=np.uint64, endpoint=True)
+        for row, key, counter in zip(_philox_raw(keys, counters), keys, counters):
+            np.testing.assert_array_equal(
+                row, np.random.Philox(key=key, counter=counter).random_raw(4))
 
     def test_philox_chunks_agree_with_single_blocks(self):
         n = 2 * _PHILOX_CHUNK + 5

@@ -305,3 +305,21 @@ def test_explosion_raised_is_the_first_of_the_trajectory_loop(monkeypatch, study
         messages.append((str(err.value), err.value.level, err.value.reference))
     # a chunk of one runs the trajectories in the order of the sequential loop
     assert messages[1:] == messages[:1] * 2
+
+
+def test_norm_is_numpy_norm_and_finite_where_only_the_squares_overflow():
+    v = np.random.default_rng(0).normal(size=(50, 3))
+    np.testing.assert_array_equal(harness._norm(v, axis=1), np.linalg.norm(v, axis=1))
+    assert harness._norm(v[0]) == np.linalg.norm(v[0])
+    big = np.array([[3e200, -4e200], [1.0, 2.0]])
+    np.testing.assert_allclose(harness._norm(big, axis=1), [5e200, np.sqrt(5.0)], rtol=1e-15)
+    assert harness._norm(big[0]) == pytest.approx(5e200, rel=1e-15)
+
+
+def test_compare_errors_stay_finite_on_huge_finite_paths():
+    # two modified-Yosida paths of this study reach about 6e162 without
+    # exploding: their errors are finite, though their squares overflow
+    table = compare_schemes(parse_config_text(SQUARE_STUDY.replace("levels = 4 64",
+                                                                    "levels = 4 16")))
+    assert all(math.isfinite(r.sup_err) for r in table.rows)
+    assert max(r.sup_err for r in table.select(scheme="modified_yosida")) > 1e154
