@@ -50,7 +50,6 @@ from .drivers import (
     DriverSpec,
     DriverRealization,
     simulate,
-    refine_consistent,
     from_step_paths,
 )
 from .schemes import (

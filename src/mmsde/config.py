@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drivers import _POISSON_MEAN_MAX, DriverSpec, JumpLaw, ProcessSpec
+from .drivers import DriverSpec, JumpLaw, ProcessSpec
 from .errors import ConfigError
 from .operators import (
     MonotoneOperator,
@@ -60,6 +60,12 @@ __all__ = [
 class Checkpoint:
     time: float
     continuity_expected: bool = True
+
+
+# Bound on a trajectory's expected jump count, jump_rate x horizon, per interval
+# of the reference grid: every jump time joins the grids and adds to each run's
+# cost.  It also keeps the mean below numpy's Poisson limit (about 9.2e18).
+_JUMPS_PER_INTERVAL = 16
 
 
 @dataclass(frozen=True)
@@ -117,10 +123,11 @@ class ExperimentConfig:
         build_projection(self.projection)
         build_coefficient(self.coefficient, op.dimension)
         driver = build_driver(self.driver, op.dimension)
+        intervals = self.levels[-1] * self.reference_refine
         for prefix, proc in zip(_PREFIXES, (driver.z, driver.h)):
-            if proc.jump_rate * self.horizon > _POISSON_MEAN_MAX:
+            if proc.jump_rate * self.horizon > _JUMPS_PER_INTERVAL * intervals:
                 raise ConfigError(f"driver.{prefix}jump_rate", f"rate x horizon exceeds "
-                                  f"{_POISSON_MEAN_MAX:.6g}, numpy's largest Poisson mean")
+                                  f"{_JUMPS_PER_INTERVAL} x the {intervals} reference intervals")
         return self
 
     def with_overrides(self, **kw) -> "ExperimentConfig":

@@ -38,16 +38,12 @@ __all__ = [
     "simulate",
     "simulate_chunk",
     "restrict",
-    "refine_consistent",
     "from_step_paths",
 ]
 
 STREAM_VERSION = 2
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-# The largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX); the
-# jump count over [0, T] has mean jump_rate * T.
-_POISSON_MEAN_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 # purpose tags for substreams
 _TAG_Z_TIMES = 1
@@ -444,39 +440,6 @@ def restrict(realization: DriverRealization, coarser: Partition) -> DriverRealiz
     rows = {k: getattr(realization, k)[pos] for k in ("jump_flags", "jump_h", "jump_z")}
     paths = {k: StepPath(grid, getattr(realization, k).values[pos]) for k in "hz"}
     return replace(realization, base=coarser, grid=grid, **rows, **paths)
-
-
-def refine_consistent(realization: DriverRealization, finer: Partition) -> DriverRealization:
-    """Re-realize the same trajectory on a finer partition.
-
-    Coarse grid points and jump times keep their values bit-exactly; interior
-    Brownian values come from the keyed bridge construction.  ``finer`` must
-    contain every base partition point.
-    """
-    if not finer.contains_times(realization.base):
-        raise ValueError("finer partition must contain all coarse grid points")
-    if realization.spec is not None:
-        return simulate(realization.spec, finer, realization.seed,
-                        realization.trajectory_index)
-    # path-backed realization: re-grid by right-continuous evaluation
-    if not finer.contains_times(realization.grid):
-        raise ValueError("finer partition must contain all jump times of the paths")
-    times = finer.times
-    h = StepPath(finer, realization.h.values_at(times))
-    z = StepPath(finer, realization.z.values_at(times))
-    pos = np.searchsorted(times, realization.grid.times)
-    jump_h = np.zeros((times.size, realization.dimension))
-    jump_z = np.zeros_like(jump_h)
-    jump_h[pos] = realization.jump_h
-    jump_z[pos] = realization.jump_z
-    flags = np.zeros(times.size, dtype=bool)
-    flags[pos] = realization.jump_flags
-    return DriverRealization(
-        base=finer, grid=finer, h=h, z=z, jump_flags=flags,
-        jump_h=jump_h, jump_z=jump_z,
-        seed=realization.seed, trajectory_index=realization.trajectory_index,
-        spec=None,
-    )
 
 
 def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:

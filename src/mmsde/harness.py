@@ -26,12 +26,11 @@ from .operators import DEFAULT_DOMAIN_TOL, resolve, row_norm, yosida_a, yosida_j
 from .paths import StepPath, refine, uniform_partition
 from .projections import project_classical
 from .schemes import (
+    _yosida_chunk,
     euler_chunk,
     euler_scheme,
-    modified_yosida_chunk,
     modified_yosida_scheme,
     resolvent_of_yosida_step,
-    yosida_chunk,
     yosida_scheme,
 )
 from .skorokhod import (
@@ -52,7 +51,8 @@ __all__ = [
 
 _P_THRESHOLDS = (1e-1, 1e-2)
 # Trajectories simulated at once (converge: on the reference grid, each level
-# restricted from it) and marched together; memory grows with chunk x grid size.
+# restricted from it) and marched together, each level or (scheme, n) as more
+# rows; memory grows with chunk x runs x grid size.
 _CHUNK_TRAJECTORIES = 64
 
 
@@ -200,23 +200,24 @@ def _chunks(indices):
         yield indices[lo:lo + _CHUNK_TRAJECTORIES]
 
 
-def _run_live(run_chunk, reals, live, errors: dict, run: int,
-              reference: bool = False) -> dict:
-    """Paths x of ``run_chunk`` on ``reals[b]`` for the live chunk positions b.
+def _run_rows(outputs, reals, width: int, errors: dict, first_run: int = 0) -> list:
+    """Per run, the paths x of a march whose row r (on ``reals[r]``) is run
+    ``first_run + r // width`` of chunk position ``r % width``.
 
-    A position whose run exploded gets no path; its ExplosionError, with the
-    run's level, goes to ``errors[(position, run)]``.  Runs are numbered in
-    the order the per-trajectory loop makes them, so the smallest key names
-    the error that loop would have raised first.
+    An exploded run's path is None, and its ExplosionError, with the run's
+    level, goes to ``errors[(position, run)]``.  Runs are numbered in the
+    order of the per-trajectory loop (run 0, the reference, first), so the
+    smallest key names the error that loop would have raised first.
     """
-    live_reals = [reals[b] for b in live]
-    paths = {}
-    for b, realization, res in zip(live, live_reals, run_chunk(live_reals)):
+    paths = []
+    for r, (realization, res) in enumerate(zip(reals, outputs)):
+        b, run = r % width, first_run + r // width
         if isinstance(res, ExplosionError):
-            errors[(b, run)] = res.at_level(realization.base.times.size - 1, reference)
+            errors[(b, run)] = res.at_level(realization.base.times.size - 1, run == 0)
+            paths.append(None)
         else:
-            paths[b] = res.x
-    return paths
+            paths.append(res.x)
+    return [paths[lo:lo + width] for lo in range(0, len(paths), width)]
 
 
 def _raise_first(errors: dict):
@@ -231,25 +232,24 @@ def _convergence_batch(cfg: ExperimentConfig, indices):
     use_oracle = ctx.oracle_applies()
     out = []
     for chunk in _chunks(indices):
-        # run 0 is the reference, run 1 + li the level li
+        # one march: run 0, the reference (unless the oracle gives it), then
+        # run 1 + li, the level li read off the same realization
         errors = {}
         fine = simulate_chunk(ctx.driver, ctx.reference_partition, cfg.seed, chunk)
-        if use_oracle:
-            refs = {b: ctx.oracle_solution(r) for b, r in enumerate(fine)}
-        else:
-            refs = _run_live(ctx.euler_chunk, fine, range(len(chunk)), errors, 0,
-                             reference=True)
-        levels = []
-        live = list(refs)
+        reals = [] if use_oracle else list(fine)
         for part in ctx.partitions:
-            reals = {b: restrict(fine[b], part) for b in live}
-            levels.append(_run_live(ctx.euler_chunk, reals, live, errors, 1 + len(levels)))
-            live = list(levels[-1])
+            reals.extend(restrict(r, part) for r in fine)
+        runs = _run_rows(ctx.euler_chunk(reals), reals, len(chunk), errors,
+                         first_run=int(use_oracle))
         _raise_first(errors)
+        if use_oracle:
+            refs = [ctx.oracle_solution(r) for r in fine]
+        else:
+            refs, *runs = runs
         for b, i in enumerate(chunk):
             cp_err = np.stack([_checkpoint_errors(xs[b], refs[b], ctx.checkpoints)
-                               for xs in levels])
-            sup_err = np.array([_grid_sup_error(xs[b], refs[b]) for xs in levels])
+                               for xs in runs])
+            sup_err = np.array([_grid_sup_error(xs[b], refs[b]) for xs in runs])
             out.append((i, cp_err, sup_err))
     return out
 
@@ -293,12 +293,13 @@ def _aggregate_rows(level: int, scheme: str, checkpoints, cp_err: np.ndarray,
 def run_convergence(cfg: ExperimentConfig) -> ErrorTable:
     """Euler-scheme errors across partition levels, aggregated per checkpoint.
 
-    Each trajectory uses one driver realization consistently refined across
-    levels.  The reference is the closed-form half-line reflection of the
-    driving input on a refined grid when it applies (one-dimensional
-    half-line operator, classical projection, constant coefficient), and
-    otherwise the scheme itself on the refined grid (self-reference, labelled
-    in the table header).
+    Each trajectory uses one driver realization on the reference grid, and
+    every level reads its own off it (``drivers.restrict``).  The reference is
+    the closed-form half-line reflection of the driving input on that grid when
+    it applies (one-dimensional half-line operator, classical projection,
+    constant coefficient), and otherwise the scheme itself on it
+    (self-reference, labelled in the table header).  A chunk of trajectories
+    runs its reference and every level as the rows of one Euler march.
     """
     cfg.validate()
     ctx = _Context(cfg)
@@ -330,23 +331,17 @@ def _compare_batch(cfg: ExperimentConfig, indices):
     n_lv = len(cfg.yosida_levels)
     out = []
     for chunk in _chunks(indices):
-        # run 0 is the reference; level li runs Yosida (1 + 2 li), then
-        # modified Yosida (2 + 2 li)
+        # run 0 is the reference; one march then runs Yosida (1 + 2 li) and
+        # modified Yosida (2 + 2 li) at every level li
         errors = {}
         reals = simulate_chunk(ctx.driver, ctx.partitions[-1], cfg.seed, chunk)
-        refs = _run_live(ctx.euler_chunk, reals, range(len(chunk)), errors, 0,
-                         reference=True)
-        runs = []  # (Yosida paths, modified-Yosida paths) per level
-        live = list(refs)
-        for n_level in cfg.yosida_levels:
-            ys = _run_live(lambda rs: yosida_chunk(ctx.op, n_level, ctx.coeff, rs,
-                                                   cfg.drift_substeps),
-                           reals, live, errors, 1 + 2 * len(runs))
-            ms = _run_live(lambda rs: modified_yosida_chunk(ctx.op, ctx.proj, n_level,
-                                                            ctx.coeff, rs, cfg.drift_substeps),
-                           reals, list(ys), errors, 2 + 2 * len(runs))
-            live = list(ms)
-            runs.append((ys, ms))
+        [refs] = _run_rows(ctx.euler_chunk(reals), reals, len(chunk), errors)
+        rows = reals * (2 * n_lv)
+        levels = np.repeat(cfg.yosida_levels, 2 * len(chunk))
+        schemes = np.repeat(np.tile(["yosida", "modified_yosida"], n_lv), len(chunk))
+        outs = _yosida_chunk(ctx.op, ctx.proj, levels, ctx.coeff, rows,
+                             cfg.drift_substeps, schemes)
+        runs = _run_rows(outs, rows, len(chunk), errors, first_run=1)
         _raise_first(errors)
         for b, i in enumerate(chunk):
             ref = refs[b]
@@ -354,13 +349,14 @@ def _compare_batch(cfg: ExperimentConfig, indices):
             cp_m = np.empty((n_lv, len(cps)))
             sup_jy = np.empty(n_lv)
             sup_m = np.empty(n_lv)
-            for li, (n_level, (ys, ms)) in enumerate(zip(cfg.yosida_levels, runs)):
-                cp_y[li] = _checkpoint_errors(ys[b], ref, cps)
-                cp_m[li] = _checkpoint_errors(ms[b], ref, cps)
-                jn_vals = ctx.op.resolvent(1.0 / n_level, ys[b].values)
+            for li, n_level in enumerate(cfg.yosida_levels):
+                ys, ms = runs[2 * li][b], runs[2 * li + 1][b]
+                cp_y[li] = _checkpoint_errors(ys, ref, cps)
+                cp_m[li] = _checkpoint_errors(ms, ref, cps)
+                jn_vals = ctx.op.resolvent(1.0 / n_level, ys.values)
                 sup_jy[li] = float(np.max(_norm(jn_vals - ref.values_at(
-                    ys[b].partition.times), axis=1)))
-                sup_m[li] = _grid_sup_error(ms[b], ref)
+                    ys.partition.times), axis=1)))
+                sup_m[li] = _grid_sup_error(ms, ref)
             out.append((i, cp_y, cp_m, sup_jy, sup_m))
     return out
 
@@ -372,7 +368,9 @@ def compare_schemes(cfg: ExperimentConfig) -> ErrorTable:
     (mesh fine relative to the largest stiffness).  Yosida rows report
     pointwise errors at continuity checkpoints and the sup error of the
     resolvent-smoothed iterates J_n(X^n); modified-Yosida rows report the
-    plain sup error, which is the mode in which that scheme converges.
+    plain sup error, which is the mode in which that scheme converges.  A
+    chunk of trajectories takes two marches: the Euler reference, then both
+    Yosida schemes at every level n, one row per (scheme, n, trajectory).
     """
     cfg.validate()
     if not cfg.yosida_levels:

@@ -428,6 +428,31 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
     nrm2 = np.einsum("ij,ij->i", normals, normals)
     faces = [_halfspace_projector(a, b, a2) for a, b, a2 in zip(normals, offsets, nrm2)]
 
+    gram_pinv = {}  # per set of faces, the pseudo-inverse of its Gram matrix
+
+    def polish(z, x):
+        """Project z exactly onto the faces within ``dykstra_tol`` of the Dykstra
+        point x, where the multipliers are >= 0 and the result is feasible (the
+        KKT conditions); near a vertex Dykstra stops about 1e-11 short."""
+        active = np.matvec(normals, x) - offsets > -dykstra_tol
+        groups = {}
+        for r, tight in enumerate(active):
+            groups.setdefault(tight.tobytes(), []).append(r)
+        for key, rows in groups.items():
+            tight = active[rows[0]]
+            if not tight.any():
+                continue
+            rows = np.array(rows)
+            a = normals[tight]
+            if key not in gram_pinv:
+                gram_pinv[key] = np.linalg.pinv(a @ a.T)
+            mult = np.matvec(gram_pinv[key], np.matvec(a, z[rows]) - offsets[tight])
+            near = z[rows] - mult @ a
+            ok = ((mult >= 0.0).all(axis=-1)
+                  & (np.matvec(normals, near) <= offsets + dykstra_tol).all(axis=-1))
+            x[rows[ok]] = near[ok]
+        return x
+
     def project(z):
         outside = ~(np.matvec(normals, z) <= offsets).all(axis=-1)
         if not np.count_nonzero(outside):
@@ -435,7 +460,7 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
         # sweep the rows outside together; each stops on its own sweep shift
         out = np.array(z, dtype=float, ndmin=2)
         live = np.flatnonzero(outside)
-        x = out[live]
+        z_out = x = out[live]
         corrections = [np.zeros_like(x)] * len(faces)
         for _ in range(dykstra_max_iter):
             shift = 0.0
@@ -449,6 +474,8 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
             n_done = np.count_nonzero(done)
             if n_done == done.size:
                 out[live] = x
+                rows = np.flatnonzero(outside)
+                out[rows] = polish(z_out, out[rows])
                 return out.reshape(np.shape(z))
             if n_done:
                 out[live[done]] = x[done]

@@ -59,10 +59,6 @@ class Partition:
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
 
-    @property
-    def n_intervals(self) -> int:
-        return self.times.size - 1
-
     def same_times(self, other: "Partition") -> bool:
         return self.times.size == other.times.size and bool(
             np.all(self.times == other.times)
@@ -139,14 +135,6 @@ class StepPath:
         if self.dimension != other.dimension:
             raise ValueError("paths have different dimensions")
 
-    def __add__(self, other: "StepPath") -> "StepPath":
-        self._check_compatible(other)
-        return StepPath(self.partition, self.values + other.values)
-
-    def __sub__(self, other: "StepPath") -> "StepPath":
-        self._check_compatible(other)
-        return StepPath(self.partition, self.values - other.values)
-
 
 @dataclass(frozen=True, eq=False)
 class BVDecomposition:
@@ -168,11 +156,6 @@ class BVDecomposition:
         resid = self.total.values - (self.continuous.values + self.jump.values)
         if np.any(resid != 0.0):
             raise ValueError("total != continuous + jump")
-
-    @property
-    def interval_variation(self) -> np.ndarray:
-        """Norm of the increment of ``total`` over each grid interval."""
-        return np.linalg.norm(np.diff(self.total.values, axis=0), axis=1)
 
 
 def uniform_partition(horizon: float, n: int) -> Partition:

@@ -21,12 +21,13 @@ uses, which accumulates k and builds the output paths:
   back before the drift step, which restores sup-norm convergence under
   general non-expansive projections.
 
-Each scheme has one body, which runs a chunk of realizations at once
-(``euler_chunk``, ``yosida_chunk``, ``modified_yosida_chunk``): the march
-steps each realization on its own grid, with its own step sizes, so row i of
-a chunk equals the single-realization call on realization i bit for bit (a
-``linear`` operator's rows are promised to 1e-15 of the row's norm, the
-tolerance of its batched resolvent).  A single realization is a chunk of one.
+Each scheme body runs a chunk of realizations in one march (``euler_chunk``;
+``_yosida_chunk`` behind ``yosida_chunk`` and ``modified_yosida_chunk``, with
+one level n per row and Yosida and modified-Yosida rows mixed): each row steps
+on its own grid with its own step sizes and n, so row i of a chunk equals the
+single-realization call on realization i bit for bit (a ``linear`` operator's
+rows are promised to 1e-15 of the row's norm, the tolerance of its batched
+resolvent).  A single realization is a chunk of one.
 
 Every scheme runs the coefficient as given.  A coefficient without linear
 growth may explode: a step whose driven increment dH + f(x) dZ is not finite
@@ -193,10 +194,11 @@ def _checked_starts(op: MonotoneOperator, realizations) -> np.ndarray:
     return h0
 
 
-def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, scheme: str,
-               params: dict, scheme_step) -> list:
-    """March a chunk of realizations through one scheme.
+def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
+               scheme_step) -> list:
+    """March a chunk of realizations through one scheme body.
 
+    ``labels`` gives each realization the (scheme name, params) of its output.
     ``scheme_step(key, dt, prev, dy)`` maps the states ``prev`` and driven
     increments ``dy`` of the stepping rows to the ``_march`` step outputs;
     ``key`` indexes the realizations' grid points laid end to end.  The driven
@@ -246,7 +248,8 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, scheme: s
 
     marched = _march(grids, h0, step)
     out = []
-    for b, (r, lo, res) in enumerate(zip(realizations, starts.tolist(), marched)):
+    for b, (r, lo, res, (scheme, params)) in enumerate(
+            zip(realizations, starts.tolist(), marched, labels)):
         if res is None:
             out.append(errors[b])
             continue
@@ -276,8 +279,9 @@ def euler_chunk(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     Returns, per realization, its SchemeOutput, or the ExplosionError that
     ``euler_scheme`` would raise on it.
     """
+    labels = [("euler", {"flow_substeps": flow_substeps})] * len(realizations)
     return _run_chunk(
-        op, coeff, realizations, "euler", {"flow_substeps": flow_substeps},
+        op, coeff, realizations, labels,
         lambda key, dt, prev, dy: _sp_step(op, proj, prev, dy, dt, flow_substeps))
 
 
@@ -316,20 +320,31 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
     return w * np.asarray(x, dtype=float) + (1.0 - w) * j
 
 
-def _yosida_chunk(op: MonotoneOperator, proj: Projection | None, n_level: float,
+def _yosida_chunk(op: MonotoneOperator, proj: Projection | None, n_level,
                   coeff: Coefficient, realizations, drift_substeps: int,
-                  scheme: str) -> list:
-    if not (n_level >= 1):
+                  scheme) -> list:
+    """Both Yosida schemes on a chunk in one march.  ``n_level`` and ``scheme``
+    ("yosida" or "modified_yosida") are each one value or one per realization:
+    a Yosida row is a modified-Yosida row whose large-jump correction never
+    fires, and each row's threshold and drift step 1/n are its own."""
+    levels = np.asarray(n_level, dtype=float)
+    if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
-    lam = 1.0 / float(n_level)
-    threshold = 1.0 / float(n_level)
+    size = len(realizations)
+    levels = np.broadcast_to(levels, (size,))
+    schemes = np.broadcast_to(scheme, (size,)).tolist()
+    modified = np.asarray(schemes) == "modified_yosida"
+    # per grid point, the realizations' grids laid end to end
+    counts = [r.grid.times.size for r in realizations]
+    lam = np.repeat(1.0 / levels, counts)
     correct = None
-    if scheme == "modified_yosida" and realizations:
+    if modified.any():
         # the grid points where the driver genuinely jumps by more than 1/n
         jump_h = np.concatenate([r.jump_h for r in realizations])
         jump_z = np.concatenate([r.jump_z for r in realizations])
         correct = (np.concatenate([r.jump_flags for r in realizations])
-                   & (np.maximum(row_norm(jump_h), row_norm(jump_z)) > threshold))
+                   & np.repeat(modified, counts)
+                   & (np.maximum(row_norm(jump_h), row_norm(jump_z)) > lam))
 
     def step(key, dt, prev, dy):
         state = prev + dy
@@ -343,29 +358,31 @@ def _yosida_chunk(op: MonotoneOperator, proj: Projection | None, n_level: float,
                 dkd[fix] = w - corrected
                 state[fix] = corrected
         pre_drift = state
-        step_size = lam + dt / drift_substeps
-        w = (lam / step_size)[:, None]
+        lam_k = lam[key]
+        step_size = lam_k + dt / drift_substeps
+        w = (lam_k / step_size)[:, None]
         for _ in range(drift_substeps):
             state = w * state + (1.0 - w) * np.asarray(op.resolvent(step_size, state), dtype=float)
         # no flow between grid points: the left limit at t_j is prev
         return prev, state, pre_drift - state, dkd
 
-    params = {"n": n_level, "drift_substeps": drift_substeps}
-    return _run_chunk(op, coeff, realizations, scheme, params, step)
+    labels = [(s, {"n": float(n), "drift_substeps": drift_substeps})
+              for s, n in zip(schemes, levels.tolist())]
+    return _run_chunk(op, coeff, realizations, labels, step)
 
 
-def yosida_chunk(op: MonotoneOperator, n: float, coeff: Coefficient, realizations,
+def yosida_chunk(op: MonotoneOperator, n, coeff: Coefficient, realizations,
                  drift_substeps: int = 1) -> list:
-    """``yosida_scheme`` on each realization of a chunk, marched together;
-    returns per realization its SchemeOutput or its ExplosionError."""
+    """``yosida_scheme`` at level n (one, or one per realization) on each
+    realization, marched together: its SchemeOutput or ExplosionError."""
     return _yosida_chunk(op, None, n, coeff, realizations, drift_substeps, "yosida")
 
 
-def modified_yosida_chunk(op: MonotoneOperator, proj: Projection, n: float,
+def modified_yosida_chunk(op: MonotoneOperator, proj: Projection, n,
                           coeff: Coefficient, realizations,
                           drift_substeps: int = 1) -> list:
-    """``modified_yosida_scheme`` on each realization of a chunk, marched
-    together; returns per realization its SchemeOutput or its ExplosionError."""
+    """``modified_yosida_scheme`` at level n (one, or one per realization) on
+    each realization, marched together: its SchemeOutput or ExplosionError."""
     return _yosida_chunk(op, proj, n, coeff, realizations, drift_substeps,
                          "modified_yosida")
 

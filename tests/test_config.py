@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mmsde.drivers as drivers
 from mmsde.cli import EXIT_CONFIG, main
 from mmsde.config import (
     build_coefficient,
@@ -8,6 +9,7 @@ from mmsde.config import (
     build_projection,
     parse_config_text,
 )
+from mmsde.errors import ConfigError
 
 
 def test_matrix_rows_separated_by_spaced_semicolon():
@@ -76,8 +78,9 @@ MALFORMED = [
     ("[driver]\njump_rate = nan\n", "driver.z_process"),
     ("[driver]\njump_rate = inf\n", "driver.z_process"),
     ("[driver]\nh_jump_rate = inf\n", "driver.h_process"),
-    # jump_rate x horizon above the largest mean numpy's Poisson sampler takes;
-    # a third entry is the test id where the field alone would repeat one
+    # jump_rate x horizon above the jump-count bound, here even above the
+    # largest mean numpy's Poisson sampler takes; a third entry is the test id
+    # where the field alone would repeat one
     ("[driver]\njump_rate = 1e20\njump_law = fixed\njump_value = 1\n", "driver.jump_rate",
      "driver.jump_rate-poisson-max"),
     ("[driver]\nh_jump_rate = 1e20\nh_jump_law = gaussian\n", "driver.h_jump_rate"),
@@ -95,6 +98,37 @@ def test_malformed_config_names_its_field_and_exits_2(tmp_path, capsys, text, fi
     assert main(["converge", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
     assert not out.exists()
+
+
+JUMPY = """
+[driver]
+{prefix}jump_rate = {rate}
+{prefix}jump_law = gaussian
+
+[experiment]
+levels = 4 8
+reference_refine = 2
+horizon = 2
+"""
+
+
+@pytest.mark.parametrize("prefix", ["", "h_"])
+def test_jump_count_is_bounded_by_the_reference_grid(tmp_path, capsys, monkeypatch, prefix):
+    # 16 intervals on the reference grid: at most 16 x 16 expected jumps over [0, 2]
+    assert parse_config_text(JUMPY.format(prefix=prefix, rate=128)).validate()
+    with pytest.raises(ConfigError, match=f"driver.{prefix}jump_rate"):
+        parse_config_text(JUMPY.format(prefix=prefix, rate=128.5)).validate()
+
+    # a rate far below numpy's Poisson limit is refused before any jump time is drawn
+    def never(*args):
+        raise AssertionError("jump times sampled")
+
+    monkeypatch.setattr(drivers, "_sample_jumps", never)
+    config = tmp_path / "jumpy.ini"
+    config.write_text(JUMPY.format(prefix=prefix, rate=1e12), encoding="utf-8")
+    assert main(["converge", "--config", str(config), "--out", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: driver.{prefix}jump_rate: ")
 
 
 # (INI text, section, the literal section dict); generated before the config

@@ -12,7 +12,6 @@ from mmsde import (
     StepPath,
     from_step_paths,
     refine,
-    refine_consistent,
     simulate,
     uniform_partition,
 )
@@ -107,11 +106,13 @@ class TestSimulate:
 
 
 class TestRefinementConsistency:
+    # a finer partition is simulated directly and read back with ``restrict``
     def test_same_partition_is_identity(self):
         spec = make_spec(sigma=1.0, jump_rate=2.0, jump_law=JumpLaw.fixed([0.3]))
         part = uniform_partition(1.0, 8)
         r = simulate(spec, part, seed=7)
-        r2 = refine_consistent(r, part)
+        r2 = restrict(r, part)
+        np.testing.assert_array_equal(r.grid.times, r2.grid.times)
         np.testing.assert_array_equal(r.z.values, r2.z.values)
 
     def test_coarse_points_preserved_bit_exactly(self):
@@ -119,12 +120,15 @@ class TestRefinementConsistency:
                          jump_law=JumpLaw.gaussian([0.1], [[0.09]]))
         part = uniform_partition(1.0, 8)
         r = simulate(spec, part, seed=23, trajectory_index=9)
-        fine = refine_consistent(r, refine(part, 4))
+        fine = simulate(spec, refine(part, 4), seed=23, trajectory_index=9)
         coarse = {t: v for t, v in zip(r.grid.times, r.z.values[:, 0])}
         fine_map = {t: v for t, v in zip(fine.grid.times, fine.z.values[:, 0])}
         for t, v in coarse.items():
             assert t in fine_map
             assert fine_map[t] == v  # bit-exact
+        back = restrict(fine, part)
+        np.testing.assert_array_equal(back.grid.times, r.grid.times)
+        np.testing.assert_array_equal(back.z.values, r.z.values)
 
     def test_direct_simulation_at_finer_grid_agrees(self):
         spec = make_spec(sigma=1.0, jump_rate=1.0, jump_law=JumpLaw.fixed([-0.4]))
@@ -139,15 +143,16 @@ class TestRefinementConsistency:
 
     def test_drift_only_refines_to_exact_line(self):
         spec = make_spec(drift=2.0)
-        r = simulate(spec, uniform_partition(1.0, 4), seed=1)
-        fine = refine_consistent(r, uniform_partition(1.0, 16))
-        np.testing.assert_allclose(fine.z.values.ravel(), 2.0 * fine.grid.times)
+        r = simulate(spec, uniform_partition(1.0, 16), seed=1)
+        coarse = restrict(r, uniform_partition(1.0, 4))
+        np.testing.assert_allclose(r.z.values.ravel(), 2.0 * r.grid.times)
+        np.testing.assert_array_equal(coarse.z.values, r.z.values[::4])
 
     def test_rejects_non_superset(self):
         spec = make_spec(sigma=1.0)
         r = simulate(spec, uniform_partition(1.0, 8), seed=2)
         with pytest.raises(ValueError):
-            refine_consistent(r, Partition(np.array([0.0, 0.3, 1.0])))
+            restrict(r, Partition(np.array([0.0, 0.3, 1.0])))
 
 
 def full_spec(d, seed=0):
@@ -342,13 +347,3 @@ class TestStepPathBackedDrivers:
         z = StepPath(part, np.array([0.5, 0.5, 0.5]))
         with pytest.raises(ValueError):
             from_step_paths(h, z)
-
-    def test_regridding_keeps_jumps(self):
-        part = uniform_partition(1.0, 4)
-        h = StepPath(part, np.zeros(5))
-        z = StepPath(part, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
-        r = from_step_paths(h, z)
-        fine = refine_consistent(r, refine(part, 2))
-        idx = np.flatnonzero(fine.jump_flags)
-        assert fine.grid.times[idx] == pytest.approx([0.25])
-        np.testing.assert_allclose(fine.jump_z[idx[0]], [1.0])

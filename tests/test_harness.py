@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmsde.harness as harness
+import mmsde.schemes as schemes
 from mmsde import resolve
 from mmsde.config import build_driver, parse_config_text
 from mmsde.drivers import simulate
@@ -19,6 +20,7 @@ from mmsde.harness import (
 from mmsde.operators import row_norm
 from mmsde.paths import refine, uniform_partition
 from mmsde.schemes import (
+    _yosida_chunk,
     euler_chunk,
     euler_scheme,
     modified_yosida_chunk,
@@ -108,6 +110,17 @@ def test_verify_passes_every_check_on_every_zoo_kind(operator, projection):
     assert all(math.isfinite(res.worst) for res in report.values())
 
 
+@pytest.mark.parametrize("seed", [24, 36, 38])
+def test_verify_passes_a_triangle_near_its_vertices(seed):
+    # Dykstra alone stops about 1e-11 short of a vertex, and A_n at n = 100
+    # scaled that past the Yosida tolerances on these seeds
+    cfg = parse_config_text("[operator]\nkind = polyhedron\n"
+                            "constraints = 1 -1 : 0; -1 -1 : 0; 0 1 : 2\n\n"
+                            f"[projection]\nkind = classical\n\n[experiment]\nseed = {seed}\n")
+    report = verify_suite(cfg, samples=40)
+    assert [name for name, res in report.items() if not res.passed] == []
+
+
 @pytest.mark.parametrize("operator", ["halfspace-2d", "box", "polyhedron"])
 def test_verify_fails_an_expanding_projection(operator):
     seen = []
@@ -185,7 +198,25 @@ def chunk_runs(name):
         "modified_yosida": (
             lambda rs: modified_yosida_chunk(ctx.op, ctx.proj, n, ctx.coeff, rs, m),
             lambda r: modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, m)),
+        # one level and Yosida scheme per row, as compare marches them
+        "mixed_yosida": (
+            lambda rs: _yosida_chunk(ctx.op, ctx.proj, [mixed_row(r)[0] for r in rs],
+                                     ctx.coeff, rs, m, [mixed_row(r)[1] for r in rs]),
+            lambda r: mixed_single(ctx, r, m)),
     }
+
+
+def mixed_row(r):
+    """The Yosida level and scheme of realization r in a mixed chunk."""
+    i = r.trajectory_index
+    return (2.5, 4, 4, 16, 1)[i], ("yosida", "modified_yosida")[i % 2]
+
+
+def mixed_single(ctx, r, m):
+    n, scheme = mixed_row(r)
+    if scheme == "yosida":
+        return yosida_scheme(ctx.op, n, ctx.coeff, r, m)
+    return modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, m)
 
 
 def assert_same_path(name, got, want):
@@ -197,7 +228,7 @@ def assert_same_path(name, got, want):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
+@pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida", "mixed_yosida"])
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_chunk_rows_equal_single_realization_runs(name, scheme):
     ctx, reals, runs = chunk_runs(name)
@@ -208,6 +239,10 @@ def test_chunk_rows_equal_single_realization_runs(name, scheme):
         one = single(r)
         assert out.realization is r and out.scheme == one.scheme
         assert out.params == one.params
+        if scheme == "mixed_yosida":
+            n, kind = mixed_row(r)
+            assert out.scheme == kind
+            assert type(out.params["n"]) is float and out.params["n"] == n
         for got, want in [(out.x.values, one.x.values), (out.y.values, one.y.values),
                           (out.k.continuous.values, one.k.continuous.values),
                           (out.k.jump.values, one.k.jump.values),
@@ -247,6 +282,30 @@ def test_per_row_step_is_checked(zoo):
     for bad in (0.0, np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="resolvent step"):
             resolve(zoo["linear2"], np.array([0.1, bad]), z)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 64])
+@pytest.mark.parametrize("study, text, marches", [
+    (run_convergence, HALFLINE_NON_DYADIC, 1),
+    (run_convergence, STUDIES["box"], 1),
+    (compare_schemes, HALFLINE_NON_DYADIC, 2),
+    (compare_schemes, STUDIES["box"], 2),
+], ids=["converge-oracle", "converge-self", "compare-halfline", "compare-box"])
+def test_each_chunk_is_marched_once_per_scheme_body(monkeypatch, study, text, marches, cap):
+    # converge marches the reference and every level together; compare marches
+    # the Euler reference, then every Yosida level of both schemes
+    calls = []
+
+    def counted(grids, x0, step):
+        calls.append(len(grids))
+        return march(grids, x0, step)
+
+    march = schemes._march
+    monkeypatch.setattr(schemes, "_march", counted)
+    monkeypatch.setattr(harness, "_CHUNK_TRAJECTORIES", cap)
+    cfg = parse_config_text(text)
+    study(cfg)
+    assert len(calls) == marches * -(-cfg.trajectories // cap)
 
 
 SQUARE_STUDY = """

@@ -267,6 +267,17 @@ class TestConstructors:
         inside = np.array([0.25, 0.8])
         np.testing.assert_array_equal(op.domain_projection(inside), inside)
 
+    def test_polyhedron_projection_lands_on_a_vertex(self):
+        # triangle with vertices (0, 0), (2, 2), (-2, 2): each point lies in the
+        # normal cone of a vertex; Dykstra alone stops about 2e-11 short of it
+        op = indicator_polyhedron([([1.0, -1.0], 0.0), ([-1.0, -1.0], 0.0), ([0.0, 1.0], 2.0)])
+        z = np.array([[2.5, 2.5], [2.003, 2.5], [5.0, 2.0 + 1e-9], [0.1, -3.0], [-4.0, 2.5]])
+        vertex = np.array([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0], [0.0, 0.0], [-2.0, 2.0]])
+        np.testing.assert_allclose(op.domain_projection(z), vertex, rtol=0.0, atol=1e-15)
+        # a point nearest a face interior keeps its exact face projection
+        np.testing.assert_allclose(op.domain_projection(np.array([1.0, 3.0])), [1.0, 2.0],
+                                   rtol=0.0, atol=1e-15)
+
 
 class TestInvariants:
     def test_resolvent_nonexpansive(self, zoo, rng):
