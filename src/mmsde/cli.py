@@ -142,6 +142,8 @@ def _cmd_simulate(args) -> int:
 
     cfg = _load(args)
     ctx = _Context(cfg)
+    # validate bounds the jumps on the finer reference grid; simulate samples on levels[-1]
+    cfg.check_jumps(ctx.driver, cfg.levels[-1])
     part = uniform_partition(cfg.horizon, cfg.levels[-1])
     realization = simulate(ctx.driver, part, cfg.seed, args.trajectory)
     out = ctx.run_scheme(args.scheme, realization)

@@ -63,8 +63,9 @@ class Checkpoint:
 
 
 # Bound on a trajectory's expected jump count, jump_rate x horizon, per interval
-# of the reference grid: every jump time joins the grids and adds to each run's
-# cost.  It also keeps the mean below numpy's Poisson limit (about 9.2e18).
+# of the grid it is simulated on (the reference grid of a study, the finest level
+# of ``simulate``): every jump time joins the grids and adds to each run's cost.
+# It also keeps the mean below numpy's Poisson limit (about 9.2e18).
 _JUMPS_PER_INTERVAL = 16
 
 
@@ -122,13 +123,17 @@ class ExperimentConfig:
         op = build_operator(self.operator)
         build_projection(self.projection)
         build_coefficient(self.coefficient, op.dimension)
-        driver = build_driver(self.driver, op.dimension)
-        intervals = self.levels[-1] * self.reference_refine
+        self.check_jumps(build_driver(self.driver, op.dimension),
+                         self.levels[-1] * self.reference_refine)
+        return self
+
+    def check_jumps(self, driver, intervals: int) -> None:
+        """Refuse a process whose expected jump count, rate x horizon, exceeds
+        ``_JUMPS_PER_INTERVAL`` per interval of the grid it is simulated on."""
         for prefix, proc in zip(_PREFIXES, (driver.z, driver.h)):
             if proc.jump_rate * self.horizon > _JUMPS_PER_INTERVAL * intervals:
                 raise ConfigError(f"driver.{prefix}jump_rate", f"rate x horizon exceeds "
-                                  f"{_JUMPS_PER_INTERVAL} x the {intervals} reference intervals")
-        return self
+                                  f"{_JUMPS_PER_INTERVAL} x the {intervals} grid intervals")
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         kw = {k: v for k, v in kw.items() if v is not None}

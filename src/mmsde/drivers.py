@@ -5,20 +5,14 @@ initial point, Z starts at zero.  Jump times are sampled independently of the
 partition and inserted into the computational grid, so schemes see every jump
 at an exact grid point and left limits are well defined.
 
-Randomness is counter-based (Philox4x64-10; Salmon et al., SC'11): every
-draw is keyed by (master seed, trajectory index) with the counter (0, purpose
-tag, context word, block), so trajectory generation is order-independent and
-reproducible bit-for-bit.  Brownian values come from a dyadic bridge descent
-to float resolution (no depth cap, so the law is exact) whose Gaussians are
-keyed by the node time, which makes W(t) a pure function of (seed,
-trajectory, tag, t): simulating on a refined partition reproduces the coarse
-values exactly, and ``restrict`` reads them off a fine realization.
-``simulate_chunk`` descends depth by depth for up to ``_DESCENT_TIMES`` grid
-times of a chunk of trajectories at once, draws for all nodes with a key
-per node (a numpy Philox4x64-10 equal to ``np.random.Philox(key,
-counter).random_raw()``, then Box-Muller, in slices of ``_PHILOX_CHUNK``
-blocks) and runs the bridge recursion; ``simulate`` is a chunk of one.
-``STREAM_VERSION`` names the stream; a change to its values bumps it.
+Randomness is counter-based (Philox4x64-10; Salmon et al., SC'11), keyed by
+(master seed, trajectory index) with the counter (0, purpose tag, context word,
+block), so trajectories are order-independent and reproducible bit for bit.
+W comes from a tree of dyadic bridge nodes to float resolution (no depth cap,
+so the law is exact), each keyed by its time and drawn and bridged once: W(t)
+is a pure function of (seed, trajectory, tag, t), so ``restrict`` reads the
+values of a coarser partition off a fine realization.  ``STREAM_VERSION``
+names the stream; a change to its values bumps it.
 """
 
 from __future__ import annotations
@@ -69,72 +63,60 @@ _PHILOX_M_SWAP = np.ascontiguousarray(_PHILOX_M[::-1])
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _PHILOX_CHUNK = 1 << 13  # counter blocks per slice of a draw; bounds the temporaries
-# Query times per bridge descent, whose arrays grow with its times times the
-# tree depth (about 55 for a non-dyadic time); two 401-point grids share one.
-_DESCENT_TIMES = 1 << 10
+# Tree nodes per descent (``_descents``), whose arrays grow with its nodes: 64
+# dyadic 513-point grids and their jump times share one; a non-dyadic time costs ~45.
+_DESCENT_NODES = 3 << 14
 
 
 def _philox_block(x: np.ndarray, y: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 on lanes x = (c0, c2), overwritten, and y = (c1, c3) under ``key``."""
+    """Philox4x64-10 on lanes x = (c0, c2) and y = (c1, c3) under ``key``; both are overwritten."""
     lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    lo, x_lo, t, u = (np.empty_like(x) for _ in range(4))  # the rounds allocate nothing else
     for r in range(_PHILOX_ROUNDS):
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) with k = key + r W
         # and (hi, lo) the 128-bit product x * M; hi from 32-bit halves, in place of x
-        lo, x_lo = x[::-1] * _PHILOX_M_SWAP, x & lo32
+        np.multiply(x[::-1], _PHILOX_M_SWAP, out=lo)
+        np.bitwise_and(x, lo32, out=x_lo)
         x >>= s32
-        t = x * _PHILOX_M_LO
-        t += (x_lo * _PHILOX_M_LO) >> s32
+        np.multiply(x, _PHILOX_M_LO, out=t)
+        t += np.right_shift(np.multiply(x_lo, _PHILOX_M_LO, out=u), s32, out=u)
         x_lo *= _PHILOX_M_HI
-        x_lo += t & lo32
+        x_lo += np.bitwise_and(t, lo32, out=u)
         x *= _PHILOX_M_HI
-        x += t >> s32
-        x += x_lo >> s32
-        x, y = x[::-1] ^ y ^ (key + r * _PHILOX_W), lo
+        x += np.right_shift(t, s32, out=t)
+        x += np.right_shift(x_lo, s32, out=x_lo)
+        np.bitwise_xor(np.bitwise_xor(np.add(key, r * _PHILOX_W, out=u), y, out=u), x[::-1], out=u)
+        x, y, u, lo = u, lo, x, y
     return x, y
 
 
-def _philox_raw(keys, counters: np.ndarray) -> np.ndarray:
-    """Row i is ``np.random.Philox(key=keys[i], counter=counters[i]).random_raw(4)``.
+def _keyed_gaussians(seed: int, ends: np.ndarray, owners: np.ndarray, purposes,
+                     node_times: np.ndarray, dim: int) -> np.ndarray:
+    """Standard normals keyed by (seed, trajectory, purpose, bits of t): (nodes, purposes * dim).
 
-    ``counters`` is (n, 4) uint64 and ``keys`` (n, 2) or one (2,); like numpy's bit
-    generator, the counter is incremented (with carry) before the block is generated.
-    """
-    c = np.array(counters, dtype=np.uint64).reshape(-1, 4)
-    c[:, 0] += np.uint64(1)
-    carry = c[:, 0] == 0
-    for j in (1, 2, 3):
-        c[:, j] += carry
-        carry &= c[:, j] == 0
-    keys = np.broadcast_to(np.asarray(keys, dtype=np.uint64), (c.shape[0], 2))
-    lanes = c.T
-    lanes[0::2], lanes[1::2] = _philox_block(lanes[0::2].copy(), lanes[1::2].copy(), keys.T)
-    return c
-
-
-def _keyed_gaussians(seed: int, rows: np.ndarray, purposes, node_times: np.ndarray,
-                     dim: int) -> np.ndarray:
-    """Standard normals keyed by (seed, row, purpose, bits of t): (nodes, purposes * dim).
-
-    Node t of trajectory ``rows[i]`` and purpose p uses the Philox blocks at
-    key (seed, row) and counters (0, p, bits(t), j); Box-Muller turns the
-    words, pair by pair, into the normals (r cos a, r sin a), of which the
-    first ``dim`` are used.
+    Node t of trajectory ``ends[owners[i]]`` and purpose p uses the Philox
+    blocks at key (seed, trajectory) and counters (0, p, bits(t), j), drawn in
+    slices of ``_PHILOX_CHUNK`` blocks; Box-Muller turns the words, pair by
+    pair, into the normals (r cos a, r sin a), of which the first ``dim`` are used.
     """
     blocks, pairs = -(-dim // 4), -(-dim // 2)
-    # lanes (c0, c2), (c1, c3) of the incremented counters, and the keys; a column per block
-    x, y, key = np.empty((3, 2, node_times.size, len(purposes), blocks), dtype=np.uint64)
-    x[0], x[1] = 1, node_times.view(np.uint64)[:, None, None]
-    y[0], y[1] = np.asarray(purposes, dtype=np.uint64)[:, None], np.arange(blocks)
-    key[0], key[1] = seed & _U64, np.asarray(rows)[:, None, None]
-    x, y = _philox_block(x.reshape(2, -1), y.reshape(2, -1), key.reshape(2, -1))
-    words = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(node_times.size, len(purposes), -1)
-    u = (words[..., :2 * pairs] >> np.uint64(11)) * 2.0 ** -53  # uniforms on [0, 1)
-    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
-    angle = 2.0 * np.pi * u[..., 1::2]
     normals = np.empty((node_times.size, len(purposes), dim))
-    normals[..., 0::2] = radius * np.cos(angle)
-    normals[..., 1::2] = radius[..., :dim // 2] * np.sin(angle[..., :dim // 2])
-    return normals.reshape(node_times.size, -1)
+    step = _PHILOX_CHUNK // (len(purposes) * blocks)
+    for lo in range(0, node_times.size, step):
+        t, out = node_times[lo:lo + step], normals[lo:lo + step]
+        # lanes (c0, c2), (c1, c3) of the incremented counters, and the keys; a column per block
+        x, y, key = np.empty((3, 2, t.size, len(purposes), blocks), dtype=np.uint64)
+        x[0], x[1] = 1, t.view(np.uint64)[:, None, None]
+        y[0], y[1] = np.asarray(purposes, dtype=np.uint64)[:, None], np.arange(blocks)
+        key[0], key[1] = seed & _U64, ends[owners[lo:lo + step]][:, None, None]
+        x, y = _philox_block(x.reshape(2, -1), y.reshape(2, -1), key.reshape(2, -1))
+        words = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(out.shape[:2] + (-1,))
+        u = (words[..., :2 * pairs] >> np.uint64(11)) * 2.0 ** -53  # uniforms on [0, 1)
+        radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+        angle = 2.0 * np.pi * u[..., 1::2]
+        out[..., 0::2] = radius * np.cos(angle)
+        out[..., 1::2] = radius[..., :dim // 2] * np.sin(angle[..., :dim // 2])
+    return normals.reshape(node_times.size, len(purposes) * dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +170,6 @@ class JumpLaw:
         if self.kind == "fixed":
             return np.tile(self.value, (count, 1))
         raise ValueError(f"unknown jump law {self.kind!r}")
-
-    @property
-    def spec(self) -> dict:
-        if self.kind == "gaussian":
-            cov = self.factor @ self.factor.T
-            return {"kind": "gaussian", "mean": self.mean.tolist(), "cov": cov.tolist()}
-        if self.kind == "uniform_ball":
-            return {"kind": "uniform_ball", "radius": self.radius,
-                    "dimension": self.value.size}
-        return {"kind": "fixed", "value": self.value.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,70 +230,106 @@ class DriverSpec:
         return self.z.dimension
 
 
+def _descents(queries: np.ndarray, sizes, horizon: float):
+    """[lo, hi) of each descent over grids of ``sizes`` times, of about
+    ``_DESCENT_NODES`` nodes: t is a node at depth j when t / T has j bits after
+    the point, and a grid's n times share its first log2(n) depths."""
+    mant, exp = np.frexp(np.where(queries > 0.0, queries, horizon) / horizon)  # 0 costs 1
+    bits = (mant * 2.0 ** 53).astype(np.int64)
+    shared = np.repeat(np.log2(sizes).astype(int), sizes)
+    nodes = np.cumsum(np.maximum(1, 54 - exp - np.frexp(bits & -bits)[1] - shared))
+    cuts = np.searchsorted(nodes, np.arange(_DESCENT_NODES, nodes[-1], _DESCENT_NODES))
+    return zip(np.r_[0, cuts], np.r_[cuts, queries.size])
+
+
+def _bridge_weights(a, b, s):
+    """W(s) = W(a) + frac (W(b) - W(a)) + std Z for a < s < b: (frac, std), each (n, 1)."""
+    sa, ba = s[:, None] - a[:, None], b[:, None] - a[:, None]
+    return sa / ba, np.sqrt(sa * (b - s)[:, None] / ba)
+
+
 def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
                      times: np.ndarray) -> np.ndarray:
     """Standard Brownian motions W_p(t), one per purpose tag: (purposes, times, dim).
 
-    Each time descends from the bracket (0, T), bridging to the midpoint s of
-    its bracket, or to itself once the bracket has no float midpoint, until
-    it reaches its own node.  The Gaussian of node s is keyed by its time's
-    trajectory ``index`` (one per time, or one for all) and the bits of s.
+    Each trajectory (``index``: one per time, or one for all) has the tree of
+    dyadic brackets of (0, T); bracket (a, b) has node m = (a + b) / 2, keyed by
+    the trajectory and the bits of m.  Pass 1 sweeps the trees depth by depth
+    over the brackets that hold two distinct times or one at m, and splits
+    their times between the children with one ``np.searchsorted`` on the sorted
+    (trajectory, time) keys; a time left alone in its bracket then descends by
+    itself, to the midpoint s, or to itself once the bracket has no float
+    midpoint.  Pass 2 draws each node once, and pass 3 bridges them in order.
     """
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= horizon)):
         raise ValueError(f"times outside [0, {horizon}]")
-    rows = np.broadcast_to(np.asarray(index).astype(np.uint64), times.shape)
-    inner = (times > 0.0) & (times < horizon)
-    ends, end_of = np.unique(rows, return_inverse=True)
-    end_of = end_of.astype(np.min_scalar_type(ends.size))  # the row of a time, as a small id
-
-    # pass 1: the nodes of every time, depth by depth; they depend on no value
-    steps, owners = [], []
-    t, row = times[inner], end_of[inner]
-    a, b = np.zeros(t.size), np.full(t.size, float(horizon))
+    ends, end_of = np.unique(np.broadcast_to(np.asarray(index).astype(np.uint64), times.shape),
+                             return_inverse=True)
+    # numpy orders complex numbers by real part, then imaginary part, both exact
+    # here; return_index selects its stable sort, which is fast on sorted grids
+    keys, _, query_of = np.unique(end_of + 1j * times, return_index=True, return_inverse=True)
+    key_t, root = keys.imag.copy(), np.arange(ends.size, dtype=np.min_scalar_type(ends.size))
+    # pass 1, the sweep; a bracket is (trajectory, a, b) with the queries [lo, hi) of keys
+    live = (root, np.zeros(ends.size), np.full(ends.size, float(horizon)),
+            np.searchsorted(keys, root + 0j, side="right"),
+            np.searchsorted(keys, root + horizon * 1j))
+    nodes, sweep, alone = [(root, live[2])], [], [[x[:0] for x in live]]
+    while live[0].size:
+        r, a, b, lo, hi = live
+        m, count = 0.5 * (a + b), hi - lo
+        # shared: two or more times, or one at m, and a float midpoint m
+        shared = ((count > 1) | (count == 1) & (key_t[np.minimum(lo, hi - 1)] == m)) \
+            & (a < m) & (m < b)
+        single = ~shared & (count > 0)  # empty brackets drop out
+        alone.append([x[single] for x in live])
+        r, a, b, lo, hi, m = (x[shared] for x in (*live, m))
+        split = np.searchsorted(keys, r + 1j * m)
+        hit = key_t[np.minimum(split, hi - 1)] == m
+        nodes.append((r, m))
+        sweep.append((shared, single, *_bridge_weights(a, b, m), hit, split[hit]))
+        live = tuple(np.concatenate(x) for x in
+                     ((r, r), (a, m), (m, b), (lo, split + hit), (split, hi)))
+    # pass 1, the descents of the times left alone (all times of a bracket without a midpoint)
+    r, a, b, lo, hi = (np.concatenate(x) for x in zip(*alone))
+    grow = np.repeat(np.arange(lo.size), hi - lo)  # the bracket of each time
+    at = np.arange(grow.size) + (lo - np.cumsum(hi - lo) + (hi - lo))[grow]
+    t, r, a, b = key_t[at], r[grow], a[grow], b[grow]
+    a0, b0, descent = a, b, []
     while t.size:
         m = 0.5 * (a + b)
         s = np.where((a < m) & (m < b), m, t)
         left, stop = t < s, s == t
         a, b = np.where(left, a, s), np.where(left, s, b)
-        steps.append((s[:, None], left[:, None], stop))
-        owners.append(row)
+        nodes.append((r, s))
+        descent.append((left, stop))
         if stop.any():
-            t, a, b, row = t[~stop], a[~stop], b[~stop], row[~stop]
-    visits = np.concatenate([step[0][:, 0] for step in steps] + [np.full(ends.size, horizon)])
-    owners = np.concatenate(owners + [np.arange(ends.size, dtype=end_of.dtype)])
-    # Each node sits at one depth, and a depth lists its nodes in (trajectory,
-    # time) order when each trajectory's times are sorted, so repeats are
-    # adjacent; a repeat left in is only drawn twice, with the same key.
-    fresh = np.concatenate([[True], (visits[1:] != visits[:-1]) | (owners[1:] != owners[:-1])])
-    node_ids = np.cumsum(fresh, dtype=np.int32) - 1
-    visits, owners = visits[fresh], owners[fresh]
+            t, a, b, r = t[~stop], a[~stop], b[~stop], r[~stop]
 
-    # pass 2: one keyed draw for every node, in slices of _PHILOX_CHUNK blocks
-    gauss = np.empty((visits.size, len(purposes) * dim))
-    step = _PHILOX_CHUNK // (len(purposes) * -(-dim // 4))
-    for lo in range(0, visits.size, step):
-        gauss[lo:lo + step] = _keyed_gaussians(seed, ends[owners[lo:lo + step]], purposes,
-                                               visits[lo:lo + step], dim)
-    w_end = np.sqrt(horizon) * gauss[node_ids[-ends.size:]]
-
-    # pass 3: the bridge recursion, depth by depth
-    w = np.zeros((times.size, gauss.shape[1]))
-    at_end = times == horizon
-    w[at_end] = w_end[end_of[at_end]]
-    pos, first = np.flatnonzero(inner), 0
-    a, b = np.zeros((pos.size, 1)), np.full((pos.size, 1), float(horizon))
-    va, vb = np.zeros((pos.size, w.shape[1])), w_end[end_of[inner]]
-    for s, left, stop in steps:
-        frac, std = (s - a) / (b - a), np.sqrt((s - a) * (b - s) / (b - a))
-        vs = va + frac * (vb - va) + std * gauss[node_ids[first:first + stop.size]]
-        first += stop.size
-        a, b = np.where(left, a, s), np.where(left, s, b)
-        va, vb = np.where(left, va, vs), np.where(left, vs, vb)
+    # pass 2: one keyed draw for all nodes; pass 3: the bridge, in the order of pass 1
+    owners, node_t = nodes = [np.concatenate(x) for x in zip(*nodes)]
+    gauss = _keyed_gaussians(seed, ends, owners, purposes, node_t, dim)
+    va, vb = np.zeros_like(gauss[:ends.size]), np.sqrt(horizon) * gauss[:ends.size]
+    w = np.zeros((keys.size, gauss.shape[1]))
+    w[key_t == horizon] = vb[keys.real[key_t == horizon].astype(int)]
+    first, alone = ends.size, [(va[:0], vb[:0])]
+    for shared, single, frac, std, hit, at_m in sweep:
+        alone.append((va[single], vb[single]))
+        va, vb, k = va[shared], vb[shared], slice(first, first + frac.size)
+        vm, first = va + frac * (vb - va) + std * gauss[k], k.stop
+        w[at_m] = vm[hit]
+        va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
+    va, vb = (np.concatenate(x)[grow] for x in zip(*alone))
+    for left, stop in descent:
+        s, k = node_t[first:first + stop.size], slice(first, first + stop.size)
+        frac, std = _bridge_weights(a0, b0, s)
+        vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
+        a0, b0 = np.where(left, a0, s), np.where(left, s, b0)
+        va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
         if stop.any():
-            w[pos[stop]] = vs[stop]
-            pos, a, b, va, vb = pos[~stop], a[~stop], b[~stop], va[~stop], vb[~stop]
-    return w.reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
+            w[at[stop]] = vs[stop]
+            at, a0, b0, va, vb = (x[~stop] for x in (at, a0, b0, va, vb))
+    return w[query_of].reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,10 +352,6 @@ class DriverRealization:
     seed: int | None = None
     trajectory_index: int | None = None
     spec: DriverSpec | None = None
-
-    @property
-    def dimension(self) -> int:
-        return self.z.dimension
 
 
 def _sample_jumps(proc: ProcessSpec, seed: int, index: int, tag_times: int,
@@ -392,9 +396,10 @@ def simulate(spec: DriverSpec, partition: Partition, seed: int,
 def simulate_chunk(spec: DriverSpec, partition: Partition, seed: int, indices) -> list:
     """The realizations of trajectories ``indices`` on ``partition``, in that order.
 
-    Each trajectory's jump times are merged into its grid, and the Brownian
-    parts at all the grids' times come from one descent of the keyed bridge
-    tree per ``_DESCENT_TIMES`` times.  Item i does not depend on the chunk.
+    Each trajectory's jump times are merged into its grid.  The Brownian parts
+    at all the grids' times come from ``_brownian_values``, one call per
+    descent of about ``_DESCENT_NODES`` tree nodes (``_descents``), so that a
+    dyadic chunk shares one descent.  Item i does not depend on the chunk.
     """
     if len(indices) == 0:
         return []
@@ -402,25 +407,24 @@ def simulate_chunk(spec: DriverSpec, partition: Partition, seed: int, indices) -
     jumps = [_sample_jumps(spec.z, seed, i, _TAG_Z_TIMES, _TAG_Z_SIZES, horizon)
              + _sample_jumps(spec.h, seed, i, _TAG_H_TIMES, _TAG_H_SIZES, horizon)
              for i in indices]
-    grids = [np.union1d(partition.times, np.union1d(zt, ht)) if zt.size or ht.size
+    grids = [np.unique(np.concatenate((partition.times, zt, ht))) if zt.size or ht.size
              else partition.times for zt, _, ht, _ in jumps]
     tags = [tag for tag, proc in ((_TAG_Z_BM, spec.z), (_TAG_H_BM, spec.h))
             if proc.has_brownian]
-    queries, rows = np.concatenate(grids), np.repeat(indices, [g.size for g in grids])
+    sizes = [g.size for g in grids]
+    queries, ends = np.concatenate(grids), np.cumsum(sizes)
     w_all = np.empty((len(tags), queries.size, d))
-    for lo in range(0, queries.size, _DESCENT_TIMES) if tags else ():
-        hi = lo + _DESCENT_TIMES
-        w_all[:, lo:hi] = _brownian_values(seed, rows[lo:hi], tags, horizon, d, queries[lo:hi])
-    out, lo = [], 0
-    for i, times, (zt, zs, ht, hs) in zip(indices, grids, jumps):
-        w = dict(zip(tags, w_all[:, lo:lo + times.size]))
-        lo += times.size
-        grid = Partition(times)
+    for lo, hi in _descents(queries, sizes, horizon) if tags else ():
+        rows = np.asarray(indices)[np.searchsorted(ends, np.arange(lo, hi), side="right")]
+        w_all[:, lo:hi] = _brownian_values(seed, rows, tags, horizon, d, queries[lo:hi])
+    out = []
+    for i, times, end, (zt, zs, ht, hs) in zip(indices, grids, ends, jumps):
+        w, grid = dict(zip(tags, w_all[:, end - times.size:end])), Partition(times)
         z_vals = _process_values(spec.z, times, w.get(_TAG_Z_BM), zt, zs)
         h_vals = spec.h0[None, :] + _process_values(spec.h, times, w.get(_TAG_H_BM), ht, hs)
         out.append(DriverRealization(
             base=partition, grid=grid, h=StepPath(grid, h_vals), z=StepPath(grid, z_vals),
-            jump_flags=np.isin(times, zt) | np.isin(times, ht),
+            jump_flags=np.isin(times, np.concatenate((zt, ht))),
             jump_h=_jump_arrays(times, ht, hs, d), jump_z=_jump_arrays(times, zt, zs, d),
             seed=seed, trajectory_index=i, spec=spec))
     return out
@@ -433,10 +437,10 @@ def restrict(realization: DriverRealization, coarser: Partition) -> DriverRealiz
     alone, so this equals ``simulate`` on ``coarser`` bit for bit.
     """
     fine = realization.grid
-    if coarser.horizon != fine.horizon or not fine.contains_times(coarser):
-        raise ValueError("coarser partition must lie within the realization's grid")
     grid = Partition(np.union1d(coarser.times, fine.times[realization.jump_flags]))
-    pos = np.searchsorted(fine.times, grid.times)
+    pos = np.minimum(np.searchsorted(fine.times, grid.times), fine.times.size - 1)
+    if coarser.horizon != fine.horizon or np.any(fine.times[pos] != grid.times):
+        raise ValueError("coarser partition must lie within the realization's grid")
     rows = {k: getattr(realization, k)[pos] for k in ("jump_flags", "jump_h", "jump_z")}
     paths = {k: StepPath(grid, getattr(realization, k).values[pos]) for k in "hz"}
     return replace(realization, base=coarser, grid=grid, **rows, **paths)
@@ -453,11 +457,7 @@ def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:
         raise ValueError("H and Z must share one partition")
     if np.any(z.values[0] != 0.0):
         raise ValueError("Z must start at zero")
-    jump_h = h.jumps()
-    jump_z = z.jumps()
+    jump_h, jump_z = h.jumps(), z.jumps()
     flags = (np.linalg.norm(jump_h, axis=1) > 0) | (np.linalg.norm(jump_z, axis=1) > 0)
-    return DriverRealization(
-        base=h.partition, grid=h.partition, h=h, z=z,
-        jump_flags=flags, jump_h=jump_h, jump_z=jump_z,
-        seed=None, trajectory_index=None, spec=None,
-    )
+    return DriverRealization(base=h.partition, grid=h.partition, h=h, z=z,
+                             jump_flags=flags, jump_h=jump_h, jump_z=jump_z)

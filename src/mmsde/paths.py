@@ -64,10 +64,6 @@ class Partition:
             np.all(self.times == other.times)
         )
 
-    def contains_times(self, other: "Partition") -> bool:
-        """True when every grid point of ``other`` is a grid point of self."""
-        return bool(np.all(np.isin(other.times, self.times)))
-
 
 @dataclass(frozen=True, eq=False)
 class StepPath:

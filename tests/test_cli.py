@@ -6,6 +6,7 @@ import pytest
 from mmsde import (
     Partition,
     StepPath,
+    drivers,
     euler_scheme,
     modified_yosida_scheme,
     simulate,
@@ -99,6 +100,23 @@ h0 = 0.5
 levels = 16
 trajectories = 4
 seed = 33
+"""
+
+JUMPY_HALFLINE_INI = """\
+[operator]
+kind = halfline
+
+[driver]
+sigma = 1
+jump_rate = 500
+jump_law = gaussian
+jump_cov = 0.01
+h0 = 0.5
+
+[experiment]
+levels = 8
+reference_refine = 4
+trajectories = 1
 """
 
 TABLE_HEADER = "level,scheme,checkpoint,mean_err,std_err,sup_err,p_gt_1e-1,p_gt_1e-2,n_traj"
@@ -217,6 +235,22 @@ class TestSimulateCommand:
                 got = read_step_path_csv(fh, component=component)
             np.testing.assert_array_equal(got.partition.times, path.partition.times)
             np.testing.assert_array_equal(got.values, path.values)
+
+    def test_jump_count_is_bounded_by_the_simulated_grid(self, tmp_path, capsys, monkeypatch):
+        # 500 expected jumps pass the bound of converge's 32-interval reference
+        # grid (16 x 32), but simulate samples on the 8-interval finest level
+        config = write_file(tmp_path / "jumpy.ini", JUMPY_HALFLINE_INI)
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "study")]) == EXIT_OK
+        capsys.readouterr()
+
+        def never(*args):
+            raise AssertionError("jump times sampled")
+
+        monkeypatch.setattr(drivers, "_sample_jumps", never)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: driver.jump_rate: ")
+        assert not out.exists()
 
 
 class TestStudyCommands:

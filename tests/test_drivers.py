@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsde import (
     STREAM_VERSION,
@@ -10,19 +12,38 @@ from mmsde import (
     Partition,
     ProcessSpec,
     StepPath,
+    drivers,
     from_step_paths,
     refine,
     simulate,
     uniform_partition,
 )
 from mmsde.drivers import (
-    _DESCENT_TIMES,
     _PHILOX_CHUNK,
     _brownian_values,
-    _philox_raw,
+    _philox_block,
     restrict,
     simulate_chunk,
 )
+
+
+def _philox_raw(keys, counters: np.ndarray) -> np.ndarray:
+    """Row i is ``np.random.Philox(key=keys[i], counter=counters[i]).random_raw(4)``
+    through ``drivers._philox_block``.
+
+    ``counters`` is (n, 4) uint64 and ``keys`` (n, 2) or one (2,); like numpy's bit
+    generator, the counter is incremented (with carry) before the block is generated.
+    """
+    c = np.array(counters, dtype=np.uint64).reshape(-1, 4)
+    c[:, 0] += np.uint64(1)
+    carry = c[:, 0] == 0
+    for j in (1, 2, 3):
+        c[:, j] += carry
+        carry &= c[:, j] == 0
+    keys = np.broadcast_to(np.asarray(keys, dtype=np.uint64), (c.shape[0], 2))
+    lanes = c.T
+    lanes[0::2], lanes[1::2] = _philox_block(lanes[0::2].copy(), lanes[1::2].copy(), keys.T)
+    return c
 
 
 def make_spec(sigma=0.0, drift=0.0, jump_rate=0.0, jump_law=None, h0=0.0, d=1):
@@ -179,13 +200,15 @@ def assert_same_realization(got, want):
 
 class TestChunk:
     @pytest.mark.parametrize("size", [1, 3, 64])
-    def test_rows_equal_single_runs_in_any_order(self, size):
+    def test_rows_equal_single_runs_in_any_order(self, size, monkeypatch):
         spec = full_spec(2)
         part = refine(uniform_partition(1.0, 10), 5)  # non-dyadic: deep descents
         indices = [int(i) for i in np.random.default_rng(size).permutation(100)[:size]]
+        descents = count_descents(monkeypatch)
         rows = simulate_chunk(spec, part, 77, indices)
+        monkeypatch.undo()
         if size == 64:  # the chunk spans several descents, split inside trajectories
-            assert sum(r.grid.times.size for r in rows) > 2 * _DESCENT_TIMES
+            assert len(descents) >= 3 and any(times[0] > 0.0 for times in descents)
         for i, row in zip(indices, rows):
             assert_same_realization(row, simulate(spec, part, 77, i))
 
@@ -232,6 +255,70 @@ class TestChunk:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
+
+    def test_dyadic_chunk_is_one_descent(self, monkeypatch):
+        # 64 grids of 513 dyadic points with their jump times hold about 41k
+        # nodes: one descent, which needs less memory than 64 descents of one
+        spec = make_spec(sigma=1.0, jump_rate=3.0, jump_law=JumpLaw.gaussian([0.0], [[1.0]]),
+                         h0=0.5)
+        part = uniform_partition(1.0, 512)
+        descents = count_descents(monkeypatch)
+        simulate_chunk(spec, part, 5, [0])  # one-off allocations stay out of both peaks
+        peaks = []
+        for rows in (1, 64):
+            descents.clear()
+            tracemalloc.start()
+            try:
+                simulate_chunk(spec, part, 5, range(rows))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(descents) == 1
+        assert peaks[1] <= 48 * peaks[0]
+
+
+def count_descents(monkeypatch) -> list:
+    """The query times of each ``_brownian_values`` call (one per descent) from now on."""
+    descents, bridge = [], drivers._brownian_values
+
+    def counted(*args):
+        descents.append(args[-1])
+        return bridge(*args)
+
+    monkeypatch.setattr(drivers, "_brownian_values", counted)
+    return descents
+
+
+@st.composite
+def bridge_queries(draw):
+    """(horizon, times, trajectories) mixing dyadic grid times, non-dyadic
+    times, times a few ulps apart, times near 0 and T and repeated times."""
+    horizon = draw(st.sampled_from([1.0, 3.0, 0.7]))
+    k = draw(st.integers(1, 6))
+    times = [horizon * j / 2 ** k for j in draw(st.lists(st.integers(0, 2 ** k), max_size=8))]
+    times += draw(st.lists(st.floats(0.0, horizon), max_size=6))
+    x = draw(st.floats(0.0, horizon))
+    for _ in range(draw(st.integers(0, 3))):
+        times.append(x)
+        x = float(np.nextafter(x, horizon))
+    times += draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, horizon,
+                                            float(np.nextafter(horizon, 0.0))]), max_size=3))
+    if times:
+        times += draw(st.lists(st.sampled_from(times), max_size=4))
+    rows = draw(st.lists(st.integers(0, 3), min_size=len(times), max_size=len(times)))
+    order = draw(st.permutations(range(len(times))))
+    return horizon, np.array(times)[order], np.array(rows, dtype=int)[order]
+
+
+class TestNodeSweep:
+    @settings(max_examples=20, deadline=None)
+    @given(bridge_queries(), st.integers(1, 3))
+    def test_batched_values_equal_single_calls(self, queries, dim):
+        horizon, times, rows = queries
+        batched = _brownian_values(11, rows, [3, 6], horizon, dim, times)
+        for j, (i, t) in enumerate(zip(rows, times)):
+            alone = _brownian_values(11, int(i), [3, 6], horizon, dim, np.array([t]))
+            np.testing.assert_array_equal(alone[:, 0], batched[:, j])
 
 
 class TestKeyedBrownianTree:
