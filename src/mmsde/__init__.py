@@ -31,10 +31,6 @@ from .paths import (
     BVDecomposition,
     uniform_partition,
     refine,
-    discretize,
-    sup_distance,
-    grid_distance,
-    variation,
 )
 from .skorokhod import (
     SkorokhodSolution,

@@ -68,7 +68,11 @@ class MonotoneOperator:
         ``lam`` is one step (a float) or, for a batch z of shape (B, d), one
         step per row (a float array of shape (B,)): row i is then the
         single-point call with step ``lam[i]``.  Projection kinds ignore the
-        step.
+        step.  The function may carry an attribute ``power(lam, m, z)``:
+        J_lam^m(z), equal bit for bit to m successive resolvent calls, which
+        ``flow_endpoint`` then makes in one call.  It belongs to the
+        function, so ``dataclasses.replace(op, resolvent=f)`` drops it
+        unless ``f`` carries its own.
     domain_projection:
         nearest-point projection onto the closed convex domain closure; must
         act as the exact identity on points already inside.
@@ -215,9 +219,14 @@ def _flow_schedule(op: MonotoneOperator, t, substeps: int):
 def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
                   substeps: int) -> np.ndarray:
     """J_lam^m(start), the last state of ``flow_steps`` (``start`` as a float
-    array for t = 0); each resolvent value goes straight into the next call.
-    For a batch of starts, ``t`` may give each row its own positive time."""
+    array for t = 0); each resolvent value goes straight into the next call,
+    or all m are one call of the resolvent's ``power`` when it has one (the
+    same bits).  For a batch of starts, ``t`` may give each row its own
+    positive time."""
     lam, m = _flow_schedule(op, t, substeps)
+    power = getattr(op.resolvent, "power", None)
+    if m and power is not None:
+        return np.asarray(power(lam, m, start), dtype=float)
     x = start
     for _ in range(m):
         x = op.resolvent(lam, x)
@@ -520,10 +529,10 @@ def linear_monotone(matrix) -> MonotoneOperator:
     a point and a batch of row points): a path has few distinct steps, and
     one matrix-vector product is far cheaper than a fresh solve.  The memo holds
     at most ``_LINEAR_INVERSE_CACHE`` step sizes and is emptied when full, so
-    a stream of fresh steps costs one inversion each.  Forming the inverse is
-    safe: <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence
-    |(I + lam M)^{-1}| <= 1 and the condition number is at most
-    1 + lam |M|.
+    a stream of fresh steps costs one inversion each; the resolvent's
+    ``power`` fetches it once for the m products of a flow.  Forming the
+    inverse is safe: <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence
+    |(I + lam M)^{-1}| <= 1 and the condition number is at most 1 + lam |M|.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
@@ -546,21 +555,33 @@ def linear_monotone(matrix) -> MonotoneOperator:
             inv_t = inverses_t[lam] = np.linalg.inv(eye + lam * m).T
         return inv_t
 
-    def resolvent(lam, z):
+    def power(lam, count, z):
+        """J_lam^count(z): the inverse is fetched once for all the products."""
         if type(lam) is not float:
             if _per_row(lam):
                 # one inverse per distinct step; a vector-matrix product per
                 # row makes row i independent of the other rows of the batch
                 steps, which = np.unique(lam, return_inverse=True)
                 invs = np.array([inverse_t(step) for step in steps.tolist()])
-                return np.vecmat(z, invs.reshape(-1, d, d)[which])
+                invs = invs.reshape(-1, d, d)[which]
+                for _ in range(count):
+                    z = np.vecmat(z, invs)
+                return z
             lam = float(lam)
-        # the flow's steps are floats; the memo is read inline for them
-        inv_t = inverses_t.get(lam)
-        if inv_t is None:
-            inv_t = inverse_t(lam)
-        # for a point this is inv.dot(z) bit for bit
-        return z.dot(inv_t)
+        inv_t = inverse_t(lam)
+        for _ in range(count):
+            # for a point this is inv.dot(z) bit for bit
+            z = z.dot(inv_t)
+        return z
+
+    def resolvent(lam, z):
+        # a float step already memoised is read inline
+        inv_t = inverses_t.get(lam) if type(lam) is float else None
+        if inv_t is not None:
+            return z.dot(inv_t)
+        return power(lam, 1, z)
+
+    resolvent.power = power
 
     return MonotoneOperator(
         dimension=d,

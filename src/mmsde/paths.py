@@ -3,16 +3,16 @@
 Every path in the package is piecewise constant on a finite partition of
 [0, T]: the value on [t_k, t_{k+1}) is ``values[k]`` and ``values[-1]`` is the
 terminal value at T.  Continuous inputs are represented by their fine-grid
-discretizations.  The module also provides grid refinement, the sup and
-grid-restricted distances, total variation, and CSV/JSONL serialization with
-exact float round-trip.
+discretizations.  The module also provides grid refinement and CSV/JSONL
+serialization with exact float round-trip.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 
@@ -22,10 +22,6 @@ __all__ = [
     "BVDecomposition",
     "uniform_partition",
     "refine",
-    "discretize",
-    "sup_distance",
-    "grid_distance",
-    "variation",
     "write_step_path_csv",
     "read_step_path_csv",
     "write_step_path_jsonl",
@@ -58,6 +54,11 @@ class Partition:
     @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.times)))
+
+    @functools.cached_property
+    def time_reprs(self) -> list[str]:
+        """``repr`` of each time, formed once for every path written on the grid."""
+        return list(map(repr, self.times.tolist()))
 
     def same_times(self, other: "Partition") -> bool:
         return self.times.size == other.times.size and bool(
@@ -122,9 +123,6 @@ class StepPath:
         out[1:] = np.diff(self.values, axis=0)
         return out
 
-    def with_values(self, values: np.ndarray) -> "StepPath":
-        return StepPath(self.partition, values)
-
     def _check_compatible(self, other: "StepPath"):
         if not self.partition.same_times(other.partition):
             raise ValueError("paths live on different partitions")
@@ -184,52 +182,6 @@ def refine(partition: Partition, factor: int) -> Partition:
     return Partition(out)
 
 
-def discretize(path: StepPath | Callable[[float], np.ndarray], partition: Partition) -> StepPath:
-    """Step path taking the input's value at each grid point.
-
-    ``path`` may be a StepPath (sampled right-continuously) or a callable
-    t -> point, which is how continuous inputs enter the package.
-    """
-    if isinstance(path, StepPath):
-        return StepPath(partition, path.values_at(partition.times))
-    vals = np.asarray([np.atleast_1d(np.asarray(path(t), dtype=float)) for t in partition.times])
-    return StepPath(partition, vals)
-
-
-def sup_distance(p: StepPath, q: StepPath, horizon: float | None = None) -> float:
-    """Uniform distance over the merged grid of the two paths."""
-    if horizon is None:
-        horizon = min(p.horizon, q.horizon)
-    t = np.union1d(p.partition.times, q.partition.times)
-    t = t[t <= horizon]
-    if t[-1] != horizon:
-        t = np.append(t, horizon)
-    diff = p.values_at(t) - q.values_at(t)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
-
-
-def grid_distance(p: StepPath, q: StepPath, partition: Partition, horizon: float | None = None) -> float:
-    """Max distance over the partition points only (up to the horizon)."""
-    if horizon is None:
-        horizon = partition.horizon
-    t = partition.times[partition.times <= horizon]
-    diff = p.values_at(t) - q.values_at(t)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
-
-
-def variation(path: StepPath, interval: tuple[float, float] | None = None) -> float:
-    """Sum of increment norms over grid points in (s, t]; exact for step paths."""
-    s, t = (0.0, path.horizon) if interval is None else interval
-    if t < s:
-        raise ValueError("interval end before start")
-    times = path.partition.times
-    mask = (times[1:] > s) & (times[1:] <= t)
-    inc = np.diff(path.values, axis=0)[mask]
-    if inc.size == 0:
-        return 0.0
-    return float(np.sum(np.linalg.norm(inc, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # serialization (full-precision round trip: repr of float64 is exact)
 
@@ -245,16 +197,20 @@ def write_step_path_csv(path: StepPath, fh: IO[str], component: str | None = Non
     if header:
         fh.write(",".join(cols) + "\n")
     prefix = "" if component is None else f"{component},"
-    fh.writelines(f"{prefix}{t!r},{','.join(map(repr, row))}\n"
-                  for t, row in zip(path.partition.times.tolist(),
-                                    path.values.tolist()))
+    # each row's cells, formatted column by column; the time strings belong to
+    # the partition, which the components of a solution share
+    cells = zip(path.partition.time_reprs,
+                *(map(repr, col) for col in path.values.T.tolist()))
+    fh.writelines(f"{prefix}{','.join(row)}\n" for row in cells)
 
 
 def read_step_path_csv(fh: IO[str], component: str | None = None) -> StepPath:
-    times: list[float] = []
-    values: list[list[float]] = []
+    """A path written by ``write_step_path_csv``; a row whose field count
+    differs from the header's, or whose cell is not a number, raises
+    ``ValueError`` naming its line."""
+    rows: list[list[float]] = []
     header: list[str] | None = None
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -266,16 +222,25 @@ def read_step_path_csv(fh: IO[str], component: str | None = None) -> StepPath:
                 raise ValueError(
                     "file holds multiple components; pass component='x' (or 'k', ...)"
                 )
+            tag = header.index("component") if "component" in header else None
+            # the time column, then the value columns in header order
+            cols = [header.index("time")] + [i for i, c in enumerate(header)
+                                             if c.startswith("v_")]
             continue
         fields = line.split(",")
-        rec = dict(zip(header, fields))
-        if component is not None and rec.get("component") != component:
+        if len(fields) != len(header):
+            raise ValueError(f"line {lineno}: {len(fields)} fields, but the header "
+                             f"names {len(header)}")
+        if component is not None and (tag is None or fields[tag] != component):
             continue
-        times.append(float(rec["time"]))
-        values.append([float(rec[c]) for c in header if c.startswith("v_")])
-    if not times:
+        try:
+            rows.append([float(fields[i]) for i in cols])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not rows:
         raise ValueError("no path records found")
-    return StepPath(Partition(np.asarray(times)), np.asarray(values))
+    table = np.asarray(rows)
+    return StepPath(Partition(table[:, 0]), table[:, 1:])
 
 
 def write_step_path_jsonl(path: StepPath, fh: IO[str], component: str | None = None,
@@ -290,13 +255,20 @@ def write_step_path_jsonl(path: StepPath, fh: IO[str], component: str | None = N
 
 
 def read_step_path_jsonl(fh: IO[str], component: str | None = None) -> StepPath:
+    """A path written by ``write_step_path_jsonl``; a line that is not a JSON
+    object with ``time`` and ``value`` raises ``ValueError`` naming it."""
     times: list[float] = []
     values: list[list[float]] = []
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {lineno}: a record must be a JSON object")
         if "meta" in rec:
             continue
         if component is not None and rec.get("component") != component:
@@ -305,6 +277,9 @@ def read_step_path_jsonl(fh: IO[str], component: str | None = None) -> StepPath:
             raise ValueError(
                 "file holds multiple components; pass component='x' (or 'k', ...)"
             )
+        for key in ("time", "value"):
+            if key not in rec:
+                raise ValueError(f"line {lineno}: record has no {key!r}")
         times.append(rec["time"])
         values.append(rec["value"])
     if not times:

@@ -201,6 +201,19 @@ class TestSkorokhodCommand:
         assert capsys.readouterr().err.startswith("configuration error: --path: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, text, line", [
+        ("short.csv", "time,v_1,v_2\n0.0,0.0,0.0\n1.0,1.0\n", 3),
+        ("long.csv", "# note\ntime,v_1\n0.0,0.0\n1.0,1.0,2.0\n", 4),
+        ("untimed.jsonl", '{"time": 0.0, "value": [0.0]}\n{"value": [1.0]}\n', 2),
+    ], ids=["csv-missing-field", "csv-extra-field", "jsonl-missing-time"])
+    def test_malformed_path_record_is_a_config_error(self, tmp_path, capsys, name, text, line):
+        path_file = write_file(tmp_path / name, text)
+        config = write_file(tmp_path / "lin.ini", LINEAR_INI)
+        assert skorokhod(config, path_file, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --path: line {line}: "), err
+        assert not (tmp_path / "out").exists()
+
     def test_elastic_budget_exhausted_is_nonconvergence(self, tmp_path, capsys):
         # a jump from 0.5 to 5: one elastic step lands at 1 - 0.5 * 4 = -1,
         # still outside [0, 1], and max_iter = 1 allows no second step

@@ -406,3 +406,65 @@ class TestLinearResolventCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def resolvent_loop(op, lam, m, z):
+    for _ in range(m):
+        z = op.resolvent(lam, z)
+    return z
+
+
+class TestLinearPower:
+    """``linear_monotone``'s resolvent carries ``power``: m steps in one call,
+    bit for bit the loop of m resolvent calls that ``flow_endpoint`` replaces."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_point_with_a_float_step(self, rng, d):
+        op = linear_monotone(random_monotone_matrix(rng, d))
+        for lam in (1e-6, 0.0625, 3.0):
+            z = rng.normal(0.0, 2.0, size=d)
+            for m in (1, 2, 16):
+                assert same_bits(op.resolvent.power(lam, m, z), resolvent_loop(op, lam, m, z))
+            assert same_bits(flow_endpoint(op, z, 16 * lam, 16), resolvent_loop(op, lam, 16, z))
+
+    def test_batch_with_one_step(self, rng):
+        op = linear_monotone(random_monotone_matrix(rng, 3))
+        z = rng.normal(0.0, 2.0, size=(7, 3))
+        assert same_bits(op.resolvent.power(0.1, 16, z), resolvent_loop(op, 0.1, 16, z))
+        assert same_bits(flow_endpoint(op, z, 1.6, 16), resolvent_loop(op, 0.1, 16, z))
+
+    def test_batch_with_ragged_steps(self, rng):
+        op = linear_monotone(random_monotone_matrix(rng, 2))
+        z = rng.normal(0.0, 2.0, size=(9, 2))
+        lam = np.array([0.1, 0.3, 0.1, 2.0, 1e-5, 0.3, 0.3, 0.1, 7.5])
+        assert same_bits(op.resolvent.power(lam, 16, z), resolvent_loop(op, lam, 16, z))
+        assert same_bits(flow_endpoint(op, z, 16 * lam, 16), resolvent_loop(op, lam, 16, z))
+
+    def test_memo_evicted_mid_stream(self, rng):
+        op = linear_monotone(random_monotone_matrix(rng, 2))
+        lams = np.logspace(-4, 1, 2 * _LINEAR_INVERSE_CACHE + 5)
+        # one batch with more distinct steps than the memo holds
+        z = rng.normal(0.0, 2.0, size=(lams.size, 2))
+        assert same_bits(op.resolvent.power(lams, 5, z), resolvent_loop(op, lams, 5, z))
+        # a stream of float steps that clears the memo between the calls
+        for lam in np.concatenate([lams, lams[::-1]]).tolist():
+            x = rng.normal(0.0, 2.0, size=2)
+            assert same_bits(op.resolvent.power(lam, 3, x), resolvent_loop(op, lam, 3, x))
+
+    def test_replaced_resolvent_keeps_no_stale_power(self, rng):
+        op = linear_monotone(random_monotone_matrix(rng, 2))
+        other = linear_monotone(random_monotone_matrix(rng, 2))
+        calls = []
+        replaced = dataclasses.replace(
+            op, resolvent=lambda lam, z: calls.append(lam) or other.resolvent(lam, z))
+        assert getattr(replaced.resolvent, "power", None) is None
+        z = rng.normal(0.0, 2.0, size=2)
+        end = flow_endpoint(replaced, z, 0.8, 16)
+        assert calls == [0.05] * 16
+        assert same_bits(end, resolvent_loop(other, 0.05, 16, z))
+        assert not same_bits(end, flow_endpoint(op, z, 0.8, 16))

@@ -16,7 +16,6 @@ from mmsde import (
     StepPath,
     constant_coefficient,
     convex_prox,
-    discretize,
     euler_scheme,
     from_step_paths,
     linear_monotone,
@@ -68,7 +67,7 @@ class TestEulerScheme:
         op = zoo["halfline"]
         r = noisy_driver()
         out = euler_scheme(op, CLASSICAL, zero_coefficient(1), r)
-        sol = solve_step(op, CLASSICAL, discretize(r.h, r.grid))
+        sol = solve_step(op, CLASSICAL, StepPath(r.grid, r.h.values_at(r.grid.times)))
         np.testing.assert_array_equal(out.x.values, sol.x.values)
         np.testing.assert_array_equal(out.k_path.values, sol.k_path.values)
 

@@ -9,14 +9,11 @@ from mmsde import (
     Partition,
     Projection,
     StepPath,
-    discretize,
-    grid_distance,
     indicator_halfspace,
     linear_monotone,
     pair_inequality_report,
     reflect_halfline_oracle,
     solve_step,
-    sup_distance,
     uniform_partition,
     verify_solution,
 )
@@ -56,7 +53,7 @@ class TestSolveStep:
         # y = 1 on [0, 1]: x_t = e^{-t}, k_t = 1 - e^{-t} (exponential oracle)
         op = linear_monotone([[1.0]])
         m = 64
-        y = discretize(lambda t: np.array([1.0]), uniform_partition(1.0, 32))
+        y = StepPath(uniform_partition(1.0, 32), np.ones(33))
         sol = solve_step(op, CLASSICAL, y, flow_substeps=m)
         for t in (0.25, 0.5, 1.0):
             assert abs(sol.x.value_at(t)[0] - math.exp(-t)) <= 2.0 / m
@@ -118,7 +115,7 @@ class TestHalflineOracle:
             y = random_halfline_path(rng)
             a = solve_step(zoo["halfline"], CLASSICAL, y)
             b = reflect_halfline_oracle(y)
-            worst = max(worst, grid_distance(a.x, b.x, y.partition))
+            worst = max(worst, np.max(np.abs(a.x.values - b.x.values)))
         assert worst <= 1e-10
 
 
@@ -141,7 +138,7 @@ class TestVerifySolution:
         sol = solve_step(zoo["halfline"], CLASSICAL, y)
         bad_x = sol.x.values.copy()
         bad_x[1] += 0.1
-        tampered = type(sol)(x=sol.x.with_values(bad_x), k=sol.k, y=sol.y,
+        tampered = type(sol)(x=StepPath(sol.x.partition, bad_x), k=sol.k, y=sol.y,
                              x_pre=sol.x_pre, flow_substeps=sol.flow_substeps)
         rep = verify_solution(zoo["halfline"], CLASSICAL, tampered)
         assert not rep.passed
@@ -220,7 +217,7 @@ class TestStability:
             noise[0] = abs(noise[0])  # keep y_0 >= 0
             pert = StepPath(y.partition, y.values + noise)
             sol = solve_step(op, CLASSICAL, pert)
-            sups.append(sup_distance(sol.x, base.x))
+            sups.append(np.max(np.abs(sol.x.values - base.x.values)))
         assert sups[0] > sups[1] > sups[2]
 
     def test_projection_choice_washes_out_for_continuous_input(self, zoo):
@@ -228,8 +225,9 @@ class TestStability:
         op = zoo["box2"]
         f = lambda t: np.array([0.5 + 0.8 * np.sin(6.28 * t), 0.5 + 0.8 * np.sin(12.56 * t)])
         for n in (64, 256):
-            y = discretize(f, uniform_partition(1.0, n))
+            grid = uniform_partition(1.0, n)
+            y = StepPath(grid, np.array([f(t) for t in grid.times]))
             a = solve_step(op, Projection(), y)
             b = solve_step(op, Projection(kind="elastic_iterated", c=1.0), y)
             mesh = y.partition.mesh
-            assert sup_distance(a.x, b.x) <= 10.0 * mesh
+            assert np.linalg.norm(a.x.values - b.x.values, axis=1).max() <= 10.0 * mesh
