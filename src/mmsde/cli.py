@@ -96,18 +96,12 @@ def _write_components(cfg, out_path, components: dict, meta: dict):
     from .paths import write_step_path_csv, write_step_path_jsonl
 
     with open(out_path, "w", encoding="utf-8") as fh:
-        if cfg.format == "csv":
-            first = True
-            for name, path in components.items():
-                write_step_path_csv(path, fh, component=name,
-                                    meta=meta if first else None, header=first)
-                first = False
-        else:
-            first = True
-            for name, path in components.items():
-                write_step_path_jsonl(path, fh, component=name,
-                                      meta=meta if first else None)
-                first = False
+        for i, (name, path) in enumerate(components.items()):
+            # the first component carries the meta, and in csv the header
+            if cfg.format == "csv":
+                write_step_path_csv(path, fh, name, None if i else meta, header=not i)
+            else:
+                write_step_path_jsonl(path, fh, name, None if i else meta)
 
 
 def _cmd_skorokhod(args) -> int:
@@ -119,12 +113,13 @@ def _cmd_skorokhod(args) -> int:
     op = build_operator(cfg.operator)
     proj = build_projection(cfg.projection)
     read = read_step_path_jsonl if args.path.endswith(".jsonl") else read_step_path_csv
+    # a malformed file, or a path the operator cannot take (its dimension, a
+    # y_0 outside the domain, a step too short to resolve), is bad input
     with open(args.path, "r", encoding="utf-8") as fh:
         try:
-            y = read(fh)
+            sol = solve_step(op, proj, read(fh), flow_substeps=cfg.flow_substeps)
         except ValueError as exc:
             raise ConfigError("--path", str(exc)) from exc
-    sol = solve_step(op, proj, y, flow_substeps=cfg.flow_substeps)
     out_dir = _ensure_out(cfg)
     out_path = os.path.join(out_dir, f"solution.{cfg.format}")
     meta = {"operator": json.dumps(cfg.operator, sort_keys=True),
@@ -163,29 +158,15 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_table(cfg: ExperimentConfig, table) -> str:
-    out_dir = _ensure_out(cfg)
-    out_path = os.path.join(out_dir, "errors.csv")
+def _cmd_study(args) -> int:
+    from .harness import compare_schemes, run_convergence
+
+    cfg = _load(args)
+    table = (run_convergence if args.command == "converge" else compare_schemes)(cfg)
+    out_path = os.path.join(_ensure_out(cfg), "errors.csv")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table.to_csv())
-    return out_path
-
-
-def _cmd_converge(args) -> int:
-    from .harness import run_convergence
-
-    cfg = _load(args)
-    table = run_convergence(cfg)
-    print(_write_table(cfg, table))
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    from .harness import compare_schemes
-
-    cfg = _load(args)
-    table = compare_schemes(cfg)
-    print(_write_table(cfg, table))
+    print(out_path)
     return EXIT_OK
 
 
@@ -207,8 +188,8 @@ def _cmd_verify(args) -> int:
 _COMMANDS = {
     "skorokhod": _cmd_skorokhod,
     "simulate": _cmd_simulate,
-    "converge": _cmd_converge,
-    "compare": _cmd_compare,
+    "converge": _cmd_study,
+    "compare": _cmd_study,
     "verify": _cmd_verify,
 }
 

@@ -29,9 +29,11 @@ class ExplosionError(NonConvergenceError):
     """A scheme's driven increment dy = dH + f(x) dZ left the floating-point range.
 
     Names the trajectory (``None`` for a realization built from given paths),
-    the grid step ``step`` = j and its time ``time`` = t_j; ``last`` is the
-    last finite state, x at t_{j-1}.  ``at_level`` adds the partition level of
-    the run that raised it, and whether that run was a study's reference.
+    the partition ``level`` of the run (the intervals of its realization's
+    base partition, set where the scheme raises it), the grid step ``step`` =
+    j and its time ``time`` = t_j; ``last`` is the last finite state, x at
+    t_{j-1}.  ``reference`` marks a study's reference run.  The message ends
+    with the level and, for a reference run, says so.
     """
 
     def __init__(self, message: str, last=None, trajectory: int | None = None,
@@ -44,10 +46,11 @@ class ExplosionError(NonConvergenceError):
         self.level = level
         self.reference = reference
 
-    def at_level(self, level: int, reference: bool = False) -> "ExplosionError":
-        run = "reference run, level" if reference else "level"
-        return ExplosionError(f"{self} ({run} {level})", self.last, self.trajectory,
-                              self.step, self.time, level, reference)
+    def __str__(self) -> str:
+        if self.level is None:
+            return super().__str__()
+        run = "reference run, level" if self.reference else "level"
+        return f"{super().__str__()} ({run} {self.level})"
 
 
 class ConfigError(ValueError):

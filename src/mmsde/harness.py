@@ -9,7 +9,6 @@ many workers execute it.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +25,11 @@ from .operators import DEFAULT_DOMAIN_TOL, resolve, row_norm, yosida_a, yosida_j
 from .paths import StepPath, refine, uniform_partition
 from .projections import project_classical
 from .schemes import (
-    _yosida_chunk,
     euler_chunk,
     euler_scheme,
     modified_yosida_scheme,
     resolvent_of_yosida_step,
+    yosida_chunk,
     yosida_scheme,
 )
 from .skorokhod import (
@@ -99,15 +98,6 @@ class ErrorTable:
         return out
 
 
-@contextmanager
-def _explosion_level(realization, reference: bool = False):
-    """Add the partition level of the run on ``realization`` to its ExplosionError."""
-    try:
-        yield
-    except ExplosionError as exc:
-        raise exc.at_level(realization.base.times.size - 1, reference) from exc
-
-
 class _Context:
     """Per-process materialization of an ExperimentConfig."""
 
@@ -133,19 +123,16 @@ class _Context:
         """One run of ``scheme`` on ``realization``; the Yosida schemes run at
         the finest Yosida level."""
         if scheme == "euler":
-            return self.run_euler(realization)
-        n_level = self.cfg.yosida_levels[-1]
-        with _explosion_level(realization):
-            if scheme == "yosida":
-                return yosida_scheme(self.op, n_level, self.coeff, realization,
-                                     self.cfg.drift_substeps)
-            return modified_yosida_scheme(self.op, self.proj, n_level, self.coeff,
-                                          realization, self.cfg.drift_substeps)
-
-    def run_euler(self, realization, reference: bool = False):
-        with _explosion_level(realization, reference):
             return euler_scheme(self.op, self.proj, self.coeff, realization,
                                 self.cfg.flow_substeps)
+        if not self.cfg.yosida_levels:
+            raise ConfigError("experiment.yosida_levels", f"{scheme} needs at least one level")
+        n_level = self.cfg.yosida_levels[-1]
+        if scheme == "yosida":
+            return yosida_scheme(self.op, n_level, self.coeff, realization,
+                                 self.cfg.drift_substeps)
+        return modified_yosida_scheme(self.op, self.proj, n_level, self.coeff,
+                                      realization, self.cfg.drift_substeps)
 
     def euler_chunk(self, realizations) -> list:
         return euler_chunk(self.op, self.proj, self.coeff, realizations,
@@ -200,20 +187,21 @@ def _chunks(indices):
         yield indices[lo:lo + _CHUNK_TRAJECTORIES]
 
 
-def _run_rows(outputs, reals, width: int, errors: dict, first_run: int = 0) -> list:
-    """Per run, the paths x of a march whose row r (on ``reals[r]``) is run
+def _run_rows(outputs, width: int, errors: dict, first_run: int = 0) -> list:
+    """Per run, the paths x of a march whose row r is run
     ``first_run + r // width`` of chunk position ``r % width``.
 
-    An exploded run's path is None, and its ExplosionError, with the run's
-    level, goes to ``errors[(position, run)]``.  Runs are numbered in the
-    order of the per-trajectory loop (run 0, the reference, first), so the
-    smallest key names the error that loop would have raised first.
+    An exploded run's path is None, and its ExplosionError, marked if the run
+    is the reference, goes to ``errors[(position, run)]``.  Runs are numbered
+    in the order of the per-trajectory loop (run 0, the reference, first), so
+    the smallest key names the error that loop would have raised first.
     """
     paths = []
-    for r, (realization, res) in enumerate(zip(reals, outputs)):
+    for r, res in enumerate(outputs):
         b, run = r % width, first_run + r // width
         if isinstance(res, ExplosionError):
-            errors[(b, run)] = res.at_level(realization.base.times.size - 1, run == 0)
+            res.reference = run == 0
+            errors[(b, run)] = res
             paths.append(None)
         else:
             paths.append(res.x)
@@ -239,7 +227,7 @@ def _convergence_batch(cfg: ExperimentConfig, indices):
         reals = [] if use_oracle else list(fine)
         for part in ctx.partitions:
             reals.extend(restrict(r, part) for r in fine)
-        runs = _run_rows(ctx.euler_chunk(reals), reals, len(chunk), errors,
+        runs = _run_rows(ctx.euler_chunk(reals), len(chunk), errors,
                          first_run=int(use_oracle))
         _raise_first(errors)
         if use_oracle:
@@ -335,13 +323,13 @@ def _compare_batch(cfg: ExperimentConfig, indices):
         # modified Yosida (2 + 2 li) at every level li
         errors = {}
         reals = simulate_chunk(ctx.driver, ctx.partitions[-1], cfg.seed, chunk)
-        [refs] = _run_rows(ctx.euler_chunk(reals), reals, len(chunk), errors)
+        [refs] = _run_rows(ctx.euler_chunk(reals), len(chunk), errors)
         rows = reals * (2 * n_lv)
         levels = np.repeat(cfg.yosida_levels, 2 * len(chunk))
         schemes = np.repeat(np.tile(["yosida", "modified_yosida"], n_lv), len(chunk))
-        outs = _yosida_chunk(ctx.op, ctx.proj, levels, ctx.coeff, rows,
-                             cfg.drift_substeps, schemes)
-        runs = _run_rows(outs, rows, len(chunk), errors, first_run=1)
+        outs = yosida_chunk(ctx.op, ctx.proj, levels, ctx.coeff, rows, schemes,
+                            cfg.drift_substeps)
+        runs = _run_rows(outs, len(chunk), errors, first_run=1)
         _raise_first(errors)
         for b, i in enumerate(chunk):
             ref = refs[b]

@@ -152,7 +152,7 @@ def _check_step(lam):
                                  f"{MIN_RESOLVENT_STEP}, got {bad}")
             return lam
     lam = float(lam)
-    if not np.isfinite(lam) or lam < MIN_RESOLVENT_STEP:
+    if not math.isfinite(lam) or lam < MIN_RESOLVENT_STEP:
         raise ValueError(
             f"resolvent step must be a finite real >= {MIN_RESOLVENT_STEP}, got {lam}"
         )
@@ -250,14 +250,14 @@ def flow_steps(op: MonotoneOperator, start: np.ndarray, t: float, substeps: int)
     return out
 
 
-def flow(op: MonotoneOperator, start, t: float, substeps: int,
-         domain_tol: float = DEFAULT_DOMAIN_TOL) -> np.ndarray:
+def flow(op: MonotoneOperator, start, t: float, substeps: int) -> np.ndarray:
     """Constant-input flow from ``start`` over time t (Crandall-Liggett steps).
 
     First-order accurate in t/substeps against the exact semigroup and
     unconditionally stable; exact for normal-cone operators.  ``start`` must
-    lie in the domain closure within ``domain_tol``; t = 0 returns ``start``
-    unchanged.  ``start`` may be a batch (B, d) of starts, flowed row by row.
+    lie in the domain closure within ``DEFAULT_DOMAIN_TOL``; t = 0 returns
+    ``start`` unchanged.  ``start`` may be a batch (B, d) of starts, flowed
+    row by row.
     """
     start = _check_point(op, start)
     if t < 0:
@@ -265,7 +265,7 @@ def flow(op: MonotoneOperator, start, t: float, substeps: int,
     if t == 0.0:
         return start.copy()
     dist = float(np.max(op.domain_distance(start), initial=0.0))
-    if dist > domain_tol:
+    if dist > DEFAULT_DOMAIN_TOL:
         raise DomainViolationError(
             f"flow start outside the domain closure (distance {dist:.3e})",
             point=start, distance=dist,

@@ -21,18 +21,19 @@ uses, which accumulates k and builds the output paths:
   back before the drift step, which restores sup-norm convergence under
   general non-expansive projections.
 
-Each scheme body runs a chunk of realizations in one march (``euler_chunk``;
-``_yosida_chunk`` behind ``yosida_chunk`` and ``modified_yosida_chunk``, with
-one level n per row and Yosida and modified-Yosida rows mixed): each row steps
-on its own grid with its own step sizes and n, so row i of a chunk equals the
-single-realization call on realization i bit for bit (a ``linear`` operator's
-rows are promised to 1e-15 of the row's norm, the tolerance of its batched
-resolvent).  A single realization is a chunk of one.
+Each scheme body runs a chunk of realizations in one march: ``euler_chunk``,
+and ``yosida_chunk`` for both Yosida schemes, with one level n and one scheme
+name per row or one for all.  Each row steps on its own grid with its own step
+sizes and n, so row i of a chunk equals the single-realization call on
+realization i bit for bit (a ``linear`` operator's rows are promised to 1e-15
+of the row's norm, the tolerance of its batched resolvent).  A single
+realization is a chunk of one.
 
 Every scheme runs the coefficient as given.  A coefficient without linear
 growth may explode: a step whose driven increment dH + f(x) dZ is not finite
-retires its realization, with an ``ExplosionError``, before any resolvent or
-projection sees it; the single-realization calls raise that error.
+retires its realization, with an ``ExplosionError`` naming the level of its
+base partition, before any resolvent or projection sees it; the
+single-realization calls raise that error.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "modified_yosida_scheme",
     "euler_chunk",
     "yosida_chunk",
-    "modified_yosida_chunk",
     "resolvent_of_yosida_step",
 ]
 
@@ -204,7 +204,8 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
     ``key`` indexes the realizations' grid points laid end to end.  The driven
     increment dH_j + f(x_{j-1}) dZ_j of every stepping row is one batched
     coefficient call and one ``np.matvec``; a row whose increment is not
-    finite retires with its ``ExplosionError`` before the scheme step sees it.
+    finite retires with its ``ExplosionError``, at the level of the row's base
+    partition, before the scheme step sees it.
 
     Returns, per realization, its SchemeOutput or its ExplosionError.  y is
     the in-place cumsum of the stored increments on the row's own grid (row 0
@@ -239,7 +240,8 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
                 errors[b] = ExplosionError(
                     f"trajectory {index} exploded: the driven increment at step {j} "
                     f"(t = {t!r}) is not finite", last=np.array(prev[i]),
-                    trajectory=index, step=j, time=t)
+                    trajectory=index, step=j, time=t,
+                    level=realizations[b].base.times.size - 1)
             key, dt, prev, dy = key[keep], dt[keep], prev[keep], dy[keep]
             if not key.size:
                 return keep, None
@@ -297,6 +299,17 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     return _single(euler_chunk(op, proj, coeff, [realization], flow_substeps))
 
 
+def _yosida_step(resolvent, lam, mu, x) -> np.ndarray:
+    """The implicit Yosida step of ``resolvent_of_yosida_step``, unchecked:
+    ``resolvent(step, x)`` is J_step(x), and ``lam`` and ``mu`` are floats or
+    arrays of one value per row of the batch x."""
+    step = lam + mu
+    w = lam / step
+    if np.ndim(w):
+        w = w[:, None]
+    return w * x + (1.0 - w) * np.asarray(resolvent(step, x), dtype=float)
+
+
 def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
     """One implicit step of size mu for the Yosida drift -A_lam.
 
@@ -307,27 +320,29 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
 
     reduces the implicit (unconditionally stable) step to a single resolvent
     call and is exact for any maximal monotone operator.  For a batch x of
-    shape (B, d), ``lam`` and ``mu`` may each give one value per row.
+    shape (B, d), ``lam`` and ``mu`` may each give one value per row.  The
+    Yosida schemes' drift substeps run the same step without these checks.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if not (np.all(lam > 0) and np.all(mu > 0)):
         raise ValueError("lam and mu must be positive")
-    j = resolve(op, lam + mu if (lam.ndim or mu.ndim) else float(lam + mu), x)
-    w = lam / (lam + mu)
-    if w.ndim:
-        w = w[:, None]
-    return w * np.asarray(x, dtype=float) + (1.0 - w) * j
+    return _yosida_step(lambda step, z: resolve(op, step, z), lam, mu,
+                        np.asarray(x, dtype=float))
 
 
-def _yosida_chunk(op: MonotoneOperator, proj: Projection | None, n_level,
-                  coeff: Coefficient, realizations, drift_substeps: int,
-                  scheme) -> list:
-    """Both Yosida schemes on a chunk in one march.  ``n_level`` and ``scheme``
-    ("yosida" or "modified_yosida") are each one value or one per realization:
-    a Yosida row is a modified-Yosida row whose large-jump correction never
-    fires, and each row's threshold and drift step 1/n are its own."""
-    levels = np.asarray(n_level, dtype=float)
+def yosida_chunk(op: MonotoneOperator, proj: Projection | None, n, coeff: Coefficient,
+                 realizations, scheme, drift_substeps: int = 1) -> list:
+    """``yosida_scheme`` or ``modified_yosida_scheme`` on each realization of
+    a chunk, marched together: its SchemeOutput, or the ExplosionError that the
+    single-realization call would raise on it.
+
+    ``n`` and ``scheme`` ("yosida" or "modified_yosida") are each one value or
+    one per realization: a Yosida row is a modified-Yosida row whose
+    large-jump correction never fires, and each row's threshold and drift
+    step 1/n are its own.  ``proj`` is read by modified-Yosida rows only.
+    """
+    levels = np.asarray(n, dtype=float)
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
     size = len(realizations)
@@ -358,33 +373,15 @@ def _yosida_chunk(op: MonotoneOperator, proj: Projection | None, n_level,
                 dkd[fix] = w - corrected
                 state[fix] = corrected
         pre_drift = state
-        lam_k = lam[key]
-        step_size = lam_k + dt / drift_substeps
-        w = (lam_k / step_size)[:, None]
+        lam_k, mu = lam[key], dt / drift_substeps
         for _ in range(drift_substeps):
-            state = w * state + (1.0 - w) * np.asarray(op.resolvent(step_size, state), dtype=float)
+            state = _yosida_step(op.resolvent, lam_k, mu, state)
         # no flow between grid points: the left limit at t_j is prev
         return prev, state, pre_drift - state, dkd
 
     labels = [(s, {"n": float(n), "drift_substeps": drift_substeps})
               for s, n in zip(schemes, levels.tolist())]
     return _run_chunk(op, coeff, realizations, labels, step)
-
-
-def yosida_chunk(op: MonotoneOperator, n, coeff: Coefficient, realizations,
-                 drift_substeps: int = 1) -> list:
-    """``yosida_scheme`` at level n (one, or one per realization) on each
-    realization, marched together: its SchemeOutput or ExplosionError."""
-    return _yosida_chunk(op, None, n, coeff, realizations, drift_substeps, "yosida")
-
-
-def modified_yosida_chunk(op: MonotoneOperator, proj: Projection, n,
-                          coeff: Coefficient, realizations,
-                          drift_substeps: int = 1) -> list:
-    """``modified_yosida_scheme`` at level n (one, or one per realization) on
-    each realization, marched together: its SchemeOutput or ExplosionError."""
-    return _yosida_chunk(op, proj, n, coeff, realizations, drift_substeps,
-                         "modified_yosida")
 
 
 def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
@@ -398,7 +395,8 @@ def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
     lie in the domain closure, as for ``euler_scheme``: the approximated
     solution starts there.
     """
-    return _single(yosida_chunk(op, n, coeff, [realization], drift_substeps))
+    return _single(yosida_chunk(op, None, n, coeff, [realization], "yosida",
+                                drift_substeps))
 
 
 def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
@@ -412,5 +410,5 @@ def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
     ``yosida_scheme``, including the check that H_0 lies in the domain
     closure.
     """
-    return _single(modified_yosida_chunk(op, proj, n, coeff, [realization],
-                                         drift_substeps))
+    return _single(yosida_chunk(op, proj, n, coeff, [realization], "modified_yosida",
+                                drift_substeps))

@@ -199,20 +199,19 @@ def _march(grids, x0: np.ndarray, step):
 
 
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
-               flow_substeps: int = DEFAULT_FLOW_SUBSTEPS,
-               domain_tol: float = DEFAULT_DOMAIN_TOL) -> SkorokhodSolution:
+               flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> SkorokhodSolution:
     """Solve the Skorokhod problem for a step input.
 
     On [0, t_1) the state follows the constant-input flow from y_0; at each
     later grid point the flow endpoint is corrected by the projection of
     x_{t-} + dy_t, then the flow restarts for the next interval.  y_0 must
-    lie in the domain closure within ``domain_tol``.
+    lie in the domain closure within ``DEFAULT_DOMAIN_TOL``.
     """
     if y.dimension != op.dimension:
         raise ValueError("input dimension does not match the operator")
     y0 = y.values[0]
     dist = op.domain_distance(y0)
-    if dist > domain_tol:
+    if dist > DEFAULT_DOMAIN_TOL:
         raise DomainViolationError(
             f"y_0 outside the domain closure (distance {dist:.3e})",
             point=y0, distance=dist,

@@ -214,6 +214,23 @@ class TestSkorokhodCommand:
         assert err.startswith(f"configuration error: --path: line {line}: "), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("ini, times, values, message", [
+        ("[operator]\nkind = halfline\n", [0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]],
+         "input dimension does not match the operator"),
+        (ELASTIC_BOX_INI, [0.0, 1.0], [[2.0], [0.5]],
+         "y_0 outside the domain closure (distance 1.000e+00)"),
+        (LINEAR_INI, [0.0, 1e-17, 1.0], [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]],
+         "resolvent step must be a finite real >= 1e-15"),
+    ], ids=["path-dimension", "y0-outside-domain", "step-below-resolution"])
+    def test_path_the_operator_cannot_take_is_a_config_error(self, tmp_path, capsys, ini,
+                                                             times, values, message):
+        path_file, _ = write_path(tmp_path / "y.csv", times, values)
+        config = write_file(tmp_path / "op.ini", ini)
+        assert skorokhod(config, path_file, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --path: {message}"), err
+        assert not (tmp_path / "out").exists()
+
     def test_elastic_budget_exhausted_is_nonconvergence(self, tmp_path, capsys):
         # a jump from 0.5 to 5: one elastic step lands at 1 - 0.5 * 4 = -1,
         # still outside [0, 1], and max_iter = 1 allows no second step
@@ -248,6 +265,17 @@ class TestSimulateCommand:
                 got = read_step_path_csv(fh, component=component)
             np.testing.assert_array_equal(got.partition.times, path.partition.times)
             np.testing.assert_array_equal(got.values, path.values)
+
+    @pytest.mark.parametrize("scheme", ["yosida", "modified_yosida"])
+    def test_yosida_scheme_without_a_level_is_a_config_error(self, tmp_path, capsys, scheme):
+        text = BOX_STUDY_INI.replace("yosida_levels = 2 4", "yosida_levels =")
+        config = write_file(tmp_path / "box.ini", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out),
+                     "--scheme", scheme]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "configuration error: experiment.yosida_levels: ")
+        assert not out.exists()
 
     def test_jump_count_is_bounded_by_the_simulated_grid(self, tmp_path, capsys, monkeypatch):
         # 500 expected jumps pass the bound of converge's 32-interval reference

@@ -12,7 +12,6 @@ from mmsde.errors import ExplosionError
 from mmsde.harness import (
     _ALL_CHECKS,
     _Context,
-    _explosion_level,
     compare_schemes,
     run_convergence,
     verify_suite,
@@ -20,10 +19,8 @@ from mmsde.harness import (
 from mmsde.operators import row_norm
 from mmsde.paths import refine, uniform_partition
 from mmsde.schemes import (
-    _yosida_chunk,
     euler_chunk,
     euler_scheme,
-    modified_yosida_chunk,
     modified_yosida_scheme,
     yosida_chunk,
     yosida_scheme,
@@ -62,22 +59,6 @@ def test_convergence_table_is_identical_across_worker_counts():
     two = run_convergence(cfg.with_overrides(workers=2)).to_csv()
     assert one.startswith("# reference=ORACLE")
     assert one == two
-
-
-@pytest.mark.parametrize("reference, suffix", [(False, "(level 15)"),
-                                               (True, "(reference run, level 15)")])
-def test_explosion_names_the_level_of_its_base_partition(reference, suffix):
-    # the level counts the intervals of the base partition, not the inserted jump times
-    cfg = parse_config_text(HALFLINE_NON_DYADIC)
-    base = refine(uniform_partition(1.0, 5), 3)
-    realization = simulate(build_driver(cfg.driver, 1), base, cfg.seed, 1)
-    assert realization.grid.times.size > base.times.size
-    with pytest.raises(ExplosionError) as err:
-        with _explosion_level(realization, reference):
-            raise ExplosionError("blew up", trajectory=1, step=4, time=0.25)
-    assert str(err.value) == f"blew up {suffix}"
-    assert (err.value.trajectory, err.value.step, err.value.level) == (1, 4, 15)
-    assert err.value.reference is reference
 
 
 ZOO_OPERATORS = {
@@ -193,15 +174,15 @@ def chunk_runs(name):
     return ctx, reals, {
         "euler": (lambda rs: euler_chunk(ctx.op, ctx.proj, ctx.coeff, rs, 3),
                   lambda r: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 3)),
-        "yosida": (lambda rs: yosida_chunk(ctx.op, n, ctx.coeff, rs, m),
+        "yosida": (lambda rs: yosida_chunk(ctx.op, None, n, ctx.coeff, rs, "yosida", m),
                    lambda r: yosida_scheme(ctx.op, n, ctx.coeff, r, m)),
         "modified_yosida": (
-            lambda rs: modified_yosida_chunk(ctx.op, ctx.proj, n, ctx.coeff, rs, m),
+            lambda rs: yosida_chunk(ctx.op, ctx.proj, n, ctx.coeff, rs, "modified_yosida", m),
             lambda r: modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, m)),
         # one level and Yosida scheme per row, as compare marches them
         "mixed_yosida": (
-            lambda rs: _yosida_chunk(ctx.op, ctx.proj, [mixed_row(r)[0] for r in rs],
-                                     ctx.coeff, rs, m, [mixed_row(r)[1] for r in rs]),
+            lambda rs: yosida_chunk(ctx.op, ctx.proj, [mixed_row(r)[0] for r in rs],
+                                    ctx.coeff, rs, [mixed_row(r)[1] for r in rs], m),
             lambda r: mixed_single(ctx, r, m)),
     }
 

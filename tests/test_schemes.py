@@ -20,6 +20,7 @@ from mmsde import (
     from_step_paths,
     linear_monotone,
     modified_yosida_scheme,
+    refine,
     reflect_halfline_oracle,
     resolvent_of_yosida_step,
     simulate,
@@ -302,6 +303,28 @@ class TestImplicitDriftStep:
                 resid = np.linalg.norm(y + mu * yosida_a(op, 1.0 / lam, y) - x)
                 assert resid <= 1e-9
 
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("scheme", ["yosida", "modified_yosida"])
+    @pytest.mark.parametrize("name", ["spring", "rotation2"])
+    def test_scheme_drift_substeps_are_the_checked_step(self, zoo, name, scheme, substeps):
+        # the first grid step drives H_0 by dy = dH + f(H_0) dZ, then makes
+        # `substeps` implicit steps of size dt / substeps at lam = 1/n; with
+        # one (lam, mu) per row, as the schemes pass them, the bits agree
+        op = box_spring()[0] if name == "spring" else zoo[name]
+        n = 3.0
+        r = drift_driver(h_drift=0.3, z_drift=-1.0, h0=0.5, n=8, d=2)
+        coeff = constant_coefficient([[1.0, 0.5], [0.0, 1.0]])
+        out = {"yosida": lambda: yosida_scheme(op, n, coeff, r, substeps),
+               "modified_yosida": lambda: modified_yosida_scheme(
+                   op, CLASSICAL, n, coeff, r, substeps)}[scheme]()
+        prev = r.h.values[:1]
+        state = prev + ((r.h.values[1] - r.h.values[0])
+                        + np.matvec(coeff(prev), r.z.values[1:2] - r.z.values[:1]))
+        mu = np.diff(r.grid.times)[:1] / substeps
+        for _ in range(substeps):
+            state = resolvent_of_yosida_step(op, np.array([1.0 / n]), mu, state)
+        assert out.x.values[1].tobytes() == state[0].tobytes()
+
 
 # half-line, iterated elastic projection, f(x) = diag(x * x): no linear growth
 SQUARE_INI = """\
@@ -365,12 +388,25 @@ class TestExplosion:
         assert len(seen) == exc.step - 1
         assert all(np.isfinite(w).all() for w in seen)
 
+    def test_explosion_names_the_level_of_its_base_partition(self):
+        # the level counts the 15 intervals of the base partition, not the
+        # jump times inserted into the grid: this run explodes at step 17
+        ctx = _Context(parse_config_text(SQUARE_INI.replace("h0 = 0.5", "h0 = 4")))
+        base = refine(uniform_partition(1.0, 5), 3)
+        r = simulate(ctx.driver, base, seed=0, trajectory_index=3)
+        with pytest.raises(ExplosionError) as info:
+            euler_scheme(ctx.op, ctx.proj, ctx.coeff, r)
+        exc = info.value
+        assert (exc.trajectory, exc.step, exc.level, exc.reference) == (3, 17, 15, False)
+        assert str(exc) == ("trajectory 3 exploded: the driven increment at step 17 "
+                            f"(t = {float(r.grid.times[17])!r}) is not finite (level 15)")
+
     def test_escaping_trajectory_runs_once(self):
         # trajectory 1 of the converge_halfline_square golden leaves the ball
         # of radius 2 at 16 steps; the harness evaluates the coefficient once
         # per step, with no second, wider run
         ctx = _Context(parse_config_text(SQUARE_INI))
         r = simulate(ctx.driver, uniform_partition(1.0, 16), seed=3, trajectory_index=1)
-        out = ctx.run_euler(r)
+        out = ctx.run_scheme("euler", r)
         assert np.max(np.abs(out.x.values)) > 2.0
         assert ctx.coeff.evaluations == out.params["steps"] == r.grid.times.size - 1
