@@ -315,6 +315,24 @@ seed = 33
 """
 
 
+@pytest.mark.parametrize("reference, suffix", [(False, "(level 15)"),
+                                               (True, "(reference run, level 15)")])
+def test_explosion_names_the_level_of_its_base_partition(reference, suffix):
+    # the level counts the intervals of the base partition, not the inserted
+    # jump times; a chunk's run 0 is its reference run
+    ctx = _Context(parse_config_text(SQUARE_STUDY.replace("h0 = 0.5", "h0 = 4")))
+    base = refine(uniform_partition(1.0, 5), 3)
+    realization = simulate(ctx.driver, base, 0, 3)
+    assert realization.grid.times.size > base.times.size
+    run = 0 if reference else 1
+    errors = {}
+    harness._run_rows(ctx.euler_chunk([realization]), 1, errors, first_run=run)
+    err = errors.pop((0, run))
+    assert str(err).endswith(f"is not finite {suffix}")
+    assert (err.trajectory, err.step, err.level) == (3, 17, 15)
+    assert err.reference is reference
+
+
 def test_exploding_rows_retire_with_their_single_run_error():
     ctx = _Context(parse_config_text(SQUARE_STUDY))
     reals = [simulate(ctx.driver, uniform_partition(1.0, 64), 33, i) for i in range(12)]
