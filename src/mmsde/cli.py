@@ -135,6 +135,8 @@ def _cmd_simulate(args) -> int:
     from .harness import _Context
     from .paths import uniform_partition
 
+    if not 0 <= args.trajectory < 2**64:  # the stream keys an index modulo 2**64
+        raise ConfigError("--trajectory", "must lie in [0, 2**64)")
     cfg = _load(args)
     ctx = _Context(cfg)
     # validate bounds the jumps on the finer reference grid; simulate samples on levels[-1]

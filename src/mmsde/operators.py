@@ -52,6 +52,9 @@ MIN_RESOLVENT_STEP = 1e-15
 # Distinct step sizes whose inverse a linear operator keeps before it forgets
 # them all; a path has few distinct steps, a random check has fresh ones.
 _LINEAR_INVERSE_CACHE = 64
+# The ufunc behind np.clip, whose Python wrapper costs twice the clip itself on
+# the small batches of a march; the box projection calls it directly.
+_clip = getattr(np._core.umath, "clip", np.clip)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +337,7 @@ def indicator_box(lo, hi) -> MonotoneOperator:
         raise ValueError("box must have nonempty interior (lo < hi componentwise)")
 
     def project(z):
-        return np.clip(z, lo, hi)
+        return _clip(z, lo, hi)
 
     def sample(z):
         out = np.zeros_like(lo)

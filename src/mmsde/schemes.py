@@ -27,7 +27,9 @@ name per row or one for all.  Each row steps on its own grid with its own step
 sizes and n, so row i of a chunk equals the single-realization call on
 realization i bit for bit (a ``linear`` operator's rows are promised to 1e-15
 of the row's norm, the tolerance of its batched resolvent).  A single
-realization is a chunk of one.
+realization is a chunk of one.  A chunk's step is built from the march's union
+order: the increments dH and dZ, Yosida's steps 1/n and its correction flags
+are laid out in it, so that a union time reads one slice of each.
 
 Every scheme runs the coefficient as given.  A coefficient without linear
 growth may explode: a step whose driven increment dH + f(x) dZ is not finite
@@ -199,13 +201,13 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
     """March a chunk of realizations through one scheme body.
 
     ``labels`` gives each realization the (scheme name, params) of its output.
-    ``scheme_step(key, dt, prev, dy)`` maps the states ``prev`` and driven
-    increments ``dy`` of the stepping rows to the ``_march`` step outputs;
-    ``key`` indexes the realizations' grid points laid end to end.  The driven
-    increment dH_j + f(x_{j-1}) dZ_j of every stepping row is one batched
-    coefficient call and one ``np.matvec``; a row whose increment is not
-    finite retires with its ``ExplosionError``, at the level of the row's base
-    partition, before the scheme step sees it.
+    ``scheme_step(order)`` lays out the scheme's per-point arrays in the
+    march's union order and returns the map ``(key, dt, prev, dy)`` from the
+    stepping points, steps, states and driven increments to the step outputs.
+    The driven increment dH_j + f(x_{j-1}) dZ_j of every stepping row is one
+    batched coefficient call and one ``np.matvec``; a row whose increment is
+    not finite retires with its ``ExplosionError``, at the level of the row's
+    base partition, before the scheme step sees it.
 
     Returns, per realization, its SchemeOutput or its ExplosionError.  y is
     the in-place cumsum of the stored increments on the row's own grid (row 0
@@ -216,39 +218,45 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
     grids = [r.grid for r in realizations]
     starts = np.cumsum([0] + [g.times.size for g in grids[:-1]])
     h0 = _checked_starts(op, realizations)
-    # increments on each row's own grid, laid end to end; a row's first
-    # entry is never read
-    dh = np.concatenate([np.diff(r.h.values, axis=0, prepend=r.h.values[:1])
-                         for r in realizations])
-    dz = np.concatenate([np.diff(r.z.values, axis=0, prepend=r.z.values[:1])
-                         for r in realizations])
-    dys = np.empty_like(dh)
-    dys[starts] = h0
-    errors = {}
+    errors, laid = {}, []  # laid: the union order and the y increments laid out in it
 
-    def step(key, rows, dt, prev):
-        with np.errstate(over="ignore", invalid="ignore"):
-            dy = dh[key] + np.matvec(coeff(prev), dz[key])
-        keep = None
-        if not np.isfinite(dy).all():
-            keep = np.isfinite(dy).all(axis=-1)
-            rows = np.arange(len(realizations)) if rows is None else rows
-            for i in np.flatnonzero(~keep).tolist():
-                b = int(rows[i])
-                index, j = realizations[b].trajectory_index, int(key[i] - starts[b])
-                t = float(grids[b].times[j])
-                errors[b] = ExplosionError(
-                    f"trajectory {index} exploded: the driven increment at step {j} "
-                    f"(t = {t!r}) is not finite", last=np.array(prev[i]),
-                    trajectory=index, step=j, time=t,
-                    level=realizations[b].base.times.size - 1)
-            key, dt, prev, dy = key[keep], dt[keep], prev[keep], dy[keep]
-            if not key.size:
-                return keep, None
-        dys[key] = dy
-        return keep, scheme_step(key, dt, prev, dy)
+    def bind(order):
+        # increments on each row's own grid, in union order; a row's first
+        # entry, at union time 0, is never read
+        dh = np.concatenate([np.diff(r.h.values, axis=0, prepend=r.h.values[:1])
+                             for r in realizations])[order]
+        dz = np.concatenate([np.diff(r.z.values, axis=0, prepend=r.z.values[:1])
+                             for r in realizations])[order]
+        dys = np.empty_like(dh)
+        dys[:len(grids)] = h0
+        laid.extend((order, dys))
+        advance = scheme_step(order)
 
-    marched = _march(grids, h0, step)
+        def step(key, rows, dt, prev):
+            with np.errstate(over="ignore", invalid="ignore"):
+                dy = dh[key] + np.matvec(coeff(prev), dz[key])
+            keep = None
+            if not np.isfinite(dy).all():
+                keep = np.isfinite(dy).all(axis=-1)
+                for i in np.flatnonzero(~keep).tolist():
+                    b = int(rows[i])
+                    index, j = realizations[b].trajectory_index, int(order[key][i] - starts[b])
+                    t = float(grids[b].times[j])
+                    errors[b] = ExplosionError(
+                        f"trajectory {index} exploded: the driven increment at step {j} "
+                        f"(t = {t!r}) is not finite", last=np.array(prev[i]),
+                        trajectory=index, step=j, time=t,
+                        level=realizations[b].base.times.size - 1)
+                key, dt, prev, dy = np.r_[key][keep], dt[keep], prev[keep], dy[keep]
+                if not key.size:
+                    return keep, None
+            dys[key] = dy
+            return keep, advance(key, dt, prev, dy)
+        return step
+
+    marched = _march(grids, h0, bind)
+    order, dys = laid
+    dys[order] = dys.copy()  # back to row order
     out = []
     for b, (r, lo, res, (scheme, params)) in enumerate(
             zip(realizations, starts.tolist(), marched, labels)):
@@ -284,7 +292,7 @@ def euler_chunk(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     labels = [("euler", {"flow_substeps": flow_substeps})] * len(realizations)
     return _run_chunk(
         op, coeff, realizations, labels,
-        lambda key, dt, prev, dy: _sp_step(op, proj, prev, dy, dt, flow_substeps))
+        lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, prev, dy, dt, flow_substeps))
 
 
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
@@ -345,43 +353,46 @@ def yosida_chunk(op: MonotoneOperator, proj: Projection | None, n, coeff: Coeffi
     levels = np.asarray(n, dtype=float)
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
-    size = len(realizations)
-    levels = np.broadcast_to(levels, (size,))
-    schemes = np.broadcast_to(scheme, (size,)).tolist()
+    levels = np.broadcast_to(levels, (len(realizations),))
+    schemes = np.broadcast_to(scheme, levels.shape).tolist()
     modified = np.asarray(schemes) == "modified_yosida"
-    # per grid point, the realizations' grids laid end to end
     counts = [r.grid.times.size for r in realizations]
-    lam = np.repeat(1.0 / levels, counts)
-    correct = None
-    if modified.any():
-        # the grid points where the driver genuinely jumps by more than 1/n
-        jump_h = np.concatenate([r.jump_h for r in realizations])
-        jump_z = np.concatenate([r.jump_z for r in realizations])
-        correct = (np.concatenate([r.jump_flags for r in realizations])
-                   & np.repeat(modified, counts)
-                   & (np.maximum(row_norm(jump_h), row_norm(jump_z)) > lam))
 
-    def step(key, dt, prev, dy):
-        state = prev + dy
-        dkd = 0.0
-        if correct is not None:
-            fix = correct[key]
-            if fix.any():
-                w = state[fix]
-                corrected = np.asarray(proj(op, w), dtype=float)
-                dkd = np.zeros_like(state)
-                dkd[fix] = w - corrected
-                state[fix] = corrected
-        pre_drift = state
-        lam_k, mu = lam[key], dt / drift_substeps
-        for _ in range(drift_substeps):
-            state = _yosida_step(op.resolvent, lam_k, mu, state)
-        # no flow between grid points: the left limit at t_j is prev
-        return prev, state, pre_drift - state, dkd
+    def bind(order):
+        # per grid point, laid end to end in row order, then in union order
+        lam = np.repeat(1.0 / levels, counts)
+        correct = None
+        if modified.any():
+            # the grid points where the driver genuinely jumps by more than 1/n
+            jump_h = np.concatenate([r.jump_h for r in realizations])
+            jump_z = np.concatenate([r.jump_z for r in realizations])
+            correct = (np.concatenate([r.jump_flags for r in realizations])
+                       & np.repeat(modified, counts)
+                       & (np.maximum(row_norm(jump_h), row_norm(jump_z)) > lam))[order]
+        lam = lam[order]
+
+        def step(key, dt, prev, dy):
+            state = prev + dy
+            dkd = 0.0
+            if correct is not None:
+                fix = correct[key]
+                if fix.any():
+                    w = state[fix]
+                    corrected = np.asarray(proj(op, w), dtype=float)
+                    dkd = np.zeros_like(state)
+                    dkd[fix] = w - corrected
+                    state[fix] = corrected
+            pre_drift = state
+            lam_k, mu = lam[key], dt / drift_substeps
+            for _ in range(drift_substeps):
+                state = _yosida_step(op.resolvent, lam_k, mu, state)
+            # no flow between grid points: the left limit at t_j is prev
+            return prev, state, pre_drift - state, dkd
+        return step
 
     labels = [(s, {"n": float(n), "drift_substeps": drift_substeps})
               for s, n in zip(schemes, levels.tolist())]
-    return _run_chunk(op, coeff, realizations, labels, step)
+    return _run_chunk(op, coeff, realizations, labels, bind)
 
 
 def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,

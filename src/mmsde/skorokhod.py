@@ -7,10 +7,10 @@ grid points), and post-jump states given by the generalized projection:
 x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 
 ``_march`` is the one grid march behind ``solve_step`` and the three schemes
-of ``schemes``.  It walks one path with a state (d,), or a chunk of paths
-with states (B, d) on the union of their grids, each row stepping only at its
-own grid times with its own step sizes, so that every row equals its own
-single-path march bit for bit.
+of ``schemes``.  It walks one path, or a chunk of paths on the union of their
+grids, kept in union order so that each union time is one slice of points;
+each row steps only at its own grid times with its own step sizes, so that
+every row equals its own single-path march bit for bit.
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
@@ -20,7 +20,6 @@ and the two-solution comparison inequalities used as property tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,44 +94,28 @@ def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
     return x_left, xi, prev - x_left, w - xi
 
 
-def _schedule(times: list, single: bool):
-    """The steps of ``_march``: (key, rows, dt) for each union time after 0."""
-    if single:
-        yield from zip(range(1, times[0].size), itertools.repeat(None),
-                       np.diff(times[0]).tolist())
-        return
-    flat = np.concatenate(times)
-    union, where = np.unique(flat, return_inverse=True)
-    # the flat indices of each union time, row by row
-    order = np.argsort(where, kind="stable")
-    ends = np.cumsum(np.bincount(where, minlength=union.size)).tolist()
-    row_of = np.repeat(np.arange(len(times)), [t.size for t in times])
-    dt = np.diff(flat, prepend=0.0)  # a row's own step; its first entry is never read
-    for lo, hi in zip(ends, ends[1:]):
-        key = order[lo:hi]
-        yield key, None if key.size == len(times) else row_of[key], dt[key]
-
-
 def _march(grids, x0: np.ndarray, step):
     """Apply a step map along one grid, or along each grid of a chunk.
 
-    One path: ``grids`` is its Partition and ``x0`` its start (d,).  A chunk:
-    ``grids`` holds one Partition per row and ``x0`` is (B, d).  The march
-    walks the union of the grid times; at each union time it steps the rows
-    whose grid holds that time, each with its own dt from its own previous
-    time, and the other rows hold their state.  The rows' grid points are laid
-    end to end in row order, and ``key`` indexes that flat layout: an int for
-    one path, an int array (the stepping rows' own points) for a chunk.
+    One path: ``grids`` is its Partition and ``x0`` its start (d,); the march
+    calls ``step(j, dt, prev)`` for j = 1, 2, ... with the float step and the
+    state at t_{j-1}, which returns (x_left, x_new, dkc, dkd): the left limit
+    at t_j, the new state, and the flow and jump parts of dk.
 
-    ``step(key, rows, dt, prev)`` maps the states ``prev`` at the rows' previous
-    times to ``(keep, (x_left, x_new, dkc, dkd))``: the left limits at the
-    key's times, the new states, and the flow and jump parts of dk.  ``rows``
-    is None when every row steps (``prev`` is then the whole state), and
-    otherwise the stepping rows; ``dt`` is a float for one path and one step
-    per row for a chunk.  ``keep`` is None, or a boolean mask over the
-    stepping rows: the rows it clears retire (the march steps them no more),
-    and the four outputs hold the kept rows only.  The step reads its own
-    input increment; the march never sees y.
+    A chunk: ``grids`` holds one Partition per row and ``x0`` is (B, d).  The
+    march walks the union of the grid times and steps, at each, the rows whose
+    grid holds it, each with its own dt; the other rows hold their state.  The
+    rows' grid points, laid end to end in row order, are kept in the union
+    order ``order``, their stable sort by time: a union time is a slice of
+    points in row order, and a point reads its row's previous state through
+    one gather of its predecessor.  The march first calls ``step(order)``,
+    which lays out the step's own per-point arrays as ``a[order]`` and returns
+    the map ``(key, rows, dt, prev) -> (keep, outputs)``: ``key`` is the slice
+    of the stepping points (at a union time that holds a retired row, the
+    index array of its live points) and ``rows`` their rows.  ``keep`` is
+    None, or a mask over the stepping rows: the rows it clears retire, and
+    the outputs hold the kept rows only.  The step reads its own input
+    increment; the march never sees y.
 
     k starts at zero and is the running sum of its increments, formed per row
     on the row's own grid by ``np.cumsum``, which adds row by row in order and
@@ -141,52 +124,58 @@ def _march(grids, x0: np.ndarray, step):
     (``x_pre[0] = x0``), or None for a retired row.
     """
     single = x0.ndim == 1
-    if single:
-        grids = [grids]
+    grids = [grids] if single else grids
     times = [g.times for g in grids]
     sizes = [t.size for t in times]
-    starts = np.cumsum([0] + sizes[:-1])
+    if not single:
+        flat = np.concatenate(times)
+        order = np.argsort(flat, kind="stable")
+        step = step(order)  # laid out before the march's own arrays exist
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        pred = inverse[order - 1]  # a point's predecessor on its own grid
+        row = np.repeat(np.arange(len(grids)), sizes)[order]
+        flat = flat[order]
+        dt = flat - flat[pred]  # a row's own step; t = 0's is never read
+        bounds = [*(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
+        del order, flat
     shape = (sum(sizes), x0.shape[-1])
-    x_vals = np.empty(shape)
-    x_pre = np.empty(shape)
-    dkc = np.zeros(shape)
-    dkd = np.zeros(shape)
-    x_vals[starts] = x_pre[starts] = x0
-    state = np.array(x0, dtype=float)
+    x, x_pre, dkc, dkd = np.empty(shape), np.empty(shape), np.zeros(shape), np.zeros(shape)
+    x[:len(grids)] = x_pre[:len(grids)] = x0
     live = np.ones(len(grids), dtype=bool)
-    every = np.arange(len(grids))
-    retired = 0
-    for key, rows, dt in _schedule(times, single):
-        if retired:
-            rows = every if rows is None else rows
-            held = live[rows]
-            if not held.all():
-                key, rows, dt = key[held], rows[held], dt[held]
+    if single:
+        state = np.array(x0, dtype=float)
+        for j, dt in zip(range(1, shape[0]), np.diff(times[0]).tolist()):
+            x_pre[j], state, dkc[j], dkd[j] = step(j, dt, state)
+            x[j] = state
+    else:
+        held = None  # per point, whether its row is live, once a row retires
+        for lo, hi in zip(bounds, bounds[1:]):
+            key = slice(lo, hi)
+            if held is not None and not held[key].all():
+                key = np.flatnonzero(held[key]) + lo
                 if not key.size:
                     continue
-        prev = state if rows is None else state[rows]
-        keep, out = step(key, rows, dt, prev)
-        if keep is not None:
-            rows = every if rows is None else rows
-            live[rows[~keep]] = False
-            retired = np.count_nonzero(~live)
-            key, rows = key[keep], rows[keep]
-            if not key.size:
-                if retired == live.size:
+            rows = row[key]
+            keep, out = step(key, rows, dt[key], x[pred[key]])
+            if keep is not None:
+                live[rows[~keep]] = False
+                if not live.any():
                     break
-                continue
-        x_pre[key], x_new, dkc[key], dkd[key] = out
-        x_vals[key] = x_new
-        if rows is None:
-            state = x_new
-        else:
-            state[rows] = x_new
-    out = []
-    for grid, lo, n, alive in zip(grids, starts.tolist(), sizes, live.tolist()):
+                held, key = live[row], np.r_[key][keep]
+                if not key.size:
+                    continue
+            x_pre[key], x[key], dkc[key], dkd[key] = out
+        # the step's per-point arrays go before the outputs return to row order
+        del step, pred, row, dt, held
+        for a in (x, x_pre, dkc, dkd):
+            a[:] = a[inverse]
+    out, lo = [], 0
+    for grid, n, alive in zip(grids, sizes, live.tolist()):
+        rows, lo = slice(lo, lo + n), lo + n
         if not alive:
             out.append(None)
             continue
-        rows = slice(lo, lo + n)
         # the sums overwrite their increments, which nothing else keeps
         kc, kd = dkc[rows], dkd[rows]
         np.cumsum(kc, axis=0, out=kc)
@@ -194,7 +183,7 @@ def _march(grids, x0: np.ndarray, step):
         # total = continuous + jump bitwise; additivity to y holds to rounding
         k = BVDecomposition(total=StepPath(grid, kc + kd),
                             continuous=StepPath(grid, kc), jump=StepPath(grid, kd))
-        out.append((StepPath(grid, x_vals[rows]), k, x_pre[rows]))
+        out.append((StepPath(grid, x[rows]), k, x_pre[rows]))
     return out
 
 
@@ -216,10 +205,15 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
             f"y_0 outside the domain closure (distance {dist:.3e})",
             point=y0, distance=dist,
         )
-    dy = y.jumps()
+    with np.errstate(over="ignore"):  # a jump between two finite values may overflow
+        dy = y.jumps()
+    if not np.isfinite(dy).all():
+        j = int(np.argmin(np.isfinite(dy).all(axis=1)))
+        t = float(y.partition.times[j])
+        raise ValueError(f"the input increment at step {j} (t = {t!r}) is not finite")
     [(x, k, x_pre)] = _march(
         y.partition, y0,
-        lambda j, rows, dt, prev: (None, _sp_step(op, proj, prev, dy[j], dt, flow_substeps)))
+        lambda j, dt, prev: _sp_step(op, proj, prev, dy[j], dt, flow_substeps))
     return SkorokhodSolution(x=x, k=k, y=y, x_pre=x_pre, flow_substeps=flow_substeps)
 
 
@@ -311,8 +305,6 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
     jumps = np.flatnonzero(dkd_norm[1:] > 0.0) + 1
     target = np.asarray(proj(op, sol.x_pre[jumps] + dy[jumps]), dtype=float)
     jump_res = float(np.max(row_norm(sol.x.values[jumps] - target), initial=0.0))
-    if times.size == 1:
-        bound_margin = 0.0
     if jump_res > tol:
         failures.append(f"jump condition residual {jump_res:.3e}")
     if bound_margin < 0.0:
@@ -327,17 +319,14 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
         for j in range(1, times.size):
             states = [sol.x.values[j - 1]]
             steps = flow_steps(op, states[0], times[j] - times[j - 1], sol.flow_substeps)
-            if not steps:
-                continue
             states.extend(nxt for _, nxt in steps)
             states = np.array(states)
             cur, nxt = states[:-1], states[1:]
             # (cur - nxt)/lam is an element of A(nxt), one row per flow step
             terms.append(np.vecdot(nxt - alphas[:, None],
                                    (cur - nxt) - steps[0][0] * betas[:, None]))
-        if terms:
-            for row in np.concatenate(terms, axis=1):
-                mono_worst = min(mono_worst, _min_subarray_sum(row.tolist()))
+        for row in np.concatenate(terms, axis=1):
+            mono_worst = min(mono_worst, _min_subarray_sum(row.tolist()))
     if mono_worst < -tol:
         failures.append(f"monotonicity sum {mono_worst:.3e} below -{tol:.1e}")
 

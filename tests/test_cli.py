@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestSkorokhodCommand:
         assert err.startswith(f"configuration error: --path: {message}"), err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_path_increment_is_a_config_error_at_once(self, tmp_path, capsys):
+        # 1e308 to -1e308 overflows to an infinite jump, which the iterated
+        # elastic projection would otherwise chase through its whole budget
+        path_file, _ = write_path(tmp_path / "y.csv", [0.0, 0.5, 1.0],
+                                  [[0.0, 0.0], [1e308, 1e308], [-1e308, -1e308]])
+        config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)
+        start = time.perf_counter()
+        assert skorokhod(config, path_file, tmp_path / "out") == EXIT_CONFIG
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == ("configuration error: --path: the input "
+                                           "increment at step 2 (t = 1.0) is not finite\n")
+        assert not (tmp_path / "out").exists()
+
     def test_elastic_budget_exhausted_is_nonconvergence(self, tmp_path, capsys):
         # a jump from 0.5 to 5: one elastic step lands at 1 - 0.5 * 4 = -1,
         # still outside [0, 1], and max_iter = 1 allows no second step
@@ -353,7 +367,10 @@ class TestStudyCommands:
     ("simulate", ["--level", "-4"], "experiment.levels"),
     ("simulate", ["--level", "0"], "experiment.levels"),
     ("verify", ["--samples", "0"], "--samples"),
-], ids=["yosida-n-0.5", "level-minus-4", "level-0", "samples-0"])
+    ("simulate", ["--trajectory", "-1"], "--trajectory"),
+    ("simulate", ["--trajectory", str(2**64)], "--trajectory"),
+], ids=["yosida-n-0.5", "level-minus-4", "level-0", "samples-0", "trajectory-minus-1",
+        "trajectory-2**64"])
 def test_bad_flag_is_a_config_error(tmp_path, capsys, command, flags, field):
     # flags are checked with the config they override, so none falls back to it
     config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)

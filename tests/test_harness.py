@@ -17,7 +17,7 @@ from mmsde.harness import (
     verify_suite,
 )
 from mmsde.operators import row_norm
-from mmsde.paths import refine, uniform_partition
+from mmsde.paths import Partition, refine, uniform_partition
 from mmsde.schemes import (
     euler_chunk,
     euler_scheme,
@@ -349,6 +349,81 @@ def test_exploding_rows_retire_with_their_single_run_error():
             np.testing.assert_array_equal(out.last, exc.last)
         else:
             np.testing.assert_array_equal(out.x.values, want.x.values)
+
+
+def union_order_chunk(case, scheme):
+    """A chunk whose union times take the march off its common path, and the
+    context to run it in."""
+    if case == "retired-row-alone":
+        ctx = _Context(parse_config_text(SQUARE_STUDY))
+        # trajectory 2 explodes at a time that the live rows' grids, half as
+        # fine, hold too (Euler: t = 27/32 on its 64-step grid; Yosida:
+        # t = 15/16 on its 32-step grid), and its odd grid times after it are
+        # its own
+        fine = 64 if scheme == "euler" else 32
+        return ctx, [simulate(ctx.driver, uniform_partition(1.0, n), 33, i)
+                     for n, i in ((fine // 2, 0), (fine, 2), (fine // 2, 1), (fine // 2, 3))]
+    ctx = _Context(study_config("box"))
+    still = build_driver(dict(ctx.cfg.driver, jump_rate=0.0), 2)  # no jump times
+    if case == "single-interval":
+        reals = [simulate(ctx.driver, uniform_partition(1.0, 8), 3, 0),
+                 simulate(still, uniform_partition(1.0, 1), 3, 1),
+                 simulate(ctx.driver, Partition(np.array([0.0, 0.3, 0.55, 1.0])), 3, 2),
+                 simulate(ctx.driver, uniform_partition(1.0, 5), 3, 3)]
+        assert reals[1].grid.times.tolist() == [0.0, 1.0]
+        assert len({r.grid.times.size for r in reals}) == len(reals)
+    else:  # two rows on one grid: every union time steps both
+        reals = [simulate(still, uniform_partition(1.0, 8), 3, i) for i in (0, 1)]
+        assert reals[0].grid.same_times(reals[1].grid)
+    return ctx, reals
+
+
+@pytest.mark.parametrize("scheme", ["euler", "mixed_yosida"])
+@pytest.mark.parametrize("case", ["single-interval", "identical-grids", "retired-row-alone"])
+def test_union_order_edge_cases_equal_single_runs(case, scheme):
+    ctx, reals = union_order_chunk(case, scheme)
+    start = ctx.coeff.evaluations
+    if scheme == "euler":
+        outs = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 3)
+        runs = [lambda r=r: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 3) for r in reals]
+    else:
+        levels, kinds = [2.5, 4, 16, 1], ["yosida", "modified_yosida"] * 2
+        outs = yosida_chunk(ctx.op, ctx.proj, levels[:len(reals)], ctx.coeff, reals,
+                            kinds[:len(reals)], 2)
+        runs = [lambda n=n, kind=kind, r=r: yosida_scheme(ctx.op, n, ctx.coeff, r, 2)
+                if kind == "yosida"
+                else modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, 2)
+                for n, kind, r in zip(levels, kinds, reals)]
+    marched = ctx.coeff.evaluations - start
+    retired = []
+    for r, out, run in zip(reals, outs, runs):
+        try:
+            one = run()
+        except ExplosionError as exc:
+            assert isinstance(out, ExplosionError) and str(out) == str(exc)
+            assert out.last.tobytes() == exc.last.tobytes()
+            retired.append((r, exc.time))
+            continue
+        pairs = [(out.x.values, one.x.values), (out.y.values, one.y.values),
+                 (out.k.continuous.values, one.k.continuous.values),
+                 (out.k.jump.values, one.k.jump.values),
+                 (out.k.total.values, one.k.total.values)]
+        if scheme == "euler":
+            pairs.append((out.x_pre, one.x_pre))
+        for got, want in pairs:
+            assert_same_path("box", got, want)
+            assert got.tobytes() == want.tobytes()
+    # the chunk evaluates the coefficient where the single runs do, and no
+    # retired row is stepped again
+    assert ctx.coeff.evaluations - start == 2 * marched
+    assert len(retired) == (case == "retired-row-alone")
+    for r, t in retired:
+        # it retires at a time that live rows step too, and grid times that
+        # no other row holds follow
+        others = np.concatenate([q.grid.times for q in reals if q is not r])
+        assert t in others
+        later = r.grid.times[r.grid.times > t]
+        assert np.setdiff1d(later, others).size
 
 
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes],

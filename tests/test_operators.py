@@ -218,6 +218,30 @@ class TestConstructors:
         op = indicator_box([0.0, 0.0], [1.0, 1.0])
         assert resolve(op, 1.0, [2.0, 0.5]) == pytest.approx([1.0, 0.5])
 
+    @pytest.mark.parametrize("size", [1, 3, 16, 33, "every-candidate"])
+    def test_box_projection_is_np_clip_byte_for_byte(self, size):
+        # signed-zero, infinite and subnormal bounds; np.minimum(np.maximum(...))
+        # differs from np.clip on the signs of zeros, so the bytes are compared
+        tiny = 5e-324
+        lo = np.array([-0.0, 0.0, -1.0, -1.0, -np.inf, -0.5, -np.inf, tiny, -2.2e-308])
+        hi = np.array([1.0, 1.0, -0.0, 0.0, 0.5, np.inf, np.inf, 1e-310, -tiny])
+        op = indicator_box(lo, hi)
+        # per coordinate: each bound, 1 ulp either side of it, and fixed values
+        fixed = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, 2.0, -2.0])
+        candidates = np.vstack([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                                np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+                                np.repeat(fixed[:, None], lo.size, axis=1)])
+        if size == "every-candidate":
+            z = candidates
+        else:
+            pick = np.random.default_rng(size).integers(0, len(candidates), (size, lo.size))
+            z = candidates[pick, np.arange(lo.size)]
+        for point in (z, z[0]):
+            want = np.clip(point, lo, hi)
+            for got in (op.domain_projection(point), op.resolvent(0.5, point)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_linear_halving(self):
         op = linear_monotone(np.eye(2))
         assert resolve(op, 1.0, [2.0, 4.0]) == pytest.approx([1.0, 2.0])

@@ -64,6 +64,25 @@ class TestSolveStep:
         with pytest.raises(DomainViolationError):
             solve_step(zoo["halfline"], CLASSICAL, y)
 
+    @pytest.mark.parametrize("times, values, message", [
+        ([0.0, 0.5, 1.0], [[0.0, 0.0], [1e308, 1e308], [-1e308, -1e308]],
+         "step 2 (t = 1.0)"),
+        ([0.0, 0.25, 0.5, 0.75], [[0.5, 0.5], [0.5, -1.7e308], [0.5, -1.7e308], [0.5, 1.7e308]],
+         "step 3 (t = 0.75)"),
+    ], ids=["both-coordinates", "one-coordinate"])
+    def test_rejects_an_overflowing_increment_before_it_marches(self, zoo, times, values,
+                                                              message):
+        # the jump between two finite values overflows to an infinite increment:
+        # no flow may see it, and the overflow raises no numpy warning
+
+        def never(lam, z):
+            raise AssertionError("the march started")
+
+        op = dataclasses.replace(zoo["box2"], resolvent=never)
+        with pytest.raises(ValueError) as err:
+            solve_step(op, Projection("elastic_iterated", c=0.5), step_path(times, values))
+        assert str(err.value) == f"the input increment at {message} is not finite"
+
     def test_x_stays_in_domain(self, zoo, rng):
         for name in ("halfline", "box2", "ball2", "wedge"):
             op = zoo[name]
