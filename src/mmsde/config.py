@@ -19,6 +19,7 @@ driver jump is possible (excluded from continuity-point comparisons).
 from __future__ import annotations
 
 import configparser
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -103,8 +104,8 @@ class ExperimentConfig:
         # refinement chains must nest so grids share points bit-exactly
         if any(b % a != 0 for a, b in pairs):
             raise ConfigError("experiment.levels", "each level must divide the next")
-        if any(y < 1 for y in self.yosida_levels):
-            raise ConfigError("experiment.yosida_levels", "levels must be >= 1")
+        if not all(1 <= y < math.inf for y in self.yosida_levels):
+            raise ConfigError("experiment.yosida_levels", "levels must be finite and >= 1")
         if any(b <= a for a, b in zip(self.yosida_levels, self.yosida_levels[1:])):
             raise ConfigError("experiment.yosida_levels", "levels must be strictly increasing")
         if self.trajectories < 1:
@@ -180,7 +181,7 @@ def _matrix(text: str, fieldname: str) -> list[list[float]]:
 
 def _ints(text: str, fieldname: str) -> tuple:
     vals = _floats(text, fieldname)
-    if any(v != int(v) for v in vals):
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise ConfigError(fieldname, "expected integers")
     return tuple(int(v) for v in vals)
 

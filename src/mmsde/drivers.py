@@ -13,11 +13,17 @@ so the law is exact), each keyed by its time and drawn and bridged once: W(t)
 is a pure function of (seed, trajectory, tag, t), so ``restrict`` reads the
 values of a coarser partition off a fine realization.  ``STREAM_VERSION``
 names the stream; a change to its values bumps it.
+
+Inside the package realizations travel as the rows of one ``Chunk``: grid
+times laid end to end with row offsets, H and Z as (N, d) columns, the jump
+flags and sizes, and each row's trajectory index and base level.
+``simulate``, ``simulate_chunk`` and ``restrict`` return a row as a
+``DriverRealization`` of views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -354,6 +360,67 @@ class DriverRealization:
     spec: DriverSpec | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class Chunk:
+    """Realizations of a chunk of rows, laid end to end in columns.
+
+    Row b owns the points ``starts[b]:starts[b + 1]`` of each per-point
+    column: its grid ``times`` (its base partition with the jump times
+    inserted), the values ``h`` and ``z`` (N, d), ``jump_flags`` and the jumps
+    ``jump_h`` and ``jump_z``.  ``trajectory`` and ``level`` give each row's
+    trajectory index and the intervals of its base partition.
+    """
+
+    times: np.ndarray
+    h: np.ndarray
+    z: np.ndarray
+    jump_flags: np.ndarray
+    jump_h: np.ndarray
+    jump_z: np.ndarray
+    starts: np.ndarray
+    trajectory: list
+    level: np.ndarray
+
+    def restrict(self, partitions) -> tuple["Chunk", np.ndarray]:
+        """Row b on each of ``partitions`` in turn, as row r B + b of a new
+        chunk, and the index here of each new point.  A partition must lie
+        within every row's grid; levels nest and every grid holds its jump
+        times, so row b on it is the mask of its points at its times or jumps."""
+        keep = []
+        for part in partitions:
+            at = np.isin(self.times, part.times)
+            if (np.any(np.add.reduceat(at, self.starts[:-1], dtype=np.intp) != part.times.size)
+                    or np.any(self.times[self.starts[1:] - 1] != part.horizon)):
+                raise ValueError("coarser partition must lie within the realization's grid")
+            keep.append(at | self.jump_flags)
+        counts = np.add.reduceat(keep, self.starts[:-1], axis=1, dtype=np.intp).ravel()
+        points = np.flatnonzero(keep) % self.times.size
+        columns = (self.times, self.h, self.z, self.jump_flags, self.jump_h, self.jump_z)
+        levels = np.repeat([p.times.size - 1 for p in partitions], len(self.trajectory))
+        return Chunk(*(a[points] for a in columns), np.cumsum([0, *counts]),
+                     self.trajectory * len(keep), levels), points
+
+
+def _chunk_of(realizations) -> Chunk:
+    """The realizations as the rows of one Chunk, in order."""
+    columns = zip(*((r.grid.times, r.h.values, r.z.values, r.jump_flags, r.jump_h, r.jump_z)
+                    for r in realizations))
+    return Chunk(*map(np.concatenate, columns),
+                 np.cumsum([0, *(r.grid.times.size for r in realizations)]),
+                 [r.trajectory_index for r in realizations],
+                 np.array([r.base.times.size - 1 for r in realizations]))
+
+
+def _realization(chunk: Chunk, b: int, base: Partition, seed, spec) -> DriverRealization:
+    """Row b of ``chunk`` on ``base``, its arrays views of the chunk's columns."""
+    rows = slice(*chunk.starts[b:b + 2].tolist())
+    grid = Partition(chunk.times[rows])
+    return DriverRealization(
+        base=base, grid=grid, h=StepPath(grid, chunk.h[rows]), z=StepPath(grid, chunk.z[rows]),
+        jump_flags=chunk.jump_flags[rows], jump_h=chunk.jump_h[rows],
+        jump_z=chunk.jump_z[rows], seed=seed, trajectory_index=chunk.trajectory[b], spec=spec)
+
+
 def _sample_jumps(proc: ProcessSpec, seed: int, index: int, tag_times: int,
                   tag_sizes: int, horizon: float):
     if proc.jump_rate == 0.0:
@@ -377,15 +444,6 @@ def _process_values(proc: ProcessSpec, times: np.ndarray, w: np.ndarray | None,
     return vals
 
 
-def _jump_arrays(times: np.ndarray, jump_times: np.ndarray, jump_sizes: np.ndarray,
-                 dim: int) -> np.ndarray:
-    out = np.zeros((times.size, dim))
-    if jump_times.size:
-        pos = np.searchsorted(times, jump_times)
-        out[pos] = jump_sizes
-    return out
-
-
 def simulate(spec: DriverSpec, partition: Partition, seed: int,
              trajectory_index: int = 0) -> DriverRealization:
     """Sample one (H, Z) realization, deterministic in (seed, trajectory_index):
@@ -394,15 +452,21 @@ def simulate(spec: DriverSpec, partition: Partition, seed: int,
 
 
 def simulate_chunk(spec: DriverSpec, partition: Partition, seed: int, indices) -> list:
-    """The realizations of trajectories ``indices`` on ``partition``, in that order.
+    """The realizations of trajectories ``indices`` on ``partition``, in order."""
+    if len(indices) == 0:
+        return []
+    chunk = _simulate(spec, partition, seed, indices)
+    return [_realization(chunk, b, partition, seed, spec) for b in range(len(indices))]
+
+
+def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chunk:
+    """The realizations of trajectories ``indices`` on ``partition``, as the rows of a Chunk.
 
     Each trajectory's jump times are merged into its grid.  The Brownian parts
     at all the grids' times come from ``_brownian_values``, one call per
     descent of about ``_DESCENT_NODES`` tree nodes (``_descents``), so that a
-    dyadic chunk shares one descent.  Item i does not depend on the chunk.
+    dyadic chunk shares one descent.  Row i does not depend on the chunk.
     """
-    if len(indices) == 0:
-        return []
     horizon, d = partition.horizon, spec.dimension
     jumps = [_sample_jumps(spec.z, seed, i, _TAG_Z_TIMES, _TAG_Z_SIZES, horizon)
              + _sample_jumps(spec.h, seed, i, _TAG_H_TIMES, _TAG_H_SIZES, horizon)
@@ -412,22 +476,22 @@ def simulate_chunk(spec: DriverSpec, partition: Partition, seed: int, indices) -
     tags = [tag for tag, proc in ((_TAG_Z_BM, spec.z), (_TAG_H_BM, spec.h))
             if proc.has_brownian]
     sizes = [g.size for g in grids]
-    queries, ends = np.concatenate(grids), np.cumsum(sizes)
-    w_all = np.empty((len(tags), queries.size, d))
-    for lo, hi in _descents(queries, sizes, horizon) if tags else ():
-        rows = np.asarray(indices)[np.searchsorted(ends, np.arange(lo, hi), side="right")]
-        w_all[:, lo:hi] = _brownian_values(seed, rows, tags, horizon, d, queries[lo:hi])
-    out = []
-    for i, times, end, (zt, zs, ht, hs) in zip(indices, grids, ends, jumps):
-        w, grid = dict(zip(tags, w_all[:, end - times.size:end])), Partition(times)
-        z_vals = _process_values(spec.z, times, w.get(_TAG_Z_BM), zt, zs)
-        h_vals = spec.h0[None, :] + _process_values(spec.h, times, w.get(_TAG_H_BM), ht, hs)
-        out.append(DriverRealization(
-            base=partition, grid=grid, h=StepPath(grid, h_vals), z=StepPath(grid, z_vals),
-            jump_flags=np.isin(times, np.concatenate((zt, ht))),
-            jump_h=_jump_arrays(times, ht, hs, d), jump_z=_jump_arrays(times, zt, zs, d),
-            seed=seed, trajectory_index=i, spec=spec))
-    return out
+    times, starts = np.concatenate(grids), np.cumsum([0, *sizes])
+    w_all = np.empty((len(tags), times.size, d))
+    for lo, hi in _descents(times, sizes, horizon) if tags else ():
+        rows = np.asarray(indices)[np.searchsorted(starts[1:], np.arange(lo, hi), side="right")]
+        w_all[:, lo:hi] = _brownian_values(seed, rows, tags, horizon, d, times[lo:hi])
+    h, z, jump_h, jump_z = np.zeros((4, times.size, d))
+    flags = np.zeros(times.size, dtype=bool)
+    for lo, hi, (zt, zs, ht, hs) in zip(starts.tolist(), starts[1:].tolist(), jumps):
+        t, w = times[lo:hi], dict(zip(tags, w_all[:, lo:hi]))
+        z[lo:hi] = _process_values(spec.z, t, w.get(_TAG_Z_BM), zt, zs)
+        h[lo:hi] = spec.h0[None, :] + _process_values(spec.h, t, w.get(_TAG_H_BM), ht, hs)
+        for at, jump_sizes, jump in ((zt, zs, jump_z), (ht, hs, jump_h)):
+            pos = lo + np.searchsorted(t, at)
+            jump[pos], flags[pos] = jump_sizes, True
+    return Chunk(times, h, z, flags, jump_h, jump_z, starts, list(indices),
+                 np.full(len(indices), partition.times.size - 1))
 
 
 def restrict(realization: DriverRealization, coarser: Partition) -> DriverRealization:
@@ -436,14 +500,8 @@ def restrict(realization: DriverRealization, coarser: Partition) -> DriverRealiz
     The grid keeps every jump time and each value is a function of its time
     alone, so this equals ``simulate`` on ``coarser`` bit for bit.
     """
-    fine = realization.grid
-    grid = Partition(np.union1d(coarser.times, fine.times[realization.jump_flags]))
-    pos = np.minimum(np.searchsorted(fine.times, grid.times), fine.times.size - 1)
-    if coarser.horizon != fine.horizon or np.any(fine.times[pos] != grid.times):
-        raise ValueError("coarser partition must lie within the realization's grid")
-    rows = {k: getattr(realization, k)[pos] for k in ("jump_flags", "jump_h", "jump_z")}
-    paths = {k: StepPath(grid, getattr(realization, k).values[pos]) for k in "hz"}
-    return replace(realization, base=coarser, grid=grid, **rows, **paths)
+    chunk, _ = _chunk_of([realization]).restrict([coarser])
+    return _realization(chunk, 0, coarser, realization.seed, realization.spec)
 
 
 def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:

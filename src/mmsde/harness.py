@@ -20,16 +20,17 @@ from .config import (
     build_operator,
     build_projection,
 )
-from .errors import ConfigError, ExplosionError
+from .drivers import _simulate
+from .errors import ConfigError
 from .operators import DEFAULT_DOMAIN_TOL, resolve, row_norm, yosida_a, yosida_j
-from .paths import StepPath, refine, uniform_partition
+from .paths import Partition, StepPath, refine, uniform_partition
 from .projections import project_classical
 from .schemes import (
-    euler_chunk,
+    _euler,
+    _yosida,
     euler_scheme,
     modified_yosida_scheme,
     resolvent_of_yosida_step,
-    yosida_chunk,
     yosida_scheme,
 )
 from .skorokhod import (
@@ -57,6 +58,10 @@ _CHUNK_TRAJECTORIES = 64
 
 @dataclass(frozen=True)
 class ErrorRow:
+    """The errors of one (level, scheme, checkpoint) over ``n_traj`` trajectories.
+    ``std_err`` is the sample standard deviation (ddof=1) of the per-trajectory
+    errors, not the standard error of ``mean_err`` (``std_err / sqrt(n_traj)``)."""
+
     level: int
     scheme: str
     checkpoint: float
@@ -70,6 +75,9 @@ class ErrorRow:
 
 @dataclass
 class ErrorTable:
+    """A study's ErrorRows: each ``std_err`` is the sample standard deviation
+    (ddof=1) of the per-trajectory errors, not the standard error of ``mean_err``."""
+
     rows: list = field(default_factory=list)
     reference: str = ""
 
@@ -78,24 +86,10 @@ class ErrorTable:
         lines.append("level,scheme,checkpoint,mean_err,std_err,sup_err,"
                      "p_gt_1e-1,p_gt_1e-2,n_traj")
         for r in self.rows:
-            lines.append(",".join([
-                str(r.level), r.scheme, repr(float(r.checkpoint)),
-                repr(float(r.mean_err)), repr(float(r.std_err)),
-                repr(float(r.sup_err)), repr(float(r.p_gt_1e1)),
-                repr(float(r.p_gt_1e2)), str(r.n_traj),
-            ]))
+            floats = (r.checkpoint, r.mean_err, r.std_err, r.sup_err, r.p_gt_1e1, r.p_gt_1e2)
+            lines.append(",".join([str(r.level), r.scheme, *(repr(float(v)) for v in floats),
+                                   str(r.n_traj)]))
         return "\n".join(lines) + "\n"
-
-    def select(self, scheme: str | None = None, level: int | None = None,
-               checkpoint: float | None = None) -> list:
-        out = self.rows
-        if scheme is not None:
-            out = [r for r in out if r.scheme == scheme]
-        if level is not None:
-            out = [r for r in out if r.level == level]
-        if checkpoint is not None:
-            out = [r for r in out if r.checkpoint == checkpoint]
-        return out
 
 
 class _Context:
@@ -134,10 +128,6 @@ class _Context:
         return modified_yosida_scheme(self.op, self.proj, n_level, self.coeff,
                                       realization, self.cfg.drift_substeps)
 
-    def euler_chunk(self, realizations) -> list:
-        return euler_chunk(self.op, self.proj, self.coeff, realizations,
-                           self.cfg.flow_substeps)
-
     def oracle_applies(self) -> bool:
         """Closed-form reference: reflection on [0, inf) under additive noise."""
         spec = self.op.spec or {}
@@ -149,33 +139,53 @@ class _Context:
             return False
         return self.coeff.spec is not None and self.coeff.spec.get("kind") == "constant"
 
-    def oracle_solution(self, realization) -> StepPath:
+    def oracle_x(self, chunk) -> np.ndarray:
+        """The half-line reflection of each row's driving input, flat on the chunk."""
         fmat = np.asarray(self.coeff.spec["matrix"], dtype=float)
-        y_vals = realization.h.values + realization.z.values @ fmat.T
-        y = StepPath(realization.grid, y_vals)
-        return reflect_halfline_oracle(y).x
+        x = np.empty_like(chunk.h)
+        for lo, hi in zip(chunk.starts.tolist(), chunk.starts[1:].tolist()):
+            y = StepPath(Partition(chunk.times[lo:hi]), chunk.h[lo:hi] + chunk.z[lo:hi] @ fmat.T)
+            x[lo:hi] = reflect_halfline_oracle(y).x.values
+        return x
 
 
 def _norm(diff: np.ndarray, axis=None):
-    """``np.linalg.norm``, or ``hypot`` where only the squares overflow (above 1e154)."""
+    """The norm of each vector along the last axis, which is ``np.linalg.norm``
+    of a vector bit for bit (``row_norm``), or ``np.linalg.norm`` along
+    ``axis``; ``hypot`` where only the squares overflow (above 1e154)."""
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(diff, axis=axis)
+        norm = row_norm(diff) if axis is None else np.linalg.norm(diff, axis=axis)
         if np.isinf(norm).any():
             norm = np.where(np.isinf(norm), np.hypot.reduce(diff, axis=-1), norm)
     return norm
 
 
-def _checkpoint_errors(x: StepPath, ref: StepPath, checkpoints) -> np.ndarray:
-    return np.asarray([
-        float(_norm(x.value_at(cp.time) - ref.value_at(cp.time)))
-        for cp in checkpoints
-    ])
+def _at(chunk, times) -> np.ndarray:
+    """Per row of ``chunk``, the point whose value holds at each of ``times``
+    (the path is right-continuous): (rows, times)."""
+    before = chunk.times[:, None] <= np.asarray(times)
+    return chunk.starts[:-1, None] - 1 + np.add.reduceat(before, chunk.starts[:-1], dtype=np.intp)
 
 
-def _grid_sup_error(x: StepPath, ref: StepPath) -> float:
-    t = x.partition.times
-    diff = x.values - ref.values_at(t)
-    return float(np.max(_norm(diff, axis=1)))
+def _errors(march, x, sup_x, fine, ref, fine_of, times):
+    """Per run r and row b, the error of x at each of ``times`` (runs, B, times)
+    and the largest error of ``sup_x`` over the grid (runs, B), where march row
+    r B + b runs fine row b, ``ref`` is flat on ``fine`` and march point i lies
+    at fine point ``fine_of[i]``."""
+    width = len(fine.trajectory)
+    sup = np.maximum.reduceat(_norm(sup_x - ref[fine_of], axis=1), march.starts[:-1])
+    at = x[_at(march, times)].reshape(-1, width, len(times), x.shape[1])
+    return _norm(at - ref[_at(fine, times)]), sup.reshape(-1, width)
+
+
+def _explosions(errors: dict, width: int, first_run: int = 0) -> dict:
+    """A march's ExplosionErrors, row r keyed (chunk position, run) = (r % width,
+    first_run + r // width), with run 0, the reference, marked.  Runs are
+    numbered in the order of the per-trajectory loop, so the smallest key
+    names the error that loop would have raised first."""
+    for r, err in errors.items():
+        err.reference = first_run + r // width == 0
+    return {(r % width, first_run + r // width): err for r, err in errors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -187,74 +197,39 @@ def _chunks(indices):
         yield indices[lo:lo + _CHUNK_TRAJECTORIES]
 
 
-def _run_rows(outputs, width: int, errors: dict, first_run: int = 0) -> list:
-    """Per run, the paths x of a march whose row r is run
-    ``first_run + r // width`` of chunk position ``r % width``.
-
-    An exploded run's path is None, and its ExplosionError, marked if the run
-    is the reference, goes to ``errors[(position, run)]``.  Runs are numbered
-    in the order of the per-trajectory loop (run 0, the reference, first), so
-    the smallest key names the error that loop would have raised first.
-    """
-    paths = []
-    for r, res in enumerate(outputs):
-        b, run = r % width, first_run + r // width
-        if isinstance(res, ExplosionError):
-            res.reference = run == 0
-            errors[(b, run)] = res
-            paths.append(None)
-        else:
-            paths.append(res.x)
-    return [paths[lo:lo + width] for lo in range(0, len(paths), width)]
-
-
-def _raise_first(errors: dict):
-    if errors:
-        raise errors[min(errors)]
-
-
 def _convergence_batch(cfg: ExperimentConfig, indices):
-    from .drivers import restrict, simulate_chunk
-
     ctx = _Context(cfg)
     use_oracle = ctx.oracle_applies()
+    # run 0 is the reference (unless the oracle gives it), then run 1 + li
+    # the level li: its rows are the reference rows under a mask
+    parts = [*([] if use_oracle else [ctx.reference_partition]), *ctx.partitions]
     out = []
     for chunk in _chunks(indices):
-        # one march: run 0, the reference (unless the oracle gives it), then
-        # run 1 + li, the level li read off the same realization
-        errors = {}
-        fine = simulate_chunk(ctx.driver, ctx.reference_partition, cfg.seed, chunk)
-        reals = [] if use_oracle else list(fine)
-        for part in ctx.partitions:
-            reals.extend(restrict(r, part) for r in fine)
-        runs = _run_rows(ctx.euler_chunk(reals), len(chunk), errors,
-                         first_run=int(use_oracle))
-        _raise_first(errors)
-        if use_oracle:
-            refs = [ctx.oracle_solution(r) for r in fine]
-        else:
-            refs, *runs = runs
-        for b, i in enumerate(chunk):
-            cp_err = np.stack([_checkpoint_errors(xs[b], refs[b], ctx.checkpoints)
-                               for xs in runs])
-            sup_err = np.array([_grid_sup_error(xs[b], refs[b]) for xs in runs])
-            out.append((i, cp_err, sup_err))
+        fine = _simulate(ctx.driver, ctx.reference_partition, cfg.seed, chunk)
+        march, fine_of = fine.restrict(parts)
+        x, *_, errors = _euler(ctx.op, ctx.proj, ctx.coeff, march, cfg.flow_substeps)
+        errors = _explosions(errors, len(chunk), first_run=int(use_oracle))
+        if errors:
+            raise errors[min(errors)]
+        ref = ctx.oracle_x(fine) if use_oracle else x[:fine.times.size]
+        cp_err, sup_err = _errors(march, x, x, fine, ref, fine_of,
+                                  [cp.time for cp in ctx.checkpoints])
+        levels = len(ctx.partitions)
+        out.append((cp_err[-levels:].transpose(1, 0, 2), sup_err[-levels:].T))
     return out
 
 
-def _map_batches(cfg: ExperimentConfig, batch_fn, n: int, workers: int):
+def _map_batches(cfg: ExperimentConfig, batch_fn, n: int, workers: int) -> list:
+    """``batch_fn``'s tuples of arrays, one per chunk of trajectories 0..n-1, joined in order."""
     indices = list(range(n))
     if workers <= 1:
-        results = batch_fn(cfg, indices)
+        parts = batch_fn(cfg, indices)
     else:
         chunk = max(1, (n + workers * 4 - 1) // (workers * 4))
         chunks = [indices[i:i + chunk] for i in range(0, n, chunk)]
-        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(batch_fn, [cfg] * len(chunks), chunks):
-                results.extend(part)
-    results.sort(key=lambda item: item[0])
-    return results
+            parts = [p for part in pool.map(batch_fn, [cfg] * len(chunks), chunks) for p in part]
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
 def _aggregate_rows(level: int, scheme: str, checkpoints, cp_err: np.ndarray,
@@ -291,15 +266,10 @@ def run_convergence(cfg: ExperimentConfig) -> ErrorTable:
     """
     cfg.validate()
     ctx = _Context(cfg)
-    if ctx.oracle_applies():
-        reference = (f"ORACLE reflect_halfline on driving input, "
-                     f"grid={cfg.levels[-1] * cfg.reference_refine}")
-    else:
-        reference = (f"SELF-REFERENCE euler at "
-                     f"grid={cfg.levels[-1] * cfg.reference_refine}")
-    results = _map_batches(cfg, _convergence_batch, cfg.trajectories, cfg.workers)
-    cp_err = np.stack([r[1] for r in results])   # (traj, level, checkpoint)
-    sup_err = np.stack([r[2] for r in results])  # (traj, level)
+    reference = ("ORACLE reflect_halfline on driving input," if ctx.oracle_applies()
+                 else "SELF-REFERENCE euler at") + f" grid={cfg.levels[-1] * cfg.reference_refine}"
+    # (traj, level, checkpoint) and (traj, level)
+    cp_err, sup_err = _map_batches(cfg, _convergence_batch, cfg.trajectories, cfg.workers)
     table = ErrorTable(reference=reference)
     for li, level in enumerate(cfg.levels):
         table.rows.extend(_aggregate_rows(level, "euler", ctx.checkpoints,
@@ -312,40 +282,32 @@ def run_convergence(cfg: ExperimentConfig) -> ErrorTable:
 
 
 def _compare_batch(cfg: ExperimentConfig, indices):
-    from .drivers import simulate_chunk
-
     ctx = _Context(cfg)
-    cps = [cp for cp in ctx.checkpoints if cp.continuity_expected]
+    cps = [cp.time for cp in ctx.checkpoints if cp.continuity_expected]
     n_lv = len(cfg.yosida_levels)
     out = []
     for chunk in _chunks(indices):
-        # run 0 is the reference; one march then runs Yosida (1 + 2 li) and
-        # modified Yosida (2 + 2 li) at every level li
-        errors = {}
-        reals = simulate_chunk(ctx.driver, ctx.partitions[-1], cfg.seed, chunk)
-        [refs] = _run_rows(ctx.euler_chunk(reals), len(chunk), errors)
-        rows = reals * (2 * n_lv)
-        levels = np.repeat(cfg.yosida_levels, 2 * len(chunk))
-        schemes = np.repeat(np.tile(["yosida", "modified_yosida"], n_lv), len(chunk))
-        outs = yosida_chunk(ctx.op, ctx.proj, levels, ctx.coeff, rows, schemes,
-                            cfg.drift_substeps)
-        runs = _run_rows(outs, len(chunk), errors, first_run=1)
-        _raise_first(errors)
-        for b, i in enumerate(chunk):
-            ref = refs[b]
-            cp_y = np.empty((n_lv, len(cps)))
-            cp_m = np.empty((n_lv, len(cps)))
-            sup_jy = np.empty(n_lv)
-            sup_m = np.empty(n_lv)
-            for li, n_level in enumerate(cfg.yosida_levels):
-                ys, ms = runs[2 * li][b], runs[2 * li + 1][b]
-                cp_y[li] = _checkpoint_errors(ys, ref, cps)
-                cp_m[li] = _checkpoint_errors(ms, ref, cps)
-                jn_vals = ctx.op.resolvent(1.0 / n_level, ys.values)
-                sup_jy[li] = float(np.max(_norm(jn_vals - ref.values_at(
-                    ys.partition.times), axis=1)))
-                sup_m[li] = _grid_sup_error(ms, ref)
-            out.append((i, cp_y, cp_m, sup_jy, sup_m))
+        # run 0 is the reference; one march then runs Yosida (1 + 2 li) and modified
+        # Yosida (2 + 2 li) at every level li, each in the reference rows' layout
+        reals = _simulate(ctx.driver, ctx.partitions[-1], cfg.seed, chunk)
+        ref, *_, ref_errors = _euler(ctx.op, ctx.proj, ctx.coeff, reals, cfg.flow_substeps)
+        width = len(chunk)
+        runs, fine_of = reals.restrict([ctx.partitions[-1]] * (2 * n_lv))
+        levels = np.repeat(cfg.yosida_levels, 2 * width)
+        schemes = np.repeat(np.tile(["yosida", "modified_yosida"], n_lv), width)
+        x, *_, errors = _yosida(ctx.op, ctx.proj, levels, ctx.coeff, runs, schemes,
+                                cfg.drift_substeps)
+        errors = {**_explosions(ref_errors, width), **_explosions(errors, width, first_run=1)}
+        if errors:
+            raise errors[min(errors)]
+        # Yosida rows report the sup error of J_n(x), one step per point
+        counts = np.diff(runs.starts)
+        sup_x, yosida = x.copy(), np.repeat(schemes == "yosida", counts)
+        sup_x[yosida] = ctx.op.resolvent(np.repeat(1.0 / levels, counts)[yosida], x[yosida])
+        cp_err, sup_err = _errors(runs, x, sup_x, reals, ref, fine_of, cps)
+        cp_err = cp_err.reshape(n_lv, 2, width, -1).transpose(1, 2, 0, 3)
+        sup_err = sup_err.reshape(n_lv, 2, width).transpose(1, 2, 0)
+        out.append((*cp_err, *sup_err))
     return out
 
 
@@ -369,11 +331,8 @@ def compare_schemes(cfg: ExperimentConfig) -> ErrorTable:
         raise ConfigError("experiment.checkpoints",
                           "compare needs at least one continuity checkpoint")
     reference = f"EULER-REFERENCE grid={cfg.levels[-1]} (same realizations)"
-    results = _map_batches(cfg, _compare_batch, cfg.trajectories, cfg.workers)
-    cp_y = np.stack([r[1] for r in results])
-    cp_m = np.stack([r[2] for r in results])
-    sup_jy = np.stack([r[3] for r in results])
-    sup_m = np.stack([r[4] for r in results])
+    cp_y, cp_m, sup_jy, sup_m = _map_batches(cfg, _compare_batch, cfg.trajectories,
+                                             cfg.workers)
     table = ErrorTable(reference=reference)
     for li, n_level in enumerate(cfg.yosida_levels):
         table.rows.extend(_aggregate_rows(n_level, "yosida", cps,

@@ -109,14 +109,6 @@ class StepPath:
         idx = int(np.searchsorted(times, t, side="right")) - 1
         return self.values[idx]
 
-    def values_at(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        times = self.partition.times
-        if ts.size and (ts.min() < times[0] or ts.max() > times[-1]):
-            raise ValueError("evaluation times outside the path horizon")
-        idx = np.searchsorted(times, ts, side="right") - 1
-        return self.values[idx]
-
     def jumps(self) -> np.ndarray:
         """Array of grid-point increments; row 0 is zero (no jump at t=0)."""
         out = np.zeros_like(self.values)

@@ -21,15 +21,15 @@ uses, which accumulates k and builds the output paths:
   back before the drift step, which restores sup-norm convergence under
   general non-expansive projections.
 
-Each scheme body runs a chunk of realizations in one march: ``euler_chunk``,
-and ``yosida_chunk`` for both Yosida schemes, with one level n and one scheme
-name per row or one for all.  Each row steps on its own grid with its own step
-sizes and n, so row i of a chunk equals the single-realization call on
-realization i bit for bit (a ``linear`` operator's rows are promised to 1e-15
-of the row's norm, the tolerance of its batched resolvent).  A single
-realization is a chunk of one.  A chunk's step is built from the march's union
-order: the increments dH and dZ, Yosida's steps 1/n and its correction flags
-are laid out in it, so that a union time reads one slice of each.
+Each scheme body (``_euler``; ``_yosida`` for both Yosida schemes, with a
+level n and a scheme name per row) marches the rows of a ``drivers.Chunk``
+at once and returns x, x_pre, the increments of k and y flat on the chunk's
+points.  Row i equals the single-realization call on realization i bit for
+bit (a ``linear`` operator's rows to 1e-15 of the row's norm, the tolerance
+of its batched resolvent).  dH, dZ, Yosida's steps 1/n and its correction
+flags are laid out in the march's union order, so that a union time reads
+one slice of each.  ``euler_chunk`` and ``yosida_chunk`` take and return
+lists, and a single realization is a chunk of one.
 
 Every scheme runs the coefficient as given.  A coefficient without linear
 growth may explode: a step whose driven increment dH + f(x) dZ is not finite
@@ -46,12 +46,12 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import DriverRealization
+from .drivers import Chunk, DriverRealization, _chunk_of
 from .errors import DomainViolationError, ExplosionError
 from .operators import DEFAULT_DOMAIN_TOL, MonotoneOperator, resolve, row_norm
 from .paths import BVDecomposition, StepPath
 from .projections import Projection
-from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _march, _sp_step
+from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _k, _march, _sp_step
 
 __all__ = [
     "Coefficient",
@@ -182,25 +182,9 @@ class SchemeOutput:
         return self.k.total
 
 
-def _checked_starts(op: MonotoneOperator, realizations) -> np.ndarray:
-    """H_0 of each realization, which every scheme needs in the domain closure of A."""
-    h0 = np.array([r.h.values[0] for r in realizations])
-    dist = op.domain_distance(h0)
-    bad = np.flatnonzero(dist > DEFAULT_DOMAIN_TOL)
-    if bad.size:
-        i = bad[0]
-        raise DomainViolationError(
-            f"H_0 outside the domain closure (distance {dist[i]:.3e})",
-            point=h0[i], distance=float(dist[i]),
-        )
-    return h0
+def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_step):
+    """March the rows of ``chunk`` through one scheme body.
 
-
-def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
-               scheme_step) -> list:
-    """March a chunk of realizations through one scheme body.
-
-    ``labels`` gives each realization the (scheme name, params) of its output.
     ``scheme_step(order)`` lays out the scheme's per-point arrays in the
     march's union order and returns the map ``(key, dt, prev, dy)`` from the
     stepping points, steps, states and driven increments to the step outputs.
@@ -209,26 +193,24 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
     not finite retires with its ``ExplosionError``, at the level of the row's
     base partition, before the scheme step sees it.
 
-    Returns, per realization, its SchemeOutput or its ExplosionError.  y is
-    the in-place cumsum of the stored increments on the row's own grid (row 0
-    holds H_0), which adds row by row in order.
+    Returns x, x_pre, dkc, dkd (``_march``) and the driven increments dy (H_0
+    at a row's t = 0, so that a row's y is their cumsum), flat on the chunk's
+    points, and the retired rows' ExplosionErrors by row.
     """
-    if not realizations:
-        return []
-    grids = [r.grid for r in realizations]
-    starts = np.cumsum([0] + [g.times.size for g in grids[:-1]])
-    h0 = _checked_starts(op, realizations)
+    h0 = chunk.h[chunk.starts[:-1]]
+    dist = op.domain_distance(h0)  # every scheme starts in the domain closure of A
+    if np.any(bad := dist > DEFAULT_DOMAIN_TOL):
+        i = int(np.argmax(bad))
+        raise DomainViolationError(f"H_0 outside the domain closure (distance {dist[i]:.3e})",
+                                   point=h0[i], distance=float(dist[i]))
     errors, laid = {}, []  # laid: the union order and the y increments laid out in it
 
     def bind(order):
         # increments on each row's own grid, in union order; a row's first
         # entry, at union time 0, is never read
-        dh = np.concatenate([np.diff(r.h.values, axis=0, prepend=r.h.values[:1])
-                             for r in realizations])[order]
-        dz = np.concatenate([np.diff(r.z.values, axis=0, prepend=r.z.values[:1])
-                             for r in realizations])[order]
+        dh, dz = (np.diff(a, axis=0, prepend=a[:1])[order] for a in (chunk.h, chunk.z))
         dys = np.empty_like(dh)
-        dys[:len(grids)] = h0
+        dys[:h0.shape[0]] = h0
         laid.extend((order, dys))
         advance = scheme_step(order)
 
@@ -239,14 +221,13 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
             if not np.isfinite(dy).all():
                 keep = np.isfinite(dy).all(axis=-1)
                 for i in np.flatnonzero(~keep).tolist():
-                    b = int(rows[i])
-                    index, j = realizations[b].trajectory_index, int(order[key][i] - starts[b])
-                    t = float(grids[b].times[j])
+                    b, p = int(rows[i]), int(order[key][i])
+                    index, j = chunk.trajectory[b], p - int(chunk.starts[b])
+                    t = float(chunk.times[p])
                     errors[b] = ExplosionError(
                         f"trajectory {index} exploded: the driven increment at step {j} "
                         f"(t = {t!r}) is not finite", last=np.array(prev[i]),
-                        trajectory=index, step=j, time=t,
-                        level=realizations[b].base.times.size - 1)
+                        trajectory=index, step=j, time=t, level=int(chunk.level[b]))
                 key, dt, prev, dy = np.r_[key][keep], dt[keep], prev[keep], dy[keep]
                 if not key.size:
                     return keep, None
@@ -254,23 +235,27 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, realizations, labels,
             return keep, advance(key, dt, prev, dy)
         return step
 
-    marched = _march(grids, h0, bind)
+    x, x_pre, dkc, dkd = _march(chunk.times, chunk.starts, h0, bind)
     order, dys = laid
     dys[order] = dys.copy()  # back to row order
+    return x, x_pre, dkc, dkd, dys, errors
+
+
+def _outputs(realizations, labels, run) -> list:
+    """A scheme body on a list: ``run`` marches the realizations as one chunk,
+    and row b becomes the SchemeOutput of realization b labelled ``labels[b]``
+    (scheme name, params), or its ExplosionError."""
+    if not realizations:
+        return []
+    chunk = _chunk_of(realizations)
+    *paths, errors = run(chunk)
     out = []
-    for b, (r, lo, res, (scheme, params)) in enumerate(
-            zip(realizations, starts.tolist(), marched, labels)):
-        if res is None:
-            out.append(errors[b])
-            continue
-        x, k, x_pre = res
-        n = r.grid.times.size
-        y = dys[lo:lo + n]
-        np.cumsum(y, axis=0, out=y)
-        out.append(SchemeOutput(
-            x=x, k=k, y=StepPath(r.grid, y), scheme=scheme,
-            params=dict(params, mesh=r.grid.mesh, steps=n - 1), realization=r,
-            x_pre=x_pre if scheme == "euler" else None))
+    for b, (r, (scheme, params)) in enumerate(zip(realizations, labels)):
+        x, x_pre, dkc, dkd, dy = (a[slice(*chunk.starts[b:b + 2].tolist())] for a in paths)
+        out.append(errors[b] if b in errors else SchemeOutput(
+            x=StepPath(r.grid, x), k=_k(r.grid, dkc, dkd), y=StepPath(r.grid, np.cumsum(dy, 0)),
+            scheme=scheme, params=dict(params, mesh=r.grid.mesh, steps=r.grid.times.size - 1),
+            realization=r, x_pre=x_pre if scheme == "euler" else None))
     return out
 
 
@@ -282,17 +267,21 @@ def _single(outputs: list) -> SchemeOutput:
     return out
 
 
+def _euler(op: MonotoneOperator, proj: Projection, coeff: Coefficient, chunk: Chunk,
+           flow_substeps: int):
+    """``euler_scheme`` on each row of ``chunk``, marched together (``_run_chunk``)."""
+    return _run_chunk(
+        op, coeff, chunk,
+        lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, prev, dy, dt, flow_substeps))
+
+
 def euler_chunk(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
                 realizations, flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> list:
-    """``euler_scheme`` on each realization of a chunk, marched together.
-
-    Returns, per realization, its SchemeOutput, or the ExplosionError that
-    ``euler_scheme`` would raise on it.
-    """
+    """``euler_scheme`` on each realization of a chunk, marched together: its
+    SchemeOutput, or the ExplosionError that ``euler_scheme`` would raise on it."""
     labels = [("euler", {"flow_substeps": flow_substeps})] * len(realizations)
-    return _run_chunk(
-        op, coeff, realizations, labels,
-        lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, prev, dy, dt, flow_substeps))
+    return _outputs(realizations, labels,
+                    lambda chunk: _euler(op, proj, coeff, chunk, flow_substeps))
 
 
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
@@ -339,36 +328,24 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
                         np.asarray(x, dtype=float))
 
 
-def yosida_chunk(op: MonotoneOperator, proj: Projection | None, n, coeff: Coefficient,
-                 realizations, scheme, drift_substeps: int = 1) -> list:
-    """``yosida_scheme`` or ``modified_yosida_scheme`` on each realization of
-    a chunk, marched together: its SchemeOutput, or the ExplosionError that the
-    single-realization call would raise on it.
-
-    ``n`` and ``scheme`` ("yosida" or "modified_yosida") are each one value or
-    one per realization: a Yosida row is a modified-Yosida row whose
-    large-jump correction never fires, and each row's threshold and drift
-    step 1/n are its own.  ``proj`` is read by modified-Yosida rows only.
-    """
-    levels = np.asarray(n, dtype=float)
+def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coefficient,
+            chunk: Chunk, schemes, drift_substeps: int):
+    """``yosida_chunk`` on the rows of ``chunk`` (``_run_chunk``), row b at
+    level ``levels[b]`` with scheme ``schemes[b]``."""
+    levels = np.asarray(levels, dtype=float)
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
-    levels = np.broadcast_to(levels, (len(realizations),))
-    schemes = np.broadcast_to(scheme, levels.shape).tolist()
-    modified = np.asarray(schemes) == "modified_yosida"
-    counts = [r.grid.times.size for r in realizations]
+    counts = np.diff(chunk.starts)
 
     def bind(order):
-        # per grid point, laid end to end in row order, then in union order
+        # per grid point, in row order, then in union order
         lam = np.repeat(1.0 / levels, counts)
         correct = None
+        modified = np.asarray(schemes) == "modified_yosida"
         if modified.any():
             # the grid points where the driver genuinely jumps by more than 1/n
-            jump_h = np.concatenate([r.jump_h for r in realizations])
-            jump_z = np.concatenate([r.jump_z for r in realizations])
-            correct = (np.concatenate([r.jump_flags for r in realizations])
-                       & np.repeat(modified, counts)
-                       & (np.maximum(row_norm(jump_h), row_norm(jump_z)) > lam))[order]
+            correct = (chunk.jump_flags & np.repeat(modified, counts)
+                       & (np.maximum(row_norm(chunk.jump_h), row_norm(chunk.jump_z)) > lam))[order]
         lam = lam[order]
 
         def step(key, dt, prev, dy):
@@ -390,9 +367,26 @@ def yosida_chunk(op: MonotoneOperator, proj: Projection | None, n, coeff: Coeffi
             return prev, state, pre_drift - state, dkd
         return step
 
+    return _run_chunk(op, coeff, chunk, bind)
+
+
+def yosida_chunk(op: MonotoneOperator, proj: Projection | None, n, coeff: Coefficient,
+                 realizations, scheme, drift_substeps: int = 1) -> list:
+    """``yosida_scheme`` or ``modified_yosida_scheme`` on each realization of
+    a chunk, marched together: its SchemeOutput, or the ExplosionError that the
+    single-realization call would raise on it.
+
+    ``n`` and ``scheme`` ("yosida" or "modified_yosida") are each one value or
+    one per realization: a Yosida row is a modified-Yosida row whose
+    large-jump correction never fires, and each row's threshold and drift
+    step 1/n are its own.  ``proj`` is read by modified-Yosida rows only.
+    """
+    levels = np.broadcast_to(np.asarray(n, dtype=float), (len(realizations),))
+    schemes = np.broadcast_to(scheme, levels.shape).tolist()
     labels = [(s, {"n": float(n), "drift_substeps": drift_substeps})
               for s, n in zip(schemes, levels.tolist())]
-    return _run_chunk(op, coeff, realizations, labels, bind)
+    return _outputs(realizations, labels, lambda chunk: _yosida(
+        op, proj, levels, coeff, chunk, schemes, drift_substeps))
 
 
 def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,

@@ -7,10 +7,12 @@ grid points), and post-jump states given by the generalized projection:
 x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 
 ``_march`` is the one grid march behind ``solve_step`` and the three schemes
-of ``schemes``.  It walks one path, or a chunk of paths on the union of their
-grids, kept in union order so that each union time is one slice of points;
-each row steps only at its own grid times with its own step sizes, so that
-every row equals its own single-path march bit for bit.
+of ``schemes``.  It walks one path, or a chunk of paths in the layout of
+``drivers.Chunk`` (grid times laid end to end, row b owning points
+``starts[b]:starts[b + 1]``), kept in union order so that each union time is
+one slice of points, and returns x, x_pre and the increments of k flat on the
+same points.  Each row steps only at its own grid times with its own step
+sizes, so that every row equals its own single-path march bit for bit.
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
@@ -94,97 +96,87 @@ def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
     return x_left, xi, prev - x_left, w - xi
 
 
-def _march(grids, x0: np.ndarray, step):
-    """Apply a step map along one grid, or along each grid of a chunk.
+def _march(times: np.ndarray, starts, x0: np.ndarray, step):
+    """Apply a step map along one grid, or along each row's grid of a chunk.
 
-    One path: ``grids`` is its Partition and ``x0`` its start (d,); the march
-    calls ``step(j, dt, prev)`` for j = 1, 2, ... with the float step and the
-    state at t_{j-1}, which returns (x_left, x_new, dkc, dkd): the left limit
-    at t_j, the new state, and the flow and jump parts of dk.
+    One path: ``starts`` is None, ``times`` is its grid and ``x0`` its start
+    (d,); the march calls ``step(j, dt, prev)`` for j = 1, 2, ... with the
+    float step and the state at t_{j-1}, which returns (x_left, x_new, dkc,
+    dkd): the left limit at t_j, the new state, and the flow and jump parts of
+    dk.
 
-    A chunk: ``grids`` holds one Partition per row and ``x0`` is (B, d).  The
-    march walks the union of the grid times and steps, at each, the rows whose
-    grid holds it, each with its own dt; the other rows hold their state.  The
-    rows' grid points, laid end to end in row order, are kept in the union
-    order ``order``, their stable sort by time: a union time is a slice of
-    points in row order, and a point reads its row's previous state through
-    one gather of its predecessor.  The march first calls ``step(order)``,
-    which lays out the step's own per-point arrays as ``a[order]`` and returns
-    the map ``(key, rows, dt, prev) -> (keep, outputs)``: ``key`` is the slice
-    of the stepping points (at a union time that holds a retired row, the
-    index array of its live points) and ``rows`` their rows.  ``keep`` is
-    None, or a mask over the stepping rows: the rows it clears retire, and
-    the outputs hold the kept rows only.  The step reads its own input
-    increment; the march never sees y.
+    A chunk: row b's grid is ``times[starts[b]:starts[b + 1]]`` and ``x0`` is
+    (B, d).  The march walks the union of the grid times and steps, at each,
+    the rows whose grid holds it, each with its own dt.  The points are kept
+    in the union order ``order``, their stable sort by time: a union time is a
+    slice of points in row order, and a point reads its row's previous state
+    through one gather of its predecessor.  The march first calls
+    ``step(order)``, which lays out the step's own per-point arrays as
+    ``a[order]`` and returns the map ``(key, rows, dt, prev) -> (keep,
+    outputs)``: ``key`` is the slice of the stepping points (at a union time
+    that holds a retired row, the index array of its live points) and
+    ``rows`` their rows.  ``keep`` is None, or a mask over the stepping rows:
+    the rows it clears retire, and the outputs hold the kept rows only.  The
+    step reads its own input increment; the march never sees y.
 
-    k starts at zero and is the running sum of its increments, formed per row
-    on the row's own grid by ``np.cumsum``, which adds row by row in order and
-    so equals an in-loop running sum bit for bit.  Returns, per row, (x, k,
-    x_pre): the state, the BV decomposition of k and the left limits
-    (``x_pre[0] = x0``), or None for a retired row.
+    Returns x, x_pre, dkc and dkd, (N, d) on the points of ``times``: the
+    state, the left limits and the flow and jump increments of k; a retired
+    row's later points are undefined.
     """
-    single = x0.ndim == 1
-    grids = [grids] if single else grids
-    times = [g.times for g in grids]
-    sizes = [t.size for t in times]
+    single = starts is None
+    count = 1 if single else len(starts) - 1
     if not single:
-        flat = np.concatenate(times)
-        order = np.argsort(flat, kind="stable")
+        order = np.argsort(times, kind="stable")
         step = step(order)  # laid out before the march's own arrays exist
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size)
         pred = inverse[order - 1]  # a point's predecessor on its own grid
-        row = np.repeat(np.arange(len(grids)), sizes)[order]
-        flat = flat[order]
+        row = np.repeat(np.arange(count), np.diff(starts))[order]
+        flat = times[order]
         dt = flat - flat[pred]  # a row's own step; t = 0's is never read
         bounds = [*(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
         del order, flat
-    shape = (sum(sizes), x0.shape[-1])
+    shape = (times.size, x0.shape[-1])
     x, x_pre, dkc, dkd = np.empty(shape), np.empty(shape), np.zeros(shape), np.zeros(shape)
-    x[:len(grids)] = x_pre[:len(grids)] = x0
-    live = np.ones(len(grids), dtype=bool)
+    x[:count] = x_pre[:count] = x0
     if single:
         state = np.array(x0, dtype=float)
-        for j, dt in zip(range(1, shape[0]), np.diff(times[0]).tolist()):
+        for j, dt in zip(range(1, shape[0]), np.diff(times).tolist()):
             x_pre[j], state, dkc[j], dkd[j] = step(j, dt, state)
             x[j] = state
-    else:
-        held = None  # per point, whether its row is live, once a row retires
-        for lo, hi in zip(bounds, bounds[1:]):
-            key = slice(lo, hi)
-            if held is not None and not held[key].all():
-                key = np.flatnonzero(held[key]) + lo
-                if not key.size:
-                    continue
-            rows = row[key]
-            keep, out = step(key, rows, dt[key], x[pred[key]])
-            if keep is not None:
-                live[rows[~keep]] = False
-                if not live.any():
-                    break
-                held, key = live[row], np.r_[key][keep]
-                if not key.size:
-                    continue
-            x_pre[key], x[key], dkc[key], dkd[key] = out
-        # the step's per-point arrays go before the outputs return to row order
-        del step, pred, row, dt, held
-        for a in (x, x_pre, dkc, dkd):
-            a[:] = a[inverse]
-    out, lo = [], 0
-    for grid, n, alive in zip(grids, sizes, live.tolist()):
-        rows, lo = slice(lo, lo + n), lo + n
-        if not alive:
-            out.append(None)
-            continue
-        # the sums overwrite their increments, which nothing else keeps
-        kc, kd = dkc[rows], dkd[rows]
-        np.cumsum(kc, axis=0, out=kc)
-        np.cumsum(kd, axis=0, out=kd)
-        # total = continuous + jump bitwise; additivity to y holds to rounding
-        k = BVDecomposition(total=StepPath(grid, kc + kd),
-                            continuous=StepPath(grid, kc), jump=StepPath(grid, kd))
-        out.append((StepPath(grid, x[rows]), k, x_pre[rows]))
-    return out
+        return x, x_pre, dkc, dkd
+    live = np.ones(count, dtype=bool)
+    held = None  # per point, whether its row is live, once a row retires
+    for lo, hi in zip(bounds, bounds[1:]):
+        key = slice(lo, hi)
+        if held is not None and not held[key].all():
+            key = np.flatnonzero(held[key]) + lo
+            if not key.size:
+                continue
+        rows = row[key]
+        keep, out = step(key, rows, dt[key], x[pred[key]])
+        if keep is not None:
+            live[rows[~keep]] = False
+            if not live.any():
+                break
+            held, key = live[row], np.r_[key][keep]
+            if not key.size:
+                continue
+        x_pre[key], x[key], dkc[key], dkd[key] = out
+    # the step's per-point arrays go before the outputs return to row order
+    del step, pred, row, dt, held
+    for a in (x, x_pre, dkc, dkd):
+        a[:] = a[inverse]
+    return x, x_pre, dkc, dkd
+
+
+def _k(grid: Partition, dkc: np.ndarray, dkd: np.ndarray) -> BVDecomposition:
+    """k on ``grid`` from its flow and jump increments, summed by ``np.cumsum``,
+    which adds row by row in order (an in-loop running sum bit for bit)."""
+    kc, kd = np.cumsum(dkc, axis=0), np.cumsum(dkd, axis=0)
+    # total = continuous + jump bitwise; additivity to y holds to rounding
+    return BVDecomposition(total=StepPath(grid, kc + kd), continuous=StepPath(grid, kc),
+                           jump=StepPath(grid, kd))
 
 
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
@@ -211,10 +203,11 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
         j = int(np.argmin(np.isfinite(dy).all(axis=1)))
         t = float(y.partition.times[j])
         raise ValueError(f"the input increment at step {j} (t = {t!r}) is not finite")
-    [(x, k, x_pre)] = _march(
-        y.partition, y0,
+    x, x_pre, dkc, dkd = _march(
+        y.partition.times, None, y0,
         lambda j, dt, prev: _sp_step(op, proj, prev, dy[j], dt, flow_substeps))
-    return SkorokhodSolution(x=x, k=k, y=y, x_pre=x_pre, flow_substeps=flow_substeps)
+    return SkorokhodSolution(x=StepPath(y.partition, x), k=_k(y.partition, dkc, dkd), y=y,
+                             x_pre=x_pre, flow_substeps=flow_substeps)
 
 
 def reflect_halfline_oracle(y: StepPath) -> SkorokhodSolution:

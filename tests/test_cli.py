@@ -364,13 +364,15 @@ class TestStudyCommands:
 
 @pytest.mark.parametrize("command, flags, field", [
     ("simulate", ["--scheme", "yosida", "--yosida-n", "0.5"], "experiment.yosida_levels"),
+    ("simulate", ["--scheme", "yosida", "--yosida-n", "nan"], "experiment.yosida_levels"),
+    ("simulate", ["--scheme", "yosida", "--yosida-n", "inf"], "experiment.yosida_levels"),
     ("simulate", ["--level", "-4"], "experiment.levels"),
     ("simulate", ["--level", "0"], "experiment.levels"),
     ("verify", ["--samples", "0"], "--samples"),
     ("simulate", ["--trajectory", "-1"], "--trajectory"),
     ("simulate", ["--trajectory", str(2**64)], "--trajectory"),
-], ids=["yosida-n-0.5", "level-minus-4", "level-0", "samples-0", "trajectory-minus-1",
-        "trajectory-2**64"])
+], ids=["yosida-n-0.5", "yosida-n-nan", "yosida-n-inf", "level-minus-4", "level-0",
+        "samples-0", "trajectory-minus-1", "trajectory-2**64"])
 def test_bad_flag_is_a_config_error(tmp_path, capsys, command, flags, field):
     # flags are checked with the config they override, so none falls back to it
     config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)

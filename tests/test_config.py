@@ -53,6 +53,9 @@ MALFORMED = [
     ("[experiment]\nhorizon = long\n", "experiment.horizon"),
     ("[experiment]\ntrajectories = many\n", "experiment.trajectories"),
     ("[experiment]\ncheckpoints = 0.5 late\n", "experiment.checkpoints"),
+    # a non-finite level is no integer
+    ("[experiment]\nlevels = 8 inf\n", "experiment.levels"),
+    ("[experiment]\nyosida_levels = 4 nan\n", "experiment.yosida_levels"),
     ("[experiment]\ntruncation_radius = wide\n", "experiment.truncation_radius"),
     ("[experiment]\ntruncation_radius = 0.5\n", "experiment.truncation_radius"),
     ("[driver]\nh0 = -1\n", "driver.h0"),

@@ -7,7 +7,7 @@ import mmsde.harness as harness
 import mmsde.schemes as schemes
 from mmsde import resolve
 from mmsde.config import build_driver, parse_config_text
-from mmsde.drivers import simulate
+from mmsde.drivers import DriverRealization, _chunk_of, simulate
 from mmsde.errors import ExplosionError
 from mmsde.harness import (
     _ALL_CHECKS,
@@ -17,8 +17,9 @@ from mmsde.harness import (
     verify_suite,
 )
 from mmsde.operators import row_norm
-from mmsde.paths import Partition, refine, uniform_partition
+from mmsde.paths import BVDecomposition, Partition, StepPath, refine, uniform_partition
 from mmsde.schemes import (
+    SchemeOutput,
     euler_chunk,
     euler_scheme,
     modified_yosida_scheme,
@@ -165,6 +166,30 @@ def test_tables_do_not_depend_on_chunks_or_workers(monkeypatch, name, study):
         assert study(cfg.with_overrides(workers=1)).to_csv() == default, cap
 
 
+def constructions(monkeypatch, run) -> dict:
+    """How many path, partition and output objects of each type ``run()`` builds."""
+    counts = {}
+    for cls in (Partition, StepPath, BVDecomposition, DriverRealization, SchemeOutput):
+        def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("study", [run_convergence, compare_schemes],
+                         ids=["converge", "compare"])
+def test_objects_built_do_not_grow_with_the_trajectories(monkeypatch, study):
+    # a chunk travels flat from the bridge to the error table: no object is
+    # built per trajectory
+    cfg = study_config("box")
+    counts = [constructions(monkeypatch, lambda: study(cfg.with_overrides(trajectories=n)))
+              for n in (2, 16)]
+    assert counts[0] == counts[1]
+
+
 def chunk_runs(name):
     ctx = _Context(study_config(name))
     reals = [simulate(ctx.driver, refine(ctx.partitions[-1], 2), 3, i) for i in range(5)]
@@ -277,9 +302,9 @@ def test_each_chunk_is_marched_once_per_scheme_body(monkeypatch, study, text, ma
     # the Euler reference, then every Yosida level of both schemes
     calls = []
 
-    def counted(grids, x0, step):
-        calls.append(len(grids))
-        return march(grids, x0, step)
+    def counted(times, starts, x0, step):
+        calls.append(len(starts) - 1)
+        return march(times, starts, x0, step)
 
     march = schemes._march
     monkeypatch.setattr(schemes, "_march", counted)
@@ -325,8 +350,9 @@ def test_explosion_names_the_level_of_its_base_partition(reference, suffix):
     realization = simulate(ctx.driver, base, 0, 3)
     assert realization.grid.times.size > base.times.size
     run = 0 if reference else 1
-    errors = {}
-    harness._run_rows(ctx.euler_chunk([realization]), 1, errors, first_run=run)
+    *_, by_row = schemes._euler(ctx.op, ctx.proj, ctx.coeff, _chunk_of([realization]),
+                                ctx.cfg.flow_substeps)
+    errors = harness._explosions(by_row, 1, first_run=run)
     err = errors.pop((0, run))
     assert str(err).endswith(f"is not finite {suffix}")
     assert (err.trajectory, err.step, err.level) == (3, 17, 15)
@@ -455,4 +481,4 @@ def test_compare_errors_stay_finite_on_huge_finite_paths():
     table = compare_schemes(parse_config_text(SQUARE_STUDY.replace("levels = 4 64",
                                                                     "levels = 4 16")))
     assert all(math.isfinite(r.sup_err) for r in table.rows)
-    assert max(r.sup_err for r in table.select(scheme="modified_yosida")) > 1e154
+    assert max(r.sup_err for r in table.rows if r.scheme == "modified_yosida") > 1e154

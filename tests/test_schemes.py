@@ -68,7 +68,7 @@ class TestEulerScheme:
         op = zoo["halfline"]
         r = noisy_driver()
         out = euler_scheme(op, CLASSICAL, zero_coefficient(1), r)
-        sol = solve_step(op, CLASSICAL, StepPath(r.grid, r.h.values_at(r.grid.times)))
+        sol = solve_step(op, CLASSICAL, StepPath(r.grid, r.h.values))
         np.testing.assert_array_equal(out.x.values, sol.x.values)
         np.testing.assert_array_equal(out.k_path.values, sol.k_path.values)
 
