@@ -8,10 +8,12 @@ projection onto the closure of its domain.  This keeps multivalued operators
 Besides the resolvent calculus (Yosida maps J_n, A_n) the module provides the
 constant-input flow: the semigroup t -> x(t) solving dx/dt in -A(x(t)) from a
 point of the domain closure, approximated by iterated implicit resolvent
-steps x <- J_{t/m}(x): ``flow`` and the grid march of ``skorokhod`` read
-only its endpoint, ``flow_endpoint``; the solution checkers of ``skorokhod``
-read every state, ``flow_steps``.  Built-in constructors cover normal cones
-of halfspaces, boxes, balls and polyhedra, linear positive-semidefinite
+steps x <- J_{t/m}(x): ``flow`` and ``flow_endpoint`` give its endpoint,
+``flow_steps`` every state (for the solution checkers of ``skorokhod``).
+These public maps check their arguments on every call.  A grid march checks
+all its steps once, at its entry, with ``_flow_schedule``, and then flows
+through the unchecked ``_flow_kernel``.  Built-in constructors cover normal
+cones of halfspaces, boxes, balls and polyhedra, linear positive-semidefinite
 operators, and subdifferentials given by a proximal map.
 """
 
@@ -73,7 +75,7 @@ class MonotoneOperator:
         single-point call with step ``lam[i]``.  Projection kinds ignore the
         step.  The function may carry an attribute ``power(lam, m, z)``:
         J_lam^m(z), equal bit for bit to m successive resolvent calls, which
-        ``flow_endpoint`` then makes in one call.  It belongs to the
+        a flow then makes in one call.  It belongs to the
         function, so ``dataclasses.replace(op, resolvent=f)`` drops it
         unless ``f`` carries its own.
     domain_projection:
@@ -142,23 +144,16 @@ def _check_point(op: MonotoneOperator, z) -> np.ndarray:
 def _check_step(lam):
     """A resolvent step as a float, or steps given one per row as a float
     array; each must be finite and at least ``MIN_RESOLVENT_STEP``."""
-    if not isinstance(lam, float):
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim:
-            # on a short array, far cheaper than numpy reductions; the sum is
-            # NaN exactly when a step is
-            steps = lam.tolist()
-            if steps and not (min(steps) >= MIN_RESOLVENT_STEP and max(steps) < math.inf
-                              and not math.isnan(sum(steps))):
-                bad = next(v for v in steps if not MIN_RESOLVENT_STEP <= v < math.inf)
-                raise ValueError(f"resolvent step must be a finite real >= "
-                                 f"{MIN_RESOLVENT_STEP}, got {bad}")
-            return lam
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < MIN_RESOLVENT_STEP:
-        raise ValueError(
-            f"resolvent step must be a finite real >= {MIN_RESOLVENT_STEP}, got {lam}"
-        )
+    if isinstance(lam, float) or not np.ndim(lam):
+        lam = float(lam)  # math, not numpy, on the float of every ``resolve``
+        bad = [] if MIN_RESOLVENT_STEP <= lam < math.inf else [lam]
+    else:
+        lam = np.asarray(lam, dtype=float)  # the extremes fail if any step does, NaN too
+        ok = not lam.size or MIN_RESOLVENT_STEP <= lam.min() and lam.max() < math.inf
+        bad = [] if ok else [v for v in lam.tolist() if not MIN_RESOLVENT_STEP <= v < math.inf]
+    if bad:
+        raise ValueError(f"resolvent step must be a finite real >= {MIN_RESOLVENT_STEP}, "
+                         f"got {bad[0]}")
     return lam
 
 
@@ -219,6 +214,26 @@ def _flow_schedule(op: MonotoneOperator, t, substeps: int):
     return _check_step(t / substeps), substeps
 
 
+def _flow_kernel(op: MonotoneOperator, substeps: int):
+    """``(start, t) -> J_{t/m}^m(start)`` without checks, for a t > 0 or one
+    positive time per row of a batch of starts that ``_flow_schedule`` has
+    passed: one resolvent call of step t for a projection resolvent, one
+    ``power`` call when the resolvent has one, else m successive calls."""
+    resolvent = op.resolvent
+    if op.projection_resolvent:
+        return lambda start, t: np.asarray(resolvent(t, start), dtype=float)
+    power = getattr(resolvent, "power", None)
+    if power is not None:
+        return lambda start, t: np.asarray(power(t / substeps, substeps, start), dtype=float)
+
+    def loop(start, t):
+        lam, x = t / substeps, start
+        for _ in range(substeps):
+            x = resolvent(lam, x)
+        return np.asarray(x, dtype=float)
+    return loop
+
+
 def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
                   substeps: int) -> np.ndarray:
     """J_lam^m(start), the last state of ``flow_steps`` (``start`` as a float
@@ -226,14 +241,9 @@ def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
     or all m are one call of the resolvent's ``power`` when it has one (the
     same bits).  For a batch of starts, ``t`` may give each row its own
     positive time."""
-    lam, m = _flow_schedule(op, t, substeps)
-    power = getattr(op.resolvent, "power", None)
-    if m and power is not None:
-        return np.asarray(power(lam, m, start), dtype=float)
-    x = start
-    for _ in range(m):
-        x = op.resolvent(lam, x)
-    return np.asarray(x, dtype=float)
+    if not _flow_schedule(op, t, substeps)[1]:
+        return np.asarray(start, dtype=float)
+    return _flow_kernel(op, substeps)(start, t)
 
 
 def flow_steps(op: MonotoneOperator, start: np.ndarray, t: float, substeps: int):
@@ -269,10 +279,8 @@ def flow(op: MonotoneOperator, start, t: float, substeps: int) -> np.ndarray:
         return start.copy()
     dist = float(np.max(op.domain_distance(start), initial=0.0))
     if dist > DEFAULT_DOMAIN_TOL:
-        raise DomainViolationError(
-            f"flow start outside the domain closure (distance {dist:.3e})",
-            point=start, distance=dist,
-        )
+        raise DomainViolationError(f"flow start outside the domain closure (distance {dist:.3e})",
+                                   point=start, distance=dist)
     return flow_endpoint(op, start, t, substeps).copy()
 
 

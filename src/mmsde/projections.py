@@ -11,6 +11,7 @@ guaranteed for the classical and iterated kinds.  Every kind maps a point
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,13 @@ def project_elastic(op: MonotoneOperator, c: float, z) -> np.ndarray:
     return p if c == 0.0 else p - c * (z - p)
 
 
+def _iteration_budget(tol, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def project_elastic_iterated(op: MonotoneOperator, c: float, z,
                              tol: float = DEFAULT_ITER_TOL,
                              max_iter: int = DEFAULT_ITER_MAX) -> np.ndarray:
@@ -68,10 +76,10 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
     inside, further elastic steps fix it, so the stopped value equals the
     true limit there.  Each row of a batch freezes at its own stopping
     iterate; the budget error carries the batch's last iterate and the
-    largest domain distance among the rows still moving.
+    largest domain distance among the rows still moving.  ``tol`` must be
+    finite and positive and ``max_iter`` at least 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _iteration_budget(tol, max_iter)
     c = _elasticity(c)
     w = as_points(z)
     p = np.asarray(op.domain_projection(w), dtype=float)
@@ -127,6 +135,8 @@ class Projection:
             raise ValueError(f"unknown projection kind {self.kind!r}; choose from {_KINDS}")
         if self.kind != "classical" and not (0.0 <= self.c <= 1.0):
             raise ValueError(f"elasticity must lie in [0, 1], got {self.c}")
+        if self.kind == "elastic_iterated":
+            _iteration_budget(self.tol, self.max_iter)
 
     def __call__(self, op: MonotoneOperator, z) -> np.ndarray:
         if self.kind == "classical":

@@ -36,10 +36,17 @@ growth may explode: a step whose driven increment dH + f(x) dZ is not finite
 retires its realization, with an ``ExplosionError`` naming the level of its
 base partition, before any resolvent or projection sees it; the
 single-realization calls raise that error.
+
+A chunk march checks once, at entry: H_0 in the domain closure, every step
+of every row (``_euler``), the drift substeps (``_yosida``) and, on its first
+call, a batched coefficient's output shape; inside, kernels run unchecked.
+Only the coefficient and its product run quiet about overflow, so the
+operators' and projections' own warnings stay visible.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,7 +55,8 @@ import numpy as np
 
 from .drivers import Chunk, DriverRealization, _chunk_of
 from .errors import DomainViolationError, ExplosionError
-from .operators import DEFAULT_DOMAIN_TOL, MonotoneOperator, resolve, row_norm
+from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _flow_kernel, _flow_schedule,
+                        resolve, row_norm)
 from .paths import BVDecomposition, StepPath
 from .projections import Projection
 from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _k, _march, _sp_step
@@ -95,7 +103,7 @@ class Coefficient:
             out = np.asarray(self.f(x), dtype=float)
             if out.shape != x.shape + (d,):
                 raise ValueError(f"coefficient must return a {d}x{d} matrix per point, "
-                                 f"got {out.shape}")
+                                 f"shape {x.shape + (d,)}, got {out.shape}")
             return out
         out = np.empty(x.shape + (d,))
         for i in np.ndindex(x.shape[:-1]):  # a point has one index, the empty one
@@ -204,6 +212,10 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
         raise DomainViolationError(f"H_0 outside the domain closure (distance {dist[i]:.3e})",
                                    point=h0[i], distance=float(dist[i]))
     errors, laid = {}, []  # laid: the union order and the y increments laid out in it
+    # the coefficient and its product run quiet here: an overflow retires the row
+    with np.errstate(over="ignore", invalid="ignore"):
+        quiet = contextvars.copy_context()
+    f = coeff  # a batched coefficient's output shape is checked on its first call only
 
     def bind(order):
         # increments on each row's own grid, in union order; a row's first
@@ -214,11 +226,19 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
         laid.extend((order, dys))
         advance = scheme_step(order)
 
+        def driven(key, prev):
+            nonlocal f
+            m = f(prev)
+            if f is not coeff:
+                coeff.evaluations += prev.shape[0]
+            elif coeff.batched:  # its shape is checked: from now on f runs bare
+                f = coeff.f
+            return dh[key] + np.matvec(m, dz[key])
+
         def step(key, rows, dt, prev):
-            with np.errstate(over="ignore", invalid="ignore"):
-                dy = dh[key] + np.matvec(coeff(prev), dz[key])
+            dy = quiet.run(driven, key, prev)
             keep = None
-            if not np.isfinite(dy).all():
+            if not np.logical_and.reduce(np.isfinite(dy), axis=None):
                 keep = np.isfinite(dy).all(axis=-1)
                 for i in np.flatnonzero(~keep).tolist():
                     b, p = int(rows[i]), int(order[key][i])
@@ -269,10 +289,13 @@ def _single(outputs: list) -> SchemeOutput:
 
 def _euler(op: MonotoneOperator, proj: Projection, coeff: Coefficient, chunk: Chunk,
            flow_substeps: int):
-    """``euler_scheme`` on each row of ``chunk``, marched together (``_run_chunk``)."""
+    """``euler_scheme`` on each row of ``chunk``, marched together (``_run_chunk``);
+    the steps checked here are each row's grid differences, the march's dt."""
+    _flow_schedule(op, np.delete(np.diff(chunk.times), chunk.starts[1:-1] - 1), flow_substeps)
+    flow = _flow_kernel(op, flow_substeps)
     return _run_chunk(
         op, coeff, chunk,
-        lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, prev, dy, dt, flow_substeps))
+        lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, flow, prev, dy, dt))
 
 
 def euler_chunk(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
@@ -320,8 +343,7 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
     shape (B, d), ``lam`` and ``mu`` may each give one value per row.  The
     Yosida schemes' drift substeps run the same step without these checks.
     """
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     if not (np.all(lam > 0) and np.all(mu > 0)):
         raise ValueError("lam and mu must be positive")
     return _yosida_step(lambda step, z: resolve(op, step, z), lam, mu,
@@ -335,6 +357,8 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
     levels = np.asarray(levels, dtype=float)
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
+    if drift_substeps < 1:
+        raise ValueError("drift_substeps must be >= 1")
     counts = np.diff(chunk.starts)
 
     def bind(order):

@@ -27,13 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainViolationError
-from .operators import (
-    DEFAULT_DOMAIN_TOL,
-    MonotoneOperator,
-    flow_endpoint,
-    flow_steps,
-    row_norm,
-)
+from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _flow_kernel, _flow_schedule,
+                        flow_steps, row_norm)
 from .paths import BVDecomposition, Partition, StepPath
 from .projections import Projection
 
@@ -74,23 +69,18 @@ class SkorokhodSolution:
         return self.k.total
 
     def export_components(self) -> dict[str, StepPath]:
-        return {
-            "x": self.x,
-            "k": self.k.total,
-            "kc": self.k.continuous,
-            "kd": self.k.jump,
-        }
+        return {"x": self.x, "k": self.k.total, "kc": self.k.continuous, "kd": self.k.jump}
 
 
-def _sp_step(op: MonotoneOperator, proj, prev: np.ndarray, dy: np.ndarray,
-             dt: float, substeps: int):
-    """One grid step: flow over dt from ``prev``, then project prev + dy.
+def _sp_step(op: MonotoneOperator, proj, flow, prev: np.ndarray, dy: np.ndarray, dt):
+    """One grid step: flow over dt from ``prev`` with the unchecked kernel
+    ``flow`` (``operators._flow_kernel``), then project prev + dy.
 
     Returns the ``_march`` step outputs (x_left, xi, dkc, dkd): the pre-jump
     left limit, the new grid value, and the k increments split into flow and
     jump parts.  ``prev`` may be a chunk of rows (B, d), with one dt per row.
     """
-    x_left = flow_endpoint(op, prev, dt, substeps)
+    x_left = flow(prev, dt)
     w = x_left + dy
     xi = np.asarray(proj(op, w), dtype=float)
     return x_left, xi, prev - x_left, w - xi
@@ -193,19 +183,19 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
     y0 = y.values[0]
     dist = op.domain_distance(y0)
     if dist > DEFAULT_DOMAIN_TOL:
-        raise DomainViolationError(
-            f"y_0 outside the domain closure (distance {dist:.3e})",
-            point=y0, distance=dist,
-        )
+        raise DomainViolationError(f"y_0 outside the domain closure (distance {dist:.3e})",
+                                   point=y0, distance=dist)
     with np.errstate(over="ignore"):  # a jump between two finite values may overflow
         dy = y.jumps()
     if not np.isfinite(dy).all():
         j = int(np.argmin(np.isfinite(dy).all(axis=1)))
         t = float(y.partition.times[j])
         raise ValueError(f"the input increment at step {j} (t = {t!r}) is not finite")
+    _flow_schedule(op, np.diff(y.partition.times), flow_substeps)  # every step, once
+    flow = _flow_kernel(op, flow_substeps)
     x, x_pre, dkc, dkd = _march(
         y.partition.times, None, y0,
-        lambda j, dt, prev: _sp_step(op, proj, prev, dy[j], dt, flow_substeps))
+        lambda j, dt, prev: _sp_step(op, proj, flow, prev, dy[j], dt))
     return SkorokhodSolution(x=StepPath(y.partition, x), k=_k(y.partition, dkc, dkd), y=y,
                              x_pre=x_pre, flow_substeps=flow_substeps)
 
@@ -224,26 +214,17 @@ def reflect_halfline_oracle(y: StepPath) -> SkorokhodSolution:
         raise ValueError("the half-line reflection map needs y_0 >= 0")
     pushed = np.maximum.accumulate(np.maximum(-vals, 0.0))
     x_vals = vals + pushed
-    k_vals = -pushed
-    x = StepPath(y.partition, x_vals)
-    k_total = StepPath(y.partition, k_vals)
+    k_total = StepPath(y.partition, -pushed)
     zero = StepPath(y.partition, np.zeros_like(y.values))
-    x_pre = np.empty_like(y.values)
-    x_pre[0, 0] = x_vals[0]
-    x_pre[1:, 0] = x_vals[:-1]
-    return SkorokhodSolution(
-        x=x,
-        k=BVDecomposition(total=k_total, continuous=zero, jump=k_total),
-        y=y,
-        x_pre=x_pre,
-        flow_substeps=1,
-    )
+    x_pre = np.concatenate([x_vals[:1], x_vals[:-1]])[:, None]
+    return SkorokhodSolution(x=StepPath(y.partition, x_vals),
+                             k=BVDecomposition(total=k_total, continuous=zero, jump=k_total),
+                             y=y, x_pre=x_pre, flow_substeps=1)
 
 
 def _min_subarray_sum(terms) -> float:
     """Smallest sum over a contiguous nonempty range (0.0 for empty input)."""
-    best = 0.0
-    running = 0.0
+    best = running = 0.0
     for v in terms:
         running = min(v, running + v)
         best = min(best, running)
@@ -323,16 +304,9 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
     if mono_worst < -tol:
         failures.append(f"monotonicity sum {mono_worst:.3e} below -{tol:.1e}")
 
-    return SolutionReport(
-        additivity_residual=add,
-        jump_condition_residual=jump_res,
-        jump_bound_margin=float(bound_margin),
-        monotonicity_worst=mono_worst,
-        k0_residual=k0,
-        tolerance=tol,
-        passed=not failures,
-        failures=failures,
-    )
+    return SolutionReport(additivity_residual=add, jump_condition_residual=jump_res,
+                          jump_bound_margin=float(bound_margin), monotonicity_worst=mono_worst,
+                          k0_residual=k0, tolerance=tol, passed=not failures, failures=failures)
 
 
 @dataclass
@@ -366,8 +340,7 @@ def pair_inequality_report(op: MonotoneOperator, a: SkorokhodSolution,
     w_inner = 0.0                        # sum <y_s - y'_s, dv_s> over events
     worst_slack = np.inf
 
-    prev_a = a.x.values[0]
-    prev_b = b.x.values[0]
+    prev_a, prev_b = a.x.values[0], b.x.values[0]
     for j in range(1, times.size):
         dt = times[j] - times[j - 1]
         b_left = a.y.values[j - 1] - b.y.values[j - 1]
@@ -381,12 +354,9 @@ def pair_inequality_report(op: MonotoneOperator, a: SkorokhodSolution,
             w_inner += float(b_left @ dv)
             xa, xb = na, nb
         # jump event at t_j
-        dya = a.y.values[j] - a.y.values[j - 1]
-        dyb = b.y.values[j] - b.y.values[j - 1]
-        wa = xa + dya
-        wb = xb + dyb
-        xa_new = a.x.values[j]
-        xb_new = b.x.values[j]
+        wa = xa + (a.y.values[j] - a.y.values[j - 1])
+        wb = xb + (b.y.values[j] - b.y.values[j - 1])
+        xa_new, xb_new = a.x.values[j], b.x.values[j]
         dv = (wa - xa_new) - (wb - xb_new)
         diff_new = xa_new - xb_new
         bracket_terms.append(float(diff_new @ dv) + 0.5 * float(dv @ dv))
@@ -401,7 +371,5 @@ def pair_inequality_report(op: MonotoneOperator, a: SkorokhodSolution,
 
     if not np.isfinite(worst_slack):
         worst_slack = 0.0
-    return PairReport(
-        worst_bracket=_min_subarray_sum(np.asarray(bracket_terms)),
-        worst_distance_slack=float(worst_slack),
-    )
+    return PairReport(worst_bracket=_min_subarray_sum(np.asarray(bracket_terms)),
+                      worst_distance_slack=float(worst_slack))

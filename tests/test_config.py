@@ -45,6 +45,13 @@ MALFORMED = [
     ("[projection]\nkind = elastic\nc = half\n", "projection.c"),
     ("[projection]\nkind = elastic_iterated\nc = 0.5\ntol = small\n", "projection.tol"),
     ("[projection]\nkind = elastic_iterated\nc = 0.5\nmax_iter = 1.5\n", "projection.max_iter"),
+    # an iteration budget the projection cannot run on: a constructor error
+    ("[projection]\nkind = elastic_iterated\nc = 0.5\ntol = -1\n", "projection",
+     "projection-tol-negative"),
+    ("[projection]\nkind = elastic_iterated\nc = 0.5\ntol = nan\n", "projection",
+     "projection-tol-nan"),
+    ("[projection]\nkind = elastic_iterated\nc = 0.5\nmax_iter = 0\n", "projection",
+     "projection-max-iter-0"),
     ("[coefficient]\nkind = bounded_sin\nbase = one\n", "coefficient.base"),
     ("[coefficient]\nkind = bounded_sin\namplitude = x\n", "coefficient.amplitude"),
     ("[driver]\njump_rate = often\n", "driver.jump_rate"),

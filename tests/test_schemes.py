@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from mmsde import (
 )
 from mmsde.config import parse_config_text
 from mmsde.harness import _Context
-from mmsde.schemes import square_coefficient
+from mmsde.operators import MIN_RESOLVENT_STEP, flow_endpoint
+from mmsde.schemes import euler_chunk, square_coefficient, yosida_chunk
 
 CLASSICAL = Projection()
 
@@ -410,3 +412,70 @@ class TestExplosion:
         out = ctx.run_scheme("euler", r)
         assert np.max(np.abs(out.x.values)) > 2.0
         assert ctx.coeff.evaluations == out.params["steps"] == r.grid.times.size - 1
+
+
+def on_grid(times, h0=0.0, z_drift=1.0, d=1):
+    """A driver realization with H = h0 and Z_t = z_drift t on the grid ``times``."""
+    part = Partition(np.asarray(times, dtype=float))
+    h = StepPath(part, np.full((part.times.size, d), float(h0)))
+    z = StepPath(part, np.outer(part.times, np.full(d, float(z_drift))))
+    return from_step_paths(h, z)
+
+
+class TestChunkEdge:
+    """A chunk march checks its steps and its coefficient once, at entry, and
+    runs unchecked kernels inside."""
+
+    @pytest.mark.parametrize("name, step", [
+        ("box2", 0.5 * MIN_RESOLVENT_STEP),   # a projection resolvent takes the step t
+        ("linear2", 8 * MIN_RESOLVENT_STEP),  # the others take t/m, here t/16
+        ("spring", 8 * MIN_RESOLVENT_STEP),
+    ])
+    def test_a_step_below_resolution_fails_the_chunk_as_flow_endpoint_does(
+            self, zoo, name, step):
+        op = box_spring()[0] if name == "spring" else zoo[name]
+        coarse = on_grid(uniform_partition(1.0, 8).times, h0=0.5, d=2)
+        fine = on_grid([0.0, 0.25, 0.25 + step, 1.0], h0=0.5, d=2)
+        t = float(np.diff(fine.grid.times)[1])
+        with pytest.raises(ValueError) as kernel:
+            flow_endpoint(op, np.full(2, 0.5), t, 16)
+        assert "resolvent step must be" in str(kernel.value)
+        for rows in ([fine], [coarse, fine], [fine, coarse, coarse]):
+            with pytest.raises(ValueError) as chunk:
+                euler_chunk(op, CLASSICAL, zero_coefficient(2), rows, 16)
+            assert str(chunk.value) == str(kernel.value), name
+        # the same grid with steps of a legal size marches
+        euler_chunk(op, CLASSICAL, zero_coefficient(2),
+                    [coarse, on_grid([0.0, 0.25, 0.5, 1.0], h0=0.5, d=2)], 16)
+
+    @pytest.mark.parametrize("run", [
+        lambda op, c, rs: euler_chunk(op, CLASSICAL, c, rs),
+        lambda op, c, rs: yosida_chunk(op, None, 4, c, rs, "yosida"),
+        lambda op, c, rs: yosida_chunk(op, CLASSICAL, 4, c, rs, "modified_yosida"),
+    ], ids=["euler", "yosida", "modified_yosida"])
+    def test_a_batched_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
+        # one value per point where one 1x1 matrix per point is due
+        coeff = Coefficient(f=lambda x: np.ones(x.shape), batched=True)
+        rows = [on_grid(uniform_partition(1.0, 4).times, h0=1.0)] * 3
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficient must return a 1x1 matrix per point, shape (3, 1, 1), got (3, 1)")):
+            run(zoo["halfline"], coeff, rows)
+
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_yosida_rejects_fewer_than_one_drift_substep(self, zoo, substeps):
+        op, r = zoo["box2"], on_grid(uniform_partition(1.0, 4).times, h0=0.5, d=2)
+        coeff = zero_coefficient(2)
+        for run in (lambda: yosida_scheme(op, 4, coeff, r, substeps),
+                    lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r, substeps),
+                    lambda: yosida_chunk(op, CLASSICAL, [4, 8], coeff, [r, r],
+                                         ["yosida", "modified_yosida"], substeps)):
+            with pytest.raises(ValueError, match="^drift_substeps must be >= 1$"):
+                run()
+
+    def test_the_operator_warns_inside_the_march(self):
+        # the march silences the coefficient's product only: a proximal map
+        # that overflows still warns, and the suite makes that warning an error
+        op = convex_prox(lambda lam, z: z * 1e300 * 1e300 / (1.0 + lam), 1)
+        rows = [on_grid(uniform_partition(1.0, 4).times, h0=0.5)] * 2
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            euler_chunk(op, CLASSICAL, constant_coefficient([[1.0]]), rows)
