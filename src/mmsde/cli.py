@@ -125,7 +125,8 @@ def _cmd_skorokhod(args) -> int:
     meta = {"operator": json.dumps(cfg.operator, sort_keys=True),
             "projection": json.dumps(cfg.projection, sort_keys=True),
             "flow_substeps": cfg.flow_substeps}
-    _write_components(cfg, out_path, sol.export_components(), meta)
+    components = {"x": sol.x, "k": sol.k.total, "kc": sol.k.continuous, "kd": sol.k.jump}
+    _write_components(cfg, out_path, components, meta)
     print(out_path)
     return EXIT_OK
 

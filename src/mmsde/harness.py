@@ -20,7 +20,7 @@ from .config import (
     build_operator,
     build_projection,
 )
-from .drivers import _simulate
+from .drivers import Chunk, _simulate
 from .errors import ConfigError
 from .operators import DEFAULT_DOMAIN_TOL, resolve, row_norm, yosida_a, yosida_j
 from .paths import Partition, StepPath, refine, uniform_partition
@@ -121,23 +121,18 @@ class _Context:
                                 self.cfg.flow_substeps)
         if not self.cfg.yosida_levels:
             raise ConfigError("experiment.yosida_levels", f"{scheme} needs at least one level")
-        n_level = self.cfg.yosida_levels[-1]
+        args = (self.cfg.yosida_levels[-1], self.coeff, realization, self.cfg.drift_substeps)
         if scheme == "yosida":
-            return yosida_scheme(self.op, n_level, self.coeff, realization,
-                                 self.cfg.drift_substeps)
-        return modified_yosida_scheme(self.op, self.proj, n_level, self.coeff,
-                                      realization, self.cfg.drift_substeps)
+            return yosida_scheme(self.op, *args)
+        return modified_yosida_scheme(self.op, self.proj, *args)
 
     def oracle_applies(self) -> bool:
         """Closed-form reference: reflection on [0, inf) under additive noise."""
         spec = self.op.spec or {}
-        if spec.get("kind") != "halfspace" or self.op.dimension != 1:
-            return False
-        if not (spec["normal"][0] < 0 and spec["offset"] == 0.0):
-            return False
-        if self.proj.kind != "classical":
-            return False
-        return self.coeff.spec is not None and self.coeff.spec.get("kind") == "constant"
+        return (spec.get("kind") == "halfspace" and self.op.dimension == 1
+                and spec["normal"][0] < 0 and spec["offset"] == 0.0
+                and self.proj.kind == "classical"
+                and (self.coeff.spec or {}).get("kind") == "constant")
 
     def oracle_x(self, chunk) -> np.ndarray:
         """The half-line reflection of each row's driving input, flat on the chunk."""
@@ -292,7 +287,12 @@ def _compare_batch(cfg: ExperimentConfig, indices):
         reals = _simulate(ctx.driver, ctx.partitions[-1], cfg.seed, chunk)
         ref, *_, ref_errors = _euler(ctx.op, ctx.proj, ctx.coeff, reals, cfg.flow_substeps)
         width = len(chunk)
-        runs, fine_of = reals.restrict([ctx.partitions[-1]] * (2 * n_lv))
+        # each run in the reference rows' own layout: their columns tiled, not masked
+        fine_of = np.tile(np.arange(reals.times.size), 2 * n_lv)
+        runs = Chunk(*(a[fine_of] for a in (reals.times, reals.h, reals.z, reals.jump_flags,
+                                            reals.jump_h, reals.jump_z)),
+                     np.r_[0, np.cumsum(np.tile(np.diff(reals.starts), 2 * n_lv))],
+                     reals.trajectory * (2 * n_lv), np.tile(reals.level, 2 * n_lv))
         levels = np.repeat(cfg.yosida_levels, 2 * width)
         schemes = np.repeat(np.tile(["yosida", "modified_yosida"], n_lv), width)
         x, *_, errors = _yosida(ctx.op, ctx.proj, levels, ctx.coeff, runs, schemes,

@@ -479,8 +479,13 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
             return z
         # sweep the rows outside together; each stops on its own sweep shift
         out = np.array(z, dtype=float, ndmin=2)
-        live = np.flatnonzero(outside)
+        rows = live = np.flatnonzero(outside)
         z_out = x = out[live]
+        if not np.isfinite(z_out).all():  # its sweep shift would never fall below the tolerance
+            bad = z_out[~np.isfinite(z_out).all(axis=-1)][0].tolist()
+            raise NonConvergenceError(
+                f"Dykstra projection cannot stabilize from the non-finite point {bad}",
+                last=out.reshape(np.shape(z)), residual=math.nan)
         corrections = [np.zeros_like(x)] * len(faces)
         for _ in range(dykstra_max_iter):
             shift = 0.0
@@ -494,7 +499,6 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
             n_done = np.count_nonzero(done)
             if n_done == done.size:
                 out[live] = x
-                rows = np.flatnonzero(outside)
                 out[rows] = polish(z_out, out[rows])
                 return out.reshape(np.shape(z))
             if n_done:

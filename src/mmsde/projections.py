@@ -74,18 +74,22 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
     within ``tol`` or moves by less than ``tol``; either condition certifies
     a fixed point of the iteration to tolerance.  Once an iterate lands
     inside, further elastic steps fix it, so the stopped value equals the
-    true limit there.  Each row of a batch freezes at its own stopping
-    iterate; the budget error carries the batch's last iterate and the
-    largest domain distance among the rows still moving.  ``tol`` must be
-    finite and positive and ``max_iter`` at least 1.
+    true limit there, and a batch that the domain projection fixes returns
+    at once.  Each row of a batch freezes at its own stopping iterate; the
+    budget error carries the batch's last iterate and the largest domain
+    distance among the rows still moving; a non-finite row raises it after
+    one step.  ``tol`` must be finite and positive, ``max_iter`` at least 1.
     """
     _iteration_budget(tol, max_iter)
     c = _elasticity(c)
     w = as_points(z)
     p = np.asarray(op.domain_projection(w), dtype=float)
+    gap = w - p
+    if not np.count_nonzero(gap):  # p fixes every row, and p - c gap is p bit for bit
+        return p
     out = rows = None  # the frozen rows, once a batch has any
-    for _ in range(max_iter):
-        nxt = p if c == 0.0 else p - c * (w - p)
+    for step in range(max_iter):
+        nxt = p if c == 0.0 else p - c * gap
         p = op.domain_projection(nxt)
         # the domain test first: a point inside needs no step test
         stop = row_norm(nxt - p) <= tol
@@ -98,13 +102,17 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
                 return nxt
             out[rows] = nxt
             return out
+        if not step and np.count_nonzero(np.isfinite(w)) < w.size:  # such a row never stops
+            bad = (w[~np.isfinite(w).all(axis=-1)][0] if w.ndim == 2 else w).tolist()
+            raise NonConvergenceError("iterated elastic projection cannot stabilize from the "
+                                      f"non-finite point {bad}", last=w, residual=math.nan)
         if stopped:  # only a batch has some rows stopped and some not
             if out is None:
                 out, rows = np.empty_like(w), np.arange(len(w))
             out[rows[stop]] = nxt[stop]
             rows, nxt, p = rows[~stop], nxt[~stop], p[~stop]
-        w = nxt
-    residual = float(np.max(row_norm(w - p)))
+        w, gap = nxt, nxt - p
+    residual = float(np.max(row_norm(gap)))
     if out is not None:
         out[rows] = w
         w = out
@@ -151,6 +159,5 @@ class Projection:
         if self.kind != "classical":
             out["c"] = self.c
         if self.kind == "elastic_iterated":
-            out["tol"] = self.tol
-            out["max_iter"] = self.max_iter
+            out.update(tol=self.tol, max_iter=self.max_iter)
         return out

@@ -6,7 +6,7 @@ driven by a maximal monotone operator A and a generalized projection.
 
 Three schemes operate on a driver realization's grid.  Each supplies only its
 step map to ``skorokhod._march``, the one grid march that ``solve_step`` also
-uses, which accumulates k and builds the output paths:
+uses; a step returns (x_pre, x_new), and the march keeps x and x_pre only:
 
 - ``euler_scheme``: the driving step input Y_t = H_t + sum f(X_{t_k}) dZ
   (left-point rule) is fed through the Skorokhod step map: flow over each
@@ -23,13 +23,13 @@ uses, which accumulates k and builds the output paths:
 
 Each scheme body (``_euler``; ``_yosida`` for both Yosida schemes, with a
 level n and a scheme name per row) marches the rows of a ``drivers.Chunk``
-at once and returns x, x_pre, the increments of k and y flat on the chunk's
+at once and returns x, x_pre and the increments of y flat on the chunk's
 points.  Row i equals the single-realization call on realization i bit for
 bit (a ``linear`` operator's rows to 1e-15 of the row's norm, the tolerance
 of its batched resolvent).  dH, dZ, Yosida's steps 1/n and its correction
 flags are laid out in the march's union order, so that a union time reads
 one slice of each.  ``euler_chunk`` and ``yosida_chunk`` take and return
-lists, and a single realization is a chunk of one.
+lists (a single realization is a chunk of one) and alone form k (``_k``).
 
 Every scheme runs the coefficient as given.  A coefficient without linear
 growth may explode: a step whose driven increment dH + f(x) dZ is not finite
@@ -195,14 +195,14 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
 
     ``scheme_step(order)`` lays out the scheme's per-point arrays in the
     march's union order and returns the map ``(key, dt, prev, dy)`` from the
-    stepping points, steps, states and driven increments to the step outputs.
-    The driven increment dH_j + f(x_{j-1}) dZ_j of every stepping row is one
-    batched coefficient call and one ``np.matvec``; a row whose increment is
-    not finite retires with its ``ExplosionError``, at the level of the row's
-    base partition, before the scheme step sees it.
+    stepping points, steps, states and driven increments to the step outputs
+    (x_pre, x_new).  The driven increment dH_j + f(x_{j-1}) dZ_j of every
+    stepping row is one batched coefficient call and one ``np.matvec``; a row
+    whose increment is not finite retires with its ``ExplosionError``, at the
+    level of the row's base partition, before the scheme step sees it.
 
-    Returns x, x_pre, dkc, dkd (``_march``) and the driven increments dy (H_0
-    at a row's t = 0, so that a row's y is their cumsum), flat on the chunk's
+    Returns x and x_pre (``_march``) and the driven increments dy (H_0 at a
+    row's t = 0, so that a row's y is their cumsum), flat on the chunk's
     points, and the retired rows' ExplosionErrors by row.
     """
     h0 = chunk.h[chunk.starts[:-1]]
@@ -255,10 +255,10 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
             return keep, advance(key, dt, prev, dy)
         return step
 
-    x, x_pre, dkc, dkd = _march(chunk.times, chunk.starts, h0, bind)
+    x, x_pre = _march(chunk.times, chunk.starts, h0, bind)
     order, dys = laid
     dys[order] = dys.copy()  # back to row order
-    return x, x_pre, dkc, dkd, dys, errors
+    return x, x_pre, dys, errors
 
 
 def _outputs(realizations, labels, run) -> list:
@@ -271,9 +271,10 @@ def _outputs(realizations, labels, run) -> list:
     *paths, errors = run(chunk)
     out = []
     for b, (r, (scheme, params)) in enumerate(zip(realizations, labels)):
-        x, x_pre, dkc, dkd, dy = (a[slice(*chunk.starts[b:b + 2].tolist())] for a in paths)
+        x, x_pre, dy = (a[slice(*chunk.starts[b:b + 2].tolist())] for a in paths)
         out.append(errors[b] if b in errors else SchemeOutput(
-            x=StepPath(r.grid, x), k=_k(r.grid, dkc, dkd), y=StepPath(r.grid, np.cumsum(dy, 0)),
+            x=StepPath(r.grid, x), k=_k(r.grid, x, x_pre, dy, drift=scheme != "euler"),
+            y=StepPath(r.grid, np.cumsum(dy, 0)),
             scheme=scheme, params=dict(params, mesh=r.grid.mesh, steps=r.grid.times.size - 1),
             realization=r, x_pre=x_pre if scheme == "euler" else None))
     return out
@@ -353,7 +354,8 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
 def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coefficient,
             chunk: Chunk, schemes, drift_substeps: int):
     """``yosida_chunk`` on the rows of ``chunk`` (``_run_chunk``), row b at
-    level ``levels[b]`` with scheme ``schemes[b]``."""
+    level ``levels[b]`` with scheme ``schemes[b]``.  There is no flow between
+    grid points: a step reports its state before the drift as x_pre."""
     levels = np.asarray(levels, dtype=float)
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
@@ -364,31 +366,20 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
     def bind(order):
         # per grid point, in row order, then in union order
         lam = np.repeat(1.0 / levels, counts)
-        correct = None
-        modified = np.asarray(schemes) == "modified_yosida"
-        if modified.any():
-            # the grid points where the driver genuinely jumps by more than 1/n
-            correct = (chunk.jump_flags & np.repeat(modified, counts)
-                       & (np.maximum(row_norm(chunk.jump_h), row_norm(chunk.jump_z)) > lam))[order]
-        lam = lam[order]
+        # the grid points where the driver genuinely jumps by more than 1/n
+        correct = (chunk.jump_flags & np.repeat(np.asarray(schemes) == "modified_yosida", counts)
+                   & (np.maximum(row_norm(chunk.jump_h), row_norm(chunk.jump_z)) > lam))
+        lam, correct = lam[order], correct[order] if correct.any() else None
 
         def step(key, dt, prev, dy):
             state = prev + dy
-            dkd = 0.0
-            if correct is not None:
-                fix = correct[key]
-                if fix.any():
-                    w = state[fix]
-                    corrected = np.asarray(proj(op, w), dtype=float)
-                    dkd = np.zeros_like(state)
-                    dkd[fix] = w - corrected
-                    state[fix] = corrected
+            if correct is not None and (fix := correct[key]).any():
+                state[fix] = np.asarray(proj(op, state[fix]), dtype=float)
             pre_drift = state
             lam_k, mu = lam[key], dt / drift_substeps
             for _ in range(drift_substeps):
                 state = _yosida_step(op.resolvent, lam_k, mu, state)
-            # no flow between grid points: the left limit at t_j is prev
-            return prev, state, pre_drift - state, dkd
+            return pre_drift, state
         return step
 
     return _run_chunk(op, coeff, chunk, bind)

@@ -10,9 +10,10 @@ x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 of ``schemes``.  It walks one path, or a chunk of paths in the layout of
 ``drivers.Chunk`` (grid times laid end to end, row b owning points
 ``starts[b]:starts[b + 1]``), kept in union order so that each union time is
-one slice of points, and returns x, x_pre and the increments of k flat on the
-same points.  Each row steps only at its own grid times with its own step
-sizes, so that every row equals its own single-path march bit for bit.
+one slice of points.  A step returns (x_pre, x_new) and the march keeps
+just those, flat on the same points; a caller that reads k forms it after
+the march (``_k``).  Each row steps only at its own grid times with its own
+step sizes, so that every row equals its own single-path march bit for bit.
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
@@ -68,22 +69,14 @@ class SkorokhodSolution:
     def k_path(self) -> StepPath:
         return self.k.total
 
-    def export_components(self) -> dict[str, StepPath]:
-        return {"x": self.x, "k": self.k.total, "kc": self.k.continuous, "kd": self.k.jump}
-
 
 def _sp_step(op: MonotoneOperator, proj, flow, prev: np.ndarray, dy: np.ndarray, dt):
     """One grid step: flow over dt from ``prev`` with the unchecked kernel
-    ``flow`` (``operators._flow_kernel``), then project prev + dy.
-
-    Returns the ``_march`` step outputs (x_left, xi, dkc, dkd): the pre-jump
-    left limit, the new grid value, and the k increments split into flow and
-    jump parts.  ``prev`` may be a chunk of rows (B, d), with one dt per row.
-    """
+    ``flow`` (``operators._flow_kernel``), then project the flow's end plus
+    dy.  Returns (x_left, xi), the left limit and the new value; ``prev`` may
+    be a chunk of rows (B, d), with one dt per row."""
     x_left = flow(prev, dt)
-    w = x_left + dy
-    xi = np.asarray(proj(op, w), dtype=float)
-    return x_left, xi, prev - x_left, w - xi
+    return x_left, np.asarray(proj(op, x_left + dy), dtype=float)
 
 
 def _march(times: np.ndarray, starts, x0: np.ndarray, step):
@@ -91,9 +84,8 @@ def _march(times: np.ndarray, starts, x0: np.ndarray, step):
 
     One path: ``starts`` is None, ``times`` is its grid and ``x0`` its start
     (d,); the march calls ``step(j, dt, prev)`` for j = 1, 2, ... with the
-    float step and the state at t_{j-1}, which returns (x_left, x_new, dkc,
-    dkd): the left limit at t_j, the new state, and the flow and jump parts of
-    dk.
+    float step and the state at t_{j-1}, which returns (x_pre, x_new): the
+    left limit at t_j, or what the step reports in its place, and the state.
 
     A chunk: row b's grid is ``times[starts[b]:starts[b + 1]]`` and ``x0`` is
     (B, d).  The march walks the union of the grid times and steps, at each,
@@ -103,15 +95,14 @@ def _march(times: np.ndarray, starts, x0: np.ndarray, step):
     through one gather of its predecessor.  The march first calls
     ``step(order)``, which lays out the step's own per-point arrays as
     ``a[order]`` and returns the map ``(key, rows, dt, prev) -> (keep,
-    outputs)``: ``key`` is the slice of the stepping points (at a union time
-    that holds a retired row, the index array of its live points) and
+    (x_pre, x_new))``: ``key`` is the slice of the stepping points (at a union
+    time that holds a retired row, the index array of its live points) and
     ``rows`` their rows.  ``keep`` is None, or a mask over the stepping rows:
     the rows it clears retire, and the outputs hold the kept rows only.  The
     step reads its own input increment; the march never sees y.
 
-    Returns x, x_pre, dkc and dkd, (N, d) on the points of ``times``: the
-    state, the left limits and the flow and jump increments of k; a retired
-    row's later points are undefined.
+    Returns x and x_pre, (N, d) on the points of ``times``, in row order; a
+    retired row's later points are undefined.
     """
     single = starts is None
     count = 1 if single else len(starts) - 1
@@ -127,14 +118,12 @@ def _march(times: np.ndarray, starts, x0: np.ndarray, step):
         bounds = [*(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
         del order, flat
     shape = (times.size, x0.shape[-1])
-    x, x_pre, dkc, dkd = np.empty(shape), np.empty(shape), np.zeros(shape), np.zeros(shape)
+    x, x_pre = np.empty(shape), np.empty(shape)
     x[:count] = x_pre[:count] = x0
     if single:
-        state = np.array(x0, dtype=float)
         for j, dt in zip(range(1, shape[0]), np.diff(times).tolist()):
-            x_pre[j], state, dkc[j], dkd[j] = step(j, dt, state)
-            x[j] = state
-        return x, x_pre, dkc, dkd
+            x_pre[j], x[j] = step(j, dt, x[j - 1])
+        return x, x_pre
     live = np.ones(count, dtype=bool)
     held = None  # per point, whether its row is live, once a row retires
     for lo, hi in zip(bounds, bounds[1:]):
@@ -152,17 +141,26 @@ def _march(times: np.ndarray, starts, x0: np.ndarray, step):
             held, key = live[row], np.r_[key][keep]
             if not key.size:
                 continue
-        x_pre[key], x[key], dkc[key], dkd[key] = out
+        x_pre[key], x[key] = out
     # the step's per-point arrays go before the outputs return to row order
     del step, pred, row, dt, held
-    for a in (x, x_pre, dkc, dkd):
-        a[:] = a[inverse]
-    return x, x_pre, dkc, dkd
+    return x[inverse], x_pre[inverse]
 
 
-def _k(grid: Partition, dkc: np.ndarray, dkd: np.ndarray) -> BVDecomposition:
-    """k on ``grid`` from its flow and jump increments, summed by ``np.cumsum``,
-    which adds row by row in order (an in-loop running sum bit for bit)."""
+def _k(grid: Partition, x: np.ndarray, x_pre: np.ndarray, dy: np.ndarray,
+       drift: bool = False) -> BVDecomposition:
+    """k on ``grid`` from a march's x and x_pre and the input increments dy.
+
+    Its increments at t_j are the step's own differences of its own operands,
+    bit for bit: after ``_sp_step``, the flow x_{j-1} - x_pre_j and the jump
+    (x_pre_j + dy_j) - x_j; after a Yosida step (``drift``), whose x_pre_j is
+    the state before the drift, the jump (x_{j-1} + dy_j) - x_pre_j, exactly
+    0 where no projection moved it, and the drift x_pre_j - x_j.  Each part
+    is summed by ``np.cumsum``, which adds row by row in order.
+    """
+    dkc, dkd = np.zeros_like(x), np.zeros_like(x)
+    dkc[1:], dkd[1:] = ((x_pre[1:] - x[1:], (x[:-1] + dy[1:]) - x_pre[1:]) if drift
+                        else (x[:-1] - x_pre[1:], (x_pre[1:] + dy[1:]) - x[1:]))
     kc, kd = np.cumsum(dkc, axis=0), np.cumsum(dkd, axis=0)
     # total = continuous + jump bitwise; additivity to y holds to rounding
     return BVDecomposition(total=StepPath(grid, kc + kd), continuous=StepPath(grid, kc),
@@ -193,10 +191,9 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
         raise ValueError(f"the input increment at step {j} (t = {t!r}) is not finite")
     _flow_schedule(op, np.diff(y.partition.times), flow_substeps)  # every step, once
     flow = _flow_kernel(op, flow_substeps)
-    x, x_pre, dkc, dkd = _march(
-        y.partition.times, None, y0,
-        lambda j, dt, prev: _sp_step(op, proj, flow, prev, dy[j], dt))
-    return SkorokhodSolution(x=StepPath(y.partition, x), k=_k(y.partition, dkc, dkd), y=y,
+    x, x_pre = _march(y.partition.times, None, y0,
+                      lambda j, dt, prev: _sp_step(op, proj, flow, prev, dy[j], dt))
+    return SkorokhodSolution(x=StepPath(y.partition, x), k=_k(y.partition, x, x_pre, dy), y=y,
                              x_pre=x_pre, flow_substeps=flow_substeps)
 
 

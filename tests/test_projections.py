@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,113 @@ class TestElasticIterated:
             project_elastic_iterated(op, 1.0, [1.0, 0.0], max_iter=1)
         assert info.value.last is not None
         assert info.value.residual is not None
+
+
+def elastic_loop(op, c, z, tol=1e-10, max_iter=100_000):
+    """The iterated elastic projection as a plain loop from the first domain
+    projection, with no return for points it fixes: the oracle of the shortcut."""
+    w = np.array(z, dtype=float, ndmin=1)
+    p = np.asarray(op.domain_projection(w), dtype=float)
+    out, rows = np.empty_like(w), np.arange(len(w)) if w.ndim == 2 else None
+    for _ in range(max_iter):
+        nxt = p if c == 0.0 else p - c * (w - p)
+        p = op.domain_projection(nxt)
+        stop = (np.linalg.norm(nxt - p, axis=-1) <= tol) | (np.linalg.norm(nxt - w, axis=-1) < tol)
+        if rows is None:
+            if stop:
+                return nxt
+        else:
+            out[rows[stop]] = nxt[stop]
+            rows, nxt, p = rows[~stop], nxt[~stop], p[~stop]
+            if not rows.size:
+                return out
+        w = nxt
+    raise AssertionError("the oracle loop did not stop")
+
+
+def counting(op):
+    """``op`` with a domain projection that records each call."""
+    calls = []
+
+    def project(z):
+        calls.append(np.array(z))
+        return op.domain_projection(z)
+    return dataclasses.replace(op, domain_projection=project), calls
+
+
+# on the unit box: inside, on a face, a -0.0 coordinate on a face, outside
+# through a face, outside past a corner
+BOX_POINTS = [[0.3, 0.7], [1.0, 0.4], [-0.0, 0.5], [0.25, -0.0], [1.3, 0.6], [-0.4, 1.7]]
+
+
+class TestElasticShortcut:
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("point", BOX_POINTS)
+    def test_single_point_equals_the_loop_bit_for_bit(self, zoo, c, point):
+        got = project_elastic_iterated(zoo["box2"], c, point)
+        assert got.tobytes() == elastic_loop(zoo["box2"], c, point).tobytes()
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("rows", [slice(0, 4), slice(0, None), slice(4, None)],
+                             ids=["inside", "mixed", "outside"])
+    def test_batch_equals_the_loop_bit_for_bit(self, zoo, c, rows):
+        z = np.array(BOX_POINTS)[rows]
+        got = project_elastic_iterated(zoo["box2"], c, z)
+        assert got.tobytes() == elastic_loop(zoo["box2"], c, z).tobytes()
+        for row, point in zip(got, z):
+            assert row.tobytes() == project_elastic_iterated(zoo["box2"], c, point).tobytes()
+
+    def test_a_signed_zero_keeps_the_loops_sign(self, zoo):
+        # the loop's p - c (w - p) at w = p keeps p's zero, sign and all
+        for c in (0.0, 0.5, 1.0):
+            got = project_elastic_iterated(zoo["box2"], c, [-0.0, 0.5])
+            want = elastic_loop(zoo["box2"], c, [-0.0, 0.5])
+            assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+    @pytest.mark.parametrize("name", ["halfline", "box2", "ball2", "wedge"])
+    def test_an_inside_batch_makes_one_domain_projection(self, zoo, name):
+        # the points that the domain projection fixes (a projection onto a
+        # slanted face may move by rounding when projected again)
+        z = np.random.default_rng(3).normal(0.0, 1.0, size=(64, zoo[name].dimension))
+        z = z[(zoo[name].domain_projection(z) == z).all(axis=-1)][:8]
+        assert len(z) == 8
+        op, calls = counting(zoo[name])
+        got = project_elastic_iterated(op, 0.5, z)
+        assert len(calls) == 1
+        assert got.tobytes() == z.tobytes() == elastic_loop(zoo[name], 0.5, z).tobytes()
+
+    def test_an_outside_row_keeps_the_loop(self, zoo):
+        op, calls = counting(zoo["box2"])
+        project_elastic_iterated(op, 0.5, np.array(BOX_POINTS))
+        assert len(calls) >= 2
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("z, named", [
+        ([np.nan, 0.5], "[nan, 0.5]"),
+        ([np.inf, 0.5], "[inf, 0.5]"),
+        ([[0.2, 0.3], [-np.inf, 0.5], [0.5, np.nan]], "[-inf, 0.5]"),
+    ], ids=["nan", "inf", "batch"])
+    def test_elastic_fails_on_the_first_step(self, zoo, z, named):
+        # such a row would spin through all 100,000 steps of the budget
+        op, calls = counting(zoo["box2"])
+        with pytest.raises(NonConvergenceError, match="non-finite point") as info:
+            project_elastic_iterated(op, 0.5, z)
+        assert named in str(info.value)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("z", [[np.nan, 0.5], [0.5, np.inf], [[0.0, 1.0], [np.nan, 0.5]]],
+                             ids=["nan", "inf", "batch"])
+    def test_dykstra_fails_before_its_sweeps(self, z):
+        # a sweep shift of a non-finite row is never below the tolerance
+        op = indicator_polyhedron([([1.0, -1.0], 0.0), ([-1.0, -1.0], 0.0), ([0.0, 1.0], 2.0)])
+        with pytest.raises(NonConvergenceError, match="Dykstra projection cannot stabilize "
+                                                      "from the non-finite point"):
+            op.domain_projection(np.array(z))
+        counted, calls = counting(op)
+        with pytest.raises(NonConvergenceError, match="non-finite point"):
+            project_elastic_iterated(counted, 0.5, z)
+        assert len(calls) == 1
 
 
 class TestProjectionDispatch:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -479,3 +480,134 @@ class TestChunkEdge:
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=0.5)] * 2
         with pytest.raises(RuntimeWarning, match="overflow"):
             euler_chunk(op, CLASSICAL, constant_coefficient([[1.0]]), rows)
+
+
+BOX_INI = """\
+[operator]
+kind = box
+lo = 0 0
+hi = 1 1
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+
+[coefficient]
+kind = bounded_sin
+
+[driver]
+sigma = 0.5
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 0.25
+h0 = 0.5 0.5
+"""
+
+
+def driven(coeff, r, x):
+    """The driven increments dH_j + f(x_{j-1}) dZ_j of a run's x, one step at a
+    time, as the march forms them (0 at t = 0)."""
+    dh, dz = np.diff(r.h.values, axis=0), np.diff(r.z.values, axis=0)
+    dy = np.zeros_like(x)
+    for j in range(1, len(x)):
+        dy[j] = dh[j - 1] + np.matvec(coeff(x[j - 1:j]), dz[j - 1:j])[0]
+    return dy
+
+
+def assert_k_is_the_step_sum(out, dkc, dkd):
+    # k is the running sum of the per-step increments, bit for bit
+    assert out.k.continuous.values.tobytes() == np.cumsum(dkc, axis=0).tobytes()
+    assert out.k.jump.values.tobytes() == np.cumsum(dkd, axis=0).tobytes()
+
+
+def sp_replay(op, proj, x, x_pre, dy, times, substeps):
+    """The per-step k increments of a ``solve_step`` or Euler run, formed as the
+    step once formed them: flow, project, then prev - x_left and w - xi."""
+    dkc, dkd = np.zeros_like(x), np.zeros_like(x)
+    for j in range(1, len(x)):
+        x_left = flow_endpoint(op, x[j - 1], times[j] - times[j - 1], substeps)
+        w = x_left + dy[j]
+        xi = np.asarray(proj(op, w), dtype=float)
+        assert x_left.tobytes() == x_pre[j].tobytes() and xi.tobytes() == x[j].tobytes()
+        dkc[j], dkd[j] = x[j - 1] - x_left, w - xi
+    return dkc, dkd
+
+
+def box_exit():
+    """A box realization whose H jumps out through the face x_1 = 1 at t = 0.5."""
+    part = uniform_partition(1.0, 8)
+    h = np.full((9, 2), 0.5)
+    h[4:] = [1.6, 0.4]
+    z = np.linspace(0.0, 1.0, 9)[:, None] * [0.3, -0.2]
+    return from_step_paths(StepPath(part, h), StepPath(part, z))
+
+
+class TestKAtTheEdge:
+    """k is formed after the march from x, x_pre and y; every increment equals
+    the per-step formula that the step used to apply."""
+
+    def test_euler_chunk_on_the_box_with_jumps(self):
+        ctx = _Context(parse_config_text(BOX_INI))
+        reals = [simulate(ctx.driver, uniform_partition(1.0, 16), 7, i) for i in range(4)]
+        reals.append(box_exit())
+        assert all(r.jump_flags.any() for r in reals)
+        outs = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 16)
+        for r, out in zip(reals, outs):
+            x = out.x.values
+            dkc, dkd = sp_replay(ctx.op, ctx.proj, x, out.x_pre, driven(ctx.coeff, r, x),
+                                 r.grid.times, 16)
+            assert_k_is_the_step_sum(out, dkc, dkd)
+        assert np.any(outs[-1].k.jump.values != 0.0)
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_modified_yosida_with_a_correction_that_fires(self, substeps):
+        ctx = _Context(parse_config_text(BOX_INI))
+        r, n = box_exit(), 4.0
+        out = modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, substeps)
+        x, times = out.x.values, r.grid.times
+        dy = driven(ctx.coeff, r, x)
+        big = np.maximum(np.linalg.norm(r.jump_h, axis=1), np.linalg.norm(r.jump_z, axis=1))
+        dkc, dkd = np.zeros_like(x), np.zeros_like(x)
+        for j in range(1, len(x)):
+            # the increment, the projection where the driver jumps by more
+            # than 1/n, then the implicit drift steps
+            state = x[j - 1] + dy[j]
+            pre = state
+            if r.jump_flags[j] and big[j] > 1.0 / n:
+                pre = np.asarray(ctx.proj(ctx.op, state), dtype=float)
+                dkd[j] = state - pre
+            drifted = pre
+            for _ in range(substeps):
+                drifted = resolvent_of_yosida_step(ctx.op, 1.0 / n,
+                                                   (times[j] - times[j - 1]) / substeps, drifted)
+            assert drifted.tobytes() == x[j].tobytes()
+            dkc[j] = pre - drifted
+        assert_k_is_the_step_sum(out, dkc, dkd)
+        assert np.count_nonzero(dkd[:, 0]) == 1 and dkd[4, 0] > 0.5
+
+    @pytest.mark.parametrize("name, proj", [
+        ("linear2", CLASSICAL), ("box2", Projection(kind="elastic_iterated", c=0.5))])
+    def test_solve_step(self, zoo, rng, name, proj):
+        op = zoo[name]
+        part = uniform_partition(1.0, 24)
+        steps = rng.normal(0.0, 0.6, size=(24, 2))
+        y = StepPath(part, np.vstack([[0.5, 0.5], [0.5, 0.5] + np.cumsum(steps, axis=0)]))
+        sol = solve_step(op, proj, y, flow_substeps=5)
+        dkc, dkd = sp_replay(op, proj, sol.x.values, sol.x_pre, y.jumps(), part.times, 5)
+        assert_k_is_the_step_sum(sol, dkc, dkd)
+        assert np.any(dkc != 0.0) if name == "linear2" else np.any(dkd != 0.0)
+
+    @pytest.mark.parametrize("run", [
+        lambda ctx, rs: euler_chunk(ctx.op, ctx.proj, ctx.coeff, rs),
+        lambda ctx, rs: yosida_chunk(ctx.op, ctx.proj, 4, ctx.coeff, rs, "modified_yosida"),
+    ], ids=["euler", "modified_yosida"])
+    def test_an_exploding_row_leaves_the_live_rows_k_quiet(self, run):
+        # the retired row's later points are undefined: forming k there could
+        # overflow or turn invalid, which the suite makes an error
+        ctx = _Context(parse_config_text(SQUARE_INI))
+        reals = [simulate(ctx.driver, uniform_partition(1.0, 64), 0, i) for i in (17, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            exploded, live = run(ctx, reals)
+        assert isinstance(exploded, ExplosionError)
+        assert np.isfinite(live.k.total.values).all()
