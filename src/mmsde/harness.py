@@ -8,7 +8,6 @@ many workers execute it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +219,10 @@ def _map_batches(cfg: ExperimentConfig, batch_fn, n: int, workers: int) -> list:
     if workers <= 1:
         parts = batch_fn(cfg, indices)
     else:
+        # imported here: concurrent.futures and multiprocessing cost every
+        # fresh interpreter about 14 ms, and a single worker needs neither
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, (n + workers * 4 - 1) // (workers * 4))
         chunks = [indices[i:i + chunk] for i in range(0, n, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

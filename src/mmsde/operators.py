@@ -93,8 +93,9 @@ class MonotoneOperator:
 
     The maps and ``domain_distance``/``in_domain`` take a point (d,) or a
     batch (B, d).  Row contract: row i of a batched call equals the
-    single-point call on row i bit for bit (``linear_monotone`` to 1e-15
-    relative: its batched product is a matrix-matrix product).
+    single-point call on row i bit for bit (``linear_monotone`` with one
+    float step to 1e-15 relative: that batched product is one matrix-matrix
+    product; with one step per row it is bit for bit too).
 
     Instances are immutable; all maps must be pure functions, so operators
     are safe to share across threads and processes.  A map may keep an
@@ -246,13 +247,17 @@ def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
     return _flow_kernel(op, substeps)(start, t)
 
 
-def flow_steps(op: MonotoneOperator, start: np.ndarray, t: float, substeps: int):
+def flow_steps(op: MonotoneOperator, start: np.ndarray, t, substeps: int):
     """Implicit resolvent stepping for the constant-input flow.
 
     Returns the list of (lam, state) pairs visited by x <- J_lam(x); each
-    step certifies (prev - state)/lam in A(state).  Only the solution
-    checkers ``skorokhod.verify_solution`` and ``pair_inequality_report``
-    read these intermediates.
+    step certifies (prev - state)/lam in A(state).  Batch form: ``start`` is
+    (B, d) and ``t`` one positive time per row (B,); each pair then holds
+    the steps (B,) and the states (B, d), and row i is the single-point
+    call on row i with time ``t[i]`` (the resolvent's row contract), so that
+    m resolvent calls flow B intervals at once.  Only the solution checkers
+    ``skorokhod.verify_solution`` and ``pair_inequality_report`` read these
+    intermediates; each flows all the intervals of a solution in one call.
     """
     lam, m = _flow_schedule(op, t, substeps)
     out = []
@@ -474,6 +479,14 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
         return x
 
     def project(z):
+        # before the face products, which would meet inf x 0: the sweep
+        # shift of such a row would never fall below the tolerance
+        if np.count_nonzero(np.isfinite(z)) < np.size(z):
+            out = np.array(z, dtype=float, ndmin=2)
+            bad = out[~np.isfinite(out).all(axis=-1)][0].tolist()
+            raise NonConvergenceError(
+                f"Dykstra projection cannot stabilize from the non-finite point {bad}",
+                last=out.reshape(np.shape(z)), residual=math.nan)
         outside = ~(np.matvec(normals, z) <= offsets).all(axis=-1)
         if not np.count_nonzero(outside):
             return z
@@ -481,11 +494,6 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
         out = np.array(z, dtype=float, ndmin=2)
         rows = live = np.flatnonzero(outside)
         z_out = x = out[live]
-        if not np.isfinite(z_out).all():  # its sweep shift would never fall below the tolerance
-            bad = z_out[~np.isfinite(z_out).all(axis=-1)][0].tolist()
-            raise NonConvergenceError(
-                f"Dykstra projection cannot stabilize from the non-finite point {bad}",
-                last=out.reshape(np.shape(z)), residual=math.nan)
         corrections = [np.zeros_like(x)] * len(faces)
         for _ in range(dykstra_max_iter):
             shift = 0.0
@@ -545,7 +553,11 @@ def linear_monotone(matrix) -> MonotoneOperator:
     one matrix-vector product is far cheaper than a fresh solve.  The memo holds
     at most ``_LINEAR_INVERSE_CACHE`` step sizes and is emptied when full, so
     a stream of fresh steps costs one inversion each; the resolvent's
-    ``power`` fetches it once for the m products of a flow.  Forming the
+    ``power`` fetches it once for the m products of a flow.  With one step
+    per row of a batch, the inverses missing from the memo are formed by one
+    stacked ``np.linalg.inv`` (each with the bits of its own inversion), and
+    row i is a vector-matrix product with the same F-ordered matrix as the
+    point call, so it equals the single-point call bit for bit.  Forming the
     inverse is safe: <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence
     |(I + lam M)^{-1}| <= 1 and the condition number is at most 1 + lam |M|.
     """
@@ -562,25 +574,48 @@ def linear_monotone(matrix) -> MonotoneOperator:
     # its own correct inverse, so a race costs at most one extra inversion.
     inverses_t: dict[float, np.ndarray] = {}
 
+    def remember(lam: float, inv_t: np.ndarray) -> None:
+        if len(inverses_t) >= _LINEAR_INVERSE_CACHE:
+            inverses_t.clear()
+        inverses_t[lam] = inv_t
+
     def inverse_t(lam: float) -> np.ndarray:
         inv_t = inverses_t.get(lam)
         if inv_t is None:
-            if len(inverses_t) >= _LINEAR_INVERSE_CACHE:
-                inverses_t.clear()
-            inv_t = inverses_t[lam] = np.linalg.inv(eye + lam * m).T
+            inv_t = np.linalg.inv(eye + lam * m).T
+            remember(lam, inv_t)
         return inv_t
+
+    def inverses(steps: np.ndarray) -> np.ndarray:
+        """The C-ordered inverses (k, d, d) of k distinct steps; those missing
+        from the memo are formed by one stacked inversion, which gives each
+        the bits of its own ``np.linalg.inv``."""
+        invs = np.empty((steps.size, d, d))
+        missing = []
+        for i, step in enumerate(steps.tolist()):
+            inv_t = inverses_t.get(step)
+            if inv_t is None:
+                missing.append(i)
+            else:
+                invs[i] = inv_t.T
+        if missing:
+            invs[missing] = np.linalg.inv(eye + steps[missing][:, None, None] * m)
+            for i, step in zip(missing, steps[missing].tolist()):
+                remember(step, invs[i].T)
+        return invs
 
     def power(lam, count, z):
         """J_lam^count(z): the inverse is fetched once for all the products."""
         if type(lam) is not float:
             if _per_row(lam):
                 # one inverse per distinct step; a vector-matrix product per
-                # row makes row i independent of the other rows of the batch
+                # row makes row i independent of the other rows of the batch,
+                # and each matrix, F-ordered as ``inv_t`` is, gives the bits
+                # of the point call's ``z.dot(inv_t)``
                 steps, which = np.unique(lam, return_inverse=True)
-                invs = np.array([inverse_t(step) for step in steps.tolist()])
-                invs = invs.reshape(-1, d, d)[which]
+                invs_t = inverses(steps)[which.reshape(-1)].transpose(0, 2, 1)
                 for _ in range(count):
-                    z = np.vecmat(z, invs)
+                    z = np.vecmat(z, invs_t)
                 return z
             lam = float(lam)
         inv_t = inverse_t(lam)

@@ -77,12 +77,18 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
     true limit there, and a batch that the domain projection fixes returns
     at once.  Each row of a batch freezes at its own stopping iterate; the
     budget error carries the batch's last iterate and the largest domain
-    distance among the rows still moving; a non-finite row raises it after
-    one step.  ``tol`` must be finite and positive, ``max_iter`` at least 1.
+    distance among the rows still moving; a non-finite row raises it before
+    the first projection.  ``tol`` must be finite and positive, ``max_iter``
+    at least 1.
     """
     _iteration_budget(tol, max_iter)
     c = _elasticity(c)
     w = as_points(z)
+    # before any arithmetic on it, which would meet inf - inf: such a row never stops
+    if np.count_nonzero(np.isfinite(w)) < w.size:
+        bad = (w[~np.isfinite(w).all(axis=-1)][0] if w.ndim == 2 else w).tolist()
+        raise NonConvergenceError("iterated elastic projection cannot stabilize from the "
+                                  f"non-finite point {bad}", last=w, residual=math.nan)
     p = np.asarray(op.domain_projection(w), dtype=float)
     gap = w - p
     if not np.count_nonzero(gap):  # p fixes every row, and p - c gap is p bit for bit
@@ -102,10 +108,6 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
                 return nxt
             out[rows] = nxt
             return out
-        if not step and np.count_nonzero(np.isfinite(w)) < w.size:  # such a row never stops
-            bad = (w[~np.isfinite(w).all(axis=-1)][0] if w.ndim == 2 else w).tolist()
-            raise NonConvergenceError("iterated elastic projection cannot stabilize from the "
-                                      f"non-finite point {bad}", last=w, residual=math.nan)
         if stopped:  # only a batch has some rows stopped and some not
             if out is None:
                 out, rows = np.empty_like(w), np.arange(len(w))

@@ -220,12 +220,25 @@ def reflect_halfline_oracle(y: StepPath) -> SkorokhodSolution:
 
 
 def _min_subarray_sum(terms) -> float:
-    """Smallest sum over a contiguous nonempty range (0.0 for empty input)."""
+    """Smallest sum over a contiguous nonempty range (0.0 for empty input).
+
+    Kadane's scan, with the comparisons of ``min`` written out (a NaN term
+    propagates, and a tie keeps the earlier value, as ``min`` does)."""
     best = running = 0.0
     for v in terms:
-        running = min(v, running + v)
-        best = min(best, running)
+        s = running + v
+        running = s if s < v else v
+        if running < best:
+            best = running
     return best
+
+
+def _flow_states(op: MonotoneOperator, x: np.ndarray, times: np.ndarray, substeps: int):
+    """The flow over every interval [t_{j-1}, t_j] from x_{j-1}, in one batch
+    (``flow_steps``' batch form): the steps (n - 1,) and the states
+    (n - 1, m + 1, d), each interval's start and then its m flow states."""
+    steps = flow_steps(op, x[:-1], np.diff(times), substeps)
+    return steps[0][0], np.stack([x[:-1], *(state for _, state in steps)], axis=1)
 
 
 @dataclass
@@ -255,6 +268,12 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
       The sum is evaluated at the flow's own substeps, where each term is
       nonnegative by monotonicity up to rounding.
 
+    The flow of every interval is one batch (``_flow_states``): m resolvent
+    calls on the (n - 1, d) interval starts, and the terms of every pair,
+    interval and substep are one ``np.vecdot``, so the check holds
+    O(pairs x intervals x substeps x d) floats at once.  Each pair's terms
+    are scanned in the order of time, as the per-interval loop laid them out.
+
     Failures are collected in the report rather than raised.
     """
     y = sol.y
@@ -283,20 +302,15 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
 
     mono_worst = 0.0
     if len(test_pairs):
-        # each interval's flow is computed once and checked against every pair
         alphas = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in test_pairs])
         betas = np.array([np.atleast_1d(np.asarray(b, dtype=float)) for _, b in test_pairs])
-        terms = []
-        for j in range(1, times.size):
-            states = [sol.x.values[j - 1]]
-            steps = flow_steps(op, states[0], times[j] - times[j - 1], sol.flow_substeps)
-            states.extend(nxt for _, nxt in steps)
-            states = np.array(states)
-            cur, nxt = states[:-1], states[1:]
-            # (cur - nxt)/lam is an element of A(nxt), one row per flow step
-            terms.append(np.vecdot(nxt - alphas[:, None],
-                                   (cur - nxt) - steps[0][0] * betas[:, None]))
-        for row in np.concatenate(terms, axis=1):
+        # every interval's flow is computed once and checked against every pair
+        lam, states = _flow_states(op, sol.x.values, times, sol.flow_substeps)
+        cur, nxt, lam = states[:, :-1], states[:, 1:], lam[:, None, None]
+        # (cur - nxt)/lam is an element of A(nxt), one term per flow step;
+        # terms (pairs, intervals, m), each pair's row in the order of time
+        terms = np.vecdot(nxt - alphas[:, None, None], (cur - nxt) - lam * betas[:, None, None])
+        for row in terms.reshape(len(alphas), -1):
             mono_worst = min(mono_worst, _min_subarray_sum(row.tolist()))
     if mono_worst < -tol:
         failures.append(f"monotonicity sum {mono_worst:.3e} below -{tol:.1e}")
@@ -323,6 +337,15 @@ class PairReport:
 
 def pair_inequality_report(op: MonotoneOperator, a: SkorokhodSolution,
                            b: SkorokhodSolution) -> PairReport:
+    """The comparison inequalities of two solutions on one grid (``PairReport``).
+
+    The events of the grid are, for each interval, its m flow steps and then
+    the jump at its right end.  Each solution's flow is one batch over all
+    its intervals (``_flow_states``), the terms of every event are array
+    operations on (n - 1, m + 1) events, so the report holds
+    O(intervals x substeps x d) floats at once, and the running sums v and
+    w are sequential ``np.cumsum`` over the events in the order of time.
+    """
     if not a.y.partition.same_times(b.y.partition):
         raise ValueError("solutions must share one grid")
     # substep counts must agree so the two flows pair event by event;
@@ -330,43 +353,33 @@ def pair_inequality_report(op: MonotoneOperator, a: SkorokhodSolution,
     if not op.projection_resolvent and a.flow_substeps != b.flow_substeps:
         raise ValueError("solutions must share the flow substep count")
     times = a.y.partition.times
-
-    bracket_terms: list[float] = []
-    # running sums for the squared-distance inequality
-    v = np.zeros(a.x.dimension)          # k - k' accumulated over events
-    w_inner = 0.0                        # sum <y_s - y'_s, dv_s> over events
-    worst_slack = np.inf
-
-    prev_a, prev_b = a.x.values[0], b.x.values[0]
-    for j in range(1, times.size):
-        dt = times[j] - times[j - 1]
-        b_left = a.y.values[j - 1] - b.y.values[j - 1]
-        sa = flow_steps(op, prev_a, dt, a.flow_substeps)
-        sb = flow_steps(op, prev_b, dt, b.flow_substeps)
-        xa, xb = prev_a, prev_b
-        for (_, na), (_, nb) in zip(sa, sb):
-            dv = (xa - na) - (xb - nb)
-            bracket_terms.append(float((na - nb) @ dv))
-            v += dv
-            w_inner += float(b_left @ dv)
-            xa, xb = na, nb
-        # jump event at t_j
-        wa = xa + (a.y.values[j] - a.y.values[j - 1])
-        wb = xb + (b.y.values[j] - b.y.values[j - 1])
-        xa_new, xb_new = a.x.values[j], b.x.values[j]
-        dv = (wa - xa_new) - (wb - xb_new)
-        diff_new = xa_new - xb_new
-        bracket_terms.append(float(diff_new @ dv) + 0.5 * float(dv @ dv))
-        v += dv
-        b_here = a.y.values[j] - b.y.values[j]
-        w_inner += float(b_here @ dv)
-        # squared-distance inequality at t_j
-        s2 = float(b_here @ v) - w_inner
-        slack = float(b_here @ b_here) - 2.0 * s2 - float(diff_new @ diff_new)
-        worst_slack = min(worst_slack, slack)
-        prev_a, prev_b = xa_new, xb_new
+    xa, xb = a.x.values, b.x.values
+    _, pa = _flow_states(op, xa, times, a.flow_substeps)
+    _, pb = _flow_states(op, xb, times, b.flow_substeps)
+    # the events of interval j: its m flow steps, then the jump at t_j
+    dv_flow = (pa[:, :-1] - pa[:, 1:]) - (pb[:, :-1] - pb[:, 1:])
+    dv_jump = (((pa[:, -1] + np.diff(a.y.values, axis=0)) - xa[1:])
+               - ((pb[:, -1] + np.diff(b.y.values, axis=0)) - xb[1:]))
+    gap, y_gap = xa[1:] - xb[1:], a.y.values - b.y.values
+    # per event, (intervals, m + 1): the bracket term, and the increments of
+    # v = k - k' and of w = sum <y_s - y'_s, dv_s>
+    jump_bracket = np.vecdot(gap, dv_jump) + 0.5 * np.vecdot(dv_jump, dv_jump)
+    bracket = np.concatenate([np.vecdot(pa[:, 1:] - pb[:, 1:], dv_flow), jump_bracket[:, None]],
+                             axis=1)
+    dv = np.concatenate([dv_flow, dv_jump[:, None]], axis=1)
+    dw = np.concatenate([np.vecdot(y_gap[:-1, None], dv_flow),
+                         np.vecdot(y_gap[1:], dv_jump)[:, None]], axis=1)
+    # v and w are summed event by event from zero (a leading zero row, so
+    # 0.0 + dv is the first sum); the squared-distance inequality reads them
+    # after each jump, at every t_j
+    v = np.cumsum(np.vstack([np.zeros(a.x.dimension), dv.reshape(-1, a.x.dimension)]), axis=0)
+    w = np.cumsum(np.concatenate([[0.0], dw.reshape(-1)]))
+    v, w = v[1:].reshape(dv.shape)[:, -1], w[1:].reshape(dw.shape)[:, -1]
+    s2 = np.vecdot(y_gap[1:], v) - w
+    slack = np.vecdot(y_gap[1:], y_gap[1:]) - 2.0 * s2 - np.vecdot(gap, gap)
+    worst_slack = min([np.inf, *slack.tolist()])  # min's NaN and signed-zero ties
 
     if not np.isfinite(worst_slack):
         worst_slack = 0.0
-    return PairReport(worst_bracket=_min_subarray_sum(np.asarray(bracket_terms)),
+    return PairReport(worst_bracket=_min_subarray_sum(bracket.reshape(-1).tolist()),
                       worst_distance_slack=float(worst_slack))

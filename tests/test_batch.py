@@ -1,9 +1,10 @@
 """Row contract of the operator and projection maps on batches.
 
 Every map takes a point (d,) or a batch (B, d).  Row i of a batched call
-equals the single-point call on row i bit for bit; ``linear_monotone`` is held
-to 1e-15 relative to the row's scale, since its batched product is a
-matrix-matrix product.
+equals the single-point call on row i bit for bit; ``linear_monotone`` with
+one float step for the whole batch is held to 1e-15 relative to the row's
+scale, since that batch is one ``z.dot(inv_t)``, a matrix-matrix product (with
+one step per row its rows are bit for bit, ``tests/test_harness.py``).
 """
 
 import numpy as np

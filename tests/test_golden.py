@@ -117,6 +117,21 @@ kind = classical
 flow_substeps = 8
 """
 
+# the benchmark's lin_path operator: verify draws a fresh resolvent step per
+# point (implicit_drift_identity), so its per-row linear path is in the bytes
+VERIFY_LINEAR_INI = """\
+[operator]
+kind = linear
+matrix = 2 0.5;-0.5 1
+
+[projection]
+kind = classical
+
+[experiment]
+flow_substeps = 16
+seed = 19
+"""
+
 BOX_ELASTIC_INI = """\
 [operator]
 kind = box
@@ -151,6 +166,7 @@ CASES = {
     "converge_halfline_square.csv": (HALFLINE_SQUARE_INI, "converge", [], "errors.csv"),
     "compare_box.csv": (BOX_INI, "compare", [], "errors.csv"),
     "verify_box.json": (BOX_INI, "verify", ["--samples", "200"], "verify.json"),
+    "verify_linear.json": (VERIFY_LINEAR_INI, "verify", ["--samples", "200"], "verify.json"),
     "skorokhod_linear.csv": (LINEAR_INI, "skorokhod", [], "solution.csv"),
     "skorokhod_box_elastic.csv": (BOX_ELASTIC_INI, "skorokhod", [], "solution.csv"),
 }

@@ -16,7 +16,6 @@ from mmsde.harness import (
     run_convergence,
     verify_suite,
 )
-from mmsde.operators import row_norm
 from mmsde.paths import BVDecomposition, Partition, StepPath, refine, uniform_partition
 from mmsde.schemes import (
     SchemeOutput,
@@ -226,12 +225,10 @@ def mixed_single(ctx, r, m):
 
 
 def assert_same_path(name, got, want):
-    if name == "linear":
-        scale = np.maximum(row_norm(want), 1.0)
-        assert np.all(np.abs(got - want) <= 1e-15 * scale[:, None])
-    else:
-        np.testing.assert_array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    """Bit for bit, signed zeros included, for every operator: a per-row
+    linear step is the single-point product with the same matrix layout."""
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida", "mixed_yosida"])

@@ -480,6 +480,23 @@ class TestLinearPower:
             x = rng.normal(0.0, 2.0, size=2)
             assert same_bits(op.resolvent.power(lam, 3, x), resolvent_loop(op, lam, 3, x))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fresh_per_row_steps_equal_their_point_calls(self, rng, d):
+        op = linear_monotone(random_monotone_matrix(rng, d))
+        memo = dict(zip(op.resolvent.__code__.co_freevars,
+                        op.resolvent.__closure__))["inverses_t"].cell_contents
+        # more fresh steps in one batch than the memo holds, each on two rows
+        lams = np.repeat(rng.uniform(0.01, 2.0, size=2 * _LINEAR_INVERSE_CACHE + 9), 2)
+        z = rng.normal(0.0, 2.0, size=(lams.size, d))
+        got = op.resolvent(lams, z)
+        assert 0 < len(memo) <= _LINEAR_INVERSE_CACHE
+        for lam, row, out in zip(lams.tolist(), z, got):
+            assert same_bits(out, op.resolvent(lam, row))
+        assert same_bits(op.resolvent.power(lams, 4, z),
+                         np.array([op.resolvent.power(lam, 4, row)
+                                   for lam, row in zip(lams.tolist(), z)]))
+        assert len(memo) <= _LINEAR_INVERSE_CACHE
+
     def test_replaced_resolvent_keeps_no_stale_power(self, rng):
         op = linear_monotone(random_monotone_matrix(rng, 2))
         other = linear_monotone(random_monotone_matrix(rng, 2))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -234,7 +235,22 @@ class TestNonFinitePoint:
         counted, calls = counting(op)
         with pytest.raises(NonConvergenceError, match="non-finite point"):
             project_elastic_iterated(counted, 0.5, z)
-        assert len(calls) == 1
+        assert len(calls) == 0  # the iterated projection tests the point first
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_typed_error_comes_before_any_numpy_warning(self, zoo, value):
+        # the suite turns a RuntimeWarning into an error, so a warning from
+        # inf - inf or inf x 0 would be raised in place of the typed error
+        elastic = ("iterated elastic projection cannot stabilize from the non-finite point "
+                   f"[{value}]")
+        with pytest.raises(NonConvergenceError, match=re.escape(elastic)):
+            project_elastic_iterated(zoo["halfline"], 0.5, [value])
+        dykstra = f"Dykstra projection cannot stabilize from the non-finite point [{value}, 0.5]"
+        with pytest.raises(NonConvergenceError, match=re.escape(dykstra)):
+            zoo["wedge"].domain_projection(np.array([value, 0.5]))
+        # in a batch, through the classical projection, the row is named too
+        with pytest.raises(NonConvergenceError, match=re.escape(dykstra)):
+            Projection()(zoo["wedge"], [[0.0, 1.0], [value, 0.5]])
 
 
 class TestProjectionDispatch:

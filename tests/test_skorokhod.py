@@ -17,6 +17,8 @@ from mmsde import (
     uniform_partition,
     verify_solution,
 )
+from mmsde.operators import flow_steps, row_norm
+from mmsde.skorokhod import _min_subarray_sum
 
 CLASSICAL = Projection()
 
@@ -185,11 +187,16 @@ class TestVerifySolution:
                          flow_substeps=4)
         calls = []
         counted = dataclasses.replace(
-            op, resolvent=lambda lam, z: calls.append(lam) or op.resolvent(lam, z))
+            op, resolvent=lambda lam, z: calls.append((lam, z.shape)) or op.resolvent(lam, z))
         pairs = (zoo_pairs[name] * n_pairs)[:n_pairs]
         rep = verify_solution(counted, CLASSICAL, sol, test_pairs=pairs)
         assert rep.passed, rep.failures
-        assert len(calls) == (n - 1) * per_step
+        # one batched flow of every interval: per_step calls of n - 1 rows each
+        assert len(calls) == per_step
+        dt = np.diff(sol.y.partition.times)
+        for lam, shape in calls:
+            assert shape == (n - 1, 2)
+            np.testing.assert_array_equal(lam, dt / 4 if per_step == 4 else dt)
         # the pairs' worst sum does not depend on how many pairs share the flow
         one = verify_solution(op, CLASSICAL, sol, test_pairs=pairs[:1])
         assert rep.monotonicity_worst <= one.monotonicity_worst
@@ -223,6 +230,153 @@ class TestComparisonInequalities:
             rep = pair_inequality_report(op, a, b)
             assert rep.worst_bracket >= -1e-9
             assert rep.worst_distance_slack >= -1e-8
+
+
+def min_subarray_sum_loop(terms):
+    """Kadane's scan through the builtin ``min``: the reference for the
+    written-out comparisons of ``_min_subarray_sum``."""
+    best = running = 0.0
+    for v in terms:
+        running = min(v, running + v)
+        best = min(best, running)
+    return best
+
+
+def verify_solution_loop(op, proj, sol, test_pairs=(), tol=1e-9):
+    """``verify_solution`` flowing one interval at a time, one resolvent call
+    per point and substep: the reference for its batched flow."""
+    y = sol.y
+    times = y.partition.times
+    failures = []
+    add = float(np.max(np.linalg.norm(sol.x.values + sol.k.total.values - y.values, axis=1)))
+    if add > tol:
+        failures.append(f"additivity residual {add:.3e}")
+    k0 = float(np.linalg.norm(sol.k.total.values[0]))
+    if k0 != 0.0:
+        failures.append(f"k_0 = {k0:.3e} != 0")
+    dy = y.jumps()
+    dkd_norm = row_norm(sol.k.jump.jumps())
+    bound_margin = float(np.min(2.0 * row_norm(dy[1:]) - dkd_norm[1:], initial=np.inf))
+    jumps = np.flatnonzero(dkd_norm[1:] > 0.0) + 1
+    target = np.asarray(proj(op, sol.x_pre[jumps] + dy[jumps]), dtype=float)
+    jump_res = float(np.max(row_norm(sol.x.values[jumps] - target), initial=0.0))
+    if jump_res > tol:
+        failures.append(f"jump condition residual {jump_res:.3e}")
+    if bound_margin < 0.0:
+        failures.append(f"|dk| <= 2|dy| violated by {-bound_margin:.3e}")
+    mono_worst = 0.0
+    if len(test_pairs):
+        alphas = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in test_pairs])
+        betas = np.array([np.atleast_1d(np.asarray(b, dtype=float)) for _, b in test_pairs])
+        terms = []
+        for j in range(1, times.size):
+            states = [sol.x.values[j - 1]]
+            steps = flow_steps(op, states[0], times[j] - times[j - 1], sol.flow_substeps)
+            states.extend(nxt for _, nxt in steps)
+            states = np.array(states)
+            cur, nxt = states[:-1], states[1:]
+            terms.append(np.vecdot(nxt - alphas[:, None],
+                                   (cur - nxt) - steps[0][0] * betas[:, None]))
+        for row in np.concatenate(terms, axis=1):
+            mono_worst = min(mono_worst, min_subarray_sum_loop(row.tolist()))
+    if mono_worst < -tol:
+        failures.append(f"monotonicity sum {mono_worst:.3e} below -{tol:.1e}")
+    return dict(additivity_residual=add, jump_condition_residual=jump_res,
+                jump_bound_margin=float(bound_margin), monotonicity_worst=mono_worst,
+                k0_residual=k0, tolerance=tol, passed=not failures, failures=failures)
+
+
+def pair_inequality_loop(op, a, b):
+    """``pair_inequality_report`` walking event by event, one resolvent call
+    per point and substep: the reference for its batched form."""
+    times = a.y.partition.times
+    bracket_terms = []
+    v = np.zeros(a.x.dimension)
+    w_inner = 0.0
+    worst_slack = np.inf
+    prev_a, prev_b = a.x.values[0], b.x.values[0]
+    for j in range(1, times.size):
+        dt = times[j] - times[j - 1]
+        b_left = a.y.values[j - 1] - b.y.values[j - 1]
+        sa = flow_steps(op, prev_a, dt, a.flow_substeps)
+        sb = flow_steps(op, prev_b, dt, b.flow_substeps)
+        xa, xb = prev_a, prev_b
+        for (_, na), (_, nb) in zip(sa, sb):
+            dv = (xa - na) - (xb - nb)
+            bracket_terms.append(float((na - nb) @ dv))
+            v += dv
+            w_inner += float(b_left @ dv)
+            xa, xb = na, nb
+        wa = xa + (a.y.values[j] - a.y.values[j - 1])
+        wb = xb + (b.y.values[j] - b.y.values[j - 1])
+        xa_new, xb_new = a.x.values[j], b.x.values[j]
+        dv = (wa - xa_new) - (wb - xb_new)
+        diff_new = xa_new - xb_new
+        bracket_terms.append(float(diff_new @ dv) + 0.5 * float(dv @ dv))
+        v += dv
+        b_here = a.y.values[j] - b.y.values[j]
+        w_inner += float(b_here @ dv)
+        s2 = float(b_here @ v) - w_inner
+        slack = float(b_here @ b_here) - 2.0 * s2 - float(diff_new @ diff_new)
+        worst_slack = min(worst_slack, slack)
+        prev_a, prev_b = xa_new, xb_new
+    if not np.isfinite(worst_slack):
+        worst_slack = 0.0
+    return dict(worst_bracket=min_subarray_sum_loop(np.asarray(bracket_terms)),
+                worst_distance_slack=float(worst_slack))
+
+
+def same_fields(report, want):
+    """Every field of ``report`` equals ``want``'s, a float by ``float.hex``."""
+    got = dataclasses.asdict(report)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert float.hex(got[key]) == float.hex(value), key
+        else:
+            assert got[key] == value, key
+
+
+class TestBatchedCheckers:
+    """Both checkers flow every interval of a solution in one batch; each
+    report equals the per-interval loop's bit for bit."""
+
+    @staticmethod
+    def solutions(op, proj, rng, ragged, substeps, count=2, steps=12):
+        if ragged:
+            times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.3, size=steps))])
+        else:
+            times = uniform_partition(1.0, steps).times
+        out = []
+        for _ in range(count):
+            start = op.domain_projection(rng.normal(0.0, 1.0, size=op.dimension))
+            incs = rng.normal(0.0, 0.8, size=(steps, op.dimension))
+            y = StepPath(Partition(times), np.vstack([start, start + np.cumsum(incs, axis=0)]))
+            out.append(solve_step(op, proj, y, flow_substeps=substeps))
+        return out
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize("substeps", [1, 5, 16])
+    @pytest.mark.parametrize("proj", [CLASSICAL, Projection("elastic_iterated", c=0.5)],
+                             ids=["classical", "elastic_iterated"])
+    @pytest.mark.parametrize("name", ["halfline", "box2", "ball2", "wedge", "linear1",
+                                      "linear2", "rotation2", "prox_abs"])
+    def test_reports_equal_the_interval_loops(self, zoo, zoo_pairs, rng, name, proj,
+                                              substeps, ragged):
+        op = zoo[name]
+        a, b = self.solutions(op, proj, rng, ragged, substeps)
+        for sol in (a, b):
+            same_fields(verify_solution(op, proj, sol, test_pairs=zoo_pairs[name]),
+                        verify_solution_loop(op, proj, sol, test_pairs=zoo_pairs[name]))
+        same_fields(pair_inequality_report(op, a, b), pair_inequality_loop(op, a, b))
+
+    def test_kadane_keeps_mins_nan_and_signed_zero_ties(self, rng):
+        cases = [[], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, math.nan, -2.0],
+                 [math.nan], [-1.0, math.nan], [math.inf, -math.inf, 1.0],
+                 rng.normal(size=50).tolist()]
+        for terms in cases:
+            assert (float.hex(_min_subarray_sum(terms))
+                    == float.hex(min_subarray_sum_loop(terms))), terms
 
 
 class TestStability:
