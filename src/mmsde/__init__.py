@@ -11,7 +11,6 @@ from .operators import (
     resolve,
     yosida_j,
     yosida_a,
-    flow,
     indicator_halfspace,
     indicator_box,
     indicator_ball,

@@ -29,6 +29,7 @@ from .drivers import DriverSpec, JumpLaw, ProcessSpec
 from .errors import ConfigError
 from .operators import (
     MonotoneOperator,
+    _flow_schedule,
     indicator_ball,
     indicator_box,
     indicator_halfspace,
@@ -92,8 +93,8 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
-        if not (self.horizon > 0):
-            raise ConfigError("experiment.horizon", "must be positive")
+        if not (0 < self.horizon < math.inf):
+            raise ConfigError("experiment.horizon", "must be positive and finite")
         if not self.levels:
             raise ConfigError("experiment.levels", "at least one partition level required")
         if any(int(n) != n or n < 1 for n in self.levels):
@@ -122,6 +123,11 @@ class ExperimentConfig:
             raise ConfigError("experiment.format", "must be 'csv' or 'jsonl'")
         # build everything once so geometry errors surface with field names
         op = build_operator(self.operator)
+        # the reference grid's step, as the flow takes it; as an array, so
+        # that a step which underflows to 0 is refused too
+        with _naming("experiment.horizon"):
+            _flow_schedule(op, np.array([self.horizon / (self.levels[-1] * self.reference_refine)]),
+                           self.flow_substeps)
         build_projection(self.projection)
         build_coefficient(self.coefficient, op.dimension)
         self.check_jumps(build_driver(self.driver, op.dimension),

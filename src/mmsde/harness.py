@@ -387,23 +387,18 @@ def _random_step_path(rng, op, partition, scale=1.0) -> StepPath:
     return StepPath(partition, vals)
 
 
-def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000,
-                 projection_override=None) -> dict:
+def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000) -> dict:
     """Randomized verification of the operator/projection/solver properties.
 
     Returns a machine-readable report: name -> CheckResult with the
     worst-case residual.  Each point-wise check maps its whole sample with
-    one batched call; every check draws at least one point.
-    ``projection_override`` replaces the configured projection map (used to
-    demonstrate detection of invalid projections): it is called as
-    ``override(op, Z)`` with Z of shape (B, d) and must return (B, d).  An
-    explicit empty ``checks`` list yields an empty report.
+    one batched call; every check draws at least one point.  An explicit
+    empty ``checks`` list yields an empty report.
     """
     if checks is None:
         checks = _ALL_CHECKS
     op = build_operator(cfg.operator)
     proj = build_projection(cfg.projection)
-    proj_map = projection_override if projection_override is not None else proj
     rng = np.random.default_rng(cfg.seed)
     d = op.dimension
     report: dict[str, CheckResult] = {}
@@ -420,19 +415,19 @@ def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000,
 
     if "projection_identity" in checks:
         pts = project_classical(op, draw(2))
-        moved = np.asarray(proj_map(op, pts), dtype=float)
+        moved = np.asarray(proj(op, pts), dtype=float)
         worst = float(np.max(np.linalg.norm(moved - pts, axis=1)))
         # a projected point lies on a slanted or curved boundary only up to
         # rounding (up to Dykstra's tolerance on a polyhedron), so projecting
         # it again may move it slightly
-        tol = proj.tol if getattr(proj_map, "kind", "") == "elastic_iterated" else 1e-10
+        tol = proj.tol if proj.kind == "elastic_iterated" else 1e-10
         record("projection_identity", worst, tol,
                detail="domain points must be fixed")
 
     if "projection_lipschitz" in checks:
         za, zb = draw(1), draw(1)
-        pa = np.asarray(proj_map(op, za), dtype=float)
-        pb = np.asarray(proj_map(op, zb), dtype=float)
+        pa = np.asarray(proj(op, za), dtype=float)
+        pb = np.asarray(proj(op, zb), dtype=float)
         record("projection_lipschitz", np.max(row_norm(pa - pb) - row_norm(za - zb)), 1e-10,
                detail="|Pi z - Pi z'| <= |z - z'|")
 

@@ -8,8 +8,9 @@ projection onto the closure of its domain.  This keeps multivalued operators
 Besides the resolvent calculus (Yosida maps J_n, A_n) the module provides the
 constant-input flow: the semigroup t -> x(t) solving dx/dt in -A(x(t)) from a
 point of the domain closure, approximated by iterated implicit resolvent
-steps x <- J_{t/m}(x): ``flow`` and ``flow_endpoint`` give its endpoint,
-``flow_steps`` every state (for the solution checkers of ``skorokhod``).
+steps x <- J_{t/m}(x), first order in t/m and exact for normal cones:
+``flow_endpoint`` gives its endpoint, ``flow_steps`` every state (for the
+solution checkers of ``skorokhod``).
 These public maps check their arguments on every call.  A grid march checks
 all its steps once, at its entry, with ``_flow_schedule``, and then flows
 through the unchecked ``_flow_kernel``.  Built-in constructors cover normal
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolationError, NonConvergenceError
+from .errors import NonConvergenceError
 
 __all__ = [
     "MonotoneOperator",
@@ -35,7 +36,6 @@ __all__ = [
     "resolve",
     "yosida_j",
     "yosida_a",
-    "flow",
     "flow_endpoint",
     "flow_steps",
     "indicator_halfspace",
@@ -266,27 +266,6 @@ def flow_steps(op: MonotoneOperator, start: np.ndarray, t, substeps: int):
         x = np.asarray(op.resolvent(lam, x), dtype=float)
         out.append((lam, x))
     return out
-
-
-def flow(op: MonotoneOperator, start, t: float, substeps: int) -> np.ndarray:
-    """Constant-input flow from ``start`` over time t (Crandall-Liggett steps).
-
-    First-order accurate in t/substeps against the exact semigroup and
-    unconditionally stable; exact for normal-cone operators.  ``start`` must
-    lie in the domain closure within ``DEFAULT_DOMAIN_TOL``; t = 0 returns
-    ``start`` unchanged.  ``start`` may be a batch (B, d) of starts, flowed
-    row by row.
-    """
-    start = _check_point(op, start)
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    if t == 0.0:
-        return start.copy()
-    dist = float(np.max(op.domain_distance(start), initial=0.0))
-    if dist > DEFAULT_DOMAIN_TOL:
-        raise DomainViolationError(f"flow start outside the domain closure (distance {dist:.3e})",
-                                   point=start, distance=dist)
-    return flow_endpoint(op, start, t, substeps).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@
 driven by a maximal monotone operator A and a generalized projection.
 
 Three schemes operate on a driver realization's grid.  Each supplies only its
-step map to ``skorokhod._march``, the one grid march that ``solve_step`` also
-uses; a step returns (x_pre, x_new), and the march keeps x and x_pre only:
+step map to ``_run_chunk``, the one chunk march; a step returns (x_pre, x_new),
+and the march keeps x and x_pre only.  The Euler step is
+``skorokhod._sp_step``, which ``solve_step`` marches along one grid:
 
 - ``euler_scheme``: the driving step input Y_t = H_t + sum f(X_{t_k}) dZ
   (left-point rule) is fed through the Skorokhod step map: flow over each
@@ -59,7 +60,7 @@ from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _flow_kernel, _flo
                         resolve, row_norm)
 from .paths import BVDecomposition, StepPath
 from .projections import Projection
-from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _k, _march, _sp_step
+from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _k, _sp_step
 
 __all__ = [
     "Coefficient",
@@ -193,17 +194,24 @@ class SchemeOutput:
 def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_step):
     """March the rows of ``chunk`` through one scheme body.
 
-    ``scheme_step(order)`` lays out the scheme's per-point arrays in the
-    march's union order and returns the map ``(key, dt, prev, dy)`` from the
-    stepping points, steps, states and driven increments to the step outputs
-    (x_pre, x_new).  The driven increment dH_j + f(x_{j-1}) dZ_j of every
-    stepping row is one batched coefficient call and one ``np.matvec``; a row
-    whose increment is not finite retires with its ``ExplosionError``, at the
-    level of the row's base partition, before the scheme step sees it.
+    The march walks the union of the rows' grid times and steps, at each, the
+    rows whose grid holds it, each with its own dt.  The points are kept in
+    the union order ``order``, their stable sort by time: a union time is a
+    slice of points in row order, and a point reads its row's previous state
+    through one gather of its predecessor.  ``scheme_step(order)`` lays out
+    the scheme's own per-point arrays as ``a[order]`` and returns the map
+    ``(key, dt, prev, dy)`` from the stepping points (a slice, or at a union
+    time that holds a retired row, the index array of its live points), their
+    steps, states and driven increments to the step outputs (x_pre, x_new).
+    The driven increment dH_j + f(x_{j-1}) dZ_j of every stepping row is one
+    batched coefficient call and one ``np.matvec``; a row whose increment is
+    not finite retires with its ``ExplosionError``, at the level of the row's
+    base partition, before the scheme step sees it.
 
-    Returns x and x_pre (``_march``) and the driven increments dy (H_0 at a
-    row's t = 0, so that a row's y is their cumsum), flat on the chunk's
-    points, and the retired rows' ExplosionErrors by row.
+    Returns x, x_pre and the driven increments dy (H_0 at a row's t = 0, so
+    that a row's y is their cumsum), (N, d) on the chunk's points in row
+    order, and the retired rows' ExplosionErrors by row; a retired row's
+    later points are undefined.
     """
     h0 = chunk.h[chunk.starts[:-1]]
     dist = op.domain_distance(h0)  # every scheme starts in the domain closure of A
@@ -211,54 +219,73 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
         i = int(np.argmax(bad))
         raise DomainViolationError(f"H_0 outside the domain closure (distance {dist[i]:.3e})",
                                    point=h0[i], distance=float(dist[i]))
-    errors, laid = {}, []  # laid: the union order and the y increments laid out in it
+    count = h0.shape[0]
+    order = np.argsort(chunk.times, kind="stable")
+    # increments on each row's own grid, in union order; a row's first entry,
+    # at union time 0, is never read
+    dh, dz = (np.diff(a, axis=0, prepend=a[:1])[order] for a in (chunk.h, chunk.z))
+    dy = np.empty_like(dh)
+    dy[:count] = h0
+    advance = scheme_step(order)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    pred = inverse[order - 1]  # a point's predecessor on its own grid
+    del inverse
+    row = np.repeat(np.arange(count), np.diff(chunk.starts))[order]
+    flat = chunk.times[order]
+    dt = flat - flat[pred]  # a row's own step; t = 0's is never read
+    bounds = [*(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
+    del flat
+    x, x_pre = np.empty(dh.shape), np.empty(dh.shape)
+    x[:count] = x_pre[:count] = h0
     # the coefficient and its product run quiet here: an overflow retires the row
     with np.errstate(over="ignore", invalid="ignore"):
         quiet = contextvars.copy_context()
     f = coeff  # a batched coefficient's output shape is checked on its first call only
 
-    def bind(order):
-        # increments on each row's own grid, in union order; a row's first
-        # entry, at union time 0, is never read
-        dh, dz = (np.diff(a, axis=0, prepend=a[:1])[order] for a in (chunk.h, chunk.z))
-        dys = np.empty_like(dh)
-        dys[:h0.shape[0]] = h0
-        laid.extend((order, dys))
-        advance = scheme_step(order)
+    def driven(key, prev):
+        nonlocal f
+        m = f(prev)
+        if f is not coeff:
+            coeff.evaluations += prev.shape[0]
+        elif coeff.batched:  # its shape is checked: from now on f runs bare
+            f = coeff.f
+        return dh[key] + np.matvec(m, dz[key])
 
-        def driven(key, prev):
-            nonlocal f
-            m = f(prev)
-            if f is not coeff:
-                coeff.evaluations += prev.shape[0]
-            elif coeff.batched:  # its shape is checked: from now on f runs bare
-                f = coeff.f
-            return dh[key] + np.matvec(m, dz[key])
-
-        def step(key, rows, dt, prev):
-            dy = quiet.run(driven, key, prev)
-            keep = None
-            if not np.logical_and.reduce(np.isfinite(dy), axis=None):
-                keep = np.isfinite(dy).all(axis=-1)
-                for i in np.flatnonzero(~keep).tolist():
-                    b, p = int(rows[i]), int(order[key][i])
-                    index, j = chunk.trajectory[b], p - int(chunk.starts[b])
-                    t = float(chunk.times[p])
-                    errors[b] = ExplosionError(
-                        f"trajectory {index} exploded: the driven increment at step {j} "
-                        f"(t = {t!r}) is not finite", last=np.array(prev[i]),
-                        trajectory=index, step=j, time=t, level=int(chunk.level[b]))
-                key, dt, prev, dy = np.r_[key][keep], dt[keep], prev[keep], dy[keep]
-                if not key.size:
-                    return keep, None
-            dys[key] = dy
-            return keep, advance(key, dt, prev, dy)
-        return step
-
-    x, x_pre = _march(chunk.times, chunk.starts, h0, bind)
-    order, dys = laid
-    dys[order] = dys.copy()  # back to row order
-    return x, x_pre, dys, errors
+    errors, live = {}, np.ones(count, dtype=bool)
+    held = None  # per point, whether its row is live, once a row retires
+    for lo, hi in zip(bounds, bounds[1:]):
+        key = slice(lo, hi)
+        if held is not None and not held[key].all():
+            key = np.flatnonzero(held[key]) + lo
+            if not key.size:
+                continue
+        prev = x[pred[key]]
+        inc = quiet.run(driven, key, prev)
+        if not np.logical_and.reduce(np.isfinite(inc), axis=None):
+            keep, rows = np.isfinite(inc).all(axis=-1), row[key]
+            for i in np.flatnonzero(~keep).tolist():
+                b, p = int(rows[i]), int(order[key][i])
+                index, j = chunk.trajectory[b], p - int(chunk.starts[b])
+                t = float(chunk.times[p])
+                errors[b] = ExplosionError(
+                    f"trajectory {index} exploded: the driven increment at step {j} "
+                    f"(t = {t!r}) is not finite", last=np.array(prev[i]),
+                    trajectory=index, step=j, time=t, level=int(chunk.level[b]))
+            live[rows[~keep]] = False
+            if not live.any():
+                break
+            held = live[row]
+            key, prev, inc = np.r_[key][keep], prev[keep], inc[keep]
+            if not key.size:
+                continue
+        dy[key] = inc
+        x_pre[key], x[key] = advance(key, dt[key], prev, inc)
+    # the per-point arrays go before the outputs return to row order
+    del advance, driven, dh, dz, pred, row, dt, held
+    for a in (x, x_pre, dy):
+        a[order] = a.copy()
+    return x, x_pre, dy, errors
 
 
 def _outputs(realizations, labels, run) -> list:

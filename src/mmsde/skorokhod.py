@@ -6,14 +6,11 @@ part of k selected from A(x) dt (realized by the constant-input flow between
 grid points), and post-jump states given by the generalized projection:
 x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 
-``_march`` is the one grid march behind ``solve_step`` and the three schemes
-of ``schemes``.  It walks one path, or a chunk of paths in the layout of
-``drivers.Chunk`` (grid times laid end to end, row b owning points
-``starts[b]:starts[b + 1]``), kept in union order so that each union time is
-one slice of points.  A step returns (x_pre, x_new) and the march keeps
-just those, flat on the same points; a caller that reads k forms it after
-the march (``_k``).  Each row steps only at its own grid times with its own
-step sizes, so that every row equals its own single-path march bit for bit.
+``_sp_step`` is the one step kernel of ``solve_step`` and of the Euler
+scheme in ``schemes``: ``solve_step`` marches it along one grid, and
+``schemes._run_chunk`` along the rows of a chunk at once.  A step returns
+(x_pre, x_new), and a march keeps just those; a caller that reads k forms it
+after the march (``_k``).
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
@@ -79,77 +76,9 @@ def _sp_step(op: MonotoneOperator, proj, flow, prev: np.ndarray, dy: np.ndarray,
     return x_left, np.asarray(proj(op, x_left + dy), dtype=float)
 
 
-def _march(times: np.ndarray, starts, x0: np.ndarray, step):
-    """Apply a step map along one grid, or along each row's grid of a chunk.
-
-    One path: ``starts`` is None, ``times`` is its grid and ``x0`` its start
-    (d,); the march calls ``step(j, dt, prev)`` for j = 1, 2, ... with the
-    float step and the state at t_{j-1}, which returns (x_pre, x_new): the
-    left limit at t_j, or what the step reports in its place, and the state.
-
-    A chunk: row b's grid is ``times[starts[b]:starts[b + 1]]`` and ``x0`` is
-    (B, d).  The march walks the union of the grid times and steps, at each,
-    the rows whose grid holds it, each with its own dt.  The points are kept
-    in the union order ``order``, their stable sort by time: a union time is a
-    slice of points in row order, and a point reads its row's previous state
-    through one gather of its predecessor.  The march first calls
-    ``step(order)``, which lays out the step's own per-point arrays as
-    ``a[order]`` and returns the map ``(key, rows, dt, prev) -> (keep,
-    (x_pre, x_new))``: ``key`` is the slice of the stepping points (at a union
-    time that holds a retired row, the index array of its live points) and
-    ``rows`` their rows.  ``keep`` is None, or a mask over the stepping rows:
-    the rows it clears retire, and the outputs hold the kept rows only.  The
-    step reads its own input increment; the march never sees y.
-
-    Returns x and x_pre, (N, d) on the points of ``times``, in row order; a
-    retired row's later points are undefined.
-    """
-    single = starts is None
-    count = 1 if single else len(starts) - 1
-    if not single:
-        order = np.argsort(times, kind="stable")
-        step = step(order)  # laid out before the march's own arrays exist
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        pred = inverse[order - 1]  # a point's predecessor on its own grid
-        row = np.repeat(np.arange(count), np.diff(starts))[order]
-        flat = times[order]
-        dt = flat - flat[pred]  # a row's own step; t = 0's is never read
-        bounds = [*(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
-        del order, flat
-    shape = (times.size, x0.shape[-1])
-    x, x_pre = np.empty(shape), np.empty(shape)
-    x[:count] = x_pre[:count] = x0
-    if single:
-        for j, dt in zip(range(1, shape[0]), np.diff(times).tolist()):
-            x_pre[j], x[j] = step(j, dt, x[j - 1])
-        return x, x_pre
-    live = np.ones(count, dtype=bool)
-    held = None  # per point, whether its row is live, once a row retires
-    for lo, hi in zip(bounds, bounds[1:]):
-        key = slice(lo, hi)
-        if held is not None and not held[key].all():
-            key = np.flatnonzero(held[key]) + lo
-            if not key.size:
-                continue
-        rows = row[key]
-        keep, out = step(key, rows, dt[key], x[pred[key]])
-        if keep is not None:
-            live[rows[~keep]] = False
-            if not live.any():
-                break
-            held, key = live[row], np.r_[key][keep]
-            if not key.size:
-                continue
-        x_pre[key], x[key] = out
-    # the step's per-point arrays go before the outputs return to row order
-    del step, pred, row, dt, held
-    return x[inverse], x_pre[inverse]
-
-
 def _k(grid: Partition, x: np.ndarray, x_pre: np.ndarray, dy: np.ndarray,
        drift: bool = False) -> BVDecomposition:
-    """k on ``grid`` from a march's x and x_pre and the input increments dy.
+    """k on ``grid`` from the marched x and x_pre and the input increments dy.
 
     Its increments at t_j are the step's own differences of its own operands,
     bit for bit: after ``_sp_step``, the flow x_{j-1} - x_pre_j and the jump
@@ -189,10 +118,13 @@ def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
         j = int(np.argmin(np.isfinite(dy).all(axis=1)))
         t = float(y.partition.times[j])
         raise ValueError(f"the input increment at step {j} (t = {t!r}) is not finite")
-    _flow_schedule(op, np.diff(y.partition.times), flow_substeps)  # every step, once
+    steps = np.diff(y.partition.times)
+    _flow_schedule(op, steps, flow_substeps)  # every step, once
     flow = _flow_kernel(op, flow_substeps)
-    x, x_pre = _march(y.partition.times, None, y0,
-                      lambda j, dt, prev: _sp_step(op, proj, flow, prev, dy[j], dt))
+    x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
+    x[0] = x_pre[0] = y0
+    for j, dt in enumerate(steps.tolist(), 1):
+        x_pre[j], x[j] = _sp_step(op, proj, flow, x[j - 1], dy[j], dt)
     return SkorokhodSolution(x=StepPath(y.partition, x), k=_k(y.partition, x, x_pre, dy), y=y,
                              x_pre=x_pre, flow_substeps=flow_substeps)
 

@@ -58,6 +58,10 @@ MALFORMED = [
     ("[driver]\nh_jump_rate = 1\nh_jump_law = uniform_ball\nh_jump_radius = r\n",
      "driver.h_jump_radius"),
     ("[experiment]\nhorizon = long\n", "experiment.horizon"),
+    # a horizon the grids cannot be laid on, or whose reference step the flow
+    # cannot take
+    ("[experiment]\nhorizon = inf\n", "experiment.horizon", "experiment.horizon-inf"),
+    ("[experiment]\nhorizon = 1e-20\n", "experiment.horizon", "experiment.horizon-tiny"),
     ("[experiment]\ntrajectories = many\n", "experiment.trajectories"),
     ("[experiment]\ncheckpoints = 0.5 late\n", "experiment.checkpoints"),
     # a non-finite level is no integer

@@ -7,7 +7,7 @@ import mmsde.harness as harness
 import mmsde.schemes as schemes
 from mmsde import resolve
 from mmsde.config import build_driver, parse_config_text
-from mmsde.drivers import DriverRealization, _chunk_of, simulate
+from mmsde.drivers import DriverRealization, _chunk_of, from_step_paths, simulate
 from mmsde.errors import ExplosionError
 from mmsde.harness import (
     _ALL_CHECKS,
@@ -103,16 +103,18 @@ def test_verify_passes_a_triangle_near_its_vertices(seed):
 
 
 @pytest.mark.parametrize("operator", ["halfspace-2d", "box", "polyhedron"])
-def test_verify_fails_an_expanding_projection(operator):
+def test_verify_fails_an_expanding_projection(monkeypatch, operator):
     seen = []
 
     def doubling(op, z):
         seen.append(np.shape(z))
         return 2.0 * z
 
-    report = verify_suite(verify_config(operator), samples=40,
-                          checks=["projection_identity", "projection_lipschitz"],
-                          projection_override=doubling)
+    doubling.kind = "doubling"
+    cfg = verify_config(operator)
+    monkeypatch.setattr(harness, "build_projection", lambda spec: doubling)
+    report = verify_suite(cfg, samples=40,
+                          checks=["projection_identity", "projection_lipschitz"])
     assert not report["projection_identity"].passed
     assert not report["projection_lipschitz"].passed
     # one batched call per sample set: the domain points, then both Lipschitz sets
@@ -299,12 +301,12 @@ def test_each_chunk_is_marched_once_per_scheme_body(monkeypatch, study, text, ma
     # the Euler reference, then every Yosida level of both schemes
     calls = []
 
-    def counted(times, starts, x0, step):
-        calls.append(len(starts) - 1)
-        return march(times, starts, x0, step)
+    def counted(op, coeff, chunk, scheme_step):
+        calls.append(len(chunk.starts) - 1)
+        return march(op, coeff, chunk, scheme_step)
 
-    march = schemes._march
-    monkeypatch.setattr(schemes, "_march", counted)
+    march = schemes._run_chunk
+    monkeypatch.setattr(schemes, "_run_chunk", counted)
     monkeypatch.setattr(harness, "_CHUNK_TRAJECTORIES", cap)
     cfg = parse_config_text(text)
     study(cfg)
@@ -386,6 +388,19 @@ def union_order_chunk(case, scheme):
         fine = 64 if scheme == "euler" else 32
         return ctx, [simulate(ctx.driver, uniform_partition(1.0, n), 33, i)
                      for n, i in ((fine // 2, 0), (fine, 2), (fine // 2, 1), (fine // 2, 3))]
+    if case == "retired-row-at-its-own-time":
+        ctx = _Context(parse_config_text(SQUARE_STUDY))
+        # the second row's H jump to 1e100 makes f(x) = x^2 = 1e200, and its Z
+        # jump of 1e150 at t = 3/4, a time only its grid holds, overflows the
+        # driven increment there: the union time's every stepping row retires
+        # while the first row lives on, and t = 7/8 follows on its own grid
+        coarse = Partition(np.array([0.0, 0.5, 1.0]))
+        fine = Partition(np.array([0.0, 0.25, 0.5, 0.75, 0.875, 1.0]))
+        h = np.array([[0.5], [0.5], [1e100], [1e100], [1e100], [1e100]])
+        z = np.array([[0.0], [0.0], [0.0], [1e150], [1e150], [1e150]])
+        return ctx, [from_step_paths(StepPath(coarse, np.array([[0.5], [0.7], [0.2]])),
+                                     StepPath(coarse, np.array([[0.0], [0.1], [-0.3]]))),
+                     from_step_paths(StepPath(fine, h), StepPath(fine, z))]
     ctx = _Context(study_config("box"))
     still = build_driver(dict(ctx.cfg.driver, jump_rate=0.0), 2)  # no jump times
     if case == "single-interval":
@@ -402,7 +417,8 @@ def union_order_chunk(case, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["euler", "mixed_yosida"])
-@pytest.mark.parametrize("case", ["single-interval", "identical-grids", "retired-row-alone"])
+@pytest.mark.parametrize("case", ["single-interval", "identical-grids", "retired-row-alone",
+                                  "retired-row-at-its-own-time"])
 def test_union_order_edge_cases_equal_single_runs(case, scheme):
     ctx, reals = union_order_chunk(case, scheme)
     start = ctx.coeff.evaluations
@@ -439,12 +455,12 @@ def test_union_order_edge_cases_equal_single_runs(case, scheme):
     # the chunk evaluates the coefficient where the single runs do, and no
     # retired row is stepped again
     assert ctx.coeff.evaluations - start == 2 * marched
-    assert len(retired) == (case == "retired-row-alone")
+    assert len(retired) == case.startswith("retired-row")
     for r, t in retired:
-        # it retires at a time that live rows step too, and grid times that
-        # no other row holds follow
+        # it retires at a time that live rows step too, or at one that only
+        # its own grid holds, and grid times that no other row holds follow
         others = np.concatenate([q.grid.times for q in reals if q is not r])
-        assert t in others
+        assert (t in others) == (case == "retired-row-alone")
         later = r.grid.times[r.grid.times > t]
         assert np.setdiff1d(later, others).size
 

@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsde import (
-    DomainViolationError,
     NonConvergenceError,
     Partition,
     Projection,
     StepPath,
     convex_prox,
-    flow,
     indicator_ball,
     indicator_box,
     indicator_halfspace,
@@ -106,13 +104,15 @@ class TestYosida:
 
 
 class TestFlow:
+    """``flow_endpoint`` against the closed forms of the constant-input flow."""
+
     def test_linear_decay_matches_exponential_oracle(self):
         op = linear_monotone([[1.0]])
         exact = math.exp(-1.0)  # oracle: d/dt x = -x
         for m in (10, 100, 1000):
-            val = flow(op, [1.0], 1.0, m)[0]
+            val = flow_endpoint(op, np.array([1.0]), 1.0, m)[0]
             assert abs(val - exact) <= 2.0 / m
-        assert flow(op, [1.0], 1.0, 1000)[0] == pytest.approx(exact, abs=1e-3)
+        assert flow_endpoint(op, np.array([1.0]), 1.0, 1000)[0] == pytest.approx(exact, abs=1e-3)
 
     def test_matrix_decay_matches_expm_oracle(self):
         from scipy.linalg import expm
@@ -121,39 +121,28 @@ class TestFlow:
         op = linear_monotone(m)
         alpha = np.array([1.0, -0.5])
         exact = expm(-m) @ alpha
-        approx = flow(op, alpha, 1.0, 2000)
+        approx = flow_endpoint(op, alpha, 1.0, 2000)
         assert np.linalg.norm(approx - exact) <= 4.0 / 2000
 
     def test_stationary_in_interior(self):
         op = indicator_halfspace([-1.0], 0.0)
-        assert flow(op, [5.0], 7.0, 3) == pytest.approx([5.0])
-        assert flow(op, [0.0], 3.0, 3) == pytest.approx([0.0])
+        assert flow_endpoint(op, np.array([5.0]), 7.0, 3) == pytest.approx([5.0])
+        assert flow_endpoint(op, np.array([0.0]), 3.0, 3) == pytest.approx([0.0])
 
     def test_zero_time_is_exact_identity(self, zoo):
         for op in zoo.values():
             alpha = op.domain_projection(np.full(op.dimension, 0.25))
-            np.testing.assert_array_equal(flow(op, alpha, 0.0, 5), alpha)
-
-    def test_rejects_start_outside_domain(self):
-        op = indicator_box([0.0], [1.0])
-        with pytest.raises(DomainViolationError):
-            flow(op, [2.0], 1.0, 4)
+            np.testing.assert_array_equal(flow_endpoint(op, alpha, 0.0, 5), alpha)
 
     def test_semigroup_property_on_linear(self):
         # composition error stays first order in 1/m; constant calibrated
         # against the exponential oracle (|alpha| = 1, s + t <= 1.5)
         op = linear_monotone([[1.0]])
-        s, t = 0.5, 1.0
+        s, t, start = 0.5, 1.0, np.array([1.0])
         for m in (8, 32, 128):
-            once = flow(op, [1.0], s + t, 2 * m)
-            composed = flow(op, flow(op, [1.0], s, m), t, m)
+            once = flow_endpoint(op, start, s + t, 2 * m)
+            composed = flow_endpoint(op, flow_endpoint(op, start, s, m), t, m)
             assert np.linalg.norm(once - composed) <= 1.0 * (s + t) / m
-
-    def test_interior_start_is_not_aliased(self, zoo):
-        # a projection returns a domain point itself; flow hands back a copy
-        for op in zoo.values():
-            alpha = op.domain_projection(np.full(op.dimension, 0.25))
-            assert not np.shares_memory(flow(op, alpha, 1.0, 4), alpha)
 
 
 class TestFlowEndpoint:
