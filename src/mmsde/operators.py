@@ -7,15 +7,15 @@ projection onto the closure of its domain.  This keeps multivalued operators
 
 Besides the resolvent calculus (Yosida maps J_n, A_n) the module provides the
 constant-input flow: the semigroup t -> x(t) solving dx/dt in -A(x(t)) from a
-point of the domain closure, approximated by iterated implicit resolvent
-steps x <- J_{t/m}(x), first order in t/m and exact for normal cones:
-``flow_endpoint`` gives its endpoint, ``flow_steps`` every state (for the
-solution checkers of ``skorokhod``).
-These public maps check their arguments on every call.  A grid march checks
-all its steps once, at its entry, with ``_flow_schedule``, and then flows
-through the unchecked ``_flow_kernel``.  Built-in constructors cover normal
-cones of halfspaces, boxes, balls and polyhedra, linear positive-semidefinite
-operators, and subdifferentials given by a proximal map.
+point of the domain closure, approximated by J_{t/m}^m, first order in t/m
+and exact for normal cones.  A flow is one call of the resolvent's power
+(``_power``): ``flow_endpoint`` keeps its end, ``flow_steps`` every state
+(for the solution checkers of ``skorokhod``).  Both check their arguments on
+every call; a grid march checks all its steps once, at its entry, with
+``_flow_schedule``, and then flows through the unchecked ``_flow_kernel``.
+Built-in constructors cover normal cones of halfspaces, boxes, balls and
+polyhedra, linear positive-semidefinite operators, and subdifferentials given
+by a proximal map.
 """
 
 from __future__ import annotations
@@ -73,11 +73,12 @@ class MonotoneOperator:
         ``lam`` is one step (a float) or, for a batch z of shape (B, d), one
         step per row (a float array of shape (B,)): row i is then the
         single-point call with step ``lam[i]``.  Projection kinds ignore the
-        step.  The function may carry an attribute ``power(lam, m, z)``:
-        J_lam^m(z), equal bit for bit to m successive resolvent calls, which
-        a flow then makes in one call.  It belongs to the
-        function, so ``dataclasses.replace(op, resolvent=f)`` drops it
-        unless ``f`` carries its own.
+        step.  The function may carry an attribute ``power(lam, m, z,
+        keep=False)``: J_lam^m(z), or with ``keep`` the list of its m
+        states, equal bit for bit to m successive resolvent calls; a flow
+        makes one call of it (``_power``).  It belongs to the function, so
+        ``dataclasses.replace(op, resolvent=f)`` drops it unless ``f``
+        carries its own.
     domain_projection:
         nearest-point projection onto the closed convex domain closure; must
         act as the exact identity on points already inside.
@@ -215,33 +216,36 @@ def _flow_schedule(op: MonotoneOperator, t, substeps: int):
     return _check_step(t / substeps), substeps
 
 
+def _steps(resolvent, lam, m, z, keep=False):
+    """J_lam^m(z) by m resolvent calls, or with ``keep`` the list of its m states."""
+    states = []
+    for _ in range(m):
+        z = resolvent(lam, z)
+        states.append(z)
+    return states if keep else z
+
+
+def _power(resolvent):
+    """The resolvent's ``power(lam, m, z, keep=False)``, else ``_steps``."""
+    return getattr(resolvent, "power", None) or functools.partial(_steps, resolvent)
+
+
 def _flow_kernel(op: MonotoneOperator, substeps: int):
     """``(start, t) -> J_{t/m}^m(start)`` without checks, for a t > 0 or one
     positive time per row of a batch of starts that ``_flow_schedule`` has
-    passed: one resolvent call of step t for a projection resolvent, one
-    ``power`` call when the resolvent has one, else m successive calls."""
+    passed: a projection resolvent's one step of size t, else ``_power``."""
     resolvent = op.resolvent
     if op.projection_resolvent:
         return lambda start, t: np.asarray(resolvent(t, start), dtype=float)
-    power = getattr(resolvent, "power", None)
-    if power is not None:
-        return lambda start, t: np.asarray(power(t / substeps, substeps, start), dtype=float)
-
-    def loop(start, t):
-        lam, x = t / substeps, start
-        for _ in range(substeps):
-            x = resolvent(lam, x)
-        return np.asarray(x, dtype=float)
-    return loop
+    power = _power(resolvent)
+    return lambda start, t: np.asarray(power(t / substeps, substeps, start), dtype=float)
 
 
 def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
                   substeps: int) -> np.ndarray:
     """J_lam^m(start), the last state of ``flow_steps`` (``start`` as a float
-    array for t = 0); each resolvent value goes straight into the next call,
-    or all m are one call of the resolvent's ``power`` when it has one (the
-    same bits).  For a batch of starts, ``t`` may give each row its own
-    positive time."""
+    array for t = 0), by one call of the resolvent's power (``_power``).
+    For a batch of starts, ``t`` may give each row its own positive time."""
     if not _flow_schedule(op, t, substeps)[1]:
         return np.asarray(start, dtype=float)
     return _flow_kernel(op, substeps)(start, t)
@@ -250,22 +254,17 @@ def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
 def flow_steps(op: MonotoneOperator, start: np.ndarray, t, substeps: int):
     """Implicit resolvent stepping for the constant-input flow.
 
-    Returns the list of (lam, state) pairs visited by x <- J_lam(x); each
-    step certifies (prev - state)/lam in A(state).  Batch form: ``start`` is
-    (B, d) and ``t`` one positive time per row (B,); each pair then holds
-    the steps (B,) and the states (B, d), and row i is the single-point
-    call on row i with time ``t[i]`` (the resolvent's row contract), so that
-    m resolvent calls flow B intervals at once.  Only the solution checkers
-    ``skorokhod.verify_solution`` and ``pair_inequality_report`` read these
-    intermediates; each flows all the intervals of a solution in one call.
+    Returns the (lam, state) pairs visited by x <- J_lam(x), all m states
+    from one ``keep=True`` power call (``_power``); each step certifies
+    (prev - state)/lam in A(state).  Batch form: ``start`` is (B, d) and
+    ``t`` one positive time per row (B,); each pair then holds the steps
+    (B,) and the states (B, d), and row i is the single-point call on row i
+    with time ``t[i]``.  The solution checkers of ``skorokhod`` read these
+    states, flowing all the intervals of a solution in one call.
     """
     lam, m = _flow_schedule(op, t, substeps)
-    out = []
-    x = start
-    for _ in range(m):
-        x = np.asarray(op.resolvent(lam, x), dtype=float)
-        out.append((lam, x))
-    return out
+    states = _power(op.resolvent)(lam, m, start, keep=True) if m else []
+    return [(lam, np.asarray(x, dtype=float)) for x in states]
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +530,16 @@ def linear_monotone(matrix) -> MonotoneOperator:
     a point and a batch of row points): a path has few distinct steps, and
     one matrix-vector product is far cheaper than a fresh solve.  The memo holds
     at most ``_LINEAR_INVERSE_CACHE`` step sizes and is emptied when full, so
-    a stream of fresh steps costs one inversion each; the resolvent's
-    ``power`` fetches it once for the m products of a flow.  With one step
-    per row of a batch, the inverses missing from the memo are formed by one
-    stacked ``np.linalg.inv`` (each with the bits of its own inversion), and
-    row i is a vector-matrix product with the same F-ordered matrix as the
-    point call, so it equals the single-point call bit for bit.  Forming the
-    inverse is safe: <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence
-    |(I + lam M)^{-1}| <= 1 and the condition number is at most 1 + lam |M|.
+    a stream of fresh steps costs one inversion each.  The resolvent's
+    ``power`` fetches the inverses once for the m products of a flow (with
+    one step per row of a batch, after one ``np.unique``); those missing
+    from the memo are formed by one stacked ``np.linalg.inv`` (each with the
+    bits of its own inversion), of which the memo keeps the last
+    ``_LINEAR_INVERSE_CACHE``.  Row i is then a vector-matrix product with
+    the same F-ordered matrix as the point call, so it equals the
+    single-point call bit for bit.  Forming the inverse is safe: <Mx, x> >= 0
+    gives |(I + lam M)x| >= |x|, hence |(I + lam M)^{-1}| <= 1 and the
+    condition number is at most 1 + lam |M|.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
@@ -579,29 +580,28 @@ def linear_monotone(matrix) -> MonotoneOperator:
                 invs[i] = inv_t.T
         if missing:
             invs[missing] = np.linalg.inv(eye + steps[missing][:, None, None] * m)
-            for i, step in zip(missing, steps[missing].tolist()):
-                remember(step, invs[i].T)
+            # the last ones only: more would just fill and empty the memo
+            for i in missing[-_LINEAR_INVERSE_CACHE:]:
+                remember(float(steps[i]), invs[i].T)
         return invs
 
-    def power(lam, count, z):
-        """J_lam^count(z): the inverse is fetched once for all the products."""
-        if type(lam) is not float:
-            if _per_row(lam):
-                # one inverse per distinct step; a vector-matrix product per
-                # row makes row i independent of the other rows of the batch,
-                # and each matrix, F-ordered as ``inv_t`` is, gives the bits
-                # of the point call's ``z.dot(inv_t)``
-                steps, which = np.unique(lam, return_inverse=True)
-                invs_t = inverses(steps)[which.reshape(-1)].transpose(0, 2, 1)
-                for _ in range(count):
-                    z = np.vecmat(z, invs_t)
-                return z
-            lam = float(lam)
-        inv_t = inverse_t(lam)
-        for _ in range(count):
-            # for a point this is inv.dot(z) bit for bit
-            z = z.dot(inv_t)
-        return z
+    def power(lam, count, z, keep=False):
+        """J_lam^count(z), or with ``keep`` the list of its count states: the
+        inverses are fetched once for all the products."""
+        if not _per_row(lam):
+            inv_t = inverse_t(float(lam))
+            if keep:
+                return _steps(lambda _, x: x.dot(inv_t), lam, count, z, keep)
+            for _ in range(count):
+                # for a point this is inv.dot(z) bit for bit
+                z = z.dot(inv_t)
+            return z
+        # one inverse per distinct step; a vector-matrix product per row keeps
+        # row i apart from the other rows, and each matrix, F-ordered as
+        # ``inv_t`` is, gives the bits of the point call's ``z.dot(inv_t)``
+        steps, which = np.unique(lam, return_inverse=True)
+        invs_t = inverses(steps)[which.reshape(-1)].transpose(0, 2, 1)
+        return _steps(lambda _, x: np.vecmat(x, invs_t), lam, count, z, keep)
 
     def resolvent(lam, z):
         # a float step already memoised is read inline

@@ -166,9 +166,9 @@ def _min_subarray_sum(terms) -> float:
 
 
 def _flow_states(op: MonotoneOperator, x: np.ndarray, times: np.ndarray, substeps: int):
-    """The flow over every interval [t_{j-1}, t_j] from x_{j-1}, in one batch
-    (``flow_steps``' batch form): the steps (n - 1,) and the states
-    (n - 1, m + 1, d), each interval's start and then its m flow states."""
+    """The flow over every interval [t_{j-1}, t_j] from x_{j-1}, one power
+    call for all (``flow_steps``' batch form): the steps (n - 1,) and the
+    states (n - 1, m + 1, d), each interval's start and then its m states."""
     steps = flow_steps(op, x[:-1], np.diff(times), substeps)
     return steps[0][0], np.stack([x[:-1], *(state for _, state in steps)], axis=1)
 
@@ -200,8 +200,8 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
       The sum is evaluated at the flow's own substeps, where each term is
       nonnegative by monotonicity up to rounding.
 
-    The flow of every interval is one batch (``_flow_states``): m resolvent
-    calls on the (n - 1, d) interval starts, and the terms of every pair,
+    The flow of every interval is one batch (``_flow_states``): one power
+    call on the (n - 1, d) interval starts, and the terms of every pair,
     interval and substep are one ``np.vecdot``, so the check holds
     O(pairs x intervals x substeps x d) floats at once.  Each pair's terms
     are scanned in the order of time, as the per-interval loop laid them out.

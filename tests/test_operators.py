@@ -19,8 +19,10 @@ from mmsde import (
     indicator_halfspace,
     indicator_polyhedron,
     linear_monotone,
+    pair_inequality_report,
     resolve,
     solve_step,
+    verify_solution,
     yosida_a,
     yosida_j,
 )
@@ -432,6 +434,21 @@ def resolvent_loop(op, lam, m, z):
     return z
 
 
+def resolvent_states(op, lam, m, z):
+    """The m states of m successive resolvent calls: the oracle of ``flow_steps``."""
+    states = []
+    for _ in range(m):
+        z = op.resolvent(lam, z)
+        states.append(z)
+    return states
+
+
+def linear_memo(op):
+    """The inverse memo of a ``linear_monotone`` operator, keyed by step."""
+    cells = dict(zip(op.resolvent.__code__.co_freevars, op.resolvent.__closure__))
+    return cells["inverses_t"].cell_contents
+
+
 class TestLinearPower:
     """``linear_monotone``'s resolvent carries ``power``: m steps in one call,
     bit for bit the loop of m resolvent calls that ``flow_endpoint`` replaces."""
@@ -486,6 +503,16 @@ class TestLinearPower:
                                    for lam, row in zip(lams.tolist(), z)]))
         assert len(memo) <= _LINEAR_INVERSE_CACHE
 
+    def test_a_fresh_batch_leaves_its_last_missing_steps_in_the_memo(self, rng):
+        op = linear_monotone(random_monotone_matrix(rng, 2))
+        lams = rng.uniform(0.01, 2.0, size=2 * _LINEAR_INVERSE_CACHE + 9)
+        z = rng.normal(0.0, 2.0, size=(lams.size, 2))
+        got = op.resolvent(lams, z)
+        # the memo keeps the last missing steps in np.unique order, no more
+        assert list(linear_memo(op)) == np.unique(lams)[-_LINEAR_INVERSE_CACHE:].tolist()
+        for lam, row, out in zip(lams.tolist(), z, got):
+            assert same_bits(out, op.resolvent(lam, row))
+
     def test_replaced_resolvent_keeps_no_stale_power(self, rng):
         op = linear_monotone(random_monotone_matrix(rng, 2))
         other = linear_monotone(random_monotone_matrix(rng, 2))
@@ -498,3 +525,107 @@ class TestLinearPower:
         assert calls == [0.05] * 16
         assert same_bits(end, resolvent_loop(other, 0.05, 16, z))
         assert not same_bits(end, flow_endpoint(op, z, 0.8, 16))
+
+
+def counted_power(op):
+    """``op`` with a resolvent that carries its own ``power``, which records
+    each call's (m, keep) before it runs the operator's power."""
+    calls = []
+    resolvent = op.resolvent
+
+    def counted(lam, z):
+        return resolvent(lam, z)
+
+    def power(lam, m, z, keep=False):
+        calls.append((m, keep))
+        return resolvent.power(lam, m, z, keep)
+
+    counted.power = power
+    return dataclasses.replace(op, resolvent=counted), calls
+
+
+class TestFlowStates:
+    """``flow_steps`` lists the m states of one ``keep=True`` power call; for
+    ``linear_monotone`` each equals the state of m plain resolvent calls bit
+    for bit."""
+
+    def check(self, op, start, t, m):
+        lam = t / m
+        got = flow_steps(op, start, t, m)
+        want = resolvent_states(op, lam, m, start)
+        assert len(got) == len(want) == m
+        for (step, state), expect in zip(got, want):
+            assert same_bits(step, lam)
+            assert same_bits(state, expect)
+
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_float_step_on_a_point_and_a_batch(self, rng, d, m):
+        op = linear_monotone(random_monotone_matrix(rng, d))
+        for t in (1e-6, 1.0, 40.0):
+            self.check(op, rng.normal(0.0, 2.0, size=d), t, m)
+            self.check(op, rng.normal(0.0, 2.0, size=(7, d)), t, m)
+
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_ragged_per_row_steps(self, rng, m):
+        op = linear_monotone(random_monotone_matrix(rng, 2))
+        t = np.array([0.1, 0.3, 0.1, 2.0, 1e-5, 0.3, 0.3, 0.1, 7.5])
+        self.check(op, rng.normal(0.0, 2.0, size=(t.size, 2)), t, m)
+
+    def test_more_distinct_steps_than_the_memo_holds(self, rng):
+        op = linear_monotone(random_monotone_matrix(rng, 3))
+        t = np.repeat(np.logspace(-4, 1, 2 * _LINEAR_INVERSE_CACHE + 5), 2)
+        # the second flow finds the memo filled by the first
+        for _ in range(2):
+            self.check(op, rng.normal(0.0, 2.0, size=(t.size, 3)), t, 8)
+
+    def test_one_power_call_per_flow(self, zoo, zoo_pairs, rng):
+        op = zoo["rotation2"]
+        counted, calls = counted_power(op)
+        start = rng.normal(0.0, 2.0, size=(5, 2))
+        t = rng.uniform(0.5, 1.5, size=5)
+        steps = flow_steps(counted, start, t, 16)
+        assert calls == [(16, True)]
+        for (_, state), (_, want) in zip(steps, flow_steps(op, start, t, 16)):
+            assert same_bits(state, want)
+        assert same_bits(flow_endpoint(counted, start, t, 16), steps[-1][1])
+        assert calls == [(16, True), (16, False)]
+        # each solution checker flows all the intervals of a solution in one call
+        n = 20
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=n - 1))])
+        values = np.cumsum(rng.normal(0.0, 0.3, size=(2, n, 2)), axis=1)
+        a, b = (solve_step(op, Projection("classical"), StepPath(Partition(times), v),
+                           flow_substeps=4) for v in values)
+        calls.clear()
+        rep = verify_solution(counted, Projection("classical"), a,
+                              test_pairs=zoo_pairs["rotation2"])
+        assert rep == verify_solution(op, Projection("classical"), a,
+                                      test_pairs=zoo_pairs["rotation2"])
+        assert calls == [(4, True)]
+        assert pair_inequality_report(counted, a, b) == pair_inequality_report(op, a, b)
+        assert calls == [(4, True)] * 3
+
+    @pytest.mark.parametrize("name", ["rotation2", "prox_abs"])
+    def test_a_resolvent_without_power_is_called_m_times(self, zoo, zoo_pairs, rng, name):
+        op = zoo[name]
+        d = op.dimension
+        calls = []
+        replaced = dataclasses.replace(
+            op, resolvent=lambda lam, z: calls.append(np.shape(z)) or op.resolvent(lam, z))
+        start = rng.normal(0.0, 2.0, size=(6, d))
+        t = rng.uniform(0.5, 1.5, size=6)
+        for z, tz in ((start[0], float(t[0])), (start, t)):
+            calls.clear()
+            got = flow_steps(replaced, z, tz, 5)
+            assert calls == [z.shape] * 5
+            for (_, state), (_, want) in zip(got, flow_steps(op, z, tz, 5)):
+                assert same_bits(state, want)
+        # verify_solution: m calls, each flowing every one of the n - 1 intervals
+        n = 12
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=n - 1))])
+        y = StepPath(Partition(times), np.cumsum(rng.normal(0.0, 0.3, size=(n, d)), axis=0))
+        sol = solve_step(op, Projection("classical"), y, flow_substeps=5)
+        calls.clear()
+        rep = verify_solution(replaced, Projection("classical"), sol, test_pairs=zoo_pairs[name])
+        assert rep.passed, rep.failures
+        assert calls == [(n - 1, d)] * 5
