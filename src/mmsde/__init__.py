@@ -34,6 +34,7 @@ from .paths import (
 from .skorokhod import (
     SkorokhodSolution,
     solve_step,
+    solve_steps,
     reflect_halfline_oracle,
     verify_solution,
     pair_inequality_report,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -528,18 +529,17 @@ def linear_monotone(matrix) -> MonotoneOperator:
     The resolvent applies the inverse (I + lam M)^{-1}, formed once per exact
     step size ``lam`` and memoised (as its transpose, so that ``z.dot`` serves
     a point and a batch of row points): a path has few distinct steps, and
-    one matrix-vector product is far cheaper than a fresh solve.  The memo holds
-    at most ``_LINEAR_INVERSE_CACHE`` step sizes and is emptied when full, so
-    a stream of fresh steps costs one inversion each.  The resolvent's
-    ``power`` fetches the inverses once for the m products of a flow (with
-    one step per row of a batch, after one ``np.unique``); those missing
-    from the memo are formed by one stacked ``np.linalg.inv`` (each with the
-    bits of its own inversion), of which the memo keeps the last
-    ``_LINEAR_INVERSE_CACHE``.  Row i is then a vector-matrix product with
-    the same F-ordered matrix as the point call, so it equals the
-    single-point call bit for bit.  Forming the inverse is safe: <Mx, x> >= 0
-    gives |(I + lam M)x| >= |x|, hence |(I + lam M)^{-1}| <= 1 and the
-    condition number is at most 1 + lam |M|.
+    one matrix-vector product is far cheaper than a fresh solve.  The memo
+    holds the last ``_LINEAR_INVERSE_CACHE`` steps it formed (the oldest go
+    first), so a stream of fresh steps costs one inversion each.  The
+    resolvent's ``power`` fetches the inverses once for the m products of a
+    flow (with one step per row of a batch, after one ``np.unique``); those
+    missing from the memo are formed by one stacked ``np.linalg.inv`` (each
+    with the bits of its own inversion).  Row i is then a vector-matrix
+    product with the same F-ordered matrix as the point call, so it equals
+    the single-point call bit for bit.  Forming the inverse is safe:
+    <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence |(I + lam M)^{-1}| <= 1
+    and the condition number is at most 1 + lam |M|.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
@@ -552,11 +552,11 @@ def linear_monotone(matrix) -> MonotoneOperator:
 
     # Threads sharing the operator may race on the memo; each call still uses
     # its own correct inverse, so a race costs at most one extra inversion.
-    inverses_t: dict[float, np.ndarray] = {}
+    inverses_t: OrderedDict[float, np.ndarray] = OrderedDict()
 
     def remember(lam: float, inv_t: np.ndarray) -> None:
         if len(inverses_t) >= _LINEAR_INVERSE_CACHE:
-            inverses_t.clear()
+            inverses_t.popitem(last=False)  # the oldest step
         inverses_t[lam] = inv_t
 
     def inverse_t(lam: float) -> np.ndarray:
@@ -580,7 +580,7 @@ def linear_monotone(matrix) -> MonotoneOperator:
                 invs[i] = inv_t.T
         if missing:
             invs[missing] = np.linalg.inv(eye + steps[missing][:, None, None] * m)
-            # the last ones only: more would just fill and empty the memo
+            # the last ones only: the earlier ones would be forgotten at once
             for i in missing[-_LINEAR_INVERSE_CACHE:]:
                 remember(float(steps[i]), invs[i].T)
         return invs

@@ -268,8 +268,9 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
                 b, p = int(rows[i]), int(order[key][i])
                 index, j = chunk.trajectory[b], p - int(chunk.starts[b])
                 t = float(chunk.times[p])
+                who = "the realization of given paths" if index is None else f"trajectory {index}"
                 errors[b] = ExplosionError(
-                    f"trajectory {index} exploded: the driven increment at step {j} "
+                    f"{who} exploded: the driven increment at step {j} "
                     f"(t = {t!r}) is not finite", last=np.array(prev[i]),
                     trajectory=index, step=j, time=t, level=int(chunk.level[b]))
             live[rows[~keep]] = False

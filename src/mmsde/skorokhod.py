@@ -6,11 +6,11 @@ part of k selected from A(x) dt (realized by the constant-input flow between
 grid points), and post-jump states given by the generalized projection:
 x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 
-``_sp_step`` is the one step kernel of ``solve_step`` and of the Euler
-scheme in ``schemes``: ``solve_step`` marches it along one grid, and
-``schemes._run_chunk`` along the rows of a chunk at once.  A step returns
-(x_pre, x_new), and a march keeps just those; a caller that reads k forms it
-after the march (``_k``).
+``_sp_step`` is the one step kernel of ``solve_steps`` and of the Euler
+scheme in ``schemes``: ``solve_steps`` marches it along one grid, all its
+paths at once (``solve_step`` is one path), and ``schemes._run_chunk`` along
+the rows of a chunk.  A step returns (x_pre, x_new), and a march keeps just
+those; a caller that reads k forms it after the march (``_k``).
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
@@ -33,6 +33,7 @@ from .projections import Projection
 __all__ = [
     "SkorokhodSolution",
     "solve_step",
+    "solve_steps",
     "reflect_halfline_oracle",
     "SolutionReport",
     "verify_solution",
@@ -96,37 +97,59 @@ def _k(grid: Partition, x: np.ndarray, x_pre: np.ndarray, dy: np.ndarray,
                            jump=StepPath(grid, kd))
 
 
+def solve_steps(op: MonotoneOperator, proj: Projection, ys,
+                flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> list[SkorokhodSolution]:
+    """Solve the Skorokhod problem for step inputs on one grid, marched together.
+
+    Returns one solution per path, each its ``solve_step`` bit for bit.  One
+    path marches points with a float dt, B > 1 paths (B, d) rows with one dt
+    per row, where each resolvent and projection gives row i the bits of its
+    point call (a float dt on a linear batch would be a matrix product).
+    With more than one path, an error names the path by its index.
+    """
+    ys = list(ys)
+    grid, one = ys[0].partition, len(ys) == 1
+    dy = []
+    for i, y in enumerate(ys):
+        path = "" if one else f"path {i}: "
+        if y.dimension != op.dimension:
+            raise ValueError(f"{path}input dimension does not match the operator")
+        if not y.partition.same_times(grid):
+            raise ValueError(f"{path}the input paths must share one grid")
+        if (dist := op.domain_distance(y.values[0])) > DEFAULT_DOMAIN_TOL:
+            raise DomainViolationError(f"{path}y_0 outside the domain closure "
+                                       f"(distance {dist:.3e})", point=y.values[0], distance=dist)
+        with np.errstate(over="ignore"):  # a jump between two finite values may overflow
+            dy.append(y.jumps())
+        if not np.isfinite(dy[i]).all():
+            j = int(np.argmin(np.isfinite(dy[i]).all(axis=1)))
+            raise ValueError(f"{path}the input increment at step {j} "
+                             f"(t = {float(grid.times[j])!r}) is not finite")
+    steps = np.diff(grid.times)
+    _flow_schedule(op, steps, flow_substeps)  # every step, once
+    flow = _flow_kernel(op, flow_substeps)
+    dy = np.stack(dy, axis=1)  # (n, B, d), as x and x_pre; one path marches (n, d) views
+    x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
+    x[0] = x_pre[0] = [y.values[0] for y in ys]
+    xs, pres, dys = (a[:, 0] if one else a for a in (x, x_pre, dy))
+    for j, dt in enumerate(steps.tolist() if one else [np.full(len(ys), t) for t in steps], 1):
+        pres[j], xs[j] = _sp_step(op, proj, flow, xs[j - 1], dys[j], dt)
+    x, x_pre, dy = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre, dy))
+    return [SkorokhodSolution(x=StepPath(y.partition, x[b]),
+                              k=_k(y.partition, x[b], x_pre[b], dy[b]), y=y, x_pre=x_pre[b],
+                              flow_substeps=flow_substeps) for b, y in enumerate(ys)]
+
+
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
                flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> SkorokhodSolution:
-    """Solve the Skorokhod problem for a step input.
+    """Solve the Skorokhod problem for a step input (``solve_steps`` of one path).
 
     On [0, t_1) the state follows the constant-input flow from y_0; at each
     later grid point the flow endpoint is corrected by the projection of
     x_{t-} + dy_t, then the flow restarts for the next interval.  y_0 must
     lie in the domain closure within ``DEFAULT_DOMAIN_TOL``.
     """
-    if y.dimension != op.dimension:
-        raise ValueError("input dimension does not match the operator")
-    y0 = y.values[0]
-    dist = op.domain_distance(y0)
-    if dist > DEFAULT_DOMAIN_TOL:
-        raise DomainViolationError(f"y_0 outside the domain closure (distance {dist:.3e})",
-                                   point=y0, distance=dist)
-    with np.errstate(over="ignore"):  # a jump between two finite values may overflow
-        dy = y.jumps()
-    if not np.isfinite(dy).all():
-        j = int(np.argmin(np.isfinite(dy).all(axis=1)))
-        t = float(y.partition.times[j])
-        raise ValueError(f"the input increment at step {j} (t = {t!r}) is not finite")
-    steps = np.diff(y.partition.times)
-    _flow_schedule(op, steps, flow_substeps)  # every step, once
-    flow = _flow_kernel(op, flow_substeps)
-    x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
-    x[0] = x_pre[0] = y0
-    for j, dt in enumerate(steps.tolist(), 1):
-        x_pre[j], x[j] = _sp_step(op, proj, flow, x[j - 1], dy[j], dt)
-    return SkorokhodSolution(x=StepPath(y.partition, x), k=_k(y.partition, x, x_pre, dy), y=y,
-                             x_pre=x_pre, flow_substeps=flow_substeps)
+    return solve_steps(op, proj, [y], flow_substeps)[0]
 
 
 def reflect_halfline_oracle(y: StepPath) -> SkorokhodSolution:

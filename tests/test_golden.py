@@ -132,6 +132,18 @@ flow_substeps = 16
 seed = 19
 """
 
+# the triangle x >= 0, y >= 0, x + y <= 1: its domain projection is Dykstra's
+# iteration, whose polish groups a batch's rows by active faces
+VERIFY_POLYHEDRON_INI = """\
+[operator]
+kind = polyhedron
+constraints = -1 0 : 0 ; 0 -1 : 0 ; 1 1 : 1
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+"""
+
 BOX_ELASTIC_INI = """\
 [operator]
 kind = box
@@ -167,6 +179,8 @@ CASES = {
     "compare_box.csv": (BOX_INI, "compare", [], "errors.csv"),
     "verify_box.json": (BOX_INI, "verify", ["--samples", "200"], "verify.json"),
     "verify_linear.json": (VERIFY_LINEAR_INI, "verify", ["--samples", "200"], "verify.json"),
+    "verify_polyhedron.json": (VERIFY_POLYHEDRON_INI, "verify", ["--samples", "200"],
+                               "verify.json"),
     "skorokhod_linear.csv": (LINEAR_INI, "skorokhod", [], "solution.csv"),
     "skorokhod_box_elastic.csv": (BOX_ELASTIC_INI, "skorokhod", [], "solution.csv"),
 }

@@ -465,6 +465,19 @@ def test_union_order_edge_cases_equal_single_runs(case, scheme):
         assert np.setdiff1d(later, others).size
 
 
+def test_a_given_path_row_explodes_under_its_own_name():
+    # a realization from given paths has no trajectory index: the text names
+    # it as such, the same in a chunk as on its own, where it is another row
+    ctx, reals = union_order_chunk("retired-row-at-its-own-time", "euler")
+    out = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 3)[1]
+    with pytest.raises(ExplosionError) as err:
+        euler_scheme(ctx.op, ctx.proj, ctx.coeff, reals[1], 3)
+    want = ("the realization of given paths exploded: the driven increment at step 3 "
+            "(t = 0.75) is not finite (level 5)")
+    assert str(out) == str(err.value) == want
+    assert out.trajectory is err.value.trajectory is None
+
+
 @pytest.mark.parametrize("study", [run_convergence, compare_schemes],
                          ids=["converge", "compare"])
 def test_explosion_raised_is_the_first_of_the_trajectory_loop(monkeypatch, study):

@@ -513,6 +513,19 @@ class TestLinearPower:
         for lam, row, out in zip(lams.tolist(), z, got):
             assert same_bits(out, op.resolvent(lam, row))
 
+    def test_a_nearly_full_memo_forgets_its_oldest_steps_only(self, rng):
+        # 60 fresh steps, then 10 more: the memo drops the 6 oldest, where
+        # emptying it when full kept 6 steps of the second batch alone
+        op = linear_monotone(random_monotone_matrix(rng, 2))
+        first, second = (rng.uniform(0.01, 2.0, size=n) for n in (60, 10))
+        z = rng.normal(0.0, 2.0, size=(70, 2))
+        got = np.concatenate([op.resolvent(first, z[:60]), op.resolvent(second, z[60:])])
+        kept = [*np.unique(first).tolist(), *np.unique(second).tolist()][-_LINEAR_INVERSE_CACHE:]
+        assert list(linear_memo(op)) == kept
+        fresh = linear_monotone(op.spec["matrix"])
+        for lam, row, out in zip([*first.tolist(), *second.tolist()], z, got):
+            assert same_bits(out, fresh.resolvent(lam, row))
+
     def test_replaced_resolvent_keeps_no_stale_power(self, rng):
         op = linear_monotone(random_monotone_matrix(rng, 2))
         other = linear_monotone(random_monotone_matrix(rng, 2))

@@ -10,10 +10,12 @@ from mmsde import (
     Projection,
     StepPath,
     indicator_halfspace,
+    indicator_polyhedron,
     linear_monotone,
     pair_inequality_report,
     reflect_halfline_oracle,
     solve_step,
+    solve_steps,
     uniform_partition,
     verify_solution,
 )
@@ -95,6 +97,91 @@ class TestSolveStep:
             sol = solve_step(op, CLASSICAL, y)
             for row in sol.x.values:
                 assert op.in_domain(row, 1e-7)
+
+
+class TestSolveSteps:
+    """``solve_steps`` marches the paths of one grid together; each path's
+    solution is its own ``solve_step`` bit for bit."""
+
+    EXTRA = {"zero3": lambda: linear_monotone(np.zeros((3, 3))),
+             "triangle": lambda: indicator_polyhedron([([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0),
+                                                       ([1.0, 1.0], 1.0)])}
+
+    @staticmethod
+    def paths(op, rng, count, times):
+        out = []
+        for _ in range(count):
+            start = op.domain_projection(rng.normal(0.0, 1.0, size=op.dimension))
+            incs = rng.normal(0.0, 0.8, size=(times.size - 1, op.dimension))
+            out.append(StepPath(Partition(times.copy()),
+                                np.vstack([start, start + np.cumsum(incs, axis=0)])))
+        return out
+
+    @staticmethod
+    def assert_same(got, want):
+        for a, b in [(got.x.values, want.x.values), (got.x_pre, want.x_pre),
+                     (got.k.total.values, want.k.total.values),
+                     (got.k.continuous.values, want.k.continuous.values),
+                     (got.k.jump.values, want.k.jump.values)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.flow_substeps == want.flow_substeps
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("proj", [CLASSICAL, Projection("elastic", c=0.7),
+                                      Projection("elastic_iterated", c=0.5)],
+                             ids=["classical", "elastic", "elastic_iterated"])
+    @pytest.mark.parametrize("name", ["halfline", "box2", "ball2", "wedge", "triangle", "linear1",
+                                      "linear2", "rotation2", "zero3", "prox_abs"])
+    def test_each_row_is_its_own_solve_step(self, zoo, rng, name, proj, count):
+        op = self.EXTRA[name]() if name in self.EXTRA else zoo[name]
+        # a ragged grid: every step its own size, so each row's dt is fresh
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.3, size=15))])
+        ys = self.paths(op, rng, count, times)
+        sols = solve_steps(op, proj, ys, flow_substeps=5)
+        assert len(sols) == count
+        for y, sol in zip(ys, sols):
+            assert sol.y is y
+            self.assert_same(sol, solve_step(op, proj, y, flow_substeps=5))
+
+    @pytest.mark.parametrize("count, step", [(1, float), (3, np.ndarray)])
+    def test_one_path_marches_float_steps_and_a_batch_one_per_row(self, zoo, rng, count, step):
+        # a resolvent without ``power`` is called once per substep
+        seen = []
+        op = zoo["linear2"]
+        spy = dataclasses.replace(
+            op, resolvent=lambda lam, z: seen.append((type(lam), np.shape(lam), z.shape))
+            or op.resolvent(lam, z))
+        ys = self.paths(op, rng, count, uniform_partition(1.0, 4).times)
+        solve_steps(spy, CLASSICAL, ys, flow_substeps=2)
+        rows = (2,) if count == 1 else (count, 2)
+        assert seen == [(step, rows[:-1], rows)] * 8
+
+    def test_errors_name_their_path(self, zoo, rng):
+        op = zoo["box2"]
+        times = uniform_partition(1.0, 4).times
+        ys = self.paths(op, rng, 3, times)
+        outside = StepPath(ys[1].partition, np.vstack([[-2.0, -2.0], ys[1].values[1:]]))
+        with pytest.raises(DomainViolationError, match=r"^path 1: y_0 outside the domain "
+                                                       r"closure \(distance 2\.828e\+00\)$"):
+            solve_steps(op, CLASSICAL, [ys[0], outside, ys[2]])
+        big = ys[2].values.copy()
+        big[2:] = [[1e308, 1e308], [-1e308, -1e308], [-1e308, -1e308]]
+        with pytest.raises(ValueError, match=r"^path 2: the input increment at step 3 "
+                                             r"\(t = 0\.75\) is not finite$"):
+            solve_steps(op, CLASSICAL, [ys[0], ys[1], StepPath(ys[2].partition, big)])
+        with pytest.raises(ValueError, match="^path 1: the input paths must share one grid$"):
+            solve_steps(op, CLASSICAL, [ys[0], self.paths(op, rng, 1, times[:-1])[0]])
+        with pytest.raises(ValueError, match="^path 2: input dimension does not match"):
+            solve_steps(op, CLASSICAL, [*ys[:2], self.paths(zoo["halfline"], rng, 1, times)[0]])
+
+    def test_one_path_keeps_its_messages(self, zoo):
+        y = step_path([0.0, 1.0], [-1.0, 1.0])
+        for solve in (lambda: solve_step(zoo["halfline"], CLASSICAL, y),
+                      lambda: solve_steps(zoo["halfline"], CLASSICAL, [y])):
+            with pytest.raises(DomainViolationError) as err:
+                solve()
+            assert str(err.value) == "y_0 outside the domain closure (distance 1.000e+00)"
+            assert err.value.distance == 1.0
 
 
 class TestHalflineOracle:
