@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 
 
+@functools.cache  # parse_args leaves the parser as it was; in-process callers share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmsde",
@@ -75,16 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     level, n = getattr(args, "level", None), getattr(args, "yosida_n", None)
-    return load_config(args.config).with_overrides(
-        seed=args.seed,
-        out_dir=args.out,
-        trajectories=args.trajectories,
-        format=args.format,
-        workers=args.workers,
-        flow_substeps=getattr(args, "substeps", None),
+    return load_config(
+        args.config, seed=args.seed, out_dir=args.out, trajectories=args.trajectories,
+        format=args.format, workers=args.workers, flow_substeps=getattr(args, "substeps", None),
         levels=None if level is None else (level,),
         yosida_levels=None if n is None else (n,),
-    ).validate()
+    )
 
 
 def _ensure_out(cfg: ExperimentConfig) -> str:
@@ -180,11 +178,11 @@ def _cmd_verify(args) -> int:
         raise ConfigError("--samples", "must be >= 1")
     cfg = _load(args)
     report = verify_suite(cfg, samples=args.samples)
-    payload = {name: res.as_dict() for name, res in sorted(report.items())}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    out_dir = _ensure_out(cfg)
-    with open(os.path.join(out_dir, "verify.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    text = json.dumps({name: res.as_dict() for name, res in sorted(report.items())},
+                      indent=2, sort_keys=True)
+    print(text)
+    with open(os.path.join(_ensure_out(cfg), "verify.json"), "w", encoding="utf-8") as fh:
+        fh.write(text)
     return EXIT_OK
 
 

@@ -14,6 +14,10 @@ Comment lines start with '#' or ';'; an inline comment starts with ' #' only,
 because ';' inside a value separates matrix rows and polyhedron constraints.
 Checkpoints are times in (0, horizon]; append 'j' to mark a time where a
 driver jump is possible (excluded from continuity-point comparisons).
+
+``load_config`` applies a command's overrides before its one ``validate``,
+which builds every section; a study builds them once more, in its
+``harness._Context``.
 """
 
 from __future__ import annotations
@@ -93,6 +97,11 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
+        """Check every field and build every section, naming a fault by its field.
+        A config that passed returns at once: ``replace`` makes a new, unchecked
+        one, and no caller changes a section dict in place."""
+        if "_validated" in self.__dict__:
+            return self
         if not (0 < self.horizon < math.inf):
             raise ConfigError("experiment.horizon", "must be positive and finite")
         if not self.levels:
@@ -132,6 +141,7 @@ class ExperimentConfig:
         build_coefficient(self.coefficient, op.dimension)
         self.check_jumps(build_driver(self.driver, op.dimension),
                          self.levels[-1] * self.reference_refine)
+        object.__setattr__(self, "_validated", True)  # not a field: eq, repr and replace skip it
         return self
 
     def check_jumps(self, driver, intervals: int) -> None:
@@ -432,7 +442,8 @@ def _read_kind(sec, section: str, table: dict, fill: bool = False) -> dict:
     return _arguments(section, keys, out) if fill else out
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, **overrides) -> ExperimentConfig:
+    """The validated config of ``text``, with ``overrides`` (``with_overrides``) applied first."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
@@ -457,13 +468,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(operator, projection, coefficient, driver, **exp)
     if not cfg.checkpoints:
         cfg = replace(cfg, checkpoints=(Checkpoint(cfg.horizon / 2.0),))
-    return cfg.validate()
+    return cfg.with_overrides(**overrides).validate()
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("file", f"cannot read {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, **overrides)

@@ -10,15 +10,15 @@ Randomness is counter-based (Philox4x64-10; Salmon et al., SC'11), keyed by
 block), so trajectories are order-independent and reproducible bit for bit.
 W comes from a tree of dyadic bridge nodes to float resolution (no depth cap,
 so the law is exact), each keyed by its time and drawn and bridged once: W(t)
-is a pure function of (seed, trajectory, tag, t), so ``restrict`` reads the
-values of a coarser partition off a fine realization.  ``STREAM_VERSION``
+is a pure function of (seed, trajectory, tag, t), so ``Chunk.restrict`` reads
+the values of a coarser partition off a fine realization.  ``STREAM_VERSION``
 names the stream; a change to its values bumps it.
 
 Inside the package realizations travel as the rows of one ``Chunk``: grid
 times laid end to end with row offsets, H and Z as (N, d) columns, the jump
 flags and sizes, and each row's trajectory index and base level.
-``simulate``, ``simulate_chunk`` and ``restrict`` return a row as a
-``DriverRealization`` of views.
+``simulate`` and ``simulate_chunk`` return a row as a ``DriverRealization``
+of views.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "DriverRealization",
     "simulate",
     "simulate_chunk",
-    "restrict",
     "from_step_paths",
 ]
 
@@ -492,16 +491,6 @@ def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chu
             jump[pos], flags[pos] = jump_sizes, True
     return Chunk(times, h, z, flags, jump_h, jump_z, starts, list(indices),
                  np.full(len(indices), partition.times.size - 1))
-
-
-def restrict(realization: DriverRealization, coarser: Partition) -> DriverRealization:
-    """The same trajectory on ``coarser``, which must lie within its grid.
-
-    The grid keeps every jump time and each value is a function of its time
-    alone, so this equals ``simulate`` on ``coarser`` bit for bit.
-    """
-    chunk, _ = _chunk_of([realization]).restrict([coarser])
-    return _realization(chunk, 0, coarser, realization.seed, realization.spec)
 
 
 def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:

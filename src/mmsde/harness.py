@@ -94,10 +94,11 @@ class ErrorTable:
 
 
 class _Context:
-    """Per-process materialization of an ExperimentConfig."""
+    """The objects of an ExperimentConfig (validated first), built once per
+    study and shared by its batches; a worker process builds its own."""
 
     def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
+        self.cfg = cfg.validate()
         self.op = build_operator(cfg.operator)
         self.proj = build_projection(cfg.projection)
         self.coeff = build_coefficient(cfg.coefficient, self.op.dimension)
@@ -113,6 +114,9 @@ class _Context:
         self.partitions = parts
         self.reference_partition = refine(parts[-1], cfg.reference_refine)
         self.checkpoints = cfg.checkpoints
+
+    def __reduce__(self):  # the built objects hold closures; the config pickles
+        return _Context, (self.cfg,)
 
     def run_scheme(self, scheme: str, realization):
         """One run of ``scheme`` on ``realization``; the Yosida schemes run at
@@ -193,8 +197,8 @@ def _chunks(indices):
         yield indices[lo:lo + _CHUNK_TRAJECTORIES]
 
 
-def _convergence_batch(cfg: ExperimentConfig, indices):
-    ctx = _Context(cfg)
+def _convergence_batch(ctx: _Context, indices):
+    cfg = ctx.cfg
     use_oracle = ctx.oracle_applies()
     # run 0 is the reference (unless the oracle gives it), then run 1 + li
     # the level li: its rows are the reference rows under a mask
@@ -215,11 +219,13 @@ def _convergence_batch(cfg: ExperimentConfig, indices):
     return out
 
 
-def _map_batches(cfg: ExperimentConfig, batch_fn, n: int, workers: int) -> list:
-    """``batch_fn``'s tuples of arrays, one per chunk of trajectories 0..n-1, joined in order."""
+def _map_batches(ctx: _Context, batch_fn) -> list:
+    """``batch_fn``'s tuples of arrays, one per chunk of the config's trajectories,
+    joined in order; with one worker every batch runs on ``ctx``."""
+    n, workers = ctx.cfg.trajectories, ctx.cfg.workers
     indices = list(range(n))
     if workers <= 1:
-        parts = batch_fn(cfg, indices)
+        parts = batch_fn(ctx, indices)
     else:
         # imported here: concurrent.futures and multiprocessing cost every
         # fresh interpreter about 14 ms, and a single worker needs neither
@@ -228,7 +234,7 @@ def _map_batches(cfg: ExperimentConfig, batch_fn, n: int, workers: int) -> list:
         chunk = max(1, (n + workers * 4 - 1) // (workers * 4))
         chunks = [indices[i:i + chunk] for i in range(0, n, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = [p for part in pool.map(batch_fn, [cfg] * len(chunks), chunks) for p in part]
+            parts = [p for part in pool.map(batch_fn, [ctx] * len(chunks), chunks) for p in part]
     return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
@@ -257,19 +263,18 @@ def run_convergence(cfg: ExperimentConfig) -> ErrorTable:
     """Euler-scheme errors across partition levels, aggregated per checkpoint.
 
     Each trajectory uses one driver realization on the reference grid, and
-    every level reads its own off it (``drivers.restrict``).  The reference is
+    every level reads its own off it (``Chunk.restrict``).  The reference is
     the closed-form half-line reflection of the driving input on that grid when
     it applies (one-dimensional half-line operator, classical projection,
     constant coefficient), and otherwise the scheme itself on it
     (self-reference, labelled in the table header).  A chunk of trajectories
     runs its reference and every level as the rows of one Euler march.
     """
-    cfg.validate()
     ctx = _Context(cfg)
     reference = ("ORACLE reflect_halfline on driving input," if ctx.oracle_applies()
                  else "SELF-REFERENCE euler at") + f" grid={cfg.levels[-1] * cfg.reference_refine}"
     # (traj, level, checkpoint) and (traj, level)
-    cp_err, sup_err = _map_batches(cfg, _convergence_batch, cfg.trajectories, cfg.workers)
+    cp_err, sup_err = _map_batches(ctx, _convergence_batch)
     table = ErrorTable(reference=reference)
     for li, level in enumerate(cfg.levels):
         table.rows.extend(_aggregate_rows(level, "euler", ctx.checkpoints,
@@ -281,8 +286,8 @@ def run_convergence(cfg: ExperimentConfig) -> ErrorTable:
 # scheme comparison (Yosida and modified Yosida against fine Euler)
 
 
-def _compare_batch(cfg: ExperimentConfig, indices):
-    ctx = _Context(cfg)
+def _compare_batch(ctx: _Context, indices):
+    cfg = ctx.cfg
     cps = [cp.time for cp in ctx.checkpoints if cp.continuity_expected]
     n_lv = len(cfg.yosida_levels)
     out = []
@@ -327,17 +332,15 @@ def compare_schemes(cfg: ExperimentConfig) -> ErrorTable:
     chunk of trajectories takes two marches: the Euler reference, then both
     Yosida schemes at every level n, one row per (scheme, n, trajectory).
     """
-    cfg.validate()
+    ctx = _Context(cfg)
     if not cfg.yosida_levels:
         raise ConfigError("experiment.yosida_levels", "compare needs at least one level")
-    ctx = _Context(cfg)
     cps = [cp for cp in ctx.checkpoints if cp.continuity_expected]
     if not cps:
         raise ConfigError("experiment.checkpoints",
                           "compare needs at least one continuity checkpoint")
     reference = f"EULER-REFERENCE grid={cfg.levels[-1]} (same realizations)"
-    cp_y, cp_m, sup_jy, sup_m = _map_batches(cfg, _compare_batch, cfg.trajectories,
-                                             cfg.workers)
+    cp_y, cp_m, sup_jy, sup_m = _map_batches(ctx, _compare_batch)
     table = ErrorTable(reference=reference)
     for li, n_level in enumerate(cfg.yosida_levels):
         table.rows.extend(_aggregate_rows(n_level, "yosida", cps,

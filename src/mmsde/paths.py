@@ -61,9 +61,8 @@ class Partition:
         return list(map(repr, self.times.tolist()))
 
     def same_times(self, other: "Partition") -> bool:
-        return self.times.size == other.times.size and bool(
-            np.all(self.times == other.times)
-        )
+        return other is self or (self.times.size == other.times.size
+                                 and bool(np.all(self.times == other.times)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
+import argparse
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import mmsde.harness as harness
 from mmsde import (
     Partition,
     StepPath,
@@ -16,6 +19,8 @@ from mmsde import (
 )
 from mmsde.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_OK, main
 from mmsde.config import (
+    _OPERATORS,
+    ExperimentConfig,
     build_coefficient,
     build_driver,
     build_operator,
@@ -325,9 +330,9 @@ class TestStudyCommands:
     def test_verify_reports_every_check_passed(self, tmp_path, capsys):
         code, out, stdout = run_command("verify", tmp_path, capsys, "--samples", "60")
         assert code == EXIT_OK
-        with open(out / "verify.json", encoding="utf-8") as fh:
-            report = json.load(fh)
-        assert report == json.loads(stdout)
+        text = (out / "verify.json").read_text(encoding="utf-8")
+        assert stdout == text + "\n"  # one encoding, printed and written
+        report = json.loads(text)
         assert len(report) == 12
         assert [name for name, res in report.items() if not res["passed"]] == []
 
@@ -371,8 +376,10 @@ class TestStudyCommands:
     ("verify", ["--samples", "0"], "--samples"),
     ("simulate", ["--trajectory", "-1"], "--trajectory"),
     ("simulate", ["--trajectory", str(2**64)], "--trajectory"),
+    ("converge", ["--trajectories", "0"], "experiment.trajectories"),
+    ("compare", ["--workers", "0"], "experiment.workers"),
 ], ids=["yosida-n-0.5", "yosida-n-nan", "yosida-n-inf", "level-minus-4", "level-0",
-        "samples-0", "trajectory-minus-1", "trajectory-2**64"])
+        "samples-0", "trajectory-minus-1", "trajectory-2**64", "trajectories-0", "workers-0"])
 def test_bad_flag_is_a_config_error(tmp_path, capsys, command, flags, field):
     # flags are checked with the config they override, so none falls back to it
     config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)
@@ -387,3 +394,86 @@ def test_bad_command_line_exits_through_argparse(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+# the front end: one parser per process, one validation per command, one
+# harness context per study
+
+COMMAND_FLAGS = {"converge": [], "compare": [], "verify": ["--samples", "20"],
+                 "simulate": [], "skorokhod": None}
+
+
+def front_end_counts(monkeypatch, tmp_path, command) -> Counter:
+    """What one ``main`` call of ``command`` on BOX_STUDY_INI (one worker) builds:
+    operators, harness contexts, and validations that ran their checks (a
+    validation builds an operator; a config that passed returns at once)."""
+    counts = Counter()
+    for kind, (ctor, keys) in _OPERATORS.items():
+        def counted(*args, _ctor=ctor, **kwargs):
+            counts["operator"] += 1
+            return _ctor(*args, **kwargs)
+        monkeypatch.setitem(_OPERATORS, kind, (counted, keys))
+    validate = ExperimentConfig.validate
+
+    def validated(self):
+        before = counts["operator"]
+        out = validate(self)
+        counts["validate"] += counts["operator"] > before
+        return out
+    monkeypatch.setattr(ExperimentConfig, "validate", validated)
+
+    class Context(harness._Context):
+        def __init__(self, cfg):
+            counts["context"] += 1
+            super().__init__(cfg)
+    monkeypatch.setattr(harness, "_Context", Context)
+
+    config_file = write_file(tmp_path / "box.ini", BOX_STUDY_INI)
+    flags = COMMAND_FLAGS[command]
+    if flags is None:  # skorokhod: a two-step path inside the box
+        flags = ["--path", write_path(tmp_path / "y.csv", [0.0, 0.5, 1.0],
+                                      [[0.5, 0.5], [1.5, 0.5], [0.2, 0.2]])[0]]
+    out = tmp_path / "out"
+    assert main([command, "--config", config_file, "--out", str(out), *flags]) == EXIT_OK
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("command, contexts", [
+    ("converge", 1), ("compare", 1), ("simulate", 1), ("verify", 0), ("skorokhod", 0),
+])
+def test_command_validates_once_and_builds_one_context(monkeypatch, tmp_path, command,
+                                                       contexts):
+    counts = front_end_counts(monkeypatch, tmp_path, command)
+    # one operator in the validation, one in the context or the command itself
+    assert counts == Counter(validate=1, context=contexts, operator=2)
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    assert run_command("verify", tmp_path, capsys, "--samples", "1")[0] == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_command("converge", tmp_path, capsys)[0] == EXIT_OK
+    assert built == []
+
+
+def test_cached_parser_keeps_no_flag_from_an_earlier_call(tmp_path, capsys):
+    # BOX_STUDY_INI sets trajectories = 2
+    for extra, n_traj in ((["--trajectories", "3"], "3"), ([], "2")):
+        code, out, _ = run_command("converge", tmp_path, capsys, *extra)
+        assert code == EXIT_OK
+        rows = (out / "errors.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert {row.rsplit(",", 1)[1] for row in rows} == {n_traj}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_every_command_has_help(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: mmsde {command} ")

@@ -21,8 +21,8 @@ from mmsde import (
 from mmsde.drivers import (
     _PHILOX_CHUNK,
     _brownian_values,
+    _chunk_of,
     _philox_block,
-    restrict,
     simulate_chunk,
 )
 
@@ -126,6 +126,12 @@ class TestSimulate:
         assert r.h.values[0] == pytest.approx([1.0, 2.0])
 
 
+def restrict(realization, coarser):
+    """``realization`` on ``coarser`` as a study reads a level off its
+    reference grid: one row of ``Chunk.restrict``."""
+    return _chunk_of([realization]).restrict([coarser])[0]
+
+
 class TestRefinementConsistency:
     # a finer partition is simulated directly and read back with ``restrict``
     def test_same_partition_is_identity(self):
@@ -133,8 +139,8 @@ class TestRefinementConsistency:
         part = uniform_partition(1.0, 8)
         r = simulate(spec, part, seed=7)
         r2 = restrict(r, part)
-        np.testing.assert_array_equal(r.grid.times, r2.grid.times)
-        np.testing.assert_array_equal(r.z.values, r2.z.values)
+        np.testing.assert_array_equal(r.grid.times, r2.times)
+        np.testing.assert_array_equal(r.z.values, r2.z)
 
     def test_coarse_points_preserved_bit_exactly(self):
         spec = make_spec(sigma=1.0, drift=0.3, jump_rate=2.0,
@@ -148,8 +154,8 @@ class TestRefinementConsistency:
             assert t in fine_map
             assert fine_map[t] == v  # bit-exact
         back = restrict(fine, part)
-        np.testing.assert_array_equal(back.grid.times, r.grid.times)
-        np.testing.assert_array_equal(back.z.values, r.z.values)
+        np.testing.assert_array_equal(back.times, r.grid.times)
+        np.testing.assert_array_equal(back.z, r.z.values)
 
     def test_direct_simulation_at_finer_grid_agrees(self):
         spec = make_spec(sigma=1.0, jump_rate=1.0, jump_law=JumpLaw.fixed([-0.4]))
@@ -167,7 +173,7 @@ class TestRefinementConsistency:
         r = simulate(spec, uniform_partition(1.0, 16), seed=1)
         coarse = restrict(r, uniform_partition(1.0, 4))
         np.testing.assert_allclose(r.z.values.ravel(), 2.0 * r.grid.times)
-        np.testing.assert_array_equal(coarse.z.values, r.z.values[::4])
+        np.testing.assert_array_equal(coarse.z, r.z.values[::4])
 
     def test_rejects_non_superset(self):
         spec = make_spec(sigma=1.0)
@@ -196,6 +202,12 @@ def assert_same_realization(got, want):
     np.testing.assert_array_equal(got.z.values, want.z.values)
     assert (got.seed, got.trajectory_index, got.spec) == (want.seed, want.trajectory_index,
                                                           want.spec)
+
+
+def assert_same_chunk(got, want):
+    for name in ("times", "h", "z", "jump_flags", "jump_h", "jump_z", "starts", "level"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.trajectory == want.trajectory
 
 
 class TestChunk:
@@ -230,7 +242,7 @@ class TestChunk:
         for i, real in enumerate(simulate_chunk(spec, fine, 19, range(4))):
             assert real.jump_flags.any()
             for part in (coarse, middle, fine):
-                assert_same_realization(restrict(real, part), simulate(spec, part, 19, i))
+                assert_same_chunk(restrict(real, part), _chunk_of([simulate(spec, part, 19, i)]))
 
     def test_restriction_rejects_foreign_partitions(self):
         real = simulate(full_spec(1), uniform_partition(1.0, 8), 3)

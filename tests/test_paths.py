@@ -52,6 +52,15 @@ class TestPartition:
         p = uniform_partition(1.0, 8)
         assert refine(p, 2).mesh == pytest.approx(p.mesh / 2)
 
+    def test_same_times(self):
+        p = uniform_partition(1.0, 8)
+        assert p.same_times(p)
+        assert p.same_times(Partition(p.times.copy()))  # equal but distinct
+        assert refine(uniform_partition(1.0, 4), 2).same_times(p)
+        assert not p.same_times(uniform_partition(1.0, 4))  # another size
+        assert not uniform_partition(1.0, 4).same_times(p)
+        assert not p.same_times(uniform_partition(2.0, 8))  # same size, other times
+
 
 class TestStepPath:
     def test_value_count_enforced(self):
