@@ -79,10 +79,14 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
     budget error carries the batch's last iterate and the largest domain
     distance among the rows still moving; a non-finite row raises it before
     the first projection.  ``tol`` must be finite and positive, ``max_iter``
-    at least 1.
+    at least 1 and ``c`` in [0, 1], checked on each call (``Projection`` once).
     """
     _iteration_budget(tol, max_iter)
-    c = _elasticity(c)
+    return _elastic_iterated(op, _elasticity(c), z, tol, max_iter)
+
+
+def _elastic_iterated(op: MonotoneOperator, c: float, z, tol: float, max_iter: int):
+    """``project_elastic_iterated`` on checked parameters; z is still tested."""
     w = as_points(z)
     # before any arithmetic on it, which would meet inf - inf: such a row never stops
     if np.count_nonzero(np.isfinite(w)) < w.size:
@@ -149,11 +153,13 @@ class Projection:
             _iteration_budget(self.tol, self.max_iter)
 
     def __call__(self, op: MonotoneOperator, z) -> np.ndarray:
+        """The projection of z.  The parameters, checked when the instance was
+        made, are not checked again; the iterated kind still tests z's finiteness."""
         if self.kind == "classical":
             return project_classical(op, z)
         if self.kind == "elastic":
             return project_elastic(op, self.c, z)
-        return project_elastic_iterated(op, self.c, z, self.tol, self.max_iter)
+        return _elastic_iterated(op, self.c, z, self.tol, self.max_iter)
 
     @property
     def spec(self) -> dict:

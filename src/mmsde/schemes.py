@@ -32,11 +32,11 @@ flags are laid out in the march's union order, so that a union time reads
 one slice of each.  ``euler_chunk`` and ``yosida_chunk`` take and return
 lists (a single realization is a chunk of one) and alone form k (``_k``).
 
-Every scheme runs the coefficient as given.  A coefficient without linear
-growth may explode: a step whose driven increment dH + f(x) dZ is not finite
-retires its realization, with an ``ExplosionError`` naming the level of its
-base partition, before any resolvent or projection sees it; the
-single-realization calls raise that error.
+Every scheme runs the coefficient as given, a diagonal one by elementwise
+products.  A coefficient without linear growth may explode: a step whose
+driven increment dH + f(x) dZ is not finite retires its realization, with an
+``ExplosionError`` naming the level of its base partition, before any
+resolvent or projection sees it; a single-realization call raises that error.
 
 A chunk march checks once, at entry: H_0 in the domain closure, every step
 of every row (``_euler``), the drift substeps (``_yosida``) and, on its first
@@ -86,7 +86,10 @@ class Coefficient:
     The schemes call it once per step, on the states at the left end of the
     step: a point (d,) gives a matrix (d, d) and a chunk (B, d) one matrix
     per row, (B, d, d).  ``f`` takes single points unless ``batched``, in
-    which case it maps a chunk in one call (the built-in kinds do).  ``spec``
+    which case it maps a chunk in one call (the built-in kinds do).  If
+    ``diagonal``, ``f`` returns only each matrix's diagonal, (d,) per point,
+    which the schemes multiply into dZ elementwise (the built-in kinds but a
+    non-diagonal constant do); calling it still gives the matrices.  ``spec``
     describes it for the harness (the half-line oracle reads a constant
     matrix from it); ``evaluations`` counts the points it was evaluated at
     (per-process diagnostic only).
@@ -96,21 +99,28 @@ class Coefficient:
     spec: dict | None = None
     evaluations: int = field(default=0, compare=False)
     batched: bool = False
+    diagonal: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _diag(self._evaluate(x)) if self.diagonal else self._evaluate(x)
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """f on a point or a chunk, checked, in its own form: (..., d) if diagonal."""
         d = x.shape[-1]
         self.evaluations += math.prod(x.shape[:-1])
+        tail, what = ((d,), f"a diagonal of length {d}") if self.diagonal else \
+            ((d, d), f"a {d}x{d} matrix")
         if self.batched:
             out = np.asarray(self.f(x), dtype=float)
-            if out.shape != x.shape + (d,):
-                raise ValueError(f"coefficient must return a {d}x{d} matrix per point, "
-                                 f"shape {x.shape + (d,)}, got {out.shape}")
+            if out.shape != x.shape[:-1] + tail:
+                raise ValueError(f"coefficient must return {what} per point, "
+                                 f"shape {x.shape[:-1] + tail}, got {out.shape}")
             return out
-        out = np.empty(x.shape + (d,))
+        out = np.empty(x.shape[:-1] + tail)
         for i in np.ndindex(x.shape[:-1]):  # a point has one index, the empty one
             m = np.asarray(self.f(x[i]), dtype=float)
-            if m.shape != (d, d):
-                raise ValueError(f"coefficient must return a {d}x{d} matrix, got {m.shape}")
+            if m.shape != tail:
+                raise ValueError(f"coefficient must return {what}, got {m.shape}")
             out[i] = m
         return out
 
@@ -127,10 +137,12 @@ def constant_coefficient(matrix) -> Coefficient:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
         raise ValueError("coefficient matrix must be square and finite")
+    diagonal = np.array_equal(m, np.diag(np.diagonal(m)))
+    v = np.diagonal(m) if diagonal else m
     return Coefficient(
-        f=lambda x: np.broadcast_to(m, x.shape + x.shape[-1:]),
+        f=lambda x: np.broadcast_to(v, x.shape[:-1] + v.shape),
         spec={"kind": "constant", "matrix": m.tolist()},
-        batched=True,
+        batched=True, diagonal=diagonal,
     )
 
 
@@ -141,21 +153,19 @@ def zero_coefficient(dimension: int) -> Coefficient:
 def diag_linear_coefficient(scale) -> Coefficient:
     """f(x) = diag(scale * x)."""
     scale = np.atleast_1d(np.asarray(scale, dtype=float))
-    return Coefficient(
-        f=lambda x: _diag(scale * x),
-        spec={"kind": "diag_linear", "scale": scale.tolist()},
-        batched=True,
-    )
+    return Coefficient(f=lambda x: scale * x,
+                       spec={"kind": "diag_linear", "scale": scale.tolist()},
+                       batched=True, diagonal=True)
 
 
 def bounded_sin_coefficient(dimension: int, base: float, amplitude: float) -> Coefficient:
     """f(x) = (base + amplitude sin(sum x)) I."""
     base, amp = float(base), float(amplitude)
-    eye = np.eye(dimension)
+    ones = np.ones(dimension)
     return Coefficient(
-        f=lambda x: (base + amp * np.sin(x.sum(axis=-1)))[..., None, None] * eye,
+        f=lambda x: (base + amp * np.sin(np.add.reduce(x, axis=-1)))[..., None] * ones,
         spec={"kind": "bounded_sin", "base": base, "amplitude": amp},
-        batched=True,
+        batched=True, diagonal=True,
     )
 
 
@@ -165,7 +175,7 @@ def square_coefficient() -> Coefficient:
     The paper's existence hypotheses fail for it, and a trajectory can
     explode in finite time; the schemes then raise ``ExplosionError``.
     """
-    return Coefficient(f=lambda x: _diag(x * x), spec={"kind": "square"}, batched=True)
+    return Coefficient(f=lambda x: x * x, spec={"kind": "square"}, batched=True, diagonal=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +213,11 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
     ``(key, dt, prev, dy)`` from the stepping points (a slice, or at a union
     time that holds a retired row, the index array of its live points), their
     steps, states and driven increments to the step outputs (x_pre, x_new).
-    The driven increment dH_j + f(x_{j-1}) dZ_j of every stepping row is one
-    batched coefficient call and one ``np.matvec``; a row whose increment is
-    not finite retires with its ``ExplosionError``, at the level of the row's
-    base partition, before the scheme step sees it.
+    The driven increment dH_j + f(x_{j-1}) dZ_j of the stepping rows is one
+    batched coefficient call and one product, elementwise for a diagonal
+    coefficient, else ``np.matvec``; a row whose increment is not finite
+    retires with its ``ExplosionError``, at its base partition's level, before
+    the scheme step sees it.
 
     Returns x, x_pre and the driven increments dy (H_0 at a row's t = 0, so
     that a row's y is their cumsum), (N, d) on the chunk's points in row
@@ -241,16 +252,17 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
     # the coefficient and its product run quiet here: an overflow retires the row
     with np.errstate(over="ignore", invalid="ignore"):
         quiet = contextvars.copy_context()
-    f = coeff  # a batched coefficient's output shape is checked on its first call only
+    f = checked = coeff._evaluate  # a batched f's shape is checked on its first call only
+    product = np.multiply if coeff.diagonal else np.matvec
 
     def driven(key, prev):
         nonlocal f
         m = f(prev)
-        if f is not coeff:
+        if f is not checked:
             coeff.evaluations += prev.shape[0]
         elif coeff.batched:  # its shape is checked: from now on f runs bare
             f = coeff.f
-        return dh[key] + np.matvec(m, dz[key])
+        return dh[key] + product(m, dz[key])
 
     errors, live = {}, np.ones(count, dtype=bool)
     held = None  # per point, whether its row is live, once a row retires
@@ -262,7 +274,7 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
                 continue
         prev = x[pred[key]]
         inc = quiet.run(driven, key, prev)
-        if not np.logical_and.reduce(np.isfinite(inc), axis=None):
+        if np.count_nonzero(np.isfinite(inc)) < inc.size:
             keep, rows = np.isfinite(inc).all(axis=-1), row[key]
             for i in np.flatnonzero(~keep).tolist():
                 b, p = int(rows[i]), int(order[key][i])

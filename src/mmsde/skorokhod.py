@@ -132,8 +132,10 @@ def solve_steps(op: MonotoneOperator, proj: Projection, ys,
     x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
     x[0] = x_pre[0] = [y.values[0] for y in ys]
     xs, pres, dys = (a[:, 0] if one else a for a in (x, x_pre, dy))
-    for j, dt in enumerate(steps.tolist() if one else [np.full(len(ys), t) for t in steps], 1):
-        pres[j], xs[j] = _sp_step(op, proj, flow, xs[j - 1], dys[j], dt)
+    dts, prev = steps.tolist() if one else [np.full(len(ys), t) for t in steps], xs[0]
+    for j, (dt, dy_j) in enumerate(zip(dts, dys[1:]), 1):  # prev is the step before's xi
+        pres[j], prev = _sp_step(op, proj, flow, prev, dy_j, dt)
+        xs[j] = prev
     x, x_pre, dy = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre, dy))
     return [SkorokhodSolution(x=StepPath(y.partition, x[b]),
                               k=_k(y.partition, x[b], x_pre[b], dy[b]), y=y, x_pre=x_pre[b],

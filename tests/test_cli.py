@@ -12,6 +12,7 @@ from mmsde import (
     StepPath,
     drivers,
     euler_scheme,
+    indicator_polyhedron,
     modified_yosida_scheme,
     simulate,
     uniform_partition,
@@ -258,6 +259,22 @@ class TestSkorokhodCommand:
         config = write_file(tmp_path / "box.ini", ELASTIC_BOX_INI)
         assert skorokhod(config, path_file, tmp_path / "out") == EXIT_NONCONVERGENCE
         assert "did not stabilize in 1 steps" in capsys.readouterr().err
+
+    def test_dykstra_budget_exhausted_is_nonconvergence(self, tmp_path, capsys, monkeypatch):
+        # from (5, 5) one sweep lands on the face x + y = 1, a shift far above
+        # the tolerance, and a budget of one sweep allows no second
+        monkeypatch.setitem(_OPERATORS, "polyhedron", (
+            lambda normals, offsets: indicator_polyhedron(list(zip(normals, offsets)),
+                                                          dykstra_max_iter=1),
+            _OPERATORS["polyhedron"][1]))
+        path_file, _ = write_path(tmp_path / "y.csv", [0.0, 0.5, 1.0],
+                                  [[0.2, 0.2], [5.0, 5.0], [5.0, 5.0]])
+        config = write_file(tmp_path / "triangle.ini", "[operator]\nkind = polyhedron\n"
+                            "constraints = -1 0 : 0 ; 0 -1 : 0 ; 1 1 : 1\n")
+        out = tmp_path / "out"
+        assert skorokhod(config, path_file, out) == EXIT_NONCONVERGENCE
+        assert "Dykstra projection did not stabilize in 1 sweeps" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
 
 
 class TestSimulateCommand:

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,7 +38,8 @@ from mmsde import (
 from mmsde.config import parse_config_text
 from mmsde.harness import _Context
 from mmsde.operators import MIN_RESOLVENT_STEP, flow_endpoint
-from mmsde.schemes import euler_chunk, square_coefficient, yosida_chunk
+from mmsde.schemes import (bounded_sin_coefficient, diag_linear_coefficient, euler_chunk,
+                           square_coefficient, yosida_chunk)
 
 CLASSICAL = Projection()
 
@@ -611,3 +614,125 @@ class TestKAtTheEdge:
             exploded, live = run(ctx, reals)
         assert isinstance(exploded, ExplosionError)
         assert np.isfinite(live.k.total.values).all()
+
+
+DIAGONAL_KINDS = {
+    "constant-1d": lambda d: constant_coefficient([[0.8]]),
+    "constant-2d": lambda d: constant_coefficient([[0.8, 0.0], [0.0, -1.5]]),
+    "zero": zero_coefficient,
+    "diag_linear": lambda d: diag_linear_coefficient([0.7, -1.3][:d]),
+    "bounded_sin": lambda d: bounded_sin_coefficient(d, 0.5, 0.25),
+    "square": lambda d: square_coefficient(),
+}
+
+
+class TestDiagonalCoefficients:
+    """A diagonal coefficient's f returns the diagonals, and the march multiplies
+    them into dZ elementwise: the bits of the matrix product it replaces."""
+
+    @pytest.mark.parametrize("b", [1, 8, 64])
+    @pytest.mark.parametrize("kind, d", [
+        ("constant-1d", 1), ("constant-2d", 2),
+        *((kind, d) for kind in ("zero", "diag_linear", "bounded_sin", "square") for d in (1, 2))])
+    def test_the_elementwise_increment_is_the_matrix_increment_bit_for_bit(
+            self, rng, kind, d, b):
+        coeff = DIAGONAL_KINDS[kind](d)
+        assert coeff.diagonal and coeff.batched
+        noise = ProcessSpec(d, 0.8 * np.eye(d), np.full(d, 0.1), 3.0,
+                            JumpLaw.gaussian(np.zeros(d), 0.25 * np.eye(d)))
+        r = simulate(DriverSpec(z=noise, h=noise, h0=np.zeros(d)), uniform_partition(1.0, b),
+                     seed=11, trajectory_index=b)
+        dh, dz = (np.diff(v, axis=0)[:b] for v in (r.h.values, r.z.values))
+        x = rng.normal(0.0, 2.0, size=(b, d))
+        if kind == "square":
+            x[::3, -1] = 1e200  # x * x overflows in these rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            elementwise = dh + coeff.f(x) * dz
+            matrix = dh + np.matvec(coeff(x), dz)
+        assert elementwise.tobytes() == matrix.tobytes()
+        finite = np.isfinite(elementwise).all(axis=-1)
+        np.testing.assert_array_equal(finite, np.isfinite(matrix).all(axis=-1))
+        assert finite.tolist() == [kind != "square" or i % 3 != 0 for i in range(b)]
+
+    def test_calling_a_diagonal_coefficient_gives_its_matrices(self):
+        coeff = diag_linear_coefficient([2.0, 3.0])
+        np.testing.assert_array_equal(coeff(np.array([1.0, -1.0])), [[2.0, 0.0], [0.0, -3.0]])
+        chunk = np.arange(10.0).reshape(5, 2)
+        out = coeff(chunk)
+        assert out.shape == (5, 2, 2)
+        np.testing.assert_array_equal(np.diagonal(out, axis1=1, axis2=2), [2.0, 3.0] * chunk)
+        assert coeff.evaluations == 6
+
+    def test_a_constant_with_off_diagonal_entries_keeps_the_matrix_product(self):
+        coeff = constant_coefficient([[1.0, 0.5], [0.0, 1.0]])
+        assert not coeff.diagonal
+        assert coeff.f(np.zeros((3, 2))).shape == (3, 2, 2)
+        # Z_t = t on a grid of step 1/4 and a constant H: each dY is M (1/4, 1/4)
+        r = on_grid(uniform_partition(1.0, 4).times, h0=0.5, d=2)
+        out = euler_scheme(linear_monotone(np.zeros((2, 2))), CLASSICAL, coeff, r)
+        np.testing.assert_array_equal(out.y.jumps()[1:], [[0.375, 0.25]] * 4)
+
+    def test_a_point_function_may_be_diagonal(self):
+        # the same f point by point, with no batch: the same bits
+        reals = [noisy_driver(index=i, h0=0.3) for i in range(3)]
+        op = linear_monotone([[0.5]])
+        point = Coefficient(f=lambda p: p * p, diagonal=True)
+        for a, b in zip(euler_chunk(op, CLASSICAL, point, reals),
+                        euler_chunk(op, CLASSICAL, square_coefficient(), reals)):
+            assert a.x.values.tobytes() == b.x.values.tobytes()
+        np.testing.assert_array_equal(point(np.array([3.0])), [[9.0]])
+
+    @pytest.mark.parametrize("run", [
+        lambda op, c, rs: euler_chunk(op, CLASSICAL, c, rs),
+        lambda op, c, rs: yosida_chunk(op, None, 4, c, rs, "yosida"),
+        lambda op, c, rs: yosida_chunk(op, CLASSICAL, 4, c, rs, "modified_yosida"),
+    ], ids=["euler", "yosida", "modified_yosida"])
+    def test_a_diagonal_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
+        # one 1x1 matrix per point where one diagonal of length 1 is due
+        coeff = Coefficient(f=lambda x: np.ones(x.shape + (1,)), batched=True, diagonal=True)
+        rows = [on_grid(uniform_partition(1.0, 4).times, h0=1.0)] * 3
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficient must return a diagonal of length 1 per point, shape (3, 1), "
+                "got (3, 1, 1)")):
+            run(zoo["halfline"], coeff, rows)
+
+    def test_a_diagonal_point_function_of_the_wrong_shape_is_rejected(self, zoo):
+        coeff = Coefficient(f=lambda p: np.ones((1, 1)), diagonal=True)
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficient must return a diagonal of length 1, got (1, 1)")):
+            euler_scheme(zoo["halfline"], CLASSICAL, coeff, noisy_driver())
+
+
+class TestTracedNames:
+    """A tracer that overrides a ``Projection``'s ``__call__``, or swaps a
+    coefficient's ``f`` by ``dataclasses.replace``, sees every step of the
+    march and changes none of its bits."""
+
+    def test_a_counted_projection_and_coefficient_see_every_union_step(self):
+        ctx = _Context(parse_config_text(BOX_INI))
+        reals = [simulate(ctx.driver, uniform_partition(1.0, n), 7, i)
+                 for i, n in enumerate((8, 32, 128, 32))]
+        union_steps = np.unique(np.concatenate([r.grid.times for r in reals])).size - 1
+        assert union_steps > max(r.grid.times.size - 1 for r in reals)  # jumps differ
+        calls = Counter()
+
+        class CountedProjection(Projection):
+            def __call__(self, op, z):
+                calls["projection"] += 1
+                return super().__call__(op, z)
+
+        def counted(x):
+            calls["coefficient"] += 1
+            return ctx.coeff.f(x)
+
+        proj = CountedProjection(ctx.proj.kind, ctx.proj.c, ctx.proj.tol, ctx.proj.max_iter)
+        plain = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals)
+        for p, c, key in ((proj, ctx.coeff, "projection"),
+                          (ctx.proj, dataclasses.replace(ctx.coeff, f=counted), "coefficient")):
+            calls.clear()
+            outs = euler_chunk(ctx.op, p, c, reals)
+            assert calls == {key: union_steps}
+            for a, b in zip(outs, plain):
+                for u, v in ((a.x.values, b.x.values), (a.x_pre, b.x_pre),
+                             (a.y.values, b.y.values), (a.k.total.values, b.k.total.values)):
+                    assert u.tobytes() == v.tobytes()
