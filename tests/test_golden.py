@@ -183,6 +183,10 @@ CASES = {
                                "verify.json"),
     "skorokhod_linear.csv": (LINEAR_INI, "skorokhod", [], "solution.csv"),
     "skorokhod_box_elastic.csv": (BOX_ELASTIC_INI, "skorokhod", [], "solution.csv"),
+    **{f"simulate_box_{scheme}.csv": (BOX_INI, "simulate",
+                                      ["--scheme", scheme, "--trajectory", "1"],
+                                      f"trajectory_{scheme}.csv")
+       for scheme in ("euler", "yosida", "modified_yosida")},
 }
 
 
