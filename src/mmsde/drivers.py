@@ -17,8 +17,7 @@ names the stream; a change to its values bumps it.
 Inside the package realizations travel as the rows of one ``Chunk``: grid
 times laid end to end with row offsets, H and Z as (N, d) columns, the jump
 flags and sizes, and each row's trajectory index and base level.
-``simulate`` and ``simulate_chunk`` return a row as a ``DriverRealization``
-of views.
+``simulate`` samples a chunk of one and returns it as a ``DriverRealization``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "DriverSpec",
     "DriverRealization",
     "simulate",
-    "simulate_chunk",
     "from_step_paths",
 ]
 
@@ -410,16 +408,6 @@ def _chunk_of(realizations) -> Chunk:
                  np.array([r.base.times.size - 1 for r in realizations]))
 
 
-def _realization(chunk: Chunk, b: int, base: Partition, seed, spec) -> DriverRealization:
-    """Row b of ``chunk`` on ``base``, its arrays views of the chunk's columns."""
-    rows = slice(*chunk.starts[b:b + 2].tolist())
-    grid = Partition(chunk.times[rows])
-    return DriverRealization(
-        base=base, grid=grid, h=StepPath(grid, chunk.h[rows]), z=StepPath(grid, chunk.z[rows]),
-        jump_flags=chunk.jump_flags[rows], jump_h=chunk.jump_h[rows],
-        jump_z=chunk.jump_z[rows], seed=seed, trajectory_index=chunk.trajectory[b], spec=spec)
-
-
 def _sample_jumps(proc: ProcessSpec, seed: int, index: int, tag_times: int,
                   tag_sizes: int, horizon: float):
     if proc.jump_rate == 0.0:
@@ -446,16 +434,13 @@ def _process_values(proc: ProcessSpec, times: np.ndarray, w: np.ndarray | None,
 def simulate(spec: DriverSpec, partition: Partition, seed: int,
              trajectory_index: int = 0) -> DriverRealization:
     """Sample one (H, Z) realization, deterministic in (seed, trajectory_index):
-    ``simulate_chunk`` of one trajectory."""
-    return simulate_chunk(spec, partition, seed, [trajectory_index])[0]
-
-
-def simulate_chunk(spec: DriverSpec, partition: Partition, seed: int, indices) -> list:
-    """The realizations of trajectories ``indices`` on ``partition``, in order."""
-    if len(indices) == 0:
-        return []
-    chunk = _simulate(spec, partition, seed, indices)
-    return [_realization(chunk, b, partition, seed, spec) for b in range(len(indices))]
+    the one row of ``_simulate``, its arrays the chunk's columns."""
+    chunk = _simulate(spec, partition, seed, [trajectory_index])
+    grid = Partition(chunk.times)
+    return DriverRealization(
+        base=partition, grid=grid, h=StepPath(grid, chunk.h), z=StepPath(grid, chunk.z),
+        jump_flags=chunk.jump_flags, jump_h=chunk.jump_h, jump_z=chunk.jump_z,
+        seed=seed, trajectory_index=trajectory_index, spec=spec)
 
 
 def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chunk:

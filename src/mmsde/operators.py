@@ -52,8 +52,8 @@ DEFAULT_DOMAIN_TOL = 1e-8
 # Resolvent step sizes below this are rejected; callers always pass
 # lam >= mesh/substeps, so hitting the bound indicates a degenerate grid.
 MIN_RESOLVENT_STEP = 1e-15
-# Distinct step sizes whose inverse a linear operator keeps before it forgets
-# them all; a path has few distinct steps, a random check has fresh ones.
+# Distinct step sizes whose inverse a linear operator keeps, the oldest evicted
+# first; a path has few distinct steps, a random check has fresh ones.
 _LINEAR_INVERSE_CACHE = 64
 # The ufunc behind np.clip, whose Python wrapper costs twice the clip itself on
 # the small batches of a march; the box projection calls it directly.

@@ -25,12 +25,11 @@ and the march keeps x and x_pre only.  The Euler step is
 Each scheme body (``_euler``; ``_yosida`` for both Yosida schemes, with a
 level n and a scheme name per row) marches the rows of a ``drivers.Chunk``
 at once and returns x, x_pre and the increments of y flat on the chunk's
-points.  Row i equals the single-realization call on realization i bit for
-bit (a ``linear`` operator's rows to 1e-15 of the row's norm, the tolerance
-of its batched resolvent).  dH, dZ, Yosida's steps 1/n and its correction
-flags are laid out in the march's union order, so that a union time reads
-one slice of each.  ``euler_chunk`` and ``yosida_chunk`` take and return
-lists (a single realization is a chunk of one) and alone form k (``_k``).
+points, with the errors of its retired rows.  Row i equals the body on a
+chunk of realization i alone, bit for bit and for every operator.  dH, dZ,
+Yosida's steps 1/n and its correction flags are laid out in the march's
+union order, so that a union time reads one slice of each.  A scheme marches
+its body on a chunk of one realization, and ``_output`` alone forms k (``_k``).
 
 Every scheme runs the coefficient as given, a diagonal one by elementwise
 products.  A coefficient without linear growth may explode: a step whose
@@ -73,8 +72,6 @@ __all__ = [
     "euler_scheme",
     "yosida_scheme",
     "modified_yosida_scheme",
-    "euler_chunk",
-    "yosida_chunk",
     "resolvent_of_yosida_step",
 ]
 
@@ -139,8 +136,13 @@ def constant_coefficient(matrix) -> Coefficient:
         raise ValueError("coefficient matrix must be square and finite")
     diagonal = np.array_equal(m, np.diag(np.diagonal(m)))
     v = np.diagonal(m) if diagonal else m
+
+    def f(x):
+        out = np.empty(x.shape[:-1] + v.shape)
+        out[...] = v
+        return out
     return Coefficient(
-        f=lambda x: np.broadcast_to(v, x.shape[:-1] + v.shape),
+        f=f,
         spec={"kind": "constant", "matrix": m.tolist()},
         batched=True, diagonal=diagonal,
     )
@@ -301,31 +303,18 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
     return x, x_pre, dy, errors
 
 
-def _outputs(realizations, labels, run) -> list:
-    """A scheme body on a list: ``run`` marches the realizations as one chunk,
-    and row b becomes the SchemeOutput of realization b labelled ``labels[b]``
-    (scheme name, params), or its ExplosionError."""
-    if not realizations:
-        return []
-    chunk = _chunk_of(realizations)
-    *paths, errors = run(chunk)
-    out = []
-    for b, (r, (scheme, params)) in enumerate(zip(realizations, labels)):
-        x, x_pre, dy = (a[slice(*chunk.starts[b:b + 2].tolist())] for a in paths)
-        out.append(errors[b] if b in errors else SchemeOutput(
-            x=StepPath(r.grid, x), k=_k(r.grid, x, x_pre, dy, drift=scheme != "euler"),
-            y=StepPath(r.grid, np.cumsum(dy, 0)),
-            scheme=scheme, params=dict(params, mesh=r.grid.mesh, steps=r.grid.times.size - 1),
-            realization=r, x_pre=x_pre if scheme == "euler" else None))
-    return out
-
-
-def _single(outputs: list) -> SchemeOutput:
-    """The output of a chunk of one; its ExplosionError is raised."""
-    [out] = outputs
-    if isinstance(out, ExplosionError):
-        raise out
-    return out
+def _output(realization: DriverRealization, scheme: str, params: dict, marched) -> SchemeOutput:
+    """The SchemeOutput of a scheme body ``marched`` on the chunk of ``realization``
+    alone, labelled ``scheme`` with ``params``; its ExplosionError is raised."""
+    x, x_pre, dy, errors = marched
+    if errors:
+        raise errors[0]
+    grid = realization.grid
+    return SchemeOutput(
+        x=StepPath(grid, x), k=_k(grid, x, x_pre, dy, drift=scheme != "euler"),
+        y=StepPath(grid, np.cumsum(dy, 0)),
+        scheme=scheme, params=dict(params, mesh=grid.mesh, steps=grid.times.size - 1),
+        realization=realization, x_pre=x_pre if scheme == "euler" else None)
 
 
 def _euler(op: MonotoneOperator, proj: Projection, coeff: Coefficient, chunk: Chunk,
@@ -339,15 +328,6 @@ def _euler(op: MonotoneOperator, proj: Projection, coeff: Coefficient, chunk: Ch
         lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, flow, prev, dy, dt))
 
 
-def euler_chunk(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
-                realizations, flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> list:
-    """``euler_scheme`` on each realization of a chunk, marched together: its
-    SchemeOutput, or the ExplosionError that ``euler_scheme`` would raise on it."""
-    labels = [("euler", {"flow_substeps": flow_substeps})] * len(realizations)
-    return _outputs(realizations, labels,
-                    lambda chunk: _euler(op, proj, coeff, chunk, flow_substeps))
-
-
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
                  realization: DriverRealization,
                  flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> SchemeOutput:
@@ -357,7 +337,8 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     over the interval, then projects the flow endpoint plus the driver
     increment dH + f(X_prev) dZ.
     """
-    return _single(euler_chunk(op, proj, coeff, [realization], flow_substeps))
+    return _output(realization, "euler", {"flow_substeps": flow_substeps},
+                   _euler(op, proj, coeff, _chunk_of([realization]), flow_substeps))
 
 
 def _yosida_step(resolvent, lam, mu, x) -> np.ndarray:
@@ -393,9 +374,12 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
 
 def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coefficient,
             chunk: Chunk, schemes, drift_substeps: int):
-    """``yosida_chunk`` on the rows of ``chunk`` (``_run_chunk``), row b at
-    level ``levels[b]`` with scheme ``schemes[b]``.  There is no flow between
-    grid points: a step reports its state before the drift as x_pre."""
+    """``yosida_scheme`` or ``modified_yosida_scheme`` on each row of ``chunk``
+    (``_run_chunk``), row b at level ``levels[b]`` with scheme ``schemes[b]``.
+    A Yosida row is a modified-Yosida row whose large-jump correction never
+    fires, and each row's threshold and drift step 1/n are its own; ``proj`` is
+    read by modified-Yosida rows only.  There is no flow between grid points:
+    a step reports its state before the drift as x_pre."""
     levels = np.asarray(levels, dtype=float)
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
@@ -425,25 +409,6 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
     return _run_chunk(op, coeff, chunk, bind)
 
 
-def yosida_chunk(op: MonotoneOperator, proj: Projection | None, n, coeff: Coefficient,
-                 realizations, scheme, drift_substeps: int = 1) -> list:
-    """``yosida_scheme`` or ``modified_yosida_scheme`` on each realization of
-    a chunk, marched together: its SchemeOutput, or the ExplosionError that the
-    single-realization call would raise on it.
-
-    ``n`` and ``scheme`` ("yosida" or "modified_yosida") are each one value or
-    one per realization: a Yosida row is a modified-Yosida row whose
-    large-jump correction never fires, and each row's threshold and drift
-    step 1/n are its own.  ``proj`` is read by modified-Yosida rows only.
-    """
-    levels = np.broadcast_to(np.asarray(n, dtype=float), (len(realizations),))
-    schemes = np.broadcast_to(scheme, levels.shape).tolist()
-    labels = [(s, {"n": float(n), "drift_substeps": drift_substeps})
-              for s, n in zip(schemes, levels.tolist())]
-    return _outputs(realizations, labels, lambda chunk: _yosida(
-        op, proj, levels, coeff, chunk, schemes, drift_substeps))
-
-
 def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
                   realization: DriverRealization,
                   drift_substeps: int = 1) -> SchemeOutput:
@@ -455,8 +420,9 @@ def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
     lie in the domain closure, as for ``euler_scheme``: the approximated
     solution starts there.
     """
-    return _single(yosida_chunk(op, None, n, coeff, [realization], "yosida",
-                                drift_substeps))
+    return _output(realization, "yosida", {"n": float(n), "drift_substeps": drift_substeps},
+                   _yosida(op, None, [n], coeff, _chunk_of([realization]), ["yosida"],
+                           drift_substeps))
 
 
 def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
@@ -470,5 +436,7 @@ def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
     ``yosida_scheme``, including the check that H_0 lies in the domain
     closure.
     """
-    return _single(yosida_chunk(op, proj, n, coeff, [realization], "modified_yosida",
-                                drift_substeps))
+    return _output(realization, "modified_yosida",
+                   {"n": float(n), "drift_substeps": drift_substeps},
+                   _yosida(op, proj, [n], coeff, _chunk_of([realization]), ["modified_yosida"],
+                           drift_substeps))

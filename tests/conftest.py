@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmsde import (
+    ExplosionError,
     convex_prox,
     indicator_ball,
     indicator_box,
@@ -9,6 +10,7 @@ from mmsde import (
     indicator_polyhedron,
     linear_monotone,
 )
+from mmsde.skorokhod import _k
 
 
 def soft_threshold(lam, z):
@@ -69,3 +71,34 @@ def zoo_pairs():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def chunk_rows(chunk, marched) -> list:
+    """Per row of ``chunk``, its slices of a scheme body's x, x_pre and dy, or its error."""
+    *paths, errors = marched
+    bounds = zip(chunk.starts[:-1].tolist(), chunk.starts[1:].tolist())
+    return [errors[b] if b in errors else tuple(a[lo:hi] for a in paths)
+            for b, (lo, hi) in enumerate(bounds)]
+
+
+def assert_row_is_the_run(row, run):
+    """A ``chunk_rows`` row is the single run ``run()`` bit for bit, signed zeros
+    included: the run's ExplosionError (text, fields and last), or its x,
+    y = cumsum(dy), Euler x_pre and k, which the row's x, x_pre and dy make
+    (``_k``; a Yosida run keeps no x_pre).  Returns what the run gave."""
+    try:
+        one = run()
+    except ExplosionError as exc:
+        assert isinstance(row, ExplosionError) and str(row) == str(exc)
+        assert (row.trajectory, row.step, row.time, row.level) == \
+            (exc.trajectory, exc.step, exc.time, exc.level)
+        assert row.last.tobytes() == exc.last.tobytes()
+        return exc
+    x, x_pre, dy = row
+    k = _k(one.realization.grid, x, x_pre, dy, drift=one.scheme != "euler")
+    pairs = [(x, one.x.values), (np.cumsum(dy, axis=0), one.y.values),
+             (k.continuous.values, one.k.continuous.values), (k.jump.values, one.k.jump.values)]
+    for got, want in pairs + [(x_pre, one.x_pre)] * (one.x_pre is not None):
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    return one

@@ -23,7 +23,7 @@ from mmsde.drivers import (
     _brownian_values,
     _chunk_of,
     _philox_block,
-    simulate_chunk,
+    _simulate,
 )
 
 
@@ -193,17 +193,6 @@ def full_spec(d, seed=0):
     return DriverSpec(z=z, h=h, h0=rng.normal(size=d))
 
 
-def assert_same_realization(got, want):
-    for name in ("jump_flags", "jump_h", "jump_z"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-    np.testing.assert_array_equal(got.grid.times, want.grid.times)
-    np.testing.assert_array_equal(got.base.times, want.base.times)
-    np.testing.assert_array_equal(got.h.values, want.h.values)
-    np.testing.assert_array_equal(got.z.values, want.z.values)
-    assert (got.seed, got.trajectory_index, got.spec) == (want.seed, want.trajectory_index,
-                                                          want.spec)
-
-
 def assert_same_chunk(got, want):
     for name in ("times", "h", "z", "jump_flags", "jump_h", "jump_z", "starts", "level"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
@@ -217,20 +206,20 @@ class TestChunk:
         part = refine(uniform_partition(1.0, 10), 5)  # non-dyadic: deep descents
         indices = [int(i) for i in np.random.default_rng(size).permutation(100)[:size]]
         descents = count_descents(monkeypatch)
-        rows = simulate_chunk(spec, part, 77, indices)
+        chunk = _simulate(spec, part, 77, indices)
         monkeypatch.undo()
         if size == 64:  # the chunk spans several descents, split inside trajectories
             assert len(descents) >= 3 and any(times[0] > 0.0 for times in descents)
-        for i, row in zip(indices, rows):
-            assert_same_realization(row, simulate(spec, part, 77, i))
+        singles = [simulate(spec, part, 77, i) for i in indices]
+        assert_same_chunk(chunk, _chunk_of(singles))
+        for i, real in zip(indices, singles):
+            assert (real.base, real.seed, real.trajectory_index, real.spec) == (part, 77, i, spec)
 
     def test_chunk_without_brownian_parts(self):
         spec = make_spec(drift=0.5, jump_rate=3.0, jump_law=JumpLaw.fixed([1.0]))
         part = uniform_partition(1.0, 7)
-        rows = simulate_chunk(spec, part, 4, [2, 0])
-        for i, row in zip([2, 0], rows):
-            assert_same_realization(row, simulate(spec, part, 4, i))
-        assert simulate_chunk(spec, part, 4, []) == []
+        assert_same_chunk(_simulate(spec, part, 4, [2, 0]),
+                          _chunk_of([simulate(spec, part, 4, i) for i in (2, 0)]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("factor", [4, 13, 100])
@@ -239,10 +228,11 @@ class TestChunk:
         coarse = uniform_partition(1.5, 10)
         fine = refine(coarse, factor)
         middle = refine(coarse, {4: 2, 13: 1, 100: 10}[factor])
-        for i, real in enumerate(simulate_chunk(spec, fine, 19, range(4))):
-            assert real.jump_flags.any()
-            for part in (coarse, middle, fine):
-                assert_same_chunk(restrict(real, part), _chunk_of([simulate(spec, part, 19, i)]))
+        chunk = _simulate(spec, fine, 19, range(4))
+        assert np.logical_or.reduceat(chunk.jump_flags, chunk.starts[:-1]).all()
+        for part in (coarse, middle, fine):
+            assert_same_chunk(chunk.restrict([part])[0],
+                              _chunk_of([simulate(spec, part, 19, i) for i in range(4)]))
 
     def test_restriction_rejects_foreign_partitions(self):
         real = simulate(full_spec(1), uniform_partition(1.0, 8), 3)
@@ -257,12 +247,12 @@ class TestChunk:
                          h0=0.5)
         part = refine(refine(uniform_partition(1.0, 10), 10), 4)
 
-        simulate_chunk(spec, part, 5, [0])  # one-off allocations stay out of both peaks
+        _simulate(spec, part, 5, [0])  # one-off allocations stay out of both peaks
         peaks = []
         for rows in (1, 64):
             tracemalloc.start()
             try:
-                simulate_chunk(spec, part, 5, range(rows))
+                _simulate(spec, part, 5, range(rows))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -275,13 +265,13 @@ class TestChunk:
                          h0=0.5)
         part = uniform_partition(1.0, 512)
         descents = count_descents(monkeypatch)
-        simulate_chunk(spec, part, 5, [0])  # one-off allocations stay out of both peaks
+        _simulate(spec, part, 5, [0])  # one-off allocations stay out of both peaks
         peaks = []
         for rows in (1, 64):
             descents.clear()
             tracemalloc.start()
             try:
-                simulate_chunk(spec, part, 5, range(rows))
+                _simulate(spec, part, 5, range(rows))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -5,6 +5,7 @@ import pytest
 
 import mmsde.harness as harness
 import mmsde.schemes as schemes
+from conftest import assert_row_is_the_run, chunk_rows
 from mmsde import resolve
 from mmsde.config import build_driver, parse_config_text
 from mmsde.drivers import DriverRealization, _chunk_of, from_step_paths, simulate
@@ -19,10 +20,10 @@ from mmsde.harness import (
 from mmsde.paths import BVDecomposition, Partition, StepPath, refine, uniform_partition
 from mmsde.schemes import (
     SchemeOutput,
-    euler_chunk,
+    _euler,
+    _yosida,
     euler_scheme,
     modified_yosida_scheme,
-    yosida_chunk,
     yosida_scheme,
 )
 
@@ -198,29 +199,30 @@ def chunk_runs(name):
     assert len({r.grid.times.size for r in reals}) > 1
     n, m = 4, 2
     return ctx, reals, {
-        "euler": (lambda rs: euler_chunk(ctx.op, ctx.proj, ctx.coeff, rs, 3),
+        "euler": (lambda c: _euler(ctx.op, ctx.proj, ctx.coeff, c, 3),
                   lambda r: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 3)),
-        "yosida": (lambda rs: yosida_chunk(ctx.op, None, n, ctx.coeff, rs, "yosida", m),
+        "yosida": (lambda c: _yosida(ctx.op, None, [n] * len(c.trajectory), ctx.coeff, c,
+                                     ["yosida"] * len(c.trajectory), m),
                    lambda r: yosida_scheme(ctx.op, n, ctx.coeff, r, m)),
         "modified_yosida": (
-            lambda rs: yosida_chunk(ctx.op, ctx.proj, n, ctx.coeff, rs, "modified_yosida", m),
+            lambda c: _yosida(ctx.op, ctx.proj, [n] * len(c.trajectory), ctx.coeff, c,
+                              ["modified_yosida"] * len(c.trajectory), m),
             lambda r: modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, m)),
         # one level and Yosida scheme per row, as compare marches them
         "mixed_yosida": (
-            lambda rs: yosida_chunk(ctx.op, ctx.proj, [mixed_row(r)[0] for r in rs],
-                                    ctx.coeff, rs, [mixed_row(r)[1] for r in rs], m),
+            lambda c: _yosida(ctx.op, ctx.proj, [mixed_row(i)[0] for i in c.trajectory],
+                              ctx.coeff, c, [mixed_row(i)[1] for i in c.trajectory], m),
             lambda r: mixed_single(ctx, r, m)),
     }
 
 
-def mixed_row(r):
-    """The Yosida level and scheme of realization r in a mixed chunk."""
-    i = r.trajectory_index
+def mixed_row(i):
+    """The Yosida level and scheme of trajectory i in a mixed chunk."""
     return (2.5, 4, 4, 16, 1)[i], ("yosida", "modified_yosida")[i % 2]
 
 
 def mixed_single(ctx, r, m):
-    n, scheme = mixed_row(r)
+    n, scheme = mixed_row(r.trajectory_index)
     if scheme == "yosida":
         return yosida_scheme(ctx.op, n, ctx.coeff, r, m)
     return modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, m)
@@ -236,30 +238,24 @@ def assert_same_path(name, got, want):
 @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida", "mixed_yosida"])
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_chunk_rows_equal_single_realization_runs(name, scheme):
+    # bit for bit for every operator, as ``assert_same_path``
     ctx, reals, runs = chunk_runs(name)
-    chunk, single = runs[scheme]
-    outs = chunk(reals)
-    assert len(outs) == len(reals)
-    for r, out in zip(reals, outs):
-        one = single(r)
-        assert out.realization is r and out.scheme == one.scheme
-        assert out.params == one.params
+    body, single = runs[scheme]
+    chunk = _chunk_of(reals)
+    rows = chunk_rows(chunk, body(chunk))
+    assert len(rows) == len(reals)
+    for r, row in zip(reals, rows):
+        one = assert_row_is_the_run(row, lambda: single(r))
+        assert one.realization is r and (one.x_pre is None) == (one.scheme != "euler")
         if scheme == "mixed_yosida":
-            n, kind = mixed_row(r)
-            assert out.scheme == kind
-            assert type(out.params["n"]) is float and out.params["n"] == n
-        for got, want in [(out.x.values, one.x.values), (out.y.values, one.y.values),
-                          (out.k.continuous.values, one.k.continuous.values),
-                          (out.k.jump.values, one.k.jump.values),
-                          (out.k.total.values, one.k.total.values)]:
-            assert_same_path(name, got, want)
-        if scheme == "euler":
-            assert_same_path(name, out.x_pre, one.x_pre)
-        else:
-            assert out.x_pre is None and one.x_pre is None
+            n, kind = mixed_row(r.trajectory_index)
+            assert one.scheme == kind
+            assert type(one.params["n"]) is float and one.params["n"] == n
     # any order and any sub-chunk gives the same rows
-    for i, out in zip([3, 0], chunk([reals[3], reals[0]])):
-        np.testing.assert_array_equal(out.x.values, outs[i].x.values)
+    sub = _chunk_of([reals[3], reals[0]])
+    for i, row in zip([3, 0], chunk_rows(sub, body(sub))):
+        for got, want in zip(row, rows[i]):
+            assert got.tobytes() == want.tobytes()
 
 
 ZOO_STEP_OPERATORS = dict(ZOO_OPERATORS, prox="")
@@ -361,19 +357,12 @@ def test_explosion_names_the_level_of_its_base_partition(reference, suffix):
 def test_exploding_rows_retire_with_their_single_run_error():
     ctx = _Context(parse_config_text(SQUARE_STUDY))
     reals = [simulate(ctx.driver, uniform_partition(1.0, 64), 33, i) for i in range(12)]
-    outs = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 16)
-    exploded = [i for i, out in enumerate(outs) if isinstance(out, ExplosionError)]
+    chunk = _chunk_of(reals)
+    rows = chunk_rows(chunk, _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16))
+    exploded = [i for i, row in enumerate(rows) if isinstance(row, ExplosionError)]
     assert 0 < len(exploded) < len(reals)
-    for r, out in zip(reals, outs):
-        try:
-            want = euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 16)
-        except ExplosionError as exc:
-            assert isinstance(out, ExplosionError)
-            assert str(out) == str(exc)
-            assert (out.trajectory, out.step, out.time) == (exc.trajectory, exc.step, exc.time)
-            np.testing.assert_array_equal(out.last, exc.last)
-        else:
-            np.testing.assert_array_equal(out.x.values, want.x.values)
+    for r, row in zip(reals, rows):
+        assert_row_is_the_run(row, lambda: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 16))
 
 
 def union_order_chunk(case, scheme):
@@ -421,37 +410,25 @@ def union_order_chunk(case, scheme):
                                   "retired-row-at-its-own-time"])
 def test_union_order_edge_cases_equal_single_runs(case, scheme):
     ctx, reals = union_order_chunk(case, scheme)
+    chunk = _chunk_of(reals)
     start = ctx.coeff.evaluations
     if scheme == "euler":
-        outs = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 3)
+        rows = chunk_rows(chunk, _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 3))
         runs = [lambda r=r: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 3) for r in reals]
     else:
         levels, kinds = [2.5, 4, 16, 1], ["yosida", "modified_yosida"] * 2
-        outs = yosida_chunk(ctx.op, ctx.proj, levels[:len(reals)], ctx.coeff, reals,
-                            kinds[:len(reals)], 2)
+        rows = chunk_rows(chunk, _yosida(ctx.op, ctx.proj, levels[:len(reals)], ctx.coeff,
+                                         chunk, kinds[:len(reals)], 2))
         runs = [lambda n=n, kind=kind, r=r: yosida_scheme(ctx.op, n, ctx.coeff, r, 2)
                 if kind == "yosida"
                 else modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, 2)
                 for n, kind, r in zip(levels, kinds, reals)]
     marched = ctx.coeff.evaluations - start
     retired = []
-    for r, out, run in zip(reals, outs, runs):
-        try:
-            one = run()
-        except ExplosionError as exc:
-            assert isinstance(out, ExplosionError) and str(out) == str(exc)
-            assert out.last.tobytes() == exc.last.tobytes()
-            retired.append((r, exc.time))
-            continue
-        pairs = [(out.x.values, one.x.values), (out.y.values, one.y.values),
-                 (out.k.continuous.values, one.k.continuous.values),
-                 (out.k.jump.values, one.k.jump.values),
-                 (out.k.total.values, one.k.total.values)]
-        if scheme == "euler":
-            pairs.append((out.x_pre, one.x_pre))
-        for got, want in pairs:
-            assert_same_path("box", got, want)
-            assert got.tobytes() == want.tobytes()
+    for r, row, run in zip(reals, rows, runs):
+        one = assert_row_is_the_run(row, run)
+        if isinstance(one, ExplosionError):
+            retired.append((r, one.time))
     # the chunk evaluates the coefficient where the single runs do, and no
     # retired row is stepped again
     assert ctx.coeff.evaluations - start == 2 * marched
@@ -469,7 +446,8 @@ def test_a_given_path_row_explodes_under_its_own_name():
     # a realization from given paths has no trajectory index: the text names
     # it as such, the same in a chunk as on its own, where it is another row
     ctx, reals = union_order_chunk("retired-row-at-its-own-time", "euler")
-    out = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 3)[1]
+    *_, errors = _euler(ctx.op, ctx.proj, ctx.coeff, _chunk_of(reals), 3)
+    out = errors[1]
     with pytest.raises(ExplosionError) as err:
         euler_scheme(ctx.op, ctx.proj, ctx.coeff, reals[1], 3)
     want = ("the realization of given paths exploded: the driven increment at step 3 "

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import assert_row_is_the_run, chunk_rows
 from mmsde import (
     Coefficient,
     DomainViolationError,
@@ -36,12 +37,20 @@ from mmsde import (
     zero_coefficient,
 )
 from mmsde.config import parse_config_text
+from mmsde.drivers import _chunk_of
 from mmsde.harness import _Context
 from mmsde.operators import MIN_RESOLVENT_STEP, flow_endpoint
-from mmsde.schemes import (bounded_sin_coefficient, diag_linear_coefficient, euler_chunk,
-                           square_coefficient, yosida_chunk)
+from mmsde.schemes import (_euler, _yosida, bounded_sin_coefficient, diag_linear_coefficient,
+                           square_coefficient)
 
 CLASSICAL = Projection()
+
+# each scheme body on a chunk of three rows, at its single-run defaults
+BODIES = pytest.mark.parametrize("run", [
+    lambda op, c, chunk: _euler(op, CLASSICAL, c, chunk, 16),
+    lambda op, c, chunk: _yosida(op, None, [4] * 3, c, chunk, ["yosida"] * 3, 1),
+    lambda op, c, chunk: _yosida(op, CLASSICAL, [4] * 3, c, chunk, ["modified_yosida"] * 3, 1),
+], ids=["euler", "yosida", "modified_yosida"])
 
 
 def drift_driver(h_drift=0.0, z_drift=0.0, h0=0.0, n=16, horizon=1.0, d=1):
@@ -446,24 +455,20 @@ class TestChunkEdge:
         assert "resolvent step must be" in str(kernel.value)
         for rows in ([fine], [coarse, fine], [fine, coarse, coarse]):
             with pytest.raises(ValueError) as chunk:
-                euler_chunk(op, CLASSICAL, zero_coefficient(2), rows, 16)
+                _euler(op, CLASSICAL, zero_coefficient(2), _chunk_of(rows), 16)
             assert str(chunk.value) == str(kernel.value), name
         # the same grid with steps of a legal size marches
-        euler_chunk(op, CLASSICAL, zero_coefficient(2),
-                    [coarse, on_grid([0.0, 0.25, 0.5, 1.0], h0=0.5, d=2)], 16)
+        _euler(op, CLASSICAL, zero_coefficient(2),
+               _chunk_of([coarse, on_grid([0.0, 0.25, 0.5, 1.0], h0=0.5, d=2)]), 16)
 
-    @pytest.mark.parametrize("run", [
-        lambda op, c, rs: euler_chunk(op, CLASSICAL, c, rs),
-        lambda op, c, rs: yosida_chunk(op, None, 4, c, rs, "yosida"),
-        lambda op, c, rs: yosida_chunk(op, CLASSICAL, 4, c, rs, "modified_yosida"),
-    ], ids=["euler", "yosida", "modified_yosida"])
+    @BODIES
     def test_a_batched_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
         # one value per point where one 1x1 matrix per point is due
         coeff = Coefficient(f=lambda x: np.ones(x.shape), batched=True)
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=1.0)] * 3
         with pytest.raises(ValueError, match=re.escape(
                 "coefficient must return a 1x1 matrix per point, shape (3, 1, 1), got (3, 1)")):
-            run(zoo["halfline"], coeff, rows)
+            run(zoo["halfline"], coeff, _chunk_of(rows))
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_yosida_rejects_fewer_than_one_drift_substep(self, zoo, substeps):
@@ -471,8 +476,8 @@ class TestChunkEdge:
         coeff = zero_coefficient(2)
         for run in (lambda: yosida_scheme(op, 4, coeff, r, substeps),
                     lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r, substeps),
-                    lambda: yosida_chunk(op, CLASSICAL, [4, 8], coeff, [r, r],
-                                         ["yosida", "modified_yosida"], substeps)):
+                    lambda: _yosida(op, CLASSICAL, [4, 8], coeff, _chunk_of([r, r]),
+                                    ["yosida", "modified_yosida"], substeps)):
             with pytest.raises(ValueError, match="^drift_substeps must be >= 1$"):
                 run()
 
@@ -482,7 +487,7 @@ class TestChunkEdge:
         op = convex_prox(lambda lam, z: z * 1e300 * 1e300 / (1.0 + lam), 1)
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=0.5)] * 2
         with pytest.raises(RuntimeWarning, match="overflow"):
-            euler_chunk(op, CLASSICAL, constant_coefficient([[1.0]]), rows)
+            _euler(op, CLASSICAL, constant_coefficient([[1.0]]), _chunk_of(rows), 16)
 
 
 BOX_INI = """\
@@ -554,13 +559,15 @@ class TestKAtTheEdge:
         reals = [simulate(ctx.driver, uniform_partition(1.0, 16), 7, i) for i in range(4)]
         reals.append(box_exit())
         assert all(r.jump_flags.any() for r in reals)
-        outs = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals, 16)
-        for r, out in zip(reals, outs):
+        chunk = _chunk_of(reals)
+        for r, row in zip(reals, chunk_rows(chunk, _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16))):
+            out = assert_row_is_the_run(
+                row, lambda: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 16))
             x = out.x.values
             dkc, dkd = sp_replay(ctx.op, ctx.proj, x, out.x_pre, driven(ctx.coeff, r, x),
                                  r.grid.times, 16)
             assert_k_is_the_step_sum(out, dkc, dkd)
-        assert np.any(outs[-1].k.jump.values != 0.0)
+        assert np.any(out.k.jump.values != 0.0)  # the box exit's
 
     @pytest.mark.parametrize("substeps", [1, 3])
     def test_modified_yosida_with_a_correction_that_fires(self, substeps):
@@ -600,20 +607,25 @@ class TestKAtTheEdge:
         assert_k_is_the_step_sum(sol, dkc, dkd)
         assert np.any(dkc != 0.0) if name == "linear2" else np.any(dkd != 0.0)
 
-    @pytest.mark.parametrize("run", [
-        lambda ctx, rs: euler_chunk(ctx.op, ctx.proj, ctx.coeff, rs),
-        lambda ctx, rs: yosida_chunk(ctx.op, ctx.proj, 4, ctx.coeff, rs, "modified_yosida"),
+    @pytest.mark.parametrize("run, single", [
+        (lambda ctx, chunk: _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16),
+         lambda ctx, r: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r)),
+        (lambda ctx, chunk: _yosida(ctx.op, ctx.proj, [4, 4], ctx.coeff, chunk,
+                                    ["modified_yosida"] * 2, 1),
+         lambda ctx, r: modified_yosida_scheme(ctx.op, ctx.proj, 4, ctx.coeff, r)),
     ], ids=["euler", "modified_yosida"])
-    def test_an_exploding_row_leaves_the_live_rows_k_quiet(self, run):
+    def test_an_exploding_row_leaves_the_live_rows_k_quiet(self, run, single):
         # the retired row's later points are undefined: forming k there could
         # overflow or turn invalid, which the suite makes an error
         ctx = _Context(parse_config_text(SQUARE_INI))
         reals = [simulate(ctx.driver, uniform_partition(1.0, 64), 0, i) for i in (17, 0)]
+        chunk = _chunk_of(reals)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            exploded, live = run(ctx, reals)
+            exploded, live = chunk_rows(chunk, run(ctx, chunk))
+            one = assert_row_is_the_run(live, lambda: single(ctx, reals[1]))
         assert isinstance(exploded, ExplosionError)
-        assert np.isfinite(live.k.total.values).all()
+        assert np.isfinite(one.k.total.values).all()
 
 
 DIAGONAL_KINDS = {
@@ -677,16 +689,14 @@ class TestDiagonalCoefficients:
         reals = [noisy_driver(index=i, h0=0.3) for i in range(3)]
         op = linear_monotone([[0.5]])
         point = Coefficient(f=lambda p: p * p, diagonal=True)
-        for a, b in zip(euler_chunk(op, CLASSICAL, point, reals),
-                        euler_chunk(op, CLASSICAL, square_coefficient(), reals)):
-            assert a.x.values.tobytes() == b.x.values.tobytes()
+        chunk = _chunk_of(reals)
+        a, b = (_euler(op, CLASSICAL, c, chunk, 16) for c in (point, square_coefficient()))
+        assert not a[-1] and not b[-1]
+        for u, v in zip(a[:3], b[:3]):
+            assert u.tobytes() == v.tobytes()
         np.testing.assert_array_equal(point(np.array([3.0])), [[9.0]])
 
-    @pytest.mark.parametrize("run", [
-        lambda op, c, rs: euler_chunk(op, CLASSICAL, c, rs),
-        lambda op, c, rs: yosida_chunk(op, None, 4, c, rs, "yosida"),
-        lambda op, c, rs: yosida_chunk(op, CLASSICAL, 4, c, rs, "modified_yosida"),
-    ], ids=["euler", "yosida", "modified_yosida"])
+    @BODIES
     def test_a_diagonal_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
         # one 1x1 matrix per point where one diagonal of length 1 is due
         coeff = Coefficient(f=lambda x: np.ones(x.shape + (1,)), batched=True, diagonal=True)
@@ -694,7 +704,7 @@ class TestDiagonalCoefficients:
         with pytest.raises(ValueError, match=re.escape(
                 "coefficient must return a diagonal of length 1 per point, shape (3, 1), "
                 "got (3, 1, 1)")):
-            run(zoo["halfline"], coeff, rows)
+            run(zoo["halfline"], coeff, _chunk_of(rows))
 
     def test_a_diagonal_point_function_of_the_wrong_shape_is_rejected(self, zoo):
         coeff = Coefficient(f=lambda p: np.ones((1, 1)), diagonal=True)
@@ -726,13 +736,14 @@ class TestTracedNames:
             return ctx.coeff.f(x)
 
         proj = CountedProjection(ctx.proj.kind, ctx.proj.c, ctx.proj.tol, ctx.proj.max_iter)
-        plain = euler_chunk(ctx.op, ctx.proj, ctx.coeff, reals)
+        chunk = _chunk_of(reals)
+        *plain, errors = _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16)
+        assert not errors
         for p, c, key in ((proj, ctx.coeff, "projection"),
                           (ctx.proj, dataclasses.replace(ctx.coeff, f=counted), "coefficient")):
             calls.clear()
-            outs = euler_chunk(ctx.op, p, c, reals)
+            *marched, _ = _euler(ctx.op, p, c, chunk, 16)
             assert calls == {key: union_steps}
-            for a, b in zip(outs, plain):
-                for u, v in ((a.x.values, b.x.values), (a.x_pre, b.x_pre),
-                             (a.y.values, b.y.values), (a.k.total.values, b.k.total.values)):
-                    assert u.tobytes() == v.tobytes()
+            # x, x_pre and dy, of which k is a pure function
+            for u, v in zip(marched, plain):
+                assert u.tobytes() == v.tobytes()
