@@ -94,10 +94,12 @@ def _write_components(cfg, out_path, components: dict, meta: dict):
     from .paths import write_step_path_csv, write_step_path_jsonl
 
     with open(out_path, "w", encoding="utf-8") as fh:
+        formatted = {}  # csv columns equal to the previous component's are formatted once
         for i, (name, path) in enumerate(components.items()):
             # the first component carries the meta, and in csv the header
             if cfg.format == "csv":
-                write_step_path_csv(path, fh, name, None if i else meta, header=not i)
+                write_step_path_csv(path, fh, name, None if i else meta, header=not i,
+                                    formatted=formatted)
             else:
                 write_step_path_jsonl(path, fh, name, None if i else meta)
 

@@ -93,11 +93,11 @@ class MonotoneOperator:
         optional (kind, parameters) dictionary used by the configuration
         layer to round-trip built-in operators.
 
-    The maps and ``domain_distance``/``in_domain`` take a point (d,) or a
-    batch (B, d).  Row contract: row i of a batched call equals the
-    single-point call on row i bit for bit (``linear_monotone`` with one
-    float step to 1e-15 relative: that batched product is one matrix-matrix
-    product; with one step per row it is bit for bit too).
+    The maps and ``domain_distance`` take a point (d,) or a batch (B, d).
+    Row contract: row i of a batched call equals the single-point call on row
+    i bit for bit (``linear_monotone`` with one float step to 1e-15 relative:
+    that batched product is one matrix-matrix product; with one step per row
+    it is bit for bit too).
 
     Instances are immutable; all maps must be pure functions, so operators
     are safe to share across threads and processes.  A map may keep an
@@ -117,10 +117,6 @@ class MonotoneOperator:
         """dist(z, closure of D(A)): a float for a point, a (B,) array for a batch."""
         z = as_points(z)
         return row_norm(z - self.domain_projection(z))
-
-    def in_domain(self, z: np.ndarray, tol: float = DEFAULT_DOMAIN_TOL):
-        """Whether dist(z, closure of D(A)) <= tol, per point."""
-        return self.domain_distance(z) <= tol
 
 
 def row_norm(v: np.ndarray):

@@ -4,7 +4,8 @@ Every path in the package is piecewise constant on a finite partition of
 [0, T]: the value on [t_k, t_{k+1}) is ``values[k]`` and ``values[-1]`` is the
 terminal value at T.  Continuous inputs are represented by their fine-grid
 discretizations.  The module also provides grid refinement and CSV/JSONL
-serialization with exact float round-trip.
+serialization with exact float round-trip.  CSV is read and written
+``CSV_BLOCK_ROWS`` lines at a time, a column of a block per pass, not a row.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from typing import IO
 
 import numpy as np
@@ -176,62 +178,122 @@ def refine(partition: Partition, factor: int) -> Partition:
 # ---------------------------------------------------------------------------
 # serialization (full-precision round trip: repr of float64 is exact)
 
+CSV_BLOCK_ROWS = 1024  # CSV lines parsed, or rows formatted, per pass
+
+
 def write_step_path_csv(path: StepPath, fh: IO[str], component: str | None = None,
-                        meta: dict | None = None, header: bool = True):
-    d = path.dimension
+                        meta: dict | None = None, header: bool = True,
+                        formatted: dict[bytes, list[str]] | None = None):
+    """Write ``path`` as CSV rows ``time,v_1,...,v_d``, one per partition time.
+
+    Every cell is the ``repr`` of its float, which reads back bit for bit.  A
+    ``component`` name is written as a first cell on each row, under a
+    ``component`` column, so that several paths can share one file; ``meta``
+    is written first as ``# key=value`` lines in key order, then, if
+    ``header``, the column names.  The rows are formed and written
+    ``CSV_BLOCK_ROWS`` at a time, each value column formatted once as a whole.
+
+    ``formatted`` maps the float64 bytes of a value column to its strings.
+    Pass one dict with each path written to a file: a column whose bytes equal
+    one the previous path left there, or an earlier column of this path,
+    reuses its strings, and the dict is left holding this path's columns only.
+    """
     if meta:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-    cols = ["time"] + [f"v_{i + 1}" for i in range(d)]
-    if component is not None:
-        cols = ["component"] + cols
+        fh.write("".join(f"# {key}={meta[key]}\n" for key in sorted(meta)))
     if header:
-        fh.write(",".join(cols) + "\n")
-    prefix = "" if component is None else f"{component},"
-    # each row's cells, formatted column by column; the time strings belong to
-    # the partition, which the components of a solution share
-    cells = zip(path.partition.time_reprs,
-                *(map(repr, col) for col in path.values.T.tolist()))
-    fh.writelines(f"{prefix}{','.join(row)}\n" for row in cells)
+        cols = ["time"] + [f"v_{i + 1}" for i in range(path.dimension)]
+        fh.write(",".join(cols if component is None else ["component"] + cols) + "\n")
+    if formatted is None:
+        formatted = {}
+    raws = [col.tobytes() for col in path.values.T]
+    # the previous path's other columns go before this path's are formed
+    kept = {raw: formatted[raw] for raw in raws if raw in formatted}
+    formatted.clear()
+    formatted.update(kept)
+    for raw, col in zip(raws, path.values.T):
+        if raw not in formatted:
+            formatted[raw] = list(map(repr, col.tolist()))
+    # the time strings belong to the partition, which the components of a
+    # solution share
+    columns = [] if component is None else [repeat(component)]
+    columns.append(path.partition.time_reprs)
+    columns.extend(formatted[raw] for raw in raws)
+    rows = map(",".join, zip(*columns))
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        block.append("")
+        fh.write("\n".join(block))
 
 
 def read_step_path_csv(fh: IO[str], component: str | None = None) -> StepPath:
-    """A path written by ``write_step_path_csv``; a row whose field count
-    differs from the header's, or whose cell is not a number, raises
-    ``ValueError`` naming its line."""
-    rows: list[list[float]] = []
-    header: list[str] | None = None
+    """A path written by ``write_step_path_csv``: the rows of ``component``,
+    or of a file without a component column.
+
+    Blank lines and ``#`` lines are skipped, and the first other line is the
+    header.  The lines are read ``CSV_BLOCK_ROWS`` at a time; each block's
+    field counts are checked at once and its cells split as one string, each
+    kept column converted as a whole.  A row whose field count differs from
+    the header's (a row of any component), or a kept cell that is not a
+    number, raises ``ValueError`` naming its line; of several, the first in
+    file order is named.
+    """
+    header = None
     for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
+        if (line := line.strip()) and not line.startswith("#"):
             header = line.split(",")
-            if "time" not in header:
-                raise ValueError("missing 'time' column")
-            if "component" in header and component is None:
-                raise ValueError(
-                    "file holds multiple components; pass component='x' (or 'k', ...)"
-                )
-            tag = header.index("component") if "component" in header else None
-            # the time column, then the value columns in header order
-            cols = [header.index("time")] + [i for i, c in enumerate(header)
-                                             if c.startswith("v_")]
+            break
+    if header is None:
+        raise ValueError("no path records found")
+    if "time" not in header:
+        raise ValueError("missing 'time' column")
+    if "component" in header and component is None:
+        raise ValueError(
+            "file holds multiple components; pass component='x' (or 'k', ...)"
+        )
+    n, tag = len(header), header.index("component") if "component" in header else None
+    # the time column, then the value columns in header order
+    cols = [header.index("time")] + [i for i, c in enumerate(header) if c.startswith("v_")]
+    columns: list[list[float]] = [[] for _ in cols]
+    while block := list(map(str.strip, islice(fh, CSV_BLOCK_ROWS))):
+        first, lineno = lineno + 1, lineno + len(block)
+        if not (lines := [line for line in block if line and not line.startswith("#")]):
+            continue
+        if list(map(str.count, lines, repeat(","))).count(n - 1) != len(lines):
+            raise _first_fault(block, first, header, component, tag, cols)
+        cells = ",".join(lines).split(",")
+        keep = None
+        if component is not None:
+            keep = (list(map(component.__eq__, cells[tag::n])) if tag is not None
+                    else [False] * len(lines))
+        try:
+            for out, i in zip(columns, cols):
+                out.extend(map(float, cells[i::n] if keep is None
+                               else compress(cells[i::n], keep)))
+        except ValueError:
+            raise _first_fault(block, first, header, component, tag, cols) from None
+    if not columns[0]:
+        raise ValueError("no path records found")
+    table = np.array(columns).T
+    return StepPath(Partition(table[:, 0]), table[:, 1:])
+
+
+def _first_fault(block, first, header, component, tag, cols) -> ValueError:
+    """The error of ``read_step_path_csv`` for the first faulty line of a
+    block of stripped lines, ``first`` the number of its first line."""
+    for lineno, line in enumerate(block, first):
+        if not line or line.startswith("#"):
             continue
         fields = line.split(",")
         if len(fields) != len(header):
-            raise ValueError(f"line {lineno}: {len(fields)} fields, but the header "
-                             f"names {len(header)}")
+            return ValueError(f"line {lineno}: {len(fields)} fields, but the header "
+                              f"names {len(header)}")
         if component is not None and (tag is None or fields[tag] != component):
             continue
         try:
-            rows.append([float(fields[i]) for i in cols])
+            for i in cols:
+                float(fields[i])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError("no path records found")
-    table = np.asarray(rows)
-    return StepPath(Partition(table[:, 0]), table[:, 1:])
+            return ValueError(f"line {lineno}: {exc}")
+    raise AssertionError("a block that failed to parse holds no faulty line")
 
 
 def write_step_path_jsonl(path: StepPath, fh: IO[str], component: str | None = None,

@@ -380,18 +380,22 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
     fires, and each row's threshold and drift step 1/n are its own; ``proj`` is
     read by modified-Yosida rows only.  There is no flow between grid points:
     a step reports its state before the drift as x_pre."""
-    levels = np.asarray(levels, dtype=float)
+    counts = np.diff(chunk.starts)
+    levels, schemes = np.asarray(levels, dtype=float), np.asarray(schemes)
+    for name, given in (("levels", levels), ("schemes", schemes)):
+        if given.shape != counts.shape:
+            raise ValueError(f"{name} must give one entry per row of the chunk "
+                             f"({counts.size}), got shape {given.shape}")
     if not np.all(levels >= 1):
         raise ValueError("Yosida level must satisfy n >= 1")
     if drift_substeps < 1:
         raise ValueError("drift_substeps must be >= 1")
-    counts = np.diff(chunk.starts)
 
     def bind(order):
         # per grid point, in row order, then in union order
         lam = np.repeat(1.0 / levels, counts)
         # the grid points where the driver genuinely jumps by more than 1/n
-        correct = (chunk.jump_flags & np.repeat(np.asarray(schemes) == "modified_yosida", counts)
+        correct = (chunk.jump_flags & np.repeat(schemes == "modified_yosida", counts)
                    & (np.maximum(row_norm(chunk.jump_h), row_norm(chunk.jump_z)) > lam))
         lam, correct = lam[order], correct[order] if correct.any() else None
 

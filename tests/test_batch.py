@@ -71,8 +71,8 @@ class TestOperatorRows:
         assert dist.shape == (size,)
         np.testing.assert_array_equal(dist, [op.domain_distance(row) for row in z])
         for tol in (1e-8, 0.5):
-            np.testing.assert_array_equal(op.in_domain(z, tol),
-                                          [op.in_domain(row, tol) for row in z])
+            np.testing.assert_array_equal(op.domain_distance(z) <= tol,
+                                          [op.domain_distance(row) <= tol for row in z])
 
     def test_projections(self, zoo, name, rng, size):
         op = zoo[name]

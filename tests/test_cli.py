@@ -205,7 +205,8 @@ class TestSkorokhodCommand:
         (tmp_path / "y.csv").write_text(text.replace("1.0", "one", 1), encoding="utf-8")
         config = write_file(tmp_path / "lin.ini", LINEAR_INI)
         assert skorokhod(config, path_file, tmp_path / "out") == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: --path: ")
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --path: line 3: could not convert string to float: 'one'")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, text, line", [

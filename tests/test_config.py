@@ -10,6 +10,7 @@ from mmsde.config import (
     parse_config_text,
 )
 from mmsde.errors import ConfigError
+from mmsde.operators import DEFAULT_DOMAIN_TOL
 
 
 def test_matrix_rows_separated_by_spaced_semicolon():
@@ -32,8 +33,9 @@ constraints = -1 0 : 0 ; 0 -1 : 0 ; 1 1 : 1
     assert cfg.operator["normals"] == [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]
     assert cfg.operator["offsets"] == [0.0, 0.0, 1.0]
     op = build_operator(cfg.operator)
-    assert op.in_domain(np.array([0.25, 0.25]))
-    assert not op.in_domain(np.array([0.75, 0.75]))  # cut off by the third constraint
+    assert op.domain_distance(np.array([0.25, 0.25])) <= DEFAULT_DOMAIN_TOL
+    # cut off by the third constraint
+    assert op.domain_distance(np.array([0.75, 0.75])) > DEFAULT_DOMAIN_TOL
 
 
 # (section text, field named by the error); each config is otherwise valid

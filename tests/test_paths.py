@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mmsde import (
     uniform_partition,
 )
 from mmsde.paths import (
+    CSV_BLOCK_ROWS,
     read_step_path_csv,
     read_step_path_jsonl,
     write_step_path_csv,
@@ -135,6 +137,63 @@ class TestSerialization:
             assert buf.getvalue() == "".join(
                 f"x,{t!r},{','.join(map(repr, row))}\n"
                 for t, row in zip(p.partition.times.tolist(), p.values.tolist()))
+
+    def test_csv_bytes_across_blocks(self, rng):
+        # the goldens hold fewer rows than a block; this file spans 2.5 blocks
+        # per component, and kc equals k without being the same array
+        n = CSV_BLOCK_ROWS * 5 // 2 + 7
+        grid = uniform_partition(1.0, n - 1)
+        x = rng.normal(size=(n, 2)) * 1e3
+        x[[0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1], 0] = [
+            1e-05, 5e-324, 1e16, -0.0]
+        x[CSV_BLOCK_ROWS + 3, 1] = -0.0
+        k = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        kd = np.zeros((n, 2))
+        kd[2 * CSV_BLOCK_ROWS, 1] = -0.0
+        components = {"x": StepPath(grid, x), "k": StepPath(grid, k),
+                      "kc": StepPath(grid, k.copy()), "kd": StepPath(grid, kd)}
+        buf, formatted = io.StringIO(), {}
+        for i, (name, p) in enumerate(components.items()):
+            write_step_path_csv(p, buf, name, None if i else {"note": "blocks"},
+                                header=not i, formatted=formatted)
+        times = grid.times.tolist()
+        assert buf.getvalue() == "# note=blocks\ncomponent,time,v_1,v_2\n" + "".join(
+            f"{name},{t!r},{a!r},{b!r}\n"
+            for name, p in components.items() for t, (a, b) in zip(times, p.values.tolist()))
+        for name, p in components.items():
+            buf.seek(0)
+            q = read_step_path_csv(buf, component=name)
+            assert q.values.tobytes() == p.values.tobytes(), name
+            assert q.partition.times.tobytes() == grid.times.tobytes(), name
+
+    @pytest.mark.parametrize("bad_cell, short_row", [
+        (1500, 2600), (2600, 1500), (1500, 1600), (1600, 1500)],
+        ids=["cell-then-row", "row-then-cell", "cell-then-row-one-block",
+             "row-then-cell-one-block"])
+    def test_csv_names_the_first_faulty_line(self, bad_cell, short_row):
+        # line 1 is a comment, line 2 the header, line 700 blank
+        lines = ["# note", "time,v_1,v_2"] + [f"{i}.0,0.5,-0.5" for i in range(2998)]
+        lines[699] = ""
+        lines[bad_cell - 1] = "5.0,0.5,half"
+        lines[short_row - 1] = "6.0,0.5"
+        first = min(bad_cell, short_row)
+        message = ("could not convert string to float: 'half'" if first == bad_cell
+                   else "2 fields, but the header names 3")
+        with pytest.raises(ValueError, match=f"^line {first}: {re.escape(message)}$"):
+            read_step_path_csv(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_csv_rows_of_other_components_are_only_counted(self):
+        p = path(np.arange(3000.0), np.ones(3000))
+        buf = io.StringIO()
+        write_step_path_csv(p, buf, component="x")
+        write_step_path_csv(p, buf, component="k", header=False)
+        lines = buf.getvalue().splitlines()
+        lines[4000] = "k,1000.0,one"  # a cell of k, not read for x
+        q = read_step_path_csv(io.StringIO("\n".join(lines)), component="x")
+        np.testing.assert_array_equal(q.values, p.values)
+        lines[5000] = "k,2000.0"  # but every row is field-count checked
+        with pytest.raises(ValueError, match="^line 5001: 2 fields, but the header names 3$"):
+            read_step_path_csv(io.StringIO("\n".join(lines)), component="x")
 
     def test_jsonl_roundtrip_bit_exact(self, rng):
         p = StepPath(uniform_partition(1.0, 5), rng.normal(size=(6, 3)) * 1e6)

@@ -96,11 +96,11 @@ class TestElasticIterated:
             if np.linalg.norm(nxt - w) < 1e-14:
                 break
             w = nxt
-            if op.in_domain(w, 1e-12):
+            if op.domain_distance(w) <= 1e-12:
                 break
         limit = project_elastic_iterated(op, 1.0, z)
         assert limit == pytest.approx(w, abs=1e-9)
-        assert op.in_domain(limit, 1e-8)
+        assert op.domain_distance(limit) <= 1e-8
 
     def test_wedge_limit_satisfies_projection_axioms(self, rng):
         op = wedge_op()
@@ -299,5 +299,5 @@ class TestAxioms:
             op = zoo[name]
             for _ in range(100):
                 z = rng.normal(0.0, 3.0, size=op.dimension)
-                assert op.in_domain(project_classical(op, z), 1e-8)
-                assert op.in_domain(project_elastic_iterated(op, 0.8, z), 1e-8)
+                assert op.domain_distance(project_classical(op, z)) <= 1e-8
+                assert op.domain_distance(project_elastic_iterated(op, 0.8, z)) <= 1e-8

@@ -117,7 +117,7 @@ class TestEulerScheme:
             r = simulate(spec, uniform_partition(1.0, 24), seed=3)
             out = euler_scheme(op, CLASSICAL, constant_coefficient(np.eye(op.dimension)), r)
             for row in out.x.values:
-                assert op.in_domain(row, 1e-7)
+                assert op.domain_distance(row) <= 1e-7
 
     def test_jump_bound_inherited(self, zoo):
         op = zoo["halfline"]
@@ -480,6 +480,21 @@ class TestChunkEdge:
                                     ["yosida", "modified_yosida"], substeps)):
             with pytest.raises(ValueError, match="^drift_substeps must be >= 1$"):
                 run()
+
+    @pytest.mark.parametrize("levels, schemes, name, shape", [
+        (4, "yosida", "levels", "()"),
+        (4.0, ["yosida", "yosida"], "levels", "()"),
+        ([4, 4], "yosida", "schemes", "()"),
+        ([4, 8, 16], ["yosida"] * 3, "levels", "(3,)"),
+        ([4, 8], ["yosida", "modified_yosida", "yosida"], "schemes", "(3,)"),
+    ])
+    def test_yosida_needs_one_level_and_scheme_per_row(self, zoo, levels, schemes,
+                                                       name, shape):
+        op, r = zoo["box2"], on_grid(uniform_partition(1.0, 4).times, h0=0.5, d=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must give one entry per row of the chunk (2), got shape {shape}")):
+            _yosida(op, CLASSICAL, levels, zero_coefficient(2), _chunk_of([r, r]),
+                    schemes, 1)
 
     def test_the_operator_warns_inside_the_march(self):
         # the march silences the coefficient's product only: a proximal map

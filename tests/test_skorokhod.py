@@ -96,7 +96,7 @@ class TestSolveStep:
             y = StepPath(uniform_partition(1.0, 10), vals)
             sol = solve_step(op, CLASSICAL, y)
             for row in sol.x.values:
-                assert op.in_domain(row, 1e-7)
+                assert op.domain_distance(row) <= 1e-7
 
 
 class TestSolveSteps:
