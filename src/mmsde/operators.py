@@ -9,10 +9,10 @@ Besides the resolvent calculus (Yosida maps J_n, A_n) the module provides the
 constant-input flow: the semigroup t -> x(t) solving dx/dt in -A(x(t)) from a
 point of the domain closure, approximated by J_{t/m}^m, first order in t/m
 and exact for normal cones.  A flow is one call of the resolvent's power
-(``_power``): ``flow_endpoint`` keeps its end, ``flow_steps`` every state
-(for the solution checkers of ``skorokhod``).  Both check their arguments on
-every call; a grid march checks all its steps once, at its entry, with
-``_flow_schedule``, and then flows through the unchecked ``_flow_kernel``.
+(``_power``); ``flow_steps`` keeps every state, for the solution checkers of
+``skorokhod``, and checks its arguments on every call.  A grid march checks
+all its steps once, at its entry, with ``_flow_schedule``, then flows through
+the unchecked ``_flow_kernel``, or along one path through ``_bound_flows``.
 Built-in constructors cover normal cones of halfspaces, boxes, balls and
 polyhedra, linear positive-semidefinite operators, and subdifferentials given
 by a proximal map.
@@ -37,7 +37,6 @@ __all__ = [
     "resolve",
     "yosida_j",
     "yosida_a",
-    "flow_endpoint",
     "flow_steps",
     "indicator_halfspace",
     "indicator_box",
@@ -77,12 +76,12 @@ class MonotoneOperator:
         step.  The function may carry an attribute ``power(lam, m, z,
         keep=False)``: J_lam^m(z), or with ``keep`` the list of its m
         states, equal bit for bit to m successive resolvent calls; a flow
-        makes one call of it (``_power``).  It belongs to the function, so
-        ``dataclasses.replace(op, resolvent=f)`` drops it unless ``f``
-        carries its own.
+        makes one call of it (``_power``); ``bind_power(lam, m)``, if it has one, is
+        z -> J_lam^m(z) for one float step.  Both belong to the function, so
+        ``dataclasses.replace(op, resolvent=f)`` drops them unless ``f`` carries its own.
     domain_projection:
         nearest-point projection onto the closed convex domain closure; must
-        act as the exact identity on points already inside.
+        act as the exact identity on points already inside; ``_identity`` on all of R^d.
     graph_sample:
         optional z -> one element of A(z) for a single point (diagnostics
         only); None where the operator offers no canonical selection.
@@ -128,6 +127,11 @@ def row_norm(v: np.ndarray):
 def as_points(z) -> np.ndarray:
     """z as a float array of at least one dimension, not copied if it is one."""
     return np.array(z, dtype=float, ndmin=1, copy=None)
+
+
+def _identity(z):
+    """The domain projection of every operator whose domain is all of R^d."""
+    return z
 
 
 def _check_point(op: MonotoneOperator, z) -> np.ndarray:
@@ -238,14 +242,14 @@ def _flow_kernel(op: MonotoneOperator, substeps: int):
     return lambda start, t: np.asarray(power(t / substeps, substeps, start), dtype=float)
 
 
-def flow_endpoint(op: MonotoneOperator, start: np.ndarray, t,
-                  substeps: int) -> np.ndarray:
-    """J_lam^m(start), the last state of ``flow_steps`` (``start`` as a float
-    array for t = 0), by one call of the resolvent's power (``_power``).
-    For a batch of starts, ``t`` may give each row its own positive time."""
-    if not _flow_schedule(op, t, substeps)[1]:
-        return np.asarray(start, dtype=float)
-    return _flow_kernel(op, substeps)(start, t)
+def _bound_flows(op: MonotoneOperator, substeps: int):
+    """``t -> (start -> J_{t/m}^m(start))`` for float steps t that ``_flow_schedule`` has
+    passed, the last ``_LINEAR_INVERSE_CACHE`` kept: ``bind_power`` where the resolvent has one."""
+    bind = getattr(op.resolvent, "bind_power", None)
+    if bind is None or op.projection_resolvent:
+        kernel = _flow_kernel(op, substeps)
+        return functools.lru_cache(_LINEAR_INVERSE_CACHE)(lambda t: lambda start: kernel(start, t))
+    return functools.lru_cache(_LINEAR_INVERSE_CACHE)(lambda t: bind(t / substeps, substeps))
 
 
 def flow_steps(op: MonotoneOperator, start: np.ndarray, t, substeps: int):
@@ -533,7 +537,8 @@ def linear_monotone(matrix) -> MonotoneOperator:
     missing from the memo are formed by one stacked ``np.linalg.inv`` (each
     with the bits of its own inversion).  Row i is then a vector-matrix
     product with the same F-ordered matrix as the point call, so it equals
-    the single-point call bit for bit.  Forming the inverse is safe:
+    the single-point call bit for bit.  ``bind_power`` fetches the inverse of
+    one float step once, for all the flows of that step.  Forming the inverse is safe:
     <Mx, x> >= 0 gives |(I + lam M)x| >= |x|, hence |(I + lam M)^{-1}| <= 1
     and the condition number is at most 1 + lam |M|.
     """
@@ -581,17 +586,16 @@ def linear_monotone(matrix) -> MonotoneOperator:
                 remember(float(steps[i]), invs[i].T)
         return invs
 
+    def bind_power(lam: float, count: int):
+        """z -> J_lam^count(z) for one float step: count products ``z.dot(inv_t)``."""
+        return functools.partial(functools.reduce, np.ndarray.dot, [inverse_t(lam)] * count)
+
     def power(lam, count, z, keep=False):
         """J_lam^count(z), or with ``keep`` the list of its count states: the
         inverses are fetched once for all the products."""
         if not _per_row(lam):
             inv_t = inverse_t(float(lam))
-            if keep:
-                return _steps(lambda _, x: x.dot(inv_t), lam, count, z, keep)
-            for _ in range(count):
-                # for a point this is inv.dot(z) bit for bit
-                z = z.dot(inv_t)
-            return z
+            return _steps(lambda _, x: x.dot(inv_t), lam, count, z, keep)
         # one inverse per distinct step; a vector-matrix product per row keeps
         # row i apart from the other rows, and each matrix, F-ordered as
         # ``inv_t`` is, gives the bits of the point call's ``z.dot(inv_t)``
@@ -606,12 +610,12 @@ def linear_monotone(matrix) -> MonotoneOperator:
             return z.dot(inv_t)
         return power(lam, 1, z)
 
-    resolvent.power = power
+    resolvent.power, resolvent.bind_power = power, bind_power
 
     return MonotoneOperator(
         dimension=d,
         resolvent=resolvent,
-        domain_projection=lambda z: z,
+        domain_projection=_identity,
         graph_sample=lambda z: m @ z,
         projection_resolvent=False,
         spec={"kind": "linear", "matrix": m.tolist()},
@@ -657,7 +661,7 @@ def convex_prox(prox: Callable[[float, np.ndarray], np.ndarray], dimension: int,
         dimension=dimension,
         resolvent=_prox_resolvent(prox),
         domain_projection=(functools.partial(_rowwise, domain_projection)
-                           if domain_projection else (lambda z: z)),
+                           if domain_projection else _identity),
         graph_sample=graph_sample,
         projection_resolvent=False,
         spec=None,

@@ -11,13 +11,14 @@ guaranteed for the classical and iterated kinds.  Every kind maps a point
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError
-from .operators import MonotoneOperator, as_points, row_norm
+from .operators import MonotoneOperator, _identity, as_points, row_norm
 
 __all__ = [
     "Projection",
@@ -136,7 +137,7 @@ class Projection:
     ``proj(op, z)`` maps a point (d,) or a batch (B, d); row i of a batch
     comes out bit for bit as the single point would.  Instances are immutable
     and call through to the pure projection functions, so they are safe to
-    share between threads.
+    share between threads; ``bind`` resolves one against an operator once.
     """
 
     kind: str = "classical"
@@ -160,6 +161,14 @@ class Projection:
         if self.kind == "elastic":
             return project_elastic(op, self.c, z)
         return _elastic_iterated(op, self.c, z, self.tol, self.max_iter)
+
+    def bind(self, op: MonotoneOperator):
+        """``z -> self(op, z)`` for float arrays z: ``_identity`` for the classical kind
+        and the elastic kind with c = 0 where ``op.domain_projection`` is (or wraps) it."""
+        if ((self.kind == "classical" or self.kind == "elastic" and self.c == 0.0)
+                and inspect.unwrap(op.domain_projection) is _identity):
+            return _identity
+        return lambda z: self(op, z)
 
     @property
     def spec(self) -> dict:

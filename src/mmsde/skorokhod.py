@@ -8,9 +8,9 @@ x_t = Pi(x_{t-} + dy_t) wherever k jumps.
 
 ``_sp_step`` is the one step kernel of ``solve_steps`` and of the Euler
 scheme in ``schemes``: ``solve_steps`` marches it along one grid, all its
-paths at once (``solve_step`` is one path), and ``schemes._run_chunk`` along
-the rows of a chunk.  A step returns (x_pre, x_new), and a march keeps just
-those; a caller that reads k forms it after the march (``_k``).
+paths at once (one path binds its flow once per step length and its projection
+once), and ``schemes._run_chunk`` along the rows of a chunk.  A step returns (x_pre,
+x_new), and a march keeps just those; a caller that reads k forms it after the march (``_k``).
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainViolationError
-from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _flow_kernel, _flow_schedule,
-                        flow_steps, row_norm)
+from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _bound_flows, _flow_kernel,
+                        _flow_schedule, flow_steps, row_norm)
 from .paths import BVDecomposition, Partition, StepPath
 from .projections import Projection
 
@@ -101,11 +101,11 @@ def solve_steps(op: MonotoneOperator, proj: Projection, ys,
                 flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> list[SkorokhodSolution]:
     """Solve the Skorokhod problem for step inputs on one grid, marched together.
 
-    Returns one solution per path, each its ``solve_step`` bit for bit.  One
-    path marches points with a float dt, B > 1 paths (B, d) rows with one dt
-    per row, where each resolvent and projection gives row i the bits of its
-    point call (a float dt on a linear batch would be a matrix product).
-    With more than one path, an error names the path by its index.
+    Returns one solution per path, each its ``solve_step`` bit for bit.  One path
+    marches points, its flow bound per float dt (``_bound_flows``) and its projection
+    once (``Projection.bind``); B > 1 paths (B, d) rows with one dt per row, where each
+    resolvent and projection gives row i the bits of its point call (a float dt on a
+    linear batch would be a matrix product).  An error names a path of B > 1 by index.
     """
     ys = list(ys)
     grid, one = ys[0].partition, len(ys) == 1
@@ -127,16 +127,23 @@ def solve_steps(op: MonotoneOperator, proj: Projection, ys,
                              f"(t = {float(grid.times[j])!r}) is not finite")
     steps = np.diff(grid.times)
     _flow_schedule(op, steps, flow_substeps)  # every step, once
-    flow = _flow_kernel(op, flow_substeps)
-    dy = np.stack(dy, axis=1)  # (n, B, d), as x and x_pre; one path marches (n, d) views
-    x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
-    x[0] = x_pre[0] = [y.values[0] for y in ys]
-    xs, pres, dys = (a[:, 0] if one else a for a in (x, x_pre, dy))
-    dts, prev = steps.tolist() if one else [np.full(len(ys), t) for t in steps], xs[0]
-    for j, (dt, dy_j) in enumerate(zip(dts, dys[1:]), 1):  # prev is the step before's xi
-        pres[j], prev = _sp_step(op, proj, flow, prev, dy_j, dt)
-        xs[j] = prev
-    x, x_pre, dy = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre, dy))
+    if one:  # the states gathered in lists and stacked once
+        bound = _bound_flows(op, flow_substeps)
+        project, x, x_pre = proj.bind(op), [ys[0].values[0]], [ys[0].values[0]]
+        for dt, dy_j in zip(steps.tolist(), dy[0][1:]):
+            x_pre.append(bound(dt)(x[-1]))
+            x.append(project(x_pre[-1] + dy_j))
+        x, x_pre, dy = np.array(x)[None], np.array(x_pre)[None], dy[0][None]
+    else:
+        flow = _flow_kernel(op, flow_substeps)
+        dy = np.stack(dy, axis=1)  # (n, B, d), as x and x_pre
+        x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
+        x[0] = x_pre[0] = [y.values[0] for y in ys]
+        dts, prev = [np.full(len(ys), t) for t in steps], x[0]
+        for j, (dt, dy_j) in enumerate(zip(dts, dy[1:]), 1):  # prev is the step before's xi
+            x_pre[j], prev = _sp_step(op, proj, flow, prev, dy_j, dt)
+            x[j] = prev
+        x, x_pre, dy = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre, dy))
     return [SkorokhodSolution(x=StepPath(y.partition, x[b]),
                               k=_k(y.partition, x[b], x_pre[b], dy[b]), y=y, x_pre=x_pre[b],
                               flow_substeps=flow_substeps) for b, y in enumerate(ys)]

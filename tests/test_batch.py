@@ -19,7 +19,7 @@ from mmsde import (
     yosida_a,
     yosida_j,
 )
-from mmsde.operators import flow_endpoint, row_norm
+from mmsde.operators import flow_steps, row_norm
 
 PROJECTIONS = [Projection("classical"), Projection("elastic", c=0.5),
                Projection("elastic_iterated", c=0.5), Projection("elastic_iterated", c=1.0)]
@@ -85,8 +85,8 @@ class TestOperatorRows:
     def test_flows(self, zoo, name, rng, size):
         op = zoo[name]
         z = op.domain_projection(batch(rng, op, size))
-        assert_rows(name, flow_endpoint(op, z, 0.3, 3),
-                    [flow_endpoint(op, row, 0.3, 3) for row in z], scale=row_norm(z))
+        assert_rows(name, flow_steps(op, z, 0.3, 3)[-1][1],
+                    [flow_steps(op, row, 0.3, 3)[-1][1] for row in z], scale=row_norm(z))
 
 
 def test_rows_keep_signed_zeros(zoo):

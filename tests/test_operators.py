@@ -26,7 +26,7 @@ from mmsde import (
     yosida_a,
     yosida_j,
 )
-from mmsde.operators import _LINEAR_INVERSE_CACHE, flow_endpoint, flow_steps
+from mmsde.operators import _LINEAR_INVERSE_CACHE, _bound_flows, _flow_kernel, flow_steps
 from conftest import soft_threshold
 
 
@@ -106,15 +106,17 @@ class TestYosida:
 
 
 class TestFlow:
-    """``flow_endpoint`` against the closed forms of the constant-input flow."""
+    """The last state of ``flow_steps`` against the closed forms of the
+    constant-input flow."""
 
     def test_linear_decay_matches_exponential_oracle(self):
         op = linear_monotone([[1.0]])
         exact = math.exp(-1.0)  # oracle: d/dt x = -x
         for m in (10, 100, 1000):
-            val = flow_endpoint(op, np.array([1.0]), 1.0, m)[0]
+            val = flow_steps(op, np.array([1.0]), 1.0, m)[-1][1][0]
             assert abs(val - exact) <= 2.0 / m
-        assert flow_endpoint(op, np.array([1.0]), 1.0, 1000)[0] == pytest.approx(exact, abs=1e-3)
+        assert flow_steps(op, np.array([1.0]), 1.0, 1000)[-1][1][0] == pytest.approx(exact,
+                                                                                    abs=1e-3)
 
     def test_matrix_decay_matches_expm_oracle(self):
         from scipy.linalg import expm
@@ -123,18 +125,19 @@ class TestFlow:
         op = linear_monotone(m)
         alpha = np.array([1.0, -0.5])
         exact = expm(-m) @ alpha
-        approx = flow_endpoint(op, alpha, 1.0, 2000)
+        approx = flow_steps(op, alpha, 1.0, 2000)[-1][1]
         assert np.linalg.norm(approx - exact) <= 4.0 / 2000
 
     def test_stationary_in_interior(self):
         op = indicator_halfspace([-1.0], 0.0)
-        assert flow_endpoint(op, np.array([5.0]), 7.0, 3) == pytest.approx([5.0])
-        assert flow_endpoint(op, np.array([0.0]), 3.0, 3) == pytest.approx([0.0])
+        assert flow_steps(op, np.array([5.0]), 7.0, 3)[-1][1] == pytest.approx([5.0])
+        assert flow_steps(op, np.array([0.0]), 3.0, 3)[-1][1] == pytest.approx([0.0])
 
     def test_zero_time_is_exact_identity(self, zoo):
+        # no step is taken, so the flow ends where it starts
         for op in zoo.values():
             alpha = op.domain_projection(np.full(op.dimension, 0.25))
-            np.testing.assert_array_equal(flow_endpoint(op, alpha, 0.0, 5), alpha)
+            assert flow_steps(op, alpha, 0.0, 5) == []
 
     def test_semigroup_property_on_linear(self):
         # composition error stays first order in 1/m; constant calibrated
@@ -142,13 +145,14 @@ class TestFlow:
         op = linear_monotone([[1.0]])
         s, t, start = 0.5, 1.0, np.array([1.0])
         for m in (8, 32, 128):
-            once = flow_endpoint(op, start, s + t, 2 * m)
-            composed = flow_endpoint(op, flow_endpoint(op, start, s, m), t, m)
+            once = flow_steps(op, start, s + t, 2 * m)[-1][1]
+            composed = flow_steps(op, flow_steps(op, start, s, m)[-1][1], t, m)[-1][1]
             assert np.linalg.norm(once - composed) <= 1.0 * (s + t) / m
 
 
-class TestFlowEndpoint:
-    """The path-only kernel takes the steps of ``flow_steps`` and returns its last state."""
+class TestBoundFlows:
+    """The flow that a march along one path binds per step length
+    (``_bound_flows``) ends at the last state of ``flow_steps``, bit for bit."""
 
     @pytest.mark.parametrize("substeps", [1, 3, 16])
     @pytest.mark.parametrize("t", [1e-6, 1.0])
@@ -156,8 +160,9 @@ class TestFlowEndpoint:
         # the zoo holds every built-in kind: halfspace, box, ball, polyhedron,
         # linear and convex_prox
         for name, op in zoo.items():
+            bound = _bound_flows(op, substeps)
             for start in rng.normal(0.0, 2.0, size=(4, op.dimension)):
-                end = flow_endpoint(op, start, t, substeps)
+                end = bound(t)(start)
                 assert end.dtype == np.float64, name
                 np.testing.assert_array_equal(end, flow_steps(op, start, t, substeps)[-1][1],
                                               err_msg=name)
@@ -166,7 +171,6 @@ class TestFlowEndpoint:
     def test_zero_time_returns_start(self, zoo, substeps):
         for op in zoo.values():
             start = np.full(op.dimension, 3.0)
-            assert flow_endpoint(op, start, 0.0, substeps) is start
             assert flow_steps(op, start, 0.0, substeps) == []
 
     @pytest.mark.parametrize("t, substeps", [(1.0, 0), (1e-16, 1), (1e-15, 16)],
@@ -178,9 +182,11 @@ class TestFlowEndpoint:
             start = np.zeros(op.dimension)
             with pytest.raises(ValueError) as listed:
                 flow_steps(op, start, t, substeps)
-            with pytest.raises(ValueError) as kernel:
-                flow_endpoint(op, start, t, substeps)
-            assert str(kernel.value) == str(listed.value), name
+            # a march checks its steps at its entry, before it binds a flow
+            y = StepPath(Partition(np.array([0.0, t])), np.vstack([start, start]))
+            with pytest.raises(ValueError) as march:
+                solve_step(op, Projection("classical"), y, flow_substeps=substeps)
+            assert str(march.value) == str(listed.value), name
 
     @pytest.mark.parametrize("name, per_step", [("linear2", 5), ("rotation2", 5),
                                                 ("box2", 1), ("wedge", 1)])
@@ -451,7 +457,8 @@ def linear_memo(op):
 
 class TestLinearPower:
     """``linear_monotone``'s resolvent carries ``power``: m steps in one call,
-    bit for bit the loop of m resolvent calls that ``flow_endpoint`` replaces."""
+    bit for bit the loop of m resolvent calls that a flow replaces, as is the
+    map that ``bind_power`` binds to one float step."""
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_point_with_a_float_step(self, rng, d):
@@ -460,20 +467,24 @@ class TestLinearPower:
             z = rng.normal(0.0, 2.0, size=d)
             for m in (1, 2, 16):
                 assert same_bits(op.resolvent.power(lam, m, z), resolvent_loop(op, lam, m, z))
-            assert same_bits(flow_endpoint(op, z, 16 * lam, 16), resolvent_loop(op, lam, 16, z))
+                assert same_bits(op.resolvent.bind_power(lam, m)(z),
+                                 resolvent_loop(op, lam, m, z))
+            assert same_bits(flow_steps(op, z, 16 * lam, 16)[-1][1],
+                             resolvent_loop(op, lam, 16, z))
 
     def test_batch_with_one_step(self, rng):
         op = linear_monotone(random_monotone_matrix(rng, 3))
         z = rng.normal(0.0, 2.0, size=(7, 3))
         assert same_bits(op.resolvent.power(0.1, 16, z), resolvent_loop(op, 0.1, 16, z))
-        assert same_bits(flow_endpoint(op, z, 1.6, 16), resolvent_loop(op, 0.1, 16, z))
+        assert same_bits(op.resolvent.bind_power(0.1, 16)(z), resolvent_loop(op, 0.1, 16, z))
+        assert same_bits(flow_steps(op, z, 1.6, 16)[-1][1], resolvent_loop(op, 0.1, 16, z))
 
     def test_batch_with_ragged_steps(self, rng):
         op = linear_monotone(random_monotone_matrix(rng, 2))
         z = rng.normal(0.0, 2.0, size=(9, 2))
         lam = np.array([0.1, 0.3, 0.1, 2.0, 1e-5, 0.3, 0.3, 0.1, 7.5])
         assert same_bits(op.resolvent.power(lam, 16, z), resolvent_loop(op, lam, 16, z))
-        assert same_bits(flow_endpoint(op, z, 16 * lam, 16), resolvent_loop(op, lam, 16, z))
+        assert same_bits(flow_steps(op, z, 16 * lam, 16)[-1][1], resolvent_loop(op, lam, 16, z))
 
     def test_memo_evicted_mid_stream(self, rng):
         op = linear_monotone(random_monotone_matrix(rng, 2))
@@ -533,11 +544,15 @@ class TestLinearPower:
         replaced = dataclasses.replace(
             op, resolvent=lambda lam, z: calls.append(lam) or other.resolvent(lam, z))
         assert getattr(replaced.resolvent, "power", None) is None
+        assert getattr(replaced.resolvent, "bind_power", None) is None
         z = rng.normal(0.0, 2.0, size=2)
-        end = flow_endpoint(replaced, z, 0.8, 16)
+        end = flow_steps(replaced, z, 0.8, 16)[-1][1]
         assert calls == [0.05] * 16
         assert same_bits(end, resolvent_loop(other, 0.05, 16, z))
-        assert not same_bits(end, flow_endpoint(op, z, 0.8, 16))
+        assert not same_bits(end, flow_steps(op, z, 0.8, 16)[-1][1])
+        # the flow a march binds calls the replaced resolvent too
+        assert same_bits(_bound_flows(replaced, 16)(0.8)(z), end)
+        assert calls == [0.05] * 32
 
 
 def counted_power(op):
@@ -601,7 +616,8 @@ class TestFlowStates:
         assert calls == [(16, True)]
         for (_, state), (_, want) in zip(steps, flow_steps(op, start, t, 16)):
             assert same_bits(state, want)
-        assert same_bits(flow_endpoint(counted, start, t, 16), steps[-1][1])
+        # the unchecked kernel of a batch march: one power call per flow too
+        assert same_bits(_flow_kernel(counted, 16)(start, t), steps[-1][1])
         assert calls == [(16, True), (16, False)]
         # each solution checker flows all the intervals of a solution in one call
         n = 20

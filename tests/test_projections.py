@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 import re
 
 import numpy as np
@@ -14,6 +16,7 @@ from mmsde import (
     project_elastic,
     project_elastic_iterated,
 )
+from mmsde.operators import _identity
 
 
 def wedge_op():
@@ -251,6 +254,91 @@ class TestNonFinitePoint:
         # in a batch, through the classical projection, the row is named too
         with pytest.raises(NonConvergenceError, match=re.escape(dykstra)):
             Projection()(zoo["wedge"], [[0.0, 1.0], [value, 0.5]])
+
+
+ITERATED = Projection("elastic_iterated", c=0.5)
+
+
+class TestNonFiniteRows:
+    """A row holding inf, -inf or NaN stops the iterated kind at once, whichever
+    way it is called: the message names the first such row, ``last`` is the
+    input and the residual is NaN."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["box2", "halfline", "linear2"])
+    def test_same_error_from_every_entry(self, zoo, name, value, batch):
+        op = zoo[name]
+        bad = np.array([value] + [0.5] * (op.dimension - 1))
+        z = np.vstack([np.full(op.dimension, 0.25), bad, np.full(op.dimension, -0.0)]) \
+            if batch else bad
+        message = ("iterated elastic projection cannot stabilize from the non-finite point "
+                   f"{bad.tolist()}")
+        for project in (lambda z: project_elastic_iterated(op, 0.5, z),
+                        lambda z: ITERATED(op, z), ITERATED.bind(op)):
+            with pytest.raises(NonConvergenceError) as err:
+                project(z)
+            assert str(err.value) == message
+            assert err.value.last.tobytes() == z.tobytes() and err.value.last.shape == z.shape
+            assert math.isnan(err.value.residual)
+
+
+# a signed zero, the smallest subnormal, a huge finite value, inf and NaN
+SPECIAL = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]
+KINDS = [Projection(), Projection("elastic", c=0.0), Projection("elastic", c=0.6), ITERATED]
+
+
+def outcome(project, z):
+    """``project(z)`` as its dtype, shape and bytes, or its error as type, text,
+    ``last`` bytes and residual (a numpy warning is an error in the suite)."""
+    try:
+        out = project(z)
+    except (NonConvergenceError, RuntimeWarning) as exc:
+        last = getattr(exc, "last", None)
+        return (type(exc), str(exc), None if last is None else np.asarray(last).tobytes(),
+                repr(getattr(exc, "residual", None)))
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestBind:
+    """``Projection.bind`` gives the map of ``proj(op, z)`` bit for bit, errors
+    included; only a domain of all of R^d makes it the identity."""
+
+    @pytest.mark.parametrize("proj", KINDS, ids=["classical", "elastic0", "elastic", "iterated"])
+    @pytest.mark.parametrize("name", ["box2", "halfline", "linear2", "prox_abs"])
+    def test_bound_map_is_the_call(self, zoo, name, proj):
+        op = zoo[name]
+        d = op.dimension
+        points = [np.array([v, 0.5][:d]) for v in SPECIAL] + \
+                 [np.array([0.5, v]) for v in SPECIAL if d == 2]
+        batches = [np.array(points), np.array([p for p in points if np.isfinite(p).all()])]
+        bound = proj.bind(op)
+        for z in points + batches:
+            assert outcome(bound, z.copy()) == outcome(lambda z: proj(op, z), z.copy())
+
+    def test_only_the_shared_identity_is_skipped(self, zoo):
+        op = zoo["linear2"]
+        # a wrapper that keeps ``__wrapped__``, as a tracer's does, is still the identity
+        traced = dataclasses.replace(op, domain_projection=functools.wraps(_identity)(
+            lambda z: _identity(z)))
+        for target in (op, traced, zoo["prox_abs"]):
+            assert Projection().bind(target) is _identity
+            assert Projection("elastic", c=0.0).bind(target) is _identity
+        seen = []
+
+        class Counted(Projection):
+            def __call__(self, op, z):
+                seen.append(self.kind)
+                return super().__call__(op, z)
+
+        own = dataclasses.replace(op, domain_projection=lambda z: z)
+        z = np.array([0.5, -0.0])
+        cases = [(Counted(), own), (Counted(), zoo["box2"]), (Counted("elastic", c=0.5), op),
+                 (Counted("elastic_iterated", c=0.5), op)]
+        for proj, target in cases:
+            want = Projection(proj.kind, c=proj.c)(target, z)
+            assert proj.bind(target)(z).tobytes() == want.tobytes()
+        assert seen == ["classical", "classical", "elastic", "elastic_iterated"]
 
 
 class TestProjectionDispatch:

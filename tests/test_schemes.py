@@ -39,7 +39,7 @@ from mmsde import (
 from mmsde.config import parse_config_text
 from mmsde.drivers import _chunk_of
 from mmsde.harness import _Context
-from mmsde.operators import MIN_RESOLVENT_STEP, flow_endpoint
+from mmsde.operators import MIN_RESOLVENT_STEP, flow_steps
 from mmsde.schemes import (_euler, _yosida, bounded_sin_coefficient, diag_linear_coefficient,
                            square_coefficient)
 
@@ -444,14 +444,14 @@ class TestChunkEdge:
         ("linear2", 8 * MIN_RESOLVENT_STEP),  # the others take t/m, here t/16
         ("spring", 8 * MIN_RESOLVENT_STEP),
     ])
-    def test_a_step_below_resolution_fails_the_chunk_as_flow_endpoint_does(
+    def test_a_step_below_resolution_fails_the_chunk_as_flow_steps_does(
             self, zoo, name, step):
         op = box_spring()[0] if name == "spring" else zoo[name]
         coarse = on_grid(uniform_partition(1.0, 8).times, h0=0.5, d=2)
         fine = on_grid([0.0, 0.25, 0.25 + step, 1.0], h0=0.5, d=2)
         t = float(np.diff(fine.grid.times)[1])
         with pytest.raises(ValueError) as kernel:
-            flow_endpoint(op, np.full(2, 0.5), t, 16)
+            flow_steps(op, np.full(2, 0.5), t, 16)
         assert "resolvent step must be" in str(kernel.value)
         for rows in ([fine], [coarse, fine], [fine, coarse, coarse]):
             with pytest.raises(ValueError) as chunk:
@@ -548,7 +548,7 @@ def sp_replay(op, proj, x, x_pre, dy, times, substeps):
     step once formed them: flow, project, then prev - x_left and w - xi."""
     dkc, dkd = np.zeros_like(x), np.zeros_like(x)
     for j in range(1, len(x)):
-        x_left = flow_endpoint(op, x[j - 1], times[j] - times[j - 1], substeps)
+        x_left = flow_steps(op, x[j - 1], times[j] - times[j - 1], substeps)[-1][1]
         w = x_left + dy[j]
         xi = np.asarray(proj(op, w), dtype=float)
         assert x_left.tobytes() == x_pre[j].tobytes() and xi.tobytes() == x[j].tobytes()

@@ -6,6 +6,7 @@ import pytest
 
 from mmsde import (
     DomainViolationError,
+    NonConvergenceError,
     Partition,
     Projection,
     StepPath,
@@ -19,7 +20,7 @@ from mmsde import (
     uniform_partition,
     verify_solution,
 )
-from mmsde.operators import flow_steps, row_norm
+from mmsde.operators import _LINEAR_INVERSE_CACHE, flow_steps, row_norm
 from mmsde.skorokhod import _min_subarray_sum
 
 CLASSICAL = Projection()
@@ -155,6 +156,63 @@ class TestSolveSteps:
         solve_steps(spy, CLASSICAL, ys, flow_substeps=2)
         rows = (2,) if count == 1 else (count, 2)
         assert seen == [(step, rows[:-1], rows)] * 8
+
+    @staticmethod
+    def mixed_times(rng):
+        # steps of exactly 1/32 between fresh ones of random length
+        return np.unique(np.concatenate([np.arange(41) / 32, rng.uniform(0.0, 1.25, size=8)]))
+
+    @pytest.mark.parametrize("proj", [CLASSICAL, Projection("elastic", c=0.7),
+                                      Projection("elastic_iterated", c=0.5)],
+                             ids=["classical", "elastic", "elastic_iterated"])
+    @pytest.mark.parametrize("name", ["linear1", "linear2", "rotation2"])
+    @pytest.mark.parametrize("grid", ["uniform", "mixed"])
+    def test_one_path_is_each_row_of_a_batch(self, zoo, rng, name, proj, grid):
+        # the one-path march binds its flow per step length and its projection
+        # once; the batch march of two copies takes every step afresh
+        op = zoo[name]
+        times = uniform_partition(1.0, 40).times if grid == "uniform" else self.mixed_times(rng)
+        y = self.paths(op, rng, 1, times)[0]
+        one = solve_step(op, proj, y, flow_substeps=5)
+        for sol in solve_steps(op, proj, [y, y], flow_substeps=5):
+            self.assert_same(one, sol)
+
+    @pytest.mark.parametrize("grid", ["mixed", "past-the-memo"])
+    def test_one_path_binds_each_step_length_once(self, zoo, rng, grid):
+        op = zoo["rotation2"]
+        binds, resolvent = [], op.resolvent
+
+        def counted(lam, z):
+            return resolvent(lam, z)
+
+        counted.power = resolvent.power
+        counted.bind_power = lambda lam, m: binds.append(lam) or resolvent.bind_power(lam, m)
+        spy = dataclasses.replace(op, resolvent=counted)
+        if grid == "mixed":
+            times = self.mixed_times(rng)
+        else:  # 133 exact step lengths, then the same again: all forgotten by then
+            lengths = np.arange(1, 2 * _LINEAR_INVERSE_CACHE + 6) / 1024
+            times = np.concatenate([[0.0], np.cumsum(np.concatenate([lengths, lengths]))])
+        y = self.paths(op, rng, 1, times)[0]
+        self.assert_same(solve_step(spy, CLASSICAL, y, flow_substeps=4),
+                         solve_steps(op, CLASSICAL, [y, y], flow_substeps=4)[1])
+        lengths = dict.fromkeys(np.diff(times).tolist())
+        firsts = [t / 4 for t in lengths]
+        assert binds == (firsts if grid == "mixed" else firsts * 2)
+
+    def test_an_overflowing_state_stops_the_iterated_kind(self, zoo):
+        # x_2 is about -1.7e308, so x_pre_3 + dy_3 = -1.7e308 - 1.7e308 overflows
+        y = step_path([0.0, 1.0, 51.0, 51.001], [[0.0], [1.7e308], [0.0], [-1.7e308]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonConvergenceError) as err:
+                solve_step(zoo["linear1"], Projection("elastic_iterated", c=0.5), y)
+            # the classical kind, the identity here, keeps the infinite state,
+            # which no solution path may hold
+            with pytest.raises(ValueError, match="^path values must be finite$"):
+                solve_step(zoo["linear1"], CLASSICAL, y)
+        assert str(err.value) == ("iterated elastic projection cannot stabilize from the "
+                                  "non-finite point [-inf]")
+        assert err.value.last.tolist() == [-np.inf] and math.isnan(err.value.residual)
 
     def test_errors_name_their_path(self, zoo, rng):
         op = zoo["box2"]
