@@ -22,7 +22,6 @@ from .projections import (
     Projection,
     project_classical,
     project_elastic,
-    project_elastic_iterated,
 )
 from .paths import (
     Partition,

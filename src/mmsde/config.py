@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drivers import DriverSpec, JumpLaw, ProcessSpec
+from .drivers import _MAX_HORIZON, DriverSpec, JumpLaw, ProcessSpec
 from .errors import ConfigError
 from .operators import (
     MonotoneOperator,
@@ -102,8 +102,8 @@ class ExperimentConfig:
         one, and no caller changes a section dict in place."""
         if "_validated" in self.__dict__:
             return self
-        if not (0 < self.horizon < math.inf):
-            raise ConfigError("experiment.horizon", "must be positive and finite")
+        if not (0 < self.horizon <= _MAX_HORIZON):
+            raise ConfigError("experiment.horizon", f"must be positive and at most {_MAX_HORIZON}")
         if not self.levels:
             raise ConfigError("experiment.levels", "at least one partition level required")
         if any(int(n) != n or n < 1 for n in self.levels):

@@ -11,8 +11,9 @@ block), so trajectories are order-independent and reproducible bit for bit.
 W comes from a tree of dyadic bridge nodes to float resolution (no depth cap,
 so the law is exact), each keyed by its time and drawn and bridged once: W(t)
 is a pure function of (seed, trajectory, tag, t), so ``Chunk.restrict`` reads
-the values of a coarser partition off a fine realization.  ``STREAM_VERSION``
-names the stream; a change to its values bumps it.
+the values of a coarser partition off a fine realization; the horizon is at
+most half the largest float.  ``STREAM_VERSION`` names the stream; a change to
+its values bumps it.
 
 Inside the package realizations travel as the rows of one ``Chunk``: grid
 times laid end to end with row offsets, H and Z as (N, d) columns, the jump
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 STREAM_VERSION = 2
+_MAX_HORIZON = float(np.finfo(float).max) / 2.0
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -65,32 +67,57 @@ _PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
 _PHILOX_M_SWAP = np.ascontiguousarray(_PHILOX_M[::-1])
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_PHILOX_CHUNK = 1 << 13  # counter blocks per slice of a draw; bounds the temporaries
+_PHILOX_CHUNK = 1 << 13  # about the counter blocks per slice of a draw; bounds the temporaries
 # Tree nodes per descent (``_descents``), whose arrays grow with its nodes: 64
 # dyadic 513-point grids and their jump times share one; a non-dyadic time costs ~45.
 _DESCENT_NODES = 3 << 14
 
 
-def _philox_block(x: np.ndarray, y: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 on lanes x = (c0, c2) and y = (c1, c3) under ``key``; both are overwritten."""
+def _philox_block(x: np.ndarray, y: np.ndarray, key: np.ndarray, rounds=range(_PHILOX_ROUNDS)):
+    """Philox4x64-10 ``rounds`` on lanes x = (c0, c2), y = (c1, c3) under ``key``, overwritten.
+    One lane, x = (c2,), y = (c1,) under key (k0,), gives a round's words 0 and 1 alone."""
     lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     lo, x_lo, t, u = (np.empty_like(x) for _ in range(4))  # the rounds allocate nothing else
-    for r in range(_PHILOX_ROUNDS):
+    # the lanes' multipliers and key increments: one lane (c2,) multiplies M1, its k0 adds W0
+    m_lo, m_hi = _PHILOX_M_LO[2 - len(x):], _PHILOX_M_HI[2 - len(x):]
+    m_swap, w = _PHILOX_M_SWAP[:len(x)], _PHILOX_W[:len(x)]
+    for r in rounds:
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) with k = key + r W
         # and (hi, lo) the 128-bit product x * M; hi from 32-bit halves, in place of x
-        np.multiply(x[::-1], _PHILOX_M_SWAP, out=lo)
+        np.multiply(x[::-1], m_swap, out=lo)
         np.bitwise_and(x, lo32, out=x_lo)
         x >>= s32
-        np.multiply(x, _PHILOX_M_LO, out=t)
-        t += np.right_shift(np.multiply(x_lo, _PHILOX_M_LO, out=u), s32, out=u)
-        x_lo *= _PHILOX_M_HI
+        np.multiply(x, m_lo, out=t)
+        t += np.right_shift(np.multiply(x_lo, m_lo, out=u), s32, out=u)
+        x_lo *= m_hi
         x_lo += np.bitwise_and(t, lo32, out=u)
-        x *= _PHILOX_M_HI
+        x *= m_hi
         x += np.right_shift(t, s32, out=t)
         x += np.right_shift(x_lo, s32, out=x_lo)
-        np.bitwise_xor(np.bitwise_xor(np.add(key, r * _PHILOX_W, out=u), y, out=u), x[::-1], out=u)
+        np.bitwise_xor(np.bitwise_xor(np.add(key, r * w, out=u), y, out=u), x[::-1], out=u)
         x, y, u, lo = u, lo, x, y
     return x, y
+
+
+def _philox_keyed(seed: int, trajectories: np.ndarray, purposes, times: np.ndarray,
+                  blocks: int, lanes: int):
+    """``_philox_block`` at key (seed, trajectory) and counters (1, p, bits(t), j), as
+    incremented, of each node, purpose p and block j: lanes x = (c0, c2), y = (c1, c3),
+    (lanes, nodes x purposes x blocks), only words 0 and 1 if ``lanes`` = 1.  Round 1
+    multiplies bits(t) once per node, as c0 = 1 has the product (hi 0, lo M0), and the
+    last round of words 0 and 1 only lane 1."""
+    zeros = np.zeros((2, 1, times.size), dtype=np.uint64)  # round 1's c1 and k0: (hi, lo) alone
+    hi, lo = _philox_block(np.array(times.view(np.uint64), ndmin=2), *zeros, range(1))
+    x, y, key = np.empty((3, 2, times.size, len(purposes), blocks), dtype=np.uint64)
+    key[0], key[1] = seed & _U64, trajectories[:, None, None]
+    x[0] = hi[0, :, None, None] ^ np.asarray(purposes, dtype=np.uint64)[:, None] ^ key[0]
+    x[1] = np.arange(blocks, dtype=np.uint64) ^ key[1]
+    y[0], y[1] = lo[0, :, None, None], _PHILOX_M[0]
+    x, y, key = (v.reshape(2, -1) for v in (x, y, key))
+    if lanes == 2:
+        return _philox_block(x, y, key, range(1, _PHILOX_ROUNDS))
+    x, y = _philox_block(x, y, key, range(1, _PHILOX_ROUNDS - 1))
+    return _philox_block(x[1:], y[:1], key[:1], range(_PHILOX_ROUNDS - 1, _PHILOX_ROUNDS))
 
 
 def _keyed_gaussians(seed: int, ends: np.ndarray, owners: np.ndarray, purposes,
@@ -98,25 +125,24 @@ def _keyed_gaussians(seed: int, ends: np.ndarray, owners: np.ndarray, purposes,
     """Standard normals keyed by (seed, trajectory, purpose, bits of t): (nodes, purposes * dim).
 
     Node t of trajectory ``ends[owners[i]]`` and purpose p uses the Philox
-    blocks at key (seed, trajectory) and counters (0, p, bits(t), j), drawn in
-    slices of ``_PHILOX_CHUNK`` blocks; Box-Muller turns the words, pair by
-    pair, into the normals (r cos a, r sin a), of which the first ``dim`` are used.
+    blocks at key (seed, trajectory) and counters (0, p, bits(t), j), drawn by
+    ``_philox_keyed`` in slices of about ``_PHILOX_CHUNK`` blocks, words 0 and 1 alone
+    when ``dim`` <= 2; Box-Muller turns the words, pair by pair, into the
+    normals (r cos a, r sin a), of which the first ``dim`` are used.
     """
     blocks, pairs = -(-dim // 4), -(-dim // 2)
     normals = np.empty((node_times.size, len(purposes), dim))
-    step = _PHILOX_CHUNK // (len(purposes) * blocks)
+    # as many slices as _PHILOX_CHUNK blocks fit, rounded: no ragged tail, none over 3/2 of it
+    slices = max(1, round(node_times.size * len(purposes) * blocks / _PHILOX_CHUNK))
+    step = max(1, -(-node_times.size // slices))
     for lo in range(0, node_times.size, step):
         t, out = node_times[lo:lo + step], normals[lo:lo + step]
-        # lanes (c0, c2), (c1, c3) of the incremented counters, and the keys; a column per block
-        x, y, key = np.empty((3, 2, t.size, len(purposes), blocks), dtype=np.uint64)
-        x[0], x[1] = 1, t.view(np.uint64)[:, None, None]
-        y[0], y[1] = np.asarray(purposes, dtype=np.uint64)[:, None], np.arange(blocks)
-        key[0], key[1] = seed & _U64, ends[owners[lo:lo + step]][:, None, None]
-        x, y = _philox_block(x.reshape(2, -1), y.reshape(2, -1), key.reshape(2, -1))
-        words = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(out.shape[:2] + (-1,))
-        u = (words[..., :2 * pairs] >> np.uint64(11)) * 2.0 ** -53  # uniforms on [0, 1)
-        radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
-        angle = 2.0 * np.pi * u[..., 1::2]
+        lanes = _philox_keyed(seed, ends[owners[lo:lo + step]], purposes, t, blocks, min(pairs, 2))
+        # the even words (c0, c2 of each block) and the odd words (c1, c3), pair by pair
+        even, odd = (v.reshape(-1, *out.shape[:2], blocks).transpose(1, 2, 3, 0)
+                     .reshape(*out.shape[:2], -1)[..., :pairs] for v in lanes)
+        radius = np.sqrt(-2.0 * np.log1p(-((even >> np.uint64(11)) * 2.0 ** -53)))
+        angle = 2.0 * np.pi * ((odd >> np.uint64(11)) * 2.0 ** -53)  # uniforms on [0, 1)
         out[..., 0::2] = radius * np.cos(angle)
         out[..., 1::2] = radius[..., :dim // 2] * np.sin(angle[..., :dim // 2])
     return normals.reshape(node_times.size, len(purposes) * dim)
@@ -261,9 +287,12 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     over the brackets that hold two distinct times or one at m, and splits
     their times between the children with one ``np.searchsorted`` on the sorted
     (trajectory, time) keys; a time left alone in its bracket then descends by
-    itself, to the midpoint s, or to itself once the bracket has no float
-    midpoint.  Pass 2 draws each node once, and pass 3 bridges them in order.
+    itself to the midpoint s.  Pass 2 draws each node once, and pass 3 bridges
+    them in order.  A bracket's times lie strictly inside it, and so does m, as
+    a + b is finite (T is at most ``_MAX_HORIZON``, half the largest float).
     """
+    if not horizon <= _MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} above half the largest float, {_MAX_HORIZON}")
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= horizon)):
         raise ValueError(f"times outside [0, {horizon}]")
@@ -281,9 +310,8 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     while live[0].size:
         r, a, b, lo, hi = live
         m, count = 0.5 * (a + b), hi - lo
-        # shared: two or more times, or one at m, and a float midpoint m
-        shared = ((count > 1) | (count == 1) & (key_t[np.minimum(lo, hi - 1)] == m)) \
-            & (a < m) & (m < b)
+        # shared: two or more times, or one at m
+        shared = (count > 1) | (count == 1) & (key_t[np.minimum(lo, hi - 1)] == m)
         single = ~shared & (count > 0)  # empty brackets drop out
         alone.append([x[single] for x in live])
         r, a, b, lo, hi, m = (x[shared] for x in (*live, m))
@@ -293,7 +321,7 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
         sweep.append((shared, single, *_bridge_weights(a, b, m), hit, split[hit]))
         live = tuple(np.concatenate(x) for x in
                      ((r, r), (a, m), (m, b), (lo, split + hit), (split, hi)))
-    # pass 1, the descents of the times left alone (all times of a bracket without a midpoint)
+    # pass 1, the descents of the times left alone
     r, a, b, lo, hi = (np.concatenate(x) for x in zip(*alone))
     grow = np.repeat(np.arange(lo.size), hi - lo)  # the bracket of each time
     at = np.arange(grow.size) + (lo - np.cumsum(hi - lo) + (hi - lo))[grow]
@@ -301,13 +329,13 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     a0, b0, descent = a, b, []
     while t.size:
         m = 0.5 * (a + b)
-        s = np.where((a < m) & (m < b), m, t)
-        left, stop = t < s, s == t
-        a, b = np.where(left, a, s), np.where(left, s, b)
-        nodes.append((r, s))
+        left, stop = t < m, t == m
+        a, b = np.where(left, a, m), np.where(left, m, b)
+        nodes.append((r, m))
         descent.append((left, stop))
-        if stop.any():
-            t, a, b, r = t[~stop], a[~stop], b[~stop], r[~stop]
+        if np.count_nonzero(stop):
+            keep = ~stop
+            t, a, b, r = t[keep], a[keep], b[keep], r[keep]
 
     # pass 2: one keyed draw for all nodes; pass 3: the bridge, in the order of pass 1
     owners, node_t = nodes = [np.concatenate(x) for x in zip(*nodes)]
@@ -329,9 +357,10 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
         vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
         a0, b0 = np.where(left, a0, s), np.where(left, s, b0)
         va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
-        if stop.any():
+        if np.count_nonzero(stop):
             w[at[stop]] = vs[stop]
-            at, a0, b0, va, vb = (x[~stop] for x in (at, a0, b0, va, vb))
+            keep = ~stop
+            at, a0, b0, va, vb = at[keep], a0[keep], b0[keep], va[keep], vb[keep]
     return w[query_of].reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
 
 

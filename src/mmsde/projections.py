@@ -24,7 +24,6 @@ __all__ = [
     "Projection",
     "project_classical",
     "project_elastic",
-    "project_elastic_iterated",
     "DEFAULT_ITER_TOL",
     "DEFAULT_ITER_MAX",
 ]
@@ -59,17 +58,9 @@ def project_elastic(op: MonotoneOperator, c: float, z) -> np.ndarray:
     return p if c == 0.0 else p - c * (z - p)
 
 
-def _iteration_budget(tol, max_iter: int) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-
-
-def project_elastic_iterated(op: MonotoneOperator, c: float, z,
-                             tol: float = DEFAULT_ITER_TOL,
-                             max_iter: int = DEFAULT_ITER_MAX) -> np.ndarray:
-    """Limit of repeated elastic projections.
+def _elastic_iterated(op: MonotoneOperator, c: float, z, tol: float, max_iter: int):
+    """Limit of repeated elastic projections (``Projection``'s iterated kind,
+    which checks c, ``tol`` and ``max_iter`` when it is made).
 
     Iterates w <- elastic(w) until the iterate lies in the domain closure
     within ``tol`` or moves by less than ``tol``; either condition certifies
@@ -79,15 +70,8 @@ def project_elastic_iterated(op: MonotoneOperator, c: float, z,
     at once.  Each row of a batch freezes at its own stopping iterate; the
     budget error carries the batch's last iterate and the largest domain
     distance among the rows still moving; a non-finite row raises it before
-    the first projection.  ``tol`` must be finite and positive, ``max_iter``
-    at least 1 and ``c`` in [0, 1], checked on each call (``Projection`` once).
+    the first projection.
     """
-    _iteration_budget(tol, max_iter)
-    return _elastic_iterated(op, _elasticity(c), z, tol, max_iter)
-
-
-def _elastic_iterated(op: MonotoneOperator, c: float, z, tol: float, max_iter: int):
-    """``project_elastic_iterated`` on checked parameters; z is still tested."""
     w = as_points(z)
     # before any arithmetic on it, which would meet inf - inf: such a row never stops
     if np.count_nonzero(np.isfinite(w)) < w.size:
@@ -151,7 +135,10 @@ class Projection:
         if self.kind != "classical" and not (0.0 <= self.c <= 1.0):
             raise ValueError(f"elasticity must lie in [0, 1], got {self.c}")
         if self.kind == "elastic_iterated":
-            _iteration_budget(self.tol, self.max_iter)
+            if not (math.isfinite(self.tol) and self.tol > 0):
+                raise ValueError(f"tol must be finite and positive, got {self.tol}")
+            if self.max_iter < 1:
+                raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
     def __call__(self, op: MonotoneOperator, z) -> np.ndarray:
         """The projection of z.  The parameters, checked when the instance was

@@ -105,7 +105,8 @@ def solve_steps(op: MonotoneOperator, proj: Projection, ys,
     marches points, its flow bound per float dt (``_bound_flows``) and its projection
     once (``Projection.bind``); B > 1 paths (B, d) rows with one dt per row, where each
     resolvent and projection gives row i the bits of its point call (a float dt on a
-    linear batch would be a matrix product).  An error names a path of B > 1 by index.
+    linear batch would be a matrix product).  An error names a path of B > 1 by index,
+    and a state that is not finite after the march names its first step.
     """
     ys = list(ys)
     grid, one = ys[0].partition, len(ys) == 1
@@ -144,6 +145,10 @@ def solve_steps(op: MonotoneOperator, proj: Projection, ys,
             x_pre[j], prev = _sp_step(op, proj, flow, prev, dy_j, dt)
             x[j] = prev
         x, x_pre, dy = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre, dy))
+    if not np.isfinite(x).all():  # a state that overflowed, at its first step
+        b, j = np.argwhere(~np.isfinite(x).all(axis=2))[0].tolist()
+        raise ValueError(f"{'' if one else f'path {b}: '}the state at step {j} "
+                         f"(t = {float(grid.times[j])!r}) is not finite")
     return [SkorokhodSolution(x=StepPath(y.partition, x[b]),
                               k=_k(y.partition, x[b], x_pre[b], dy[b]), y=y, x_pre=x_pre[b],
                               flow_substeps=flow_substeps) for b, y in enumerate(ys)]

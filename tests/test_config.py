@@ -64,6 +64,8 @@ MALFORMED = [
     # cannot take
     ("[experiment]\nhorizon = inf\n", "experiment.horizon", "experiment.horizon-inf"),
     ("[experiment]\nhorizon = 1e-20\n", "experiment.horizon", "experiment.horizon-tiny"),
+    # above half the largest float, where a + b of a bridge bracket could overflow
+    ("[experiment]\nhorizon = 1e308\n", "experiment.horizon", "experiment.horizon-huge"),
     ("[experiment]\ntrajectories = many\n", "experiment.trajectories"),
     ("[experiment]\ncheckpoints = 0.5 late\n", "experiment.checkpoints"),
     # a non-finite level is no integer

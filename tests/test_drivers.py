@@ -19,10 +19,13 @@ from mmsde import (
     uniform_partition,
 )
 from mmsde.drivers import (
+    _MAX_HORIZON,
     _PHILOX_CHUNK,
     _brownian_values,
     _chunk_of,
+    _keyed_gaussians,
     _philox_block,
+    _philox_keyed,
     _simulate,
 )
 
@@ -409,6 +412,102 @@ class TestKeyedBrownianTree:
         for law in (JumpLaw.gaussian([0.0], [[1.0]]), JumpLaw.uniform_ball(1.0, 1),
                      JumpLaw.fixed([2.0])):
             assert law.sample(rng, 0).shape == (0, 1)
+
+
+def _reference_gaussians(seed, ends, owners, purposes, times, dim):
+    """``_keyed_gaussians`` from ``_philox_raw``'s four words of every block and
+    Box-Muller on each pair (u0, u1): sqrt(-2 log(1 - u0)) (cos, sin)(2 pi u1)."""
+    blocks, pairs = -(-dim // 4), -(-dim // 2)
+    n, p = times.size, len(purposes)
+    counters = np.zeros((n, p, blocks, 4), dtype=np.uint64)
+    counters[..., 1] = np.asarray(purposes, dtype=np.uint64)[:, None]
+    counters[..., 2] = times.view(np.uint64)[:, None, None]
+    counters[..., 3] = np.arange(blocks, dtype=np.uint64)
+    keys = np.repeat(np.stack([np.full(n, seed, dtype=np.uint64), ends[owners]], axis=1),
+                     p * blocks, axis=0)
+    words = _philox_raw(keys, counters.reshape(-1, 4)).reshape(n, p, 4 * blocks)
+    u = (words[..., :2 * pairs] >> np.uint64(11)) * 2.0 ** -53
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[..., 0::2])), 2.0 * np.pi * u[..., 1::2]
+    out = np.empty((n, p, dim))
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius[..., :dim // 2] * np.sin(angle[..., :dim // 2])
+    return out.reshape(n, p * dim)
+
+
+def _node_times(rng, n):
+    """n times >= 0 of every kind: 0, subnormals, dyadic, random and huge."""
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 0.5, 0.75, 1.0, 1e300, _MAX_HORIZON]
+    bits = rng.integers(0, 0x7FF0000000000000, size=n - len(special), dtype=np.uint64)
+    return np.concatenate([special, bits.view(np.float64)])
+
+
+class TestLeanKeyedDraw:
+    """The keyed draw skips Philox work whose result is constant or unread;
+    these tests hold it to ``_philox_raw`` (itself held to ``np.random.Philox``)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("purposes", [[3], [3, 6]], ids=["one", "two"])
+    def test_keyed_gaussians_equal_the_reference(self, dim, purposes):
+        rng = np.random.default_rng(dim)
+        times = _node_times(rng, 300)
+        ends = rng.integers(0, 2 ** 64, size=5, dtype=np.uint64)
+        owners = rng.integers(0, 5, size=times.size)
+        for seed in (0, 11, 2 ** 64 - 1):
+            got = _keyed_gaussians(seed, ends, owners, purposes, times, dim)
+            want = _reference_gaussians(seed, ends, owners, purposes, times, dim)
+            assert got.tobytes() == want.tobytes()
+
+    def test_trimmed_rounds_give_philox_words(self):
+        # round 1 multiplies lane 1 alone (c0 = 1), and so does the last round of words 0, 1
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            seed = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+            times = _node_times(rng, 200)
+            ends = rng.integers(0, 2 ** 64, size=times.size, dtype=np.uint64)
+            for purpose, blocks, lanes in ((3, 1, 1), (6, 1, 1), (3, 2, 2)):
+                x, y = _philox_keyed(seed, ends, [purpose], times, blocks, lanes)
+                counters = np.zeros((times.size, blocks, 4), dtype=np.uint64)
+                counters[..., 1], counters[..., 2] = purpose, times.view(np.uint64)[:, None]
+                counters[..., 3] = np.arange(blocks, dtype=np.uint64)
+                keys = np.repeat(np.stack([np.full(times.size, seed, dtype=np.uint64), ends],
+                                          axis=1), blocks, axis=0)
+                want = _philox_raw(keys, counters.reshape(-1, 4))
+                got = np.stack([x[0], y[0], *((x[1], y[1]) if lanes == 2 else ())], axis=1)
+                np.testing.assert_array_equal(got, want[:, :2 * lanes])
+
+    def test_a_float_midpoint_lies_strictly_inside(self):
+        # the descent's node 0.5 (a + b) of a bracket (a, b) with a float
+        # strictly inside it lies strictly inside it while a + b is finite:
+        # brackets at every binade edge, among the subnormals, and at random
+        edges = np.concatenate([[0.0], 2.0 ** np.arange(-1074, 1024)])
+        a = [edges]
+        for _ in range(3):
+            a += [np.nextafter(a[-1], np.inf)]
+        a = np.concatenate(a + [np.nextafter(edges[1:], 0.0)])
+        a = np.concatenate([a, np.arange(4096, dtype=np.uint64).view(np.float64)])
+        rng = np.random.default_rng(17)
+        a = np.concatenate([a, rng.integers(0, 0x7FF0000000000000, size=200_000,
+                                            dtype=np.uint64).view(np.float64)])
+        a = a[np.isfinite(a)]
+        checked = 0
+        for gap in (2, 3, 4, 5, 17, 2 ** 20, 2 ** 40):  # at least one float inside
+            b = (a.view(np.uint64) + np.uint64(gap)).view(np.float64)
+            with np.errstate(over="ignore"):
+                keep = np.isfinite(a + b)
+            m = 0.5 * (a[keep] + b[keep])
+            assert np.all((a[keep] < m) & (m < b[keep]))
+            checked += int(keep.sum())
+        wide = np.sort(rng.uniform(0.0, _MAX_HORIZON, size=(2, 100_000)), axis=0)
+        m = 0.5 * (wide[0] + wide[1])
+        inside = np.nextafter(wide[0], np.inf) < wide[1]
+        assert np.all((wide[0] < m) & (m < wide[1]) | ~inside)
+        assert checked > 1_000_000
+
+    def test_rejects_a_horizon_above_half_the_largest_float(self):
+        above = float(np.nextafter(_MAX_HORIZON, np.inf))
+        for horizon in (above, np.inf, np.nan):
+            with pytest.raises(ValueError, match="above half the largest float"):
+                _brownian_values(1, 0, [3], horizon, 1, np.array([1.0]))
 
 
 # stream 2, key (7, 3): the raw block of node t = 0.5 of tag 3, and W at

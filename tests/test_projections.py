@@ -14,7 +14,6 @@ from mmsde import (
     indicator_polyhedron,
     project_classical,
     project_elastic,
-    project_elastic_iterated,
 )
 from mmsde.operators import _identity
 
@@ -83,11 +82,11 @@ class TestElasticIterated:
         op = zoo["halfline"]
         for c in (0.2, 0.5, 1.0):
             np.testing.assert_array_equal(
-                project_elastic_iterated(op, c, [-2.0]),
+                Projection("elastic_iterated", c)(op, [-2.0]),
                 project_elastic(op, c, [-2.0]))
         # box corner mirror lands inside after one step
         box = zoo["box2"]
-        assert project_elastic_iterated(box, 1.0, [2.0, 2.0]) == pytest.approx([0.0, 0.0])
+        assert Projection("elastic_iterated", 1.0)(box, [2.0, 2.0]) == pytest.approx([0.0, 0.0])
 
     def test_wedge_limit_against_brute_force_oracle(self):
         op = wedge_op()
@@ -101,7 +100,7 @@ class TestElasticIterated:
             w = nxt
             if op.domain_distance(w) <= 1e-12:
                 break
-        limit = project_elastic_iterated(op, 1.0, z)
+        limit = Projection("elastic_iterated", 1.0)(op, z)
         assert limit == pytest.approx(w, abs=1e-9)
         assert op.domain_distance(limit) <= 1e-8
 
@@ -121,15 +120,15 @@ class TestElasticIterated:
             op = zoo[name]
             for _ in range(20):
                 z = rng.normal(0.0, 3.0, size=op.dimension)
-                w = project_elastic_iterated(op, 0.7, z)
-                again = project_elastic_iterated(op, 0.7, w)
+                w = Projection("elastic_iterated", 0.7)(op, z)
+                again = Projection("elastic_iterated", 0.7)(op, w)
                 assert again == pytest.approx(w, abs=1e-9)
 
     def test_exhausting_budget_raises(self):
         # narrow cone x2 >= 3|x1|: the first mirror bounce stays outside
         op = indicator_polyhedron([([3.0, -1.0], 0.0), ([-3.0, -1.0], 0.0)])
         with pytest.raises(NonConvergenceError) as info:
-            project_elastic_iterated(op, 1.0, [1.0, 0.0], max_iter=1)
+            Projection("elastic_iterated", 1.0, max_iter=1)(op, [1.0, 0.0])
         assert info.value.last is not None
         assert info.value.residual is not None
 
@@ -175,7 +174,7 @@ class TestElasticShortcut:
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("point", BOX_POINTS)
     def test_single_point_equals_the_loop_bit_for_bit(self, zoo, c, point):
-        got = project_elastic_iterated(zoo["box2"], c, point)
+        got = Projection("elastic_iterated", c)(zoo["box2"], point)
         assert got.tobytes() == elastic_loop(zoo["box2"], c, point).tobytes()
 
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
@@ -183,15 +182,15 @@ class TestElasticShortcut:
                              ids=["inside", "mixed", "outside"])
     def test_batch_equals_the_loop_bit_for_bit(self, zoo, c, rows):
         z = np.array(BOX_POINTS)[rows]
-        got = project_elastic_iterated(zoo["box2"], c, z)
+        got = Projection("elastic_iterated", c)(zoo["box2"], z)
         assert got.tobytes() == elastic_loop(zoo["box2"], c, z).tobytes()
         for row, point in zip(got, z):
-            assert row.tobytes() == project_elastic_iterated(zoo["box2"], c, point).tobytes()
+            assert row.tobytes() == Projection("elastic_iterated", c)(zoo["box2"], point).tobytes()
 
     def test_a_signed_zero_keeps_the_loops_sign(self, zoo):
         # the loop's p - c (w - p) at w = p keeps p's zero, sign and all
         for c in (0.0, 0.5, 1.0):
-            got = project_elastic_iterated(zoo["box2"], c, [-0.0, 0.5])
+            got = Projection("elastic_iterated", c)(zoo["box2"], [-0.0, 0.5])
             want = elastic_loop(zoo["box2"], c, [-0.0, 0.5])
             assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
@@ -203,13 +202,13 @@ class TestElasticShortcut:
         z = z[(zoo[name].domain_projection(z) == z).all(axis=-1)][:8]
         assert len(z) == 8
         op, calls = counting(zoo[name])
-        got = project_elastic_iterated(op, 0.5, z)
+        got = Projection("elastic_iterated", 0.5)(op, z)
         assert len(calls) == 1
         assert got.tobytes() == z.tobytes() == elastic_loop(zoo[name], 0.5, z).tobytes()
 
     def test_an_outside_row_keeps_the_loop(self, zoo):
         op, calls = counting(zoo["box2"])
-        project_elastic_iterated(op, 0.5, np.array(BOX_POINTS))
+        Projection("elastic_iterated", 0.5)(op, np.array(BOX_POINTS))
         assert len(calls) >= 2
 
 
@@ -223,7 +222,7 @@ class TestNonFinitePoint:
         # such a row would spin through all 100,000 steps of the budget
         op, calls = counting(zoo["box2"])
         with pytest.raises(NonConvergenceError, match="non-finite point") as info:
-            project_elastic_iterated(op, 0.5, z)
+            Projection("elastic_iterated", 0.5)(op, z)
         assert named in str(info.value)
         assert len(calls) <= 2
 
@@ -237,7 +236,7 @@ class TestNonFinitePoint:
             op.domain_projection(np.array(z))
         counted, calls = counting(op)
         with pytest.raises(NonConvergenceError, match="non-finite point"):
-            project_elastic_iterated(counted, 0.5, z)
+            Projection("elastic_iterated", 0.5)(counted, z)
         assert len(calls) == 0  # the iterated projection tests the point first
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -247,7 +246,7 @@ class TestNonFinitePoint:
         elastic = ("iterated elastic projection cannot stabilize from the non-finite point "
                    f"[{value}]")
         with pytest.raises(NonConvergenceError, match=re.escape(elastic)):
-            project_elastic_iterated(zoo["halfline"], 0.5, [value])
+            Projection("elastic_iterated", 0.5)(zoo["halfline"], [value])
         dykstra = f"Dykstra projection cannot stabilize from the non-finite point [{value}, 0.5]"
         with pytest.raises(NonConvergenceError, match=re.escape(dykstra)):
             zoo["wedge"].domain_projection(np.array([value, 0.5]))
@@ -274,8 +273,7 @@ class TestNonFiniteRows:
             if batch else bad
         message = ("iterated elastic projection cannot stabilize from the non-finite point "
                    f"{bad.tolist()}")
-        for project in (lambda z: project_elastic_iterated(op, 0.5, z),
-                        lambda z: ITERATED(op, z), ITERATED.bind(op)):
+        for project in (lambda z: ITERATED(op, z), ITERATED.bind(op)):
             with pytest.raises(NonConvergenceError) as err:
                 project(z)
             assert str(err.value) == message
@@ -355,6 +353,20 @@ class TestProjectionDispatch:
         with pytest.raises(ValueError):
             Projection(kind="elastic", c=1.5)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"c": 1.5}, "elasticity must lie in [0, 1], got 1.5"),
+        ({"c": -0.1}, "elasticity must lie in [0, 1], got -0.1"),
+        ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+        ({"tol": -1e-8}, "tol must be finite and positive, got -1e-08"),
+        ({"tol": math.nan}, "tol must be finite and positive, got nan"),
+        ({"tol": math.inf}, "tol must be finite and positive, got inf"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+    ], ids=["c-above-1", "c-negative", "tol-0", "tol-negative", "tol-nan", "tol-inf",
+            "max-iter-0"])
+    def test_iterated_parameters_are_checked_at_construction(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Projection("elastic_iterated", **{"c": 0.5, **kw})
+
 
 class TestAxioms:
     def test_lipschitz_all_kinds(self, zoo, rng):
@@ -388,4 +400,4 @@ class TestAxioms:
             for _ in range(100):
                 z = rng.normal(0.0, 3.0, size=op.dimension)
                 assert op.domain_distance(project_classical(op, z)) <= 1e-8
-                assert op.domain_distance(project_elastic_iterated(op, 0.8, z)) <= 1e-8
+                assert op.domain_distance(Projection("elastic_iterated", 0.8)(op, z)) <= 1e-8

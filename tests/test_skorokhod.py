@@ -207,9 +207,14 @@ class TestSolveSteps:
             with pytest.raises(NonConvergenceError) as err:
                 solve_step(zoo["linear1"], Projection("elastic_iterated", c=0.5), y)
             # the classical kind, the identity here, keeps the infinite state,
-            # which no solution path may hold
-            with pytest.raises(ValueError, match="^path values must be finite$"):
+            # which no solution path may hold: the march names its first step
+            with pytest.raises(ValueError, match=r"^the state at step 3 \(t = 51\.001\) "
+                                                 r"is not finite$"):
                 solve_step(zoo["linear1"], CLASSICAL, y)
+            ok = step_path(y.partition.times, [[0.0], [1.0], [0.0], [-1.0]])
+            with pytest.raises(ValueError, match=r"^path 1: the state at step 3 "
+                                                 r"\(t = 51\.001\) is not finite$"):
+                solve_steps(zoo["linear1"], CLASSICAL, [ok, y, ok])
         assert str(err.value) == ("iterated elastic projection cannot stabilize from the "
                                   "non-finite point [-inf]")
         assert err.value.last.tolist() == [-np.inf] and math.isnan(err.value.residual)
