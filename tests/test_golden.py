@@ -105,6 +105,38 @@ trajectories = 6
 seed = 3
 """
 
+# the benchmark's box_dyadic config at 70 trajectories: with chunks of at most
+# 64 trajectories, a full 64-row chunk and a ragged 6-row one, whose rows jump
+# at different times and so march grids of different lengths
+BOX_DYADIC_INI = """\
+[operator]
+kind = box
+lo = 0 0
+hi = 1 1
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+
+[coefficient]
+kind = bounded_sin
+
+[driver]
+sigma = 0.5
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 0.25
+h0 = 0.5 0.5
+
+[experiment]
+levels = 8 32 128
+yosida_levels = 4 16 64
+checkpoints = 0.5 1.0j
+trajectories = 70
+seed = 5
+workers = 1
+"""
+
 LINEAR_INI = """\
 [operator]
 kind = linear
@@ -177,6 +209,8 @@ CASES = {
     "converge_box.csv": (BOX_INI, "converge", [], "errors.csv"),
     "converge_halfline_square.csv": (HALFLINE_SQUARE_INI, "converge", [], "errors.csv"),
     "compare_box.csv": (BOX_INI, "compare", [], "errors.csv"),
+    "converge_box_dyadic_70.csv": (BOX_DYADIC_INI, "converge", [], "errors.csv"),
+    "compare_box_dyadic_70.csv": (BOX_DYADIC_INI, "compare", [], "errors.csv"),
     "verify_box.json": (BOX_INI, "verify", ["--samples", "200"], "verify.json"),
     "verify_linear.json": (VERIFY_LINEAR_INI, "verify", ["--samples", "200"], "verify.json"),
     "verify_polyhedron.json": (VERIFY_POLYHEDRON_INI, "verify", ["--samples", "200"],
