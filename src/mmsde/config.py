@@ -103,7 +103,8 @@ class ExperimentConfig:
         if "_validated" in self.__dict__:
             return self
         if not (0 < self.horizon <= _MAX_HORIZON):
-            raise ConfigError("experiment.horizon", f"must be positive and at most {_MAX_HORIZON}")
+            raise ConfigError("experiment.horizon",
+                              f"must be positive and at most 2**512 = {_MAX_HORIZON}")
         if not self.levels:
             raise ConfigError("experiment.levels", "at least one partition level required")
         if any(int(n) != n or n < 1 for n in self.levels):

@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 STREAM_VERSION = 2
-_MAX_HORIZON = float(np.finfo(float).max) / 2.0
+# a bracket (a, b) of (0, T) bridges with (s - a)(b - s) <= T**2 / 4, finite up to here
+_MAX_HORIZON = 2.0 ** 512
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -289,10 +290,12 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     (trajectory, time) keys; a time left alone in its bracket then descends by
     itself to the midpoint s.  Pass 2 draws each node once, and pass 3 bridges
     them in order.  A bracket's times lie strictly inside it, and so does m, as
-    a + b is finite (T is at most ``_MAX_HORIZON``, half the largest float).
+    a + b is finite, and its weights are finite, as (s - a)(b - s) is (T is at
+    most ``_MAX_HORIZON``, 2**512).
     """
     if not horizon <= _MAX_HORIZON:
-        raise ValueError(f"horizon {horizon} above half the largest float, {_MAX_HORIZON}")
+        raise ValueError(f"horizon {horizon} above 2**512 = {_MAX_HORIZON}, "
+                         "where the bridge weights overflow")
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= horizon)):
         raise ValueError(f"times outside [0, {horizon}]")

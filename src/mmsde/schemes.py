@@ -27,9 +27,10 @@ level n and a scheme name per row) marches the rows of a ``drivers.Chunk``
 at once and returns x, x_pre and the increments of y flat on the chunk's
 points, with the errors of its retired rows.  Row i equals the body on a
 chunk of realization i alone, bit for bit and for every operator.  dH, dZ,
-Yosida's steps 1/n and its correction flags are laid out in the march's
-union order, so that a union time reads one slice of each.  A scheme marches
-its body on a chunk of one realization, and ``_output`` alone forms k (``_k``).
+Yosida's steps 1/n and its correction flags are laid out in the march
+order, by step index, so that a step of the march reads one slice of each.
+A scheme marches its body on a chunk of one realization, and ``_output``
+alone forms k (``_k``).
 
 Every scheme runs the coefficient as given, a diagonal one by elementwise
 products.  A coefficient without linear growth may explode: a step whose
@@ -39,7 +40,7 @@ resolvent or projection sees it; a single-realization call raises that error.
 
 A chunk march checks once, at entry: H_0 in the domain closure, every step
 of every row (``_euler``), the drift substeps (``_yosida``) and, on its first
-call, a batched coefficient's output shape; inside, kernels run unchecked.
+call, the coefficient's output shape; inside, kernels run unchecked.
 Only the coefficient and its product run quiet about overflow, so the
 operators' and projections' own warnings stay visible.
 """
@@ -81,21 +82,19 @@ class Coefficient:
     """Matrix-valued coefficient x -> f(x) in R^{d x d}.
 
     The schemes call it once per step, on the states at the left end of the
-    step: a point (d,) gives a matrix (d, d) and a chunk (B, d) one matrix
-    per row, (B, d, d).  ``f`` takes single points unless ``batched``, in
-    which case it maps a chunk in one call (the built-in kinds do).  If
-    ``diagonal``, ``f`` returns only each matrix's diagonal, (d,) per point,
-    which the schemes multiply into dZ elementwise (the built-in kinds but a
-    non-diagonal constant do); calling it still gives the matrices.  ``spec``
-    describes it for the harness (the half-line oracle reads a constant
-    matrix from it); ``evaluations`` counts the points it was evaluated at
-    (per-process diagnostic only).
+    step: ``f`` maps a chunk (B, d) to one matrix per row, (B, d, d), in one
+    call, and a point (d,) to a matrix (d, d).  If ``diagonal``, ``f``
+    returns only each matrix's diagonal, (d,) per point, which the schemes
+    multiply into dZ elementwise (the built-in kinds but a non-diagonal
+    constant do); calling it still gives the matrices.  ``spec`` describes it
+    for the harness (the half-line oracle reads a constant matrix from it);
+    ``evaluations`` counts the points it was evaluated at (per-process
+    diagnostic only).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     spec: dict | None = None
     evaluations: int = field(default=0, compare=False)
-    batched: bool = False
     diagonal: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -107,18 +106,10 @@ class Coefficient:
         self.evaluations += math.prod(x.shape[:-1])
         tail, what = ((d,), f"a diagonal of length {d}") if self.diagonal else \
             ((d, d), f"a {d}x{d} matrix")
-        if self.batched:
-            out = np.asarray(self.f(x), dtype=float)
-            if out.shape != x.shape[:-1] + tail:
-                raise ValueError(f"coefficient must return {what} per point, "
-                                 f"shape {x.shape[:-1] + tail}, got {out.shape}")
-            return out
-        out = np.empty(x.shape[:-1] + tail)
-        for i in np.ndindex(x.shape[:-1]):  # a point has one index, the empty one
-            m = np.asarray(self.f(x[i]), dtype=float)
-            if m.shape != tail:
-                raise ValueError(f"coefficient must return {what}, got {m.shape}")
-            out[i] = m
+        out = np.asarray(self.f(x), dtype=float)
+        if out.shape != x.shape[:-1] + tail:
+            raise ValueError(f"coefficient must return {what} per point, "
+                             f"shape {x.shape[:-1] + tail}, got {out.shape}")
         return out
 
 
@@ -143,8 +134,7 @@ def constant_coefficient(matrix) -> Coefficient:
         return out
     return Coefficient(
         f=f,
-        spec={"kind": "constant", "matrix": m.tolist()},
-        batched=True, diagonal=diagonal,
+        spec={"kind": "constant", "matrix": m.tolist()}, diagonal=diagonal,
     )
 
 
@@ -156,8 +146,7 @@ def diag_linear_coefficient(scale) -> Coefficient:
     """f(x) = diag(scale * x)."""
     scale = np.atleast_1d(np.asarray(scale, dtype=float))
     return Coefficient(f=lambda x: scale * x,
-                       spec={"kind": "diag_linear", "scale": scale.tolist()},
-                       batched=True, diagonal=True)
+                       spec={"kind": "diag_linear", "scale": scale.tolist()}, diagonal=True)
 
 
 def bounded_sin_coefficient(dimension: int, base: float, amplitude: float) -> Coefficient:
@@ -166,8 +155,7 @@ def bounded_sin_coefficient(dimension: int, base: float, amplitude: float) -> Co
     ones = np.ones(dimension)
     return Coefficient(
         f=lambda x: (base + amp * np.sin(np.add.reduce(x, axis=-1)))[..., None] * ones,
-        spec={"kind": "bounded_sin", "base": base, "amplitude": amp},
-        batched=True, diagonal=True,
+        spec={"kind": "bounded_sin", "base": base, "amplitude": amp}, diagonal=True,
     )
 
 
@@ -177,7 +165,7 @@ def square_coefficient() -> Coefficient:
     The paper's existence hypotheses fail for it, and a trajectory can
     explode in finite time; the schemes then raise ``ExplosionError``.
     """
-    return Coefficient(f=lambda x: x * x, spec={"kind": "square"}, batched=True, diagonal=True)
+    return Coefficient(f=lambda x: x * x, spec={"kind": "square"}, diagonal=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,20 +194,22 @@ class SchemeOutput:
 def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_step):
     """March the rows of ``chunk`` through one scheme body.
 
-    The march walks the union of the rows' grid times and steps, at each, the
-    rows whose grid holds it, each with its own dt.  The points are kept in
-    the union order ``order``, their stable sort by time: a union time is a
-    slice of points in row order, and a point reads its row's previous state
-    through one gather of its predecessor.  ``scheme_step(order)`` lays out
-    the scheme's own per-point arrays as ``a[order]`` and returns the map
-    ``(key, dt, prev, dy)`` from the stepping points (a slice, or at a union
-    time that holds a retired row, the index array of its live points), their
-    steps, states and driven increments to the step outputs (x_pre, x_new).
-    The driven increment dH_j + f(x_{j-1}) dZ_j of the stepping rows is one
-    batched coefficient call and one product, elementwise for a diagonal
-    coefficient, else ``np.matvec``; a row whose increment is not finite
-    retires with its ``ExplosionError``, at its base partition's level, before
-    the scheme step sees it.
+    Step k of the march steps every row that has a k-th grid step, each with
+    its own dt, so the march runs once per step of the longest row.  The
+    points are kept in the march order ``order``: by step index, then by row
+    rank, the rows ranked by length, longest first.  A row that takes step k
+    took step k - 1, so step k is one block, the first ``sizes[k]`` ranked
+    rows, and a point's previous state is its place in the block before: a
+    slice view of x, which a scheme step must not write into.
+    ``scheme_step(order)`` lays out the scheme's own per-point arrays as
+    ``a[order]`` and returns the map ``(key, dt, prev, dy)`` from the stepping
+    points (a block's slice, or in a block that holds a retired row, the index
+    array of its live points), their steps, states and driven increments to
+    the step outputs (x_pre, x_new).  The driven increment dH_j + f(x_{j-1})
+    dZ_j of the stepping rows is one batched coefficient call and one
+    product, elementwise for a diagonal coefficient, else ``np.matvec``; a
+    row whose increment is not finite retires with its ``ExplosionError``, at
+    its base partition's level, before the scheme step sees it.
 
     Returns x, x_pre and the driven increments dy (H_0 at a row's t = 0, so
     that a row's y is their cumsum), (N, d) on the chunk's points in row
@@ -232,29 +222,29 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
         i = int(np.argmax(bad))
         raise DomainViolationError(f"H_0 outside the domain closure (distance {dist[i]:.3e})",
                                    point=h0[i], distance=float(dist[i]))
-    count = h0.shape[0]
-    order = np.argsort(chunk.times, kind="stable")
-    # increments on each row's own grid, in union order; a row's first entry,
-    # at union time 0, is never read
-    dh, dz = (np.diff(a, axis=0, prepend=a[:1])[order] for a in (chunk.h, chunk.z))
+    count, lengths = h0.shape[0], np.diff(chunk.starts)
+    ranked = np.argsort(-lengths, kind="stable")  # the row of each rank
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(count)
+    row = np.repeat(np.arange(count), lengths)
+    step = np.arange(row.size) - chunk.starts[row]
+    sizes = np.bincount(step)  # block k: step k of the first sizes[k] ranked rows
+    ends = np.cumsum(sizes)
+    order = np.empty_like(row)
+    order[(ends - sizes)[step] + rank[row]] = np.arange(row.size)
+    row = row[order]
+    del rank, step
+    # each row's own increments and steps, in march order; block 0's are never read
+    dh, dz, dt = (np.diff(a, axis=0, prepend=a[:1])[order]
+                  for a in (chunk.h, chunk.z, chunk.times))
     dy = np.empty_like(dh)
-    dy[:count] = h0
-    advance = scheme_step(order)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    pred = inverse[order - 1]  # a point's predecessor on its own grid
-    del inverse
-    row = np.repeat(np.arange(count), np.diff(chunk.starts))[order]
-    flat = chunk.times[order]
-    dt = flat - flat[pred]  # a row's own step; t = 0's is never read
-    bounds = [*(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
-    del flat
     x, x_pre = np.empty(dh.shape), np.empty(dh.shape)
-    x[:count] = x_pre[:count] = h0
+    dy[:count] = x[:count] = x_pre[:count] = h0[ranked]
+    advance = scheme_step(order)
     # the coefficient and its product run quiet here: an overflow retires the row
     with np.errstate(over="ignore", invalid="ignore"):
         quiet = contextvars.copy_context()
-    f = checked = coeff._evaluate  # a batched f's shape is checked on its first call only
+    f = checked = coeff._evaluate  # f's shape is checked on its first call only
     product = np.multiply if coeff.diagonal else np.matvec
 
     def driven(key, prev):
@@ -262,19 +252,19 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
         m = f(prev)
         if f is not checked:
             coeff.evaluations += prev.shape[0]
-        elif coeff.batched:  # its shape is checked: from now on f runs bare
+        else:  # its shape is checked: from now on f runs bare
             f = coeff.f
         return dh[key] + product(m, dz[key])
 
     errors, live = {}, np.ones(count, dtype=bool)
     held = None  # per point, whether its row is live, once a row retires
-    for lo, hi in zip(bounds, bounds[1:]):
-        key = slice(lo, hi)
+    for prior, lo, hi in zip(sizes.tolist(), ends.tolist(), ends[1:].tolist()):
+        key, prev = slice(lo, hi), x[lo - prior:hi - prior]
         if held is not None and not held[key].all():
             key = np.flatnonzero(held[key]) + lo
             if not key.size:
                 continue
-        prev = x[pred[key]]
+            prev = x[key - prior]
         inc = quiet.run(driven, key, prev)
         if np.count_nonzero(np.isfinite(inc)) < inc.size:
             keep, rows = np.isfinite(inc).all(axis=-1), row[key]
@@ -297,7 +287,7 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
         dy[key] = inc
         x_pre[key], x[key] = advance(key, dt[key], prev, inc)
     # the per-point arrays go before the outputs return to row order
-    del advance, driven, dh, dz, pred, row, dt, held
+    del advance, driven, dh, dz, row, dt, held
     for a in (x, x_pre, dy):
         a[order] = a.copy()
     return x, x_pre, dy, errors
@@ -392,7 +382,7 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
         raise ValueError("drift_substeps must be >= 1")
 
     def bind(order):
-        # per grid point, in row order, then in union order
+        # per grid point, in row order, then in the march order
         lam = np.repeat(1.0 / levels, counts)
         # the grid points where the driver genuinely jumps by more than 1/n
         correct = (chunk.jump_flags & np.repeat(schemes == "modified_yosida", counts)

@@ -503,11 +503,15 @@ class TestLeanKeyedDraw:
         assert np.all((wide[0] < m) & (m < wide[1]) | ~inside)
         assert checked > 1_000_000
 
-    def test_rejects_a_horizon_above_half_the_largest_float(self):
+    def test_rejects_a_horizon_above_two_to_the_512(self):
         above = float(np.nextafter(_MAX_HORIZON, np.inf))
-        for horizon in (above, np.inf, np.nan):
-            with pytest.raises(ValueError, match="above half the largest float"):
+        for horizon in (above, 1e160, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"above 2\*\*512"):
                 _brownian_values(1, 0, [3], horizon, 1, np.array([1.0]))
+        # at the bound, the widest bracket's (s - a)(b - s) is finite
+        h = _MAX_HORIZON
+        w = _brownian_values(1, 0, [3], h, 1, np.array([h / 3, h / 2, h]))
+        assert np.all(np.isfinite(w))
 
 
 # stream 2, key (7, 3): the raw block of node t = 0.5 of tag 3, and W at

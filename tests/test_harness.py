@@ -366,7 +366,7 @@ def test_exploding_rows_retire_with_their_single_run_error():
 
 
 def union_order_chunk(case, scheme):
-    """A chunk whose union times take the march off its common path, and the
+    """A chunk whose rows' grids take the march off its common path, and the
     context to run it in."""
     if case == "retired-row-alone":
         ctx = _Context(parse_config_text(SQUARE_STUDY))
@@ -377,6 +377,14 @@ def union_order_chunk(case, scheme):
         fine = 64 if scheme == "euler" else 32
         return ctx, [simulate(ctx.driver, uniform_partition(1.0, n), 33, i)
                      for n, i in ((fine // 2, 0), (fine, 2), (fine // 2, 1), (fine // 2, 3))]
+    if case == "retired-row-shorter":
+        ctx = _Context(parse_config_text(SQUARE_STUDY))
+        # trajectory 2 explodes on its 32-step grid (Euler: step 34, at a jump
+        # time of its own; Yosida: step 33, t = 15/16) while the row on the
+        # 64-step grid, longer, lives on, and so does trajectory 5's 32-step
+        # row, one point shorter: a live row on either side of it by length
+        return ctx, [simulate(ctx.driver, uniform_partition(1.0, n), 33, i)
+                     for n, i in ((64, 0), (32, 5), (32, 2), (8, 3))]
     if case == "retired-row-at-its-own-time":
         ctx = _Context(parse_config_text(SQUARE_STUDY))
         # the second row's H jump to 1e100 makes f(x) = x^2 = 1e200, and its Z
@@ -407,7 +415,7 @@ def union_order_chunk(case, scheme):
 
 @pytest.mark.parametrize("scheme", ["euler", "mixed_yosida"])
 @pytest.mark.parametrize("case", ["single-interval", "identical-grids", "retired-row-alone",
-                                  "retired-row-at-its-own-time"])
+                                  "retired-row-at-its-own-time", "retired-row-shorter"])
 def test_union_order_edge_cases_equal_single_runs(case, scheme):
     ctx, reals = union_order_chunk(case, scheme)
     chunk = _chunk_of(reals)
@@ -434,6 +442,12 @@ def test_union_order_edge_cases_equal_single_runs(case, scheme):
     assert ctx.coeff.evaluations - start == 2 * marched
     assert len(retired) == case.startswith("retired-row")
     for r, t in retired:
+        if case == "retired-row-shorter":
+            # a longer row and a shorter one take the step after its last
+            j, n = int(np.searchsorted(r.grid.times, t)), r.grid.times.size
+            sizes = [q.grid.times.size for q in reals if q is not r]
+            assert max(sizes) > n and any(j + 1 < m < n for m in sizes)
+            continue
         # it retires at a time that live rows step too, or at one that only
         # its own grid holds, and grid times that no other row holds follow
         others = np.concatenate([q.grid.times for q in reals if q is not r])

@@ -45,6 +45,18 @@ from mmsde.schemes import (_euler, _yosida, bounded_sin_coefficient, diag_linear
 
 CLASSICAL = Projection()
 
+
+def diag_of(g):
+    """The coefficient x -> diag(g(x)) of a batch of points, as full matrices:
+    np.diag of g(x) for each point."""
+    def f(x):
+        v = g(x)
+        out = np.zeros(v.shape + v.shape[-1:])
+        i = np.arange(v.shape[-1])
+        out[..., i, i] = v
+        return out
+    return Coefficient(f=f)
+
 # each scheme body on a chunk of three rows, at its single-run defaults
 BODIES = pytest.mark.parametrize("run", [
     lambda op, c, chunk: _euler(op, CLASSICAL, c, chunk, 16),
@@ -98,7 +110,7 @@ class TestEulerScheme:
     def test_free_case_compounds_to_e(self):
         # A = 0, f(x) = x, Z_t = t, H = 1: X_1 = (1 + 1/n)^n
         op = linear_monotone([[0.0]])
-        coeff = Coefficient(f=lambda x: np.diag(x))
+        coeff = diag_of(lambda x: x)
         for n in (16, 64, 256):
             r = drift_driver(z_drift=1.0, h0=1.0, n=n)
             out = euler_scheme(op, CLASSICAL, coeff, r)
@@ -152,7 +164,7 @@ class TestEulerScheme:
         h = ProcessSpec(2, 0.5 * np.eye(2), np.ones(2))
         r = simulate(DriverSpec(z=z, h=h, h0=np.array([0.4, 0.6])), uniform_partition(1.0, 32),
                      seed=11, trajectory_index=2)
-        coeff = Coefficient(f=lambda x: np.diag(0.5 + 0.25 * np.sin(x)))
+        coeff = diag_of(lambda x: 0.5 + 0.25 * np.sin(x))
         out = {
             "euler": lambda: euler_scheme(op, CLASSICAL, coeff, r),
             "yosida": lambda: yosida_scheme(op, 4, coeff, r),
@@ -174,7 +186,7 @@ class TestEulerScheme:
         z = ProcessSpec(d, np.eye(d), np.zeros(d), 2.0, JumpLaw.uniform_ball(1.0, d))
         spec = DriverSpec(z=z, h=ProcessSpec.zero(d),
                           h0=op.domain_projection(np.full(d, 0.4)))
-        coeff = Coefficient(f=lambda x: np.diag(0.5 + 0.25 * np.sin(x)))
+        coeff = diag_of(lambda x: 0.5 + 0.25 * np.sin(x))
         k_peak = 0.0
         for i in range(3):
             r = simulate(spec, uniform_partition(1.0, 24), seed=17, trajectory_index=i)
@@ -205,7 +217,7 @@ class TestYosidaScheme:
     def test_zero_operator_gives_explicit_euler_maruyama(self):
         op = linear_monotone([[0.0]])
         r = noisy_driver()
-        coeff = Coefficient(f=lambda x: np.diag(x))
+        coeff = diag_of(lambda x: x)
         out = yosida_scheme(op, 16, coeff, r)
         # manual explicit recursion
         x = np.array([1.0])
@@ -297,7 +309,7 @@ class TestSchemeConsistency:
     def test_all_schemes_agree_in_the_free_deterministic_case(self):
         op = linear_monotone(np.zeros((2, 2)))
         r = drift_driver(h_drift=0.3, z_drift=1.0, h0=0.7, n=32, d=2)
-        coeff = Coefficient(f=lambda x: np.diag(np.sin(x)))
+        coeff = diag_of(np.sin)
         a = euler_scheme(op, CLASSICAL, coeff, r)
         b = yosida_scheme(op, 7, coeff, r)
         c = modified_yosida_scheme(op, CLASSICAL, 7, coeff, r)
@@ -462,9 +474,9 @@ class TestChunkEdge:
                _chunk_of([coarse, on_grid([0.0, 0.25, 0.5, 1.0], h0=0.5, d=2)]), 16)
 
     @BODIES
-    def test_a_batched_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
+    def test_a_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
         # one value per point where one 1x1 matrix per point is due
-        coeff = Coefficient(f=lambda x: np.ones(x.shape), batched=True)
+        coeff = Coefficient(f=lambda x: np.ones(x.shape))
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=1.0)] * 3
         with pytest.raises(ValueError, match=re.escape(
                 "coefficient must return a 1x1 matrix per point, shape (3, 1, 1), got (3, 1)")):
@@ -664,7 +676,7 @@ class TestDiagonalCoefficients:
     def test_the_elementwise_increment_is_the_matrix_increment_bit_for_bit(
             self, rng, kind, d, b):
         coeff = DIAGONAL_KINDS[kind](d)
-        assert coeff.diagonal and coeff.batched
+        assert coeff.diagonal
         noise = ProcessSpec(d, 0.8 * np.eye(d), np.full(d, 0.1), 3.0,
                             JumpLaw.gaussian(np.zeros(d), 0.25 * np.eye(d)))
         r = simulate(DriverSpec(z=noise, h=noise, h0=np.zeros(d)), uniform_partition(1.0, b),
@@ -699,11 +711,12 @@ class TestDiagonalCoefficients:
         out = euler_scheme(linear_monotone(np.zeros((2, 2))), CLASSICAL, coeff, r)
         np.testing.assert_array_equal(out.y.jumps()[1:], [[0.375, 0.25]] * 4)
 
-    def test_a_point_function_may_be_diagonal(self):
-        # the same f point by point, with no batch: the same bits
+    def test_a_coefficient_of_its_own_may_be_diagonal(self):
+        # the built-in kind's f, given bare: the same bits, and a point call
+        # still gives its matrix
         reals = [noisy_driver(index=i, h0=0.3) for i in range(3)]
         op = linear_monotone([[0.5]])
-        point = Coefficient(f=lambda p: p * p, diagonal=True)
+        point = Coefficient(f=lambda x: x * x, diagonal=True)
         chunk = _chunk_of(reals)
         a, b = (_euler(op, CLASSICAL, c, chunk, 16) for c in (point, square_coefficient()))
         assert not a[-1] and not b[-1]
@@ -714,17 +727,18 @@ class TestDiagonalCoefficients:
     @BODIES
     def test_a_diagonal_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
         # one 1x1 matrix per point where one diagonal of length 1 is due
-        coeff = Coefficient(f=lambda x: np.ones(x.shape + (1,)), batched=True, diagonal=True)
+        coeff = Coefficient(f=lambda x: np.ones(x.shape + (1,)), diagonal=True)
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=1.0)] * 3
         with pytest.raises(ValueError, match=re.escape(
                 "coefficient must return a diagonal of length 1 per point, shape (3, 1), "
                 "got (3, 1, 1)")):
             run(zoo["halfline"], coeff, _chunk_of(rows))
 
-    def test_a_diagonal_point_function_of_the_wrong_shape_is_rejected(self, zoo):
-        coeff = Coefficient(f=lambda p: np.ones((1, 1)), diagonal=True)
+    def test_a_single_run_rejects_a_diagonal_coefficient_of_the_wrong_shape(self, zoo):
+        coeff = Coefficient(f=lambda x: np.ones(x.shape[:-1] + (1, 1)), diagonal=True)
         with pytest.raises(ValueError, match=re.escape(
-                "coefficient must return a diagonal of length 1, got (1, 1)")):
+                "coefficient must return a diagonal of length 1 per point, shape (1, 1), "
+                "got (1, 1, 1)")):
             euler_scheme(zoo["halfline"], CLASSICAL, coeff, noisy_driver())
 
 
@@ -733,12 +747,15 @@ class TestTracedNames:
     coefficient's ``f`` by ``dataclasses.replace``, sees every step of the
     march and changes none of its bits."""
 
-    def test_a_counted_projection_and_coefficient_see_every_union_step(self):
+    def test_a_counted_projection_and_coefficient_see_every_step_of_the_march(self):
+        # the march steps all its rows at once, once per step of the longest
+        # row, however many times the rows' grids hold between them
         ctx = _Context(parse_config_text(BOX_INI))
         reals = [simulate(ctx.driver, uniform_partition(1.0, n), 7, i)
                  for i, n in enumerate((8, 32, 128, 32))]
         union_steps = np.unique(np.concatenate([r.grid.times for r in reals])).size - 1
-        assert union_steps > max(r.grid.times.size - 1 for r in reals)  # jumps differ
+        steps = max(r.grid.times.size for r in reals) - 1
+        assert steps < union_steps  # jumps differ
         calls = Counter()
 
         class CountedProjection(Projection):
@@ -758,7 +775,7 @@ class TestTracedNames:
                           (ctx.proj, dataclasses.replace(ctx.coeff, f=counted), "coefficient")):
             calls.clear()
             *marched, _ = _euler(ctx.op, p, c, chunk, 16)
-            assert calls == {key: union_steps}
+            assert calls == {key: steps}
             # x, x_pre and dy, of which k is a pure function
             for u, v in zip(marched, plain):
                 assert u.tobytes() == v.tobytes()
