@@ -379,10 +379,10 @@ def union_order_chunk(case, scheme):
                      for n, i in ((fine // 2, 0), (fine, 2), (fine // 2, 1), (fine // 2, 3))]
     if case == "retired-row-shorter":
         ctx = _Context(parse_config_text(SQUARE_STUDY))
-        # trajectory 2 explodes on its 32-step grid (Euler: step 34, at a jump
-        # time of its own; Yosida: step 33, t = 15/16) while the row on the
-        # 64-step grid, longer, lives on, and so does trajectory 5's 32-step
-        # row, one point shorter: a live row on either side of it by length
+        # trajectory 2 explodes on its 32-step grid (step 34, at a jump time
+        # of its own, in both schemes) while the row on the 64-step grid,
+        # longer, lives on, and so does trajectory 5's 32-step row, one point
+        # shorter: a live row on either side of it by length
         return ctx, [simulate(ctx.driver, uniform_partition(1.0, n), 33, i)
                      for n, i in ((64, 0), (32, 5), (32, 2), (8, 3))]
     if case == "retired-row-at-its-own-time":

@@ -40,22 +40,10 @@ from mmsde.config import parse_config_text
 from mmsde.drivers import _chunk_of
 from mmsde.harness import _Context
 from mmsde.operators import MIN_RESOLVENT_STEP, flow_steps
-from mmsde.schemes import (_euler, _yosida, bounded_sin_coefficient, diag_linear_coefficient,
-                           square_coefficient)
+from mmsde.schemes import (_diag, _euler, _yosida, bounded_sin_coefficient,
+                           diag_linear_coefficient, square_coefficient)
 
 CLASSICAL = Projection()
-
-
-def diag_of(g):
-    """The coefficient x -> diag(g(x)) of a batch of points, as full matrices:
-    np.diag of g(x) for each point."""
-    def f(x):
-        v = g(x)
-        out = np.zeros(v.shape + v.shape[-1:])
-        i = np.arange(v.shape[-1])
-        out[..., i, i] = v
-        return out
-    return Coefficient(f=f)
 
 # each scheme body on a chunk of three rows, at its single-run defaults
 BODIES = pytest.mark.parametrize("run", [
@@ -110,7 +98,7 @@ class TestEulerScheme:
     def test_free_case_compounds_to_e(self):
         # A = 0, f(x) = x, Z_t = t, H = 1: X_1 = (1 + 1/n)^n
         op = linear_monotone([[0.0]])
-        coeff = diag_of(lambda x: x)
+        coeff = Coefficient(f=_diag)
         for n in (16, 64, 256):
             r = drift_driver(z_drift=1.0, h0=1.0, n=n)
             out = euler_scheme(op, CLASSICAL, coeff, r)
@@ -164,7 +152,7 @@ class TestEulerScheme:
         h = ProcessSpec(2, 0.5 * np.eye(2), np.ones(2))
         r = simulate(DriverSpec(z=z, h=h, h0=np.array([0.4, 0.6])), uniform_partition(1.0, 32),
                      seed=11, trajectory_index=2)
-        coeff = diag_of(lambda x: 0.5 + 0.25 * np.sin(x))
+        coeff = Coefficient(f=lambda x: _diag(0.5 + 0.25 * np.sin(x)))
         out = {
             "euler": lambda: euler_scheme(op, CLASSICAL, coeff, r),
             "yosida": lambda: yosida_scheme(op, 4, coeff, r),
@@ -186,7 +174,7 @@ class TestEulerScheme:
         z = ProcessSpec(d, np.eye(d), np.zeros(d), 2.0, JumpLaw.uniform_ball(1.0, d))
         spec = DriverSpec(z=z, h=ProcessSpec.zero(d),
                           h0=op.domain_projection(np.full(d, 0.4)))
-        coeff = diag_of(lambda x: 0.5 + 0.25 * np.sin(x))
+        coeff = Coefficient(f=lambda x: _diag(0.5 + 0.25 * np.sin(x)))
         k_peak = 0.0
         for i in range(3):
             r = simulate(spec, uniform_partition(1.0, 24), seed=17, trajectory_index=i)
@@ -217,7 +205,7 @@ class TestYosidaScheme:
     def test_zero_operator_gives_explicit_euler_maruyama(self):
         op = linear_monotone([[0.0]])
         r = noisy_driver()
-        coeff = diag_of(lambda x: x)
+        coeff = Coefficient(f=_diag)
         out = yosida_scheme(op, 16, coeff, r)
         # manual explicit recursion
         x = np.array([1.0])
@@ -309,7 +297,7 @@ class TestSchemeConsistency:
     def test_all_schemes_agree_in_the_free_deterministic_case(self):
         op = linear_monotone(np.zeros((2, 2)))
         r = drift_driver(h_drift=0.3, z_drift=1.0, h0=0.7, n=32, d=2)
-        coeff = diag_of(np.sin)
+        coeff = Coefficient(f=lambda x: _diag(np.sin(x)))
         a = euler_scheme(op, CLASSICAL, coeff, r)
         b = yosida_scheme(op, 7, coeff, r)
         c = modified_yosida_scheme(op, CLASSICAL, 7, coeff, r)
@@ -716,13 +704,13 @@ class TestDiagonalCoefficients:
         # still gives its matrix
         reals = [noisy_driver(index=i, h0=0.3) for i in range(3)]
         op = linear_monotone([[0.5]])
-        point = Coefficient(f=lambda x: x * x, diagonal=True)
+        own = Coefficient(f=lambda x: x * x, diagonal=True)
         chunk = _chunk_of(reals)
-        a, b = (_euler(op, CLASSICAL, c, chunk, 16) for c in (point, square_coefficient()))
+        a, b = (_euler(op, CLASSICAL, c, chunk, 16) for c in (own, square_coefficient()))
         assert not a[-1] and not b[-1]
         for u, v in zip(a[:3], b[:3]):
             assert u.tobytes() == v.tobytes()
-        np.testing.assert_array_equal(point(np.array([3.0])), [[9.0]])
+        np.testing.assert_array_equal(own(np.array([3.0])), [[9.0]])
 
     @BODIES
     def test_a_diagonal_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
