@@ -445,7 +445,8 @@ def _read_kind(sec, section: str, table: dict, fill: bool = False) -> dict:
 
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
     """The validated config of ``text``, with ``overrides`` (``with_overrides``) applied first."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no interpolation: a value such as "0.5%" is read as written, and fails as a number
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -12,8 +12,8 @@ W comes from a tree of dyadic bridge nodes to float resolution (no depth cap,
 so the law is exact), each keyed by its time and drawn and bridged once: W(t)
 is a pure function of (seed, trajectory, tag, t), so ``Chunk.restrict`` reads
 the values of a coarser partition off a fine realization; the horizon is at
-most half the largest float.  ``STREAM_VERSION`` names the stream; a change to
-its values bumps it.
+most 2**512, where every bridge weight is finite.  ``STREAM_VERSION`` names the
+stream; a change to its values bumps it.
 
 Inside the package realizations travel as the rows of one ``Chunk``: grid
 times laid end to end with row offsets, H and Z as (N, d) columns, the jump
@@ -260,14 +260,20 @@ class DriverSpec:
         return self.z.dimension
 
 
+def _fraction_bits(x: np.ndarray) -> np.ndarray:
+    """p of each x = odd * 2**-p > 0: t = x T is a node at depth p - 1 of (0, T)."""
+    mant, exp = np.frexp(x)
+    bits = (mant * 2.0 ** 53).astype(np.int64)
+    return 54 - exp - np.frexp(bits & -bits)[1]
+
+
 def _descents(queries: np.ndarray, sizes, horizon: float):
     """[lo, hi) of each descent over grids of ``sizes`` times, of about
     ``_DESCENT_NODES`` nodes: t is a node at depth j when t / T has j bits after
     the point, and a grid's n times share its first log2(n) depths."""
-    mant, exp = np.frexp(np.where(queries > 0.0, queries, horizon) / horizon)  # 0 costs 1
-    bits = (mant * 2.0 ** 53).astype(np.int64)
+    depth = _fraction_bits(np.where(queries > 0.0, queries, horizon) / horizon)  # 0 costs 1
     shared = np.repeat(np.log2(sizes).astype(int), sizes)
-    nodes = np.cumsum(np.maximum(1, 54 - exp - np.frexp(bits & -bits)[1] - shared))
+    nodes = np.cumsum(np.maximum(1, depth - shared))
     cuts = np.searchsorted(nodes, np.arange(_DESCENT_NODES, nodes[-1], _DESCENT_NODES))
     return zip(np.r_[0, cuts], np.r_[cuts, queries.size])
 
@@ -276,6 +282,73 @@ def _bridge_weights(a, b, s):
     """W(s) = W(a) + frac (W(b) - W(a)) + std Z for a < s < b: (frac, std), each (n, 1)."""
     sa, ba = s[:, None] - a[:, None], b[:, None] - a[:, None]
     return sa / ba, np.sqrt(sa * (b - s)[:, None] / ba)
+
+
+def _depth_stds(horizon: float) -> np.ndarray:
+    """``_bridge_weights``' std at each depth j of (0, T), T = 2**e, whose brackets
+    hold a float, on its exact operands b - a = 2 (s - a) = 2 (b - s) = T 2**-j
+    (frac is 0.5); then 0, for the sweep's last depth, of empty brackets."""
+    e = np.frexp(horizon)[1] - 1
+    half = np.ldexp(1.0, e - 1 - np.arange(max(0, e + 1074)))
+    return np.append(np.sqrt(half * half / (2.0 * half)), 0.0)
+
+
+def _bisected_descent(horizon, stds, t, r, a, b):
+    """Pass 1 of times t, each alone in its bracket (a, b) of trajectory r, by float
+    bisection: the nodes [(r, m), ...], and pass 3, ``bridge(node_t, gauss, va, vb,
+    w, at)``, from the nodes and the brackets' end values, writing W(t) to w[at]."""
+    a0, b0, nodes, turns = a, b, [], []
+    while t.size:
+        m = 0.5 * (a + b)
+        left, stop = t < m, t == m
+        a, b = np.where(left, a, m), np.where(left, m, b)
+        nodes.append((r, m))
+        turns.append((left, stop))
+        if np.count_nonzero(stop):
+            keep = ~stop
+            t, a, b, r = t[keep], a[keep], b[keep], r[keep]
+
+    def bridge(node_t, gauss, va, vb, w, at):
+        a, b, first = a0, b0, 0
+        for left, stop in turns:
+            s, k = node_t[first:first + stop.size], slice(first, first + stop.size)
+            frac, std = _bridge_weights(a, b, s)
+            vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
+            a, b = np.where(left, a, s), np.where(left, s, b)
+            va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
+            if np.count_nonzero(stop):
+                w[at[stop]] = vs[stop]
+                keep = ~stop
+                at, a, b, va, vb = at[keep], a[keep], b[keep], va[keep], vb[keep]
+    return nodes, bridge
+
+
+def _dyadic_descent(horizon, stds, t, r, a, b):
+    """``_bisected_descent`` for T = 2**e, in closed form: t / T = odd * 2**-p
+    descends from its bracket's depth j0 (b - a = T 2**-j0) to p - 1 through the
+    bisection's own nodes m_k = (floor(t 2**(k - e)) + 1/2) 2**(e - k), laid out
+    by (step, rank), the times ranked longest first: step i is n_i of them."""
+    e = np.frexp(horizon)[1] - 1
+    top = (e + 1 - np.frexp(b - a)[1]).astype(np.int16)  # depths run below e + 1074
+    length = _fraction_bits(t) + e - top
+    ranked = np.argsort(-length, kind="stable")
+    sizes = np.cumsum(np.bincount(length)[::-1])[-2::-1].tolist()  # n_i: descents longer than i
+    q = np.concatenate([ranked[:n] for n in [0, *sizes]])  # 0: no time may be alone
+    depth = np.repeat(np.arange(len(sizes), dtype=np.int16), sizes) + top[q]
+    t, r = t[q], r[q]
+    m = np.ldexp(np.floor(np.ldexp(t, depth - e)) + 0.5, e - depth)
+    left = (t < m)[:, None]
+
+    def bridge(node_t, gauss, va, vb, w, at):
+        va, vb, at, first = va[ranked], vb[ranked], at[ranked], 0
+        noise = np.multiply(stds[depth][:, None], gauss, out=gauss)
+        for n, stop in zip(sizes, [*sizes[1:], 0]):
+            k = slice(first, first + n)
+            vs, first = va[:n] + 0.5 * (vb[:n] - va[:n]) + noise[k], k.stop
+            w[at[stop:n]] = vs[stop:]
+            np.copyto(va[:n], vs, where=~left[k])
+            np.copyto(vb[:n], vs, where=left[k])
+    return [(r, m)], bridge
 
 
 def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
@@ -292,6 +365,11 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     them in order.  A bracket's times lie strictly inside it, and so does m, as
     a + b is finite, and its weights are finite, as (s - a)(b - s) is (T is at
     most ``_MAX_HORIZON``, 2**512).
+
+    On T = 2**e every bracket is an exact dyadic, so frac is 1/2 and std is one
+    per depth (``_depth_stds``), and the lone times descend in closed form
+    (``_dyadic_descent``); any other T bisects (``_bisected_descent``).  The
+    nodes and every value are the same either way.
     """
     if not horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon {horizon} above 2**512 = {_MAX_HORIZON}, "
@@ -309,39 +387,31 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     live = (root, np.zeros(ends.size), np.full(ends.size, float(horizon)),
             np.searchsorted(keys, root + 0j, side="right"),
             np.searchsorted(keys, root + horizon * 1j))
+    stds = _depth_stds(horizon) if np.frexp(horizon)[0] == 0.5 else None
     nodes, sweep, alone = [(root, live[2])], [], [[x[:0] for x in live]]
     while live[0].size:
         r, a, b, lo, hi = live
         m, count = 0.5 * (a + b), hi - lo
         # shared: two or more times, or one at m
         shared = (count > 1) | (count == 1) & (key_t[np.minimum(lo, hi - 1)] == m)
-        single = ~shared & (count > 0)  # empty brackets drop out
+        single = ~shared & (count > 0)  # empty brackets drop out; the rest hold one time
         alone.append([x[single] for x in live])
         r, a, b, lo, hi, m = (x[shared] for x in (*live, m))
         split = np.searchsorted(keys, r + 1j * m)
         hit = key_t[np.minimum(split, hi - 1)] == m
         nodes.append((r, m))
-        sweep.append((shared, single, *_bridge_weights(a, b, m), hit, split[hit]))
+        weights = _bridge_weights(a, b, m) if stds is None else (0.5, stds[len(sweep)])
+        sweep.append((shared, single, *weights, hit, split[hit]))
         live = tuple(np.concatenate(x) for x in
                      ((r, r), (a, m), (m, b), (lo, split + hit), (split, hi)))
     # pass 1, the descents of the times left alone
-    r, a, b, lo, hi = (np.concatenate(x) for x in zip(*alone))
-    grow = np.repeat(np.arange(lo.size), hi - lo)  # the bracket of each time
-    at = np.arange(grow.size) + (lo - np.cumsum(hi - lo) + (hi - lo))[grow]
-    t, r, a, b = key_t[at], r[grow], a[grow], b[grow]
-    a0, b0, descent = a, b, []
-    while t.size:
-        m = 0.5 * (a + b)
-        left, stop = t < m, t == m
-        a, b = np.where(left, a, m), np.where(left, m, b)
-        nodes.append((r, m))
-        descent.append((left, stop))
-        if np.count_nonzero(stop):
-            keep = ~stop
-            t, a, b, r = t[keep], a[keep], b[keep], r[keep]
+    r, a, b, at, _ = (np.concatenate(x) for x in zip(*alone))
+    descent = _bisected_descent if stds is None else _dyadic_descent
+    lone, bridge = descent(horizon, stds, key_t[at], r, a, b)
 
     # pass 2: one keyed draw for all nodes; pass 3: the bridge, in the order of pass 1
-    owners, node_t = nodes = [np.concatenate(x) for x in zip(*nodes)]
+    owners, node_t = nodes = [np.concatenate(x) for x in zip(*nodes, *lone)]
+    del lone
     gauss = _keyed_gaussians(seed, ends, owners, purposes, node_t, dim)
     va, vb = np.zeros_like(gauss[:ends.size]), np.sqrt(horizon) * gauss[:ends.size]
     w = np.zeros((keys.size, gauss.shape[1]))
@@ -349,21 +419,11 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     first, alone = ends.size, [(va[:0], vb[:0])]
     for shared, single, frac, std, hit, at_m in sweep:
         alone.append((va[single], vb[single]))
-        va, vb, k = va[shared], vb[shared], slice(first, first + frac.size)
-        vm, first = va + frac * (vb - va) + std * gauss[k], k.stop
+        va, vb = va[shared], vb[shared]
+        vm, first = va + frac * (vb - va) + std * gauss[first:first + len(va)], first + len(va)
         w[at_m] = vm[hit]
         va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
-    va, vb = (np.concatenate(x)[grow] for x in zip(*alone))
-    for left, stop in descent:
-        s, k = node_t[first:first + stop.size], slice(first, first + stop.size)
-        frac, std = _bridge_weights(a0, b0, s)
-        vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
-        a0, b0 = np.where(left, a0, s), np.where(left, s, b0)
-        va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
-        if np.count_nonzero(stop):
-            w[at[stop]] = vs[stop]
-            keep = ~stop
-            at, a0, b0, va, vb = at[keep], a0[keep], b0[keep], va[keep], vb[keep]
+    bridge(node_t[first:], gauss[first:], *(np.concatenate(x) for x in zip(*alone)), w, at)
     return w[query_of].reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
 
 
@@ -416,8 +476,8 @@ class Chunk:
         within every row's grid; levels nest and every grid holds its jump
         times, so row b on it is the mask of its points at its times or jumps."""
         keep = []
-        for part in partitions:
-            at = np.isin(self.times, part.times)
+        for part in partitions:  # membership in the sorted part.times
+            at = part.times[np.searchsorted(part.times[:-1], self.times)] == self.times
             if (np.any(np.add.reduceat(at, self.starts[:-1], dtype=np.intp) != part.times.size)
                     or np.any(self.times[self.starts[1:] - 1] != part.horizon)):
                 raise ValueError("coarser partition must lie within the realization's grid")

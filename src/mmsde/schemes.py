@@ -27,7 +27,7 @@ level n and a scheme name per row) marches the rows of a ``drivers.Chunk``
 at once and returns x, x_pre and the increments of y flat on the chunk's
 points, with the errors of its retired rows.  Row i equals the body on a
 chunk of realization i alone, bit for bit and for every operator.  dH, dZ,
-Yosida's steps 1/n and its correction flags are laid out in the march
+dt, Yosida's drift weights and its correction flags are laid out in the march
 order, by step index, so that a step of the march reads one slice of each.
 A scheme marches its body on a chunk of one realization, and ``_output``
 alone forms k (``_k``).
@@ -201,11 +201,12 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
     took step k - 1, so step k is one block, the first ``sizes[k]`` ranked
     rows, and a point's previous state is its place in the block before: a
     slice view of x, which a scheme step must not write into.
-    ``scheme_step(order)`` lays out the scheme's own per-point arrays as
-    ``a[order]`` and returns the map ``(key, dt, prev, dy)`` from the stepping
-    points (a block's slice, or in a block that holds a retired row, the index
-    array of its live points), their steps, states and driven increments to
-    the step outputs (x_pre, x_new).  The driven increment dH_j + f(x_{j-1})
+    ``scheme_step(order, dt)`` lays out the scheme's own per-point arrays as
+    ``a[order]``, beside the steps ``dt`` in the march order (0 in block 0),
+    and returns the map ``(key, dt, prev, dy)`` from the stepping points (a
+    block's slice, or in a block that holds a retired row, the index array of
+    its live points), their steps, states and driven increments to the step
+    outputs (x_pre, x_new).  The driven increment dH_j + f(x_{j-1})
     dZ_j of the stepping rows is one batched coefficient call and one
     product, elementwise for a diagonal coefficient, else ``np.matvec``; a
     row whose increment is not finite retires with its ``ExplosionError``, at
@@ -234,13 +235,15 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
     order[(ends - sizes)[step] + rank[row]] = np.arange(row.size)
     row = row[order]
     del rank, step
-    # each row's own increments and steps, in march order; block 0's are never read
+    # each row's own increments and steps, in march order; block 0's are never
+    # read, and its dt is 0 so that a scheme's weights of every dt are finite
     dh, dz, dt = (np.diff(a, axis=0, prepend=a[:1])[order]
                   for a in (chunk.h, chunk.z, chunk.times))
+    dt[:count] = 0.0
     dy = np.empty_like(dh)
     x, x_pre = np.empty(dh.shape), np.empty(dh.shape)
     dy[:count] = x[:count] = x_pre[:count] = h0[ranked]
-    advance = scheme_step(order)
+    advance = scheme_step(order, dt)
     # the coefficient and its product run quiet here: an overflow retires the row
     with np.errstate(over="ignore", invalid="ignore"):
         quiet = contextvars.copy_context()
@@ -315,7 +318,7 @@ def _euler(op: MonotoneOperator, proj: Projection, coeff: Coefficient, chunk: Ch
     flow = _flow_kernel(op, flow_substeps)
     return _run_chunk(
         op, coeff, chunk,
-        lambda order: lambda key, dt, prev, dy: _sp_step(op, proj, flow, prev, dy, dt))
+        lambda order, dt: lambda key, dt, prev, dy: _sp_step(op, proj, flow, prev, dy, dt))
 
 
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
@@ -381,22 +384,25 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
     if drift_substeps < 1:
         raise ValueError("drift_substeps must be >= 1")
 
-    def bind(order):
+    def bind(order, dt):
         # per grid point, in row order, then in the march order
         lam = np.repeat(1.0 / levels, counts)
         # the grid points where the driver genuinely jumps by more than 1/n
         correct = (chunk.jump_flags & np.repeat(schemes == "modified_yosida", counts)
                    & (np.maximum(row_norm(chunk.jump_h), row_norm(chunk.jump_z)) > lam))
         lam, correct = lam[order], correct[order] if correct.any() else None
+        # _yosida_step's weights of each point's drift substep, formed once
+        size = lam + dt / drift_substeps
+        w = (lam / size)[:, None]
+        wc = 1.0 - w
 
         def step(key, dt, prev, dy):
             state = prev + dy
             if correct is not None and (fix := correct[key]).any():
                 state[fix] = np.asarray(proj(op, state[fix]), dtype=float)
-            pre_drift = state
-            lam_k, mu = lam[key], dt / drift_substeps
+            pre_drift, w_k, wc_k, size_k = state, w[key], wc[key], size[key]
             for _ in range(drift_substeps):
-                state = _yosida_step(op.resolvent, lam_k, mu, state)
+                state = w_k * state + wc_k * np.asarray(op.resolvent(size_k, state), dtype=float)
             return pre_drift, state
         return step
 

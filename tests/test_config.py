@@ -105,6 +105,9 @@ MALFORMED = [
     ("[driver]\nh_jump_rate = 1e20\nh_jump_law = gaussian\n", "driver.h_jump_rate"),
     ("[driver]\njump_rate = 5e18\njump_law = fixed\njump_value = 1\n[experiment]\nhorizon = 2\n",
      "driver.jump_rate", "driver.jump_rate-times-horizon"),
+    # a '%' is no interpolation: the value is read as written
+    ("[driver]\nsigma = 0.5%\n", "driver.sigma", "driver.sigma-percent"),
+    ("[experiment]\nseed = %(x)s\n", "experiment.seed", "experiment.seed-interpolation"),
 ]
 
 

@@ -1,4 +1,6 @@
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from mmsde import (
     simulate,
     uniform_partition,
 )
+from mmsde.cli import EXIT_OK, main
 from mmsde.drivers import (
     _MAX_HORIZON,
     _PHILOX_CHUNK,
+    _bridge_weights,
     _brownian_values,
     _chunk_of,
+    _depth_stds,
     _keyed_gaussians,
     _philox_block,
     _philox_keyed,
@@ -324,6 +329,83 @@ class TestNodeSweep:
         for j, (i, t) in enumerate(zip(rows, times)):
             alone = _brownian_values(11, int(i), [3, 6], horizon, dim, np.array([t]))
             np.testing.assert_array_equal(alone[:, 0], batched[:, j])
+
+
+POWER_OF_TWO_HORIZONS = [2.0 ** -60, 0.5, 1.0, 2.0, 2.0 ** 100, 2.0 ** 512]
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+@st.composite
+def dyadic_horizon_queries(draw):
+    """(horizon, times, trajectories) on a power-of-two horizon: dyadic grid
+    times, random floats, times a few ulps apart, 0, the smallest subnormal,
+    1e-300 and the floats next to T."""
+    horizon = draw(st.sampled_from(POWER_OF_TWO_HORIZONS))
+    k = draw(st.integers(1, 8))
+    times = [horizon * j / 2 ** k for j in draw(st.lists(st.integers(0, 2 ** k), max_size=8))]
+    times += draw(st.lists(st.floats(0.0, horizon), max_size=12))
+    x = draw(st.floats(0.0, horizon))
+    for _ in range(draw(st.integers(0, 3))):
+        times.append(x)
+        x = float(np.nextafter(x, horizon))
+    times += draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-300, horizon,
+                                            float(np.nextafter(horizon, 0.0))]), max_size=4))
+    rows = draw(st.lists(st.integers(0, 3), min_size=len(times), max_size=len(times)))
+    return horizon, np.array(times), np.array(rows, dtype=int)
+
+
+def _refuse(*args):
+    raise AssertionError("the general descent was entered")
+
+
+class TestDyadicDescent:
+    """On T = 2**e the lone times descend in closed form (``_dyadic_descent``);
+    ``_bisected_descent``, the float bisection of any other horizon, is the
+    reference, and both take one signature."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dyadic_horizon_queries(), st.integers(1, 3), st.sampled_from([[3], [6], [3, 6]]))
+    def test_closed_form_equals_the_bisection(self, queries, dim, purposes):
+        horizon, times, rows = queries
+        general = drivers._bisected_descent
+        with mock.patch.object(drivers, "_bisected_descent", _refuse):
+            closed = _brownian_values(11, rows, purposes, horizon, dim, times)
+        with mock.patch.object(drivers, "_dyadic_descent", general):
+            bisected = _brownian_values(11, rows, purposes, horizon, dim, times)
+        assert closed.tobytes() == bisected.tobytes()
+
+    @pytest.mark.parametrize("horizon", POWER_OF_TWO_HORIZONS)
+    def test_depth_stds_are_the_bridge_weights(self, horizon):
+        # brackets of every depth that holds a float, first, last and at random,
+        # down to where (s - a)(b - s) underflows; the last entry, 0, is the
+        # sweep's, where every bracket is empty
+        stds = _depth_stds(horizon)
+        assert stds.size == np.frexp(horizon)[1] + 1074 and stds[-1] == 0.0
+        rng = np.random.default_rng(3)
+        depth = np.repeat(np.arange(stds.size - 1), 3)
+        width = np.ldexp(horizon, -depth)
+        where = np.tile([0.0, 1.0, 0.5], stds.size - 1) * rng.uniform(0.5, 1.0, depth.size)
+        a = np.floor((np.ldexp(1.0, np.minimum(depth, 50)) - 1.0) * where) * width
+        frac, std = _bridge_weights(a, a + width, a + 0.5 * width)
+        assert np.all(frac == 0.5)
+        assert std[:, 0].tobytes() == stds[depth].tobytes()
+        assert stds[0] > 0.0 and stds[-2] == 0.0  # (s - a)(b - s) underflows
+
+    @pytest.mark.parametrize("name", ["box_dyadic", "hl_nondyadic"])
+    def test_bench_chunks_take_the_closed_form(self, name, monkeypatch, tmp_path):
+        entered, dyadic = [], drivers._dyadic_descent
+
+        def counted(*args):
+            entered.append(args[2].size)
+            return dyadic(*args)
+
+        monkeypatch.setattr(drivers, "_bisected_descent", _refuse)
+        monkeypatch.setattr(drivers, "_dyadic_descent", counted)
+        for command in ("converge", "compare"):
+            argv = [command, "--config", str(BENCH_CONFIGS / f"{name}.ini"),
+                    "--out", str(tmp_path / command)]
+            assert main(argv) == EXIT_OK
+        assert sum(entered) > 0  # times were left alone, and descended in closed form
 
 
 class TestKeyedBrownianTree:
