@@ -478,6 +478,17 @@ class TestKeyedBrownianTree:
         w = _brownian_values(7, 3, [3], 1.0, 1, np.array([0.25, 0.5, 0.7, 1.0]))[0, :, 0]
         np.testing.assert_allclose(w, GOLDEN_W, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("horizon", [3.0, 2.0, 0.7])
+    def test_stream_golden_off_the_unit_horizon(self, horizon):
+        # two purposes, d = 2, at 0.25, 0.6 and T, raveled (purpose, time, coordinate)
+        w = _brownian_values(7, 3, [3, 6], horizon, 2, np.array([0.25, 0.6, horizon]))
+        np.testing.assert_allclose(w.ravel(), GOLDEN_W_HORIZONS[horizon], rtol=1e-12, atol=0.0)
+
+    def test_stream_golden_four_word_draw(self):
+        # d = 3 reads all four Philox words of a block; its first coordinate is GOLDEN_W
+        w = _brownian_values(7, 3, [3], 1.0, 3, np.array([0.25, 0.5, 0.7, 1.0]))
+        np.testing.assert_allclose(w.ravel(), GOLDEN_W_D3, rtol=1e-12, atol=0.0)
+
     def test_batched_jump_sizes(self):
         rng = np.random.default_rng(3)
         g = JumpLaw.gaussian([1.0, -1.0], [[0.5, 0.1], [0.1, 0.2]]).sample(rng, 20_000)
@@ -603,6 +614,26 @@ GOLDEN_WORDS = [17026611805161637242, 9287880174703922719,
                 16106269765591823813, 15692236555719398595]
 GOLDEN_W = [-0.26253708564481454, -1.3466704236523417,
             -0.7586317339100459, -0.42931781189479323]
+# key (7, 3) too: W of tags 3 and 6, d = 2, at 0.25, 0.6 and T off the unit
+# horizon, and W of tag 3, d = 3, at GOLDEN_W's times
+GOLDEN_W_HORIZONS = {
+    3.0: [0.05466372438647458, -0.43965474150245276, -0.09866435855824088,
+          -0.6582041850489851, -1.4971882875085287, -1.6597524645861772,
+          -0.05545899196303379, 0.14911973329512254, 0.3439691235468001,
+          1.7935186297873753, 1.7459668094969436, 1.9166026591271366],
+    2.0: [-0.06874584751398805, 0.23830144895053643, -0.2574131506919242,
+          0.9980539334302422, 1.2988413534069831, 1.9218175453221666,
+          -0.31872907500698117, 0.7597230997894783, 0.026626441112599725,
+          1.4269127092851805, 1.010745949701912, -1.852424624935227],
+    0.7: [-0.17702126501806897, -0.536730995388934, 1.2503505360474132,
+          -0.38463365241306136, 1.2440782133077148, -0.5361442322752246,
+          -0.9655605527682694, 0.4013336369160135, -1.785472737206893,
+          0.272733217791037, -1.6391528402418771, 0.04692469376399752],
+}
+GOLDEN_W_D3 = [-0.26253708564481454, 0.025340004432086373, 0.6346792750812424,
+               -1.3466704236523417, 0.16130532724929014, 1.670563175549773,
+               -0.7586317339100459, 0.33784261433329216, 2.042232265707915,
+               -0.42931781189479323, 0.37236435527292494, 2.1397495486721394]
 
 
 class TestStepPathBackedDrivers:
