@@ -8,12 +8,14 @@ at an exact grid point and left limits are well defined.
 Randomness is counter-based (Philox4x64-10; Salmon et al., SC'11), keyed by
 (master seed, trajectory index) with the counter (0, purpose tag, context word,
 block), so trajectories are order-independent and reproducible bit for bit.
-W comes from a tree of dyadic bridge nodes to float resolution (no depth cap,
-so the law is exact), each keyed by its time and drawn and bridged once: W(t)
-is a pure function of (seed, trajectory, tag, t), so ``Chunk.restrict`` reads
-the values of a coarser partition off a fine realization; the horizon is at
-most 2**512, where every bridge weight is finite.  ``STREAM_VERSION`` names the
-stream; a change to its values bumps it.
+W comes from one tree of dyadic bridge nodes of (0, 1) to float resolution
+(no depth cap, so the law is exact), each keyed by its time and drawn and
+bridged once; on a horizon T, W(t) = sqrt(T) B(t / T) by Brownian scaling.
+W(t) is a pure function of (seed, trajectory, tag, t), so ``Chunk.restrict``
+reads the values of a coarser partition off a fine realization.  The horizon
+is at most 2**512, the range a config accepts; no bridge weight bounds it, as
+every bracket lies in (0, 1).  ``STREAM_VERSION`` names the stream; a change to
+its values bumps it.
 
 Inside the package realizations travel as the rows of one ``Chunk``: grid
 times laid end to end with row offsets, H and Z as (N, d) columns, the jump
@@ -39,8 +41,8 @@ __all__ = [
     "from_step_paths",
 ]
 
-STREAM_VERSION = 2
-# a bracket (a, b) of (0, T) bridges with (s - a)(b - s) <= T**2 / 4, finite up to here
+STREAM_VERSION = 3
+# the largest horizon accepted; the unit tree's weights would be finite beyond it
 _MAX_HORIZON = 2.0 ** 512
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -278,70 +280,32 @@ def _descents(queries: np.ndarray, sizes, horizon: float):
     return zip(np.r_[0, cuts], np.r_[cuts, queries.size])
 
 
-def _bridge_weights(a, b, s):
-    """W(s) = W(a) + frac (W(b) - W(a)) + std Z for a < s < b: (frac, std), each (n, 1)."""
-    sa, ba = s[:, None] - a[:, None], b[:, None] - a[:, None]
-    return sa / ba, np.sqrt(sa * (b - s)[:, None] / ba)
+# the bridge std of each depth j of (0, 1), on its exact operands b - a = 2 (s - a)
+# = 2 (b - s) = 2**-j (frac is 1/2); then 0, for the sweep's last depth, of empty brackets
+_HALF = np.ldexp(1.0, -1 - np.arange(1074))
+_DEPTH_STDS = np.append(np.sqrt(_HALF * _HALF / (2.0 * _HALF)), 0.0)
 
 
-def _depth_stds(horizon: float) -> np.ndarray:
-    """``_bridge_weights``' std at each depth j of (0, T), T = 2**e, whose brackets
-    hold a float, on its exact operands b - a = 2 (s - a) = 2 (b - s) = T 2**-j
-    (frac is 0.5); then 0, for the sweep's last depth, of empty brackets."""
-    e = np.frexp(horizon)[1] - 1
-    half = np.ldexp(1.0, e - 1 - np.arange(max(0, e + 1074)))
-    return np.append(np.sqrt(half * half / (2.0 * half)), 0.0)
-
-
-def _bisected_descent(horizon, stds, t, r, a, b):
-    """Pass 1 of times t, each alone in its bracket (a, b) of trajectory r, by float
-    bisection: the nodes [(r, m), ...], and pass 3, ``bridge(node_t, gauss, va, vb,
-    w, at)``, from the nodes and the brackets' end values, writing W(t) to w[at]."""
-    a0, b0, nodes, turns = a, b, [], []
-    while t.size:
-        m = 0.5 * (a + b)
-        left, stop = t < m, t == m
-        a, b = np.where(left, a, m), np.where(left, m, b)
-        nodes.append((r, m))
-        turns.append((left, stop))
-        if np.count_nonzero(stop):
-            keep = ~stop
-            t, a, b, r = t[keep], a[keep], b[keep], r[keep]
-
-    def bridge(node_t, gauss, va, vb, w, at):
-        a, b, first = a0, b0, 0
-        for left, stop in turns:
-            s, k = node_t[first:first + stop.size], slice(first, first + stop.size)
-            frac, std = _bridge_weights(a, b, s)
-            vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
-            a, b = np.where(left, a, s), np.where(left, s, b)
-            va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
-            if np.count_nonzero(stop):
-                w[at[stop]] = vs[stop]
-                keep = ~stop
-                at, a, b, va, vb = at[keep], a[keep], b[keep], va[keep], vb[keep]
-    return nodes, bridge
-
-
-def _dyadic_descent(horizon, stds, t, r, a, b):
-    """``_bisected_descent`` for T = 2**e, in closed form: t / T = odd * 2**-p
-    descends from its bracket's depth j0 (b - a = T 2**-j0) to p - 1 through the
-    bisection's own nodes m_k = (floor(t 2**(k - e)) + 1/2) 2**(e - k), laid out
-    by (step, rank), the times ranked longest first: step i is n_i of them."""
-    e = np.frexp(horizon)[1] - 1
-    top = (e + 1 - np.frexp(b - a)[1]).astype(np.int16)  # depths run below e + 1074
-    length = _fraction_bits(t) + e - top
+def _dyadic_descent(t, r, a, b):
+    """Pass 1 of times t, each alone in its bracket (a, b) of trajectory r: the
+    nodes [(r, m)], and pass 3, ``bridge(node_t, gauss, va, vb, w, at)``, from the
+    nodes and the brackets' end values, writing W(t) to w[at].  t = odd * 2**-p
+    descends from its bracket's depth j0 (b - a = 2**-j0) to p - 1 through the
+    bisection's own nodes m_k = (floor(t 2**k) + 1/2) 2**-k, laid out by (step,
+    rank), the times ranked longest first: step i is n_i of them."""
+    top = (1 - np.frexp(b - a)[1]).astype(np.int16)  # depths run below 1075
+    length = _fraction_bits(t) - top
     ranked = np.argsort(-length, kind="stable")
     sizes = np.cumsum(np.bincount(length)[::-1])[-2::-1].tolist()  # n_i: descents longer than i
     q = np.concatenate([ranked[:n] for n in [0, *sizes]])  # 0: no time may be alone
     depth = np.repeat(np.arange(len(sizes), dtype=np.int16), sizes) + top[q]
     t, r = t[q], r[q]
-    m = np.ldexp(np.floor(np.ldexp(t, depth - e)) + 0.5, e - depth)
+    m = np.ldexp(np.floor(np.ldexp(t, depth)) + 0.5, -depth)
     left = (t < m)[:, None]
 
     def bridge(node_t, gauss, va, vb, w, at):
         va, vb, at, first = va[ranked], vb[ranked], at[ranked], 0
-        noise = np.multiply(stds[depth][:, None], gauss, out=gauss)
+        noise = np.multiply(_DEPTH_STDS[depth][:, None], gauss, out=gauss)
         for n, stop in zip(sizes, [*sizes[1:], 0]):
             k = slice(first, first + n)
             vs, first = va[:n] + 0.5 * (vb[:n] - va[:n]) + noise[k], k.stop
@@ -355,28 +319,27 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
                      times: np.ndarray) -> np.ndarray:
     """Standard Brownian motions W_p(t), one per purpose tag: (purposes, times, dim).
 
-    Each trajectory (``index``: one per time, or one for all) has the tree of
-    dyadic brackets of (0, T); bracket (a, b) has node m = (a + b) / 2, keyed by
-    the trajectory and the bits of m.  Pass 1 sweeps the trees depth by depth
-    over the brackets that hold two distinct times or one at m, and splits
-    their times between the children with one ``np.searchsorted`` on the sorted
-    (trajectory, time) keys; a time left alone in its bracket then descends by
-    itself to the midpoint s.  Pass 2 draws each node once, and pass 3 bridges
-    them in order.  A bracket's times lie strictly inside it, and so does m, as
-    a + b is finite, and its weights are finite, as (s - a)(b - s) is (T is at
-    most ``_MAX_HORIZON``, 2**512).
-
-    On T = 2**e every bracket is an exact dyadic, so frac is 1/2 and std is one
-    per depth (``_depth_stds``), and the lone times descend in closed form
-    (``_dyadic_descent``); any other T bisects (``_bisected_descent``).  The
-    nodes and every value are the same either way.
+    A horizon T other than 1 reads the unit tree, W(t) = sqrt(T) B(t / T), so
+    two times that t / T rounds to one float share W, and a time with t / T = 0
+    (5e-324 on T = 3) reads W = 0.  Each trajectory (``index``: one per time, or
+    one for all) has the tree of dyadic brackets of (0, 1); bracket (a, b) has
+    node m = (a + b) / 2, keyed by the trajectory and the bits of m.  Pass 1
+    sweeps the trees depth by depth over the brackets that hold two distinct
+    times or one at m, and splits their times between the children with one
+    ``np.searchsorted`` on the sorted (trajectory, time) keys; a time left alone
+    in its bracket then descends by itself to the midpoint s, in closed form
+    (``_dyadic_descent``).  Pass 2 draws each node once, and pass 3 bridges them
+    in order.  Every bracket is an exact dyadic, so its times and m lie strictly
+    inside it, frac is 1/2 and std is one per depth (``_DEPTH_STDS``).
     """
     if not horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon {horizon} above 2**512 = {_MAX_HORIZON}, "
-                         "where the bridge weights overflow")
+                         "the largest accepted")
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= horizon)):
         raise ValueError(f"times outside [0, {horizon}]")
+    if horizon != 1.0:
+        return np.sqrt(horizon) * _brownian_values(seed, index, purposes, 1.0, dim, times / horizon)
     ends, end_of = np.unique(np.broadcast_to(np.asarray(index).astype(np.uint64), times.shape),
                              return_inverse=True)
     # numpy orders complex numbers by real part, then imaginary part, both exact
@@ -384,10 +347,8 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     keys, _, query_of = np.unique(end_of + 1j * times, return_index=True, return_inverse=True)
     key_t, root = keys.imag.copy(), np.arange(ends.size, dtype=np.min_scalar_type(ends.size))
     # pass 1, the sweep; a bracket is (trajectory, a, b) with the queries [lo, hi) of keys
-    live = (root, np.zeros(ends.size), np.full(ends.size, float(horizon)),
-            np.searchsorted(keys, root + 0j, side="right"),
-            np.searchsorted(keys, root + horizon * 1j))
-    stds = _depth_stds(horizon) if np.frexp(horizon)[0] == 0.5 else None
+    live = (root, np.zeros(ends.size), np.ones(ends.size),
+            np.searchsorted(keys, root + 0j, side="right"), np.searchsorted(keys, root + 1j))
     nodes, sweep, alone = [(root, live[2])], [], [[x[:0] for x in live]]
     while live[0].size:
         r, a, b, lo, hi = live
@@ -400,27 +361,25 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
         split = np.searchsorted(keys, r + 1j * m)
         hit = key_t[np.minimum(split, hi - 1)] == m
         nodes.append((r, m))
-        weights = _bridge_weights(a, b, m) if stds is None else (0.5, stds[len(sweep)])
-        sweep.append((shared, single, *weights, hit, split[hit]))
+        sweep.append((shared, single, _DEPTH_STDS[len(sweep)], hit, split[hit]))
         live = tuple(np.concatenate(x) for x in
                      ((r, r), (a, m), (m, b), (lo, split + hit), (split, hi)))
     # pass 1, the descents of the times left alone
     r, a, b, at, _ = (np.concatenate(x) for x in zip(*alone))
-    descent = _bisected_descent if stds is None else _dyadic_descent
-    lone, bridge = descent(horizon, stds, key_t[at], r, a, b)
+    lone, bridge = _dyadic_descent(key_t[at], r, a, b)
 
     # pass 2: one keyed draw for all nodes; pass 3: the bridge, in the order of pass 1
     owners, node_t = nodes = [np.concatenate(x) for x in zip(*nodes, *lone)]
     del lone
     gauss = _keyed_gaussians(seed, ends, owners, purposes, node_t, dim)
-    va, vb = np.zeros_like(gauss[:ends.size]), np.sqrt(horizon) * gauss[:ends.size]
+    va, vb = np.zeros_like(gauss[:ends.size]), gauss[:ends.size]
     w = np.zeros((keys.size, gauss.shape[1]))
-    w[key_t == horizon] = vb[keys.real[key_t == horizon].astype(int)]
+    w[key_t == 1.0] = vb[keys.real[key_t == 1.0].astype(int)]
     first, alone = ends.size, [(va[:0], vb[:0])]
-    for shared, single, frac, std, hit, at_m in sweep:
+    for shared, single, std, hit, at_m in sweep:
         alone.append((va[single], vb[single]))
         va, vb = va[shared], vb[shared]
-        vm, first = va + frac * (vb - va) + std * gauss[first:first + len(va)], first + len(va)
+        vm, first = va + 0.5 * (vb - va) + std * gauss[first:first + len(va)], first + len(va)
         w[at_m] = vm[hit]
         va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
     bridge(node_t[first:], gauss[first:], *(np.concatenate(x) for x in zip(*alone)), w, at)

@@ -64,7 +64,7 @@ MALFORMED = [
     # cannot take
     ("[experiment]\nhorizon = inf\n", "experiment.horizon", "experiment.horizon-inf"),
     ("[experiment]\nhorizon = 1e-20\n", "experiment.horizon", "experiment.horizon-tiny"),
-    # above 2**512, where a bridge bracket's (s - a)(b - s) could overflow
+    # above 2**512, the largest horizon accepted
     ("[experiment]\nhorizon = 1e308\n", "experiment.horizon", "experiment.horizon-huge"),
     ("[experiment]\nhorizon = 1e160\n", "experiment.horizon", "experiment.horizon-above-2-512"),
     ("[experiment]\ntrajectories = many\n", "experiment.trajectories"),

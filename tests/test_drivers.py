@@ -22,12 +22,12 @@ from mmsde import (
 )
 from mmsde.cli import EXIT_OK, main
 from mmsde.drivers import (
+    _DEPTH_STDS,
     _MAX_HORIZON,
     _PHILOX_CHUNK,
-    _bridge_weights,
     _brownian_values,
     _chunk_of,
-    _depth_stds,
+    _descents,
     _keyed_gaussians,
     _philox_block,
     _philox_keyed,
@@ -354,42 +354,102 @@ def dyadic_horizon_queries(draw):
     return horizon, np.array(times), np.array(rows, dtype=int)
 
 
-def _refuse(*args):
-    raise AssertionError("the general descent was entered")
+def _bridge_weights(a, b, s):
+    """W(s) = W(a) + frac (W(b) - W(a)) + std Z for a < s < b: (frac, std), each (n, 1)."""
+    sa, ba = s[:, None] - a[:, None], b[:, None] - a[:, None]
+    return sa / ba, np.sqrt(sa * (b - s)[:, None] / ba)
+
+
+def _bisected_descent(t, r, a, b):
+    """``drivers._dyadic_descent`` by float bisection, each node's weights from
+    ``_bridge_weights``: the nodes [(r, m), ...] of times t, each alone in its
+    bracket (a, b) of trajectory r, and pass 3, ``bridge(node_t, gauss, va, vb,
+    w, at)``, from the nodes and the brackets' end values, writing W(t) to w[at]."""
+    a0, b0, nodes, turns = a, b, [], []
+    while t.size:
+        m = 0.5 * (a + b)
+        left, stop = t < m, t == m
+        a, b = np.where(left, a, m), np.where(left, m, b)
+        nodes.append((r, m))
+        turns.append((left, stop))
+        if np.count_nonzero(stop):
+            keep = ~stop
+            t, a, b, r = t[keep], a[keep], b[keep], r[keep]
+
+    def bridge(node_t, gauss, va, vb, w, at):
+        a, b, first = a0, b0, 0
+        for left, stop in turns:
+            s, k = node_t[first:first + stop.size], slice(first, first + stop.size)
+            frac, std = _bridge_weights(a, b, s)
+            vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
+            a, b = np.where(left, a, s), np.where(left, s, b)
+            va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
+            if np.count_nonzero(stop):
+                w[at[stop]] = vs[stop]
+                keep = ~stop
+                at, a, b, va, vb = at[keep], a[keep], b[keep], va[keep], vb[keep]
+    return nodes, bridge
 
 
 class TestDyadicDescent:
-    """On T = 2**e the lone times descend in closed form (``_dyadic_descent``);
-    ``_bisected_descent``, the float bisection of any other horizon, is the
-    reference, and both take one signature."""
+    """Every horizon reads the unit tree, whose lone times descend in closed
+    form (``_dyadic_descent``); ``_bisected_descent``, the float bisection with
+    the general bridge weights, is the reference, and both take one signature."""
 
     @settings(max_examples=60, deadline=None)
     @given(dyadic_horizon_queries(), st.integers(1, 3), st.sampled_from([[3], [6], [3, 6]]))
     def test_closed_form_equals_the_bisection(self, queries, dim, purposes):
         horizon, times, rows = queries
-        general = drivers._bisected_descent
-        with mock.patch.object(drivers, "_bisected_descent", _refuse):
-            closed = _brownian_values(11, rows, purposes, horizon, dim, times)
-        with mock.patch.object(drivers, "_dyadic_descent", general):
-            bisected = _brownian_values(11, rows, purposes, horizon, dim, times)
+        times = times / horizon  # exact, but where it underflows: unit-tree times of every kind
+        closed = _brownian_values(11, rows, purposes, 1.0, dim, times)
+        with mock.patch.object(drivers, "_dyadic_descent", _bisected_descent):
+            bisected = _brownian_values(11, rows, purposes, 1.0, dim, times)
         assert closed.tobytes() == bisected.tobytes()
 
-    @pytest.mark.parametrize("horizon", POWER_OF_TWO_HORIZONS)
-    def test_depth_stds_are_the_bridge_weights(self, horizon):
-        # brackets of every depth that holds a float, first, last and at random,
-        # down to where (s - a)(b - s) underflows; the last entry, 0, is the
-        # sweep's, where every bracket is empty
-        stds = _depth_stds(horizon)
-        assert stds.size == np.frexp(horizon)[1] + 1074 and stds[-1] == 0.0
+    @pytest.mark.parametrize("horizon", [*POWER_OF_TWO_HORIZONS, 3.0, 0.7])
+    def test_a_horizon_scales_the_unit_tree(self, horizon):
+        rng = np.random.default_rng(7)
+        times = np.concatenate([uniform_partition(horizon, 10).times,
+                                rng.uniform(0.0, horizon, 20),
+                                [5e-324, float(np.nextafter(horizon, 0.0))]])
+        rows = np.arange(times.size) % 3
+        got = _brownian_values(11, rows, [3, 6], horizon, 2, times)
+        unit = _brownian_values(11, rows, [3, 6], 1.0, 2, times / horizon)
+        assert got.tobytes() == (np.sqrt(horizon) * unit).tobytes()
+
+    def test_depth_stds_are_the_bridge_weights(self):
+        # brackets of every depth of (0, 1) that holds a float, first, last and
+        # at random, down to where (s - a)(b - s) underflows; the last entry, 0,
+        # is the sweep's, where every bracket is empty
+        assert _DEPTH_STDS.size == 1075 and _DEPTH_STDS[-1] == 0.0
         rng = np.random.default_rng(3)
-        depth = np.repeat(np.arange(stds.size - 1), 3)
-        width = np.ldexp(horizon, -depth)
-        where = np.tile([0.0, 1.0, 0.5], stds.size - 1) * rng.uniform(0.5, 1.0, depth.size)
+        depth = np.repeat(np.arange(_DEPTH_STDS.size - 1), 3)
+        width = np.ldexp(1.0, -depth)
+        where = np.tile([0.0, 1.0, 0.5], _DEPTH_STDS.size - 1) * rng.uniform(0.5, 1.0, depth.size)
         a = np.floor((np.ldexp(1.0, np.minimum(depth, 50)) - 1.0) * where) * width
         frac, std = _bridge_weights(a, a + width, a + 0.5 * width)
         assert np.all(frac == 0.5)
-        assert std[:, 0].tobytes() == stds[depth].tobytes()
-        assert stds[0] > 0.0 and stds[-2] == 0.0  # (s - a)(b - s) underflows
+        assert std[:, 0].tobytes() == _DEPTH_STDS[depth].tobytes()
+        assert _DEPTH_STDS[0] > 0.0 and _DEPTH_STDS[-2] == 0.0  # (s - a)(b - s) underflows
+
+    @pytest.mark.parametrize("horizon", [1.0, 3.0, 0.7])
+    @pytest.mark.parametrize("intervals", [1024, 1000])
+    def test_descent_price_counts_the_nodes_drawn(self, horizon, intervals, monkeypatch):
+        # _descents prices a time by the bits of t / T, which the unit tree descends
+        # by; at a one-node budget it cuts after every node, so it yields the price
+        times = uniform_partition(horizon, intervals).times
+        monkeypatch.setattr(drivers, "_DESCENT_NODES", 1)
+        price = len(list(_descents(times, [times.size], horizon)))
+        monkeypatch.undo()
+        drawn, draw = [], drivers._keyed_gaussians
+
+        def counted(*args):
+            drawn.append(args[4].size)
+            return draw(*args)
+
+        monkeypatch.setattr(drivers, "_keyed_gaussians", counted)
+        _brownian_values(5, 0, [3], horizon, 1, times)
+        assert abs(sum(drawn) / price - 1.0) <= 0.03
 
     @pytest.mark.parametrize("name", ["box_dyadic", "hl_nondyadic"])
     def test_bench_chunks_take_the_closed_form(self, name, monkeypatch, tmp_path):
@@ -399,7 +459,6 @@ class TestDyadicDescent:
             entered.append(args[2].size)
             return dyadic(*args)
 
-        monkeypatch.setattr(drivers, "_bisected_descent", _refuse)
         monkeypatch.setattr(drivers, "_dyadic_descent", counted)
         for command in ("converge", "compare"):
             argv = [command, "--config", str(BENCH_CONFIGS / f"{name}.ini"),
@@ -472,7 +531,7 @@ class TestKeyedBrownianTree:
         # re-pin these.  The Philox words are integer arithmetic and pinned
         # exactly; the Gaussians go through log/cos, whose last bit may vary
         # between math libraries, so W is pinned to 1e-12.
-        assert STREAM_VERSION == 2
+        assert STREAM_VERSION == 3
         words = _philox_raw((7, 3), np.array([[0, 3, 4602678819172646912, 0]], dtype=np.uint64))
         assert words[0].tolist() == GOLDEN_WORDS
         w = _brownian_values(7, 3, [3], 1.0, 1, np.array([0.25, 0.5, 0.7, 1.0]))[0, :, 0]
@@ -607,28 +666,29 @@ class TestLeanKeyedDraw:
         assert np.all(np.isfinite(w))
 
 
-# stream 2, key (7, 3): the raw block of node t = 0.5 of tag 3, and W at
-# 0.25, 0.5, 0.7 and 1.0 (checked by hand against np.random.Philox words,
-# Box-Muller and the bridge formula)
+# key (7, 3): the raw block of node t = 0.5 of tag 3, and W at 0.25, 0.5, 0.7
+# and 1.0 (checked by hand against np.random.Philox words, Box-Muller and the
+# bridge formula).  Streams 2 and 3 agree at T = 1, so these and GOLDEN_W_D3
+# are stream 2's pins too
 GOLDEN_WORDS = [17026611805161637242, 9287880174703922719,
                 16106269765591823813, 15692236555719398595]
 GOLDEN_W = [-0.26253708564481454, -1.3466704236523417,
             -0.7586317339100459, -0.42931781189479323]
-# key (7, 3) too: W of tags 3 and 6, d = 2, at 0.25, 0.6 and T off the unit
-# horizon, and W of tag 3, d = 3, at GOLDEN_W's times
+# key (7, 3) too: stream 3's W of tags 3 and 6, d = 2, at 0.25, 0.6 and T off
+# the unit horizon, and W of tag 3, d = 3, at GOLDEN_W's times
 GOLDEN_W_HORIZONS = {
-    3.0: [0.05466372438647458, -0.43965474150245276, -0.09866435855824088,
-          -0.6582041850489851, -1.4971882875085287, -1.6597524645861772,
-          -0.05545899196303379, 0.14911973329512254, 0.3439691235468001,
-          1.7935186297873753, 1.7459668094969436, 1.9166026591271366],
-    2.0: [-0.06874584751398805, 0.23830144895053643, -0.2574131506919242,
-          0.9980539334302422, 1.2988413534069831, 1.9218175453221666,
-          -0.31872907500698117, 0.7597230997894783, 0.026626441112599725,
-          1.4269127092851805, 1.010745949701912, -1.852424624935227],
-    0.7: [-0.17702126501806897, -0.536730995388934, 1.2503505360474132,
-          -0.38463365241306136, 1.2440782133077148, -0.5361442322752246,
-          -0.9655605527682694, 0.4013336369160135, -1.785472737206893,
-          0.272733217791037, -1.6391528402418771, 0.04692469376399752],
+    3.0: [0.604270011614128, 0.20258535209907355, 0.4720624127322095,
+          -0.362153729941522, -0.7436002627960799, 0.644953982260334,
+          -0.10757996306369615, 1.278242497695621, -0.4790583083946684,
+          1.1891820507051274, -1.208046117252733, 5.9152858562283495],
+    2.0: [0.27744312234644347, -0.2674304565841876, -0.7923676207840089,
+          0.0812749987112725, -0.6071470721499579, 0.5266027213712839,
+          -0.08518483873734738, 1.4300545651521923, -0.9676091692334059,
+          2.0395587953603815, -0.9863655243398716, 4.829810676820585],
+    0.7: [-0.8486625391380734, -0.18231645059236173, -0.7047316898205325,
+          -0.09175940357417263, -0.35919305189144896, 0.31154237136298935,
+          -0.639293308822618, 1.4403531703522554, 0.21680401486692702,
+          2.651770463939959, -0.5835417137293566, 2.8573545301336933],
 }
 GOLDEN_W_D3 = [-0.26253708564481454, 0.025340004432086373, 0.6346792750812424,
                -1.3466704236523417, 0.16130532724929014, 1.670563175549773,
