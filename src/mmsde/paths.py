@@ -309,7 +309,8 @@ def write_step_path_jsonl(path: StepPath, fh: IO[str], component: str | None = N
 
 def read_step_path_jsonl(fh: IO[str], component: str | None = None) -> StepPath:
     """A path written by ``write_step_path_jsonl``; a line that is not a JSON
-    object with ``time`` and ``value`` raises ``ValueError`` naming it."""
+    object with a number ``time`` and a ``value`` of numbers shaped as the
+    first line's raises ``ValueError`` naming it."""
     times: list[float] = []
     values: list[list[float]] = []
     for lineno, line in enumerate(fh, 1):
@@ -333,8 +334,13 @@ def read_step_path_jsonl(fh: IO[str], component: str | None = None) -> StepPath:
         for key in ("time", "value"):
             if key not in rec:
                 raise ValueError(f"line {lineno}: record has no {key!r}")
-        times.append(rec["time"])
-        values.append(rec["value"])
+        try:  # a cell that is no number, or a value of another shape, names its line
+            times.append(float(rec["time"]))
+            values.append(np.asarray(rec["value"], dtype=float))
+            if values[-1].shape != values[0].shape:
+                raise ValueError(f"value of shape {values[-1].shape}, not {values[0].shape}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if not times:
         raise ValueError("no path records found")
     return StepPath(Partition(np.asarray(times)), np.asarray(values))

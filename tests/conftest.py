@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,42 @@ from mmsde import (
     linear_monotone,
 )
 from mmsde.skorokhod import _k
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_CONFIGS = ROOT / "bench" / "configs"
+
+
+def bench_config(name: str) -> str:
+    """The text of the benchmark's config ``name``."""
+    return (BENCH_CONFIGS / f"{name}.ini").read_text(encoding="utf-8")
+
+
+# f(x) = diag(x * x) has no linear growth bound: trajectory 2 of this seed
+# explodes on the 64-step grid
+SQUARE_STUDY = """
+[operator]
+kind = halfline
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+
+[coefficient]
+kind = square
+
+[driver]
+sigma = 1
+jump_rate = 3
+jump_law = gaussian
+jump_cov = 1
+h0 = 0.5
+
+[experiment]
+levels = 4 64
+yosida_levels = 2 4
+trajectories = 12
+seed = 33
+"""
 
 
 def soft_threshold(lam, z):
@@ -102,3 +143,11 @@ def assert_row_is_the_run(row, run):
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
     return one
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package from
+    this checkout's ``src``, its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120, check=False)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mmsde.harness as harness
+from conftest import SQUARE_STUDY, bench_config, run_python
 from mmsde import (
     Partition,
     StepPath,
@@ -126,6 +127,17 @@ reference_refine = 4
 trajectories = 1
 """
 
+# Dykstra's polyhedron, the triangle of the verify_polyhedron golden
+TRIANGLE_INI = """\
+[operator]
+kind = polyhedron
+constraints = -1 0 : 0 ; 0 -1 : 0 ; 1 1 : 1
+
+[projection]
+kind = elastic_iterated
+c = 0.5
+"""
+
 TABLE_HEADER = "level,scheme,checkpoint,mean_err,std_err,sup_err,p_gt_1e-1,p_gt_1e-2,n_traj"
 
 
@@ -213,7 +225,13 @@ class TestSkorokhodCommand:
         ("short.csv", "time,v_1,v_2\n0.0,0.0,0.0\n1.0,1.0\n", 3),
         ("long.csv", "# note\ntime,v_1\n0.0,0.0\n1.0,1.0,2.0\n", 4),
         ("untimed.jsonl", '{"time": 0.0, "value": [0.0]}\n{"value": [1.0]}\n', 2),
-    ], ids=["csv-missing-field", "csv-extra-field", "jsonl-missing-time"])
+        ("object-time.jsonl", '{"time": {"a": 1}, "value": [1.0, 0.0]}\n', 1),
+        ("string-time.jsonl",
+         '{"time": 0.0, "value": [0.0, 0.0]}\n{"time": "x", "value": [1.0, 0.0]}\n', 2),
+        ("short-value.jsonl",
+         '{"time": 0.0, "value": [0.0, 0.0]}\n{"time": 1.0, "value": [1.0]}\n', 2),
+    ], ids=["csv-missing-field", "csv-extra-field", "jsonl-missing-time", "jsonl-object-time",
+            "jsonl-string-time", "jsonl-short-value"])
     def test_malformed_path_record_is_a_config_error(self, tmp_path, capsys, name, text, line):
         path_file = write_file(tmp_path / name, text)
         config = write_file(tmp_path / "lin.ini", LINEAR_INI)
@@ -280,22 +298,30 @@ class TestSkorokhodCommand:
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
-    def test_writes_the_scheme_trajectory(self, tmp_path, capsys, scheme):
-        code, out, stdout = run_command("simulate", tmp_path, capsys,
-                                        "--scheme", scheme, "--trajectory", "1")
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("ini, trajectory", [
+        (BOX_STUDY_INI, 1),
+        # the benchmark's box study on its finest levels, 128 and Yosida 64
+        (bench_config("box_dyadic"), 0),
+    ], ids=["box-study", "box_dyadic"])
+    def test_writes_the_scheme_trajectory(self, tmp_path, capsys, ini, trajectory, scheme):
+        config = write_file(tmp_path / "box.ini", ini)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out), "--scheme", scheme,
+                     "--trajectory", str(trajectory)]) == EXIT_OK
         written = out / f"trajectory_{scheme}.csv"
-        assert stdout.strip() == str(written)
-        # the same run in-process: finest level 8, finest Yosida level 4
-        cfg = load_config(str(tmp_path / "box.ini"))
+        assert capsys.readouterr().out.strip() == str(written)
+        # the same run in-process, at the finest level and finest Yosida level
+        cfg = load_config(config)
+        n = cfg.yosida_levels[-1]
         op = build_operator(cfg.operator)
         proj = build_projection(cfg.projection)
         coeff = build_coefficient(cfg.coefficient, 2)
-        r = simulate(build_driver(cfg.driver, 2), uniform_partition(1.0, 8), cfg.seed, 1)
+        r = simulate(build_driver(cfg.driver, 2), uniform_partition(1.0, cfg.levels[-1]),
+                     cfg.seed, trajectory)
         expected = {
             "euler": lambda: euler_scheme(op, proj, coeff, r),
-            "yosida": lambda: yosida_scheme(op, 4, coeff, r),
-            "modified_yosida": lambda: modified_yosida_scheme(op, proj, 4, coeff, r),
+            "yosida": lambda: yosida_scheme(op, n, coeff, r),
+            "modified_yosida": lambda: modified_yosida_scheme(op, proj, n, coeff, r),
         }[scheme]()
         for component, path in (("x", expected.x), ("k", expected.k_path)):
             with open(written, encoding="utf-8") as fh:
@@ -345,8 +371,25 @@ class TestStudyCommands:
         assert len(lines) == 2 + rows
         assert all(len(line.split(",")) == 9 for line in lines[2:])
 
-    def test_verify_reports_every_check_passed(self, tmp_path, capsys):
-        code, out, stdout = run_command("verify", tmp_path, capsys, "--samples", "60")
+    @pytest.mark.parametrize("ini, samples", [
+        (BOX_STUDY_INI, 60),
+        # 10,000 fresh per-row steps run through the cap of the inverse memo
+        # and through the per-row flow states of the solution checkers
+        (bench_config("lin_path"), 20000),
+        # the Skorokhod checks solve their 15 step paths as one batch on each
+        # operator and projection kind of the benchmark and on Dykstra's
+        # polyhedron: a batched projection must not warn on a row it leaves alone
+        (bench_config("box_dyadic"), 200),
+        (bench_config("hl_nondyadic"), 200),
+        (bench_config("lin_path"), 200),
+        (TRIANGLE_INI, 200),
+    ], ids=["box-study-60", "lin_path-20000", "box_dyadic-200", "hl_nondyadic-200",
+            "lin_path-200", "triangle-200"])
+    def test_verify_reports_every_check_passed(self, tmp_path, capsys, ini, samples):
+        config = write_file(tmp_path / "study.ini", ini)
+        out = tmp_path / "out"
+        code = main(["verify", "--config", config, "--out", str(out), "--samples", str(samples)])
+        stdout = capsys.readouterr().out
         assert code == EXIT_OK
         text = (out / "verify.json").read_text(encoding="utf-8")
         assert stdout == text + "\n"  # one encoding, printed and written
@@ -364,14 +407,24 @@ class TestStudyCommands:
         assert all(np.isfinite(res["worst"]) for res in report.values())
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_exploding_trajectory_is_nonconvergence(self, tmp_path, capsys, workers):
-        config = write_file(tmp_path / "square.ini", EXPLODING_INI + f"workers = {workers}\n")
-        out = tmp_path / "out"
-        assert main(["converge", "--config", config, "--out", str(out)]) == EXIT_NONCONVERGENCE
+    @pytest.mark.parametrize("ini, command, trajectories, run", [
         # the reference run, on levels[-1] x reference_refine = 64 intervals, explodes
+        (EXPLODING_INI, "converge", 4, "reference run, level 64"),
+        # at study scale trajectory 2 retires from its chunk while the other
+        # rows march on: with one worker in 64-row chunks, with two in 25-row
+        # batches, and the text is the same
+        (SQUARE_STUDY, "converge", 200, "level 64"),
+        (SQUARE_STUDY, "compare", 200, "reference run, level 64"),
+    ], ids=["converge", "square-converge-200", "square-compare-200"])
+    def test_exploding_trajectory_is_nonconvergence(self, tmp_path, capsys, ini, command,
+                                                    trajectories, run, workers):
+        config = write_file(tmp_path / "square.ini", ini)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out), "--workers", str(workers),
+                     "--trajectories", str(trajectories)]) == EXIT_NONCONVERGENCE
         assert capsys.readouterr().err == (
             "numerical non-convergence: trajectory 2 exploded: the driven increment "
-            "at step 56 (t = 0.84375) is not finite (reference run, level 64)\n")
+            f"at step 56 (t = 0.84375) is not finite ({run})\n")
         assert not (out / "errors.csv").exists()
 
     def test_exploding_simulation_names_its_level(self, tmp_path, capsys):
@@ -487,6 +540,14 @@ def test_cached_parser_keeps_no_flag_from_an_earlier_call(tmp_path, capsys):
         assert code == EXIT_OK
         rows = (out / "errors.csv").read_text(encoding="utf-8").splitlines()[2:]
         assert {row.rsplit(",", 1)[1] for row in rows} == {n_traj}
+
+
+def test_module_entry_point_prints_help():
+    # main() builds its parser once per process, and the tests above share it;
+    # this runs the real entry point in a fresh interpreter
+    done = run_python("-m", "mmsde.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mmsde ")
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))

@@ -1,5 +1,4 @@
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCH_CONFIGS
 from mmsde import (
     STREAM_VERSION,
     DriverSpec,
@@ -332,7 +332,6 @@ class TestNodeSweep:
 
 
 POWER_OF_TWO_HORIZONS = [2.0 ** -60, 0.5, 1.0, 2.0, 2.0 ** 100, 2.0 ** 512]
-BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 @st.composite
@@ -456,7 +455,7 @@ class TestDyadicDescent:
         entered, dyadic = [], drivers._dyadic_descent
 
         def counted(*args):
-            entered.append(args[2].size)
+            entered.append(args[0].size)
             return dyadic(*args)
 
         monkeypatch.setattr(drivers, "_dyadic_descent", counted)

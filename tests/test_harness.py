@@ -5,7 +5,7 @@ import pytest
 
 import mmsde.harness as harness
 import mmsde.schemes as schemes
-from conftest import assert_row_is_the_run, chunk_rows
+from conftest import SQUARE_STUDY, assert_row_is_the_run, chunk_rows
 from mmsde import resolve
 from mmsde.config import build_driver, parse_config_text
 from mmsde.drivers import DriverRealization, _chunk_of, from_step_paths, simulate
@@ -52,14 +52,6 @@ checkpoints = 0.5 1.0j
 trajectories = 4
 seed = 3
 """
-
-
-def test_convergence_table_is_identical_across_worker_counts():
-    cfg = parse_config_text(HALFLINE_NON_DYADIC)
-    one = run_convergence(cfg.with_overrides(workers=1)).to_csv()
-    two = run_convergence(cfg.with_overrides(workers=2)).to_csv()
-    assert one.startswith("# reference=ORACLE")
-    assert one == two
 
 
 ZOO_OPERATORS = {
@@ -307,32 +299,6 @@ def test_each_chunk_is_marched_once_per_scheme_body(monkeypatch, study, text, ma
     cfg = parse_config_text(text)
     study(cfg)
     assert len(calls) == marches * -(-cfg.trajectories // cap)
-
-
-SQUARE_STUDY = """
-[operator]
-kind = halfline
-
-[projection]
-kind = elastic_iterated
-c = 0.5
-
-[coefficient]
-kind = square
-
-[driver]
-sigma = 1
-jump_rate = 3
-jump_law = gaussian
-jump_cov = 1
-h0 = 0.5
-
-[experiment]
-levels = 4 64
-yosida_levels = 2 4
-trajectories = 12
-seed = 33
-"""
 
 
 @pytest.mark.parametrize("reference, suffix", [(False, "(level 15)"),
