@@ -21,7 +21,6 @@ from .operators import (
 from .projections import (
     Projection,
     project_classical,
-    project_elastic,
 )
 from .paths import (
     Partition,

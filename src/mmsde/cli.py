@@ -156,7 +156,7 @@ def _cmd_simulate(args) -> int:
         "projection": json.dumps(cfg.projection, sort_keys=True),
         "coefficient": json.dumps(cfg.coefficient, sort_keys=True),
     }
-    _write_components(cfg, out_path, {"x": out.x, "k": out.k_path}, meta)
+    _write_components(cfg, out_path, {"x": out.x, "k": out.k.total}, meta)
     print(out_path)
     return EXIT_OK
 

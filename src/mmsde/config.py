@@ -4,10 +4,11 @@ A configuration file has the sections [operator], [projection],
 [coefficient], [driver] and [experiment].  One schema table per section
 below lists its kinds, keys, parsers and defaults; parsing and building both
 read it.  Every key is optional except the radius or value of a uniform_ball
-or fixed jump law.  An unknown section, and a key that its table does not
-list for the chosen kind (or jump law), are rejected with a ConfigError
-naming them.  The driver has keys for Z and the same keys prefixed 'h_' for
-H; its jump_law picks the law whose jump_* keys apply.
+or fixed jump law.  An unknown section, an unknown kind or jump law (whatever
+the jump rate), and a key that its table does not list for the chosen kind (or
+jump law), are rejected at parse with a ConfigError naming them.  The driver
+has keys for Z and the same keys prefixed 'h_' for H; its jump_law picks the
+law whose jump_* keys apply.
 
 Vectors are comma- or space-separated; matrices separate rows with ';'.
 Comment lines start with '#' or ';'; an inline comment starts with ' #' only,
@@ -23,6 +24,7 @@ which builds every section; a study builds them once more, in its
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -49,6 +51,7 @@ from .schemes import (
     square_coefficient,
     zero_coefficient,
 )
+from .skorokhod import DEFAULT_FLOW_SUBSTEPS
 
 __all__ = [
     "Checkpoint",
@@ -90,7 +93,7 @@ class ExperimentConfig:
     seed: int = 0
     checkpoints: tuple = ()
     workers: int = 1
-    flow_substeps: int = 16
+    flow_substeps: int = DEFAULT_FLOW_SUBSTEPS
     drift_substeps: int = 1
     reference_refine: int = 4
     out_dir: str = "out"
@@ -281,13 +284,12 @@ _OPERATORS = {
              {"dimension": (_int, "1")}),
 }
 
-# Projection takes the kind, checks it and holds every default
-_PROJECTIONS = {
-    "classical": (Projection, {}),
-    "elastic": (Projection, {"c": (_float, None)}),
-    "elastic_iterated": (Projection, {"c": (_float, None), "tol": (_float, None),
-                                      "max_iter": (_int, None)}),
-}
+# Projection checks the parameters and holds every default
+_PROJECTIONS = {kind: (functools.partial(Projection, kind), keys) for kind, keys in (
+    ("classical", {}),
+    ("elastic", {"c": (_float, None)}),
+    ("elastic_iterated", {"c": (_float, None), "tol": (_float, None), "max_iter": (_int, None)}),
+)}
 
 _COEFFICIENTS = {
     "zero": (zero_coefficient, {}),
@@ -321,13 +323,6 @@ _EXPERIMENT = {key: (parser, None) for key, parser in (
 
 def _stored(name: str, value) -> dict:
     return value if isinstance(value, dict) else {name: value}
-
-
-def _keys(table: dict, kind) -> dict:
-    """The keys ``kind`` reads; all keys of the table if the builder must name the kind."""
-    if kind in table:
-        return table[kind][1]
-    return {k: v for _, keys in table.values() for k, v in keys.items()}
 
 
 def _entry(field: str, table: dict, kind, noun: str = "kind") -> tuple:
@@ -376,12 +371,7 @@ def build_operator(spec: dict) -> MonotoneOperator:
 
 
 def build_projection(spec: dict) -> Projection:
-    kind = spec.get("kind", next(iter(_PROJECTIONS)))
-    # Projection itself rejects an unknown kind
-    ctor, keys = _PROJECTIONS.get(kind, (Projection, {}))
-    given = {k: v for k, v in spec.items() if k != "kind"}
-    with _naming("projection"):
-        return ctor(kind, **_arguments("projection", keys, given))
+    return _build("projection", _PROJECTIONS, spec)
 
 
 def build_coefficient(spec: dict, dimension: int) -> Coefficient:
@@ -392,12 +382,17 @@ def _given(spec: dict, keys: dict, prefix: str = "") -> dict:
     return {k: spec[prefix + k] for k in keys if prefix + k in spec}
 
 
+def _jump_law(spec, prefix: str) -> tuple:
+    """The ``_JUMP_LAWS`` entry that ``spec`` names for the process of ``prefix``."""
+    return _entry(f"driver.{prefix}jump_law", _JUMP_LAWS,
+                  spec.get(prefix + "jump_law", next(iter(_JUMP_LAWS))), "law")
+
+
 def _process(spec: dict, prefix: str, dimension: int) -> ProcessSpec:
     kw = _arguments("driver", _PROCESS, _given(spec, _PROCESS, prefix), prefix)
-    rate, law, field = float(kw["jump_rate"]), None, f"driver.{prefix}jump_law"
+    (ctor, keys), rate, law = _jump_law(spec, prefix), float(kw["jump_rate"]), None
     if rate > 0:
-        ctor, keys = _entry(field, _JUMP_LAWS, kw.get("jump_law", next(iter(_JUMP_LAWS))), "law")
-        with _naming(field):
+        with _naming(f"driver.{prefix}jump_law"):
             law = ctor(dimension, **_arguments("driver", keys, _given(spec, keys, prefix), prefix))
     with _naming(f"driver.{prefix or 'z_'}process"):
         return ProcessSpec(dimension, _scaled_eye(kw["sigma"], dimension),
@@ -436,9 +431,9 @@ def _read(sec, section: str, keys: dict) -> dict:
 
 
 def _read_kind(sec, section: str, table: dict, fill: bool = False) -> dict:
-    """A kinded section; ``fill`` requires a known kind and stores all its keys."""
+    """A kinded section of a known kind; ``fill`` stores all the kind's keys."""
     kind = sec.get("kind", next(iter(table)))
-    keys = _entry(f"{section}.kind", table, kind)[1] if fill else _keys(table, kind)
+    keys = _entry(f"{section}.kind", table, kind)[1]
     out = {"kind": kind, **_read(sec, section, {"kind": (_text, None), **keys})}
     return _arguments(section, keys, out) if fill else out
 
@@ -461,8 +456,8 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
     coefficient = _read_kind(sec["coefficient"], "coefficient", _COEFFICIENTS)
     keys = {}
     for prefix in _PREFIXES:
-        law = sec["driver"].get(prefix + "jump_law", next(iter(_JUMP_LAWS)))
-        keys.update({prefix + k: v for k, v in {**_PROCESS, **_keys(_JUMP_LAWS, law)}.items()})
+        law_keys = _jump_law(sec["driver"], prefix)[1]
+        keys.update({prefix + k: v for k, v in {**_PROCESS, **law_keys}.items()})
     driver = _read(sec["driver"], "driver", {**keys, **_H0})
     exp = _read(sec["experiment"], "experiment", _EXPERIMENT)
     if "out" in exp:

@@ -342,12 +342,9 @@ def compare_schemes(cfg: ExperimentConfig) -> ErrorTable:
     reference = f"EULER-REFERENCE grid={cfg.levels[-1]} (same realizations)"
     cp_y, cp_m, sup_jy, sup_m = _map_batches(ctx, _compare_batch)
     table = ErrorTable(reference=reference)
-    for li, n_level in enumerate(cfg.yosida_levels):
-        table.rows.extend(_aggregate_rows(n_level, "yosida", cps,
-                                          cp_y[:, li, :], sup_jy[:, li]))
-    for li, n_level in enumerate(cfg.yosida_levels):
-        table.rows.extend(_aggregate_rows(n_level, "modified_yosida", cps,
-                                          cp_m[:, li, :], sup_m[:, li]))
+    for scheme, cp, sup in (("yosida", cp_y, sup_jy), ("modified_yosida", cp_m, sup_m)):
+        for li, n_level in enumerate(cfg.yosida_levels):
+            table.rows.extend(_aggregate_rows(n_level, scheme, cps, cp[:, li, :], sup[:, li]))
     return table
 
 

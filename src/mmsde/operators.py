@@ -222,7 +222,8 @@ def _steps(resolvent, lam, m, z, keep=False):
     states = []
     for _ in range(m):
         z = resolvent(lam, z)
-        states.append(z)
+        if keep:
+            states.append(z)
     return states if keep else z
 
 
@@ -287,6 +288,12 @@ def _halfspace_projector(a: np.ndarray, b: float, nrm2: float):
     return project
 
 
+def _normal_cone(dimension: int, project, sample, spec: dict) -> MonotoneOperator:
+    """The normal cone of a closed convex set, whose resolvent is ``project`` for every step."""
+    return MonotoneOperator(dimension, lambda lam, z: project(z), project, sample,
+                            projection_resolvent=True, spec=spec)
+
+
 def indicator_halfspace(normal, offset: float) -> MonotoneOperator:
     """Normal cone of the halfspace {x : <normal, x> <= offset}."""
     a = np.atleast_1d(np.asarray(normal, dtype=float))
@@ -303,14 +310,8 @@ def indicator_halfspace(normal, offset: float) -> MonotoneOperator:
             return np.zeros_like(a)
         return unit.copy()
 
-    return MonotoneOperator(
-        dimension=a.size,
-        resolvent=lambda lam, z: project(z),
-        domain_projection=project,
-        graph_sample=sample,
-        projection_resolvent=True,
-        spec={"kind": "halfspace", "normal": a.tolist(), "offset": b},
-    )
+    return _normal_cone(a.size, project, sample,
+                        {"kind": "halfspace", "normal": a.tolist(), "offset": b})
 
 
 def indicator_box(lo, hi) -> MonotoneOperator:
@@ -337,14 +338,8 @@ def indicator_box(lo, hi) -> MonotoneOperator:
         out[z <= lo] = -1.0
         return out
 
-    return MonotoneOperator(
-        dimension=lo.size,
-        resolvent=lambda lam, z: project(z),
-        domain_projection=project,
-        graph_sample=sample,
-        projection_resolvent=True,
-        spec={"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()},
-    )
+    return _normal_cone(lo.size, project, sample,
+                        {"kind": "box", "lo": lo.tolist(), "hi": hi.tolist()})
 
 
 def indicator_ball(center, radius: float) -> MonotoneOperator:
@@ -375,14 +370,8 @@ def indicator_ball(center, radius: float) -> MonotoneOperator:
             return np.zeros_like(c)
         return d / nd
 
-    return MonotoneOperator(
-        dimension=c.size,
-        resolvent=lambda lam, z: project(z),
-        domain_projection=project,
-        graph_sample=sample,
-        projection_resolvent=True,
-        spec={"kind": "ball", "center": c.tolist(), "radius": r},
-    )
+    return _normal_cone(c.size, project, sample,
+                        {"kind": "ball", "center": c.tolist(), "radius": r})
 
 
 def _chebyshev_radius(normals: np.ndarray, offsets: np.ndarray) -> float:
@@ -509,18 +498,8 @@ def indicator_polyhedron(halfspaces, dykstra_tol: float = 1e-10,
         n = np.linalg.norm(out)
         return out / n if n > 0 else out
 
-    return MonotoneOperator(
-        dimension=d,
-        resolvent=lambda lam, z: project(z),
-        domain_projection=project,
-        graph_sample=sample,
-        projection_resolvent=True,
-        spec={
-            "kind": "polyhedron",
-            "normals": normals.tolist(),
-            "offsets": offsets.tolist(),
-        },
-    )
+    return _normal_cone(d, project, sample, {"kind": "polyhedron", "normals": normals.tolist(),
+                                             "offsets": offsets.tolist()})
 
 
 def linear_monotone(matrix) -> MonotoneOperator:

@@ -23,7 +23,6 @@ from .operators import MonotoneOperator, _identity, as_points, row_norm
 __all__ = [
     "Projection",
     "project_classical",
-    "project_elastic",
     "DEFAULT_ITER_TOL",
     "DEFAULT_ITER_MAX",
 ]
@@ -37,25 +36,6 @@ _KINDS = ("classical", "elastic", "elastic_iterated")
 def project_classical(op: MonotoneOperator, z) -> np.ndarray:
     """Nearest point of the domain closure (exact identity inside)."""
     return np.asarray(op.domain_projection(as_points(z)), dtype=float)
-
-
-def _elasticity(c) -> float:
-    c = float(c)
-    if not (0.0 <= c <= 1.0):
-        raise ValueError(f"elasticity must lie in [0, 1], got {c}")
-    return c
-
-
-def project_elastic(op: MonotoneOperator, c: float, z) -> np.ndarray:
-    """p - c (z - p) with p the classical projection; c in [0, 1].
-
-    c = 0 collapses to the classical projection, c = 1 is the mirror
-    reflection through the nearest boundary point.
-    """
-    c = _elasticity(c)
-    z = as_points(z)
-    p = np.asarray(op.domain_projection(z), dtype=float)
-    return p if c == 0.0 else p - c * (z - p)
 
 
 def _elastic_iterated(op: MonotoneOperator, c: float, z, tol: float, max_iter: int):
@@ -120,7 +100,7 @@ class Projection:
 
     ``proj(op, z)`` maps a point (d,) or a batch (B, d); row i of a batch
     comes out bit for bit as the single point would.  Instances are immutable
-    and call through to the pure projection functions, so they are safe to
+    and their calls are pure functions of (op, z), so they are safe to
     share between threads; ``bind`` resolves one against an operator once.
     """
 
@@ -145,8 +125,10 @@ class Projection:
         made, are not checked again; the iterated kind still tests z's finiteness."""
         if self.kind == "classical":
             return project_classical(op, z)
-        if self.kind == "elastic":
-            return project_elastic(op, self.c, z)
+        if self.kind == "elastic":  # p - c (z - p); c = 1 mirrors z through p
+            z = as_points(z)
+            p = np.asarray(op.domain_projection(z), dtype=float)
+            return p if self.c == 0.0 else p - self.c * (z - p)
         return _elastic_iterated(op, self.c, z, self.tol, self.max_iter)
 
     def bind(self, op: MonotoneOperator):

@@ -186,10 +186,6 @@ class SchemeOutput:
     realization: DriverRealization
     x_pre: np.ndarray | None = None
 
-    @property
-    def k_path(self) -> StepPath:
-        return self.k.total
-
 
 def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_step):
     """March the rows of ``chunk`` through one scheme body.
@@ -334,17 +330,6 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
                    _euler(op, proj, coeff, _chunk_of([realization]), flow_substeps))
 
 
-def _yosida_step(resolvent, lam, mu, x) -> np.ndarray:
-    """The implicit Yosida step of ``resolvent_of_yosida_step``, unchecked:
-    ``resolvent(step, x)`` is J_step(x), and ``lam`` and ``mu`` are floats or
-    arrays of one value per row of the batch x."""
-    step = lam + mu
-    w = lam / step
-    if np.ndim(w):
-        w = w[:, None]
-    return w * x + (1.0 - w) * np.asarray(resolvent(step, x), dtype=float)
-
-
 def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
     """One implicit step of size mu for the Yosida drift -A_lam.
 
@@ -361,8 +346,11 @@ def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
     lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     if not (np.all(lam > 0) and np.all(mu > 0)):
         raise ValueError("lam and mu must be positive")
-    return _yosida_step(lambda step, z: resolve(op, step, z), lam, mu,
-                        np.asarray(x, dtype=float))
+    x, step = np.asarray(x, dtype=float), lam + mu
+    w = lam / step
+    if np.ndim(w):
+        w = w[:, None]
+    return w * x + (1.0 - w) * resolve(op, step, x)
 
 
 def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coefficient,
@@ -391,7 +379,7 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
         correct = (chunk.jump_flags & np.repeat(schemes == "modified_yosida", counts)
                    & (np.maximum(row_norm(chunk.jump_h), row_norm(chunk.jump_z)) > lam))
         lam, correct = lam[order], correct[order] if correct.any() else None
-        # _yosida_step's weights of each point's drift substep, formed once
+        # resolvent_of_yosida_step's weights of each point's drift substep, formed once
         size = lam + dt / drift_substeps
         w = (lam / size)[:, None]
         wc = 1.0 - w

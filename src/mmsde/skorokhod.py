@@ -63,10 +63,6 @@ class SkorokhodSolution:
     x_pre: np.ndarray
     flow_substeps: int
 
-    @property
-    def k_path(self) -> StepPath:
-        return self.k.total
-
 
 def _sp_step(op: MonotoneOperator, proj, flow, prev: np.ndarray, dy: np.ndarray, dt):
     """One grid step: flow over dt from ``prev`` with the unchecked kernel

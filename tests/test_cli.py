@@ -323,7 +323,7 @@ class TestSimulateCommand:
             "yosida": lambda: yosida_scheme(op, n, coeff, r),
             "modified_yosida": lambda: modified_yosida_scheme(op, proj, n, coeff, r),
         }[scheme]()
-        for component, path in (("x", expected.x), ("k", expected.k_path)):
+        for component, path in (("x", expected.x), ("k", expected.k.total)):
             with open(written, encoding="utf-8") as fh:
                 got = read_step_path_csv(fh, component=component)
             np.testing.assert_array_equal(got.partition.times, path.partition.times)

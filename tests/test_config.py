@@ -5,6 +5,7 @@ import mmsde.drivers as drivers
 from mmsde.cli import EXIT_CONFIG, main
 from mmsde.config import (
     build_coefficient,
+    build_driver,
     build_operator,
     build_projection,
     parse_config_text,
@@ -105,6 +106,14 @@ MALFORMED = [
     ("[driver]\nh_jump_rate = 1e20\nh_jump_law = gaussian\n", "driver.h_jump_rate"),
     ("[driver]\njump_rate = 5e18\njump_law = fixed\njump_value = 1\n[experiment]\nhorizon = 2\n",
      "driver.jump_rate", "driver.jump_rate-times-horizon"),
+    # an unknown kind or jump law, refused at parse whatever the jump rate
+    ("[operator]\nkind = cone\n", "operator.kind"),
+    ("[projection]\nkind = mirror\n", "projection.kind"),
+    ("[coefficient]\nkind = cubic\n", "coefficient.kind"),
+    ("[driver]\njump_law = levy\n", "driver.jump_law", "driver.jump_law-unknown-rate-0"),
+    ("[driver]\nh_jump_law = levy\nh_jump_radius = 2\n", "driver.h_jump_law",
+     "driver.h_jump_law-unknown-rate-0"),
+    ("[driver]\njump_rate = 1\njump_law = levy\n", "driver.jump_law", "driver.jump_law-unknown"),
     # a '%' is no interpolation: the value is read as written
     ("[driver]\nsigma = 0.5%\n", "driver.sigma", "driver.sigma-percent"),
     ("[experiment]\nseed = %(x)s\n", "experiment.seed", "experiment.seed-interpolation"),
@@ -120,6 +129,17 @@ def test_malformed_config_names_its_field_and_exits_2(tmp_path, capsys, text, fi
     assert main(["converge", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("prefix", ["", "h_"])
+def test_an_unknown_jump_law_is_refused_whatever_the_rate(prefix):
+    message = f"driver.{prefix}jump_law: unknown law 'levy'"
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"[driver]\n{prefix}jump_law = levy\n{prefix}jump_radius = 2\n")
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        build_driver({prefix + "jump_law": "levy"}, 1)
+    assert str(info.value) == message
 
 
 JUMPY = """

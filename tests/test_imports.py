@@ -1,6 +1,6 @@
-"""The package's imports: no module of ``mmsde`` imports a name that it never
-reads or lists in ``__all__`` a name that it does not bind, and the set-up
-import path loads neither the process pool nor scipy."""
+"""The package's imports: no module of ``mmsde`` or of the tests imports a
+name that it never reads or lists in ``__all__`` a name that it does not bind,
+and the set-up import path loads neither the process pool nor scipy."""
 
 import ast
 
@@ -8,7 +8,12 @@ import pytest
 
 from conftest import ROOT, run_python
 
-MODULES = sorted((ROOT / "src" / "mmsde").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "mmsde").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _name(path) -> str:
+    """``dir/name`` of a module: ``mmsde/config.py``, ``tests/conftest.py``."""
+    return f"{path.parent.name}/{path.name}"
 
 
 def import_faults(path) -> list:
@@ -25,7 +30,7 @@ def import_faults(path) -> list:
                 imported.setdefault((alias.asname or alias.name).partition(".")[0], node.lineno)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     faults = [] if path.name == "__init__.py" else [
-        f"{path.name}:{line}: {name} is imported but never read"
+        f"{_name(path)}:{line}: {name} is imported but never read"
         for name, line in imported.items() if name not in read]
     bound, listed = set(), []
     for node in tree.body:
@@ -39,11 +44,11 @@ def import_faults(path) -> list:
             bound |= names
             if "__all__" in names:
                 listed = [(node.lineno, name) for name in ast.literal_eval(node.value)]
-    return faults + [f"{path.name}:{line}: __all__ lists {name}, which it neither defines "
+    return faults + [f"{_name(path)}:{line}: __all__ lists {name}, which it neither defines "
                      "nor imports" for line, name in listed if name not in bound]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=_name)
 def test_module_reads_its_imports_and_binds_its_all(path):
     assert import_faults(path) == []
 

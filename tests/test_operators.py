@@ -399,7 +399,7 @@ class TestLinearResolventCache:
         got = solve_step(linear_monotone(m), Projection(), y)
         want = solve_step(reference, Projection(), y)
         assert np.max(np.abs(got.x.values - want.x.values)) <= 1e-10
-        assert np.max(np.abs(got.k_path.values - want.k_path.values)) <= 1e-10
+        assert np.max(np.abs(got.k.total.values - want.k.total.values)) <= 1e-10
 
     def test_threads_sharing_the_memo_get_correct_results(self):
         m = np.array([[2.0, 0.5], [-0.5, 1.0]])

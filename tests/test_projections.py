@@ -13,7 +13,6 @@ from mmsde import (
     indicator_halfspace,
     indicator_polyhedron,
     project_classical,
-    project_elastic,
 )
 from mmsde.operators import _identity
 
@@ -50,30 +49,30 @@ class TestClassical:
 class TestElastic:
     def test_halfline_rebound(self):
         op = indicator_halfspace([-1.0], 0.0)
-        assert project_elastic(op, 0.5, [-2.0]) == pytest.approx([1.0])
+        assert Projection("elastic", 0.5)(op, [-2.0]) == pytest.approx([1.0])
 
     def test_identity_on_domain(self, zoo, rng):
         for op in (zoo["halfline"], zoo["box2"], zoo["ball2"]):
             z = project_classical(op, rng.normal(0.0, 2.0, size=op.dimension))
             for c in (0.0, 0.3, 1.0):
-                np.testing.assert_array_equal(project_elastic(op, c, z), z)
+                np.testing.assert_array_equal(Projection("elastic", c)(op, z), z)
 
     def test_box_mirror(self):
         op = indicator_box([0.0, 0.0], [1.0, 1.0])
-        assert project_elastic(op, 1.0, [1.5, 0.5]) == pytest.approx([0.5, 0.5])
+        assert Projection("elastic", 1.0)(op, [1.5, 0.5]) == pytest.approx([0.5, 0.5])
 
     def test_c_zero_collapses_bitwise(self, zoo, rng):
         for op in zoo.values():
             for _ in range(25):
                 z = rng.normal(0.0, 3.0, size=op.dimension)
                 np.testing.assert_array_equal(
-                    project_elastic(op, 0.0, z), project_classical(op, z))
+                    Projection("elastic", 0.0)(op, z), project_classical(op, z))
 
     def test_rejects_bad_elasticity(self, zoo):
         with pytest.raises(ValueError):
-            project_elastic(zoo["halfline"], 1.5, [1.0])
+            Projection("elastic", 1.5)(zoo["halfline"], [1.0])
         with pytest.raises(ValueError):
-            project_elastic(zoo["halfline"], -0.1, [1.0])
+            Projection("elastic", -0.1)(zoo["halfline"], [1.0])
 
 
 class TestElasticIterated:
@@ -83,7 +82,7 @@ class TestElasticIterated:
         for c in (0.2, 0.5, 1.0):
             np.testing.assert_array_equal(
                 Projection("elastic_iterated", c)(op, [-2.0]),
-                project_elastic(op, c, [-2.0]))
+                Projection("elastic", c)(op, [-2.0]))
         # box corner mirror lands inside after one step
         box = zoo["box2"]
         assert Projection("elastic_iterated", 1.0)(box, [2.0, 2.0]) == pytest.approx([0.0, 0.0])
@@ -94,7 +93,7 @@ class TestElasticIterated:
         # oracle: iterate the elastic map to machine stabilization
         w = z.copy()
         for _ in range(10_000):
-            nxt = project_elastic(op, 1.0, w)
+            nxt = Projection("elastic", 1.0)(op, w)
             if np.linalg.norm(nxt - w) < 1e-14:
                 break
             w = nxt

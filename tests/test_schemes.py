@@ -85,7 +85,7 @@ class TestEulerScheme:
         out = euler_scheme(op, CLASSICAL, zero_coefficient(1), r)
         sol = solve_step(op, CLASSICAL, StepPath(r.grid, r.h.values))
         np.testing.assert_array_equal(out.x.values, sol.x.values)
-        np.testing.assert_array_equal(out.k_path.values, sol.k_path.values)
+        np.testing.assert_array_equal(out.k.total.values, sol.k.total.values)
 
     def test_additive_noise_matches_halfline_oracle(self, zoo):
         op = zoo["halfline"]
@@ -139,9 +139,9 @@ class TestEulerScheme:
             "yosida": lambda: yosida_scheme(op, 4, coeff, r),
             "modified_yosida": lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r),
         }[scheme]()
-        resid = np.max(np.abs(out.x.values + out.k_path.values - out.y.values))
+        resid = np.max(np.abs(out.x.values + out.k.total.values - out.y.values))
         assert resid <= 1e-10
-        assert np.max(np.abs(out.k_path.values)) > 0.1
+        assert np.max(np.abs(out.k.total.values)) > 0.1
 
     @pytest.mark.parametrize("scheme", ["euler", "yosida", "modified_yosida"])
     def test_y_is_the_cumsum_of_the_driven_increments(self, zoo, scheme):
@@ -182,7 +182,7 @@ class TestEulerScheme:
             sol = SkorokhodSolution(out.x, out.k, out.y, out.x_pre, 4)
             rep = verify_solution(op, CLASSICAL, sol, test_pairs=pairs)
             assert rep.passed, rep.failures
-            k_peak = max(k_peak, float(np.max(np.abs(out.k_path.values))))
+            k_peak = max(k_peak, float(np.max(np.abs(out.k.total.values))))
         # the reflection (or, for linear2, the drift) is active
         assert k_peak > 0.01
 
@@ -260,7 +260,7 @@ class TestModifiedYosida:
         out = modified_yosida_scheme(op, CLASSICAL, 10, zero_coefficient(1), r)
         np.testing.assert_array_equal(out.k.jump.values[:, 0], [0.0, 0.0, -1.0, -1.0, -1.0])
         np.testing.assert_array_equal(out.k.continuous.values[:, 0], np.zeros(5))
-        np.testing.assert_array_equal(out.x.values + out.k_path.values, out.y.values)
+        np.testing.assert_array_equal(out.x.values + out.k.total.values, out.y.values)
         assert out.x_pre is None
 
     def test_small_jumps_below_threshold_ignored(self, zoo):

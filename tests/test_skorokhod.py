@@ -10,7 +10,6 @@ from mmsde import (
     Partition,
     Projection,
     StepPath,
-    indicator_halfspace,
     indicator_polyhedron,
     linear_monotone,
     pair_inequality_report,
@@ -46,13 +45,13 @@ class TestSolveStep:
         y = step_path([0.0, 1.0, 2.0], [1.0, 1.0, -1.0])
         sol = solve_step(zoo["halfline"], CLASSICAL, y)
         np.testing.assert_allclose(sol.x.values.ravel(), [1.0, 1.0, 0.0])
-        np.testing.assert_allclose(sol.k_path.values.ravel(), [0.0, 0.0, -1.0])
+        np.testing.assert_allclose(sol.k.total.values.ravel(), [0.0, 0.0, -1.0])
 
     def test_stationary_interior_point(self, zoo):
         y = step_path([0.0, 0.5, 1.0], [0.4, 0.4, 0.4])
         sol = solve_step(zoo["halfline"], CLASSICAL, y)
         np.testing.assert_allclose(sol.x.values.ravel(), 0.4)
-        np.testing.assert_allclose(sol.k_path.values.ravel(), 0.0, atol=1e-15)
+        np.testing.assert_allclose(sol.k.total.values.ravel(), 0.0, atol=1e-15)
 
     def test_constant_input_linear_decay(self):
         # y = 1 on [0, 1]: x_t = e^{-t}, k_t = 1 - e^{-t} (exponential oracle)
@@ -62,7 +61,7 @@ class TestSolveStep:
         sol = solve_step(op, CLASSICAL, y, flow_substeps=m)
         for t in (0.25, 0.5, 1.0):
             assert abs(sol.x.value_at(t)[0] - math.exp(-t)) <= 2.0 / m
-            assert abs(sol.k_path.value_at(t)[0] - (1.0 - math.exp(-t))) <= 2.0 / m
+            assert abs(sol.k.total.value_at(t)[0] - (1.0 - math.exp(-t))) <= 2.0 / m
 
     def test_rejects_start_outside_domain(self, zoo):
         y = step_path([0.0, 1.0], [-1.0, 1.0])
@@ -252,20 +251,20 @@ class TestHalflineOracle:
         y = step_path([0.0, 1.0], [3.0, 3.0])
         sol = reflect_halfline_oracle(y)
         np.testing.assert_allclose(sol.x.values.ravel(), 3.0)
-        np.testing.assert_allclose(sol.k_path.values.ravel(), 0.0)
+        np.testing.assert_allclose(sol.k.total.values.ravel(), 0.0)
 
     def test_two_step(self):
         y = step_path([0.0, 1.0], [1.0, -1.0])
         sol = reflect_halfline_oracle(y)
         np.testing.assert_allclose(sol.x.values.ravel(), [1.0, 0.0])
-        np.testing.assert_allclose(sol.k_path.values.ravel(), [0.0, -1.0])
+        np.testing.assert_allclose(sol.k.total.values.ravel(), [0.0, -1.0])
 
     def test_running_minimum_three_step(self):
         # hand-evaluated running-minimum formula
         y = step_path([0.0, 0.5, 1.0], [0.0, -2.0, 1.0])
         sol = reflect_halfline_oracle(y)
         np.testing.assert_allclose(sol.x.values.ravel(), [0.0, 0.0, 3.0])
-        np.testing.assert_allclose(sol.k_path.values.ravel(), [0.0, -2.0, -2.0])
+        np.testing.assert_allclose(sol.k.total.values.ravel(), [0.0, -2.0, -2.0])
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
