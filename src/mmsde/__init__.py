@@ -42,7 +42,7 @@ from .drivers import (
     JumpLaw,
     ProcessSpec,
     DriverSpec,
-    DriverRealization,
+    Chunk,
     simulate,
     from_step_paths,
 )

@@ -4,11 +4,11 @@ A configuration file has the sections [operator], [projection],
 [coefficient], [driver] and [experiment].  One schema table per section
 below lists its kinds, keys, parsers and defaults; parsing and building both
 read it.  Every key is optional except the radius or value of a uniform_ball
-or fixed jump law.  An unknown section, an unknown kind or jump law (whatever
-the jump rate), and a key that its table does not list for the chosen kind (or
-jump law), are rejected at parse with a ConfigError naming them.  The driver
-has keys for Z and the same keys prefixed 'h_' for H; its jump_law picks the
-law whose jump_* keys apply.
+or fixed jump law, which is built and checked whatever the jump rate.  An
+unknown section, kind or jump law, and a key that its table does not list for
+the chosen kind (or jump law), are rejected at parse with a ConfigError naming
+them.  The driver has keys for Z and the same keys prefixed 'h_' for H; its
+jump_law picks the law whose jump_* keys apply.
 
 Vectors are comma- or space-separated; matrices separate rows with ';'.
 Comment lines start with '#' or ';'; an inline comment starts with ' #' only,
@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("experiment.yosida_levels", "levels must be strictly increasing")
         if self.trajectories < 1:
             raise ConfigError("experiment.trajectories", "need at least one trajectory")
+        if not 0 <= self.seed < 2**64:  # the stream keys a seed modulo 2**64
+            raise ConfigError("experiment.seed", "must lie in [0, 2**64)")
         for cp in self.checkpoints:
             if not (0.0 < cp.time <= self.horizon):
                 raise ConfigError("experiment.checkpoints",
@@ -390,13 +392,12 @@ def _jump_law(spec, prefix: str) -> tuple:
 
 def _process(spec: dict, prefix: str, dimension: int) -> ProcessSpec:
     kw = _arguments("driver", _PROCESS, _given(spec, _PROCESS, prefix), prefix)
-    (ctor, keys), rate, law = _jump_law(spec, prefix), float(kw["jump_rate"]), None
-    if rate > 0:
-        with _naming(f"driver.{prefix}jump_law"):
-            law = ctor(dimension, **_arguments("driver", keys, _given(spec, keys, prefix), prefix))
+    ctor, keys = _jump_law(spec, prefix)
+    with _naming(f"driver.{prefix}jump_law"):
+        law = ctor(dimension, **_arguments("driver", keys, _given(spec, keys, prefix), prefix))
     with _naming(f"driver.{prefix or 'z_'}process"):
         return ProcessSpec(dimension, _scaled_eye(kw["sigma"], dimension),
-                           _vector(kw["drift"], dimension), rate, law)
+                           _vector(kw["drift"], dimension), float(kw["jump_rate"]), law)
 
 
 def build_driver(spec: dict, dimension: int) -> DriverSpec:

@@ -17,10 +17,10 @@ is at most 2**512, the range a config accepts; no bridge weight bounds it, as
 every bracket lies in (0, 1).  ``STREAM_VERSION`` names the stream; a change to
 its values bumps it.
 
-Inside the package realizations travel as the rows of one ``Chunk``: grid
-times laid end to end with row offsets, H and Z as (N, d) columns, the jump
-flags and sizes, and each row's trajectory index and base level.
-``simulate`` samples a chunk of one and returns it as a ``DriverRealization``.
+Realizations travel as the rows of one ``Chunk``: grid times laid end to
+end with row offsets, H and Z as (N, d) columns, the jump flags and sizes, and
+each row's trajectory index and base level.  One realization is a one-row
+chunk: ``simulate`` samples one, and ``from_step_paths`` wraps given paths as one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "JumpLaw",
     "ProcessSpec",
     "DriverSpec",
-    "DriverRealization",
+    "Chunk",
     "simulate",
     "from_step_paths",
 ]
@@ -387,28 +387,6 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
 
 
 @dataclass(frozen=True, eq=False)
-class DriverRealization:
-    """One sampled (H, Z) pair aligned to an augmented partition.
-
-    ``grid`` is the base partition with all sampled jump times inserted;
-    ``jump_h``/``jump_z`` hold the process discontinuity at each grid time
-    (zero rows where the process does not jump) and ``jump_flags`` marks the
-    arrival times of either process.
-    """
-
-    base: Partition
-    grid: Partition
-    h: StepPath
-    z: StepPath
-    jump_flags: np.ndarray
-    jump_h: np.ndarray
-    jump_z: np.ndarray
-    seed: int | None = None
-    trajectory_index: int | None = None
-    spec: DriverSpec | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class Chunk:
     """Realizations of a chunk of rows, laid end to end in columns.
 
@@ -416,7 +394,7 @@ class Chunk:
     column: its grid ``times`` (its base partition with the jump times
     inserted), the values ``h`` and ``z`` (N, d), ``jump_flags`` and the jumps
     ``jump_h`` and ``jump_z``.  ``trajectory`` and ``level`` give each row's
-    trajectory index and the intervals of its base partition.
+    trajectory index (None for given paths) and its base partition's intervals.
     """
 
     times: np.ndarray
@@ -449,16 +427,6 @@ class Chunk:
                      self.trajectory * len(keep), levels), points
 
 
-def _chunk_of(realizations) -> Chunk:
-    """The realizations as the rows of one Chunk, in order."""
-    columns = zip(*((r.grid.times, r.h.values, r.z.values, r.jump_flags, r.jump_h, r.jump_z)
-                    for r in realizations))
-    return Chunk(*map(np.concatenate, columns),
-                 np.cumsum([0, *(r.grid.times.size for r in realizations)]),
-                 [r.trajectory_index for r in realizations],
-                 np.array([r.base.times.size - 1 for r in realizations]))
-
-
 def _sample_jumps(proc: ProcessSpec, seed: int, index: int, tag_times: int,
                   tag_sizes: int, horizon: float):
     if proc.jump_rate == 0.0:
@@ -483,15 +451,10 @@ def _process_values(proc: ProcessSpec, times: np.ndarray, w: np.ndarray | None,
 
 
 def simulate(spec: DriverSpec, partition: Partition, seed: int,
-             trajectory_index: int = 0) -> DriverRealization:
+             trajectory_index: int = 0) -> Chunk:
     """Sample one (H, Z) realization, deterministic in (seed, trajectory_index):
-    the one row of ``_simulate``, its arrays the chunk's columns."""
-    chunk = _simulate(spec, partition, seed, [trajectory_index])
-    grid = Partition(chunk.times)
-    return DriverRealization(
-        base=partition, grid=grid, h=StepPath(grid, chunk.h), z=StepPath(grid, chunk.z),
-        jump_flags=chunk.jump_flags, jump_h=chunk.jump_h, jump_z=chunk.jump_z,
-        seed=seed, trajectory_index=trajectory_index, spec=spec)
+    the one-row chunk of ``_simulate``."""
+    return _simulate(spec, partition, seed, [trajectory_index])
 
 
 def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chunk:
@@ -529,8 +492,9 @@ def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chu
                  np.full(len(indices), partition.times.size - 1))
 
 
-def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:
-    """Wrap user-supplied step paths as a driver realization.
+def from_step_paths(h: StepPath, z: StepPath) -> Chunk:
+    """Wrap user-supplied step paths as the one-row chunk of a driver realization,
+    of no trajectory and at the level of their shared partition.
 
     Every nonzero grid increment of either path is treated as a jump of that
     process (a step path genuinely jumps at its grid points).  Z must start
@@ -542,5 +506,6 @@ def from_step_paths(h: StepPath, z: StepPath) -> DriverRealization:
         raise ValueError("Z must start at zero")
     jump_h, jump_z = h.jumps(), z.jumps()
     flags = (np.linalg.norm(jump_h, axis=1) > 0) | (np.linalg.norm(jump_z, axis=1) > 0)
-    return DriverRealization(base=h.partition, grid=h.partition, h=h, z=z,
-                             jump_flags=flags, jump_h=jump_h, jump_z=jump_z)
+    n = h.partition.times.size
+    return Chunk(h.partition.times, h.values, z.values, flags, jump_h, jump_z,
+                 np.array([0, n]), [None], np.array([n - 1]))

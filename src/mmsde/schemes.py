@@ -4,7 +4,8 @@
 
 driven by a maximal monotone operator A and a generalized projection.
 
-Three schemes operate on a driver realization's grid.  Each supplies only its
+Three schemes operate on a driver realization's grid, which is a one-row
+``drivers.Chunk`` (``simulate``, ``from_step_paths``).  Each supplies only its
 step map to ``_run_chunk``, the one chunk march; a step returns (x_pre, x_new),
 and the march keeps x and x_pre only.  The Euler step is
 ``skorokhod._sp_step``, which ``solve_step`` marches along one grid:
@@ -29,8 +30,8 @@ points, with the errors of its retired rows.  Row i equals the body on a
 chunk of realization i alone, bit for bit and for every operator.  dH, dZ,
 dt, Yosida's drift weights and its correction flags are laid out in the march
 order, by step index, so that a step of the march reads one slice of each.
-A scheme marches its body on a chunk of one realization, and ``_output``
-alone forms k (``_k``).
+A scheme passes its one-row chunk straight to its body and refuses a chunk
+of more rows; ``_output`` alone forms k (``_k``).
 
 Every scheme runs the coefficient as given, a diagonal one by elementwise
 products.  A coefficient without linear growth may explode: a step whose
@@ -54,11 +55,11 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import Chunk, DriverRealization, _chunk_of
+from .drivers import Chunk
 from .errors import DomainViolationError, ExplosionError
 from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _flow_kernel, _flow_schedule,
                         resolve, row_norm)
-from .paths import BVDecomposition, StepPath
+from .paths import BVDecomposition, Partition, StepPath
 from .projections import Projection
 from .skorokhod import DEFAULT_FLOW_SUBSTEPS, _k, _sp_step
 
@@ -183,7 +184,7 @@ class SchemeOutput:
     y: StepPath
     scheme: str
     params: dict
-    realization: DriverRealization
+    realization: Chunk
     x_pre: np.ndarray | None = None
 
 
@@ -292,13 +293,15 @@ def _run_chunk(op: MonotoneOperator, coeff: Coefficient, chunk: Chunk, scheme_st
     return x, x_pre, dy, errors
 
 
-def _output(realization: DriverRealization, scheme: str, params: dict, marched) -> SchemeOutput:
-    """The SchemeOutput of a scheme body ``marched`` on the chunk of ``realization``
-    alone, labelled ``scheme`` with ``params``; its ExplosionError is raised."""
-    x, x_pre, dy, errors = marched
+def _output(realization: Chunk, scheme: str, params: dict, body) -> SchemeOutput:
+    """The SchemeOutput of a scheme body ``body(realization)`` on the one-row chunk
+    ``realization``, labelled ``scheme`` with ``params``; its ExplosionError is raised."""
+    if (rows := len(realization.trajectory)) != 1:
+        raise ValueError(f"a scheme run takes a one-row chunk, got {rows} rows")
+    x, x_pre, dy, errors = body(realization)
     if errors:
         raise errors[0]
-    grid = realization.grid
+    grid = Partition(realization.times)
     return SchemeOutput(
         x=StepPath(grid, x), k=_k(grid, x, x_pre, dy, drift=scheme != "euler"),
         y=StepPath(grid, np.cumsum(dy, 0)),
@@ -318,7 +321,7 @@ def _euler(op: MonotoneOperator, proj: Projection, coeff: Coefficient, chunk: Ch
 
 
 def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
-                 realization: DriverRealization,
+                 realization: Chunk,
                  flow_substeps: int = DEFAULT_FLOW_SUBSTEPS) -> SchemeOutput:
     """Skorokhod-step discretization on the realization grid.
 
@@ -327,7 +330,7 @@ def euler_scheme(op: MonotoneOperator, proj: Projection, coeff: Coefficient,
     increment dH + f(X_prev) dZ.
     """
     return _output(realization, "euler", {"flow_substeps": flow_substeps},
-                   _euler(op, proj, coeff, _chunk_of([realization]), flow_substeps))
+                   lambda chunk: _euler(op, proj, coeff, chunk, flow_substeps))
 
 
 def resolvent_of_yosida_step(op: MonotoneOperator, lam, mu, x) -> np.ndarray:
@@ -398,7 +401,7 @@ def _yosida(op: MonotoneOperator, proj: Projection | None, levels, coeff: Coeffi
 
 
 def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
-                  realization: DriverRealization,
+                  realization: Chunk,
                   drift_substeps: int = 1) -> SchemeOutput:
     """Explicit driver increments, implicit Yosida drift at stiffness n >= 1.
 
@@ -409,12 +412,12 @@ def yosida_scheme(op: MonotoneOperator, n: float, coeff: Coefficient,
     solution starts there.
     """
     return _output(realization, "yosida", {"n": float(n), "drift_substeps": drift_substeps},
-                   _yosida(op, None, [n], coeff, _chunk_of([realization]), ["yosida"],
-                           drift_substeps))
+                   lambda chunk: _yosida(op, None, [n], coeff, chunk, ["yosida"],
+                                         drift_substeps))
 
 
 def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
-                           coeff: Coefficient, realization: DriverRealization,
+                           coeff: Coefficient, realization: Chunk,
                            drift_substeps: int = 1) -> SchemeOutput:
     """Yosida scheme with projection correction at large driver jumps.
 
@@ -426,5 +429,5 @@ def modified_yosida_scheme(op: MonotoneOperator, proj: Projection, n: float,
     """
     return _output(realization, "modified_yosida",
                    {"n": float(n), "drift_substeps": drift_substeps},
-                   _yosida(op, proj, [n], coeff, _chunk_of([realization]), ["modified_yosida"],
-                           drift_substeps))
+                   lambda chunk: _yosida(op, proj, [n], coeff, chunk, ["modified_yosida"],
+                                         drift_substeps))

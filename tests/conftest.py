@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mmsde import (
+    Chunk,
     ExplosionError,
     convex_prox,
     indicator_ball,
@@ -114,6 +115,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def chunk_of(rows) -> Chunk:
+    """The one-row chunks ``rows`` (``simulate``, ``from_step_paths``) laid end to
+    end as the rows of one chunk, in order."""
+    columns = ("times", "h", "z", "jump_flags", "jump_h", "jump_z")
+    return Chunk(*(np.concatenate([getattr(r, name) for r in rows]) for name in columns),
+                 np.cumsum([0, *(r.times.size for r in rows)]),
+                 [index for r in rows for index in r.trajectory],
+                 np.concatenate([r.level for r in rows]))
+
+
 def chunk_rows(chunk, marched) -> list:
     """Per row of ``chunk``, its slices of a scheme body's x, x_pre and dy, or its error."""
     *paths, errors = marched
@@ -136,7 +147,7 @@ def assert_row_is_the_run(row, run):
         assert row.last.tobytes() == exc.last.tobytes()
         return exc
     x, x_pre, dy = row
-    k = _k(one.realization.grid, x, x_pre, dy, drift=one.scheme != "euler")
+    k = _k(one.x.partition, x, x_pre, dy, drift=one.scheme != "euler")
     pairs = [(x, one.x.values), (np.cumsum(dy, axis=0), one.y.values),
              (k.continuous.values, one.k.continuous.values), (k.jump.values, one.k.jump.values)]
     for got, want in pairs + [(x_pre, one.x_pre)] * (one.x_pre is not None):

@@ -110,6 +110,31 @@ trajectories = 4
 seed = 33
 """
 
+# H and Z drift at 1e300 over a horizon of 1e10: both overflow to inf from
+# the first step on
+OVERFLOWING_INI = """\
+[operator]
+kind = box
+lo = 0 0
+hi = 1 1
+
+[projection]
+kind = classical
+
+[coefficient]
+kind = constant
+matrix = 1 0; 0 1
+
+[driver]
+drift = 1e300
+h_drift = 1e300
+h0 = 0.5 0.5
+
+[experiment]
+horizon = 1e10
+levels = 4 8
+"""
+
 JUMPY_HALFLINE_INI = """\
 [operator]
 kind = halfline
@@ -437,6 +462,19 @@ class TestStudyCommands:
             "at step 56 (t = 0.84375) is not finite (level 64)\n")
         assert not (out / "trajectory_euler.csv").exists()
 
+    def test_overflowing_driver_retires_its_trajectory(self, tmp_path, capsys):
+        # the driver's values overflow, with numpy's warnings; the march
+        # retires the row at its first step, as a study does
+        config = write_file(tmp_path / "overflow.ini", OVERFLOWING_INI)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            assert main(["simulate", "--config", config, "--out", str(out)]) == \
+                EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err == (
+            "numerical non-convergence: trajectory 0 exploded: the driven increment "
+            "at step 1 (t = 1250000000.0) is not finite (level 8)\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, flags, field", [
     ("simulate", ["--scheme", "yosida", "--yosida-n", "0.5"], "experiment.yosida_levels"),
@@ -447,10 +485,17 @@ class TestStudyCommands:
     ("verify", ["--samples", "0"], "--samples"),
     ("simulate", ["--trajectory", "-1"], "--trajectory"),
     ("simulate", ["--trajectory", str(2**64)], "--trajectory"),
+    # the stream keys a seed modulo 2**64: -1 would alias 2**64 - 1, and 2**64 seed 0
+    ("verify", ["--seed", "-1"], "experiment.seed"),
+    ("converge", ["--seed", "-1"], "experiment.seed"),
+    ("converge", ["--seed", str(2**64)], "experiment.seed"),
+    ("simulate", ["--seed", "-1"], "experiment.seed"),
     ("converge", ["--trajectories", "0"], "experiment.trajectories"),
     ("compare", ["--workers", "0"], "experiment.workers"),
 ], ids=["yosida-n-0.5", "yosida-n-nan", "yosida-n-inf", "level-minus-4", "level-0",
-        "samples-0", "trajectory-minus-1", "trajectory-2**64", "trajectories-0", "workers-0"])
+        "samples-0", "trajectory-minus-1", "trajectory-2**64", "verify-seed-minus-1",
+        "converge-seed-minus-1", "converge-seed-2**64", "simulate-seed-minus-1",
+        "trajectories-0", "workers-0"])
 def test_bad_flag_is_a_config_error(tmp_path, capsys, command, flags, field):
     # flags are checked with the config they override, so none falls back to it
     config = write_file(tmp_path / "box.ini", BOX_STUDY_INI)

@@ -117,6 +117,21 @@ MALFORMED = [
     # a '%' is no interpolation: the value is read as written
     ("[driver]\nsigma = 0.5%\n", "driver.sigma", "driver.sigma-percent"),
     ("[experiment]\nseed = %(x)s\n", "experiment.seed", "experiment.seed-interpolation"),
+    # the stream keys a seed modulo 2**64, so a negative one would alias another
+    ("[experiment]\nseed = -1\n", "experiment.seed", "experiment.seed-negative"),
+    # a jump law is built, and its keys checked, whatever the jump rate
+    ("[driver]\njump_law = uniform_ball\n", "driver.jump_radius",
+     "driver.jump_radius-missing-rate-0"),
+    ("[driver]\nh_jump_law = uniform_ball\n", "driver.h_jump_radius",
+     "driver.h_jump_radius-missing-rate-0"),
+    ("[driver]\njump_law = uniform_ball\njump_radius = -1\n", "driver.jump_law",
+     "driver.jump_law-radius-negative-rate-0"),
+    ("[driver]\njump_law = gaussian\njump_cov = -1\n", "driver.jump_law",
+     "driver.jump_law-cov-negative-rate-0"),
+    ("[driver]\njump_law = gaussian\njump_cov = 1 0; 0 1\n", "driver.jump_law",
+     "driver.jump_law-cov-2x2-rate-0"),
+    ("[driver]\njump_law = fixed\njump_value = 1 2\n", "driver.jump_law",
+     "driver.jump_law-dimension-rate-0"),
 ]
 
 

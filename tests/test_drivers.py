@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH_CONFIGS
+from conftest import BENCH_CONFIGS, chunk_of
 from mmsde import (
     STREAM_VERSION,
     DriverSpec,
@@ -26,7 +26,6 @@ from mmsde.drivers import (
     _MAX_HORIZON,
     _PHILOX_CHUNK,
     _brownian_values,
-    _chunk_of,
     _descents,
     _keyed_gaussians,
     _philox_block,
@@ -63,14 +62,14 @@ class TestSimulate:
     def test_pure_drift_is_exact(self):
         spec = make_spec(drift=1.0)
         r = simulate(spec, uniform_partition(1.0, 8), seed=1)
-        np.testing.assert_array_equal(r.z.values.ravel(), r.grid.times)
+        np.testing.assert_array_equal(r.z.ravel(), r.times)
         assert r.jump_flags.sum() == 0
 
     def test_z_starts_at_zero_h_at_h0(self):
         spec = make_spec(sigma=1.0, drift=0.5, h0=2.5)
         r = simulate(spec, uniform_partition(1.0, 8), seed=3)
-        assert r.z.values[0] == pytest.approx([0.0])
-        assert r.h.values[0] == pytest.approx([2.5])
+        assert r.z[0] == pytest.approx([0.0])
+        assert r.h[0] == pytest.approx([2.5])
 
     def test_gaussian_increment_moments(self):
         # oracle: increments over dt have mean 0 and variance dt
@@ -79,7 +78,7 @@ class TestSimulate:
         incs = []
         for i in range(800):
             r = simulate(spec, part, seed=900, trajectory_index=i)
-            incs.append(np.diff(r.z.values.ravel()))
+            incs.append(np.diff(r.z.ravel()))
         incs = np.concatenate(incs)
         n = incs.size
         assert n == 800 * 128 >= 100_000
@@ -107,9 +106,9 @@ class TestSimulate:
         assert flagged.size >= 1
         for idx in flagged:
             assert r.jump_z[idx] == pytest.approx([0.75])
-            jump = r.z.values[idx] - r.z.values[idx - 1]
+            jump = r.z[idx] - r.z[idx - 1]
             assert jump == pytest.approx([0.75])  # pure jump process
-        unflagged = np.setdiff1d(np.arange(r.grid.times.size), flagged)
+        unflagged = np.setdiff1d(np.arange(r.times.size), flagged)
         assert np.all(r.jump_z[unflagged] == 0.0)
 
     def test_reproducible_bit_for_bit(self):
@@ -118,11 +117,11 @@ class TestSimulate:
         part = uniform_partition(1.0, 16)
         a = simulate(spec, part, seed=11, trajectory_index=4)
         b = simulate(spec, part, seed=11, trajectory_index=4)
-        np.testing.assert_array_equal(a.z.values, b.z.values)
-        np.testing.assert_array_equal(a.h.values, b.h.values)
-        np.testing.assert_array_equal(a.grid.times, b.grid.times)
+        np.testing.assert_array_equal(a.z, b.z)
+        np.testing.assert_array_equal(a.h, b.h)
+        np.testing.assert_array_equal(a.times, b.times)
         c = simulate(spec, part, seed=11, trajectory_index=5)
-        assert not np.array_equal(a.z.values, c.z.values)
+        assert not np.array_equal(a.z, c.z)
 
     def test_multidimensional_with_h_noise(self):
         z = ProcessSpec(2, np.array([[0.4, 0.1], [0.0, 0.3]]), np.zeros(2),
@@ -130,14 +129,14 @@ class TestSimulate:
         h = ProcessSpec(2, 0.2 * np.eye(2), np.array([0.1, -0.1]))
         spec = DriverSpec(z=z, h=h, h0=np.array([1.0, 2.0]))
         r = simulate(spec, uniform_partition(1.0, 8), seed=2)
-        assert r.z.dimension == 2
-        assert r.h.values[0] == pytest.approx([1.0, 2.0])
+        assert r.z.shape == (r.times.size, 2)
+        assert r.h[0] == pytest.approx([1.0, 2.0])
 
 
 def restrict(realization, coarser):
     """``realization`` on ``coarser`` as a study reads a level off its
     reference grid: one row of ``Chunk.restrict``."""
-    return _chunk_of([realization]).restrict([coarser])[0]
+    return realization.restrict([coarser])[0]
 
 
 class TestRefinementConsistency:
@@ -147,8 +146,8 @@ class TestRefinementConsistency:
         part = uniform_partition(1.0, 8)
         r = simulate(spec, part, seed=7)
         r2 = restrict(r, part)
-        np.testing.assert_array_equal(r.grid.times, r2.times)
-        np.testing.assert_array_equal(r.z.values, r2.z)
+        np.testing.assert_array_equal(r.times, r2.times)
+        np.testing.assert_array_equal(r.z, r2.z)
 
     def test_coarse_points_preserved_bit_exactly(self):
         spec = make_spec(sigma=1.0, drift=0.3, jump_rate=2.0,
@@ -156,14 +155,14 @@ class TestRefinementConsistency:
         part = uniform_partition(1.0, 8)
         r = simulate(spec, part, seed=23, trajectory_index=9)
         fine = simulate(spec, refine(part, 4), seed=23, trajectory_index=9)
-        coarse = {t: v for t, v in zip(r.grid.times, r.z.values[:, 0])}
-        fine_map = {t: v for t, v in zip(fine.grid.times, fine.z.values[:, 0])}
+        coarse = {t: v for t, v in zip(r.times, r.z[:, 0])}
+        fine_map = {t: v for t, v in zip(fine.times, fine.z[:, 0])}
         for t, v in coarse.items():
             assert t in fine_map
             assert fine_map[t] == v  # bit-exact
         back = restrict(fine, part)
-        np.testing.assert_array_equal(back.times, r.grid.times)
-        np.testing.assert_array_equal(back.z, r.z.values)
+        np.testing.assert_array_equal(back.times, r.times)
+        np.testing.assert_array_equal(back.z, r.z)
 
     def test_direct_simulation_at_finer_grid_agrees(self):
         spec = make_spec(sigma=1.0, jump_rate=1.0, jump_law=JumpLaw.fixed([-0.4]))
@@ -171,8 +170,8 @@ class TestRefinementConsistency:
         fine = refine(coarse, 4)
         a = simulate(spec, coarse, seed=31, trajectory_index=2)
         b = simulate(spec, fine, seed=31, trajectory_index=2)
-        amap = dict(zip(a.grid.times, a.z.values[:, 0]))
-        bmap = dict(zip(b.grid.times, b.z.values[:, 0]))
+        amap = dict(zip(a.times, a.z[:, 0]))
+        bmap = dict(zip(b.times, b.z[:, 0]))
         for t, v in amap.items():
             assert bmap[t] == v
 
@@ -180,8 +179,8 @@ class TestRefinementConsistency:
         spec = make_spec(drift=2.0)
         r = simulate(spec, uniform_partition(1.0, 16), seed=1)
         coarse = restrict(r, uniform_partition(1.0, 4))
-        np.testing.assert_allclose(r.z.values.ravel(), 2.0 * r.grid.times)
-        np.testing.assert_array_equal(coarse.z, r.z.values[::4])
+        np.testing.assert_allclose(r.z.ravel(), 2.0 * r.times)
+        np.testing.assert_array_equal(coarse.z, r.z[::4])
 
     def test_rejects_non_superset(self):
         spec = make_spec(sigma=1.0)
@@ -219,15 +218,15 @@ class TestChunk:
         if size == 64:  # the chunk spans several descents, split inside trajectories
             assert len(descents) >= 3 and any(times[0] > 0.0 for times in descents)
         singles = [simulate(spec, part, 77, i) for i in indices]
-        assert_same_chunk(chunk, _chunk_of(singles))
+        assert_same_chunk(chunk, chunk_of(singles))
         for i, real in zip(indices, singles):
-            assert (real.base, real.seed, real.trajectory_index, real.spec) == (part, 77, i, spec)
+            assert (real.trajectory, real.level.tolist()) == ([i], [part.times.size - 1])
 
     def test_chunk_without_brownian_parts(self):
         spec = make_spec(drift=0.5, jump_rate=3.0, jump_law=JumpLaw.fixed([1.0]))
         part = uniform_partition(1.0, 7)
         assert_same_chunk(_simulate(spec, part, 4, [2, 0]),
-                          _chunk_of([simulate(spec, part, 4, i) for i in (2, 0)]))
+                          chunk_of([simulate(spec, part, 4, i) for i in (2, 0)]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("factor", [4, 13, 100])
@@ -240,7 +239,7 @@ class TestChunk:
         assert np.logical_or.reduceat(chunk.jump_flags, chunk.starts[:-1]).all()
         for part in (coarse, middle, fine):
             assert_same_chunk(chunk.restrict([part])[0],
-                              _chunk_of([simulate(spec, part, 19, i) for i in range(4)]))
+                              chunk_of([simulate(spec, part, 19, i) for i in range(4)]))
 
     def test_restriction_rejects_foreign_partitions(self):
         real = simulate(full_spec(1), uniform_partition(1.0, 8), 3)
@@ -507,8 +506,8 @@ class TestKeyedBrownianTree:
         coarse = uniform_partition(1.0, 10)
         a = simulate(spec, coarse, seed=41, trajectory_index=3)
         b = simulate(spec, refine(coarse, 10), seed=41, trajectory_index=3)
-        bmap = dict(zip(b.grid.times, b.z.values[:, 0]))
-        for t, v in zip(a.grid.times, a.z.values[:, 0]):
+        bmap = dict(zip(b.times, b.z[:, 0]))
+        for t, v in zip(a.times, a.z[:, 0]):
             assert bmap[t] == v  # bit-exact
 
     def test_single_query_equals_batched_value(self):
@@ -701,6 +700,9 @@ class TestStepPathBackedDrivers:
         h = StepPath(part, np.array([1.0, 1.0, 2.0, 2.0, 2.0]))
         z = StepPath(part, np.array([0.0, 0.5, 0.5, 0.5, 1.5]))
         r = from_step_paths(h, z)
+        # a one-row chunk, of no trajectory, at the level of the paths' partition
+        assert (r.starts.tolist(), r.trajectory, r.level.tolist()) == ([0, 5], [None], [4])
+        np.testing.assert_array_equal(r.times, part.times)
         assert list(r.jump_flags) == [False, True, True, False, True]
         np.testing.assert_allclose(r.jump_h[2], [1.0])
         np.testing.assert_allclose(r.jump_z[4], [1.0])

@@ -5,10 +5,10 @@ import pytest
 
 import mmsde.harness as harness
 import mmsde.schemes as schemes
-from conftest import SQUARE_STUDY, assert_row_is_the_run, chunk_rows
+from conftest import SQUARE_STUDY, assert_row_is_the_run, chunk_of, chunk_rows
 from mmsde import resolve
 from mmsde.config import build_driver, parse_config_text
-from mmsde.drivers import DriverRealization, _chunk_of, from_step_paths, simulate
+from mmsde.drivers import Chunk, from_step_paths, simulate
 from mmsde.errors import ExplosionError
 from mmsde.harness import (
     _ALL_CHECKS,
@@ -163,7 +163,7 @@ def test_tables_do_not_depend_on_chunks_or_workers(monkeypatch, name, study):
 def constructions(monkeypatch, run) -> dict:
     """How many path, partition and output objects of each type ``run()`` builds."""
     counts = {}
-    for cls in (Partition, StepPath, BVDecomposition, DriverRealization, SchemeOutput):
+    for cls in (Partition, StepPath, BVDecomposition, Chunk, SchemeOutput):
         def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             _init(self, *args, **kwargs)
@@ -188,7 +188,7 @@ def chunk_runs(name):
     ctx = _Context(study_config(name))
     reals = [simulate(ctx.driver, refine(ctx.partitions[-1], 2), 3, i) for i in range(5)]
     # ragged grids: each realization has its own inserted jump times
-    assert len({r.grid.times.size for r in reals}) > 1
+    assert len({r.times.size for r in reals}) > 1
     n, m = 4, 2
     return ctx, reals, {
         "euler": (lambda c: _euler(ctx.op, ctx.proj, ctx.coeff, c, 3),
@@ -214,7 +214,7 @@ def mixed_row(i):
 
 
 def mixed_single(ctx, r, m):
-    n, scheme = mixed_row(r.trajectory_index)
+    n, scheme = mixed_row(r.trajectory[0])
     if scheme == "yosida":
         return yosida_scheme(ctx.op, n, ctx.coeff, r, m)
     return modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, m)
@@ -233,18 +233,18 @@ def test_chunk_rows_equal_single_realization_runs(name, scheme):
     # bit for bit for every operator, as ``assert_same_path``
     ctx, reals, runs = chunk_runs(name)
     body, single = runs[scheme]
-    chunk = _chunk_of(reals)
+    chunk = chunk_of(reals)
     rows = chunk_rows(chunk, body(chunk))
     assert len(rows) == len(reals)
     for r, row in zip(reals, rows):
         one = assert_row_is_the_run(row, lambda: single(r))
         assert one.realization is r and (one.x_pre is None) == (one.scheme != "euler")
         if scheme == "mixed_yosida":
-            n, kind = mixed_row(r.trajectory_index)
+            n, kind = mixed_row(r.trajectory[0])
             assert one.scheme == kind
             assert type(one.params["n"]) is float and one.params["n"] == n
     # any order and any sub-chunk gives the same rows
-    sub = _chunk_of([reals[3], reals[0]])
+    sub = chunk_of([reals[3], reals[0]])
     for i, row in zip([3, 0], chunk_rows(sub, body(sub))):
         for got, want in zip(row, rows[i]):
             assert got.tobytes() == want.tobytes()
@@ -309,9 +309,9 @@ def test_explosion_names_the_level_of_its_base_partition(reference, suffix):
     ctx = _Context(parse_config_text(SQUARE_STUDY.replace("h0 = 0.5", "h0 = 4")))
     base = refine(uniform_partition(1.0, 5), 3)
     realization = simulate(ctx.driver, base, 0, 3)
-    assert realization.grid.times.size > base.times.size
+    assert realization.times.size > base.times.size
     run = 0 if reference else 1
-    *_, by_row = schemes._euler(ctx.op, ctx.proj, ctx.coeff, _chunk_of([realization]),
+    *_, by_row = schemes._euler(ctx.op, ctx.proj, ctx.coeff, realization,
                                 ctx.cfg.flow_substeps)
     errors = harness._explosions(by_row, 1, first_run=run)
     err = errors.pop((0, run))
@@ -323,7 +323,7 @@ def test_explosion_names_the_level_of_its_base_partition(reference, suffix):
 def test_exploding_rows_retire_with_their_single_run_error():
     ctx = _Context(parse_config_text(SQUARE_STUDY))
     reals = [simulate(ctx.driver, uniform_partition(1.0, 64), 33, i) for i in range(12)]
-    chunk = _chunk_of(reals)
+    chunk = chunk_of(reals)
     rows = chunk_rows(chunk, _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16))
     exploded = [i for i, row in enumerate(rows) if isinstance(row, ExplosionError)]
     assert 0 < len(exploded) < len(reals)
@@ -371,11 +371,11 @@ def union_order_chunk(case, scheme):
                  simulate(still, uniform_partition(1.0, 1), 3, 1),
                  simulate(ctx.driver, Partition(np.array([0.0, 0.3, 0.55, 1.0])), 3, 2),
                  simulate(ctx.driver, uniform_partition(1.0, 5), 3, 3)]
-        assert reals[1].grid.times.tolist() == [0.0, 1.0]
-        assert len({r.grid.times.size for r in reals}) == len(reals)
+        assert reals[1].times.tolist() == [0.0, 1.0]
+        assert len({r.times.size for r in reals}) == len(reals)
     else:  # two rows on one grid: every union time steps both
         reals = [simulate(still, uniform_partition(1.0, 8), 3, i) for i in (0, 1)]
-        assert reals[0].grid.same_times(reals[1].grid)
+        assert np.array_equal(reals[0].times, reals[1].times)
     return ctx, reals
 
 
@@ -384,7 +384,7 @@ def union_order_chunk(case, scheme):
                                   "retired-row-at-its-own-time", "retired-row-shorter"])
 def test_union_order_edge_cases_equal_single_runs(case, scheme):
     ctx, reals = union_order_chunk(case, scheme)
-    chunk = _chunk_of(reals)
+    chunk = chunk_of(reals)
     start = ctx.coeff.evaluations
     if scheme == "euler":
         rows = chunk_rows(chunk, _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 3))
@@ -410,15 +410,15 @@ def test_union_order_edge_cases_equal_single_runs(case, scheme):
     for r, t in retired:
         if case == "retired-row-shorter":
             # a longer row and a shorter one take the step after its last
-            j, n = int(np.searchsorted(r.grid.times, t)), r.grid.times.size
-            sizes = [q.grid.times.size for q in reals if q is not r]
+            j, n = int(np.searchsorted(r.times, t)), r.times.size
+            sizes = [q.times.size for q in reals if q is not r]
             assert max(sizes) > n and any(j + 1 < m < n for m in sizes)
             continue
         # it retires at a time that live rows step too, or at one that only
         # its own grid holds, and grid times that no other row holds follow
-        others = np.concatenate([q.grid.times for q in reals if q is not r])
+        others = np.concatenate([q.times for q in reals if q is not r])
         assert (t in others) == (case == "retired-row-alone")
-        later = r.grid.times[r.grid.times > t]
+        later = r.times[r.times > t]
         assert np.setdiff1d(later, others).size
 
 
@@ -426,7 +426,7 @@ def test_a_given_path_row_explodes_under_its_own_name():
     # a realization from given paths has no trajectory index: the text names
     # it as such, the same in a chunk as on its own, where it is another row
     ctx, reals = union_order_chunk("retired-row-at-its-own-time", "euler")
-    *_, errors = _euler(ctx.op, ctx.proj, ctx.coeff, _chunk_of(reals), 3)
+    *_, errors = _euler(ctx.op, ctx.proj, ctx.coeff, chunk_of(reals), 3)
     out = errors[1]
     with pytest.raises(ExplosionError) as err:
         euler_scheme(ctx.op, ctx.proj, ctx.coeff, reals[1], 3)

@@ -1,8 +1,11 @@
 """The package's imports: no module of ``mmsde`` or of the tests imports a
 name that it never reads or lists in ``__all__`` a name that it does not bind,
-and the set-up import path loads neither the process pool nor scipy."""
+the set-up import path loads neither the process pool nor scipy, and every
+name that the benchmark's tracer patches is bound."""
 
 import ast
+import importlib.util
+import sys
 
 import pytest
 
@@ -64,3 +67,23 @@ def test_set_up_path_loads_no_process_pool_and_no_scipy():
               if line.rpartition("|")[2].strip().partition(".")[0]
               in ("concurrent", "multiprocessing", "scipy")]
     assert loaded == []
+
+
+def test_the_benchmark_tracer_binds_every_name_it_patches(monkeypatch):
+    # bench/tracing.py patches names of mmsde's modules by getattr, so a name
+    # that a refactor removes (harness binds solve_step for it alone) breaks
+    # the traced benchmark run while the untraced one still passes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+        assert patched and all(getattr(owner, name) is not original
+                               for owner, name, original in patched)
+    finally:
+        tracer.uninstall()
+    assert not tracer._saved
+    assert all(getattr(owner, name) is original for owner, name, original in patched)

@@ -1,5 +1,6 @@
 """Checks at study scale: hundreds of trajectories through ``cli.main``, and
-thousands against the law of reflected Brownian motion.
+hundreds or thousands against the law of reflected Brownian motion and the
+constant of the Euler scheme's error.
 
 ``test_table_does_not_depend_on_the_workers`` replaces three shell steps of
 the CI workflow, which ran the command line twice and compared the tables
@@ -31,7 +32,7 @@ from conftest import bench_config
 from mmsde.cli import EXIT_OK, main
 from mmsde.config import parse_config_text
 from mmsde.drivers import _simulate
-from mmsde.harness import _chunks, _Context
+from mmsde.harness import _chunks, _Context, run_convergence
 from mmsde.schemes import _euler
 
 
@@ -111,3 +112,45 @@ def test_euler_mean_follows_the_reflected_brownian_law():
         want = math.sqrt(2.0 / math.pi) - beta / math.sqrt(level)
         std_err = float(np.std(x, ddof=1)) / math.sqrt(x.size)
         assert abs(float(np.mean(x)) - want) <= 4.0 * std_err, (level, np.mean(x), want)
+
+
+# Against the half-line oracle on the reference grid, N = 256 x 16 = 4096
+# intervals, the Euler error at t = 1 on level n is the gap between the
+# discrete reflections of one path on two nested grids, whose mean is
+# beta (1 / sqrt(n) - 1 / sqrt(N)) to first order, by the expansion above.
+RATE_STUDY = """
+[operator]
+kind = halfline
+
+[projection]
+kind = classical
+
+[coefficient]
+kind = constant
+matrix = 1
+
+[driver]
+sigma = 1
+jump_rate = 0
+h0 = 0
+
+[experiment]
+levels = 16 64 256
+reference_refine = 16
+checkpoints = 1
+trajectories = 400
+seed = 5
+"""
+
+
+def test_euler_error_follows_the_rate_constant():
+    table = run_convergence(parse_config_text(RATE_STUDY))
+    assert table.reference.startswith("ORACLE")
+    beta = -ZETA_HALF / math.sqrt(2.0 * math.pi)
+    # only the finest level is gated: the constant is a first-order term, and
+    # at levels 16 and 64 the mean error sits below it, by 1.3 to 4.6 and 1.0
+    # to 3.4 standard errors over seeds 1 to 8
+    (row,) = [r for r in table.rows if r.level == 256]
+    want = beta * (1.0 / math.sqrt(256) - 1.0 / math.sqrt(4096))
+    std_err = row.std_err / math.sqrt(row.n_traj)  # the table's std_err is a sample std
+    assert abs(row.mean_err - want) <= 4.0 * std_err, (row.mean_err, want, std_err)

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import assert_row_is_the_run, chunk_rows
+from conftest import assert_row_is_the_run, chunk_of, chunk_rows
 from mmsde import (
     Coefficient,
     DomainViolationError,
@@ -37,7 +37,6 @@ from mmsde import (
     zero_coefficient,
 )
 from mmsde.config import parse_config_text
-from mmsde.drivers import _chunk_of
 from mmsde.harness import _Context
 from mmsde.operators import MIN_RESOLVENT_STEP, flow_steps
 from mmsde.schemes import (_diag, _euler, _yosida, bounded_sin_coefficient,
@@ -83,7 +82,7 @@ class TestEulerScheme:
         op = zoo["halfline"]
         r = noisy_driver()
         out = euler_scheme(op, CLASSICAL, zero_coefficient(1), r)
-        sol = solve_step(op, CLASSICAL, StepPath(r.grid, r.h.values))
+        sol = solve_step(op, CLASSICAL, StepPath(Partition(r.times), r.h))
         np.testing.assert_array_equal(out.x.values, sol.x.values)
         np.testing.assert_array_equal(out.k.total.values, sol.k.total.values)
 
@@ -92,7 +91,7 @@ class TestEulerScheme:
         for i in range(10):
             r = noisy_driver(index=i)
             out = euler_scheme(op, CLASSICAL, constant_coefficient([[1.0]]), r)
-            oracle = reflect_halfline_oracle(StepPath(r.grid, 1.0 + r.z.values))
+            oracle = reflect_halfline_oracle(StepPath(Partition(r.times), 1.0 + r.z))
             assert np.max(np.abs(out.x.values - oracle.x.values)) <= 1e-10
 
     def test_free_case_compounds_to_e(self):
@@ -158,7 +157,7 @@ class TestEulerScheme:
             "yosida": lambda: yosida_scheme(op, 4, coeff, r),
             "modified_yosida": lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r),
         }[scheme]()
-        hv, zv, xv = r.h.values, r.z.values, out.x.values
+        hv, zv, xv = r.h, r.z, out.x.values
         dy = [hv[0]] + [(hv[j] - hv[j - 1]) + coeff.f(xv[j - 1]) @ (zv[j] - zv[j - 1])
                         for j in range(1, hv.shape[0])]
         np.testing.assert_array_equal(out.y.values, np.cumsum(np.stack(dy), axis=0))
@@ -190,7 +189,7 @@ class TestEulerScheme:
         r = noisy_driver()
         coeff = constant_coefficient([[1.0]])
         euler_scheme(zoo["halfline"], CLASSICAL, coeff, r)
-        assert coeff.evaluations == r.grid.times.size - 1
+        assert coeff.evaluations == r.times.size - 1
 
 
 class TestYosidaScheme:
@@ -209,9 +208,9 @@ class TestYosidaScheme:
         out = yosida_scheme(op, 16, coeff, r)
         # manual explicit recursion
         x = np.array([1.0])
-        for j in range(1, r.grid.times.size):
-            x = x + (r.h.values[j] - r.h.values[j - 1]) \
-                + np.diag(x) @ (r.z.values[j] - r.z.values[j - 1])
+        for j in range(1, r.times.size):
+            x = x + (r.h[j] - r.h[j - 1]) \
+                + np.diag(x) @ (r.z[j] - r.z[j - 1])
             assert out.x.values[j] == pytest.approx(x, abs=1e-12)
 
     def test_pointwise_gap_to_euler_shrinks_with_stiffness(self, zoo):
@@ -332,10 +331,10 @@ class TestImplicitDriftStep:
         out = {"yosida": lambda: yosida_scheme(op, n, coeff, r, substeps),
                "modified_yosida": lambda: modified_yosida_scheme(
                    op, CLASSICAL, n, coeff, r, substeps)}[scheme]()
-        prev = r.h.values[:1]
-        state = prev + ((r.h.values[1] - r.h.values[0])
-                        + np.matvec(coeff(prev), r.z.values[1:2] - r.z.values[:1]))
-        mu = np.diff(r.grid.times)[:1] / substeps
+        prev = r.h[:1]
+        state = prev + ((r.h[1] - r.h[0])
+                        + np.matvec(coeff(prev), r.z[1:2] - r.z[:1]))
+        mu = np.diff(r.times)[:1] / substeps
         for _ in range(substeps):
             state = resolvent_of_yosida_step(op, np.array([1.0 / n]), mu, state)
         assert out.x.values[1].tobytes() == state[0].tobytes()
@@ -398,7 +397,7 @@ class TestExplosion:
         with pytest.raises(ExplosionError) as info:
             euler_scheme(ctx.op, proj, ctx.coeff, r)
         exc = info.value
-        assert (exc.trajectory, exc.time) == (17, float(r.grid.times[exc.step]))
+        assert (exc.trajectory, exc.time) == (17, float(r.times[exc.step]))
         assert np.isfinite(exc.last).all()
         assert len(seen) == exc.step - 1
         assert all(np.isfinite(w).all() for w in seen)
@@ -414,7 +413,7 @@ class TestExplosion:
         exc = info.value
         assert (exc.trajectory, exc.step, exc.level, exc.reference) == (3, 17, 15, False)
         assert str(exc) == ("trajectory 3 exploded: the driven increment at step 17 "
-                            f"(t = {float(r.grid.times[17])!r}) is not finite (level 15)")
+                            f"(t = {float(r.times[17])!r}) is not finite (level 15)")
 
     def test_escaping_trajectory_runs_once(self):
         # trajectory 1 of the converge_halfline_square golden leaves the ball
@@ -424,7 +423,7 @@ class TestExplosion:
         r = simulate(ctx.driver, uniform_partition(1.0, 16), seed=3, trajectory_index=1)
         out = ctx.run_scheme("euler", r)
         assert np.max(np.abs(out.x.values)) > 2.0
-        assert ctx.coeff.evaluations == out.params["steps"] == r.grid.times.size - 1
+        assert ctx.coeff.evaluations == out.params["steps"] == r.times.size - 1
 
 
 def on_grid(times, h0=0.0, z_drift=1.0, d=1):
@@ -449,17 +448,17 @@ class TestChunkEdge:
         op = box_spring()[0] if name == "spring" else zoo[name]
         coarse = on_grid(uniform_partition(1.0, 8).times, h0=0.5, d=2)
         fine = on_grid([0.0, 0.25, 0.25 + step, 1.0], h0=0.5, d=2)
-        t = float(np.diff(fine.grid.times)[1])
+        t = float(np.diff(fine.times)[1])
         with pytest.raises(ValueError) as kernel:
             flow_steps(op, np.full(2, 0.5), t, 16)
         assert "resolvent step must be" in str(kernel.value)
         for rows in ([fine], [coarse, fine], [fine, coarse, coarse]):
             with pytest.raises(ValueError) as chunk:
-                _euler(op, CLASSICAL, zero_coefficient(2), _chunk_of(rows), 16)
+                _euler(op, CLASSICAL, zero_coefficient(2), chunk_of(rows), 16)
             assert str(chunk.value) == str(kernel.value), name
         # the same grid with steps of a legal size marches
         _euler(op, CLASSICAL, zero_coefficient(2),
-               _chunk_of([coarse, on_grid([0.0, 0.25, 0.5, 1.0], h0=0.5, d=2)]), 16)
+               chunk_of([coarse, on_grid([0.0, 0.25, 0.5, 1.0], h0=0.5, d=2)]), 16)
 
     @BODIES
     def test_a_coefficient_of_the_wrong_shape_is_rejected(self, zoo, run):
@@ -468,7 +467,7 @@ class TestChunkEdge:
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=1.0)] * 3
         with pytest.raises(ValueError, match=re.escape(
                 "coefficient must return a 1x1 matrix per point, shape (3, 1, 1), got (3, 1)")):
-            run(zoo["halfline"], coeff, _chunk_of(rows))
+            run(zoo["halfline"], coeff, chunk_of(rows))
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_yosida_rejects_fewer_than_one_drift_substep(self, zoo, substeps):
@@ -476,7 +475,7 @@ class TestChunkEdge:
         coeff = zero_coefficient(2)
         for run in (lambda: yosida_scheme(op, 4, coeff, r, substeps),
                     lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, r, substeps),
-                    lambda: _yosida(op, CLASSICAL, [4, 8], coeff, _chunk_of([r, r]),
+                    lambda: _yosida(op, CLASSICAL, [4, 8], coeff, chunk_of([r, r]),
                                     ["yosida", "modified_yosida"], substeps)):
             with pytest.raises(ValueError, match="^drift_substeps must be >= 1$"):
                 run()
@@ -493,8 +492,20 @@ class TestChunkEdge:
         op, r = zoo["box2"], on_grid(uniform_partition(1.0, 4).times, h0=0.5, d=2)
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} must give one entry per row of the chunk (2), got shape {shape}")):
-            _yosida(op, CLASSICAL, levels, zero_coefficient(2), _chunk_of([r, r]),
+            _yosida(op, CLASSICAL, levels, zero_coefficient(2), chunk_of([r, r]),
                     schemes, 1)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_a_scheme_run_refuses_a_chunk_of_more_rows(self, zoo, rows):
+        # a scheme run takes one realization, a one-row chunk; a body marches many
+        op, coeff = zoo["box2"], zero_coefficient(2)
+        chunk = chunk_of([on_grid(uniform_partition(1.0, 4).times, h0=0.5, d=2)] * rows)
+        for run in (lambda: euler_scheme(op, CLASSICAL, coeff, chunk),
+                    lambda: yosida_scheme(op, 4, coeff, chunk),
+                    lambda: modified_yosida_scheme(op, CLASSICAL, 4, coeff, chunk)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a scheme run takes a one-row chunk, got {rows} rows")):
+                run()
 
     def test_the_operator_warns_inside_the_march(self):
         # the march silences the coefficient's product only: a proximal map
@@ -502,7 +513,7 @@ class TestChunkEdge:
         op = convex_prox(lambda lam, z: z * 1e300 * 1e300 / (1.0 + lam), 1)
         rows = [on_grid(uniform_partition(1.0, 4).times, h0=0.5)] * 2
         with pytest.raises(RuntimeWarning, match="overflow"):
-            _euler(op, CLASSICAL, constant_coefficient([[1.0]]), _chunk_of(rows), 16)
+            _euler(op, CLASSICAL, constant_coefficient([[1.0]]), chunk_of(rows), 16)
 
 
 BOX_INI = """\
@@ -530,7 +541,7 @@ h0 = 0.5 0.5
 def driven(coeff, r, x):
     """The driven increments dH_j + f(x_{j-1}) dZ_j of a run's x, one step at a
     time, as the march forms them (0 at t = 0)."""
-    dh, dz = np.diff(r.h.values, axis=0), np.diff(r.z.values, axis=0)
+    dh, dz = np.diff(r.h, axis=0), np.diff(r.z, axis=0)
     dy = np.zeros_like(x)
     for j in range(1, len(x)):
         dy[j] = dh[j - 1] + np.matvec(coeff(x[j - 1:j]), dz[j - 1:j])[0]
@@ -574,13 +585,13 @@ class TestKAtTheEdge:
         reals = [simulate(ctx.driver, uniform_partition(1.0, 16), 7, i) for i in range(4)]
         reals.append(box_exit())
         assert all(r.jump_flags.any() for r in reals)
-        chunk = _chunk_of(reals)
+        chunk = chunk_of(reals)
         for r, row in zip(reals, chunk_rows(chunk, _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16))):
             out = assert_row_is_the_run(
                 row, lambda: euler_scheme(ctx.op, ctx.proj, ctx.coeff, r, 16))
             x = out.x.values
             dkc, dkd = sp_replay(ctx.op, ctx.proj, x, out.x_pre, driven(ctx.coeff, r, x),
-                                 r.grid.times, 16)
+                                 r.times, 16)
             assert_k_is_the_step_sum(out, dkc, dkd)
         assert np.any(out.k.jump.values != 0.0)  # the box exit's
 
@@ -589,7 +600,7 @@ class TestKAtTheEdge:
         ctx = _Context(parse_config_text(BOX_INI))
         r, n = box_exit(), 4.0
         out = modified_yosida_scheme(ctx.op, ctx.proj, n, ctx.coeff, r, substeps)
-        x, times = out.x.values, r.grid.times
+        x, times = out.x.values, r.times
         dy = driven(ctx.coeff, r, x)
         big = np.maximum(np.linalg.norm(r.jump_h, axis=1), np.linalg.norm(r.jump_z, axis=1))
         dkc, dkd = np.zeros_like(x), np.zeros_like(x)
@@ -634,7 +645,7 @@ class TestKAtTheEdge:
         # overflow or turn invalid, which the suite makes an error
         ctx = _Context(parse_config_text(SQUARE_INI))
         reals = [simulate(ctx.driver, uniform_partition(1.0, 64), 0, i) for i in (17, 0)]
-        chunk = _chunk_of(reals)
+        chunk = chunk_of(reals)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             exploded, live = chunk_rows(chunk, run(ctx, chunk))
@@ -669,7 +680,7 @@ class TestDiagonalCoefficients:
                             JumpLaw.gaussian(np.zeros(d), 0.25 * np.eye(d)))
         r = simulate(DriverSpec(z=noise, h=noise, h0=np.zeros(d)), uniform_partition(1.0, b),
                      seed=11, trajectory_index=b)
-        dh, dz = (np.diff(v, axis=0)[:b] for v in (r.h.values, r.z.values))
+        dh, dz = (np.diff(v, axis=0)[:b] for v in (r.h, r.z))
         x = rng.normal(0.0, 2.0, size=(b, d))
         if kind == "square":
             x[::3, -1] = 1e200  # x * x overflows in these rows
@@ -705,7 +716,7 @@ class TestDiagonalCoefficients:
         reals = [noisy_driver(index=i, h0=0.3) for i in range(3)]
         op = linear_monotone([[0.5]])
         own = Coefficient(f=lambda x: x * x, diagonal=True)
-        chunk = _chunk_of(reals)
+        chunk = chunk_of(reals)
         a, b = (_euler(op, CLASSICAL, c, chunk, 16) for c in (own, square_coefficient()))
         assert not a[-1] and not b[-1]
         for u, v in zip(a[:3], b[:3]):
@@ -720,7 +731,7 @@ class TestDiagonalCoefficients:
         with pytest.raises(ValueError, match=re.escape(
                 "coefficient must return a diagonal of length 1 per point, shape (3, 1), "
                 "got (3, 1, 1)")):
-            run(zoo["halfline"], coeff, _chunk_of(rows))
+            run(zoo["halfline"], coeff, chunk_of(rows))
 
     def test_a_single_run_rejects_a_diagonal_coefficient_of_the_wrong_shape(self, zoo):
         coeff = Coefficient(f=lambda x: np.ones(x.shape[:-1] + (1, 1)), diagonal=True)
@@ -741,8 +752,8 @@ class TestTracedNames:
         ctx = _Context(parse_config_text(BOX_INI))
         reals = [simulate(ctx.driver, uniform_partition(1.0, n), 7, i)
                  for i, n in enumerate((8, 32, 128, 32))]
-        union_steps = np.unique(np.concatenate([r.grid.times for r in reals])).size - 1
-        steps = max(r.grid.times.size for r in reals) - 1
+        union_steps = np.unique(np.concatenate([r.times for r in reals])).size - 1
+        steps = max(r.times.size for r in reals) - 1
         assert steps < union_steps  # jumps differ
         calls = Counter()
 
@@ -756,7 +767,7 @@ class TestTracedNames:
             return ctx.coeff.f(x)
 
         proj = CountedProjection(ctx.proj.kind, ctx.proj.c, ctx.proj.tol, ctx.proj.max_iter)
-        chunk = _chunk_of(reals)
+        chunk = chunk_of(reals)
         *plain, errors = _euler(ctx.op, ctx.proj, ctx.coeff, chunk, 16)
         assert not errors
         for p, c, key in ((proj, ctx.coeff, "projection"),
