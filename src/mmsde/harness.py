@@ -395,7 +395,8 @@ def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000) -> dic
     Returns a machine-readable report: name -> CheckResult with the
     worst-case residual.  Each point-wise check maps its whole sample with
     one batched call; every check draws at least one point, and the Skorokhod
-    checks solve all their step paths in one ``solve_steps`` call.  An
+    checks solve all their step paths in one ``solve_steps`` call and check them
+    in one call of each checker, on the list of its solutions or pairs.  An
     explicit empty ``checks`` list yields an empty report.
     """
     if checks is None:
@@ -512,10 +513,9 @@ def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000) -> dic
         first = 5 * ("skorokhod_definition" in checks)
         sols = solve_steps(op, proj, [_random_step_path(rng, op, partition) for _ in
                                       range(first + 10 * ("pair_inequalities" in checks))])
-        if first:
+        if first:  # each checker takes all its solutions in one call
             worst, mono = 0.0, 0.0
-            for sol in sols[:first]:
-                rep = verify_solution(op, proj, sol, test_pairs=pairs)
+            for rep in verify_solution(op, proj, sols[:first], test_pairs=pairs):
                 worst = max(worst, rep.additivity_residual,
                             rep.jump_condition_residual, -rep.jump_bound_margin)
                 mono = min(mono, rep.monotonicity_worst)
@@ -523,8 +523,7 @@ def verify_suite(cfg: ExperimentConfig, checks=None, samples: int = 2000) -> dic
                    detail="solve_step outputs satisfy the defining conditions")
         if "pair_inequalities" in checks:
             worst = np.inf
-            for pa, pb in zip(sols[first::2], sols[first + 1::2]):
-                rep = pair_inequality_report(op, pa, pb)
+            for rep in pair_inequality_report(op, sols[first::2], sols[first + 1::2]):
                 worst = min(worst, rep.worst_bracket, rep.worst_distance_slack)
             record("pair_inequalities", worst, -1e-8, larger_fails=False,
                    detail="two-solution comparison inequalities")

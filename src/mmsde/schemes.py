@@ -303,7 +303,8 @@ def _output(realization: Chunk, scheme: str, params: dict, body) -> SchemeOutput
         raise errors[0]
     grid = Partition(realization.times)
     return SchemeOutput(
-        x=StepPath(grid, x), k=_k(grid, x, x_pre, dy, drift=scheme != "euler"),
+        x=StepPath(grid, x), k=BVDecomposition(*(StepPath(grid, part) for part in
+                                                  _k(x, x_pre, dy, drift=scheme != "euler"))),
         y=StepPath(grid, np.cumsum(dy, 0)),
         scheme=scheme, params=dict(params, mesh=grid.mesh, steps=grid.times.size - 1),
         realization=realization, x_pre=x_pre if scheme == "euler" else None)

@@ -14,8 +14,10 @@ x_new), and a march keeps just those; a caller that reads k forms it after the m
 
 The module also ships the closed-form reflection map on the half-line
 [0, inf) (the classical running-maximum formula) used as an independent
-oracle, a verifier that checks a solution against the defining conditions,
-and the two-solution comparison inequalities used as property tests.
+oracle, and two checkers used as property tests: ``verify_solution`` (the
+defining conditions) and ``pair_inequality_report`` (the two-solution
+comparison inequalities).  Each takes one solution or pair, or lists of them
+on one grid, checked in one batched pass that gives each the report of its own call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import DomainViolationError
 from .operators import (DEFAULT_DOMAIN_TOL, MonotoneOperator, _bound_flows, _flow_kernel,
                         _flow_schedule, flow_steps, row_norm)
-from .paths import BVDecomposition, Partition, StepPath
+from .paths import BVDecomposition, StepPath
 from .projections import Projection
 
 __all__ = [
@@ -73,24 +75,24 @@ def _sp_step(op: MonotoneOperator, proj, flow, prev: np.ndarray, dy: np.ndarray,
     return x_left, np.asarray(proj(op, x_left + dy), dtype=float)
 
 
-def _k(grid: Partition, x: np.ndarray, x_pre: np.ndarray, dy: np.ndarray,
-       drift: bool = False) -> BVDecomposition:
-    """k on ``grid`` from the marched x and x_pre and the input increments dy.
+def _k(x: np.ndarray, x_pre: np.ndarray, dy: np.ndarray, drift: bool = False):
+    """k's total, continuous and jump parts, from the marched x and x_pre and the
+    input increments dy: (n, d) rows of one path or (B, n, d) of B paths.
 
     Its increments at t_j are the step's own differences of its own operands,
     bit for bit: after ``_sp_step``, the flow x_{j-1} - x_pre_j and the jump
     (x_pre_j + dy_j) - x_j; after a Yosida step (``drift``), whose x_pre_j is
     the state before the drift, the jump (x_{j-1} + dy_j) - x_pre_j, exactly
     0 where no projection moved it, and the drift x_pre_j - x_j.  Each part
-    is summed by ``np.cumsum``, which adds row by row in order.
+    is summed by ``np.cumsum`` along the time axis, which adds row by row in order.
     """
+    now, before = np.s_[..., 1:, :], np.s_[..., :-1, :]
     dkc, dkd = np.zeros_like(x), np.zeros_like(x)
-    dkc[1:], dkd[1:] = ((x_pre[1:] - x[1:], (x[:-1] + dy[1:]) - x_pre[1:]) if drift
-                        else (x[:-1] - x_pre[1:], (x_pre[1:] + dy[1:]) - x[1:]))
-    kc, kd = np.cumsum(dkc, axis=0), np.cumsum(dkd, axis=0)
+    dkc[now], dkd[now] = ((x_pre[now] - x[now], (x[before] + dy[now]) - x_pre[now]) if drift
+                          else (x[before] - x_pre[now], (x_pre[now] + dy[now]) - x[now]))
+    kc, kd = np.cumsum(dkc, axis=-2), np.cumsum(dkd, axis=-2)
     # total = continuous + jump bitwise; additivity to y holds to rounding
-    return BVDecomposition(total=StepPath(grid, kc + kd), continuous=StepPath(grid, kc),
-                           jump=StepPath(grid, kd))
+    return kc + kd, kc, kd
 
 
 def solve_steps(op: MonotoneOperator, proj: Projection, ys,
@@ -101,53 +103,61 @@ def solve_steps(op: MonotoneOperator, proj: Projection, ys,
     marches points, its flow bound per float dt (``_bound_flows``) and its projection
     once (``Projection.bind``); B > 1 paths (B, d) rows with one dt per row, where each
     resolvent and projection gives row i the bits of its point call (a float dt on a
-    linear batch would be a matrix product).  An error names a path of B > 1 by index,
-    and a state that is not finite after the march names its first step.
+    linear batch would be a matrix product).  The inputs are checked, and k is formed,
+    on the stacked (B, n, d) values.  An error names a path of B > 1 by index: the
+    first path that fails, with its first failing check (dimension, grid, y_0 in the
+    domain, finite increments); a state not finite after the march names its first step.
     """
     ys = list(ys)
     grid, one = ys[0].partition, len(ys) == 1
-    dy = []
-    for i, y in enumerate(ys):
-        path = "" if one else f"path {i}: "
-        if y.dimension != op.dimension:
-            raise ValueError(f"{path}input dimension does not match the operator")
-        if not y.partition.same_times(grid):
-            raise ValueError(f"{path}the input paths must share one grid")
-        if (dist := op.domain_distance(y.values[0])) > DEFAULT_DOMAIN_TOL:
-            raise DomainViolationError(f"{path}y_0 outside the domain closure "
-                                       f"(distance {dist:.3e})", point=y.values[0], distance=dist)
+    path = (lambda b: "") if one else "path {}: ".format
+    # the paths before the first of a wrong dimension or grid are checked stacked
+    shaped = next((b for b, y in enumerate(ys) if y.dimension != op.dimension
+                   or not y.partition.same_times(grid)), len(ys))
+    if shaped:
+        values = np.stack([y.values for y in ys[:shaped]])
         with np.errstate(over="ignore"):  # a jump between two finite values may overflow
-            dy.append(y.jumps())
-        if not np.isfinite(dy[i]).all():
-            j = int(np.argmin(np.isfinite(dy[i]).all(axis=1)))
-            raise ValueError(f"{path}the input increment at step {j} "
+            dy = np.diff(values, axis=1, prepend=values[:, :1])  # row 0: y_0 - y_0 = 0
+        dist, finite = op.domain_distance(values[:, 0]), np.isfinite(dy).all(axis=2)
+        if (bad := (dist > DEFAULT_DOMAIN_TOL) | ~finite.all(axis=1)).any():
+            b = int(np.argmax(bad))
+            if dist[b] > DEFAULT_DOMAIN_TOL:
+                raise DomainViolationError(f"{path(b)}y_0 outside the domain closure (distance "
+                                           f"{dist[b]:.3e})", point=values[b, 0], distance=dist[b])
+            j = int(np.argmin(finite[b]))
+            raise ValueError(f"{path(b)}the input increment at step {j} "
                              f"(t = {float(grid.times[j])!r}) is not finite")
+    if shaped < len(ys):
+        raise ValueError(path(shaped) + ("input dimension does not match the operator"
+                                         if ys[shaped].dimension != op.dimension
+                                         else "the input paths must share one grid"))
     steps = np.diff(grid.times)
     _flow_schedule(op, steps, flow_substeps)  # every step, once
     if one:  # the states gathered in lists and stacked once
         bound = _bound_flows(op, flow_substeps)
-        project, x, x_pre = proj.bind(op), [ys[0].values[0]], [ys[0].values[0]]
-        for dt, dy_j in zip(steps.tolist(), dy[0][1:]):
+        project, x, x_pre = proj.bind(op), [values[0, 0]], [values[0, 0]]
+        for dt, dy_j in zip(steps.tolist(), dy[0, 1:]):
             x_pre.append(bound(dt)(x[-1]))
             x.append(project(x_pre[-1] + dy_j))
-        x, x_pre, dy = np.array(x)[None], np.array(x_pre)[None], dy[0][None]
+        x, x_pre = np.array(x)[None], np.array(x_pre)[None]
     else:
         flow = _flow_kernel(op, flow_substeps)
-        dy = np.stack(dy, axis=1)  # (n, B, d), as x and x_pre
-        x, x_pre = np.empty(dy.shape), np.empty(dy.shape)
-        x[0] = x_pre[0] = [y.values[0] for y in ys]
+        x, x_pre = np.empty((2, dy.shape[1], len(ys), op.dimension))  # (n, B, d)
+        x[0] = x_pre[0] = values[:, 0]
         dts, prev = [np.full(len(ys), t) for t in steps], x[0]
-        for j, (dt, dy_j) in enumerate(zip(dts, dy[1:]), 1):  # prev is the step before's xi
-            x_pre[j], prev = _sp_step(op, proj, flow, prev, dy_j, dt)
+        for j, dt in enumerate(dts, 1):  # prev is the step before's xi
+            x_pre[j], prev = _sp_step(op, proj, flow, prev, dy[:, j], dt)
             x[j] = prev
-        x, x_pre, dy = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre, dy))
+        x, x_pre = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in (x, x_pre))
     if not np.isfinite(x).all():  # a state that overflowed, at its first step
         b, j = np.argwhere(~np.isfinite(x).all(axis=2))[0].tolist()
-        raise ValueError(f"{'' if one else f'path {b}: '}the state at step {j} "
+        raise ValueError(f"{path(b)}the state at step {j} "
                          f"(t = {float(grid.times[j])!r}) is not finite")
+    k = _k(x, x_pre, dy)
     return [SkorokhodSolution(x=StepPath(y.partition, x[b]),
-                              k=_k(y.partition, x[b], x_pre[b], dy[b]), y=y, x_pre=x_pre[b],
-                              flow_substeps=flow_substeps) for b, y in enumerate(ys)]
+                              k=BVDecomposition(*(StepPath(y.partition, part[b]) for part in k)),
+                              y=y, x_pre=x_pre[b], flow_substeps=flow_substeps)
+            for b, y in enumerate(ys)]
 
 
 def solve_step(op: MonotoneOperator, proj: Projection, y: StepPath,
@@ -198,12 +208,24 @@ def _min_subarray_sum(terms) -> float:
     return best
 
 
+def _batch(op: MonotoneOperator, sols) -> tuple[list, np.ndarray, int]:
+    """A checker's solutions as a list, with the grid times and flow substep count they share."""
+    sols = [sols] if isinstance(sols, SkorokhodSolution) else list(sols)
+    if not all(s.y.partition.same_times(sols[0].y.partition) for s in sols):
+        raise ValueError("solutions must share one grid")
+    if not op.projection_resolvent and len({s.flow_substeps for s in sols}) > 1:
+        raise ValueError("solutions must share the flow substep count")
+    return sols, sols[0].y.partition.times, sols[0].flow_substeps
+
+
 def _flow_states(op: MonotoneOperator, x: np.ndarray, times: np.ndarray, substeps: int):
-    """The flow over every interval [t_{j-1}, t_j] from x_{j-1}, one power
-    call for all (``flow_steps``' batch form): the steps (n - 1,) and the
-    states (n - 1, m + 1, d), each interval's start and then its m states."""
-    steps = flow_steps(op, x[:-1], np.diff(times), substeps)
-    return steps[0][0], np.stack([x[:-1], *(state for _, state in steps)], axis=1)
+    """The flow over every interval [t_{j-1}, t_j] from x_{j-1} of each path of x
+    (B, n, d), one power call for all (``flow_steps``' batch form): the steps
+    (B, n - 1) and the states (B, n - 1, m + 1, d), each start then its m states."""
+    starts = x[:, :-1].reshape(-1, x.shape[2])
+    steps = flow_steps(op, starts, np.tile(np.diff(times), len(x)), substeps)
+    states = np.stack([starts, *(state for _, state in steps)], axis=1)
+    return steps[0][0].reshape(len(x), -1), states.reshape(len(x), -1, *states.shape[1:])
 
 
 @dataclass
@@ -220,9 +242,9 @@ class SolutionReport:
     failures: list[str] = field(default_factory=list)
 
 
-def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSolution,
-                    test_pairs=(), tol: float = 1e-9) -> SolutionReport:
-    """Check a solution pair against the defining conditions.
+def verify_solution(op: MonotoneOperator, proj: Projection, sols, test_pairs=(),
+                    tol: float = 1e-9) -> SolutionReport | list[SolutionReport]:
+    """Check solutions against the defining conditions.
 
     - additivity x + k = y at every grid point,
     - k_0 = 0,
@@ -233,56 +255,54 @@ def verify_solution(op: MonotoneOperator, proj: Projection, sol: SkorokhodSoluti
       The sum is evaluated at the flow's own substeps, where each term is
       nonnegative by monotonicity up to rounding.
 
-    The flow of every interval is one batch (``_flow_states``): one power
-    call on the (n - 1, d) interval starts, and the terms of every pair,
-    interval and substep are one ``np.vecdot``, so the check holds
-    O(pairs x intervals x substeps x d) floats at once.  Each pair's terms
-    are scanned in the order of time, as the per-interval loop laid them out.
+    ``sols`` is one solution, which gets one ``SolutionReport``, or a list of
+    solutions on one grid with one flow substep count, which gets one report
+    each, bit for bit its own.  A list is checked in one pass: each residual is
+    one array operation over a leading solution axis, every jump row is
+    projected in one call and every interval flows in one power call
+    (``_flow_states``), so test pairs hold O(solutions x pairs x intervals x
+    substeps x d) floats; each pair's terms are scanned per solution in time order.
 
-    Failures are collected in the report rather than raised.
+    Failures are collected in the reports rather than raised.
     """
-    y = sol.y
-    times = y.partition.times
-    failures: list[str] = []
+    one = isinstance(sols, SkorokhodSolution)
+    sols, times, substeps = _batch(op, sols)
+    x, x_pre, y, k, k_jump = (np.stack(a) for a in zip(*(
+        (s.x.values, s.x_pre, s.y.values, s.k.total.values, s.k.jump.values) for s in sols)))
+    add, k0 = np.max(np.linalg.norm(x + k - y, axis=2), axis=1), row_norm(k[:, 0])
+    dy, dkd = (np.diff(a, axis=1, prepend=a[:, :1]) for a in (y, k_jump))  # row 0 is 0
+    dkd_norm = row_norm(dkd)
+    bound_margin = np.min(2.0 * row_norm(dy[:, 1:]) - dkd_norm[:, 1:], axis=1, initial=np.inf)
+    # one batched projection for every step where k jumps (never t_0, where dk is 0)
+    jumps, jump_res = dkd_norm > 0.0, np.zeros(dkd_norm.shape)
+    jump_res[jumps] = row_norm(x[jumps] - proj(op, x_pre[jumps] + dy[jumps]))
 
-    add = float(np.max(np.linalg.norm(sol.x.values + sol.k.total.values - y.values, axis=1)))
-    if add > tol:
-        failures.append(f"additivity residual {add:.3e}")
-
-    k0 = float(np.linalg.norm(sol.k.total.values[0]))
-    if k0 != 0.0:
-        failures.append(f"k_0 = {k0:.3e} != 0")
-
-    dy = y.jumps()
-    dkd_norm = row_norm(sol.k.jump.jumps())
-    bound_margin = float(np.min(2.0 * row_norm(dy[1:]) - dkd_norm[1:], initial=np.inf))
-    # one batched projection for every step where k jumps
-    jumps = np.flatnonzero(dkd_norm[1:] > 0.0) + 1
-    target = np.asarray(proj(op, sol.x_pre[jumps] + dy[jumps]), dtype=float)
-    jump_res = float(np.max(row_norm(sol.x.values[jumps] - target), initial=0.0))
-    if jump_res > tol:
-        failures.append(f"jump condition residual {jump_res:.3e}")
-    if bound_margin < 0.0:
-        failures.append(f"|dk| <= 2|dy| violated by {-bound_margin:.3e}")
-
-    mono_worst = 0.0
+    mono = [0.0] * len(sols)
     if len(test_pairs):
         alphas = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in test_pairs])
         betas = np.array([np.atleast_1d(np.asarray(b, dtype=float)) for _, b in test_pairs])
         # every interval's flow is computed once and checked against every pair
-        lam, states = _flow_states(op, sol.x.values, times, sol.flow_substeps)
-        cur, nxt, lam = states[:, :-1], states[:, 1:], lam[:, None, None]
-        # (cur - nxt)/lam is an element of A(nxt), one term per flow step;
-        # terms (pairs, intervals, m), each pair's row in the order of time
-        terms = np.vecdot(nxt - alphas[:, None, None], (cur - nxt) - lam * betas[:, None, None])
-        for row in terms.reshape(len(alphas), -1):
-            mono_worst = min(mono_worst, _min_subarray_sum(row.tolist()))
-    if mono_worst < -tol:
-        failures.append(f"monotonicity sum {mono_worst:.3e} below -{tol:.1e}")
+        lam, states = _flow_states(op, x, times, substeps)
+        cur, nxt = states[:, None, :, :-1], states[:, None, :, 1:]
+        # (cur - nxt)/lam is an element of A(nxt), one term per flow step; terms
+        # (solutions, pairs, intervals, m), each pair's row in the order of time
+        terms = np.vecdot(nxt - alphas[:, None, None],
+                          (cur - nxt) - lam[:, None, :, None, None] * betas[:, None, None])
+        mono = [min([0.0, *map(_min_subarray_sum, rows)])  # min(min(0.0, r_1), r_2) ...
+                for rows in terms.reshape(*terms.shape[:2], -1).tolist()]
 
-    return SolutionReport(additivity_residual=add, jump_condition_residual=jump_res,
-                          jump_bound_margin=float(bound_margin), monotonicity_worst=mono_worst,
-                          k0_residual=k0, tolerance=tol, passed=not failures, failures=failures)
+    reports = []  # each solution's residuals, in the report's field order
+    for res in zip(add.tolist(), np.max(jump_res, axis=1).tolist(), bound_margin.tolist(), mono,
+                   k0.tolist()):
+        add_b, jump_b, margin, mono_b, k0_b = res
+        failures = [msg for bad, msg in (
+            (add_b > tol, f"additivity residual {add_b:.3e}"),
+            (k0_b != 0.0, f"k_0 = {k0_b:.3e} != 0"),
+            (jump_b > tol, f"jump condition residual {jump_b:.3e}"),
+            (margin < 0.0, f"|dk| <= 2|dy| violated by {-margin:.3e}"),
+            (mono_b < -tol, f"monotonicity sum {mono_b:.3e} below -{tol:.1e}")) if bad]
+        reports.append(SolutionReport(*res, tolerance=tol, passed=not failures, failures=failures))
+    return reports[0] if one else reports
 
 
 @dataclass
@@ -300,51 +320,51 @@ class PairReport:
     worst_distance_slack: float
 
 
-def pair_inequality_report(op: MonotoneOperator, a: SkorokhodSolution,
-                           b: SkorokhodSolution) -> PairReport:
+def pair_inequality_report(op: MonotoneOperator, a, b) -> PairReport | list[PairReport]:
     """The comparison inequalities of two solutions on one grid (``PairReport``).
 
-    The events of the grid are, for each interval, its m flow steps and then
-    the jump at its right end.  Each solution's flow is one batch over all
-    its intervals (``_flow_states``), the terms of every event are array
-    operations on (n - 1, m + 1) events, so the report holds
-    O(intervals x substeps x d) floats at once, and the running sums v and
-    w are sequential ``np.cumsum`` over the events in the order of time.
+    ``a`` and ``b`` are two solutions, which get one report, or two lists of as
+    many solutions on one grid with one flow substep count, whose pairs (a[i], b[i])
+    get one report each, bit for bit its own.  The events of the grid are, for
+    each interval, its m flow steps and then the jump at its right end.  Every
+    interval of every solution flows in one batch (``_flow_states``), the terms
+    are array operations on (pairs, n - 1, m + 1) events, so the reports hold
+    O(pairs x intervals x substeps x d) floats, and the running sums v and w
+    are sequential ``np.cumsum`` over each pair's events in the order of time.
     """
-    if not a.y.partition.same_times(b.y.partition):
-        raise ValueError("solutions must share one grid")
-    # substep counts must agree so the two flows pair event by event;
-    # projection-resolvent operators always take one step regardless
-    if not op.projection_resolvent and a.flow_substeps != b.flow_substeps:
-        raise ValueError("solutions must share the flow substep count")
-    times = a.y.partition.times
-    xa, xb = a.x.values, b.x.values
-    _, pa = _flow_states(op, xa, times, a.flow_substeps)
-    _, pb = _flow_states(op, xb, times, b.flow_substeps)
+    one = isinstance(a, SkorokhodSolution)
+    a, b = ([a], [b]) if one else (list(a), list(b))
+    if len(a) != len(b):
+        raise ValueError(f"{len(a)} solutions paired with {len(b)}")
+    sols, times, substeps = _batch(op, a + b)
+    x, y = (np.stack(v) for v in zip(*((s.x.values, s.y.values) for s in sols)))
+    (xa, xb), (ya, yb) = np.split(x, 2), np.split(y, 2)
+    pa, pb = np.split(_flow_states(op, x, times, substeps)[1], 2)
     # the events of interval j: its m flow steps, then the jump at t_j
-    dv_flow = (pa[:, :-1] - pa[:, 1:]) - (pb[:, :-1] - pb[:, 1:])
-    dv_jump = (((pa[:, -1] + np.diff(a.y.values, axis=0)) - xa[1:])
-               - ((pb[:, -1] + np.diff(b.y.values, axis=0)) - xb[1:]))
-    gap, y_gap = xa[1:] - xb[1:], a.y.values - b.y.values
-    # per event, (intervals, m + 1): the bracket term, and the increments of
-    # v = k - k' and of w = sum <y_s - y'_s, dv_s>
+    dv_flow = (pa[:, :, :-1] - pa[:, :, 1:]) - (pb[:, :, :-1] - pb[:, :, 1:])
+    dv_jump = (((pa[:, :, -1] + np.diff(ya, axis=1)) - xa[:, 1:])
+               - ((pb[:, :, -1] + np.diff(yb, axis=1)) - xb[:, 1:]))
+    gap, y_gap = xa[:, 1:] - xb[:, 1:], ya - yb
+    # per event, (pairs, intervals, m + 1): the bracket term, and the increments
+    # of v = k - k' and of w = sum <y_s - y'_s, dv_s>
     jump_bracket = np.vecdot(gap, dv_jump) + 0.5 * np.vecdot(dv_jump, dv_jump)
-    bracket = np.concatenate([np.vecdot(pa[:, 1:] - pb[:, 1:], dv_flow), jump_bracket[:, None]],
-                             axis=1)
-    dv = np.concatenate([dv_flow, dv_jump[:, None]], axis=1)
-    dw = np.concatenate([np.vecdot(y_gap[:-1, None], dv_flow),
-                         np.vecdot(y_gap[1:], dv_jump)[:, None]], axis=1)
+    bracket = np.concatenate([np.vecdot(pa[:, :, 1:] - pb[:, :, 1:], dv_flow),
+                              jump_bracket[..., None]], axis=2)
+    dv = np.concatenate([dv_flow, dv_jump[:, :, None]], axis=2)
+    dw = np.concatenate([np.vecdot(y_gap[:, :-1, None], dv_flow),
+                         np.vecdot(y_gap[:, 1:], dv_jump)[..., None]], axis=2)
     # v and w are summed event by event from zero (a leading zero row, so
     # 0.0 + dv is the first sum); the squared-distance inequality reads them
     # after each jump, at every t_j
-    v = np.cumsum(np.vstack([np.zeros(a.x.dimension), dv.reshape(-1, a.x.dimension)]), axis=0)
-    w = np.cumsum(np.concatenate([[0.0], dw.reshape(-1)]))
-    v, w = v[1:].reshape(dv.shape)[:, -1], w[1:].reshape(dw.shape)[:, -1]
-    s2 = np.vecdot(y_gap[1:], v) - w
-    slack = np.vecdot(y_gap[1:], y_gap[1:]) - 2.0 * s2 - np.vecdot(gap, gap)
-    worst_slack = min([np.inf, *slack.tolist()])  # min's NaN and signed-zero ties
-
-    if not np.isfinite(worst_slack):
-        worst_slack = 0.0
-    return PairReport(worst_bracket=_min_subarray_sum(bracket.reshape(-1).tolist()),
-                      worst_distance_slack=float(worst_slack))
+    pairs, d = len(a), xa.shape[2]
+    v = np.cumsum(np.concatenate([np.zeros((pairs, 1, d)), dv.reshape(pairs, -1, d)], axis=1),
+                  axis=1)
+    w = np.cumsum(np.concatenate([np.zeros((pairs, 1)), dw.reshape(pairs, -1)], axis=1), axis=1)
+    v, w = v[:, 1:].reshape(dv.shape)[:, :, -1], w[:, 1:].reshape(dw.shape)[:, :, -1]
+    s2 = np.vecdot(y_gap[:, 1:], v) - w
+    slack = np.vecdot(y_gap[:, 1:], y_gap[:, 1:]) - 2.0 * s2 - np.vecdot(gap, gap)
+    # min's NaN and signed-zero ties; a slack that is not finite reads 0.0
+    reports = [PairReport(worst_bracket=_min_subarray_sum(terms), worst_distance_slack=worst
+                          if np.isfinite(worst := min([np.inf, *slacks])) else 0.0)
+               for terms, slacks in zip(bracket.reshape(pairs, -1).tolist(), slack.tolist())]
+    return reports[0] if one else reports

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import ROOT, run_python
+from conftest import ROOT, bench_config, run_python
 
 MODULES = sorted((ROOT / "src" / "mmsde").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
@@ -69,15 +69,21 @@ def test_set_up_path_loads_no_process_pool_and_no_scipy():
     assert loaded == []
 
 
+def benchmark_tracer(monkeypatch):
+    """A ``Tracer`` of ``bench/tracing.py``, loaded without writing bytecode
+    (``bench/`` is only read)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
 def test_the_benchmark_tracer_binds_every_name_it_patches(monkeypatch):
     # bench/tracing.py patches names of mmsde's modules by getattr, so a name
     # that a refactor removes (harness binds solve_step for it alone) breaks
     # the traced benchmark run while the untraced one still passes
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    tracer = benchmark_tracer(monkeypatch)
     try:
         tracer.install()
         patched = list(tracer._saved)
@@ -87,3 +93,23 @@ def test_the_benchmark_tracer_binds_every_name_it_patches(monkeypatch):
         tracer.uninstall()
     assert not tracer._saved
     assert all(getattr(owner, name) is original for owner, name, original in patched)
+
+
+def test_the_traced_verify_suite_times_both_checkers(monkeypatch):
+    # the tracer times the Skorokhod checkers through the names harness binds;
+    # a checker call that bypasses them would read 0 in a traced benchmark run
+    # (verify.skorokhod.verify_solution_s and pair_report_s) without failing it
+    from mmsde import harness
+    from mmsde.config import parse_config_text
+
+    cfg = parse_config_text(bench_config("box_dyadic"))
+    tracer = benchmark_tracer(monkeypatch)
+    try:
+        tracer.install()
+        with tracer.study("verify"):
+            report = harness.verify_suite(cfg, samples=100)
+    finally:
+        tracer.uninstall()
+    assert all(check.passed for check in report.values())
+    calls = tracer.stats["verify"].calls
+    assert calls["skorokhod.verify_solution"] >= 1 and calls["skorokhod.pair_report"] >= 1

@@ -632,7 +632,7 @@ class TestFlowStates:
                                       test_pairs=zoo_pairs["rotation2"])
         assert calls == [(4, True)]
         assert pair_inequality_report(counted, a, b) == pair_inequality_report(op, a, b)
-        assert calls == [(4, True)] * 3
+        assert calls == [(4, True)] * 2
 
     @pytest.mark.parametrize("name", ["rotation2", "prox_abs"])
     def test_a_resolvent_without_power_is_called_m_times(self, zoo, zoo_pairs, rng, name):

@@ -154,3 +154,28 @@ def test_euler_error_follows_the_rate_constant():
     want = beta * (1.0 / math.sqrt(256) - 1.0 / math.sqrt(4096))
     std_err = row.std_err / math.sqrt(row.n_traj)  # the table's std_err is a sample std
     assert abs(row.mean_err - want) <= 4.0 * std_err, (row.mean_err, want, std_err)
+
+
+# With jumps in Z (rate 2, standard Gaussian sizes) and H_0 = 0.5 the reference
+# is still the half-line reflection of the driving input on the reference grid,
+# 16 times finer than the finest level.  The Euler strong error falls like
+# n^(-1/2) up to logs (Slominski, SPA 1994; Pettersson, Stochastics 1995).  Over
+# levels 16, 64 and 256 at 400 trajectories and seeds 1 to 10, the fitted slope
+# of the mean error at t = 1 read 0.51 to 0.58, gated at 0.35, and that of the
+# sup error over the grid 0.40 to 0.43, gated at 0.3.  The seed is the rate
+# study's.  The mean error at t = 1 cannot see a skipped projection: on the
+# half-line the next step's flow projects the state, so the miss lasts one
+# step; the sup error sees it.
+SLOPE_STUDY = RATE_STUDY.replace("jump_rate = 0\nh0 = 0", "jump_rate = 2\njump_law = gaussian\n"
+                                 "jump_cov = 1\nh0 = 0.5")
+
+
+def test_euler_error_slope_with_jumps():
+    table = run_convergence(parse_config_text(SLOPE_STUDY))
+    assert table.reference.startswith("ORACLE")
+    assert [(r.level, r.n_traj) for r in table.rows] == [(16, 400), (64, 400), (256, 400)]
+    log_levels = np.log([r.level for r in table.rows])
+    for errors, floor in (([r.mean_err for r in table.rows], 0.35),
+                          ([r.sup_err for r in table.rows], 0.3)):
+        slope = -np.polyfit(log_levels, np.log(errors), 1)[0]
+        assert slope >= floor, (slope, errors)

@@ -231,6 +231,13 @@ class TestSolveSteps:
         with pytest.raises(ValueError, match=r"^path 2: the input increment at step 3 "
                                              r"\(t = 0\.75\) is not finite$"):
             solve_steps(op, CLASSICAL, [ys[0], ys[1], StepPath(ys[2].partition, big)])
+        # the first failing path in index order is named, whatever its check: path 0's
+        # increment before path 1's y_0, and path 0's y_0 before path 1's dimension
+        with pytest.raises(ValueError, match=r"^path 0: the input increment at step 3 "
+                                             r"\(t = 0\.75\) is not finite$"):
+            solve_steps(op, CLASSICAL, [StepPath(ys[2].partition, big), outside, ys[1]])
+        with pytest.raises(DomainViolationError, match=r"^path 0: y_0 outside the domain "):
+            solve_steps(op, CLASSICAL, [outside, self.paths(zoo["halfline"], rng, 1, times)[0]])
         with pytest.raises(ValueError, match="^path 1: the input paths must share one grid$"):
             solve_steps(op, CLASSICAL, [ys[0], self.paths(op, rng, 1, times[:-1])[0]])
         with pytest.raises(ValueError, match="^path 2: input dimension does not match"):
@@ -518,6 +525,64 @@ class TestBatchedCheckers:
             same_fields(verify_solution(op, proj, sol, test_pairs=zoo_pairs[name]),
                         verify_solution_loop(op, proj, sol, test_pairs=zoo_pairs[name]))
         same_fields(pair_inequality_report(op, a, b), pair_inequality_loop(op, a, b))
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize("substeps", [1, 5, 16])
+    @pytest.mark.parametrize("proj", [CLASSICAL, Projection("elastic_iterated", c=0.5)],
+                             ids=["classical", "elastic_iterated"])
+    @pytest.mark.parametrize("name", ["halfline", "box2", "ball2", "wedge", "linear1",
+                                      "linear2", "rotation2", "prox_abs"])
+    def test_a_list_call_gives_each_solution_its_own_report(self, zoo, zoo_pairs, rng, name,
+                                                           proj, substeps, ragged):
+        # a list is checked in one pass; each report equals its solution's (or pair's)
+        # own call and the interval loop, on a 12-interval and a one-interval grid
+        op, pairs = zoo[name], zoo_pairs[name]
+        for steps in (12, 1):
+            sols = self.solutions(op, proj, rng, ragged, substeps, count=4, steps=steps)
+            y = sols[0].y
+            # a pair (x, k) that is no solution: its residuals are its own, not 0
+            bent = sols[0].x.values + rng.normal(0.0, 1e-3, size=y.values.shape)
+            sols.append(dataclasses.replace(sols[0], x=StepPath(y.partition, bent)))
+            still = StepPath(y.partition, np.repeat(0.5 * y.values[:1], len(y.values), axis=0))
+            sols.append(solve_step(op, proj, still, flow_substeps=substeps))
+            assert not sols[-1].k.jump.values.any()  # its k never jumps
+            reports = verify_solution(op, proj, sols, test_pairs=pairs)
+            assert isinstance(reports, list) and len(reports) == len(sols)
+            for sol, rep in zip(sols, reports):
+                want = verify_solution_loop(op, proj, sol, test_pairs=pairs)
+                same_fields(rep, want)
+                same_fields(verify_solution(op, proj, sol, test_pairs=pairs), want)
+            # every solution on either side of a pair, the one whose k never jumps too
+            a, b = sols, sols[1:] + sols[:1]
+            reports = pair_inequality_report(op, a, b)
+            assert isinstance(reports, list) and len(reports) == len(a)
+            for pa, pb, rep in zip(a, b, reports):
+                want = pair_inequality_loop(op, pa, pb)
+                same_fields(rep, want)
+                same_fields(pair_inequality_report(op, pa, pb), want)
+            assert verify_solution(op, proj, sols[:1]) == [verify_solution(op, proj, sols[0])]
+            assert pair_inequality_report(op, a[:1], b[:1]) == [reports[0]]
+
+    def test_a_list_shares_one_grid_and_one_substep_count(self, zoo, rng):
+        op = zoo["linear2"]
+        a, b = self.solutions(op, CLASSICAL, rng, True, 4)
+        (other,) = self.solutions(op, CLASSICAL, rng, True, 4, count=1)
+        (finer,) = self.solutions(op, CLASSICAL, rng, False, 5, count=1)
+        coarse = solve_step(op, CLASSICAL, finer.y, flow_substeps=4)
+        for check in (lambda sols: verify_solution(op, CLASSICAL, sols),
+                      lambda sols: pair_inequality_report(op, sols, sols[::-1])):
+            with pytest.raises(ValueError, match="^solutions must share one grid$"):
+                check([a, other])
+            with pytest.raises(ValueError, match="^solutions must share the flow substep count$"):
+                check([finer, coarse])
+        with pytest.raises(ValueError, match="^2 solutions paired with 1$"):
+            pair_inequality_report(op, [a, b], [b])
+        # a projection resolvent takes one step whatever the count
+        halfline = zoo["halfline"]
+        (one,) = self.solutions(halfline, CLASSICAL, rng, True, 1, count=1)
+        seven = solve_step(halfline, CLASSICAL, one.y, flow_substeps=7)
+        assert pair_inequality_report(halfline, [one], [seven]) == \
+            [pair_inequality_report(halfline, one, seven)]
 
     def test_kadane_keeps_mins_nan_and_signed_zero_ties(self, rng):
         cases = [[], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, math.nan, -2.0],
