@@ -494,8 +494,9 @@ def same_fields(report, want):
 
 
 class TestBatchedCheckers:
-    """Both checkers flow every interval of a solution in one batch; each
-    report equals the per-interval loop's bit for bit."""
+    """Both checkers take a solution (or pair) or a list of them and flow every
+    interval of every solution in one batch; each report equals the per-interval
+    loop's bit for bit."""
 
     @staticmethod
     def solutions(op, proj, rng, ragged, substeps, count=2, steps=12):
@@ -519,23 +520,8 @@ class TestBatchedCheckers:
                                       "linear2", "rotation2", "prox_abs"])
     def test_reports_equal_the_interval_loops(self, zoo, zoo_pairs, rng, name, proj,
                                               substeps, ragged):
-        op = zoo[name]
-        a, b = self.solutions(op, proj, rng, ragged, substeps)
-        for sol in (a, b):
-            same_fields(verify_solution(op, proj, sol, test_pairs=zoo_pairs[name]),
-                        verify_solution_loop(op, proj, sol, test_pairs=zoo_pairs[name]))
-        same_fields(pair_inequality_report(op, a, b), pair_inequality_loop(op, a, b))
-
-    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
-    @pytest.mark.parametrize("substeps", [1, 5, 16])
-    @pytest.mark.parametrize("proj", [CLASSICAL, Projection("elastic_iterated", c=0.5)],
-                             ids=["classical", "elastic_iterated"])
-    @pytest.mark.parametrize("name", ["halfline", "box2", "ball2", "wedge", "linear1",
-                                      "linear2", "rotation2", "prox_abs"])
-    def test_a_list_call_gives_each_solution_its_own_report(self, zoo, zoo_pairs, rng, name,
-                                                           proj, substeps, ragged):
-        # a list is checked in one pass; each report equals its solution's (or pair's)
-        # own call and the interval loop, on a 12-interval and a one-interval grid
+        # one solution or pair, or a list checked in one pass: each report equals its
+        # own call's and the interval loop's, on a 12-interval and a one-interval grid
         op, pairs = zoo[name], zoo_pairs[name]
         for steps in (12, 1):
             sols = self.solutions(op, proj, rng, ragged, substeps, count=4, steps=steps)
