@@ -55,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scheme", choices=("euler", "yosida", "modified_yosida"),
                    default="euler")
-    p.add_argument("--trajectory", type=int, default=0, help="trajectory index")
+    p.add_argument("--trajectory", type=int, default=0,
+                   help="trajectory index: the realization is compare's row of it on the finest "
+                        "level, not the restriction of converge's reference row")
     p.add_argument("--level", type=int, default=None,
                    help="partition level (default: finest configured)")
     p.add_argument("--yosida-n", type=float, default=None,
@@ -132,6 +134,11 @@ def _cmd_skorokhod(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """One scheme run on trajectory ``--trajectory`` of ``levels[-1]``.  Its driver
+    realization is the one the ``compare`` study simulates for that trajectory,
+    as both sample ``levels[-1]`` directly.  ``converge`` reads ``levels[-1]``
+    off its finer reference grid instead, which equals it only at the times
+    that are nodes of both bridge trees (``drivers``)."""
     from .drivers import simulate
     from .harness import _Context
     from .paths import uniform_partition

@@ -8,11 +8,14 @@ at an exact grid point and left limits are well defined.
 Randomness is counter-based (Philox4x64-10; Salmon et al., SC'11), keyed by
 (master seed, trajectory index) with the counter (0, purpose tag, context word,
 block), so trajectories are order-independent and reproducible bit for bit.
-W comes from one tree of dyadic bridge nodes of (0, 1) to float resolution
-(no depth cap, so the law is exact), each keyed by its time and drawn and
-bridged once; on a horizon T, W(t) = sqrt(T) B(t / T) by Brownian scaling.
-W(t) is a pure function of (seed, trajectory, tag, t), so ``Chunk.restrict``
-reads the values of a coarser partition off a fine realization.  The horizon
+W comes from the tree of dyadic bridge nodes of (0, 1), split only as far as
+a row's times need: the few times left in a bracket take one bridge draw each,
+which keeps the law exact.  Each draw is keyed by its time and drawn once; on
+a horizon T, W(t) = sqrt(T) B(t / T) by Brownian scaling.  W on a row is a
+pure function of (seed, trajectory, tag, the row's set of times), not of t
+alone, so a study reads its coarser levels off one fine row with
+``Chunk.restrict``; simulating a coarser grid directly gives the same values
+only at times that are nodes of both trees, as on a dyadic grid.  The horizon
 is at most 2**512, the range a config accepts; no bridge weight bounds it, as
 every bracket lies in (0, 1).  ``STREAM_VERSION`` names the stream; a change to
 its values bumps it.
@@ -41,7 +44,7 @@ __all__ = [
     "from_step_paths",
 ]
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 # the largest horizon accepted; the unit tree's weights would be finite beyond it
 _MAX_HORIZON = 2.0 ** 512
 
@@ -71,9 +74,12 @@ _PHILOX_M_SWAP = np.ascontiguousarray(_PHILOX_M[::-1])
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _PHILOX_CHUNK = 1 << 13  # about the counter blocks per slice of a draw; bounds the temporaries
-# Tree nodes per descent (``_descents``), whose arrays grow with its nodes: 64
-# dyadic 513-point grids and their jump times share one; a non-dyadic time costs ~45.
-_DESCENT_NODES = 3 << 14
+# Points per ``_brownian_values`` call of ``_simulate``, whose arrays grow with its
+# points: 64 dyadic 513-point grids and their jump times share one call.
+_CALL_POINTS = 1 << 16
+# The most times the sweep leaves in one bracket, each bridged in one draw from its
+# left neighbour: a non-dyadic grid then draws about 1.25 nodes per point, not 2.
+_LEAF_TIMES = 4
 
 
 def _philox_block(x: np.ndarray, y: np.ndarray, key: np.ndarray, rounds=range(_PHILOX_ROUNDS)):
@@ -262,75 +268,36 @@ class DriverSpec:
         return self.z.dimension
 
 
-def _fraction_bits(x: np.ndarray) -> np.ndarray:
-    """p of each x = odd * 2**-p > 0: t = x T is a node at depth p - 1 of (0, T)."""
-    mant, exp = np.frexp(x)
-    bits = (mant * 2.0 ** 53).astype(np.int64)
-    return 54 - exp - np.frexp(bits & -bits)[1]
-
-
-def _descents(queries: np.ndarray, sizes, horizon: float):
-    """[lo, hi) of each descent over grids of ``sizes`` times, of about
-    ``_DESCENT_NODES`` nodes: t is a node at depth j when t / T has j bits after
-    the point, and a grid's n times share its first log2(n) depths."""
-    depth = _fraction_bits(np.where(queries > 0.0, queries, horizon) / horizon)  # 0 costs 1
-    shared = np.repeat(np.log2(sizes).astype(int), sizes)
-    nodes = np.cumsum(np.maximum(1, depth - shared))
-    cuts = np.searchsorted(nodes, np.arange(_DESCENT_NODES, nodes[-1], _DESCENT_NODES))
-    return zip(np.r_[0, cuts], np.r_[cuts, queries.size])
-
-
 # the bridge std of each depth j of (0, 1), on its exact operands b - a = 2 (s - a)
 # = 2 (b - s) = 2**-j (frac is 1/2); then 0, for the sweep's last depth, of empty brackets
 _HALF = np.ldexp(1.0, -1 - np.arange(1074))
 _DEPTH_STDS = np.append(np.sqrt(_HALF * _HALF / (2.0 * _HALF)), 0.0)
 
 
-def _dyadic_descent(t, r, a, b):
-    """Pass 1 of times t, each alone in its bracket (a, b) of trajectory r: the
-    nodes [(r, m)], and pass 3, ``bridge(node_t, gauss, va, vb, w, at)``, from the
-    nodes and the brackets' end values, writing W(t) to w[at].  t = odd * 2**-p
-    descends from its bracket's depth j0 (b - a = 2**-j0) to p - 1 through the
-    bisection's own nodes m_k = (floor(t 2**k) + 1/2) 2**-k, laid out by (step,
-    rank), the times ranked longest first: step i is n_i of them."""
-    top = (1 - np.frexp(b - a)[1]).astype(np.int16)  # depths run below 1075
-    length = _fraction_bits(t) - top
-    ranked = np.argsort(-length, kind="stable")
-    sizes = np.cumsum(np.bincount(length)[::-1])[-2::-1].tolist()  # n_i: descents longer than i
-    q = np.concatenate([ranked[:n] for n in [0, *sizes]])  # 0: no time may be alone
-    depth = np.repeat(np.arange(len(sizes), dtype=np.int16), sizes) + top[q]
-    t, r = t[q], r[q]
-    m = np.ldexp(np.floor(np.ldexp(t, depth)) + 0.5, -depth)
-    left = (t < m)[:, None]
-
-    def bridge(node_t, gauss, va, vb, w, at):
-        va, vb, at, first = va[ranked], vb[ranked], at[ranked], 0
-        noise = np.multiply(_DEPTH_STDS[depth][:, None], gauss, out=gauss)
-        for n, stop in zip(sizes, [*sizes[1:], 0]):
-            k = slice(first, first + n)
-            vs, first = va[:n] + 0.5 * (vb[:n] - va[:n]) + noise[k], k.stop
-            w[at[stop:n]] = vs[stop:]
-            np.copyto(va[:n], vs, where=~left[k])
-            np.copyto(vb[:n], vs, where=left[k])
-    return [(r, m)], bridge
-
-
 def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
                      times: np.ndarray) -> np.ndarray:
     """Standard Brownian motions W_p(t), one per purpose tag: (purposes, times, dim).
 
-    A horizon T other than 1 reads the unit tree, W(t) = sqrt(T) B(t / T), so
+    Their joint law at the given times is exact, and they are a pure function of
+    (seed, trajectory, purpose and the trajectory's set of times in the call).  A
+    horizon T other than 1 reads the unit interval, W(t) = sqrt(T) B(t / T), so
     two times that t / T rounds to one float share W, and a time with t / T = 0
     (5e-324 on T = 3) reads W = 0.  Each trajectory (``index``: one per time, or
     one for all) has the tree of dyadic brackets of (0, 1); bracket (a, b) has
-    node m = (a + b) / 2, keyed by the trajectory and the bits of m.  Pass 1
-    sweeps the trees depth by depth over the brackets that hold two distinct
-    times or one at m, and splits their times between the children with one
-    ``np.searchsorted`` on the sorted (trajectory, time) keys; a time left alone
-    in its bracket then descends by itself to the midpoint s, in closed form
-    (``_dyadic_descent``).  Pass 2 draws each node once, and pass 3 bridges them
-    in order.  Every bracket is an exact dyadic, so its times and m lie strictly
-    inside it, frac is 1/2 and std is one per depth (``_DEPTH_STDS``).
+    node m = (a + b) / 2.  Pass 1 sweeps the trees depth by depth over the
+    brackets that hold a time at m or more than ``_LEAF_TIMES`` times, and
+    splits their times between the children with one ``np.searchsorted`` on the
+    sorted (trajectory, time) keys; the times of a bracket left as a leaf lie
+    strictly inside it.  Pass 2 draws one normal for each node m and each leaf
+    time t, keyed by the trajectory and the bits of m or t, which never
+    coincide.  Pass 3 bridges the nodes in order: every bracket is an exact
+    dyadic, so m's frac is 1/2 and its std is one per depth (``_DEPTH_STDS``).
+    Then each leaf's times take one draw each, in order, from the value on
+    their left, W(a) for the first, to W(b): W(a) + frac (W(b) - W(a)) + std Z
+    with frac = (t - a) / (b - a) and std = sqrt(frac (b - t)), a product that
+    does not underflow where (t - a)(b - t) would.  As W is Markov, that is the
+    law of W(t) given every value drawn before it (Karatzas and Shreve, section
+    5.6.B).
     """
     if not horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon {horizon} above 2**512 = {_MAX_HORIZON}, "
@@ -353,36 +320,43 @@ def _brownian_values(seed: int, index, purposes, horizon: float, dim: int,
     while live[0].size:
         r, a, b, lo, hi = live
         m, count = 0.5 * (a + b), hi - lo
-        # shared: two or more times, or one at m
-        shared = (count > 1) | (count == 1) & (key_t[np.minimum(lo, hi - 1)] == m)
-        single = ~shared & (count > 0)  # empty brackets drop out; the rest hold one time
-        alone.append([x[single] for x in live])
-        r, a, b, lo, hi, m = (x[shared] for x in (*live, m))
         split = np.searchsorted(keys, r + 1j * m)
-        hit = key_t[np.minimum(split, hi - 1)] == m
+        hit = (split < hi) & (key_t[np.minimum(split, hi - 1)] == m)
+        # shared: more than _LEAF_TIMES times, or one at m
+        shared = hit | (count > _LEAF_TIMES)
+        leaf = ~shared & (count > 0)  # empty brackets drop out
+        alone.append([x[leaf] for x in live])
+        r, a, b, lo, hi, m, split, hit = (x[shared] for x in (*live, m, split, hit))
         nodes.append((r, m))
-        sweep.append((shared, single, _DEPTH_STDS[len(sweep)], hit, split[hit]))
+        sweep.append((shared, leaf, _DEPTH_STDS[len(sweep)], hit, split[hit]))
         live = tuple(np.concatenate(x) for x in
                      ((r, r), (a, m), (m, b), (lo, split + hit), (split, hi)))
-    # pass 1, the descents of the times left alone
-    r, a, b, at, _ = (np.concatenate(x) for x in zip(*alone))
-    lone, bridge = _dyadic_descent(key_t[at], r, a, b)
-
-    # pass 2: one keyed draw for all nodes; pass 3: the bridge, in the order of pass 1
-    owners, node_t = nodes = [np.concatenate(x) for x in zip(*nodes, *lone)]
-    del lone
+    # pass 2: one keyed draw for all nodes, then for the times of the leaves
+    r, a, b, lo, hi = (np.concatenate(x) for x in zip(*alone))
+    count = hi - lo
+    offset = np.cumsum(count) - count  # of each leaf's first time among the leaves' times
+    at = np.arange(count.sum()) + np.repeat(lo - offset, count)
+    owners, node_t = (np.concatenate(x) for x in zip(*nodes, (np.repeat(r, count), key_t[at])))
     gauss = _keyed_gaussians(seed, ends, owners, purposes, node_t, dim)
+    # pass 3: the bridge, in the order of pass 1
     va, vb = np.zeros_like(gauss[:ends.size]), gauss[:ends.size]
     w = np.zeros((keys.size, gauss.shape[1]))
     w[key_t == 1.0] = vb[keys.real[key_t == 1.0].astype(int)]
     first, alone = ends.size, [(va[:0], vb[:0])]
-    for shared, single, std, hit, at_m in sweep:
-        alone.append((va[single], vb[single]))
+    for shared, leaf, std, hit, at_m in sweep:
+        alone.append((va[leaf], vb[leaf]))
         va, vb = va[shared], vb[shared]
         vm, first = va + 0.5 * (vb - va) + std * gauss[first:first + len(va)], first + len(va)
         w[at_m] = vm[hit]
         va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
-    bridge(node_t[first:], gauss[first:], *(np.concatenate(x) for x in zip(*alone)), w, at)
+    # then the leaves' i-th times, each from the value on its left (at a) to W(b)
+    va, vb = (np.concatenate(x) for x in zip(*alone))
+    for i in range(_LEAF_TIMES):
+        j = np.flatnonzero(count > i)
+        t, noise = key_t[lo[j] + i], gauss[first + offset[j] + i]
+        frac = ((t - a[j]) / (b[j] - a[j]))[:, None]
+        va[j] += frac * (vb[j] - va[j]) + np.sqrt(frac * (b[j] - t)[:, None]) * noise
+        w[lo[j] + i], a[j] = va[j], t
     return w[query_of].reshape(times.size, len(purposes), dim).transpose(1, 0, 2)
 
 
@@ -411,7 +385,10 @@ class Chunk:
         """Row b on each of ``partitions`` in turn, as row r B + b of a new
         chunk, and the index here of each new point.  A partition must lie
         within every row's grid; levels nest and every grid holds its jump
-        times, so row b on it is the mask of its points at its times or jumps."""
+        times, so row b on it is the mask of its points at its times or jumps.
+        The values are row b's own, read at those points: the restriction of
+        the fine realization, which a direct simulation of the coarser grid
+        equals only at the times both trees hold as nodes."""
         keep = []
         for part in partitions:  # membership in the sorted part.times
             at = part.times[np.searchsorted(part.times[:-1], self.times)] == self.times
@@ -461,9 +438,9 @@ def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chu
     """The realizations of trajectories ``indices`` on ``partition``, as the rows of a Chunk.
 
     Each trajectory's jump times are merged into its grid.  The Brownian parts
-    at all the grids' times come from ``_brownian_values``, one call per
-    descent of about ``_DESCENT_NODES`` tree nodes (``_descents``), so that a
-    dyadic chunk shares one descent.  Row i does not depend on the chunk.
+    come from ``_brownian_values``, in calls of whole rows that hold at most
+    ``_CALL_POINTS`` points between them (a larger row goes alone).  A row's
+    values depend only on its trajectory and its grid, not on the chunk or the cuts.
     """
     horizon, d = partition.horizon, spec.dimension
     jumps = [_sample_jumps(spec.z, seed, i, _TAG_Z_TIMES, _TAG_Z_SIZES, horizon)
@@ -475,10 +452,13 @@ def _simulate(spec: DriverSpec, partition: Partition, seed: int, indices) -> Chu
             if proc.has_brownian]
     sizes = [g.size for g in grids]
     times, starts = np.concatenate(grids), np.cumsum([0, *sizes])
+    owners, cuts = np.repeat(np.asarray(indices), sizes), [0]
+    for lo, hi in zip(starts[1:-1].tolist(), starts[2:].tolist()):
+        if hi - cuts[-1] > _CALL_POINTS:
+            cuts.append(lo)
     w_all = np.empty((len(tags), times.size, d))
-    for lo, hi in _descents(times, sizes, horizon) if tags else ():
-        rows = np.asarray(indices)[np.searchsorted(starts[1:], np.arange(lo, hi), side="right")]
-        w_all[:, lo:hi] = _brownian_values(seed, rows, tags, horizon, d, times[lo:hi])
+    for lo, hi in zip(cuts, [*cuts[1:], times.size]) if tags else ():
+        w_all[:, lo:hi] = _brownian_values(seed, owners[lo:hi], tags, horizon, d, times[lo:hi])
     h, z, jump_h, jump_z = np.zeros((4, times.size, d))
     flags = np.zeros(times.size, dtype=bool)
     for lo, hi, (zt, zs, ht, hs) in zip(starts.tolist(), starts[1:].tolist(), jumps):

@@ -51,7 +51,7 @@ h0 = 0.5
 levels = 4 64
 yosida_levels = 2 4
 trajectories = 12
-seed = 33
+seed = 2694
 """
 
 

@@ -1,12 +1,14 @@
 import tracemalloc
 from unittest import mock
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH_CONFIGS, chunk_of
+from conftest import bench_config, chunk_of
 from mmsde import (
     STREAM_VERSION,
     DriverSpec,
@@ -20,18 +22,19 @@ from mmsde import (
     simulate,
     uniform_partition,
 )
-from mmsde.cli import EXIT_OK, main
+from mmsde.config import parse_config_text
 from mmsde.drivers import (
     _DEPTH_STDS,
+    _LEAF_TIMES,
     _MAX_HORIZON,
     _PHILOX_CHUNK,
     _brownian_values,
-    _descents,
     _keyed_gaussians,
     _philox_block,
     _philox_keyed,
     _simulate,
 )
+from mmsde.harness import _Context
 
 
 def _philox_raw(keys, counters: np.ndarray) -> np.ndarray:
@@ -74,7 +77,7 @@ class TestSimulate:
     def test_gaussian_increment_moments(self):
         # oracle: increments over dt have mean 0 and variance dt
         spec = make_spec(sigma=1.0)
-        part = uniform_partition(1.0, 128)  # dyadic grid: shallow bridge descents
+        part = uniform_partition(1.0, 128)  # dyadic grid: every time is a node
         incs = []
         for i in range(800):
             r = simulate(spec, part, seed=900, trajectory_index=i)
@@ -149,31 +152,29 @@ class TestRefinementConsistency:
         np.testing.assert_array_equal(r.times, r2.times)
         np.testing.assert_array_equal(r.z, r2.z)
 
-    def test_coarse_points_preserved_bit_exactly(self):
+    def test_dyadic_grid_points_keep_their_values_under_refinement(self):
+        # a dyadic grid's times are nodes of every finer dyadic grid's tree, so
+        # they keep their values; a jump time, left in a leaf, is bridged anew
         spec = make_spec(sigma=1.0, drift=0.3, jump_rate=2.0,
                          jump_law=JumpLaw.gaussian([0.1], [[0.09]]))
         part = uniform_partition(1.0, 8)
         r = simulate(spec, part, seed=23, trajectory_index=9)
         fine = simulate(spec, refine(part, 4), seed=23, trajectory_index=9)
-        coarse = {t: v for t, v in zip(r.times, r.z[:, 0])}
-        fine_map = {t: v for t, v in zip(fine.times, fine.z[:, 0])}
-        for t, v in coarse.items():
-            assert t in fine_map
-            assert fine_map[t] == v  # bit-exact
-        back = restrict(fine, part)
-        np.testing.assert_array_equal(back.times, r.times)
-        np.testing.assert_array_equal(back.z, r.z)
+        assert r.jump_flags.any()
+        on_grid = np.isin(fine.times, part.times)
+        np.testing.assert_array_equal(fine.z[on_grid], r.z[np.isin(r.times, part.times)])
 
-    def test_direct_simulation_at_finer_grid_agrees(self):
-        spec = make_spec(sigma=1.0, jump_rate=1.0, jump_law=JumpLaw.fixed([-0.4]))
-        coarse = uniform_partition(1.0, 8)
-        fine = refine(coarse, 4)
-        a = simulate(spec, coarse, seed=31, trajectory_index=2)
-        b = simulate(spec, fine, seed=31, trajectory_index=2)
-        amap = dict(zip(a.times, a.z[:, 0]))
-        bmap = dict(zip(b.times, b.z[:, 0]))
-        for t, v in amap.items():
-            assert bmap[t] == v
+    def test_dyadic_grids_without_jumps_restrict_to_direct_simulation(self):
+        # every time of a dyadic grid is a node shared with the finer tree:
+        # there the restriction and a direct simulation are one realization
+        spec = full_spec(2)
+        spec = DriverSpec(z=replace(spec.z, jump_rate=0.0), h=replace(spec.h, jump_rate=0.0),
+                          h0=spec.h0)
+        coarse = uniform_partition(1.5, 8)
+        fine = _simulate(spec, refine(coarse, 4), 31, range(3))
+        for part in (coarse, refine(coarse, 2)):
+            assert_same_chunk(fine.restrict([part])[0],
+                              chunk_of([simulate(spec, part, 31, i) for i in range(3)]))
 
     def test_drift_only_refines_to_exact_line(self):
         spec = make_spec(drift=2.0)
@@ -208,15 +209,11 @@ def assert_same_chunk(got, want):
 
 class TestChunk:
     @pytest.mark.parametrize("size", [1, 3, 64])
-    def test_rows_equal_single_runs_in_any_order(self, size, monkeypatch):
+    def test_rows_equal_single_runs_in_any_order(self, size):
         spec = full_spec(2)
-        part = refine(uniform_partition(1.0, 10), 5)  # non-dyadic: deep descents
+        part = refine(uniform_partition(1.0, 10), 5)  # non-dyadic: times left in leaves
         indices = [int(i) for i in np.random.default_rng(size).permutation(100)[:size]]
-        descents = count_descents(monkeypatch)
         chunk = _simulate(spec, part, 77, indices)
-        monkeypatch.undo()
-        if size == 64:  # the chunk spans several descents, split inside trajectories
-            assert len(descents) >= 3 and any(times[0] > 0.0 for times in descents)
         singles = [simulate(spec, part, 77, i) for i in indices]
         assert_same_chunk(chunk, chunk_of(singles))
         for i, real in zip(indices, singles):
@@ -230,16 +227,26 @@ class TestChunk:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("factor", [4, 13, 100])
-    def test_restriction_equals_direct_simulation(self, d, factor):
+    def test_restriction_reads_the_fine_rows_values(self, d, factor):
+        # a level read off a fine row is that row at the level's times and its
+        # own jump times, with the fine row's values there, bit for bit
         spec = full_spec(d, seed=d)
         coarse = uniform_partition(1.5, 10)
         fine = refine(coarse, factor)
         middle = refine(coarse, {4: 2, 13: 1, 100: 10}[factor])
         chunk = _simulate(spec, fine, 19, range(4))
         assert np.logical_or.reduceat(chunk.jump_flags, chunk.starts[:-1]).all()
+        rows = [slice(lo, hi) for lo, hi in zip(chunk.starts[:-1], chunk.starts[1:])]
         for part in (coarse, middle, fine):
-            assert_same_chunk(chunk.restrict([part])[0],
-                              chunk_of([simulate(spec, part, 19, i) for i in range(4)]))
+            sub, points = chunk.restrict([part])
+            for b, row in enumerate(rows):
+                at = points[sub.starts[b]:sub.starts[b + 1]]
+                jumps = chunk.times[row][chunk.jump_flags[row]]
+                np.testing.assert_array_equal(chunk.times[at], np.union1d(part.times, jumps))
+            for name in ("times", "h", "z", "jump_flags", "jump_h", "jump_z"):
+                np.testing.assert_array_equal(getattr(sub, name), getattr(chunk, name)[points])
+            assert sub.trajectory == chunk.trajectory
+        assert_same_chunk(chunk.restrict([fine])[0], chunk)
 
     def test_restriction_rejects_foreign_partitions(self):
         real = simulate(full_spec(1), uniform_partition(1.0, 8), 3)
@@ -248,54 +255,80 @@ class TestChunk:
         with pytest.raises(ValueError):
             restrict(real, uniform_partition(0.5, 4))
 
-    def test_descent_cap_bounds_chunk_memory(self):
-        # the reference grid of the non-dyadic half-line study: 401 times
-        spec = make_spec(sigma=1.0, jump_rate=2.0, jump_law=JumpLaw.gaussian([0.0], [[1.0]]),
-                         h0=0.5)
-        part = refine(refine(uniform_partition(1.0, 10), 10), 4)
+    @pytest.mark.parametrize("budget", [1, 120, 10 ** 9], ids=["row", "some-rows", "chunk"])
+    def test_rows_do_not_depend_on_the_point_budget(self, budget, monkeypatch):
+        spec = full_spec(2, seed=4)
+        part = refine(uniform_partition(1.0, 10), 5)
+        want = _simulate(spec, part, 8, range(9))
+        monkeypatch.setattr(drivers, "_CALL_POINTS", budget)
+        assert_same_chunk(_simulate(spec, part, 8, range(9)), want)
 
-        _simulate(spec, part, 5, [0])  # one-off allocations stay out of both peaks
-        peaks = []
-        for rows in (1, 64):
-            tracemalloc.start()
-            try:
-                _simulate(spec, part, 5, range(rows))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 2 * peaks[0]
+    @pytest.mark.parametrize("budget", [40, 120])
+    def test_the_point_budget_bounds_each_call(self, budget, monkeypatch):
+        # 51-point rows and their jumps: whole rows share a call up to the
+        # budget, and a row above it (at 40) takes a call of its own
+        spec = full_spec(1)
+        part = refine(uniform_partition(1.0, 10), 5)
+        monkeypatch.setattr(drivers, "_CALL_POINTS", budget)
+        calls = count_calls(monkeypatch)
+        chunk = _simulate(spec, part, 5, range(12))
+        rows = np.split(chunk.times, chunk.starts[1:-1])
+        sizes = [len(r) for r in rows]
+        assert sum(len(times) for _, times in calls) == chunk.times.size
+        first = 0
+        for owners, times in calls:
+            held = sorted(set(owners.tolist()))
+            assert held == list(range(first, first + len(held)))  # whole rows, in order
+            np.testing.assert_array_equal(times, np.concatenate(rows[first:first + len(held)]))
+            assert times.size <= budget or len(held) == 1
+            if first + len(held) < len(rows):  # the next row would not have fitted
+                assert times.size + sizes[first + len(held)] > budget
+            first += len(held)
+        assert len(calls) == (len(rows) if budget < min(sizes) else -(-len(rows) // 2))
 
-    def test_dyadic_chunk_is_one_descent(self, monkeypatch):
-        # 64 grids of 513 dyadic points with their jump times hold about 41k
-        # nodes: one descent, which needs less memory than 64 descents of one
+    def test_dyadic_chunk_is_one_call(self, monkeypatch):
+        # 64 grids of 513 dyadic points with their jump times hold about 33k
+        # points: one call, which needs less memory than 64 calls of one
         spec = make_spec(sigma=1.0, jump_rate=3.0, jump_law=JumpLaw.gaussian([0.0], [[1.0]]),
                          h0=0.5)
         part = uniform_partition(1.0, 512)
-        descents = count_descents(monkeypatch)
+        calls = count_calls(monkeypatch)
         _simulate(spec, part, 5, [0])  # one-off allocations stay out of both peaks
         peaks = []
         for rows in (1, 64):
-            descents.clear()
+            calls.clear()
             tracemalloc.start()
             try:
                 _simulate(spec, part, 5, range(rows))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(descents) == 1
+            assert len(calls) == 1
         assert peaks[1] <= 48 * peaks[0]
 
 
-def count_descents(monkeypatch) -> list:
-    """The query times of each ``_brownian_values`` call (one per descent) from now on."""
-    descents, bridge = [], drivers._brownian_values
+def count_calls(monkeypatch) -> list:
+    """The (trajectory of each point, times) of each ``_brownian_values`` call from now on."""
+    calls, bridge = [], drivers._brownian_values
 
-    def counted(*args):
-        descents.append(args[-1])
-        return bridge(*args)
+    def counted(seed, index, purposes, horizon, dim, times):
+        calls.append((np.asarray(index), times))
+        return bridge(seed, index, purposes, horizon, dim, times)
 
     monkeypatch.setattr(drivers, "_brownian_values", counted)
-    return descents
+    return calls
+
+
+def count_nodes(monkeypatch) -> list:
+    """The size of each keyed draw (``_keyed_gaussians``) from now on: nodes and leaf times."""
+    drawn, draw = [], drivers._keyed_gaussians
+
+    def counted(*args):
+        drawn.append(args[4].size)
+        return draw(*args)
+
+    monkeypatch.setattr(drivers, "_keyed_gaussians", counted)
+    return drawn
 
 
 @st.composite
@@ -319,15 +352,23 @@ def bridge_queries(draw):
     return horizon, np.array(times)[order], np.array(rows, dtype=int)[order]
 
 
+# deep dyadic times, their neighbours and the float edge near 0
+DEEP_TIMES = [3 * 2.0 ** -40, float(np.nextafter(3 * 2.0 ** -40, 1.0)), 2.0 ** -38,
+              5 * 2.0 ** -41, 5e-324, 1e-323, 1e-300]
+
+
 class TestNodeSweep:
     @settings(max_examples=20, deadline=None)
     @given(bridge_queries(), st.integers(1, 3))
-    def test_batched_values_equal_single_calls(self, queries, dim):
+    def test_each_trajectory_equals_its_own_call(self, queries, dim):
+        # a trajectory's values depend on its own times only, not on the
+        # other trajectories of the call or on the order of the times
         horizon, times, rows = queries
         batched = _brownian_values(11, rows, [3, 6], horizon, dim, times)
-        for j, (i, t) in enumerate(zip(rows, times)):
-            alone = _brownian_values(11, int(i), [3, 6], horizon, dim, np.array([t]))
-            np.testing.assert_array_equal(alone[:, 0], batched[:, j])
+        for i in np.unique(rows):
+            mine = rows == i
+            alone = _brownian_values(11, int(i), [3, 6], horizon, dim, times[mine][::-1])
+            np.testing.assert_array_equal(alone[:, ::-1], batched[:, mine])
 
 
 POWER_OF_TWO_HORIZONS = [2.0 ** -60, 0.5, 1.0, 2.0, 2.0 ** 100, 2.0 ** 512]
@@ -358,51 +399,9 @@ def _bridge_weights(a, b, s):
     return sa / ba, np.sqrt(sa * (b - s)[:, None] / ba)
 
 
-def _bisected_descent(t, r, a, b):
-    """``drivers._dyadic_descent`` by float bisection, each node's weights from
-    ``_bridge_weights``: the nodes [(r, m), ...] of times t, each alone in its
-    bracket (a, b) of trajectory r, and pass 3, ``bridge(node_t, gauss, va, vb,
-    w, at)``, from the nodes and the brackets' end values, writing W(t) to w[at]."""
-    a0, b0, nodes, turns = a, b, [], []
-    while t.size:
-        m = 0.5 * (a + b)
-        left, stop = t < m, t == m
-        a, b = np.where(left, a, m), np.where(left, m, b)
-        nodes.append((r, m))
-        turns.append((left, stop))
-        if np.count_nonzero(stop):
-            keep = ~stop
-            t, a, b, r = t[keep], a[keep], b[keep], r[keep]
-
-    def bridge(node_t, gauss, va, vb, w, at):
-        a, b, first = a0, b0, 0
-        for left, stop in turns:
-            s, k = node_t[first:first + stop.size], slice(first, first + stop.size)
-            frac, std = _bridge_weights(a, b, s)
-            vs, first = va + frac * (vb - va) + std * gauss[k], k.stop
-            a, b = np.where(left, a, s), np.where(left, s, b)
-            va, vb = np.where(left[:, None], va, vs), np.where(left[:, None], vs, vb)
-            if np.count_nonzero(stop):
-                w[at[stop]] = vs[stop]
-                keep = ~stop
-                at, a, b, va, vb = at[keep], a[keep], b[keep], va[keep], vb[keep]
-    return nodes, bridge
-
-
-class TestDyadicDescent:
-    """Every horizon reads the unit tree, whose lone times descend in closed
-    form (``_dyadic_descent``); ``_bisected_descent``, the float bisection with
-    the general bridge weights, is the reference, and both take one signature."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(dyadic_horizon_queries(), st.integers(1, 3), st.sampled_from([[3], [6], [3, 6]]))
-    def test_closed_form_equals_the_bisection(self, queries, dim, purposes):
-        horizon, times, rows = queries
-        times = times / horizon  # exact, but where it underflows: unit-tree times of every kind
-        closed = _brownian_values(11, rows, purposes, 1.0, dim, times)
-        with mock.patch.object(drivers, "_dyadic_descent", _bisected_descent):
-            bisected = _brownian_values(11, rows, purposes, 1.0, dim, times)
-        assert closed.tobytes() == bisected.tobytes()
+class TestUnitTree:
+    """Every horizon reads the unit tree, whose nodes sit at the midpoints of
+    exact dyadic brackets."""
 
     @pytest.mark.parametrize("horizon", [*POWER_OF_TWO_HORIZONS, 3.0, 0.7])
     def test_a_horizon_scales_the_unit_tree(self, horizon):
@@ -430,39 +429,101 @@ class TestDyadicDescent:
         assert std[:, 0].tobytes() == _DEPTH_STDS[depth].tobytes()
         assert _DEPTH_STDS[0] > 0.0 and _DEPTH_STDS[-2] == 0.0  # (s - a)(b - s) underflows
 
-    @pytest.mark.parametrize("horizon", [1.0, 3.0, 0.7])
-    @pytest.mark.parametrize("intervals", [1024, 1000])
-    def test_descent_price_counts_the_nodes_drawn(self, horizon, intervals, monkeypatch):
-        # _descents prices a time by the bits of t / T, which the unit tree descends
-        # by; at a one-node budget it cuts after every node, so it yields the price
-        times = uniform_partition(horizon, intervals).times
-        monkeypatch.setattr(drivers, "_DESCENT_NODES", 1)
-        price = len(list(_descents(times, [times.size], horizon)))
+
+class TestNodeCount:
+    """Nodes and leaf times drawn per point of a chunk: about one on any grid,
+    dyadic or not, jump times included."""
+
+    @staticmethod
+    def per_point(text, rows, monkeypatch):
+        ctx = _Context(parse_config_text(text))
+        drawn = count_nodes(monkeypatch)
+        chunk = _simulate(ctx.driver, ctx.reference_partition, 5, range(rows))
         monkeypatch.undo()
-        drawn, draw = [], drivers._keyed_gaussians
+        return sum(drawn) / chunk.times.size
 
-        def counted(*args):
-            drawn.append(args[4].size)
-            return draw(*args)
+    @pytest.mark.parametrize("name, most", [("hl_nondyadic", 3.0), ("box_dyadic", 1.1)])
+    def test_bench_reference_grids(self, name, most, monkeypatch):
+        assert self.per_point(bench_config(name), 64, monkeypatch) <= most
 
-        monkeypatch.setattr(drivers, "_keyed_gaussians", counted)
-        _brownian_values(5, 0, [3], horizon, 1, times)
-        assert abs(sum(drawn) / price - 1.0) <= 0.03
+    def test_no_cliff_off_the_dyadic_levels(self, monkeypatch):
+        # the box study at levels 10/100/1000 against 16/128/1024, on its
+        # reference grids of 4,000 and 4,096 intervals
+        box = bench_config("box_dyadic")
+        decimal, dyadic = (self.per_point(box.replace("levels = 8 32 128", f"levels = {levels}"),
+                                          4, monkeypatch)
+                           for levels in ("10 100 1000", "16 128 1024"))
+        assert max(decimal, dyadic) <= 1.5 * min(decimal, dyadic)
 
-    @pytest.mark.parametrize("name", ["box_dyadic", "hl_nondyadic"])
-    def test_bench_chunks_take_the_closed_form(self, name, monkeypatch, tmp_path):
-        entered, dyadic = [], drivers._dyadic_descent
 
-        def counted(*args):
-            entered.append(args[0].size)
-            return dyadic(*args)
+class TestLeafBridge:
+    """The times the sweep leaves in a bracket: each is one keyed draw, bridged
+    from the value on its left to the bracket's right end."""
 
-        monkeypatch.setattr(drivers, "_dyadic_descent", counted)
-        for command in ("converge", "compare"):
-            argv = [command, "--config", str(BENCH_CONFIGS / f"{name}.ini"),
-                    "--out", str(tmp_path / command)]
-            assert main(argv) == EXIT_OK
-        assert sum(entered) > 0  # times were left alone, and descended in closed form
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_horizon_queries(), st.lists(st.sampled_from(DEEP_TIMES), max_size=6))
+    def test_no_two_draws_of_a_trajectory_share_a_key(self, queries, deep):
+        # a leaf's times lie strictly inside it, so none is a node of the same
+        # tree: every (trajectory, time) drawn in a call is drawn once
+        horizon, times, rows = queries
+        times = np.concatenate([times / horizon, deep])  # unit-tree times of every kind
+        rows = np.concatenate([rows, np.arange(len(deep)) % 2])
+        keys = []
+        draw = drivers._keyed_gaussians
+
+        def recorded(seed, ends, owners, purposes, node_times, dim):
+            keys.extend(zip(ends[owners].tolist(), node_times.view(np.uint64).tolist()))
+            return draw(seed, ends, owners, purposes, node_times, dim)
+
+        with mock.patch.object(drivers, "_keyed_gaussians", recorded):
+            _brownian_values(11, rows, [3], 1.0, 1, times)
+        assert len(keys) == len(set(keys))
+        # each time in (0, 1) is a node or a leaf time, so it is drawn by its own key
+        inside = {(int(r), float(t)) for r, t in zip(rows, times) if 0.0 < t < 1.0}
+        drawn = {(r, float(np.uint64(t).view(np.float64))) for r, t in keys}
+        assert inside <= drawn
+
+    def test_a_leaf_time_is_one_keyed_draw(self):
+        # 0.7 is left alone in (0.5, 1): W(0.7) bridges W(0.5) and W(1) with
+        # the normal keyed by 0.7's own bits
+        w = _brownian_values(7, 3, [3], 1.0, 1, np.array([0.5, 0.7, 1.0]))[0, :, 0]
+        z = _reference_gaussians(7, np.array([3], dtype=np.uint64), np.array([0]), [3],
+                                 np.array([0.7]), 1)[0, 0]
+        frac, std = (x[0, 0] for x in _bridge_weights(np.array([0.5]), np.array([1.0]),
+                                                     np.array([0.7])))
+        assert w[1] == pytest.approx(w[0] + frac * (w[2] - w[0]) + std * z, rel=1e-14)
+
+    @pytest.mark.parametrize("leaf", [[0.3], [0.3, 0.4, 0.45]], ids=["alone", "three"])
+    def test_leaf_times_take_the_bridge_law(self, leaf):
+        # 4,000 trajectories of seed 1 on 0.25, 0.5, 0.75 and 1 and the leaf
+        # times in (0.25, 0.5): given W(0.25) and W(0.5), W at the leaf is the
+        # bridge, mean a + (t - a)/(b - a) (W_b - W_a), covariance
+        # (s - a)(b - t)/(b - a) for s <= t, independent of the ends
+        n, a, b = 4_000, 0.25, 0.5
+        grid = np.array([a, *leaf, b, 0.75, 1.0])
+        w = _brownian_values(1, np.repeat(np.arange(n), grid.size), [3], 1.0, 1,
+                             np.tile(grid, n))[0, :, 0].reshape(n, grid.size)
+        t = np.array(leaf)
+        resid = w[:, 1:1 + t.size] - (w[:, :1] + (t - a) / (b - a) * (w[:, [t.size + 1]] - w[:, :1]))
+        cov = (np.minimum.outer(t, t) - a) * (b - np.maximum.outer(t, t)) / (b - a)
+        assert np.all(np.abs(resid.mean(axis=0)) <= 4 * np.sqrt(np.diag(cov) / n))
+        sample = np.cov(resid.T, ddof=1).reshape(t.size, t.size)
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
+        assert np.all(np.abs(sample - cov) <= 4 * se)
+        for end in (w[:, 0], w[:, t.size + 1]):  # uncorrelated with the bracket's ends
+            assert np.all(np.abs([np.corrcoef(r, end)[0, 1] for r in resid.T]) <= 4 / np.sqrt(n))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_leaf_holds_at_most_the_leaf_times(self, extra):
+        # _LEAF_TIMES times in (0.25, 0.5), none at its midpoint, stay in it;
+        # one more splits it at 0.375
+        n = _LEAF_TIMES + extra
+        inside = 0.25 + 0.25 * (np.arange(n) + 0.3) / n  # spread across it, none at 0.375
+        with mock.patch.object(drivers, "_keyed_gaussians",
+                               wraps=drivers._keyed_gaussians) as draw:
+            _brownian_values(2, 0, [3], 1.0, 1, np.concatenate([[0.25, 0.5], inside]))
+        # the nodes 1, 0.5 and 0.25, the times in (0.25, 0.5), and 0.375 on a split
+        assert draw.call_args.args[4].size == 3 + inside.size + extra
 
 
 class TestKeyedBrownianTree:
@@ -500,23 +561,14 @@ class TestKeyedBrownianTree:
                                     counter=counters[i]).random_raw(4)
             np.testing.assert_array_equal(got[i], want)
 
-    def test_non_dyadic_refinement_is_bit_exact(self):
-        spec = make_spec(sigma=1.0, drift=0.3, jump_rate=2.0,
-                         jump_law=JumpLaw.gaussian([0.1], [[0.09]]))
-        coarse = uniform_partition(1.0, 10)
-        a = simulate(spec, coarse, seed=41, trajectory_index=3)
-        b = simulate(spec, refine(coarse, 10), seed=41, trajectory_index=3)
-        bmap = dict(zip(b.times, b.z[:, 0]))
-        for t, v in zip(a.times, a.z[:, 0]):
-            assert bmap[t] == v  # bit-exact
-
-    def test_single_query_equals_batched_value(self):
+    def test_a_trajectory_alone_equals_its_batched_values(self):
         times = np.concatenate([uniform_partition(3.0, 7).times, [0.1, 2.9999, 1e-9]])
-        batched = _brownian_values(8, 2, [3, 6], 3.0, 2, times)
+        rows = np.arange(times.size) % 2 * 3 + 2  # trajectories 2 and 5, interleaved
+        batched = _brownian_values(8, rows, [3, 6], 3.0, 2, times)
         assert batched.shape == (2, times.size, 2)
-        for j, t in enumerate(times):
-            alone = _brownian_values(8, 2, [3, 6], 3.0, 2, np.array([t]))
-            np.testing.assert_array_equal(alone[:, 0], batched[:, j])
+        for i in (2, 5):
+            alone = _brownian_values(8, i, [3, 6], 3.0, 2, times[rows == i])
+            np.testing.assert_array_equal(alone, batched[:, rows == i])
         assert not np.array_equal(batched[0], batched[1])  # tags are independent
         np.testing.assert_array_equal(batched[:, 0], 0.0)
 
@@ -529,7 +581,7 @@ class TestKeyedBrownianTree:
         # re-pin these.  The Philox words are integer arithmetic and pinned
         # exactly; the Gaussians go through log/cos, whose last bit may vary
         # between math libraries, so W is pinned to 1e-12.
-        assert STREAM_VERSION == 3
+        assert STREAM_VERSION == 4
         words = _philox_raw((7, 3), np.array([[0, 3, 4602678819172646912, 0]], dtype=np.uint64))
         assert words[0].tolist() == GOLDEN_WORDS
         w = _brownian_values(7, 3, [3], 1.0, 1, np.array([0.25, 0.5, 0.7, 1.0]))[0, :, 0]
@@ -626,7 +678,7 @@ class TestLeanKeyedDraw:
                 np.testing.assert_array_equal(got, want[:, :2 * lanes])
 
     def test_a_float_midpoint_lies_strictly_inside(self):
-        # the descent's node 0.5 (a + b) of a bracket (a, b) with a float
+        # the sweep's node 0.5 (a + b) of a bracket (a, b) with a float
         # strictly inside it lies strictly inside it while a + b is finite:
         # brackets at every binade edge, among the subnormals, and at random
         edges = np.concatenate([[0.0], 2.0 ** np.arange(-1074, 1024)])
@@ -666,31 +718,32 @@ class TestLeanKeyedDraw:
 
 # key (7, 3): the raw block of node t = 0.5 of tag 3, and W at 0.25, 0.5, 0.7
 # and 1.0 (checked by hand against np.random.Philox words, Box-Muller and the
-# bridge formula).  Streams 2 and 3 agree at T = 1, so these and GOLDEN_W_D3
-# are stream 2's pins too
+# bridge formula; test_a_leaf_time_is_one_keyed_draw repeats the check at 0.7).
+# The nodes 0.25, 0.5 and 1.0 keep the values of streams 2 and 3; 0.7, a leaf
+# time of stream 4, does not.  GOLDEN_W_D3 shares them
 GOLDEN_WORDS = [17026611805161637242, 9287880174703922719,
                 16106269765591823813, 15692236555719398595]
 GOLDEN_W = [-0.26253708564481454, -1.3466704236523417,
-            -0.7586317339100459, -0.42931781189479323]
-# key (7, 3) too: stream 3's W of tags 3 and 6, d = 2, at 0.25, 0.6 and T off
+            -0.46463206207022756, -0.42931781189479323]
+# key (7, 3) too: stream 4's W of tags 3 and 6, d = 2, at 0.25, 0.6 and T off
 # the unit horizon, and W of tag 3, d = 3, at GOLDEN_W's times
 GOLDEN_W_HORIZONS = {
-    3.0: [0.604270011614128, 0.20258535209907355, 0.4720624127322095,
-          -0.362153729941522, -0.7436002627960799, 0.644953982260334,
-          -0.10757996306369615, 1.278242497695621, -0.4790583083946684,
-          1.1891820507051274, -1.208046117252733, 5.9152858562283495],
-    2.0: [0.27744312234644347, -0.2674304565841876, -0.7923676207840089,
-          0.0812749987112725, -0.6071470721499579, 0.5266027213712839,
-          -0.08518483873734738, 1.4300545651521923, -0.9676091692334059,
-          2.0395587953603815, -0.9863655243398716, 4.829810676820585],
-    0.7: [-0.8486625391380734, -0.18231645059236173, -0.7047316898205325,
-          -0.09175940357417263, -0.35919305189144896, 0.31154237136298935,
-          -0.639293308822618, 1.4403531703522554, 0.21680401486692702,
-          2.651770463939959, -0.5835417137293566, 2.8573545301336933],
+    3.0: [0.8289372622160655, -0.3574451919419982, 0.8953683081702563,
+          0.18667957810950092, -0.7436002627960799, 0.644953982260334,
+          0.28982663753814925, 0.5036828323869922, -0.5254364395944587,
+          0.8814963331910851, -1.208046117252733, 5.9152858562283495],
+    2.0: [0.5367103247794893, -0.3116553040827479, -0.3461990341312703,
+          -0.07592308243392584, -0.6071470721499579, 0.5266027213712839,
+          0.22811470194977226, 1.3343361507905473, 0.3780517406892748,
+          2.358209153515277, -0.9863655243398716, 4.829810676820585],
+    0.7: [0.44310389877089434, 0.5579622609813655, 0.17927584057666573,
+          0.5929303430960081, -0.35919305189144896, 0.31154237136298935,
+          -0.17093174181056264, 0.23273581065687898, -0.47024903163986004,
+          2.178087707014056, -0.5835417137293566, 2.8573545301336933],
 }
 GOLDEN_W_D3 = [-0.26253708564481454, 0.025340004432086373, 0.6346792750812424,
                -1.3466704236523417, 0.16130532724929014, 1.670563175549773,
-               -0.7586317339100459, 0.33784261433329216, 2.042232265707915,
+               -0.46463206207022756, 0.023744136738836075, 1.771242585419354,
                -0.42931781189479323, 0.37236435527292494, 2.1397495486721394]
 
 

@@ -41,8 +41,9 @@ from mmsde.schemes import _euler
     # one, with two workers 25-row batches
     (bench_config("box_dyadic"), "converge", 200, "SELF-REFERENCE"),
     (bench_config("box_dyadic"), "compare", 200, "EULER-REFERENCE"),
-    # levels 10/100 and their 400-interval reference grid are not dyadic: each
-    # 64-row chunk takes about 23 bridge descents, where a dyadic chunk takes one
+    # levels 10/100 and their 400-interval reference grid are not dyadic, so
+    # most times are leaf times, whose draws depend on their row's other times
+    # and on nothing else: not on the 64-row chunks or the 16-row batches
     (bench_config("hl_nondyadic"), "converge", 128, "ORACLE"),
     # horizon 3 reads the unit bridge tree at t / 3 and scales it by sqrt(3);
     # horizon 2 would add nothing, as t / 2 is exact and the unit study above
