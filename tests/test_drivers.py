@@ -497,20 +497,21 @@ class TestLeafBridge:
     def test_leaf_times_take_the_bridge_law(self, leaf):
         # 4,000 trajectories of seed 1 on 0.25, 0.5, 0.75 and 1 and the leaf
         # times in (0.25, 0.5): given W(0.25) and W(0.5), W at the leaf is the
-        # bridge, mean a + (t - a)/(b - a) (W_b - W_a), covariance
+        # bridge, mean W_a + (t - a)/(b - a) (W_b - W_a), covariance
         # (s - a)(b - t)/(b - a) for s <= t, independent of the ends
         n, a, b = 4_000, 0.25, 0.5
         grid = np.array([a, *leaf, b, 0.75, 1.0])
         w = _brownian_values(1, np.repeat(np.arange(n), grid.size), [3], 1.0, 1,
                              np.tile(grid, n))[0, :, 0].reshape(n, grid.size)
         t = np.array(leaf)
-        resid = w[:, 1:1 + t.size] - (w[:, :1] + (t - a) / (b - a) * (w[:, [t.size + 1]] - w[:, :1]))
+        w_a, w_b = w[:, :1], w[:, [t.size + 1]]
+        resid = w[:, 1:1 + t.size] - (w_a + (t - a) / (b - a) * (w_b - w_a))
         cov = (np.minimum.outer(t, t) - a) * (b - np.maximum.outer(t, t)) / (b - a)
         assert np.all(np.abs(resid.mean(axis=0)) <= 4 * np.sqrt(np.diag(cov) / n))
         sample = np.cov(resid.T, ddof=1).reshape(t.size, t.size)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
         assert np.all(np.abs(sample - cov) <= 4 * se)
-        for end in (w[:, 0], w[:, t.size + 1]):  # uncorrelated with the bracket's ends
+        for end in (w_a[:, 0], w_b[:, 0]):  # uncorrelated with the bracket's ends
             assert np.all(np.abs([np.corrcoef(r, end)[0, 1] for r in resid.T]) <= 4 / np.sqrt(n))
 
     @pytest.mark.parametrize("extra", [0, 1])
